@@ -18,7 +18,7 @@ case = mt.generate_case(cfg, cfg.seed, 0)
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
 tcfg = mt.TrackerConfig()
 
-states, exts, diags = mt.run_filter(case.frames, model, tcfg)
+states, exts, diags = mt.run_filter(case.frames, model, tcfg, trace=[])
 
 print("step | pos err (m) | extent eigs (m^2)        | dof")
 for k in (0, 4, 9, 19, 39, 58):
@@ -33,8 +33,7 @@ print("(the estimate approaches truth + 4 sigma_v^2 from the sensor noise)")
 print("\n== Kalman equivalence of the state branch ==")
 state, _ = mt.init_track(case.frames[0], tcfg)
 mean, cov = state.mean, state.cov
-fmat = model.jac_f(mean)
-hmat = model.jac_h(mean)
+fmat, hmat = model.F, model.H
 worst = 0.0
 for k, diag in enumerate(diags):
     r = model.b @ mt.extension_mean(diag.pred_ext) @ model.b.T / diag.frame.count

@@ -12,7 +12,6 @@ from .filtering import (
     InnovationStats,
     TrackerConfig,
     extension_mean,
-    filter_step,
     init_track,
     innovation,
     predict_extension,
@@ -32,9 +31,7 @@ from .models import (
     ScenarioConfig,
     TrackState,
     cv_process_noise,
-    cv_transition,
     frame_stats,
-    linear_measurement,
     nominal_cv_model,
 )
 from .network import (

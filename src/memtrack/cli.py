@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--levels", default=None,
                    help="noise levels as sw:sv pairs, e.g. 0.4:0.6,0.6:0.8")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; runs serially")
 
     p = sub.add_parser("train", help="train the compensation network")
     p.add_argument("dataset")
@@ -73,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mask", default="", help="comma list from {jeb, jub, mub}")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("eval", help="evaluate on the test split")
     p.add_argument("dataset")
@@ -85,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path prefix")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--polygon", type=int, default=256)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("track", help="dump one case's trajectory and extents")
     p.add_argument("dataset")
@@ -108,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=None, help="comma list, default 100,200,1000")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -118,8 +113,16 @@ def _load_view(path) -> ConfigView:
     return load_config(path)
 
 
+def _checked(build, *args, **kwargs):
+    """Build a config object, reporting its range checks as ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _scenario_from(view: ConfigView, args) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+    fields = dict(
         steps=view.get_int("scenario.steps", 140),
         dt=view.get_float("scenario.dt", 1.0),
         sigma_w=view.get_float("scenario.sigma_w", 0.4),
@@ -138,13 +141,10 @@ def _scenario_from(view: ConfigView, args) -> ScenarioConfig:
         process_noise=view.get_str("scenario.process_noise", "direct"),
         seed=view.get_int("scenario.seed", 0),
     )
-    if getattr(args, "cases", None) is not None:
-        cfg = replace(cfg, cases=args.cases)
-    if getattr(args, "steps", None) is not None:
-        cfg = replace(cfg, steps=args.steps)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    for name in ("cases", "steps", "seed"):
+        if getattr(args, name, None) is not None:
+            fields[name] = getattr(args, name)
+    return _checked(ScenarioConfig, **fields)
 
 
 def _tracker_from(view: ConfigView) -> TrackerConfig:
@@ -166,13 +166,13 @@ def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
     )
 
 
-def _train_config_base(view: ConfigView, mask_spec: str = "") -> TrainConfig:
+def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainConfig:
+    """Train settings from the config file; non-None ``overrides`` win."""
     tokens = [t.strip() for t in mask_spec.split(",") if t.strip()]
     unknown = [t for t in tokens if t not in MASK_TOKENS]
     if unknown:
         raise ConfigError(f"unknown mask tokens {unknown}; valid: jeb, jub, mub")
-    masks = {MASK_TOKENS[t]: True for t in tokens}
-    return TrainConfig(
+    fields = dict(
         learning_rate=view.get_float("train.learning_rate", 1e-3),
         momentum=view.get_float("train.momentum", 0.9),
         epochs=view.get_int("train.epochs", 60),
@@ -186,55 +186,25 @@ def _train_config_base(view: ConfigView, mask_spec: str = "") -> TrainConfig:
         tracker=_tracker_from(view),
         history_metric_cases=view.get_int("train.history_metric_cases", 8),
         history_polygon=view.get_int("train.history_polygon", 64),
-        **masks,
     )
-
-
-def _train_config_from(view: ConfigView, args) -> TrainConfig:
-    cfg = _train_config_base(view, getattr(args, "mask", ""))
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.folds is not None:
-        overrides["folds"] = args.folds
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    if args.memory_dim is not None:
-        overrides["memory_dim"] = args.memory_dim
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _parse_levels(spec: str):
-    pairs = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"--levels expects sw:sv pairs, got {chunk!r}")
-        pairs.append((float(parts[0]), float(parts[1])))
-    if not pairs:
-        raise ConfigError("--levels produced no pairs")
-    return pairs
+    fields.update({MASK_TOKENS[t]: True for t in tokens})
+    fields.update({k: v for k, v in overrides.items() if v is not None})
+    return _checked(TrainConfig, **fields)
 
 
 def cmd_simulate(args) -> int:
     view = _load_view(args.config)
     base = _scenario_from(view, args)
     if args.levels is not None:
-        levels = _parse_levels(args.levels)
+        levels = ConfigView({"--levels": args.levels}).get_float_pairs("--levels")
     else:
         levels = view.get_float_pairs("simulate.levels", DEFAULT_NOISE_LEVELS)
+    configs = [_checked(replace, base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
+               for li, (sw, sv) in enumerate(levels)]
     os.makedirs(args.out, exist_ok=True)
-    for li, (sw, sv) in enumerate(levels):
-        cfg = replace(base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
+    for cfg in configs:
         dataset = generate_dataset(cfg)
-        name = f"dataset_sw{sw:g}_sv{sv:g}.mtds"
+        name = f"dataset_sw{cfg.sigma_w:g}_sv{cfg.sigma_v:g}.mtds"
         path = os.path.join(args.out, name)
         write_dataset(dataset, path)
         mean_n = float(np.mean([f.count for c in dataset.cases for f in c.frames]))
@@ -258,7 +228,9 @@ def cmd_train(args) -> int:
     view = _load_view(args.config)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
-    cfg = _train_config_from(view, args)
+    cfg = _train_config(view, args.mask, epochs=args.epochs, learning_rate=args.lr,
+                        folds=args.folds, batch_size=args.batch,
+                        memory_dim=args.memory_dim, seed=args.seed)
     params, history, folds = train(dataset, model, cfg)
     digest = hashlib.sha256(
         json.dumps({k: str(v) for k, v in vars(cfg).items()}, sort_keys=True).encode()
@@ -405,13 +377,14 @@ def cmd_datascale(args) -> int:
     sizes = (view.get_int_list("datascale.sizes", [100, 200, 1000])
              if args.sizes is None else [int(s) for s in args.sizes.split(",")])
     test_cases = view.get_int("datascale.test_cases", 25)
-    epochs = args.epochs or view.get_int("datascale.epochs", 10)
+    epochs = args.epochs if args.epochs is not None else view.get_int("datascale.epochs", 10)
     seed = args.seed if args.seed is not None else base.seed
+    train_cfg = _train_config(view, epochs=epochs, folds=1, seed=seed)
 
     rows = []
     largest = max(sizes)
-    cfg_all = replace(base, cases=largest + test_cases,
-                      train_fraction=largest / (largest + test_cases), seed=seed)
+    cfg_all = _checked(replace, base, cases=largest + test_cases,
+                       train_fraction=largest / (largest + test_cases), seed=seed)
     dataset_all = generate_dataset(cfg_all)
     model = _model_from(view, cfg_all)
     tracker = _tracker_from(view)
@@ -429,8 +402,7 @@ def cmd_datascale(args) -> int:
             config=cfg_all,
             master_seed=seed,
         )
-        cfg = replace(_train_config_base(view), epochs=epochs, folds=1, seed=seed)
-        params, _, _ = train(subset, model, cfg)
+        params, _, _ = train(subset, model, train_cfg)
         runs = _posteriors_for(dataset_all, model, tracker, params)
         rep = evaluate_run(dataset_all, runs, polygon_order=64)
         rows.append((str(size), rep))

@@ -3,8 +3,22 @@
 The recursion is parameterized by a :class:`~memtrack.models.Compensation`
 input, so the same code runs as the classic zero-compensation baseline and
 as the filtering backbone of the learned tracker.  With zero compensation
-and a linear model the state branch is algebraically a Kalman filter whose
-measurement covariance is B Xhat B^T / n.
+the state branch is algebraically a Kalman filter whose measurement
+covariance is B Xhat B^T / n.
+
+:func:`run_filter` is the only place the per-step recursion is written.  It
+takes an optional compensator, an object with two methods that it calls
+once per step, in this order:
+
+- ``evolve(state, ext, fs)`` gets the previous posteriors and the current
+  frame's statistics and returns the evolution moments ``(df, pf, pphi)``
+  used by both predictions;
+- ``measure(pred, ext_pred)`` gets those predictions and returns the
+  measurement moments ``(dh, ph)`` used by the innovation.
+
+A compensator may keep state between the two calls and across steps (the
+learned tracker keeps its LSTM memory there).  ``None`` runs the
+zero-compensation baseline.
 
 All arithmetic goes through :mod:`memtrack.ops`, so beliefs may carry tape
 variables; gradients then flow through every update into upstream inputs.
@@ -12,7 +26,7 @@ variables; gradients then flow through every update into upstream inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +62,6 @@ __all__ = [
     "update_extension",
     "extension_mean",
     "init_track",
-    "filter_step",
     "run_filter",
 ]
 
@@ -88,7 +101,7 @@ class InnovationStats:
 
 @dataclass(frozen=True)
 class FilterDiagnostics:
-    """Intermediates of one step, exposed for training and tests."""
+    """Intermediates of one step, recorded by ``run_filter(trace=...)``."""
 
     pred_state: TrackState
     pred_ext: ExtensionState
@@ -105,12 +118,10 @@ def _proj_eps(raw) -> float:
 def predict_state(prior: TrackState, model: NominalModel, comp: Compensation) -> TrackState:
     """Evolve the kinematic belief one step.
 
-    mean = f(x) + df;  cov = F P F^T + Q + pf, symmetrized.  Nonlinear f is
-    handled by first-order linearization with the model-supplied Jacobian.
+    mean = F x + df;  cov = F P F^T + Q + pf, symmetrized.
     """
-    mean = model.f(prior.mean) + comp.df
-    fmat = model.jac_f(ops.value(prior.mean))
-    cov_raw = fmat @ prior.cov @ fmat.T + model.q + comp.pf
+    mean = model.F @ prior.mean + comp.df
+    cov_raw = model.F @ prior.cov @ model.F.T + model.q + comp.pf
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
     if not np.all(np.isfinite(ops.value(mean))):
         raise NonFinite("predicted state mean is not finite")
@@ -145,8 +156,8 @@ def predict_extension(prior: ExtensionState, model: NominalModel, comp: Compensa
 
 
 def predict_measurement(pred: TrackState, model: NominalModel, comp: Compensation):
-    """Predicted frame mean h(x) + dh."""
-    return model.h(pred.mean) + comp.dh
+    """Predicted frame mean H x + dh."""
+    return model.H @ pred.mean + comp.dh
 
 
 def extension_mean(ext: ExtensionState):
@@ -173,9 +184,8 @@ def innovation(
     if count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
     z_pred = predict_measurement(pred, model, comp)
-    hmat = model.jac_h(ops.value(pred.mean))
-    pxz = pred.cov @ hmat.T
-    hph = hmat @ pxz
+    pxz = pred.cov @ model.H.T
+    hph = model.H @ pxz
     xhat = extension_mean(ext_pred)
     scatter_noise = (model.b @ xhat @ model.b.T) / float(count)
     physical = hph + scatter_noise
@@ -276,51 +286,54 @@ def init_track(first: MeasurementFrame, cfg: TrackerConfig) -> tuple[TrackState,
     return TrackState(mean=mean, cov=cov), ExtensionState(dof=cfg.init_dof, param=param)
 
 
-def filter_step(
-    state: TrackState,
-    ext: ExtensionState,
-    frame: MeasurementFrame,
-    model: NominalModel,
-    comp: Compensation,
-) -> tuple[TrackState, ExtensionState, FilterDiagnostics]:
-    """One predict/update cycle over a frame with a fixed compensation."""
-    fs = frame_stats(frame)
-    pred = predict_state(state, model, comp)
-    ext_pred = predict_extension(ext, model, comp)
-    stats = innovation(pred, ext_pred, model, comp, fs.count)
-    new_state = update_state(pred, stats, fs.mean)
-    new_ext = update_extension(ext_pred, stats, fs, model)
-    diag = FilterDiagnostics(
-        pred_state=pred,
-        pred_ext=ext_pred,
-        stats=stats,
-        residual=fs.mean - ops.value(stats.z_pred),
-        frame=fs,
-    )
-    return new_state, new_ext, diag
-
-
 def run_filter(
     frames: list[MeasurementFrame],
     model: NominalModel,
     cfg: TrackerConfig,
-    comps: list[Compensation] | None = None,
+    compensator=None,
+    trace: list | None = None,
 ):
     """Filter a whole sequence; the first frame only initializes.
 
-    Returns (posterior states, posterior extensions, diagnostics), each of
-    length len(frames) - 1.  ``comps`` supplies one compensation per update
-    step; None runs the zero-compensation baseline.
+    Every later frame runs frame statistics -> ``compensator.evolve`` ->
+    prediction -> ``compensator.measure`` -> innovation -> update (see the
+    module docstring); ``compensator=None`` is the zero-compensation
+    baseline.  ``trace``, if given, receives one :class:`FilterDiagnostics`
+    per step.
+
+    Returns (posterior states, posterior extensions, trace), the first two
+    of length len(frames) - 1.
     """
     if len(frames) < 2:
         raise TooFewPoints("a sequence needs at least two frames")
     state, ext = init_track(frames[0], cfg)
     zero = Compensation.zero()
-    states, exts, diags = [], [], []
-    for k, frame in enumerate(frames[1:]):
-        comp = zero if comps is None else comps[k]
-        state, ext, diag = filter_step(state, ext, frame, model, comp)
+    states, exts = [], []
+    for k, frame in enumerate(frames[1:], start=2):
+        fs = frame_stats(frame)
+        comp = zero
+        if compensator is not None:
+            df, pf, pphi = compensator.evolve(state, ext, fs)
+            comp = replace(zero, df=df, pf=pf, pphi=pphi)
+        pred = predict_state(state, model, comp)
+        ext_pred = predict_extension(ext, model, comp)
+        if compensator is not None:
+            dh, ph = compensator.measure(pred, ext_pred)
+            comp = replace(comp, dh=dh, ph=ph)
+        stats = innovation(pred, ext_pred, model, comp, fs.count)
+        state = update_state(pred, stats, fs.mean)
+        ext = update_extension(ext_pred, stats, fs, model)
+        # update_state already rejects a non-finite mean
+        if not np.all(np.isfinite(ops.value(ext.param))):
+            raise NonFinite(f"non-finite posterior extension at step {k}")
+        if trace is not None:
+            trace.append(FilterDiagnostics(
+                pred_state=pred,
+                pred_ext=ext_pred,
+                stats=stats,
+                residual=fs.mean - ops.value(stats.z_pred),
+                frame=fs,
+            ))
         states.append(state)
         exts.append(ext)
-        diags.append(diag)
-    return states, exts, diags
+    return states, exts, trace

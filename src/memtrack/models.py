@@ -8,8 +8,7 @@ once over both).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +25,7 @@ __all__ = [
     "NominalModel",
     "Compensation",
     "ScenarioConfig",
-    "cv_transition",
     "cv_transition_matrix",
-    "linear_measurement",
     "MEASUREMENT_MATRIX",
     "frame_stats",
     "cv_process_noise",
@@ -105,22 +102,19 @@ class Compensation:
 
 @dataclass(frozen=True)
 class NominalModel:
-    """First-order nominal motion/measurement model.
+    """Linear nominal motion/measurement model.
 
-    ``f`` and ``h`` must be written with tape-compatible arithmetic (array
-    @ vector etc.); ``jac_f`` / ``jac_h`` return Jacobians at a plain-array
-    linearization point.  ``mean_preserving_transition`` divides the
-    extension-transition bracket by delta so the expected extent is carried
-    over unchanged; the raw form multiplies it by delta, which compounds
-    geometrically across steps (see the transition notes in filtering).
-    ``feldmann_update`` switches the extension update to the classic
-    Cholesky-whitened symmetric form for comparison runs.
+    The state evolves as F x and the frame mean is predicted as H x.
+    ``mean_preserving_transition`` divides the extension-transition bracket
+    by delta so the expected extent is carried over unchanged; the raw form
+    multiplies it by delta, which compounds geometrically across steps (see
+    the transition notes in filtering).  ``feldmann_update`` switches the
+    extension update to the classic Cholesky-whitened symmetric form for
+    comparison runs.
     """
 
-    f: Callable
-    jac_f: Callable[[np.ndarray], np.ndarray]
-    h: Callable
-    jac_h: Callable[[np.ndarray], np.ndarray]
+    F: np.ndarray            # (4, 4) state transition
+    H: np.ndarray            # (2, 4) measurement matrix
     q: np.ndarray            # (4, 4) process noise
     b: np.ndarray            # (2, 2) measurement distortion
     a: np.ndarray            # (2, 2) extension transition
@@ -173,21 +167,10 @@ def cv_transition_matrix(dt: float) -> np.ndarray:
     ])
 
 
-def cv_transition(x, dt: float):
-    """Constant-velocity step: returns (F @ x, F)."""
-    f = cv_transition_matrix(dt)
-    return f @ x, f
-
-
 MEASUREMENT_MATRIX = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
 ])
-
-
-def linear_measurement(x):
-    """Position-selector measurement: returns (H @ x, H)."""
-    return MEASUREMENT_MATRIX @ x, MEASUREMENT_MATRIX
 
 
 def frame_stats(frame: MeasurementFrame) -> FrameStats:
@@ -237,12 +220,9 @@ def nominal_cv_model(
     semi-axes).  With B = I the extent estimate settles 4x low and any
     learned inflation would miscalibrate the innovation covariance.
     """
-    fmat = cv_transition_matrix(dt)
     return NominalModel(
-        f=lambda x, fmat=fmat: fmat @ x,
-        jac_f=lambda x, fmat=fmat: fmat,
-        h=lambda x: MEASUREMENT_MATRIX @ x,
-        jac_h=lambda x: MEASUREMENT_MATRIX,
+        F=cv_transition_matrix(dt),
+        H=MEASUREMENT_MATRIX,
         q=cv_process_noise(sigma_w, dt),
         b=0.5 * np.eye(2) if b is None else np.asarray(b, dtype=np.float64),
         a=np.eye(2) if a is None else np.asarray(a, dtype=np.float64),
@@ -251,6 +231,3 @@ def nominal_cv_model(
         feldmann_update=feldmann_update,
     )
 
-
-def replace_model(model: NominalModel, **kw) -> NominalModel:
-    return replace(model, **kw)

@@ -19,25 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .errors import LengthMismatch, NonFinite
-from .filtering import (
-    TrackerConfig,
-    extension_mean,
-    init_track,
-    innovation,
-    predict_extension,
-    predict_state,
-    update_extension,
-    update_state,
-)
+from .errors import LengthMismatch
+from .filtering import TrackerConfig, extension_mean, run_filter
 from .models import (
-    Compensation,
     ExtensionState,
     FrameStats,
     MeasurementFrame,
     NominalModel,
     TrackState,
-    frame_stats,
 )
 
 __all__ = [
@@ -231,52 +220,49 @@ def jub_heads(params: NetworkParams, weights, pred: TrackState, ext_pred: Extens
     return dh, ph
 
 
+class _Compensator:
+    """The network as a :func:`~memtrack.filtering.run_filter` compensator.
+
+    Holds the LSTM memory across steps: ``evolve`` updates it from the
+    previous posteriors and the current frame, then reads the evolution
+    heads; ``measure`` reads the update heads from the predictions.
+    """
+
+    def __init__(self, params: NetworkParams, weights):
+        self.params = params
+        self.weights = weights
+        self.mem = initial_memory(params.memory_dim)
+
+    def evolve(self, state: TrackState, ext: ExtensionState, fs: FrameStats):
+        features = encode_inputs(state, ext, fs, self.params)
+        self.mem = mub_step(self.params, self.weights, features, self.mem)
+        return jeb_heads(self.params, self.weights, self.mem)
+
+    def measure(self, pred: TrackState, ext_pred: ExtensionState):
+        return jub_heads(self.params, self.weights, pred, ext_pred)
+
+
 def forward_sequence(
     params: NetworkParams,
     frames: list[MeasurementFrame],
     model: NominalModel,
     tcfg: TrackerConfig | None = None,
     tape: ops.Tape | None = None,
-    trace: list | None = None,
 ):
     """Run the memory-aided filter over a whole sequence.
 
     The first frame initializes the track; every later frame runs
     memory update -> evolution heads -> filter prediction -> update heads
-    -> filter update.  With a tape, parameters enter as leaves and the
-    returned mapping supports gradient extraction; without one this is the
-    plain-inference path (identical arithmetic).  ``trace``, if given,
-    receives one (Compensation, innovation residual) pair per step for
-    diagnostics.
+    -> filter update, through :func:`~memtrack.filtering.run_filter`.  With
+    a tape, parameters enter as leaves and the returned mapping supports
+    gradient extraction; without one this is the plain-inference path
+    (identical arithmetic).
 
     Returns (posterior states, posterior extensions, leaves-or-None).
     """
-    tcfg = tcfg or TrackerConfig()
     weights = params.leaves(tape) if tape is not None else params.arrays
-    state, ext = init_track(frames[0], tcfg)
-    mem = initial_memory(params.memory_dim)
-    states: list[TrackState] = []
-    exts: list[ExtensionState] = []
-    for k, frame in enumerate(frames[1:], start=2):
-        fs = frame_stats(frame)
-        features = encode_inputs(state, ext, fs, params)
-        mem = mub_step(params, weights, features, mem)
-        df, pf, pphi = jeb_heads(params, weights, mem)
-        evo_comp = Compensation(df=df, pf=pf, dh=np.zeros(2), ph=np.zeros((2, 2)), pphi=pphi)
-        pred = predict_state(state, model, evo_comp)
-        ext_pred = predict_extension(ext, model, evo_comp)
-        dh, ph = jub_heads(params, weights, pred, ext_pred)
-        comp = Compensation(df=df, pf=pf, dh=dh, ph=ph, pphi=pphi)
-        stats = innovation(pred, ext_pred, model, comp, fs.count)
-        state = update_state(pred, stats, fs.mean)
-        ext = update_extension(ext_pred, stats, fs, model)
-        if not (np.all(np.isfinite(ops.value(state.mean)))
-                and np.all(np.isfinite(ops.value(ext.param)))):
-            raise NonFinite(f"non-finite posterior at step {k}")
-        if trace is not None:
-            trace.append((comp, fs.mean - np.asarray(ops.value(stats.z_pred))))
-        states.append(state)
-        exts.append(ext)
+    states, exts, _ = run_filter(frames, model, tcfg or TrackerConfig(),
+                                 _Compensator(params, weights))
     return states, exts, (weights if tape is not None else None)
 
 

@@ -309,6 +309,12 @@ def take_diag(m):
     return t._node(out, [(m.idx, lambda g: np.diag(g))])
 
 
+def _sym_grad(g):
+    """Adjoint of symmetrization: the symmetric part of the gradient."""
+    g = np.asarray(g)
+    return 0.5 * (g + g.T)
+
+
 def sym(a):
     """Symmetric part 0.5 * (a + a.T)."""
     t = _tape(a)
@@ -316,7 +322,7 @@ def sym(a):
     out = 0.5 * (av + av.T)
     if t is None:
         return out
-    return t._node(out, [(a.idx, lambda g: 0.5 * (np.asarray(g) + np.asarray(g).T))])
+    return t._node(out, [(a.idx, _sym_grad)])
 
 
 def _sigmoid(x):
@@ -420,6 +426,23 @@ def _project_value(s, eps):
     return 0.5 * (out + out.T), w, u, True
 
 
+def _clamp_vjp(w, u, eps):
+    """Exact adjoint of symmetrize-then-clamp at eigenpairs (w, u) of the
+    symmetrized input: blocks the gradient along clamped eigendirections."""
+    wc = np.maximum(w, eps)
+    gprime = (w > eps).astype(np.float64)
+    dw = w[:, None] - w[None, :]
+    dn = wc[:, None] - wc[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(dw != 0.0, dn / dw, 0.5 * (gprime[:, None] + gprime[None, :]))
+
+    def vjp(g):
+        tmat = u.T @ _sym_grad(g) @ u
+        return _sym_grad(u @ (m * tmat) @ u.T)
+
+    return vjp
+
+
 def sym_project(a, eps):
     """Symmetrize then clamp eigenvalues to >= eps.
 
@@ -433,24 +456,7 @@ def sym_project(a, eps):
     out, w, u, clamped = _project_value(s, eps)
     if t is None:
         return out
-
-    if not clamped:
-        return t._node(out, [(a.idx, lambda g: 0.5 * (np.asarray(g) + np.asarray(g).T))])
-
-    wc = np.maximum(w, eps)
-    gprime = (w > eps).astype(np.float64)
-
-    def vjp(g):
-        gs = 0.5 * (np.asarray(g) + np.asarray(g).T)
-        tmat = u.T @ gs @ u
-        dw = w[:, None] - w[None, :]
-        dn = wc[:, None] - wc[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.where(dw != 0.0, dn / dw, 0.5 * (gprime[:, None] + gprime[None, :]))
-        ds = u @ (m * tmat) @ u.T
-        return 0.5 * (ds + ds.T)
-
-    return t._node(out, [(a.idx, vjp)])
+    return t._node(out, [(a.idx, _clamp_vjp(w, u, eps) if clamped else _sym_grad)])
 
 
 def spectrum_floor(a, ref, frac):
@@ -473,33 +479,14 @@ def spectrum_floor(a, ref, frac):
         return out
 
     pairs = []
-    if not clamped:
-        if isinstance(a, Var):
-            pairs.append((a.idx, lambda g: 0.5 * (np.asarray(g) + np.asarray(g).T)))
-        return t._node(out, pairs)
-
-    wc = np.maximum(w, eps)
-    gprime = (w > eps).astype(np.float64)
-
     if isinstance(a, Var):
-        def vjp_a(g):
-            gs = 0.5 * (np.asarray(g) + np.asarray(g).T)
-            tmat = u.T @ gs @ u
-            dw = w[:, None] - w[None, :]
-            dn = wc[:, None] - wc[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(dw != 0.0, dn / dw, 0.5 * (gprime[:, None] + gprime[None, :]))
-            ds = u @ (m * tmat) @ u.T
-            return 0.5 * (ds + ds.T)
-
-        pairs.append((a.idx, vjp_a))
-
-    if isinstance(ref, Var):
+        pairs.append((a.idx, _clamp_vjp(w, u, eps) if clamped else _sym_grad))
+    if clamped and isinstance(ref, Var):
         umin = ru[:, 0]
         dref_dir = 0.5 * frac * (np.outer(umin, umin) + np.outer(umin, umin).T)
 
         def vjp_ref(g):
-            gs = 0.5 * (np.asarray(g) + np.asarray(g).T)
+            gs = _sym_grad(g)
             sens = 0.0
             for i in range(len(w)):
                 if w[i] < eps:

@@ -19,8 +19,8 @@ import numpy as np
 from .models import (
     MeasurementFrame,
     ScenarioConfig,
-    cv_transition,
     cv_process_noise,
+    cv_transition_matrix,
 )
 from .spdmat import cholesky, symmetrize_project
 
@@ -72,7 +72,7 @@ def ct_transition(x, omega: float, dt: float):
     series expansion below |omega * dt| = 1e-6 to stay smooth through zero.
     """
     if omega == 0.0:
-        return cv_transition(x, dt)[0]
+        return cv_transition_matrix(dt) @ x
     wd = omega * dt
     if abs(wd) < 1e-6:
         s = dt * (1.0 - wd * wd / 6.0)

@@ -208,7 +208,8 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
     """Cross-validated training; returns (best params, history, fold reports).
 
     The returned parameters are the checkpoint with the lowest validation
-    joint loss across every (fold, epoch).  History carries one record per
+    joint loss across every (fold, epoch); NonFinite is raised when no
+    validation loss is finite.  History carries one record per
     (fold, epoch) with train/val loss and validation metric summaries.
     """
     train_cases = [dataset.cases[i] for i in dataset.train_idx]
@@ -284,6 +285,8 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
         fold_reports.append(FoldReport(fold=fold, best_epoch=fold_best_epoch,
                                        best_val_loss=fold_best))
 
+    if best_params is None:
+        raise NonFinite("no (fold, epoch) reached a finite validation loss")
     return best_params, history, fold_reports
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from memtrack import training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.store import read_checkpoint, read_dataset
 
@@ -42,6 +43,16 @@ class TestSimulate:
         rc = main(["simulate", "--out", str(tmp_path), "--levels", "nonsense"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra", [
+        ["--levels", "a:b"],
+        ["--levels", "0:0.6"],
+        ["--steps", "1"],
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, extra):
+        rc = main(["simulate", "--out", str(tmp_path), "--cases", "2", *extra])
+        assert rc == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_zero_lr_checkpoint_equals_init(self, small_dataset, tmp_path):
@@ -70,6 +81,24 @@ class TestTrain:
         rc = main(["train", str(small_dataset), "--out", str(tmp_path / "x.mtck"),
                    "--mask", "everything"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("extra", [["--epochs", "0"], ["--memory-dim", "-3"],
+                                       ["--batch", "0"]])
+    def test_out_of_range_is_config_error(self, small_dataset, tmp_path, extra):
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), *extra])
+        assert rc == EXIT_CONFIG
+        assert not ck.exists()
+
+    def test_no_finite_validation_loss_is_numeric_error(self, small_dataset, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(training, "_validation_scores",
+                            lambda *a: (float("inf"), float("nan"), float("nan"), float("nan")))
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--epochs", "1",
+                   "--folds", "1", "--memory-dim", "4"])
+        assert rc == EXIT_NUMERIC
+        assert not ck.exists()
 
     def test_history_rows_per_fold_epoch(self, small_dataset, tmp_path):
         ck = tmp_path / "f.mtck"
@@ -193,6 +222,13 @@ class TestDatascale:
         assert lines[0] == "train_cases,position_rmse,mean_iou,mean_gwd"
         tags = [r.split(",")[0] for r in lines[1:]]
         assert tags == ["baseline", "3", "4"]
+
+    def test_zero_epochs_is_config_error(self, tmp_path):
+        out = tmp_path / "scale.csv"
+        rc = main(["datascale", "--out", str(out), "--sizes", "3", "--epochs", "0",
+                   "--config", str(_tiny_cfg(tmp_path))])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
 
 
 def _tiny_cfg(tmp_path):

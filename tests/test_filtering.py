@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from memtrack import filtering, models
+from memtrack import filtering, models, network
 from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
-from memtrack.filtering import TrackerConfig
+from memtrack.filtering import FilterDiagnostics, TrackerConfig
 from memtrack.models import Compensation, ExtensionState, MeasurementFrame, TrackState
 from memtrack.simulate import generate_case
 from memtrack.spdmat import sample_wishart, sample_inverse_wishart
@@ -18,6 +18,16 @@ def textbook_kalman_step(mean, cov, z, fmat, q, hmat, r):
     mean_u = mean_p + gain @ (z - hmat @ mean_p)
     cov_u = cov_p - gain @ hmat @ cov_p
     return mean_u, cov_u
+
+
+def manual_step(state, ext, frame, model, comp):
+    """One recursion step composed by hand from the public pieces."""
+    fs = models.frame_stats(frame)
+    pred = filtering.predict_state(state, model, comp)
+    ext_pred = filtering.predict_extension(ext, model, comp)
+    stats = filtering.innovation(pred, ext_pred, model, comp, fs.count)
+    return (filtering.update_state(pred, stats, fs.mean),
+            filtering.update_extension(ext_pred, stats, fs, model))
 
 
 @pytest.fixture()
@@ -35,8 +45,7 @@ class TestPredictState:
         prior = TrackState(mean=np.array([0.0, 0.0, 10.0, 0.0]), cov=np.eye(4))
         pred = filtering.predict_state(prior, cv_model, zero)
         np.testing.assert_array_equal(pred.mean, [10.0, 0.0, 10.0, 0.0])
-        fmat = cv_model.jac_f(prior.mean)
-        np.testing.assert_allclose(pred.cov, fmat @ prior.cov @ fmat.T + cv_model.q,
+        np.testing.assert_allclose(pred.cov, cv_model.F @ prior.cov @ cv_model.F.T + cv_model.q,
                                    atol=1e-12)
 
     def test_shift_additive(self, cv_model, zero):
@@ -131,8 +140,7 @@ class TestInnovation:
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
         stats = filtering.innovation(pred, ext, model, zero, count=10 ** 9)
-        hmat = model.jac_h(pred.mean)
-        np.testing.assert_allclose(stats.pzz, hmat @ pred.cov @ hmat.T, atol=1e-6)
+        np.testing.assert_allclose(stats.pzz, model.H @ pred.cov @ model.H.T, atol=1e-6)
 
     def test_pxz_selects_columns(self, cv_model, zero):
         rng = np.random.default_rng(0)
@@ -176,7 +184,8 @@ class TestUpdateState:
 class TestUpdateExtension:
     def test_dof_increment_exact(self, cv_model, zero):
         case = generate_case(models.ScenarioConfig(steps=140, cases=1, seed=5), 5, 0)
-        states, exts, diags = filtering.run_filter(case.frames, cv_model, TrackerConfig())
+        states, exts, diags = filtering.run_filter(case.frames, cv_model, TrackerConfig(),
+                                                   trace=[])
         for k, diag in enumerate(diags):
             n = case.frames[k + 1].count
             assert exts[k].dof - diag.pred_ext.dof == n
@@ -259,12 +268,11 @@ class TestKalmanEquivalence:
         R_k = B Xhat_k B^T / n_k, to 1e-10 over a long seeded run."""
         case = generate_case(models.ScenarioConfig(steps=101, cases=1, seed=9), 9, 0)
         tcfg = TrackerConfig()
-        states, exts, diags = filtering.run_filter(case.frames, cv_model, tcfg)
+        states, exts, diags = filtering.run_filter(case.frames, cv_model, tcfg, trace=[])
 
         state0, _ = filtering.init_track(case.frames[0], tcfg)
         mean, cov = state0.mean, state0.cov
-        fmat = cv_model.jac_f(mean)
-        hmat = cv_model.jac_h(mean)
+        fmat, hmat = cv_model.F, cv_model.H
         worst = 0.0
         for k, diag in enumerate(diags):
             xhat = filtering.extension_mean(diag.pred_ext)
@@ -288,27 +296,22 @@ class TestKalmanEquivalence:
 
 
 class TestFilterStep:
+    """A single step of run_filter, on two-frame sequences."""
+
     def test_matches_manual_composition(self, cv_model, zero):
         case = generate_case(models.ScenarioConfig(steps=3, cases=1, seed=13), 13, 0)
         tcfg = TrackerConfig()
+        states, exts, _ = filtering.run_filter(case.frames[:2], cv_model, tcfg)
         state, ext = filtering.init_track(case.frames[0], tcfg)
-        auto_state, auto_ext, diag = filtering.filter_step(
-            state, ext, case.frames[1], cv_model, zero)
-        fs = models.frame_stats(case.frames[1])
-        pred = filtering.predict_state(state, cv_model, zero)
-        ext_pred = filtering.predict_extension(ext, cv_model, zero)
-        stats = filtering.innovation(pred, ext_pred, cv_model, zero, fs.count)
-        manual_state = filtering.update_state(pred, stats, fs.mean)
-        manual_ext = filtering.update_extension(ext_pred, stats, fs, cv_model)
-        np.testing.assert_array_equal(auto_state.mean, manual_state.mean)
-        np.testing.assert_array_equal(auto_ext.param, manual_ext.param)
+        manual_state, manual_ext = manual_step(state, ext, case.frames[1], cv_model, zero)
+        np.testing.assert_array_equal(states[0].mean, manual_state.mean)
+        np.testing.assert_array_equal(exts[0].param, manual_ext.param)
 
-    def test_single_point_frame_increments_dof_by_one(self, cv_model, zero):
-        state = TrackState(mean=np.zeros(4), cov=np.eye(4))
-        ext = ExtensionState(dof=12.0, param=np.eye(2) * 6.0)
-        frame = MeasurementFrame(np.array([[0.5, -0.5]]))
-        _, new_ext, diag = filtering.filter_step(state, ext, frame, cv_model, zero)
-        assert new_ext.dof - diag.pred_ext.dof == 1
+    def test_single_point_frame_increments_dof_by_one(self, cv_model):
+        frames = [MeasurementFrame(np.array([[1.0, 0.0], [-1.0, 0.0]])),
+                  MeasurementFrame(np.array([[0.5, -0.5]]))]
+        _, exts, diags = filtering.run_filter(frames, cv_model, TrackerConfig(), trace=[])
+        assert exts[0].dof - diags[0].pred_ext.dof == 1
 
     def test_feldmann_update_mode_runs(self, zero):
         model = models.nominal_cv_model(sigma_w=0.4, feldmann_update=True)
@@ -316,3 +319,84 @@ class TestFilterStep:
         states, exts, _ = filtering.run_filter(case.frames, model, TrackerConfig())
         assert all(np.all(np.isfinite(e.param)) for e in exts)
         assert np.linalg.eigvalsh(exts[-1].param).min() > 0
+
+
+class StubCompensator:
+    """Fixed compensation moments; records every call it receives."""
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.evolved, self.measured = [], []
+
+    def evolve(self, state, ext, fs):
+        self.evolved.append((state, ext, fs))
+        return self.comp.df, self.comp.pf, self.comp.pphi
+
+    def measure(self, pred, ext_pred):
+        self.measured.append((pred, ext_pred))
+        return self.comp.dh, self.comp.ph
+
+
+class TestCompensator:
+    @pytest.fixture()
+    def comp(self):
+        return Compensation(df=np.array([0.1, -0.2, 0.05, 0.0]),
+                            pf=np.diag([0.3, 0.2, 0.1, 0.1]),
+                            dh=np.array([0.05, -0.1]), ph=np.diag([0.2, 0.1]),
+                            pphi=np.array([[0.5, 0.1], [0.1, 0.3]]))
+
+    @pytest.fixture()
+    def case(self):
+        return generate_case(models.ScenarioConfig(steps=12, cases=1, seed=21), 21, 0)
+
+    def test_stub_matches_manual_composition(self, cv_model, comp, case):
+        tcfg = TrackerConfig()
+        states, exts, _ = filtering.run_filter(case.frames, cv_model, tcfg,
+                                               StubCompensator(comp))
+        state, ext = filtering.init_track(case.frames[0], tcfg)
+        for k, frame in enumerate(case.frames[1:]):
+            state, ext = manual_step(state, ext, frame, cv_model, comp)
+            np.testing.assert_array_equal(states[k].mean, state.mean)
+            np.testing.assert_array_equal(states[k].cov, state.cov)
+            assert exts[k].dof == ext.dof
+            np.testing.assert_array_equal(exts[k].param, ext.param)
+        base, _, _ = filtering.run_filter(case.frames, cv_model, tcfg)
+        assert not np.array_equal(base[-1].mean, states[-1].mean)
+
+    def test_measure_receives_prediction_from_evolve(self, cv_model, comp, case):
+        tcfg = TrackerConfig()
+        stub = StubCompensator(comp)
+        states, exts, diags = filtering.run_filter(case.frames, cv_model, tcfg, stub,
+                                                   trace=[])
+        posteriors = [filtering.init_track(case.frames[0], tcfg)] + list(zip(states, exts))
+        assert len(stub.evolved) == len(stub.measured) == len(case.frames) - 1
+        for k, ((state, ext, fs), (pred, ext_pred)) in enumerate(
+                zip(stub.evolved, stub.measured)):
+            prev_state, prev_ext = posteriors[k]
+            np.testing.assert_array_equal(state.mean, prev_state.mean)
+            np.testing.assert_array_equal(ext.param, prev_ext.param)
+            np.testing.assert_array_equal(fs.mean, models.frame_stats(case.frames[k + 1]).mean)
+            assert pred is diags[k].pred_state and ext_pred is diags[k].pred_ext
+            expect = filtering.predict_state(prev_state, cv_model, comp)
+            expect_ext = filtering.predict_extension(prev_ext, cv_model, comp)
+            np.testing.assert_array_equal(pred.mean, expect.mean)
+            np.testing.assert_array_equal(pred.cov, expect.cov)
+            np.testing.assert_array_equal(ext_pred.param, expect_ext.param)
+
+    def test_trace_only_on_request(self, cv_model, case, monkeypatch):
+        tcfg = TrackerConfig()
+        trace = []
+        _, _, out = filtering.run_filter(case.frames, cv_model, tcfg, trace=trace)
+        assert out is trace and len(trace) == len(case.frames) - 1
+        for k, diag in enumerate(trace):
+            assert isinstance(diag, FilterDiagnostics)
+            assert diag.frame.count == case.frames[k + 1].count
+            np.testing.assert_array_equal(diag.residual, diag.frame.mean - diag.stats.z_pred)
+
+        built = []
+        monkeypatch.setattr(filtering, "FilterDiagnostics",
+                            lambda **kw: built.append(kw) or FilterDiagnostics(**kw))
+        _, _, out = filtering.run_filter(case.frames, cv_model, tcfg)
+        assert out is None
+        network.forward_sequence(network.zero_params(4), case.frames, cv_model, tcfg)
+        assert built == []

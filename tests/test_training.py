@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memtrack.errors import EmptyDataset
+from memtrack import training
+from memtrack.errors import EmptyDataset, NonFinite
 from memtrack.filtering import TrackerConfig
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.network import FEATURE_DIM, init_params
@@ -106,6 +107,13 @@ class TestTrain:
                         master_seed=ds.master_seed)
         with pytest.raises(EmptyDataset):
             train(empty, model, make_cfg())
+
+    def test_no_finite_validation_loss_raises(self, tiny, monkeypatch):
+        ds, model = tiny
+        monkeypatch.setattr(training, "_validation_scores",
+                            lambda *a: (float("inf"), float("nan"), float("nan"), float("nan")))
+        with pytest.raises(NonFinite):
+            train(ds, model, make_cfg(learning_rate=0.0))
 
     def test_masked_variants_run(self, tiny):
         ds, model = tiny
