@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,32 @@ EXIT_NUMERIC = 4
 DEFAULT_NOISE_LEVELS = [(0.4, 0.6), (0.6, 0.8), (0.8, 1.0), (1.0, 1.2)]
 
 MASK_TOKENS = {"jeb": "mask_evolution", "jub": "mask_update", "mub": "mask_memory"}
+
+# Sections that mirror a config dataclass: each field with a plain default is
+# the key ``section.<field>``, read with the type of that default, so the
+# dataclass holds the only default.  The train masks are set only by --mask.
+DATACLASS_SECTIONS = {
+    "scenario": (ScenarioConfig, ()),
+    "tracker": (TrackerConfig, ()),
+    "train": (TrainConfig, tuple(MASK_TOKENS.values())),
+}
+
+# Keys read by name: the nominal model, the simulate sweep and datascale.
+NAMED_KEYS = ("model.q_sigma", "model.delta", "simulate.levels",
+              "datascale.sizes", "datascale.test_cases", "datascale.epochs")
+
+_GETTERS = {int: ConfigView.get_int, float: ConfigView.get_float,
+            str: ConfigView.get_str, bool: ConfigView.get_bool}
+
+
+def _section_fields(section: str):
+    cls, skip = DATACLASS_SECTIONS[section]
+    return [f for f in fields(cls) if f.default is not MISSING and f.name not in skip]
+
+
+# Every key that some command reads; a config file setting any other exits 2.
+CONFIG_KEYS = frozenset(NAMED_KEYS).union(
+    f"{section}.{f.name}" for section in DATACLASS_SECTIONS for f in _section_fields(section))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +136,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_view(path) -> ConfigView:
     if path is None:
         return ConfigView()
-    return load_config(path)
+    view = load_config(path)
+    unknown = sorted(set(view.values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {', '.join(unknown)}")
+    return view
+
+
+def _section_values(view: ConfigView, section: str) -> dict:
+    """The fields of a dataclass section that the config file sets."""
+    return {f.name: _GETTERS[type(f.default)](view, f"{section}.{f.name}")
+            for f in _section_fields(section) if f"{section}.{f.name}" in view.values}
 
 
 def _checked(build, *args, **kwargs):
@@ -122,38 +158,15 @@ def _checked(build, *args, **kwargs):
 
 
 def _scenario_from(view: ConfigView, args) -> ScenarioConfig:
-    fields = dict(
-        steps=view.get_int("scenario.steps", 140),
-        dt=view.get_float("scenario.dt", 1.0),
-        sigma_w=view.get_float("scenario.sigma_w", 0.4),
-        sigma_v=view.get_float("scenario.sigma_v", 0.6),
-        axis_major=view.get_float("scenario.axis_major", 10.0),
-        axis_minor=view.get_float("scenario.axis_minor", 2.0),
-        speed=view.get_float("scenario.speed", 10.0),
-        scatter_rate=view.get_float("scenario.scatter_rate", 20.0),
-        cases=view.get_int("scenario.cases", 600),
-        train_fraction=view.get_float("scenario.train_fraction", 0.8),
-        turn_rate_min=view.get_float("scenario.turn_rate_min", 1.0),
-        turn_rate_max=view.get_float("scenario.turn_rate_max", 5.0),
-        segment_min=view.get_int("scenario.segment_min", 10),
-        segment_max=view.get_int("scenario.segment_max", 40),
-        regimes=view.get_str("scenario.regimes", "cv_ct"),
-        process_noise=view.get_str("scenario.process_noise", "direct"),
-        seed=view.get_int("scenario.seed", 0),
-    )
+    values = _section_values(view, "scenario")
     for name in ("cases", "steps", "seed"):
         if getattr(args, name, None) is not None:
-            fields[name] = getattr(args, name)
-    return _checked(ScenarioConfig, **fields)
+            values[name] = getattr(args, name)
+    return _checked(ScenarioConfig, **values)
 
 
 def _tracker_from(view: ConfigView) -> TrackerConfig:
-    return TrackerConfig(
-        pos_var=view.get_float("tracker.pos_var", 1.0),
-        vel_var=view.get_float("tracker.vel_var", 25.0),
-        init_dof=view.get_float("tracker.init_dof", 10.0),
-        min_extent=view.get_float("tracker.min_extent", 1.0),
-    )
+    return TrackerConfig(**_section_values(view, "tracker"))
 
 
 def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
@@ -161,8 +174,6 @@ def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
         sigma_w=view.get_float("model.q_sigma", dataset_cfg.sigma_w),
         dt=dataset_cfg.dt,
         delta=view.get_float("model.delta", 7.0),
-        mean_preserving_transition=view.get_bool("model.mean_preserving_transition", True),
-        feldmann_update=view.get_bool("model.feldmann_update", False),
     )
 
 
@@ -172,24 +183,11 @@ def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainCo
     unknown = [t for t in tokens if t not in MASK_TOKENS]
     if unknown:
         raise ConfigError(f"unknown mask tokens {unknown}; valid: jeb, jub, mub")
-    fields = dict(
-        learning_rate=view.get_float("train.learning_rate", 1e-3),
-        momentum=view.get_float("train.momentum", 0.9),
-        epochs=view.get_int("train.epochs", 60),
-        batch_size=view.get_int("train.batch_size", 8),
-        l2=view.get_float("train.l2", 1e-4),
-        folds=view.get_int("train.folds", 5),
-        seed=view.get_int("train.seed", 0),
-        memory_dim=view.get_int("train.memory_dim", 64),
-        clip=view.get_float("train.clip", 5.0),
-        val_fraction=view.get_float("train.val_fraction", 0.2),
-        tracker=_tracker_from(view),
-        history_metric_cases=view.get_int("train.history_metric_cases", 8),
-        history_polygon=view.get_int("train.history_polygon", 64),
-    )
-    fields.update({MASK_TOKENS[t]: True for t in tokens})
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    return _checked(TrainConfig, **fields)
+    values = _section_values(view, "train")
+    values["tracker"] = _tracker_from(view)
+    values.update({MASK_TOKENS[t]: True for t in tokens})
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    return _checked(TrainConfig, **values)
 
 
 def cmd_simulate(args) -> int:
@@ -269,6 +267,8 @@ def cmd_eval(args) -> int:
     tracker = _tracker_from(view)
     if not args.baseline and not args.checkpoint and not args.compare:
         raise ConfigError("eval needs --checkpoint, --baseline, or --compare")
+    if args.polygon < 3:
+        raise ConfigError(f"--polygon must be at least 3, got {args.polygon}")
     if len(dataset.test_idx) == 0:
         raise StoreError("dataset has no test split")
 
@@ -356,8 +356,9 @@ def cmd_track(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = ScenarioConfig(steps=max(2, args.steps), cases=1, sigma_w=0.4, sigma_v=0.6,
-                         seed=args.seed)
+    cfg = _checked(ScenarioConfig, steps=args.steps, cases=1, seed=args.seed)
+    if args.memory_dim <= 0:
+        raise ConfigError(f"--memory-dim must be positive, got {args.memory_dim}")
     case = generate_case(cfg, args.seed, 0)
     model = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, 0xC))))
@@ -374,8 +375,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_datascale(args) -> int:
     view = _load_view(args.config)
     base = _scenario_from(view, args)
-    sizes = (view.get_int_list("datascale.sizes", [100, 200, 1000])
-             if args.sizes is None else [int(s) for s in args.sizes.split(",")])
+    if args.sizes is not None:
+        sizes = ConfigView({"--sizes": args.sizes}).get_int_list("--sizes")
+    else:
+        sizes = view.get_int_list("datascale.sizes", [100, 200, 1000])
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"datascale sizes must be positive integers, got {sizes}")
     test_cases = view.get_int("datascale.test_cases", 25)
     epochs = args.epochs if args.epochs is not None else view.get_int("datascale.epochs", 10)
     seed = args.seed if args.seed is not None else base.seed

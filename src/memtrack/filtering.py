@@ -48,7 +48,7 @@ from .models import (
     TrackState,
     frame_stats,
 )
-from .spdmat import cholesky, inverse_spd, sym_sqrt
+from .spdmat import inverse_spd
 
 __all__ = [
     "TrackerConfig",
@@ -96,7 +96,6 @@ class InnovationStats:
     pxz: np.ndarray      # (4, 2)
     pzz: np.ndarray      # (2, 2)
     s_inv: np.ndarray    # (2, 2) extension innovation scale
-    count: int
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def predict_extension(prior: ExtensionState, model: NominalModel, comp: Compensa
         v' = 2 delta (l+1)(l-1)(l-2) / (l^2 (l+delta)) + 2d + 4
 
     and the parameter matrix is scaled by (v' - 2d - 2)/lambda around the
-    transition bracket delta * A X A^T + pphi (divided by delta in
-    mean-preserving mode).
+    transition bracket (delta * A X A^T + pphi) / delta.
     """
     lam = prior.dof - 2 * D - 2
     if lam <= 2.0:
@@ -147,9 +145,9 @@ def predict_extension(prior: ExtensionState, model: NominalModel, comp: Compensa
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
     v_pred = float(np.round(v_pred * _DOF_GRID) / _DOF_GRID)
-    bracket = delta * (model.a @ prior.param @ model.a.T) + comp.pphi
-    if model.mean_preserving_transition:
-        bracket = bracket / delta
+    # Dividing by delta keeps the expected extent; the undivided bracket
+    # multiplies it by about delta per step, which compounds geometrically.
+    bracket = (delta * (model.a @ prior.param @ model.a.T) + comp.pphi) / delta
     raw = ((v_pred - 2 * D - 2) / lam) * bracket
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=v_pred, param=param)
@@ -201,7 +199,7 @@ def innovation(
     except np.linalg.LinAlgError as exc:
         raise SingularExtension(f"predicted extension is singular: {exc}") from exc
     s_inv = ops.transpose(x_inv_hph) + (abs(det_b) ** (D / 2.0) / float(count)) * np.eye(2) + comp.ph
-    return InnovationStats(z_pred=z_pred, pxz=pxz, pzz=pzz, s_inv=s_inv, count=count)
+    return InnovationStats(z_pred=z_pred, pxz=pxz, pzz=pzz, s_inv=s_inv)
 
 
 def update_state(pred: TrackState, stats: InnovationStats, z_tilde) -> TrackState:
@@ -232,28 +230,12 @@ def update_extension(
 
     The scatter term is computed as the literal product chain
     B^-1 Z B^-T X_pred^-1 X_pred; its asymmetry is removed by the final
-    projection.  ``feldmann_update`` substitutes the classic symmetric
-    Cholesky-whitened update for comparison runs (inference only).
+    projection.
     """
     if fs.count < 1:
         raise SingularExtension("extension update needs at least one measurement")
     dof = pred.dof + fs.count
     residual = fs.mean - stats.z_pred
-
-    if model.feldmann_update:
-        if isinstance(pred.param, ops.Var):
-            raise NotImplementedError("feldmann_update is an inference-only comparison mode")
-        x_half = sym_sqrt(ops.value(pred.param))
-        pzz_inv_half = inverse_spd(sym_sqrt(ops.value(stats.pzz)))
-        n_hat = x_half @ pzz_inv_half @ np.outer(ops.value(residual), ops.value(residual)) \
-            @ pzz_inv_half.T @ x_half.T
-        y = model.b @ (ops.value(pred.param) / (pred.dof - 2 * D - 2)) @ model.b.T
-        y_inv_half = inverse_spd(sym_sqrt(y))
-        z_hat = x_half @ y_inv_half @ fs.scatter @ y_inv_half.T @ x_half.T
-        raw = ops.value(pred.param) + n_hat + z_hat
-        param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
-        return ExtensionState(dof=dof, param=param)
-
     b_inv = inverse_spd(model.b)
     whitened_scatter = b_inv @ fs.scatter @ b_inv.T
     try:

@@ -75,6 +75,8 @@ def position_rmse(estimates, truths):
 
 def ellipse_polygon(e: EllipseEstimate, order: int = 256) -> np.ndarray:
     """Inscribed polygon of the solid ellipse, counterclockwise."""
+    if order < 3:
+        raise ValueError(f"polygon order must be at least 3, got {order}")
     theta = np.linspace(0.0, 2.0 * np.pi, order, endpoint=False)
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return e.center + unit @ sym_sqrt(e.extent).T

@@ -104,13 +104,9 @@ class Compensation:
 class NominalModel:
     """Linear nominal motion/measurement model.
 
-    The state evolves as F x and the frame mean is predicted as H x.
-    ``mean_preserving_transition`` divides the extension-transition bracket
-    by delta so the expected extent is carried over unchanged; the raw form
-    multiplies it by delta, which compounds geometrically across steps (see
-    the transition notes in filtering).  ``feldmann_update`` switches the
-    extension update to the classic Cholesky-whitened symmetric form for
-    comparison runs.
+    The state evolves as F x and the frame mean is predicted as H x.  The
+    extension evolves through the Wishart transition W(delta, A X A^T) / delta,
+    whose mean A X A^T carries the expected extent over unchanged.
     """
 
     F: np.ndarray            # (4, 4) state transition
@@ -119,8 +115,6 @@ class NominalModel:
     b: np.ndarray            # (2, 2) measurement distortion
     a: np.ndarray            # (2, 2) extension transition
     delta: float             # extension transition dof
-    mean_preserving_transition: bool = False
-    feldmann_update: bool = False
 
 
 @dataclass(frozen=True)
@@ -205,20 +199,14 @@ def nominal_cv_model(
     delta: float = 7.0,
     b: np.ndarray | None = None,
     a: np.ndarray | None = None,
-    mean_preserving_transition: bool = True,
-    feldmann_update: bool = False,
 ) -> NominalModel:
     """The benchmark nominal model: CV motion, linear position measurement.
 
-    Defaults differ from a bare NominalModel in two deliberate ways.  The
-    extension transition is mean-preserving (the raw delta-scaled form
-    compounds the extent estimate by a factor >1 per cycle at the default
-    delta and scatter rate, which is unusable as a baseline).  And B is
-    I/2: points uniform over a solid ellipse with extent X have second
-    moment X/4, so B X B^T with B = I/2 is the scatter covariance that
-    actually matches the extent convention (eigenvalues = squared
-    semi-axes).  With B = I the extent estimate settles 4x low and any
-    learned inflation would miscalibrate the innovation covariance.
+    B defaults to I/2: points uniform over a solid ellipse with extent X
+    have second moment X/4, so B X B^T with B = I/2 is the scatter
+    covariance that actually matches the extent convention (eigenvalues =
+    squared semi-axes).  With B = I the extent estimate settles 4x low and
+    any learned inflation would miscalibrate the innovation covariance.
     """
     return NominalModel(
         F=cv_transition_matrix(dt),
@@ -227,7 +215,5 @@ def nominal_cv_model(
         b=0.5 * np.eye(2) if b is None else np.asarray(b, dtype=np.float64),
         a=np.eye(2) if a is None else np.asarray(a, dtype=np.float64),
         delta=float(delta),
-        mean_preserving_transition=mean_preserving_transition,
-        feldmann_update=feldmann_update,
     )
 

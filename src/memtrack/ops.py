@@ -522,8 +522,3 @@ def logchol2x2(a):
         return d
 
     return t._node(out, [(a.idx, vjp)])
-
-
-def grads_by_name(tape, grads, leaves: dict) -> dict:
-    """Gradient arrays for a name -> leaf-Var mapping (zeros when unused)."""
-    return {name: tape.grad(grads, var) for name, var in leaves.items()}

@@ -13,7 +13,6 @@ from .errors import BadDof, NonFinite, NotPositiveDefinite
 
 __all__ = [
     "sym",
-    "is_symmetric",
     "cholesky",
     "sym_sqrt",
     "solve_spd",
@@ -28,12 +27,6 @@ def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part (a + a.T) / 2."""
     a = np.asarray(a, dtype=np.float64)
     return 0.5 * (a + a.T)
-
-
-def is_symmetric(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = np.asarray(a, dtype=np.float64)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - a.T))) <= tol * scale
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import ops
-from .errors import EmptyDataset, NonFinite
+from .errors import ConfigError, EmptyDataset, NonFinite
 from .filtering import TrackerConfig, init_track, run_filter
 from .models import NominalModel, frame_stats
 from .network import (
@@ -66,6 +66,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "folds", "memory_dim", "clip"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.history_polygon < 3:
+            raise ValueError("history_polygon must be at least 3")
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,16 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
 
     The returned parameters are the checkpoint with the lowest validation
     joint loss across every (fold, epoch); NonFinite is raised when no
-    validation loss is finite.  History carries one record per
+    validation loss is finite, ConfigError when there are more folds than
+    training sequences.  History carries one record per
     (fold, epoch) with train/val loss and validation metric summaries.
     """
     train_cases = [dataset.cases[i] for i in dataset.train_idx]
     if not train_cases:
         raise EmptyDataset("dataset has no training sequences")
+    if cfg.folds > len(train_cases):
+        raise ConfigError(f"{cfg.folds} folds need at least {cfg.folds} training "
+                          f"sequences, the dataset has {len(train_cases)}")
     feat_mean, feat_std = collect_feature_stats(train_cases, model, cfg.tracker)
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0xF01D))))

@@ -1,12 +1,17 @@
 """End-to-end CLI coverage on desk-scale data."""
 
+import argparse
 import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memtrack import training
+from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from memtrack.config import ConfigView
 from memtrack.store import read_checkpoint, read_dataset
 
 
@@ -90,6 +95,22 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert not ck.exists()
 
+    def test_more_folds_than_sequences_is_config_error(self, small_dataset, tmp_path, capsys):
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--folds", "20",
+                   "--epochs", "1", "--memory-dim", "4"])
+        assert rc == EXIT_CONFIG
+        assert "20 folds" in capsys.readouterr().err
+        assert not ck.exists()
+
+    def test_degenerate_history_polygon_is_config_error(self, small_dataset, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[train]\nhistory_polygon = 2\n")
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert not ck.exists()
+
     def test_no_finite_validation_loss_is_numeric_error(self, small_dataset, tmp_path,
                                                         monkeypatch):
         monkeypatch.setattr(training, "_validation_scores",
@@ -145,6 +166,13 @@ class TestEval:
         assert table[0] == "mode,position_rmse,mean_iou,mean_gwd"
         modes = [r.split(",")[0] for r in table[1:]]
         assert modes == ["baseline", "learned"]
+
+    @pytest.mark.parametrize("order", ["0", "2"])
+    def test_degenerate_polygon_is_config_error(self, small_dataset, tmp_path, order):
+        rc = main(["eval", str(small_dataset), "--baseline", "--out", str(tmp_path / "x"),
+                   "--polygon", order])
+        assert rc == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_mode_is_config_error(self, small_dataset, tmp_path):
         rc = main(["eval", str(small_dataset), "--out", str(tmp_path / "x")])
@@ -211,6 +239,11 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "0", "--steps", "3", "--memory-dim", "4",
                      "--corrupt"]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("extra", [["--memory-dim", "-3"], ["--memory-dim", "0"],
+                                       ["--steps", "1"]])
+    def test_bad_value_is_config_error(self, extra):
+        assert main(["gradcheck", "--steps", "2", "--memory-dim", "2", *extra]) == EXIT_CONFIG
+
 
 class TestDatascale:
     def test_ladder_rows(self, tmp_path):
@@ -223,12 +256,79 @@ class TestDatascale:
         tags = [r.split(",")[0] for r in lines[1:]]
         assert tags == ["baseline", "3", "4"]
 
+    @pytest.mark.parametrize("sizes", ["a", "0"])
+    def test_bad_sizes_is_config_error(self, tmp_path, sizes):
+        out = tmp_path / "scale.csv"
+        rc = main(["datascale", "--out", str(out), "--sizes", sizes, "--epochs", "1",
+                   "--config", str(_tiny_cfg(tmp_path))])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
     def test_zero_epochs_is_config_error(self, tmp_path):
         out = tmp_path / "scale.csv"
         rc = main(["datascale", "--out", str(out), "--sizes", "3", "--epochs", "0",
                    "--config", str(_tiny_cfg(tmp_path))])
         assert rc == EXIT_CONFIG
         assert not out.exists()
+
+
+def _documented_keys() -> set[str]:
+    """``section.key`` for every key row of the tables in docs/config.md."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+    keys, section = set(), None
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        header = re.match(r"#+ (?:`\[(\w+)\]`)?", line)
+        if header:
+            section = header.group(1)
+            continue
+        row = re.match(r"\| `(\w+)` \|", line)
+        if row and section:
+            keys.add(f"{section}.{row.group(1)}")
+    return keys
+
+
+class TestConfigKeys:
+    def test_accepted_keys_are_the_documented_keys(self):
+        assert cli.CONFIG_KEYS == _documented_keys()
+
+    def test_dataclass_defaults_carry_their_field_types(self):
+        # values are converted by the type of the default, so a float field
+        # with an int default would reject "0.5"
+        for cls, skip in cli.DATACLASS_SECTIONS.values():
+            for f in fields(cls):
+                if f.name not in skip and f.default is not MISSING:
+                    assert type(f.default).__name__ == f.type, (cls.__name__, f.name)
+
+    def test_every_dataclass_key_reaches_its_field(self):
+        other = {"cv_ct": "cv", "direct": "white_accel"}
+        expected = {}
+        for section, (cls, skip) in cli.DATACLASS_SECTIONS.items():
+            for f in fields(cls):
+                if f.name not in skip and f.default is not MISSING:
+                    d = f.default
+                    expected[(section, f.name)] = other[d] if isinstance(d, str) else d + 1
+        view = ConfigView({f"{s}.{n}": str(v) for (s, n), v in expected.items()})
+        train_cfg = cli._train_config(view)
+        built = {"scenario": cli._scenario_from(view, argparse.Namespace()),
+                 "tracker": train_cfg.tracker, "train": train_cfg}
+        for (section, name), value in expected.items():
+            assert getattr(built[section], name) == value, (section, name)
+
+    @pytest.mark.parametrize("text,key", [
+        ("[model]\nfeldmann_update = true\n", "model.feldmann_update"),
+        ("[model]\nmean_preserving_transition = false\n", "model.mean_preserving_transition"),
+        ("[train]\nepoch = 3\n", "train.epoch"),
+        ("[train]\nmask_update = true\n", "train.mask_update"),
+        ("[train]\ntracker = x\n", "train.tracker"),
+    ])
+    def test_unknown_key_is_config_error(self, small_dataset, tmp_path, capsys, text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        rc = main(["eval", str(small_dataset), "--baseline", "--config", str(cfg),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 def _tiny_cfg(tmp_path):

@@ -65,38 +65,28 @@ class TestPredictState:
 
 
 class TestPredictExtension:
-    def test_dof_closed_form_value(self, zero):
+    def test_dof_closed_form_value(self, cv_model, zero):
         # lambda = 4, delta = 7: 2*7*5*3*2/(16*11) + 8 = 420/176 + 8
-        model = models.nominal_cv_model(sigma_w=0.4, mean_preserving_transition=False)
         prior = ExtensionState(dof=10.0, param=np.eye(2))
-        pred = filtering.predict_extension(prior, model, zero)
+        pred = filtering.predict_extension(prior, cv_model, zero)
         assert abs(pred.dof - (420.0 / 176.0 + 8.0)) < 1e-10
         assert abs(pred.dof - 10.3864) < 1e-4
 
-    def test_param_scaling_raw_transition(self, zero):
-        model = models.nominal_cv_model(sigma_w=0.4, mean_preserving_transition=False)
-        prior = ExtensionState(dof=10.0, param=np.eye(2))
-        pred = filtering.predict_extension(prior, model, zero)
-        expected = ((pred.dof - 6.0) / 4.0) * 7.0
-        np.testing.assert_allclose(pred.param, expected * np.eye(2), atol=1e-12)
-        assert abs(expected - 7.676) < 1e-3
-
-    def test_mean_preserving_divides_by_delta(self, cv_model, zero):
+    def test_param_scaling(self, cv_model, zero):
         prior = ExtensionState(dof=10.0, param=np.eye(2))
         pred = filtering.predict_extension(prior, cv_model, zero)
-        raw_model = models.nominal_cv_model(sigma_w=0.4, mean_preserving_transition=False)
-        raw = filtering.predict_extension(prior, raw_model, zero)
-        np.testing.assert_allclose(raw.param, 7.0 * pred.param, rtol=1e-12)
+        expected = (pred.dof - 6.0) / 4.0
+        np.testing.assert_allclose(pred.param, expected * np.eye(2), atol=1e-12)
+        assert abs(expected - 1.0966) < 1e-4
 
     def test_rotation_similarity(self, zero):
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        model = models.nominal_cv_model(sigma_w=0.4, a=rot,
-                                        mean_preserving_transition=False)
+        model = models.nominal_cv_model(sigma_w=0.4, a=rot)
         prior = ExtensionState(dof=12.0, param=np.diag([4.0, 1.0]))
         pred = filtering.predict_extension(prior, model, zero)
         lam = 12.0 - 6.0
-        scale = (pred.dof - 6.0) / lam * 7.0
+        scale = (pred.dof - 6.0) / lam
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(pred.param)),
                                    np.sort(scale * np.array([1.0, 4.0])), rtol=1e-10)
 
@@ -105,17 +95,16 @@ class TestPredictExtension:
             filtering.predict_extension(ExtensionState(dof=8.0, param=np.eye(2)),
                                         cv_model, zero)
 
-    def test_wishart_transition_mean_consistency(self, zero):
-        """Monte Carlo oracle for the raw-form prediction: draw the prior
-        extent from an inverse Wishart whose mean equals the filter's point
-        estimate, push it through the Wishart transition W(delta, X_prev),
-        and compare the sample mean to the predicted extent."""
-        model = models.nominal_cv_model(sigma_w=0.4, mean_preserving_transition=False)
+    def test_wishart_transition_mean_consistency(self, cv_model, zero):
+        """Monte Carlo oracle for the prediction: draw the prior extent from
+        an inverse Wishart whose mean equals the filter's point estimate,
+        push it through the transition W(delta, X_prev) / delta, and compare
+        the sample mean to the predicted extent."""
+        model = cv_model
         prior = ExtensionState(dof=16.0, param=np.array([[8.0, 2.0], [2.0, 5.0]]))
         pred = filtering.predict_extension(prior, model, zero)
         analytic = filtering.extension_mean(pred)
-        np.testing.assert_allclose(analytic, 7.0 * filtering.extension_mean(prior),
-                                   rtol=1e-10)
+        np.testing.assert_allclose(analytic, filtering.extension_mean(prior), rtol=1e-10)
         # textbook IW(v', P) has mean P/(v' - 3); v' = dof - 3 matches the
         # filter's lambda convention P/(dof - 6)
         rng = np.random.default_rng(1234)
@@ -123,7 +112,7 @@ class TestPredictExtension:
         for _ in range(6000):
             x_prev = sample_inverse_wishart(prior.dof - 3.0, prior.param, rng)
             draws.append(sample_wishart(model.delta, x_prev, rng) / model.delta)
-        mc = model.delta * np.mean(draws, axis=0)
+        mc = np.mean(draws, axis=0)
         np.testing.assert_allclose(mc, analytic, rtol=0.05)
 
 
@@ -176,7 +165,7 @@ class TestUpdateState:
         pred = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
         stats = filtering.InnovationStats(
             z_pred=np.zeros(2), pxz=np.zeros((4, 2)), pzz=np.zeros((2, 2)),
-            s_inv=np.zeros((2, 2)), count=1)
+            s_inv=np.zeros((2, 2)))
         with pytest.raises(SingularInnovation):
             filtering.update_state(pred, stats, np.ones(2))
 
@@ -194,7 +183,7 @@ class TestUpdateExtension:
         pred_ext = ExtensionState(dof=10.0, param=np.diag([3.0, 2.0]))
         stats = filtering.InnovationStats(
             z_pred=np.array([1.0, 1.0]), pxz=np.zeros((4, 2)),
-            pzz=np.eye(2), s_inv=0.5 * np.eye(2), count=3)
+            pzz=np.eye(2), s_inv=0.5 * np.eye(2))
         fs = models.FrameStats(mean=np.array([1.0, 1.0]), scatter=np.zeros((2, 2)), count=3)
         out = filtering.update_extension(pred_ext, stats, fs, cv_model)
         np.testing.assert_allclose(out.param, pred_ext.param, atol=1e-12)
@@ -209,7 +198,7 @@ class TestUpdateExtension:
             fs = models.frame_stats(MeasurementFrame(pts))
             stats = filtering.InnovationStats(
                 z_pred=rng.standard_normal(2), pxz=np.zeros((4, 2)),
-                pzz=np.eye(2), s_inv=np.abs(rng.standard_normal((2, 2))), count=fs.count)
+                pzz=np.eye(2), s_inv=np.abs(rng.standard_normal((2, 2))))
             out = filtering.update_extension(pred_ext, stats, fs, cv_model)
             np.testing.assert_allclose(out.param, out.param.T, atol=1e-12)
             assert np.linalg.eigvalsh(out.param).min() >= -1e-12
@@ -312,13 +301,6 @@ class TestFilterStep:
                   MeasurementFrame(np.array([[0.5, -0.5]]))]
         _, exts, diags = filtering.run_filter(frames, cv_model, TrackerConfig(), trace=[])
         assert exts[0].dof - diags[0].pred_ext.dof == 1
-
-    def test_feldmann_update_mode_runs(self, zero):
-        model = models.nominal_cv_model(sigma_w=0.4, feldmann_update=True)
-        case = generate_case(models.ScenarioConfig(steps=30, cases=1, seed=17), 17, 0)
-        states, exts, _ = filtering.run_filter(case.frames, model, TrackerConfig())
-        assert all(np.all(np.isfinite(e.param)) for e in exts)
-        assert np.linalg.eigvalsh(exts[-1].param).min() > 0
 
 
 class StubCompensator:

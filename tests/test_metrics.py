@@ -53,6 +53,14 @@ class TestIoU:
         b = EllipseEstimate(np.array([100.0, 0.0]), np.eye(2))
         assert iou_ellipse(a, b) == 0.0
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_degenerate_polygon_order_rejected(self, order):
+        e = EllipseEstimate(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="at least 3"):
+            metrics.ellipse_polygon(e, order)
+        with pytest.raises(ValueError, match="at least 3"):
+            iou_ellipse(e, e, order=order)
+
     def test_concentric_circles(self):
         a = EllipseEstimate(np.zeros(2), np.eye(2))
         b = EllipseEstimate(np.zeros(2), 4.0 * np.eye(2))
