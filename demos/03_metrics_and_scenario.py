@@ -26,7 +26,7 @@ cfg = mt.ScenarioConfig(steps=60, cases=12, sigma_w=0.4, sigma_v=0.6, seed=3,
                         segment_min=8, segment_max=25)
 ds = mt.generate_dataset(cfg)
 print(f"cases: {len(ds.cases)}  train/test: {len(ds.train_idx)}/{len(ds.test_idx)}")
-counts = [f.count for c in ds.cases for f in c.frames]
+counts = [len(f) for c in ds.cases for f in c.frames]
 print(f"scatterers per frame: mean {np.mean(counts):.1f}, min {min(counts)}")
 
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)

@@ -26,7 +26,6 @@ from .models import (
     Compensation,
     ExtensionState,
     FrameStats,
-    MeasurementFrame,
     NominalModel,
     ScenarioConfig,
     TrackState,
@@ -58,7 +57,6 @@ from .simulate import (
 from .store import (
     read_checkpoint,
     read_dataset,
-    read_dataset_header,
     write_checkpoint,
     write_dataset,
     write_report,

@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
         name = f"dataset_sw{cfg.sigma_w:g}_sv{cfg.sigma_v:g}.mtds"
         path = os.path.join(args.out, name)
         write_dataset(dataset, path)
-        mean_n = float(np.mean([f.count for c in dataset.cases for f in c.frames]))
+        mean_n = float(np.mean([len(f) for c in dataset.cases for f in c.frames]))
         print(f"{name}: cases={cfg.cases} steps={cfg.steps} "
               f"train/test={len(dataset.train_idx)}/{len(dataset.test_idx)} "
               f"mean scatterers={mean_n:.2f}")
@@ -339,7 +339,7 @@ def cmd_track(args) -> int:
         ta, tb, tang = _ellipse_params(case.truth.extents[k])
         mean = ops.value(st.mean)
         ea, eb, eang = _ellipse_params(np.asarray(ops.value(extension_mean(ex))))
-        n = case.frames[k].count
+        n = len(case.frames[k])
         vals = list(tstate) + [ta, tb, tang] + list(mean) + [ea, eb, eang]
         lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{n}")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -349,7 +349,7 @@ def cmd_track(args) -> int:
     with open(points_path, "w", encoding="utf-8") as fh:
         fh.write("step,x,y\n")
         for k, frame in enumerate(case.frames):
-            for p in frame.points:
+            for p in frame:
                 fh.write(f"{k},{p[0]:.17g},{p[1]:.17g}\n")
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
     return EXIT_OK
@@ -382,6 +382,8 @@ def cmd_datascale(args) -> int:
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"datascale sizes must be positive integers, got {sizes}")
     test_cases = view.get_int("datascale.test_cases", 25)
+    if test_cases < 1:
+        raise ConfigError(f"datascale.test_cases must be positive, got {test_cases}")
     epochs = args.epochs if args.epochs is not None else view.get_int("datascale.epochs", 10)
     seed = args.seed if args.seed is not None else base.seed
     train_cfg = _train_config(view, epochs=epochs, folds=1, seed=seed)

@@ -26,7 +26,7 @@ variables; gradients then flow through every update into upstream inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .models import (
     Compensation,
     ExtensionState,
     FrameStats,
-    MeasurementFrame,
     NominalModel,
     TrackState,
     frame_stats,
@@ -248,15 +247,15 @@ def update_extension(
     return ExtensionState(dof=dof, param=param)
 
 
-def init_track(first: MeasurementFrame, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
-    """Initialize beliefs from the first frame.
+def init_track(first: np.ndarray, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
+    """Initialize beliefs from the first frame's (n, 2) points.
 
     Position at the frame mean, zero velocity, diagonal covariance priors;
     the extension parameter matrix is the lambda-scaled sample covariance,
     floored at ``min_extent`` per eigenvalue.
     """
-    if first.count < 2:
-        raise TooFewPoints(f"track initialization needs >= 2 points, got {first.count}")
+    if len(first) < 2:
+        raise TooFewPoints(f"track initialization needs >= 2 points, got {len(first)}")
     fs = frame_stats(first)
     mean = np.array([fs.mean[0], fs.mean[1], 0.0, 0.0])
     cov = np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var])
@@ -269,13 +268,13 @@ def init_track(first: MeasurementFrame, cfg: TrackerConfig) -> tuple[TrackState,
 
 
 def run_filter(
-    frames: list[MeasurementFrame],
+    frames: list[np.ndarray],
     model: NominalModel,
     cfg: TrackerConfig,
     compensator=None,
     trace: list | None = None,
 ):
-    """Filter a whole sequence; the first frame only initializes.
+    """Filter a sequence of (n, 2) point frames; the first only initializes.
 
     Every later frame runs frame statistics -> ``compensator.evolve`` ->
     prediction -> ``compensator.measure`` -> innovation -> update (see the
@@ -296,12 +295,12 @@ def run_filter(
         comp = zero
         if compensator is not None:
             df, pf, pphi = compensator.evolve(state, ext, fs)
-            comp = replace(zero, df=df, pf=pf, pphi=pphi)
+            comp = Compensation(df=df, pf=pf, dh=zero.dh, ph=zero.ph, pphi=pphi)
         pred = predict_state(state, model, comp)
         ext_pred = predict_extension(ext, model, comp)
         if compensator is not None:
             dh, ph = compensator.measure(pred, ext_pred)
-            comp = replace(comp, dh=dh, ph=ph)
+            comp = Compensation(df=comp.df, pf=comp.pf, dh=dh, ph=ph, pphi=comp.pphi)
         stats = innovation(pred, ext_pred, model, comp, fs.count)
         state = update_state(pred, stats, fs.mean)
         ext = update_extension(ext_pred, stats, fs, model)

@@ -1,9 +1,9 @@
-"""Domain types: beliefs, measurement frames, nominal models, configuration.
+"""Domain types: beliefs, frame statistics, nominal models, configuration.
 
 Planar tracking throughout: extension dimension d = 2, kinematic state
-[px, py, vx, vy].  All types are immutable values; belief fields may hold
-either plain float64 arrays or tape ``Var`` objects (the filter is written
-once over both).
+[px, py, vx, vy]; a measurement frame is an (n, 2) float64 array of points
+(m).  All types are immutable values; belief fields may hold either plain
+float64 arrays or tape ``Var`` objects (the filter is written once over both).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "D",
     "TrackState",
     "ExtensionState",
-    "MeasurementFrame",
     "FrameStats",
     "NominalModel",
     "Compensation",
@@ -51,17 +50,6 @@ class ExtensionState:
 
     dof: float
     param: np.ndarray
-
-
-@dataclass(frozen=True)
-class MeasurementFrame:
-    """Scatterer positions for one scan, shape (n, 2) in meters."""
-
-    points: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.points.shape[0])
 
 
 @dataclass(frozen=True)
@@ -136,12 +124,16 @@ class ScenarioConfig:
     segment_min: int = 10         # steps per regime segment
     segment_max: int = 40
     regimes: str = "cv_ct"        # "cv_ct" or "cv" (no turns)
-    process_noise: str = "direct"  # "direct" N(0, s^2 I4) or "white_accel"
+    process_noise: str = "direct"  # "direct" N(0, s^2 I4) or "white_accel" G w
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        if self.cases < 1:
+            raise ValueError("cases must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for name in ("dt", "sigma_w", "sigma_v", "axis_major", "axis_minor",
                      "speed", "scatter_rate"):
             if getattr(self, name) <= 0:
@@ -167,9 +159,9 @@ MEASUREMENT_MATRIX = np.array([
 ])
 
 
-def frame_stats(frame: MeasurementFrame) -> FrameStats:
-    """Mean and unnormalized scatter of a frame's points."""
-    pts = np.asarray(frame.points, dtype=np.float64)
+def frame_stats(points: np.ndarray) -> FrameStats:
+    """Mean and unnormalized scatter of a frame's (n, 2) points."""
+    pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < 1:
         raise EmptyFrame("frame has no points")

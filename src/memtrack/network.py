@@ -21,13 +21,7 @@ import numpy as np
 from . import ops
 from .errors import LengthMismatch
 from .filtering import TrackerConfig, extension_mean, run_filter
-from .models import (
-    ExtensionState,
-    FrameStats,
-    MeasurementFrame,
-    NominalModel,
-    TrackState,
-)
+from .models import ExtensionState, FrameStats, NominalModel, TrackState
 
 __all__ = [
     "FEATURE_DIM",
@@ -244,7 +238,7 @@ class _Compensator:
 
 def forward_sequence(
     params: NetworkParams,
-    frames: list[MeasurementFrame],
+    frames: list[np.ndarray],
     model: NominalModel,
     tcfg: TrackerConfig | None = None,
     tape: ops.Tape | None = None,

@@ -3,8 +3,8 @@
 Trajectories alternate constant-velocity and coordinated-turn segments of
 random length, so one-step increments are history-dependent; the elliptical
 extent keeps fixed semi-axes and rotates with the velocity heading.  Frames
-are Poisson-sized sets of points drawn uniformly over the solid ellipse
-plus isotropic sensor noise.
+are Poisson-sized (n, 2) arrays of points drawn uniformly over the solid
+ellipse plus isotropic sensor noise.
 
 Every case owns an RNG stream derived from (master seed, case index), so a
 dataset is reproducible regardless of generation order.
@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    MeasurementFrame,
-    ScenarioConfig,
-    cv_process_noise,
-    cv_transition_matrix,
-)
+from .models import ScenarioConfig, cv_transition_matrix
 from .spdmat import cholesky, symmetrize_project
 
 __all__ = [
@@ -52,7 +47,7 @@ class GroundTruthSequence:
 @dataclass(frozen=True)
 class SimCase:
     truth: GroundTruthSequence
-    frames: list[MeasurementFrame]
+    frames: list[np.ndarray]          # per step, (n, 2) points
     seed_entropy: tuple[int, int]
 
 
@@ -115,9 +110,11 @@ def generate_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> Ground
     extents[0] = _extent_from_heading(heading, cfg)
 
     if cfg.process_noise == "white_accel":
-        noise_chol = cholesky(cv_process_noise(cfg.sigma_w, cfg.dt))
+        # Acceleration w ~ N(0, sigma_w^2 I2) enters through the per-axis gain
+        # [dt^2/2, dt], so cov(G w) is exactly the nominal cv_process_noise.
+        noise_gain = cfg.sigma_w * np.vstack([0.5 * cfg.dt ** 2 * np.eye(2), cfg.dt * np.eye(2)])
     else:
-        noise_chol = cfg.sigma_w * np.eye(4)
+        noise_gain = cfg.sigma_w * np.eye(4)
 
     regime = REGIME_CV if cfg.regimes == "cv" else int(rng.integers(2))
     remaining = int(rng.integers(cfg.segment_min, cfg.segment_max + 1))
@@ -129,7 +126,8 @@ def generate_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> Ground
                 regime = REGIME_CT if regime == REGIME_CV else REGIME_CV
             remaining = int(rng.integers(cfg.segment_min, cfg.segment_max + 1))
             omega = _draw_turn_rate(cfg, rng) if regime == REGIME_CT else 0.0
-        x = ct_transition(x, omega, cfg.dt) + noise_chol @ rng.standard_normal(4)
+        noise = noise_gain @ rng.standard_normal(noise_gain.shape[1])
+        x = ct_transition(x, omega, cfg.dt) + noise
         remaining -= 1
         states[k] = x
         heading = np.arctan2(x[3], x[2])
@@ -150,8 +148,8 @@ def generate_frame(
     extent: np.ndarray,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
-) -> MeasurementFrame:
-    """Poisson-sized scatterer frame, resampled until n >= 2.
+) -> np.ndarray:
+    """Poisson-sized (n, 2) scatterer frame, resampled until n >= 2.
 
     Points are uniform over the solid ellipse (unit-disk samples mapped by a
     Cholesky factor of the extent) plus N(0, sigma_v^2 I) noise.
@@ -165,8 +163,7 @@ def generate_frame(
     radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
     disk = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    pts = state[:2] + disk @ ell.T + cfg.sigma_v * rng.standard_normal((n, 2))
-    return MeasurementFrame(points=pts)
+    return state[:2] + disk @ ell.T + cfg.sigma_v * rng.standard_normal((n, 2))
 
 
 def generate_case(cfg: ScenarioConfig, master_seed: int, case_idx: int) -> SimCase:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ChecksumMismatch, VersionMismatch
 from .metrics import MetricsReport
-from .models import MeasurementFrame, ScenarioConfig
+from .models import ScenarioConfig
 from .network import NetworkParams, zero_params
 from .simulate import Dataset, GroundTruthSequence, SimCase
 
@@ -29,7 +29,6 @@ __all__ = [
     "FORMAT_VERSION",
     "write_dataset",
     "read_dataset",
-    "read_dataset_header",
     "write_checkpoint",
     "read_checkpoint",
     "write_report",
@@ -52,7 +51,7 @@ def _write_container(path, magic: bytes, header: dict, body: bytes) -> None:
         fh.write(body)
 
 
-def _read_container(path, magic: bytes, header_only: bool = False):
+def _read_container(path, magic: bytes):
     with open(path, "rb") as fh:
         got = fh.read(4)
         if got != magic:
@@ -62,8 +61,6 @@ def _read_container(path, magic: bytes, header_only: bool = False):
             raise VersionMismatch(f"format version {version}, expected {FORMAT_VERSION}")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header_only:
-            return header, None
         (crc,) = struct.unpack("<I", fh.read(4))
         (blen,) = struct.unpack("<Q", fh.read(8))
         body = fh.read(blen)
@@ -76,11 +73,12 @@ def _pack_floats(buf: io.BytesIO, arr: np.ndarray) -> None:
     buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _take_floats(mv: memoryview, offset: int, shape) -> tuple[np.ndarray, int]:
+def _take_floats(body: bytes, offset: int, shape) -> tuple[np.ndarray, int]:
     count = int(np.prod(shape)) if shape else 1
-    nbytes = count * 8
-    arr = np.frombuffer(mv[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
-    return arr, offset + nbytes
+    if offset + count * 8 > len(body):
+        raise ChecksumMismatch("body ends before the fields its header lists")
+    arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+    return arr.astype(np.float64).reshape(shape), offset + count * 8
 
 
 # -- datasets ---------------------------------------------------------------
@@ -98,7 +96,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         "train_idx": [int(i) for i in dataset.train_idx],
         "test_idx": [int(i) for i in dataset.test_idx],
         "case_seeds": [list(c.seed_entropy) for c in dataset.cases],
-        "frame_counts": [[f.count for f in c.frames] for c in dataset.cases],
+        "frame_counts": [[len(f) for f in c.frames] for c in dataset.cases],
     }
     buf = io.BytesIO()
     for case in dataset.cases:
@@ -111,42 +109,46 @@ def write_dataset(dataset: Dataset, path) -> None:
         _pack_floats(buf, tri)
         buf.write(case.truth.regimes.astype("<i1").tobytes())
         _pack_floats(buf, case.truth.omegas)
-        for frame in case.frames:
-            _pack_floats(buf, frame.points)
+        _pack_floats(buf, np.concatenate(case.frames))
     _write_container(path, DATASET_MAGIC, header, buf.getvalue())
 
 
-def read_dataset_header(path) -> dict:
-    """Parse configuration and split without loading case bodies."""
-    header, _ = _read_container(path, DATASET_MAGIC, header_only=True)
-    return header
+def _check_dataset_counts(header: dict, body: bytes, path) -> None:
+    """The header is outside the checksum: its counts must use up the body."""
+    k, n_cases, counts = header["steps"], header["cases"], header["frame_counts"]
+    if (len(counts) != n_cases or len(header["case_seeds"]) != n_cases
+            or any(len(c) != k or min(c) < 0 for c in counts)):
+        raise ChecksumMismatch(f"{path}: header case and frame counts disagree")
+    # per step: 4 state, 3 extent and 1 omega floats plus one regime byte
+    expected = n_cases * k * (8 * 8 + 1) + 2 * 8 * sum(map(sum, counts))
+    if expected != len(body):
+        raise ChecksumMismatch(
+            f"{path}: header counts describe {expected} body bytes, found {len(body)}")
 
 
 def read_dataset(path) -> Dataset:
+    """Decode a dataset case by case, each field with one bulk read."""
     header, body = _read_container(path, DATASET_MAGIC)
+    _check_dataset_counts(header, body, path)
     cfg = ScenarioConfig(**header["config"])
     k = header["steps"]
-    mv = memoryview(body)
     offset = 0
     cases = []
-    for ci in range(header["cases"]):
-        states, offset = _take_floats(mv, offset, (k, 4))
-        tri, offset = _take_floats(mv, offset, (k, 3))
+    for counts, seeds in zip(header["frame_counts"], header["case_seeds"]):
+        states, offset = _take_floats(body, offset, (k, 4))
+        tri, offset = _take_floats(body, offset, (k, 3))
         extents = np.zeros((k, 2, 2))
         extents[:, 0, 0] = tri[:, 0]
         extents[:, 0, 1] = extents[:, 1, 0] = tri[:, 1]
         extents[:, 1, 1] = tri[:, 2]
-        regimes = np.frombuffer(mv[offset:offset + k], dtype="<i1").astype(np.int8)
+        regimes = np.frombuffer(body, dtype="<i1", count=k, offset=offset).astype(np.int8)
         offset += k
-        omegas, offset = _take_floats(mv, offset, (k,))
-        frames = []
-        for n in header["frame_counts"][ci]:
-            pts, offset = _take_floats(mv, offset, (int(n), 2))
-            frames.append(MeasurementFrame(points=pts))
+        omegas, offset = _take_floats(body, offset, (k,))
+        points, offset = _take_floats(body, offset, (sum(counts), 2))
         truth = GroundTruthSequence(states=states, extents=extents,
                                     regimes=regimes, omegas=omegas)
-        cases.append(SimCase(truth=truth, frames=frames,
-                             seed_entropy=tuple(header["case_seeds"][ci])))
+        cases.append(SimCase(truth=truth, frames=np.split(points, np.cumsum(counts)[:-1]),
+                             seed_entropy=tuple(seeds)))
     return Dataset(
         cases=cases,
         train_idx=np.asarray(header["train_idx"], dtype=np.int64),
@@ -196,14 +198,13 @@ def read_checkpoint(path, expect_memory_dim: int | None = None) -> NetworkParams
     expected = [[name, list(arr.shape)] for name, arr in params.arrays.items()]
     if header["shapes"] != expected:
         raise VersionMismatch("checkpoint shape table does not match this build")
-    mv = memoryview(body)
     offset = 0
     for name, arr in params.arrays.items():
-        loaded, offset = _take_floats(mv, offset, arr.shape)
+        loaded, offset = _take_floats(body, offset, arr.shape)
         params.arrays[name] = loaded
     fdim = header["feature_dim"]
-    params.feat_mean, offset = _take_floats(mv, offset, (fdim,))
-    params.feat_std, offset = _take_floats(mv, offset, (fdim,))
+    params.feat_mean, offset = _take_floats(body, offset, (fdim,))
+    params.feat_std, offset = _take_floats(body, offset, (fdim,))
     if offset != len(body):
         raise ChecksumMismatch("checkpoint body length does not match shape table")
     return params

@@ -16,8 +16,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import ops
 from .errors import ConfigError, EmptyDataset, NonFinite
-from .filtering import TrackerConfig, init_track, run_filter
-from .models import NominalModel, frame_stats
+from .filtering import TrackerConfig, run_filter
+from .models import NominalModel
 from .network import (
     FEATURE_DIM,
     NetworkParams,
@@ -66,6 +66,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "folds", "memory_dim", "clip"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.history_polygon < 3:
             raise ValueError("history_polygon must be at least 3")
 
@@ -110,27 +112,35 @@ def sgd_step(
     return new_arrays, new_velocity
 
 
+class _FeatureSums:
+    """A zero-compensation :func:`run_filter` compensator that sums the raw
+    features the network would see at every step, and their squares."""
+
+    def __init__(self):
+        self.count, self.acc, self.acc2 = 0, np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
+
+    def evolve(self, state, ext, fs):
+        feats = raw_features(state, ext, fs)
+        self.acc += feats
+        self.acc2 += feats * feats
+        self.count += 1
+        return np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2))
+
+    def measure(self, pred, ext_pred):
+        return np.zeros(2), np.zeros((2, 2))
+
+
 def collect_feature_stats(
     cases: list[SimCase],
     model: NominalModel,
     tcfg: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean/std of the raw encoding over a baseline filter pass."""
-    count = 0
-    acc = np.zeros(FEATURE_DIM)
-    acc2 = np.zeros(FEATURE_DIM)
+    sums = _FeatureSums()
     for case in cases:
-        states, exts, _ = run_filter(case.frames, model, tcfg)
-        prev_state, prev_ext = init_track(case.frames[0], tcfg)
-        for k, frame in enumerate(case.frames[1:]):
-            fs = frame_stats(frame)
-            feats = raw_features(prev_state, prev_ext, fs)
-            acc += feats
-            acc2 += feats * feats
-            count += 1
-            prev_state, prev_ext = states[k], exts[k]
-    mean = acc / count
-    var = np.maximum(acc2 / count - mean * mean, 1e-12)
+        run_filter(case.frames, model, tcfg, sums)
+    mean = sums.acc / sums.count
+    var = np.maximum(sums.acc2 / sums.count - mean * mean, 1e-12)
     return mean, np.sqrt(var)
 
 

@@ -52,11 +52,23 @@ class TestSimulate:
         ["--levels", "a:b"],
         ["--levels", "0:0.6"],
         ["--steps", "1"],
+        ["--seed", "-1"],
+        ["--cases", "0"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, extra):
         rc = main(["simulate", "--out", str(tmp_path), "--cases", "2", *extra])
         assert rc == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
+
+    def test_white_accel_noise(self, tmp_path):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("[scenario]\nprocess_noise = white_accel\nregimes = cv\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--out", str(out), "--config", str(cfg), "--cases", "2",
+                   "--steps", "6", "--levels", "0.4:0.6"])
+        assert rc == EXIT_OK
+        assert read_dataset(out / "dataset_sw0.4_sv0.6.mtds").config.process_noise \
+            == "white_accel"
 
 
 class TestTrain:
@@ -88,7 +100,7 @@ class TestTrain:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("extra", [["--epochs", "0"], ["--memory-dim", "-3"],
-                                       ["--batch", "0"]])
+                                       ["--batch", "0"], ["--seed", "-1"]])
     def test_out_of_range_is_config_error(self, small_dataset, tmp_path, extra):
         ck = tmp_path / "x.mtck"
         rc = main(["train", str(small_dataset), "--out", str(ck), *extra])
@@ -222,7 +234,7 @@ class TestTrack:
         main(["track", str(small_dataset), "--case", "0", "--out", str(out)])
         pts = (tmp_path / "t.csv.points.csv").read_text().strip().splitlines()
         ds = read_dataset(small_dataset)
-        total = sum(f.count for f in ds.cases[0].frames)
+        total = sum(len(f) for f in ds.cases[0].frames)
         assert len(pts) == 1 + total
 
 
@@ -240,7 +252,7 @@ class TestGradcheck:
                      "--corrupt"]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("extra", [["--memory-dim", "-3"], ["--memory-dim", "0"],
-                                       ["--steps", "1"]])
+                                       ["--steps", "1"], ["--seed", "-1"]])
     def test_bad_value_is_config_error(self, extra):
         assert main(["gradcheck", "--steps", "2", "--memory-dim", "2", *extra]) == EXIT_CONFIG
 
@@ -268,6 +280,15 @@ class TestDatascale:
         out = tmp_path / "scale.csv"
         rc = main(["datascale", "--out", str(out), "--sizes", "3", "--epochs", "0",
                    "--config", str(_tiny_cfg(tmp_path))])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_zero_test_cases_is_config_error(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("test_cases = 2", "test_cases = 0"))
+        out = tmp_path / "scale.csv"
+        rc = main(["datascale", "--out", str(out), "--sizes", "3", "--epochs", "1",
+                   "--config", str(cfg)])
         assert rc == EXIT_CONFIG
         assert not out.exists()
 

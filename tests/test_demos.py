@@ -1,4 +1,6 @@
-"""Smoke test: the quick demos run to completion against the package."""
+"""Smoke test: the quick demos run to completion against the package.
+
+Demo 05 trains for minutes and is run by hand."""
 
 import os
 import subprocess
@@ -12,7 +14,7 @@ SRC = DEMOS.parent / "src"
 
 
 @pytest.mark.parametrize("name", ["01_spd_utilities.py", "02_closed_form_filter.py",
-                                  "03_metrics_and_scenario.py"])
+                                  "03_metrics_and_scenario.py", "04_gradient_check.py"])
 def test_demo_exits_zero(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)

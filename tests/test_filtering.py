@@ -4,7 +4,7 @@ import pytest
 from memtrack import filtering, models, network
 from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
-from memtrack.models import Compensation, ExtensionState, MeasurementFrame, TrackState
+from memtrack.models import Compensation, ExtensionState, TrackState
 from memtrack.simulate import generate_case
 from memtrack.spdmat import sample_wishart, sample_inverse_wishart
 
@@ -176,7 +176,7 @@ class TestUpdateExtension:
         states, exts, diags = filtering.run_filter(case.frames, cv_model, TrackerConfig(),
                                                    trace=[])
         for k, diag in enumerate(diags):
-            n = case.frames[k + 1].count
+            n = len(case.frames[k + 1])
             assert exts[k].dof - diag.pred_ext.dof == n
 
     def test_no_information_keeps_param(self, cv_model):
@@ -195,7 +195,7 @@ class TestUpdateExtension:
             m = rng.standard_normal((2, 2))
             pred_ext = ExtensionState(dof=rng.uniform(9, 30), param=m @ m.T + np.eye(2))
             pts = rng.standard_normal((8, 2)) * 2.0
-            fs = models.frame_stats(MeasurementFrame(pts))
+            fs = models.frame_stats(pts)
             stats = filtering.InnovationStats(
                 z_pred=rng.standard_normal(2), pxz=np.zeros((4, 2)),
                 pzz=np.eye(2), s_inv=np.abs(rng.standard_normal((2, 2))))
@@ -220,19 +220,17 @@ class TestExtensionMean:
 
 class TestInitTrack:
     def test_position_from_mean(self):
-        frame = MeasurementFrame(np.array([[4.0, 6.0], [6.0, 4.0]]))
-        state, ext = filtering.init_track(frame, TrackerConfig())
+        state, ext = filtering.init_track(np.array([[4.0, 6.0], [6.0, 4.0]]), TrackerConfig())
         np.testing.assert_allclose(state.mean, [5.0, 5.0, 0.0, 0.0])
 
     def test_coincident_points_floor(self):
-        frame = MeasurementFrame(np.tile([1.0, 1.0], (5, 1)))
         cfg = TrackerConfig(min_extent=0.5)
-        _, ext = filtering.init_track(frame, cfg)
+        _, ext = filtering.init_track(np.tile([1.0, 1.0], (5, 1)), cfg)
         np.testing.assert_allclose(ext.param, 0.5 * np.eye(2), atol=1e-12)
 
     def test_rejects_single_point(self):
         with pytest.raises(TooFewPoints):
-            filtering.init_track(MeasurementFrame(np.array([[0.0, 0.0]])), TrackerConfig())
+            filtering.init_track(np.array([[0.0, 0.0]]), TrackerConfig())
 
     def test_recovers_ellipse_axes(self):
         """Sample covariance of a uniform solid ellipse is diag(a^2, b^2)/4,
@@ -244,7 +242,7 @@ class TestInitTrack:
         ang = rng.uniform(0, 2 * np.pi, 200)
         pts = np.stack([a * radius * np.cos(ang), b * radius * np.sin(ang)], axis=1)
         cfg = TrackerConfig(min_extent=1e-6)
-        _, ext = filtering.init_track(MeasurementFrame(pts), cfg)
+        _, ext = filtering.init_track(pts, cfg)
         sample_cov_eigs = np.sort(np.linalg.eigvalsh(ext.param / (cfg.init_dof - 6.0)))
         recovered = 2.0 * np.sqrt(sample_cov_eigs)
         assert abs(recovered[1] - a) / a < 0.25
@@ -276,8 +274,7 @@ class TestKalmanEquivalence:
         """Near-exact measurements of a fixed target: position error decays."""
         model = models.nominal_cv_model(sigma_w=0.01)
         rng = np.random.default_rng(2)
-        frames = [MeasurementFrame(rng.normal(0.0, 1e-3, size=(20, 2)))
-                  for _ in range(40)]
+        frames = [rng.normal(0.0, 1e-3, size=(20, 2)) for _ in range(40)]
         states, _, _ = filtering.run_filter(frames, model, TrackerConfig(pos_var=25.0))
         errs = [float(np.linalg.norm(s.mean[:2])) for s in states]
         assert errs[-1] < errs[0]
@@ -297,8 +294,7 @@ class TestFilterStep:
         np.testing.assert_array_equal(exts[0].param, manual_ext.param)
 
     def test_single_point_frame_increments_dof_by_one(self, cv_model):
-        frames = [MeasurementFrame(np.array([[1.0, 0.0], [-1.0, 0.0]])),
-                  MeasurementFrame(np.array([[0.5, -0.5]]))]
+        frames = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])]
         _, exts, diags = filtering.run_filter(frames, cv_model, TrackerConfig(), trace=[])
         assert exts[0].dof - diags[0].pred_ext.dof == 1
 
@@ -372,7 +368,7 @@ class TestCompensator:
         assert out is trace and len(trace) == len(case.frames) - 1
         for k, diag in enumerate(trace):
             assert isinstance(diag, FilterDiagnostics)
-            assert diag.frame.count == case.frames[k + 1].count
+            assert diag.frame.count == len(case.frames[k + 1])
             np.testing.assert_array_equal(diag.residual, diag.frame.mean - diag.stats.z_pred)
 
         built = []

@@ -31,44 +31,44 @@ class TestLinearMeasurement:
 
 class TestFrameStats:
     def test_single_point(self):
-        fs = models.frame_stats(models.MeasurementFrame(np.array([[1.0, 1.0]])))
+        fs = models.frame_stats(np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(fs.mean, [1.0, 1.0])
         np.testing.assert_array_equal(fs.scatter, np.zeros((2, 2)))
         assert fs.count == 1
 
     def test_two_points_hand_computed(self):
-        fs = models.frame_stats(models.MeasurementFrame(np.array([[0.0, 0.0], [2.0, 0.0]])))
+        fs = models.frame_stats(np.array([[0.0, 0.0], [2.0, 0.0]]))
         np.testing.assert_array_equal(fs.mean, [1.0, 0.0])
         np.testing.assert_array_equal(fs.scatter, [[2.0, 0.0], [0.0, 0.0]])
 
     def test_coincident_points(self):
         pts = np.tile([3.0, -1.0], (3, 1))
-        fs = models.frame_stats(models.MeasurementFrame(pts))
+        fs = models.frame_stats(pts)
         np.testing.assert_allclose(fs.scatter, np.zeros((2, 2)), atol=1e-12)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrame):
-            models.frame_stats(models.MeasurementFrame(np.empty((0, 2))))
+            models.frame_stats(np.empty((0, 2)))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((12, 2))
-        a = models.frame_stats(models.MeasurementFrame(pts))
-        b = models.frame_stats(models.MeasurementFrame(pts[::-1].copy()))
+        a = models.frame_stats(pts)
+        b = models.frame_stats(pts[::-1].copy())
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
         np.testing.assert_allclose(a.scatter, b.scatter, atol=1e-9)
 
     def test_translation_invariant_scatter(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((9, 2))
-        a = models.frame_stats(models.MeasurementFrame(pts))
-        b = models.frame_stats(models.MeasurementFrame(pts + np.array([100.0, -40.0])))
+        a = models.frame_stats(pts)
+        b = models.frame_stats(pts + np.array([100.0, -40.0]))
         np.testing.assert_allclose(a.scatter, b.scatter, atol=1e-9)
 
     def test_scatter_psd(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((20, 2)) * 3.0
-        fs = models.frame_stats(models.MeasurementFrame(pts))
+        fs = models.frame_stats(pts)
         assert np.min(np.linalg.eigvalsh(fs.scatter)) >= -1e-12
 
 

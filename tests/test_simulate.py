@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from memtrack import simulate
-from memtrack.models import ScenarioConfig, cv_transition_matrix
+from memtrack.models import ScenarioConfig, cv_process_noise, cv_transition_matrix
 from memtrack.simulate import (
     ct_transition,
     generate_case,
@@ -100,6 +100,17 @@ class TestGenerateTrajectory:
             lag1 = np.corrcoef(inc[:-1][ct[: len(inc) - 1]], inc[1:][ct[: len(inc) - 1]])[0, 1]
             assert lag1 > 0.5  # persistent turning, not i.i.d. increments
 
+    def test_white_accel_noise_is_the_nominal_process_noise(self):
+        cfg = ScenarioConfig(steps=4001, cases=1, dt=0.5, regimes="cv",
+                             process_noise="white_accel", seed=0)
+        truth = generate_trajectory(cfg, np.random.default_rng(4))
+        noise = truth.states[1:] - truth.states[:-1] @ cv_transition_matrix(cfg.dt).T
+        q = cv_process_noise(cfg.sigma_w, cfg.dt)
+        scale = 1.0 / np.sqrt(np.diag(q))
+        # 4000 draws: correlation and relative-variance errors are ~0.02
+        np.testing.assert_allclose(scale[:, None] * np.cov(noise.T) * scale,
+                                   scale[:, None] * q * scale, atol=0.1)
+
 
 class TestGenerateFrame:
     def test_uniform_ellipse_second_moment(self):
@@ -108,7 +119,7 @@ class TestGenerateFrame:
         state = np.zeros(4)
         rng = np.random.default_rng(12)
         pts = np.concatenate([
-            generate_frame(state, extent, cfg, rng).points for _ in range(5000)
+            generate_frame(state, extent, cfg, rng) for _ in range(5000)
         ])
         cov = np.cov(pts.T)
         np.testing.assert_allclose(np.diag(cov), [25.0 / 4.0, 1.0 / 4.0], rtol=0.03)
@@ -116,7 +127,7 @@ class TestGenerateFrame:
     def test_poisson_rate(self):
         cfg = ScenarioConfig(steps=2, cases=1, scatter_rate=20.0, seed=0)
         rng = np.random.default_rng(13)
-        counts = [generate_frame(np.zeros(4), np.diag([25.0, 1.0]), cfg, rng).count
+        counts = [len(generate_frame(np.zeros(4), np.diag([25.0, 1.0]), cfg, rng))
                   for _ in range(10000)]
         assert abs(np.mean(counts) - 20.0) / 20.0 < 0.02
         assert min(counts) >= 2
@@ -125,7 +136,7 @@ class TestGenerateFrame:
         cfg = ScenarioConfig(steps=2, cases=1, seed=0)
         rng = np.random.default_rng(14)
         frame = generate_frame(np.zeros(4), np.zeros((2, 2)), cfg, rng)
-        assert np.all(np.isfinite(frame.points))
+        assert np.all(np.isfinite(frame))
 
 
 class TestGenerateDataset:
@@ -151,7 +162,7 @@ class TestGenerateDataset:
         for ca, cb in zip(a.cases, b.cases):
             np.testing.assert_array_equal(ca.truth.states, cb.truth.states)
             for fa, fb in zip(ca.frames, cb.frames):
-                np.testing.assert_array_equal(fa.points, fb.points)
+                np.testing.assert_array_equal(fa, fb)
 
     def test_case_seeds_recorded(self):
         cfg = ScenarioConfig(steps=5, cases=4, seed=77)

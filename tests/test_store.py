@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,16 @@ from memtrack.simulate import generate_dataset
 @pytest.fixture()
 def dataset():
     return generate_dataset(ScenarioConfig(steps=12, cases=4, seed=3))
+
+
+def _edit_header(path, edit) -> None:
+    """Rewrite a container's JSON header in place; the body and its CRC stay."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
 
 
 class TestDatasetRoundTrip:
@@ -30,7 +43,7 @@ class TestDatasetRoundTrip:
             np.testing.assert_array_equal(a.truth.omegas, b.truth.omegas)
             assert a.seed_entropy == b.seed_entropy
             for fa, fb in zip(a.frames, b.frames):
-                np.testing.assert_array_equal(fa.points, fb.points)
+                np.testing.assert_array_equal(fa, fb)
 
     def test_byte_identical_rewrites(self, dataset, tmp_path):
         p1, p2 = tmp_path / "a.mtds", tmp_path / "b.mtds"
@@ -64,14 +77,31 @@ class TestDatasetRoundTrip:
         with pytest.raises(VersionMismatch):
             store.read_dataset(path)
 
-    def test_header_only_read(self, dataset, tmp_path):
+    def test_frames_are_point_arrays(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
-        header = store.read_dataset_header(path)
-        assert header["cases"] == 4
-        assert header["steps"] == 12
-        assert header["config"]["sigma_w"] == dataset.config.sigma_w
-        assert header["noise_level"] == [dataset.config.sigma_w, dataset.config.sigma_v]
+        for case in store.read_dataset(path).cases:
+            assert len(case.frames) == 12
+            for frame in case.frames:
+                assert frame.dtype == np.float64 and frame.ndim == 2 and frame.shape[1] == 2
+                assert frame.flags.c_contiguous and frame.flags.writeable
+
+    def test_fewer_cases_in_header_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _edit_header(path, lambda h: h.update(cases=3))
+        with pytest.raises(ChecksumMismatch):
+            store.read_dataset(path)
+
+    def test_frame_count_beyond_body_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+
+        def grow(header):
+            header["frame_counts"][1][5] += 1
+        _edit_header(path, grow)
+        with pytest.raises(ChecksumMismatch):
+            store.read_dataset(path)
 
 
 class TestCheckpointRoundTrip:
@@ -101,6 +131,13 @@ class TestCheckpointRoundTrip:
         store.write_checkpoint(zero_params(4, mask_evolution=True), path)
         back = store.read_checkpoint(path)
         assert back.mask_evolution and not back.mask_update
+
+    def test_feature_dim_beyond_body_rejected(self, tmp_path):
+        path = tmp_path / "c.mtck"
+        store.write_checkpoint(zero_params(4), path)
+        _edit_header(path, lambda h: h.update(feature_dim=h["feature_dim"] + 1))
+        with pytest.raises(ChecksumMismatch):
+            store.read_checkpoint(path)
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "c.mtck"
@@ -138,7 +175,7 @@ class TestReports:
         assert len(lines) == 1 + 4  # J * (K-1) data rows
         assert lines[1].startswith("0,0,")
 
-    def test_empty_report_header_only(self, tmp_path):
+    def test_empty_report_writes_column_row(self, tmp_path):
         rep = MetricsReport(per_case=[], mean_square_position_error=0.0,
                             position_rmse=0.0, mean_iou=0.0, mean_gwd=0.0,
                             peak_position_error=0.0, peak_iou=0.0, peak_gwd=0.0)
