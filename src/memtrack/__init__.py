@@ -15,7 +15,6 @@ from .filtering import (
     init_track,
     innovation,
     predict_extension,
-    predict_measurement,
     predict_state,
     run_filter,
     update_extension,
@@ -23,7 +22,6 @@ from .filtering import (
 )
 from .metrics import EllipseEstimate, MetricsReport, evaluate_run, gwd, iou_ellipse, position_rmse
 from .models import (
-    Compensation,
     ExtensionState,
     FrameStats,
     NominalModel,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .store import (
     write_dataset,
     write_report,
 )
-from .training import TrainConfig, grad_check, train
+from .training import EpochRecord, TrainConfig, grad_check, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,11 +213,11 @@ def cmd_simulate(args) -> int:
 
 
 def _history_csv(history, path) -> None:
-    lines = ["fold,epoch,train_loss,val_loss,val_rmse,val_iou,val_gwd"]
+    """One column per ``EpochRecord`` field: ints as written, floats at 17 digits."""
+    lines = [",".join(f.name for f in fields(EpochRecord))]
     for rec in history:
-        lines.append(
-            f"{rec.fold},{rec.epoch},{rec.train_loss:.17g},{rec.val_loss:.17g},"
-            f"{rec.val_rmse:.17g},{rec.val_iou:.17g},{rec.val_gwd:.17g}")
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in astuple(rec)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

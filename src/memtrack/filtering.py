@@ -1,10 +1,14 @@
 """Closed-form joint state/extension recursion.
 
-The recursion is parameterized by a :class:`~memtrack.models.Compensation`
-input, so the same code runs as the classic zero-compensation baseline and
-as the filtering backbone of the learned tracker.  With zero compensation
-the state branch is algebraically a Kalman filter whose measurement
-covariance is B Xhat B^T / n.
+The recursion takes five compensation moments as plain arguments: the
+evolution moments ``(df, pf, pphi)`` shift the predicted state mean and
+inflate the predicted state covariance and extension, the measurement
+moments ``(dh, ph)`` shift the predicted frame mean and inflate the
+innovation.  The same code therefore runs as the classic baseline (with
+:data:`ZERO_EVOLUTION` and :data:`ZERO_MEASUREMENT`) and as the filtering
+backbone of the learned tracker.  With zero compensation the state branch
+is algebraically a Kalman filter whose measurement covariance is
+B Xhat B^T / n.
 
 :func:`run_filter` is the only place the per-step recursion is written.  It
 takes an optional compensator, an object with two methods that it calls
@@ -40,7 +44,6 @@ from .errors import (
 )
 from .models import (
     D,
-    Compensation,
     ExtensionState,
     FrameStats,
     NominalModel,
@@ -53,9 +56,10 @@ __all__ = [
     "TrackerConfig",
     "InnovationStats",
     "FilterDiagnostics",
+    "ZERO_EVOLUTION",
+    "ZERO_MEASUREMENT",
     "predict_state",
     "predict_extension",
-    "predict_measurement",
     "innovation",
     "update_state",
     "update_extension",
@@ -75,6 +79,15 @@ EXT_ABS_FLOOR = 1e-6
 # so that the integer update increment v_post = v_pred + n is exact in
 # float arithmetic at every step.
 _DOF_GRID = 2.0 ** 34
+
+
+# Zero compensation: the evolution moments (df, pf, pphi) and the
+# measurement moments (dh, ph) that reduce the filter to the baseline.
+# Every zero-compensation caller shares these arrays, so they are read-only.
+ZERO_EVOLUTION = (np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2)))
+ZERO_MEASUREMENT = (np.zeros(2), np.zeros((2, 2)))
+for _zero in ZERO_EVOLUTION + ZERO_MEASUREMENT:
+    _zero.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -113,20 +126,20 @@ def _proj_eps(raw) -> float:
     return PROJ_EPS_FACTOR * abs(tr)
 
 
-def predict_state(prior: TrackState, model: NominalModel, comp: Compensation) -> TrackState:
+def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
     """Evolve the kinematic belief one step.
 
     mean = F x + df;  cov = F P F^T + Q + pf, symmetrized.
     """
-    mean = model.F @ prior.mean + comp.df
-    cov_raw = model.F @ prior.cov @ model.F.T + model.q + comp.pf
+    mean = model.F @ prior.mean + df
+    cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
     if not np.all(np.isfinite(ops.value(mean))):
         raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
 
-def predict_extension(prior: ExtensionState, model: NominalModel, comp: Compensation) -> ExtensionState:
+def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> ExtensionState:
     """Evolve the extension belief one step.
 
     lambda = v - 2d - 2 must exceed 2 for the dof moment-matching formula;
@@ -146,15 +159,10 @@ def predict_extension(prior: ExtensionState, model: NominalModel, comp: Compensa
     v_pred = float(np.round(v_pred * _DOF_GRID) / _DOF_GRID)
     # Dividing by delta keeps the expected extent; the undivided bracket
     # multiplies it by about delta per step, which compounds geometrically.
-    bracket = (delta * (model.a @ prior.param @ model.a.T) + comp.pphi) / delta
+    bracket = (delta * (model.a @ prior.param @ model.a.T) + pphi) / delta
     raw = ((v_pred - 2 * D - 2) / lam) * bracket
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=v_pred, param=param)
-
-
-def predict_measurement(pred: TrackState, model: NominalModel, comp: Compensation):
-    """Predicted frame mean H x + dh."""
-    return model.H @ pred.mean + comp.dh
 
 
 def extension_mean(ext: ExtensionState):
@@ -169,10 +177,12 @@ def innovation(
     pred: TrackState,
     ext_pred: ExtensionState,
     model: NominalModel,
-    comp: Compensation,
+    dh,
+    ph,
     count: int,
 ) -> InnovationStats:
-    """Cross/innovation covariances and the extension innovation scale.
+    """Predicted frame mean H x + dh, cross/innovation covariances and the
+    extension innovation scale.
 
     Pzz uses the lambda-scaled extent point estimate (not the raw parameter
     matrix, whose scale grows with dof).  The scalar |B|^(d/2)/n term of the
@@ -180,7 +190,7 @@ def innovation(
     """
     if count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
-    z_pred = predict_measurement(pred, model, comp)
+    z_pred = model.H @ pred.mean + dh
     pxz = pred.cov @ model.H.T
     hph = model.H @ pxz
     xhat = extension_mean(ext_pred)
@@ -191,13 +201,13 @@ def innovation(
     # compensation-free part.  PSD ph never triggers the clamp, and when it
     # does trigger, the clamp blocks the gradient along the offending
     # direction, which keeps training out of the sign-flip regime.
-    pzz = ops.spectrum_floor(physical + comp.ph, physical, 0.05)
+    pzz = ops.spectrum_floor(physical + ph, physical, 0.05)
     det_b = float(np.linalg.det(model.b))
     try:
         x_inv_hph = ops.solve(ext_pred.param, ops.transpose(hph))
     except np.linalg.LinAlgError as exc:
         raise SingularExtension(f"predicted extension is singular: {exc}") from exc
-    s_inv = ops.transpose(x_inv_hph) + (abs(det_b) ** (D / 2.0) / float(count)) * np.eye(2) + comp.ph
+    s_inv = ops.transpose(x_inv_hph) + (abs(det_b) ** (D / 2.0) / float(count)) * np.eye(2) + ph
     return InnovationStats(z_pred=z_pred, pxz=pxz, pzz=pzz, s_inv=s_inv)
 
 
@@ -288,20 +298,16 @@ def run_filter(
     if len(frames) < 2:
         raise TooFewPoints("a sequence needs at least two frames")
     state, ext = init_track(frames[0], cfg)
-    zero = Compensation.zero()
     states, exts = [], []
     for k, frame in enumerate(frames[1:], start=2):
         fs = frame_stats(frame)
-        comp = zero
-        if compensator is not None:
-            df, pf, pphi = compensator.evolve(state, ext, fs)
-            comp = Compensation(df=df, pf=pf, dh=zero.dh, ph=zero.ph, pphi=pphi)
-        pred = predict_state(state, model, comp)
-        ext_pred = predict_extension(ext, model, comp)
-        if compensator is not None:
-            dh, ph = compensator.measure(pred, ext_pred)
-            comp = Compensation(df=comp.df, pf=comp.pf, dh=dh, ph=ph, pphi=comp.pphi)
-        stats = innovation(pred, ext_pred, model, comp, fs.count)
+        df, pf, pphi = (ZERO_EVOLUTION if compensator is None
+                        else compensator.evolve(state, ext, fs))
+        pred = predict_state(state, model, df, pf)
+        ext_pred = predict_extension(ext, model, pphi)
+        dh, ph = (ZERO_MEASUREMENT if compensator is None
+                  else compensator.measure(pred, ext_pred))
+        stats = innovation(pred, ext_pred, model, dh, ph, fs.count)
         state = update_state(pred, stats, fs.mean)
         ext = update_extension(ext_pred, stats, fs, model)
         # update_state already rejects a non-finite mean

@@ -22,7 +22,6 @@ __all__ = [
     "ExtensionState",
     "FrameStats",
     "NominalModel",
-    "Compensation",
     "ScenarioConfig",
     "cv_transition_matrix",
     "MEASUREMENT_MATRIX",
@@ -59,33 +58,6 @@ class FrameStats:
     mean: np.ndarray     # (2,)
     scatter: np.ndarray  # (2, 2), sum of outer products around the mean
     count: int
-
-
-@dataclass(frozen=True)
-class Compensation:
-    """Learned mismatch moments consumed by the filter.
-
-    df / pf correct the state evolution (additive mean shift and covariance
-    inflation), dh / ph the measurement prediction, and pphi the extension
-    transition.  All-zero compensation reduces the filter to the classic
-    random-matrix recursion.
-    """
-
-    df: np.ndarray    # (4,)
-    pf: np.ndarray    # (4, 4)
-    dh: np.ndarray    # (2,)
-    ph: np.ndarray    # (2, 2)
-    pphi: np.ndarray  # (2, 2)
-
-    @staticmethod
-    def zero() -> "Compensation":
-        return Compensation(
-            df=np.zeros(4),
-            pf=np.zeros((4, 4)),
-            dh=np.zeros(2),
-            ph=np.zeros((2, 2)),
-            pphi=np.zeros((2, 2)),
-        )
 
 
 @dataclass(frozen=True)

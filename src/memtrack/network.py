@@ -14,13 +14,19 @@ extension inflation pphi is a true Cholesky square so it stays PSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ops
 from .errors import LengthMismatch
-from .filtering import TrackerConfig, extension_mean, run_filter
+from .filtering import (
+    ZERO_EVOLUTION,
+    ZERO_MEASUREMENT,
+    TrackerConfig,
+    extension_mean,
+    run_filter,
+)
 from .models import ExtensionState, FrameStats, NominalModel, TrackState
 
 __all__ = [
@@ -84,8 +90,9 @@ def _array_specs(memory_dim: int) -> list[tuple[str, tuple[int, ...]]]:
 class NetworkParams:
     """All trainable arrays plus masks and frozen feature statistics.
 
-    ``arrays`` iterates in the declared order used by checkpoints.  Masks
-    disable whole blocks for ablations: the evolution heads (jeb), the
+    ``arrays`` iterates in the declared order used by checkpoints; under a
+    tape it holds the tape leaves instead (see :func:`forward_sequence`).
+    Masks disable whole blocks for ablations: the evolution heads (jeb), the
     update heads (jub), or the memory update itself (mub).
     """
 
@@ -171,11 +178,12 @@ def _encode_predictions(pred: TrackState, ext_pred: ExtensionState, params: Netw
     return (raw - params.feat_mean[:PRED_FEATURE_DIM]) / params.feat_std[:PRED_FEATURE_DIM]
 
 
-def mub_step(params: NetworkParams, weights, features, mem: MemoryState) -> MemoryState:
+def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
     """One LSTM memory update; masked mode freezes memory and zeroes pc."""
     h = params.memory_dim
     if params.mask_memory:
         return MemoryState(cell=mem.cell, hidden=mem.hidden, pc=np.zeros(h))
+    weights = params.arrays
     z = ops.concat([features, mem.hidden])
     lin = weights["lstm_w"] @ z + weights["lstm_b"]
     gate_in = ops.sigmoid(lin[0:h])
@@ -188,10 +196,11 @@ def mub_step(params: NetworkParams, weights, features, mem: MemoryState) -> Memo
     return MemoryState(cell=cell, hidden=hidden, pc=pc)
 
 
-def jeb_heads(params: NetworkParams, weights, mem: MemoryState):
+def jeb_heads(params: NetworkParams, mem: MemoryState):
     """Evolution compensation (df, pf, pphi) from the memory state."""
     if params.mask_evolution:
-        return np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2))
+        return ZERO_EVOLUTION
+    weights = params.arrays
     inp = ops.concat([mem.hidden, mem.pc])
     df = weights["evo_shift_w"] @ inp + weights["evo_shift_b"]
     pf_diag = ops.softplus(weights["evo_cov_w"] @ inp + weights["evo_cov_b"]) - ops.SOFTPLUS_ZERO
@@ -203,10 +212,11 @@ def jeb_heads(params: NetworkParams, weights, mem: MemoryState):
     return df, pf, pphi
 
 
-def jub_heads(params: NetworkParams, weights, pred: TrackState, ext_pred: ExtensionState):
+def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState):
     """Measurement compensation (dh, ph) from the current predictions."""
     if params.mask_update:
-        return np.zeros(2), np.zeros((2, 2))
+        return ZERO_MEASUREMENT
+    weights = params.arrays
     inp = _encode_predictions(pred, ext_pred, params)
     dh = weights["upd_shift_w"] @ inp + weights["upd_shift_b"]
     ph_diag = ops.softplus(weights["upd_cov_w"] @ inp + weights["upd_cov_b"]) - ops.SOFTPLUS_ZERO
@@ -222,18 +232,17 @@ class _Compensator:
     heads; ``measure`` reads the update heads from the predictions.
     """
 
-    def __init__(self, params: NetworkParams, weights):
+    def __init__(self, params: NetworkParams):
         self.params = params
-        self.weights = weights
         self.mem = initial_memory(params.memory_dim)
 
     def evolve(self, state: TrackState, ext: ExtensionState, fs: FrameStats):
         features = encode_inputs(state, ext, fs, self.params)
-        self.mem = mub_step(self.params, self.weights, features, self.mem)
-        return jeb_heads(self.params, self.weights, self.mem)
+        self.mem = mub_step(self.params, features, self.mem)
+        return jeb_heads(self.params, self.mem)
 
     def measure(self, pred: TrackState, ext_pred: ExtensionState):
-        return jub_heads(self.params, self.weights, pred, ext_pred)
+        return jub_heads(self.params, pred, ext_pred)
 
 
 def forward_sequence(
@@ -248,16 +257,17 @@ def forward_sequence(
     The first frame initializes the track; every later frame runs
     memory update -> evolution heads -> filter prediction -> update heads
     -> filter update, through :func:`~memtrack.filtering.run_filter`.  With
-    a tape, parameters enter as leaves and the returned mapping supports
-    gradient extraction; without one this is the plain-inference path
-    (identical arithmetic).
+    a tape, the network runs on a copy of ``params`` whose arrays are tape
+    leaves, and those leaves are returned for gradient extraction; without
+    one this is the plain-inference path (identical arithmetic).
 
     Returns (posterior states, posterior extensions, leaves-or-None).
     """
-    weights = params.leaves(tape) if tape is not None else params.arrays
+    if tape is not None:
+        params = replace(params, arrays=params.leaves(tape))
     states, exts, _ = run_filter(frames, model, tcfg or TrackerConfig(),
-                                 _Compensator(params, weights))
-    return states, exts, (weights if tape is not None else None)
+                                 _Compensator(params))
+    return states, exts, (params.arrays if tape is not None else None)
 
 
 def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma: float = 0.0):

@@ -315,16 +315,6 @@ def _sym_grad(g):
     return 0.5 * (g + g.T)
 
 
-def sym(a):
-    """Symmetric part 0.5 * (a + a.T)."""
-    t = _tape(a)
-    av = value(a)
-    out = 0.5 * (av + av.T)
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, _sym_grad)])
-
-
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -360,14 +350,6 @@ def softplus(a):
     return t._node(out, [(a.idx, lambda g: g * _sigmoid(av))])
 
 
-def exp(a):
-    t = _tape(a)
-    out = np.exp(value(a))
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g * out)])
-
-
 def log(a):
     t = _tape(a)
     av = value(a)
@@ -375,14 +357,6 @@ def log(a):
     if t is None:
         return out
     return t._node(out, [(a.idx, lambda g: g / av)])
-
-
-def sqrt(a):
-    t = _tape(a)
-    out = np.sqrt(value(a))
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g * 0.5 / out)])
 
 
 def sumsq(a):

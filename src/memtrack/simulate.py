@@ -176,10 +176,9 @@ def generate_case(cfg: ScenarioConfig, master_seed: int, case_idx: int) -> SimCa
     return SimCase(truth=truth, frames=frames, seed_entropy=(master_seed, case_idx))
 
 
-def generate_dataset(cfg: ScenarioConfig, seed: int | None = None) -> Dataset:
+def generate_dataset(cfg: ScenarioConfig) -> Dataset:
     """All cases for one noise level, with a deterministic train/test split."""
-    master = cfg.seed if seed is None else seed
-    cases = [generate_case(cfg, master, i) for i in range(cfg.cases)]
+    cases = [generate_case(cfg, cfg.seed, i) for i in range(cfg.cases)]
     n_train = int(round(cfg.train_fraction * cfg.cases))
     idx = np.arange(cfg.cases)
     return Dataset(
@@ -187,5 +186,5 @@ def generate_dataset(cfg: ScenarioConfig, seed: int | None = None) -> Dataset:
         train_idx=idx[:n_train],
         test_idx=idx[n_train:],
         config=cfg,
-        master_seed=master,
+        master_seed=cfg.seed,
     )

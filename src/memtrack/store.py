@@ -114,11 +114,14 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def _check_dataset_counts(header: dict, body: bytes, path) -> None:
-    """The header is outside the checksum: its counts must use up the body."""
+    """The header is outside the checksum: its counts must use up the body,
+    and its split indices must name cases."""
     k, n_cases, counts = header["steps"], header["cases"], header["frame_counts"]
     if (len(counts) != n_cases or len(header["case_seeds"]) != n_cases
             or any(len(c) != k or min(c) < 0 for c in counts)):
         raise ChecksumMismatch(f"{path}: header case and frame counts disagree")
+    if any(not 0 <= i < n_cases for i in header["train_idx"] + header["test_idx"]):
+        raise ChecksumMismatch(f"{path}: header split index outside 0..{n_cases - 1}")
     # per step: 4 state, 3 extent and 1 omega floats plus one regime byte
     expected = n_cases * k * (8 * 8 + 1) + 2 * 8 * sum(map(sum, counts))
     if expected != len(body):
@@ -183,14 +186,10 @@ def write_checkpoint(params: NetworkParams, path, train_config_digest: str = "")
     _write_container(path, CHECKPOINT_MAGIC, header, buf.getvalue())
 
 
-def read_checkpoint(path, expect_memory_dim: int | None = None) -> NetworkParams:
+def read_checkpoint(path) -> NetworkParams:
     header, body = _read_container(path, CHECKPOINT_MAGIC)
-    memory_dim = header["memory_dim"]
-    if expect_memory_dim is not None and memory_dim != expect_memory_dim:
-        raise VersionMismatch(
-            f"checkpoint memory_dim {memory_dim} != configured {expect_memory_dim}")
     params = zero_params(
-        memory_dim,
+        header["memory_dim"],
         mask_evolution=header["masks"]["jeb"],
         mask_update=header["masks"]["jub"],
         mask_memory=header["masks"]["mub"],

@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import ops
 from .errors import ConfigError, EmptyDataset, NonFinite
-from .filtering import TrackerConfig, run_filter
+from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
 from .models import NominalModel
 from .network import (
     FEATURE_DIM,
@@ -124,10 +124,10 @@ class _FeatureSums:
         self.acc += feats
         self.acc2 += feats * feats
         self.count += 1
-        return np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2))
+        return ZERO_EVOLUTION
 
     def measure(self, pred, ext_pred):
-        return np.zeros(2), np.zeros((2, 2))
+        return ZERO_MEASUREMENT
 
 
 def collect_feature_stats(

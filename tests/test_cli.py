@@ -143,6 +143,24 @@ class TestTrain:
         folds = sorted(int(r.split(",")[0]) for r in rows)
         assert folds == [0, 0, 1, 1]
 
+    def test_history_header_is_epoch_record_fields(self, small_dataset, tmp_path):
+        ck = tmp_path / "h.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--epochs", "1",
+                   "--lr", "0", "--folds", "1", "--memory-dim", "4"])
+        assert rc == EXIT_OK
+        header = (tmp_path / "h.mtck.history.csv").read_text().splitlines()[0]
+        assert header.split(",") == [f.name for f in fields(training.EpochRecord)]
+
+    def test_train_reproducible_bytes(self, small_dataset, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            ck = tmp_path / f"{name}.mtck"
+            rc = main(["train", str(small_dataset), "--out", str(ck), "--epochs", "2",
+                       "--folds", "2", "--memory-dim", "4", "--seed", "7"])
+            assert rc == EXIT_OK
+            outs.append((ck.read_bytes(), (tmp_path / f"{name}.mtck.history.csv").read_bytes()))
+        assert outs[0] == outs[1]
+
 
 class TestEval:
     def test_baseline_report(self, small_dataset, tmp_path):
@@ -236,6 +254,20 @@ class TestTrack:
         ds = read_dataset(small_dataset)
         total = sum(len(f) for f in ds.cases[0].frames)
         assert len(pts) == 1 + total
+
+    def test_track_reproducible_bytes(self, small_dataset, tmp_path):
+        ck = tmp_path / "c.mtck"
+        assert main(["train", str(small_dataset), "--out", str(ck), "--epochs", "1",
+                     "--folds", "1", "--memory-dim", "4"]) == EXIT_OK
+        for mode in ([], ["--checkpoint", str(ck)]):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{name}.csv"
+                rc = main(["track", str(small_dataset), "--case", "2", "--out", str(out),
+                           *mode])
+                assert rc == EXIT_OK
+                outs.append((out.read_bytes(), (tmp_path / f"{name}.csv.points.csv").read_bytes()))
+            assert outs[0] == outs[1]
 
 
 class TestGradcheck:

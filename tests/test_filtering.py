@@ -4,9 +4,12 @@ import pytest
 from memtrack import filtering, models, network
 from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
-from memtrack.models import Compensation, ExtensionState, TrackState
+from memtrack.models import ExtensionState, TrackState
 from memtrack.simulate import generate_case
 from memtrack.spdmat import sample_wishart, sample_inverse_wishart
+
+ZERO_DF, ZERO_PF, ZERO_PPHI = filtering.ZERO_EVOLUTION
+ZERO_DH, ZERO_PH = filtering.ZERO_MEASUREMENT
 
 
 def textbook_kalman_step(mean, cov, z, fmat, q, hmat, r):
@@ -20,12 +23,14 @@ def textbook_kalman_step(mean, cov, z, fmat, q, hmat, r):
     return mean_u, cov_u
 
 
-def manual_step(state, ext, frame, model, comp):
+def manual_step(state, ext, frame, model, evolution=filtering.ZERO_EVOLUTION,
+                measurement=filtering.ZERO_MEASUREMENT):
     """One recursion step composed by hand from the public pieces."""
     fs = models.frame_stats(frame)
-    pred = filtering.predict_state(state, model, comp)
-    ext_pred = filtering.predict_extension(ext, model, comp)
-    stats = filtering.innovation(pred, ext_pred, model, comp, fs.count)
+    (df, pf, pphi), (dh, ph) = evolution, measurement
+    pred = filtering.predict_state(state, model, df, pf)
+    ext_pred = filtering.predict_extension(ext, model, pphi)
+    stats = filtering.innovation(pred, ext_pred, model, dh, ph, fs.count)
     return (filtering.update_state(pred, stats, fs.mean),
             filtering.update_extension(ext_pred, stats, fs, model))
 
@@ -35,74 +40,74 @@ def cv_model():
     return models.nominal_cv_model(sigma_w=0.4, dt=1.0)
 
 
-@pytest.fixture()
-def zero():
-    return Compensation.zero()
+def test_zero_moments_are_frozen_zeros():
+    shapes = [m.shape for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT]
+    assert shapes == [(4,), (4, 4), (2, 2), (2,), (2, 2)]
+    for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT:
+        assert not m.any() and not m.flags.writeable
 
 
 class TestPredictState:
-    def test_zero_compensation_cv(self, cv_model, zero):
+    def test_zero_compensation_cv(self, cv_model):
         prior = TrackState(mean=np.array([0.0, 0.0, 10.0, 0.0]), cov=np.eye(4))
-        pred = filtering.predict_state(prior, cv_model, zero)
+        pred = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_PF)
         np.testing.assert_array_equal(pred.mean, [10.0, 0.0, 10.0, 0.0])
         np.testing.assert_allclose(pred.cov, cv_model.F @ prior.cov @ cv_model.F.T + cv_model.q,
                                    atol=1e-12)
 
-    def test_shift_additive(self, cv_model, zero):
+    def test_shift_additive(self, cv_model):
         prior = TrackState(mean=np.array([0.0, 0.0, 10.0, 0.0]), cov=np.eye(4))
-        comp = Compensation(df=np.array([1.0, 0.0, 0.0, 0.0]), pf=np.zeros((4, 4)),
-                            dh=np.zeros(2), ph=np.zeros((2, 2)), pphi=np.zeros((2, 2)))
-        pred = filtering.predict_state(prior, cv_model, comp)
+        pred = filtering.predict_state(prior, cv_model, np.array([1.0, 0.0, 0.0, 0.0]),
+                                       ZERO_PF)
         np.testing.assert_array_equal(pred.mean, [11.0, 0.0, 10.0, 0.0])
 
-    def test_covariance_inflation(self, cv_model, zero):
+    def test_covariance_inflation(self, cv_model):
         prior = TrackState(mean=np.zeros(4), cov=np.eye(4))
-        comp = Compensation(df=np.zeros(4), pf=np.diag([1.0, 2.0, 3.0, 4.0]),
-                            dh=np.zeros(2), ph=np.zeros((2, 2)), pphi=np.zeros((2, 2)))
-        base = filtering.predict_state(prior, cv_model, zero)
-        inflated = filtering.predict_state(prior, cv_model, comp)
-        np.testing.assert_allclose(inflated.cov - base.cov, comp.pf, atol=1e-12)
+        pf = np.diag([1.0, 2.0, 3.0, 4.0])
+        base = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_PF)
+        inflated = filtering.predict_state(prior, cv_model, ZERO_DF, pf)
+        np.testing.assert_allclose(inflated.cov - base.cov, pf, atol=1e-12)
 
 
 class TestPredictExtension:
-    def test_dof_closed_form_value(self, cv_model, zero):
+    def test_dof_closed_form_value(self, cv_model):
         # lambda = 4, delta = 7: 2*7*5*3*2/(16*11) + 8 = 420/176 + 8
         prior = ExtensionState(dof=10.0, param=np.eye(2))
-        pred = filtering.predict_extension(prior, cv_model, zero)
+        pred = filtering.predict_extension(prior, cv_model, ZERO_PPHI)
         assert abs(pred.dof - (420.0 / 176.0 + 8.0)) < 1e-10
         assert abs(pred.dof - 10.3864) < 1e-4
 
-    def test_param_scaling(self, cv_model, zero):
+    def test_param_scaling(self, cv_model):
         prior = ExtensionState(dof=10.0, param=np.eye(2))
-        pred = filtering.predict_extension(prior, cv_model, zero)
+        pred = filtering.predict_extension(prior, cv_model, ZERO_PPHI)
         expected = (pred.dof - 6.0) / 4.0
         np.testing.assert_allclose(pred.param, expected * np.eye(2), atol=1e-12)
         assert abs(expected - 1.0966) < 1e-4
 
-    def test_rotation_similarity(self, zero):
+    def test_rotation_similarity(self):
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         model = models.nominal_cv_model(sigma_w=0.4, a=rot)
         prior = ExtensionState(dof=12.0, param=np.diag([4.0, 1.0]))
-        pred = filtering.predict_extension(prior, model, zero)
+        pred = filtering.predict_extension(prior, model, ZERO_PPHI)
         lam = 12.0 - 6.0
         scale = (pred.dof - 6.0) / lam
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(pred.param)),
                                    np.sort(scale * np.array([1.0, 4.0])), rtol=1e-10)
 
-    def test_bad_dof(self, cv_model, zero):
+    def test_bad_dof(self, cv_model):
         with pytest.raises(BadDof):
             filtering.predict_extension(ExtensionState(dof=8.0, param=np.eye(2)),
-                                        cv_model, zero)
+                                        cv_model, ZERO_PPHI)
 
-    def test_wishart_transition_mean_consistency(self, cv_model, zero):
+    def test_wishart_transition_mean_consistency(self, cv_model):
         """Monte Carlo oracle for the prediction: draw the prior extent from
         an inverse Wishart whose mean equals the filter's point estimate,
         push it through the transition W(delta, X_prev) / delta, and compare
         the sample mean to the predicted extent."""
         model = cv_model
         prior = ExtensionState(dof=16.0, param=np.array([[8.0, 2.0], [2.0, 5.0]]))
-        pred = filtering.predict_extension(prior, model, zero)
+        pred = filtering.predict_extension(prior, model, ZERO_PPHI)
         analytic = filtering.extension_mean(pred)
         np.testing.assert_allclose(analytic, filtering.extension_mean(prior), rtol=1e-10)
         # textbook IW(v', P) has mean P/(v' - 3); v' = dof - 3 matches the
@@ -117,50 +122,50 @@ class TestPredictExtension:
 
 
 class TestInnovation:
-    def test_block_arithmetic(self, zero):
+    def test_block_arithmetic(self):
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))  # extent mean = I
-        stats = filtering.innovation(pred, ext, model, zero, count=1)
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, count=1)
         np.testing.assert_allclose(stats.pzz, 2.0 * np.eye(2), atol=1e-12)
 
-    def test_scatter_term_vanishes_large_n(self, zero):
+    def test_scatter_term_vanishes_large_n(self):
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        stats = filtering.innovation(pred, ext, model, zero, count=10 ** 9)
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, count=10 ** 9)
         np.testing.assert_allclose(stats.pzz, model.H @ pred.cov @ model.H.T, atol=1e-6)
 
-    def test_pxz_selects_columns(self, cv_model, zero):
+    def test_pxz_selects_columns(self, cv_model):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((4, 4))
         cov = m @ m.T + np.eye(4)
         pred = TrackState(mean=np.zeros(4), cov=cov)
         ext = ExtensionState(dof=10.0, param=np.eye(2))
-        stats = filtering.innovation(pred, ext, cv_model, zero, count=5)
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=5)
         np.testing.assert_allclose(stats.pxz, cov[:, :2], atol=1e-12)
 
 
 class TestUpdateState:
-    def test_zero_innovation_keeps_mean(self, cv_model, zero):
+    def test_zero_innovation_keeps_mean(self, cv_model):
         pred = TrackState(mean=np.array([1.0, 2.0, 3.0, 4.0]), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=np.eye(2))
-        stats = filtering.innovation(pred, ext, cv_model, zero, count=4)
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=4)
         out = filtering.update_state(pred, stats, np.array(stats.z_pred))
         np.testing.assert_allclose(out.mean, pred.mean, atol=1e-12)
 
-    def test_covariance_never_grows(self, cv_model, zero):
+    def test_covariance_never_grows(self, cv_model):
         rng = np.random.default_rng(7)
         for _ in range(25):
             m = rng.standard_normal((4, 4))
             pred = TrackState(mean=rng.standard_normal(4), cov=m @ m.T + 0.5 * np.eye(4))
             ext = ExtensionState(dof=9.0 + rng.uniform(0, 5), param=np.eye(2) * rng.uniform(1, 5))
-            stats = filtering.innovation(pred, ext, cv_model, zero, count=int(rng.integers(2, 30)))
+            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=int(rng.integers(2, 30)))
             out = filtering.update_state(pred, stats, rng.standard_normal(2))
             diff_eigs = np.linalg.eigvalsh(pred.cov - out.cov)
             assert diff_eigs.min() > -1e-9
 
-    def test_singular_innovation_rejected(self, zero):
+    def test_singular_innovation_rejected(self):
         model = models.nominal_cv_model(sigma_w=0.4)
         pred = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
         stats = filtering.InnovationStats(
@@ -171,7 +176,7 @@ class TestUpdateState:
 
 
 class TestUpdateExtension:
-    def test_dof_increment_exact(self, cv_model, zero):
+    def test_dof_increment_exact(self, cv_model):
         case = generate_case(models.ScenarioConfig(steps=140, cases=1, seed=5), 5, 0)
         states, exts, diags = filtering.run_filter(case.frames, cv_model, TrackerConfig(),
                                                    trace=[])
@@ -189,7 +194,7 @@ class TestUpdateExtension:
         np.testing.assert_allclose(out.param, pred_ext.param, atol=1e-12)
         assert out.dof == 13.0
 
-    def test_result_symmetric_psd(self, cv_model, zero):
+    def test_result_symmetric_psd(self, cv_model):
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = rng.standard_normal((2, 2))
@@ -270,7 +275,7 @@ class TestKalmanEquivalence:
             worst = max(worst, float(np.max(np.abs(cov - states[k].cov))))
         assert worst < 1e-10
 
-    def test_stationary_target_error_shrinks(self, zero):
+    def test_stationary_target_error_shrinks(self):
         """Near-exact measurements of a fixed target: position error decays."""
         model = models.nominal_cv_model(sigma_w=0.01)
         rng = np.random.default_rng(2)
@@ -284,12 +289,12 @@ class TestKalmanEquivalence:
 class TestFilterStep:
     """A single step of run_filter, on two-frame sequences."""
 
-    def test_matches_manual_composition(self, cv_model, zero):
+    def test_matches_manual_composition(self, cv_model):
         case = generate_case(models.ScenarioConfig(steps=3, cases=1, seed=13), 13, 0)
         tcfg = TrackerConfig()
         states, exts, _ = filtering.run_filter(case.frames[:2], cv_model, tcfg)
         state, ext = filtering.init_track(case.frames[0], tcfg)
-        manual_state, manual_ext = manual_step(state, ext, case.frames[1], cv_model, zero)
+        manual_state, manual_ext = manual_step(state, ext, case.frames[1], cv_model)
         np.testing.assert_array_equal(states[0].mean, manual_state.mean)
         np.testing.assert_array_equal(exts[0].param, manual_ext.param)
 
@@ -303,25 +308,25 @@ class StubCompensator:
     """Fixed compensation moments; records every call it receives."""
 
     def __init__(self, comp):
-        self.comp = comp
+        self.evolution, self.measurement = comp
         self.evolved, self.measured = [], []
 
     def evolve(self, state, ext, fs):
         self.evolved.append((state, ext, fs))
-        return self.comp.df, self.comp.pf, self.comp.pphi
+        return self.evolution
 
     def measure(self, pred, ext_pred):
         self.measured.append((pred, ext_pred))
-        return self.comp.dh, self.comp.ph
+        return self.measurement
 
 
 class TestCompensator:
     @pytest.fixture()
     def comp(self):
-        return Compensation(df=np.array([0.1, -0.2, 0.05, 0.0]),
-                            pf=np.diag([0.3, 0.2, 0.1, 0.1]),
-                            dh=np.array([0.05, -0.1]), ph=np.diag([0.2, 0.1]),
-                            pphi=np.array([[0.5, 0.1], [0.1, 0.3]]))
+        """(evolution, measurement) moments: (df, pf, pphi), (dh, ph)."""
+        return ((np.array([0.1, -0.2, 0.05, 0.0]), np.diag([0.3, 0.2, 0.1, 0.1]),
+                 np.array([[0.5, 0.1], [0.1, 0.3]])),
+                (np.array([0.05, -0.1]), np.diag([0.2, 0.1])))
 
     @pytest.fixture()
     def case(self):
@@ -333,7 +338,7 @@ class TestCompensator:
                                                StubCompensator(comp))
         state, ext = filtering.init_track(case.frames[0], tcfg)
         for k, frame in enumerate(case.frames[1:]):
-            state, ext = manual_step(state, ext, frame, cv_model, comp)
+            state, ext = manual_step(state, ext, frame, cv_model, *comp)
             np.testing.assert_array_equal(states[k].mean, state.mean)
             np.testing.assert_array_equal(states[k].cov, state.cov)
             assert exts[k].dof == ext.dof
@@ -355,8 +360,9 @@ class TestCompensator:
             np.testing.assert_array_equal(ext.param, prev_ext.param)
             np.testing.assert_array_equal(fs.mean, models.frame_stats(case.frames[k + 1]).mean)
             assert pred is diags[k].pred_state and ext_pred is diags[k].pred_ext
-            expect = filtering.predict_state(prev_state, cv_model, comp)
-            expect_ext = filtering.predict_extension(prev_ext, cv_model, comp)
+            df, pf, pphi = comp[0]
+            expect = filtering.predict_state(prev_state, cv_model, df, pf)
+            expect_ext = filtering.predict_extension(prev_ext, cv_model, pphi)
             np.testing.assert_array_equal(pred.mean, expect.mean)
             np.testing.assert_array_equal(pred.cov, expect.cov)
             np.testing.assert_array_equal(ext_pred.param, expect_ext.param)

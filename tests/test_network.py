@@ -30,10 +30,6 @@ def model():
     return nominal_cv_model(sigma_w=0.4, dt=1.0)
 
 
-def plain_weights(params):
-    return params.arrays
-
-
 class TestEncoding:
     def test_identity_extent_encodes_zero(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
@@ -76,7 +72,7 @@ class TestMubStep:
     def test_zero_params_zero_memory(self):
         params = zero_params(4)
         mem = initial_memory(4)
-        out = mub_step(params, plain_weights(params), np.ones(network.FEATURE_DIM), mem)
+        out = mub_step(params, np.ones(network.FEATURE_DIM), mem)
         np.testing.assert_array_equal(ops.value(out.cell), np.zeros(4))
         np.testing.assert_array_equal(ops.value(out.hidden), np.zeros(4))
 
@@ -84,7 +80,7 @@ class TestMubStep:
         params = zero_params(4)
         c0 = np.array([1.0, -2.0, 0.5, 4.0])
         mem = MemoryState(cell=c0, hidden=np.zeros(4), pc=np.zeros(4))
-        out = mub_step(params, plain_weights(params), np.zeros(network.FEATURE_DIM), mem)
+        out = mub_step(params, np.zeros(network.FEATURE_DIM), mem)
         np.testing.assert_allclose(ops.value(out.cell), 0.5 * c0, atol=1e-12)
         np.testing.assert_allclose(ops.value(out.hidden), 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
@@ -93,7 +89,7 @@ class TestMubStep:
         rng = np.random.default_rng(0)
         mem = MemoryState(cell=rng.standard_normal(4), hidden=rng.standard_normal(4),
                           pc=np.abs(rng.standard_normal(4)))
-        out = mub_step(params, plain_weights(params), rng.standard_normal(18), mem)
+        out = mub_step(params, rng.standard_normal(18), mem)
         np.testing.assert_array_equal(out.cell, mem.cell)
         np.testing.assert_array_equal(out.hidden, mem.hidden)
         np.testing.assert_array_equal(out.pc, np.zeros(4))
@@ -103,13 +99,13 @@ class TestHeads:
     def test_calibrated_zero(self):
         params = zero_params(4)
         mem = MemoryState(cell=np.ones(4), hidden=np.ones(4), pc=np.ones(4))
-        df, pf, pphi = jeb_heads(params, plain_weights(params), mem)
+        df, pf, pphi = jeb_heads(params, mem)
         np.testing.assert_array_equal(ops.value(df), np.zeros(4))
         np.testing.assert_array_equal(ops.value(pf), np.zeros((4, 4)))
         np.testing.assert_array_equal(ops.value(pphi), np.zeros((2, 2)))
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        dh, ph = jub_heads(params, plain_weights(params), state, ext)
+        dh, ph = jub_heads(params, state, ext)
         np.testing.assert_array_equal(ops.value(dh), np.zeros(2))
         np.testing.assert_array_equal(ops.value(ph), np.zeros((2, 2)))
 
@@ -120,11 +116,11 @@ class TestHeads:
             params.arrays[name] = arr + rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(4), hidden=rng.standard_normal(4),
                           pc=np.abs(rng.standard_normal(4)))
-        df, pf, pphi = jeb_heads(params, plain_weights(params), mem)
+        df, pf, pphi = jeb_heads(params, mem)
         assert np.all(df == 0) and np.all(pf == 0) and np.all(pphi == 0)
         state = TrackState(mean=rng.standard_normal(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
-        dh, ph = jub_heads(params, plain_weights(params), state, ext)
+        dh, ph = jub_heads(params, state, ext)
         assert np.all(dh == 0) and np.all(ph == 0)
 
     def test_pphi_psd_and_cov_heads_bounded_below(self):
@@ -134,7 +130,7 @@ class TestHeads:
             params.arrays[name] = arr + 0.5 * rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(6), hidden=rng.standard_normal(6),
                           pc=np.abs(rng.standard_normal(6)))
-        df, pf, pphi = jeb_heads(params, plain_weights(params), mem)
+        df, pf, pphi = jeb_heads(params, mem)
         pphi = ops.value(pphi)
         np.testing.assert_allclose(pphi, pphi.T, atol=1e-12)
         assert np.linalg.eigvalsh(pphi).min() >= -1e-12
@@ -169,6 +165,18 @@ class TestForwardSequence:
             np.testing.assert_array_equal(ops.value(a.mean), ops.value(b.mean))
         for a, b in zip(plain_exts, taped_exts):
             np.testing.assert_array_equal(ops.value(a.param), ops.value(b.param))
+
+    def test_taped_forward_returns_leaves_and_keeps_params_plain(self, case, model):
+        params = init_params(4, np.random.default_rng(4))
+        arrays = dict(params.arrays)
+        tape = ops.Tape()
+        _, _, leaves = forward_sequence(params, case.frames, model, tape=tape)
+        assert list(leaves) == list(arrays)
+        for name, leaf in leaves.items():
+            assert isinstance(leaf, ops.Var)
+            np.testing.assert_array_equal(leaf.value, arrays[name])
+            assert params.arrays[name] is arrays[name]
+        assert forward_sequence(params, case.frames, model)[2] is None
 
     def test_minimal_two_frame_sequence(self, model):
         case = generate_case(ScenarioConfig(steps=2, cases=1, seed=37), 37, 0)

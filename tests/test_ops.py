@@ -51,15 +51,13 @@ class TestElementwise:
             (ops.sigmoid, lambda v: 1 / (1 + np.exp(-v))),
             (ops.tanh, np.tanh),
             (ops.softplus, lambda v: np.logaddexp(0, v)),
-            (ops.exp, np.exp),
         ]:
             check(lambda v, op=op: ops.sumsq(op(v)),
                   lambda v, ref=ref: float(np.sum(ref(v) ** 2)), x)
 
-    def test_log_sqrt(self):
+    def test_log(self):
         x = np.array([0.5, 1.7, 3.0])
         check(lambda v: ops.sumsq(ops.log(v)), lambda v: float(np.sum(np.log(v) ** 2)), x)
-        check(lambda v: ops.sumsq(ops.sqrt(v)), lambda v: float(np.sum(v)), x)
 
     def test_softplus_zero_constant_cancels_exactly(self):
         tape = ops.Tape()
@@ -116,11 +114,6 @@ class TestStructural:
             joined = np.concatenate([v[0:2], [5.0], [v[2]]])
             return float(np.sum(joined ** 2))
         check(build, ref, x)
-
-    def test_sym(self):
-        a = np.array([[1.0, 4.0], [0.0, 2.0]])
-        check(lambda v: ops.sumsq(ops.sym(v)),
-              lambda v: float(np.sum((0.5 * (v + v.T)) ** 2)), a)
 
 
 class TestSymProject:
@@ -211,7 +204,7 @@ class TestLogChol:
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         tape = ops.Tape()
         leaf = tape.leaf(a)
-        out = ops.sumsq(ops.logchol2x2(ops.sym(leaf)))
+        out = ops.sumsq(ops.logchol2x2(ops.sym_project(leaf, 0.0)))
         grads = tape.backward(out)
         g = tape.grad(grads, leaf)
         def ref(v):

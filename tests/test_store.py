@@ -103,6 +103,20 @@ class TestDatasetRoundTrip:
         with pytest.raises(ChecksumMismatch):
             store.read_dataset(path)
 
+    def test_test_index_past_cases_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _edit_header(path, lambda h: h.update(test_idx=[9]))
+        with pytest.raises(ChecksumMismatch, match="split index"):
+            store.read_dataset(path)
+
+    def test_negative_train_index_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _edit_header(path, lambda h: h.update(train_idx=h["train_idx"][:-1] + [-1]))
+        with pytest.raises(ChecksumMismatch, match="split index"):
+            store.read_dataset(path)
+
 
 class TestCheckpointRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -120,11 +134,12 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(params.feat_mean, back.feat_mean)
         np.testing.assert_array_equal(params.feat_std, back.feat_std)
 
-    def test_memory_dim_mismatch(self, tmp_path):
+    def test_shape_table_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.mtck"
         store.write_checkpoint(zero_params(4), path)
-        with pytest.raises(VersionMismatch):
-            store.read_checkpoint(path, expect_memory_dim=8)
+        _edit_header(path, lambda h: h.update(memory_dim=8))
+        with pytest.raises(VersionMismatch, match="shape table"):
+            store.read_checkpoint(path)
 
     def test_masks_restored(self, tmp_path):
         path = tmp_path / "c.mtck"
