@@ -1,8 +1,8 @@
 """Scenario generation and the three evaluation metrics.
 
 Generates a small benchmark dataset, evaluates the baseline filter on its
-test split, and shows the metric primitives (ellipse IoU by polygon
-clipping, Gaussian Wasserstein distance) on hand-picked cases.
+test split, and shows the metric primitives (ellipse IoU of inscribed
+polygons, Gaussian Wasserstein distance) on hand-picked cases.
 """
 
 import numpy as np

@@ -397,7 +397,8 @@ def cmd_datascale(args) -> int:
     tracker = _tracker_from(view)
 
     baseline_runs = _posteriors_for(dataset_all, model, tracker, None)
-    baseline_rep = evaluate_run(dataset_all, baseline_runs, polygon_order=64)
+    baseline_rep = evaluate_run(dataset_all, baseline_runs,
+                                polygon_order=train_cfg.history_polygon)
     rows.append(("baseline", baseline_rep))
     print(_report_line("baseline", baseline_rep))
 
@@ -411,7 +412,7 @@ def cmd_datascale(args) -> int:
         )
         params, _, _ = train(subset, model, train_cfg)
         runs = _posteriors_for(dataset_all, model, tracker, params)
-        rep = evaluate_run(dataset_all, runs, polygon_order=64)
+        rep = evaluate_run(dataset_all, runs, polygon_order=train_cfg.history_polygon)
         rows.append((str(size), rep))
         print(_report_line(str(size), rep))
 

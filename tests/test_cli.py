@@ -300,6 +300,21 @@ class TestDatascale:
         tags = [r.split(",")[0] for r in lines[1:]]
         assert tags == ["baseline", "3", "4"]
 
+    def test_iou_uses_history_polygon(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path)
+        rows = []
+        for text in (cfg.read_text(),
+                     cfg.read_text().replace("[train]\n", "[train]\nhistory_polygon = 3\n")):
+            cfg.write_text(text)
+            out = tmp_path / "scale.csv"
+            rc = main(["datascale", "--out", str(out), "--sizes", "3", "--seed", "2",
+                       "--epochs", "1", "--config", str(cfg)])
+            assert rc == EXIT_OK
+            rows.append([r.split(",") for r in out.read_text().splitlines()[1:]])
+        for default, triangle in zip(*rows):
+            assert default[1] == triangle[1]    # position RMSE does not see the polygon
+            assert default[2] != triangle[2]    # mean IoU does
+
     @pytest.mark.parametrize("sizes", ["a", "0"])
     def test_bad_sizes_is_config_error(self, tmp_path, sizes):
         out = tmp_path / "scale.csv"

@@ -39,3 +39,32 @@ def test_listed_names_exist(module):
 def test_public_definitions_are_listed(module):
     unlisted = [name for name in _defined_public(module) if name not in module.__all__]
     assert unlisted == []
+
+
+# (module, function, parameter) that bench/layers.py reads by name; a
+# rename there turns a per-layer metric into null instead of failing.
+BENCH_ARGUMENTS = [
+    ("simulate", "generate_case", "cfg"),
+    ("store", "read_dataset", "path"),
+    ("filtering", "run_filter", "frames"),
+    ("metrics", "case_series", "states"),
+    ("metrics", "iou_ellipse", "order"),
+    ("training", "_sequence_gradients", "params"),
+    ("training", "sgd_step", "grads"),
+    ("training", "sgd_step", "cfg"),
+    ("network", "forward_sequence", "tape"),
+    ("network", "forward_sequence", "frames"),
+]
+
+
+@pytest.mark.parametrize("module, function, parameter", BENCH_ARGUMENTS,
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_benchmark_reads_parameter(module, function, parameter):
+    fn = getattr(importlib.import_module(f"memtrack.{module}"), function)
+    assert parameter in inspect.signature(fn).parameters
+
+
+def test_benchmark_reads_tape_entries():
+    from memtrack import ops
+    assert callable(ops.Tape.backward)
+    assert hasattr(ops.Tape(), "entries")

@@ -1,17 +1,139 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from memtrack import metrics
-from memtrack.errors import LengthMismatch, ShapeMismatch
+from memtrack.errors import LengthMismatch, NonFinite, ShapeMismatch
 from memtrack.filtering import TrackerConfig, run_filter
 from memtrack.metrics import EllipseEstimate, evaluate_run, gwd, iou_ellipse, position_rmse
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.simulate import generate_dataset
+from memtrack.spdmat import sym_sqrt
 
 
 def rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon by a convex CCW polygon.
+
+    Per clip edge the retained vertices and crossing points are assembled
+    with array operations (vertex j, then the j -> j+1 crossing point, kept
+    by mask), so the cost is a handful of vectorized ops per edge; edges
+    that keep the whole subject are skipped outright.
+    """
+    out = subject
+    edges_a = clip
+    edges_b = np.roll(clip, -1, axis=0)
+    for a, b in zip(edges_a, edges_b):
+        if len(out) == 0:
+            return out
+        edge = b - a
+        # cross(edge, p - a) > 0 means left of the edge, i.e. inside for CCW
+        d = edge[0] * (out[:, 1] - a[1]) - edge[1] * (out[:, 0] - a[0])
+        inside = d >= 0.0
+        if inside.all():
+            continue
+        nxt = np.roll(d, -1)
+        crossing = inside != (nxt >= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(crossing, d / (d - nxt), 0.0)
+        inter = out + t[:, None] * (np.roll(out, -1, axis=0) - out)
+        n = len(out)
+        slots = np.empty((2 * n, 2))
+        slots[0::2] = out
+        slots[1::2] = inter
+        mask = np.empty(2 * n, dtype=bool)
+        mask[0::2] = inside
+        mask[1::2] = crossing
+        out = slots[mask]
+    return out
+
+
+def _shoelace(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def clip_iou(a, b, order):
+    """IoU of the two inscribed polygons by clipping one with the other.
+
+    Both polygons are taken relative to b's center, as ``iou_ellipse``
+    does; in absolute coordinates 500 m from the origin the clip's own
+    roundoff reaches 1e-8.
+    """
+    pa = metrics.ellipse_polygon(a, order) - b.center
+    pb = metrics.ellipse_polygon(b, order) - b.center
+    area_a, area_b = _shoelace(pa), _shoelace(pb)
+    inter = _shoelace(_clip_convex(pa, pb))
+    return min(max(inter / (area_a + area_b - inter), 0.0), 1.0)
+
+
+def ellipse(center, semi_axes, angle):
+    r = rot(angle)
+    return EllipseEstimate(np.asarray(center, dtype=float),
+                           r @ np.diag(np.square(semi_axes)) @ r.T)
+
+
+def random_pairs(rng, n=30):
+    pairs = []
+    for _ in range(n):
+        a = ellipse(rng.uniform(-500, 500, 2), rng.uniform(0.05, 10, 2), rng.uniform(0, np.pi))
+        offset = rng.uniform(0, 6) * np.array([np.cos(phi := rng.uniform(0, 2 * np.pi)),
+                                               np.sin(phi)])
+        pairs.append((a, ellipse(a.center + offset, rng.uniform(0.05, 10, 2),
+                                 rng.uniform(0, np.pi))))
+    return pairs
+
+
+def nested_pairs(rng, n=30):
+    pairs = []
+    for i in range(n):
+        axes = rng.uniform(0.05, 10, 2)
+        a = ellipse(rng.uniform(-500, 500, 2), axes, rng.uniform(0, np.pi))
+        if i % 2:   # concentric, any shape
+            b = ellipse(a.center, rng.uniform(0.05, 10, 2), rng.uniform(0, np.pi))
+        else:       # a shrunken, slightly shifted copy inside a
+            shift = 0.1 * min(axes) * rng.uniform(-1, 1, 2)
+            b = EllipseEstimate(a.center + shift, rng.uniform(0.3, 0.9) ** 2 * a.extent)
+        pairs.append((a, b))
+    return pairs
+
+
+def disjoint_and_tangent_pairs(rng, n=30):
+    pairs = []
+    for i in range(n):
+        angle = rng.uniform(0, np.pi)
+        axes_a = rng.uniform(0.05, 10, 2)
+        axes_b = np.array([rng.uniform(0.05, 10), axes_a[1]])
+        a = ellipse(rng.uniform(-500, 500, 2), axes_a, angle)
+        gap = 0.0 if i % 2 else rng.uniform(1e-6, 1.0)
+        # b shares a's orientation and sits along a's first axis, touching
+        # a at one point when the gap is zero
+        b = ellipse(a.center + (axes_a[0] + axes_b[0] + gap) * rot(angle)[:, 0],
+                    axes_b, angle)
+        pairs.append((a, b))
+    return pairs
+
+
+def near_identical_pairs(rng, n=100):
+    pairs = []
+    for i in range(n):
+        a = ellipse(rng.uniform(-500, 500, 2), rng.uniform(0.05, 10, 2), rng.uniform(0, np.pi))
+        eps = 10.0 ** rng.uniform(-15, -6)
+        if i % 3 == 0:
+            b = EllipseEstimate(a.center + eps * rng.standard_normal(2), a.extent)
+        elif i % 3 == 1:
+            b = EllipseEstimate(a.center, (1.0 + eps) * a.extent)
+        else:
+            b = EllipseEstimate(a.center, rot(eps) @ a.extent @ rot(eps).T)
+        pairs.append((a, b))
+    return pairs
 
 
 class TestPositionRmse:
@@ -65,6 +187,36 @@ class TestIoU:
         a = EllipseEstimate(np.zeros(2), np.eye(2))
         b = EllipseEstimate(np.zeros(2), 4.0 * np.eye(2))
         assert abs(iou_ellipse(a, b) - 0.25) < 1e-3
+
+    @pytest.mark.parametrize("make_pairs", [random_pairs, nested_pairs,
+                                            disjoint_and_tangent_pairs, near_identical_pairs])
+    def test_matches_polygon_clip(self, make_pairs):
+        pairs = make_pairs(np.random.default_rng(11))
+        for order in (3, 4, 16, 64, 256):
+            for a, b in pairs:
+                assert abs(iou_ellipse(a, b, order) - clip_iou(a, b, order)) <= 1e-8, (order, a, b)
+
+    def test_identical_is_one(self):
+        rng = np.random.default_rng(12)
+        for order in (3, 4, 16, 64, 256):
+            for _ in range(10):
+                e = ellipse(rng.uniform(-500, 500, 2), rng.uniform(0.05, 10, 2),
+                            rng.uniform(0, np.pi))
+                assert abs(iou_ellipse(e, e, order) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("extent", [
+        np.diag([4.0, 0.0]),
+        *[np.outer(v, v) for v in (2.0 * np.array([np.cos(t), np.sin(t)])
+                                   for t in (0.3, 0.7, 1.1, 2.5))],
+        np.diag([1.0, 1e-300]),
+    ])
+    def test_flat_extent_scores_zero(self, extent):
+        flat = EllipseEstimate(np.array([0.2, -0.1]), extent)
+        circle = EllipseEstimate(np.zeros(2), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou_ellipse(flat, circle) <= 1e-12
+            assert iou_ellipse(circle, flat) <= 1e-12
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(0)
@@ -132,6 +284,25 @@ class TestGwd:
         assert abs(shifted_both - gwd(a, EllipseEstimate(np.zeros(2), ext))) < 1e-12
         one_shifted = gwd(a, EllipseEstimate(a.center + t, ext))
         assert abs(one_shifted - float(t @ t)) < 1e-9
+
+    def test_matches_matrix_square_root_definition(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            ms = rng.standard_normal((2, 2, 2))
+            ea, eb = (m @ m.T + 0.3 * np.eye(2) for m in ms)
+            ca, cb = rng.standard_normal((2, 2))
+            ra = sym_sqrt(ea)
+            expected = float((ca - cb) @ (ca - cb) + np.trace(ea) + np.trace(eb)
+                             - 2.0 * np.trace(sym_sqrt(ra @ eb @ ra)))
+            got = gwd(EllipseEstimate(ca, ea), EllipseEstimate(cb, eb))
+            assert abs(got - expected) <= 1e-9 * max(expected, 1.0)
+
+    def test_flat_and_non_finite_extents(self):
+        flat = EllipseEstimate(np.zeros(2), np.diag([4.0, 0.0]))
+        circle = EllipseEstimate(np.zeros(2), np.eye(2))
+        assert abs(gwd(flat, circle) - 2.0) < 1e-12  # (2 - 1)^2 + (0 - 1)^2
+        with pytest.raises(NonFinite):
+            gwd(EllipseEstimate(np.zeros(2), np.full((2, 2), np.nan)), circle)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(4)
