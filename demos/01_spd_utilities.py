@@ -7,7 +7,7 @@ inverse-Wishart samplers whose moments anchor the extension model.
 
 import numpy as np
 
-from memtrack import spdmat
+from memtrack import ops, spdmat
 
 rng = np.random.default_rng(7)
 
@@ -24,7 +24,7 @@ print("||S S - A|| / ||A|| =", np.linalg.norm(s @ s - a) / np.linalg.norm(a))
 
 print("\n== SPD projection ==")
 wobbly = np.array([[1.0, 2.0], [0.0, -0.3]])
-fixed = spdmat.symmetrize_project(wobbly, eps=1e-6)
+fixed = ops.sym_project(wobbly, eps=1e-6)
 print("input eigenvalues :", np.linalg.eigvalsh(0.5 * (wobbly + wobbly.T)))
 print("output eigenvalues:", np.linalg.eigvalsh(fixed))
 

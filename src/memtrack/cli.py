@@ -1,7 +1,7 @@
 """Command-line surface: simulate | train | eval | track | gradcheck | datascale.
 
 All commands are deterministic under a fixed --seed; every result is a file
-(CSV/JSON/binary container) so plotting stays external.  Exit codes: 0 on
+(CSV/JSON/.npz archive) so plotting stays external.  Exit codes: 0 on
 success, 2 for configuration problems, 3 for data/file problems, 4 for
 numeric failures.
 """
@@ -267,6 +267,9 @@ def cmd_eval(args) -> int:
     tracker = _tracker_from(view)
     if not args.baseline and not args.checkpoint and not args.compare:
         raise ConfigError("eval needs --checkpoint, --baseline, or --compare")
+    if args.baseline and args.checkpoint and not args.compare:
+        raise ConfigError("--baseline scores no checkpoint; drop --checkpoint, "
+                          "or use --compare with --checkpoint for both rows")
     if args.polygon < 3:
         raise ConfigError(f"--polygon must be at least 3, got {args.polygon}")
     if len(dataset.test_idx) == 0:

@@ -62,8 +62,8 @@ class StoreError(MemtrackError):
 
 
 class VersionMismatch(StoreError):
-    """File format version or shape metadata does not match expectations."""
+    """File format, kind or checkpoint shape table does not match this build."""
 
 
 class ChecksumMismatch(StoreError):
-    """File body does not validate against its header checksum."""
+    """A stored file fails its CRC or disagrees with itself."""

@@ -108,8 +108,8 @@ class ScenarioConfig:
             raise ValueError("seed must be nonnegative")
         for name in ("dt", "sigma_w", "sigma_v", "axis_major", "axis_minor",
                      "speed", "scatter_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails both tests
+                raise ValueError(f"{name} must be positive and finite")
         if self.regimes not in ("cv_ct", "cv"):
             raise ValueError(f"unknown regimes mode {self.regimes!r}")
         if self.process_noise not in ("direct", "white_accel"):

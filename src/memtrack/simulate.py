@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ScenarioConfig, cv_transition_matrix
-from .spdmat import cholesky, symmetrize_project
+from .ops import sym_project
+from .spdmat import cholesky
 
 __all__ = [
     "GroundTruthSequence",
@@ -158,7 +159,7 @@ def generate_frame(
         n = int(rng.poisson(cfg.scatter_rate))
         if n >= 2:
             break
-    guarded = symmetrize_project(extent, 1e-9)
+    guarded = sym_project(extent, 1e-9)
     ell = cholesky(guarded)
     radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)

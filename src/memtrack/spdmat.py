@@ -12,21 +12,13 @@ import numpy as np
 from .errors import BadDof, NonFinite, NotPositiveDefinite
 
 __all__ = [
-    "sym",
     "cholesky",
     "sym_sqrt",
     "solve_spd",
     "inverse_spd",
-    "symmetrize_project",
     "sample_wishart",
     "sample_inverse_wishart",
 ]
-
-
-def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (a + a.T) / 2."""
-    a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + a.T)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -53,9 +45,9 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("sym_sqrt input contains non-finite entries")
-    w, u = np.linalg.eigh(sym(a))
-    w = np.maximum(w, 0.0)
-    return sym((u * np.sqrt(w)) @ u.T)
+    w, u = np.linalg.eigh(0.5 * (a + a.T))
+    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    return 0.5 * (root + root.T)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,20 +61,6 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inverse_spd(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     return solve_spd(a, np.eye(a.shape[0]))
-
-
-def symmetrize_project(a: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Symmetrize and clamp eigenvalues to >= eps.
-
-    Idempotent, and returns the (symmetrized) input unchanged when its
-    spectrum already clears the floor.
-    """
-    s = sym(a)
-    w, u = np.linalg.eigh(s)
-    if w[0] >= eps:
-        return s
-    w = np.maximum(w, eps)
-    return sym((u * w) @ u.T)
 
 
 def _bartlett(dof: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:

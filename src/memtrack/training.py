@@ -61,11 +61,11 @@ class TrainConfig:
     history_polygon: int = 64        # polygon order for those history metrics
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:  # NaN fails both tests
+            raise ValueError("learning_rate must be nonnegative and finite")
         for name in ("epochs", "batch_size", "folds", "memory_dim", "clip"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.history_polygon < 3:

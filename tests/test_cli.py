@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import struct
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -54,6 +55,8 @@ class TestSimulate:
         ["--steps", "1"],
         ["--seed", "-1"],
         ["--cases", "0"],
+        ["--levels", "0.4:inf"],
+        ["--levels", "nan:0.6"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, extra):
         rc = main(["simulate", "--out", str(tmp_path), "--cases", "2", *extra])
@@ -100,10 +103,20 @@ class TestTrain:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("extra", [["--epochs", "0"], ["--memory-dim", "-3"],
-                                       ["--batch", "0"], ["--seed", "-1"]])
+                                       ["--batch", "0"], ["--seed", "-1"],
+                                       ["--lr", "nan"], ["--lr", "inf"]])
     def test_out_of_range_is_config_error(self, small_dataset, tmp_path, extra):
         ck = tmp_path / "x.mtck"
         rc = main(["train", str(small_dataset), "--out", str(ck), *extra])
+        assert rc == EXIT_CONFIG
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("setting", ["learning_rate = nan", "clip = nan", "clip = inf"])
+    def test_non_finite_config_value_is_config_error(self, small_dataset, tmp_path, setting):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[train]\n{setting}\n")
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--config", str(cfg)])
         assert rc == EXIT_CONFIG
         assert not ck.exists()
 
@@ -212,6 +225,88 @@ class TestEval:
         rc = main(["eval", str(tmp_path / "nope.mtds"), "--baseline",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
+
+    def test_baseline_with_checkpoint_is_config_error(self, small_dataset, tmp_path, capsys):
+        rc = main(["eval", str(small_dataset), "--baseline", "--checkpoint",
+                   str(tmp_path / "nope.mtck"), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--baseline" in err and "--checkpoint" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _archive_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _write_members(path, members) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _version_1(src, dst):
+    dst.write_bytes(b"MTDS" + struct.pack("<II", 1, 2) + b"{}" + bytes(12))
+
+
+def _garbled_header(src, dst):
+    members = _archive_members(src)
+    members["header"] = members["header"][:-1]
+    _write_members(dst, members)
+
+
+def _unknown_config_key(src, dst):
+    members = _archive_members(src)
+    header = json.loads(members["header"].tobytes())
+    header["config"]["colour"] = "red"
+    members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    _write_members(dst, members)
+
+
+def _missing_member(src, dst):
+    members = _archive_members(src)
+    del members["points"]
+    _write_members(dst, members)
+
+
+def _point_moved_between_frames(src, dst):
+    counts = _archive_members(src)["frame_counts"]
+    moved = counts.copy()
+    moved[0, 3] += 1
+    moved[0, 4] -= 1
+    dst.write_bytes(src.read_bytes().replace(counts.tobytes(), moved.tobytes()))
+
+
+class TestDamagedInputs:
+    """Every command that reads a damaged or version-1 file exits 3, never
+    with a traceback."""
+
+    @pytest.mark.parametrize("damage", [_version_1, _garbled_header, _unknown_config_key,
+                                        _missing_member, _point_moved_between_frames])
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "x.mtck", "--epochs", "1", "--folds", "1", "--memory-dim", "4"],
+        ["eval", "--baseline", "--out", "r"],
+        ["track", "--case", "0", "--out", "t.csv"],
+    ])
+    def test_damaged_dataset_is_data_error(self, small_dataset, tmp_path, monkeypatch,
+                                           capsys, damage, command):
+        damage(small_dataset, tmp_path / "d.mtds")
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], "d.mtds", *command[1:]])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.mtds"]
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--checkpoint", "c.mtck", "--out", "r"],
+        ["eval", "--checkpoint", "c.mtck", "--compare", "--out", "r"],
+        ["track", "--case", "0", "--checkpoint", "c.mtck", "--out", "t.csv"],
+    ])
+    def test_damaged_checkpoint_is_data_error(self, small_dataset, tmp_path, monkeypatch,
+                                              command):
+        (tmp_path / "c.mtck").write_bytes(b"MTCK" + struct.pack("<II", 1, 2) + b"{}")
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
 
 
 class TestTrack:

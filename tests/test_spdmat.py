@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memtrack import spdmat
+from memtrack import ops, spdmat
 from memtrack.errors import BadDof, NotPositiveDefinite
 
 
@@ -69,18 +69,20 @@ class TestSolveSpd:
 
 
 class TestSymmetrizeProject:
+    """The one symmetrize-and-clamp projection, ``ops.sym_project``, on plain arrays."""
+
     def test_spd_unchanged(self):
         rng = np.random.default_rng(4)
         a = rand_spd(3, rng)
-        np.testing.assert_array_equal(spdmat.symmetrize_project(a, 1e-9), 0.5 * (a + a.T))
+        np.testing.assert_array_equal(ops.sym_project(a, 1e-9), 0.5 * (a + a.T))
 
     def test_asymmetric_hand_case(self):
-        out = spdmat.symmetrize_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
+        out = ops.sym_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
         np.testing.assert_allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
     def test_clamp(self):
-        out = spdmat.symmetrize_project(np.diag([1.0, -0.5]), 1e-6)
+        out = ops.sym_project(np.diag([1.0, -0.5]), 1e-6)
         np.testing.assert_allclose(out, np.diag([1.0, 1e-6]), atol=1e-15)
 
     def test_idempotent(self):
@@ -88,11 +90,11 @@ class TestSymmetrizeProject:
         # first pass clamped (re-decomposition can land an ulp under eps)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4))
-        once = spdmat.symmetrize_project(a, 1e-6)
-        twice = spdmat.symmetrize_project(once, 1e-6)
+        once = ops.sym_project(a, 1e-6)
+        twice = ops.sym_project(once, 1e-6)
         np.testing.assert_allclose(once, twice, atol=1e-14)
-        clear = spdmat.symmetrize_project(once + 1e-3 * np.eye(4), 1e-6)
-        np.testing.assert_array_equal(clear, spdmat.symmetrize_project(clear, 1e-6))
+        clear = ops.sym_project(once + 1e-3 * np.eye(4), 1e-6)
+        np.testing.assert_array_equal(clear, ops.sym_project(clear, 1e-6))
 
 
 class TestWishartSampler:

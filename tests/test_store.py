@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -17,14 +18,32 @@ def dataset():
     return generate_dataset(ScenarioConfig(steps=12, cases=4, seed=3))
 
 
-def _edit_header(path, edit) -> None:
-    """Rewrite a container's JSON header in place; the body and its CRC stay."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen])
-    edit(header)
+def _members(path) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _rewrite(path, members) -> None:
+    """Write ``members`` as a fresh archive whose CRCs all hold."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _edit_archive(path, edit) -> None:
+    """Let ``edit(header, arrays)`` change a decoded archive, then rewrite it
+    with valid CRCs, so that only the reader's own checks can reject it."""
+    members = _members(path)
+    header = json.loads(members.pop("header").tobytes())
+    edit(header, members)
     text = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+    _rewrite(path, {"header": np.frombuffer(text, dtype=np.uint8), **members})
+
+
+def _flip_stored_bytes(path, old: bytes, new: bytes) -> None:
+    """Replace the one stored occurrence of ``old`` in place; CRCs stay as written."""
+    blob = path.read_bytes()
+    assert blob.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(blob.replace(old, new))
 
 
 class TestDatasetRoundTrip:
@@ -89,33 +108,125 @@ class TestDatasetRoundTrip:
     def test_fewer_cases_in_header_rejected(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
-        _edit_header(path, lambda h: h.update(cases=3))
-        with pytest.raises(ChecksumMismatch):
+        _edit_archive(path, lambda h, a: a.update(omegas=a["omegas"][:3]))
+        with pytest.raises(ChecksumMismatch, match="disagree"):
             store.read_dataset(path)
 
     def test_frame_count_beyond_body_rejected(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
 
-        def grow(header):
-            header["frame_counts"][1][5] += 1
-        _edit_header(path, grow)
-        with pytest.raises(ChecksumMismatch):
+        def grow(header, arrays):
+            arrays["frame_counts"][1, 5] += 1
+        _edit_archive(path, grow)
+        with pytest.raises(ChecksumMismatch, match="frame counts"):
             store.read_dataset(path)
 
     def test_test_index_past_cases_rejected(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
-        _edit_header(path, lambda h: h.update(test_idx=[9]))
+        _edit_archive(path, lambda h, a: a.update(test_idx=np.array([9])))
         with pytest.raises(ChecksumMismatch, match="split index"):
             store.read_dataset(path)
 
     def test_negative_train_index_rejected(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
-        _edit_header(path, lambda h: h.update(train_idx=h["train_idx"][:-1] + [-1]))
+
+        def negate_last(header, arrays):
+            arrays["train_idx"][-1] = -1
+        _edit_archive(path, negate_last)
         with pytest.raises(ChecksumMismatch, match="split index"):
             store.read_dataset(path)
+
+    def test_opens_as_npz(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        members = _members(path)
+        header = json.loads(members["header"].tobytes())
+        assert (header["kind"], header["format_version"]) == ("dataset", 2)
+        assert members["states"].shape == (4, 12, 4)
+        assert members["points"].shape == (members["frame_counts"].sum(), 2)
+
+    def test_header_byte_edit_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _flip_stored_bytes(path, b'"master_seed": 3', b'"master_seed": 4')
+        with pytest.raises(ChecksumMismatch):
+            store.read_dataset(path)
+
+    def test_point_moved_between_frames_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        counts = _members(path)["frame_counts"]
+        moved = counts.copy()
+        moved[1, 5] += 1
+        moved[1, 6] -= 1
+        _flip_stored_bytes(path, counts.tobytes(), moved.tobytes())
+        with pytest.raises(ChecksumMismatch):
+            store.read_dataset(path)
+
+    @pytest.mark.parametrize("magic", [b"MTDS", b"MTCK"])
+    def test_version_1_file_rejected(self, tmp_path, magic):
+        path = tmp_path / "old"
+        path.write_bytes(magic + struct.pack("<II", 1, 2) + b"{}" + bytes(12))
+        read = store.read_dataset if magic == b"MTDS" else store.read_checkpoint
+        with pytest.raises(VersionMismatch):
+            read(path)
+
+    def test_wrong_kind_or_version_rejected(self, dataset, tmp_path):
+        ds, ck = tmp_path / "d.mtds", tmp_path / "c.mtck"
+        store.write_dataset(dataset, ds)
+        store.write_checkpoint(zero_params(4), ck)
+        with pytest.raises(VersionMismatch, match="expected checkpoint"):
+            store.read_checkpoint(ds)
+        with pytest.raises(VersionMismatch, match="expected dataset"):
+            store.read_dataset(ck)
+        _edit_archive(ds, lambda h, a: h.update(format_version=1))
+        with pytest.raises(VersionMismatch, match="format 1"):
+            store.read_dataset(ds)
+
+    def test_unparsable_header_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        members = _members(path)
+        members["header"] = members["header"][:-1]
+        _rewrite(path, members)
+        with pytest.raises(ChecksumMismatch, match="JSONDecodeError"):
+            store.read_dataset(path)
+
+    def test_unknown_config_key_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _edit_archive(path, lambda h, a: h["config"].update(colour="red"))
+        with pytest.raises(ChecksumMismatch, match="colour"):
+            store.read_dataset(path)
+
+    def test_rejected_config_value_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        _edit_archive(path, lambda h, a: h["config"].update(steps=1))
+        with pytest.raises(ChecksumMismatch, match="steps"):
+            store.read_dataset(path)
+
+    @pytest.mark.parametrize("member", ["header", "points", "test_idx"])
+    def test_missing_member_rejected(self, dataset, tmp_path, member):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        members = _members(path)
+        del members[member]
+        _rewrite(path, members)
+        with pytest.raises(ChecksumMismatch, match=member):
+            store.read_dataset(path)
+
+    def test_rewrite_ignores_the_clock(self, dataset, tmp_path, monkeypatch):
+        p1, p2 = tmp_path / "a.mtds", tmp_path / "b.mtds"
+        store.write_dataset(dataset, p1)
+        later = time.time() + 400 * 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime", lambda secs=None: time.gmtime(later))
+        store.write_dataset(dataset, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestCheckpointRoundTrip:
@@ -137,7 +248,7 @@ class TestCheckpointRoundTrip:
     def test_shape_table_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.mtck"
         store.write_checkpoint(zero_params(4), path)
-        _edit_header(path, lambda h: h.update(memory_dim=8))
+        _edit_archive(path, lambda h, a: h.update(memory_dim=8))
         with pytest.raises(VersionMismatch, match="shape table"):
             store.read_checkpoint(path)
 
@@ -150,15 +261,39 @@ class TestCheckpointRoundTrip:
     def test_feature_dim_beyond_body_rejected(self, tmp_path):
         path = tmp_path / "c.mtck"
         store.write_checkpoint(zero_params(4), path)
-        _edit_header(path, lambda h: h.update(feature_dim=h["feature_dim"] + 1))
-        with pytest.raises(ChecksumMismatch):
+        _edit_archive(path, lambda h, a: a.update(feat_mean=np.zeros(19)))
+        with pytest.raises(ChecksumMismatch, match="feature statistics"):
             store.read_checkpoint(path)
+
+    def test_renamed_array_is_shape_table_mismatch(self, tmp_path):
+        path = tmp_path / "c.mtck"
+        store.write_checkpoint(zero_params(4), path)
+        _edit_archive(path, lambda h, a: a.update(lstm_v=a.pop("lstm_w")))
+        with pytest.raises(VersionMismatch, match="shape table"):
+            store.read_checkpoint(path)
+
+    def test_missing_feature_statistics_rejected(self, tmp_path):
+        path = tmp_path / "c.mtck"
+        store.write_checkpoint(zero_params(4), path)
+        _edit_archive(path, lambda h, a: a.pop("feat_std"))
+        with pytest.raises(ChecksumMismatch, match="feat_std"):
+            store.read_checkpoint(path)
+
+    def test_rewrite_ignores_the_clock(self, tmp_path, monkeypatch):
+        params = init_params(4, np.random.default_rng(1))
+        p1, p2 = tmp_path / "a.mtck", tmp_path / "b.mtck"
+        store.write_checkpoint(params, p1, train_config_digest="d")
+        later = time.time() + 400 * 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime", lambda secs=None: time.gmtime(later))
+        store.write_checkpoint(params, p2, train_config_digest="d")
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "c.mtck"
         store.write_checkpoint(zero_params(4), path)
         blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0x01
+        blob[blob.rfind(np.ones(18).tobytes()) + 8 * 18 - 1] ^= 0x01  # last feat_std byte
         path.write_bytes(bytes(blob))
         with pytest.raises(ChecksumMismatch):
             store.read_checkpoint(path)
