@@ -50,7 +50,6 @@ from .models import (
     TrackState,
     frame_stats,
 )
-from .spdmat import inverse_spd
 
 __all__ = [
     "TrackerConfig",
@@ -102,22 +101,25 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class InnovationStats:
-    """Predicted measurement and the covariances driving both updates."""
+    """Predicted frame mean, the frame mean's residual against it, and the
+    covariances driving both updates; every field is computed once per step
+    and read by :func:`update_state` and :func:`update_extension`."""
 
-    z_pred: np.ndarray   # (2,)
-    pxz: np.ndarray      # (4, 2)
-    pzz: np.ndarray      # (2, 2)
-    s_inv: np.ndarray    # (2, 2) extension innovation scale
+    z_pred: np.ndarray    # (2,)
+    residual: np.ndarray  # (2,) frame mean minus z_pred
+    pxz: np.ndarray       # (4, 2)
+    pzz: np.ndarray       # (2, 2) residual covariance
+    s_inv: np.ndarray     # (2, 2) extension innovation scale
 
 
 @dataclass(frozen=True)
 class FilterDiagnostics:
-    """Intermediates of one step, recorded by ``run_filter(trace=...)``."""
+    """Intermediates of one step, recorded by ``run_filter(trace=...)``;
+    the residual is ``stats.residual``."""
 
     pred_state: TrackState
     pred_ext: ExtensionState
     stats: InnovationStats
-    residual: np.ndarray
     frame: FrameStats
 
 
@@ -179,22 +181,22 @@ def innovation(
     model: NominalModel,
     dh,
     ph,
-    count: int,
+    fs: FrameStats,
 ) -> InnovationStats:
-    """Predicted frame mean H x + dh, cross/innovation covariances and the
-    extension innovation scale.
+    """Predicted frame mean H x + dh, its residual against the frame mean,
+    cross/innovation covariances and the extension innovation scale.
 
     Pzz uses the lambda-scaled extent point estimate (not the raw parameter
     matrix, whose scale grows with dof).  The scalar |B|^(d/2)/n term of the
     extension scale enters as a multiple of the identity.
     """
-    if count < 1:
+    if fs.count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
     z_pred = model.H @ pred.mean + dh
     pxz = pred.cov @ model.H.T
     hph = model.H @ pxz
     xhat = extension_mean(ext_pred)
-    scatter_noise = (model.b @ xhat @ model.b.T) / float(count)
+    scatter_noise = (model.b @ xhat @ model.b.T) / float(fs.count)
     physical = hph + scatter_noise
     # The learned ph may be slightly negative; keep Pzz safely positive
     # definite by flooring its spectrum at a fraction of the
@@ -202,24 +204,24 @@ def innovation(
     # does trigger, the clamp blocks the gradient along the offending
     # direction, which keeps training out of the sign-flip regime.
     pzz = ops.spectrum_floor(physical + ph, physical, 0.05)
-    det_b = float(np.linalg.det(model.b))
     try:
         x_inv_hph = ops.solve(ext_pred.param, ops.transpose(hph))
     except np.linalg.LinAlgError as exc:
         raise SingularExtension(f"predicted extension is singular: {exc}") from exc
-    s_inv = ops.transpose(x_inv_hph) + (abs(det_b) ** (D / 2.0) / float(count)) * np.eye(2) + ph
-    return InnovationStats(z_pred=z_pred, pxz=pxz, pzz=pzz, s_inv=s_inv)
+    s_inv = ops.transpose(x_inv_hph) + (model.b_det ** (D / 2.0) / float(fs.count)) * np.eye(2) + ph
+    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz,
+                           s_inv=s_inv)
 
 
-def update_state(pred: TrackState, stats: InnovationStats, z_tilde) -> TrackState:
-    """Kalman-form state update with gain Pxz Pzz^-1."""
+def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
+    """Kalman-form state update of the mean by the gain Pxz Pzz^-1 times
+    ``stats.residual``."""
     try:
         gain_t = ops.solve(stats.pzz, ops.transpose(stats.pxz))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
     gain = ops.transpose(gain_t)
-    residual = z_tilde - stats.z_pred
-    mean = pred.mean + gain @ residual
+    mean = pred.mean + gain @ stats.residual
     cov_raw = pred.cov - gain @ ops.transpose(stats.pxz)
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
     if not np.all(np.isfinite(ops.value(mean))):
@@ -244,15 +246,15 @@ def update_extension(
     if fs.count < 1:
         raise SingularExtension("extension update needs at least one measurement")
     dof = pred.dof + fs.count
-    residual = fs.mean - stats.z_pred
-    b_inv = inverse_spd(model.b)
-    whitened_scatter = b_inv @ fs.scatter @ b_inv.T
+    whitened_scatter = model.b_inv @ fs.scatter @ model.b_inv.T
     try:
         x_inv_ws_t = ops.solve(pred.param, whitened_scatter.T)
     except np.linalg.LinAlgError as exc:
         raise SingularExtension(f"predicted extension is singular: {exc}") from exc
     scatter_term = ops.transpose(x_inv_ws_t) @ pred.param
-    raw = pred.param + stats.s_inv @ ops.outer(residual, residual) + scatter_term
+    raw = (pred.param
+           + stats.s_inv @ ops.outer(stats.residual, stats.residual)
+           + scatter_term)
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=dof, param=param)
 
@@ -307,20 +309,15 @@ def run_filter(
         ext_pred = predict_extension(ext, model, pphi)
         dh, ph = (ZERO_MEASUREMENT if compensator is None
                   else compensator.measure(pred, ext_pred))
-        stats = innovation(pred, ext_pred, model, dh, ph, fs.count)
-        state = update_state(pred, stats, fs.mean)
+        stats = innovation(pred, ext_pred, model, dh, ph, fs)
+        state = update_state(pred, stats)
         ext = update_extension(ext_pred, stats, fs, model)
         # update_state already rejects a non-finite mean
         if not np.all(np.isfinite(ops.value(ext.param))):
             raise NonFinite(f"non-finite posterior extension at step {k}")
         if trace is not None:
-            trace.append(FilterDiagnostics(
-                pred_state=pred,
-                pred_ext=ext_pred,
-                stats=stats,
-                residual=fs.mean - ops.value(stats.z_pred),
-                frame=fs,
-            ))
+            trace.append(FilterDiagnostics(pred_state=pred, pred_ext=ext_pred, stats=stats,
+                                           frame=fs))
         states.append(state)
         exts.append(ext)
     return states, exts, trace

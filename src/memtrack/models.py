@@ -9,10 +9,12 @@ float64 arrays or tape ``Var`` objects (the filter is written once over both).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyFrame
+from .spdmat import inverse_spd
 
 D = 2  # planar extension dimension; state dimension is 2 * D
 
@@ -66,7 +68,8 @@ class NominalModel:
 
     The state evolves as F x and the frame mean is predicted as H x.  The
     extension evolves through the Wishart transition W(delta, A X A^T) / delta,
-    whose mean A X A^T carries the expected extent over unchanged.
+    whose mean A X A^T carries the expected extent over unchanged.  B^-1 and
+    |det B| are derived once per model, on first use.
     """
 
     F: np.ndarray            # (4, 4) state transition
@@ -75,6 +78,14 @@ class NominalModel:
     b: np.ndarray            # (2, 2) measurement distortion
     a: np.ndarray            # (2, 2) extension transition
     delta: float             # extension transition dof
+
+    @cached_property
+    def b_inv(self) -> np.ndarray:
+        return inverse_spd(self.b)
+
+    @cached_property
+    def b_det(self) -> float:
+        return abs(float(np.linalg.det(self.b)))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,15 @@ def manual_step(state, ext, frame, model, evolution=filtering.ZERO_EVOLUTION,
     (df, pf, pphi), (dh, ph) = evolution, measurement
     pred = filtering.predict_state(state, model, df, pf)
     ext_pred = filtering.predict_extension(ext, model, pphi)
-    stats = filtering.innovation(pred, ext_pred, model, dh, ph, fs.count)
-    return (filtering.update_state(pred, stats, fs.mean),
+    stats = filtering.innovation(pred, ext_pred, model, dh, ph, fs)
+    return (filtering.update_state(pred, stats),
             filtering.update_extension(ext_pred, stats, fs, model))
+
+
+def frame(count, mean=(0.0, 0.0)):
+    """Frame statistics with the given count and mean and no scatter."""
+    return models.FrameStats(mean=np.asarray(mean, dtype=float), scatter=np.zeros((2, 2)),
+                             count=count)
 
 
 @pytest.fixture()
@@ -126,14 +132,14 @@ class TestInnovation:
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))  # extent mean = I
-        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, count=1)
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, frame(1))
         np.testing.assert_allclose(stats.pzz, 2.0 * np.eye(2), atol=1e-12)
 
     def test_scatter_term_vanishes_large_n(self):
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, count=10 ** 9)
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, frame(10 ** 9))
         np.testing.assert_allclose(stats.pzz, model.H @ pred.cov @ model.H.T, atol=1e-6)
 
     def test_pxz_selects_columns(self, cv_model):
@@ -142,7 +148,7 @@ class TestInnovation:
         cov = m @ m.T + np.eye(4)
         pred = TrackState(mean=np.zeros(4), cov=cov)
         ext = ExtensionState(dof=10.0, param=np.eye(2))
-        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=5)
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, frame(5))
         np.testing.assert_allclose(stats.pxz, cov[:, :2], atol=1e-12)
 
 
@@ -150,8 +156,10 @@ class TestUpdateState:
     def test_zero_innovation_keeps_mean(self, cv_model):
         pred = TrackState(mean=np.array([1.0, 2.0, 3.0, 4.0]), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=np.eye(2))
-        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=4)
-        out = filtering.update_state(pred, stats, np.array(stats.z_pred))
+        fs = frame(4, mean=cv_model.H @ pred.mean)
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, fs)
+        np.testing.assert_array_equal(stats.residual, np.zeros(2))
+        out = filtering.update_state(pred, stats)
         np.testing.assert_allclose(out.mean, pred.mean, atol=1e-12)
 
     def test_covariance_never_grows(self, cv_model):
@@ -160,8 +168,10 @@ class TestUpdateState:
             m = rng.standard_normal((4, 4))
             pred = TrackState(mean=rng.standard_normal(4), cov=m @ m.T + 0.5 * np.eye(4))
             ext = ExtensionState(dof=9.0 + rng.uniform(0, 5), param=np.eye(2) * rng.uniform(1, 5))
-            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, count=int(rng.integers(2, 30)))
-            out = filtering.update_state(pred, stats, rng.standard_normal(2))
+            count = int(rng.integers(2, 30))
+            fs = frame(count, mean=rng.standard_normal(2))
+            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, fs)
+            out = filtering.update_state(pred, stats)
             diff_eigs = np.linalg.eigvalsh(pred.cov - out.cov)
             assert diff_eigs.min() > -1e-9
 
@@ -169,10 +179,10 @@ class TestUpdateState:
         model = models.nominal_cv_model(sigma_w=0.4)
         pred = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
         stats = filtering.InnovationStats(
-            z_pred=np.zeros(2), pxz=np.zeros((4, 2)), pzz=np.zeros((2, 2)),
-            s_inv=np.zeros((2, 2)))
+            z_pred=np.zeros(2), residual=np.ones(2), pxz=np.zeros((4, 2)),
+            pzz=np.zeros((2, 2)), s_inv=np.zeros((2, 2)))
         with pytest.raises(SingularInnovation):
-            filtering.update_state(pred, stats, np.ones(2))
+            filtering.update_state(pred, stats)
 
 
 class TestUpdateExtension:
@@ -187,7 +197,7 @@ class TestUpdateExtension:
     def test_no_information_keeps_param(self, cv_model):
         pred_ext = ExtensionState(dof=10.0, param=np.diag([3.0, 2.0]))
         stats = filtering.InnovationStats(
-            z_pred=np.array([1.0, 1.0]), pxz=np.zeros((4, 2)),
+            z_pred=np.array([1.0, 1.0]), residual=np.zeros(2), pxz=np.zeros((4, 2)),
             pzz=np.eye(2), s_inv=0.5 * np.eye(2))
         fs = models.FrameStats(mean=np.array([1.0, 1.0]), scatter=np.zeros((2, 2)), count=3)
         out = filtering.update_extension(pred_ext, stats, fs, cv_model)
@@ -201,8 +211,9 @@ class TestUpdateExtension:
             pred_ext = ExtensionState(dof=rng.uniform(9, 30), param=m @ m.T + np.eye(2))
             pts = rng.standard_normal((8, 2)) * 2.0
             fs = models.frame_stats(pts)
+            z_pred = rng.standard_normal(2)
             stats = filtering.InnovationStats(
-                z_pred=rng.standard_normal(2), pxz=np.zeros((4, 2)),
+                z_pred=z_pred, residual=fs.mean - z_pred, pxz=np.zeros((4, 2)),
                 pzz=np.eye(2), s_inv=np.abs(rng.standard_normal((2, 2))))
             out = filtering.update_extension(pred_ext, stats, fs, cv_model)
             np.testing.assert_allclose(out.param, out.param.T, atol=1e-12)
@@ -375,7 +386,7 @@ class TestCompensator:
         for k, diag in enumerate(trace):
             assert isinstance(diag, FilterDiagnostics)
             assert diag.frame.count == len(case.frames[k + 1])
-            np.testing.assert_array_equal(diag.residual, diag.frame.mean - diag.stats.z_pred)
+            np.testing.assert_array_equal(diag.stats.residual, diag.frame.mean - diag.stats.z_pred)
 
         built = []
         monkeypatch.setattr(filtering, "FilterDiagnostics",
