@@ -150,7 +150,7 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
         v' = 2 delta (l+1)(l-1)(l-2) / (l^2 (l+delta)) + 2d + 4
 
     and the parameter matrix is scaled by (v' - 2d - 2)/lambda around the
-    transition bracket (delta * A X A^T + pphi) / delta.
+    transition bracket A X A^T + pphi / delta.
     """
     lam = prior.dof - 2 * D - 2
     if lam <= 2.0:
@@ -159,9 +159,10 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
     v_pred = float(np.round(v_pred * _DOF_GRID) / _DOF_GRID)
-    # Dividing by delta keeps the expected extent; the undivided bracket
-    # multiplies it by about delta per step, which compounds geometrically.
-    bracket = (delta * (model.a @ prior.param @ model.a.T) + pphi) / delta
+    # The bracket is (delta A X A^T + pphi) / delta.  Dividing by delta keeps
+    # the expected extent; the undivided bracket multiplies it by about delta
+    # per step, which compounds geometrically.
+    bracket = model.a @ prior.param @ model.a.T + pphi / delta
     raw = ((v_pred - 2 * D - 2) / lam) * bracket
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=v_pred, param=param)
@@ -236,25 +237,16 @@ def update_extension(
     model: NominalModel,
 ) -> ExtensionState:
     """Extension update: dof grows by the measurement count, and the
-    parameter matrix absorbs the innovation outer product (scaled by the
-    extension innovation scale) and the whitened frame scatter.
-
-    The scatter term is computed as the literal product chain
-    B^-1 Z B^-T X_pred^-1 X_pred; its asymmetry is removed by the final
-    projection.
+    parameter matrix absorbs the outer product of ``stats.residual`` (scaled
+    by the extension innovation scale) and the whitened frame scatter
+    B^-1 Z B^-T.
     """
     if fs.count < 1:
         raise SingularExtension("extension update needs at least one measurement")
     dof = pred.dof + fs.count
-    whitened_scatter = model.b_inv @ fs.scatter @ model.b_inv.T
-    try:
-        x_inv_ws_t = ops.solve(pred.param, whitened_scatter.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularExtension(f"predicted extension is singular: {exc}") from exc
-    scatter_term = ops.transpose(x_inv_ws_t) @ pred.param
     raw = (pred.param
            + stats.s_inv @ ops.outer(stats.residual, stats.residual)
-           + scatter_term)
+           + model.b_inv @ fs.scatter @ model.b_inv.T)
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=dof, param=param)
 

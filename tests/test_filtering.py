@@ -90,6 +90,14 @@ class TestPredictExtension:
         np.testing.assert_allclose(pred.param, expected * np.eye(2), atol=1e-12)
         assert abs(expected - 1.0966) < 1e-4
 
+    def test_identity_transition_without_inflation_only_rescales(self, cv_model):
+        """With A = I and pphi = 0 the bracket is X itself, so the prediction
+        is ((v' - 6)/lambda) X bit for bit (no delta * X / delta round trip)."""
+        param = np.array([[2.42, 0.49], [0.49, 1.21]])  # 7 * x / 7 != x for each entry
+        pred = filtering.predict_extension(ExtensionState(dof=10.0, param=param),
+                                           cv_model, ZERO_PPHI)
+        np.testing.assert_array_equal(pred.param, ((pred.dof - 6.0) / 4.0) * param)
+
     def test_rotation_similarity(self):
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -204,6 +212,21 @@ class TestUpdateExtension:
         np.testing.assert_allclose(out.param, pred_ext.param, atol=1e-12)
         assert out.dof == 13.0
 
+    def test_zero_residual_adds_whitened_scatter(self):
+        b = np.array([[0.6, 0.1], [0.1, 0.4]])
+        model = models.nominal_cv_model(sigma_w=0.4, b=b)
+        pred_ext = ExtensionState(dof=12.0, param=np.array([[3.0, 0.4], [0.4, 2.0]]))
+        stats = filtering.InnovationStats(
+            z_pred=np.array([1.0, 1.0]), residual=np.zeros(2), pxz=np.zeros((4, 2)),
+            pzz=np.eye(2), s_inv=0.5 * np.eye(2))
+        scatter = np.array([[5.0, 1.5], [1.5, 2.5]])
+        fs = models.FrameStats(mean=np.array([1.0, 1.0]), scatter=scatter, count=6)
+        out = filtering.update_extension(pred_ext, stats, fs, model)
+        b_inv = np.linalg.inv(b)
+        np.testing.assert_allclose(out.param, pred_ext.param + b_inv @ scatter @ b_inv.T,
+                                   rtol=0, atol=1e-12)
+        assert out.dof == 18.0
+
     def test_result_symmetric_psd(self, cv_model):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -308,6 +331,23 @@ class TestFilterStep:
         manual_state, manual_ext = manual_step(state, ext, case.frames[1], cv_model)
         np.testing.assert_array_equal(states[0].mean, manual_state.mean)
         np.testing.assert_array_equal(exts[0].param, manual_ext.param)
+
+    def test_linear_algebra_budget(self, cv_model, monkeypatch):
+        """A baseline step makes two solves (extension innovation scale and
+        gain) and no factorization, determinant or inverse: B^-1 and |B| are
+        derived once per model."""
+        case = generate_case(models.ScenarioConfig(steps=30, cases=1, seed=4), 4, 0)
+        tcfg = TrackerConfig()
+        filtering.run_filter(case.frames, cv_model, tcfg)  # derives the model's constants
+        calls = dict.fromkeys(("solve", "cholesky", "det", "inv"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        filtering.run_filter(case.frames, cv_model, tcfg)
+        steps = len(case.frames) - 1
+        assert calls == {"solve": 2 * steps, "cholesky": 0, "det": 0, "inv": 0}
 
     def test_single_point_frame_increments_dof_by_one(self, cv_model):
         frames = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])]
