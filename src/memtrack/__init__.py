@@ -20,7 +20,7 @@ from .filtering import (
     update_extension,
     update_state,
 )
-from .metrics import EllipseEstimate, MetricsReport, evaluate_run, gwd, iou_ellipse, position_rmse
+from .metrics import EllipseEstimate, MetricsReport, evaluate_run, gwd, iou_ellipse
 from .models import (
     ExtensionState,
     FrameStats,

@@ -166,15 +166,16 @@ def _scenario_from(view: ConfigView, args) -> ScenarioConfig:
 
 
 def _tracker_from(view: ConfigView) -> TrackerConfig:
-    return TrackerConfig(**_section_values(view, "tracker"))
+    return _checked(TrackerConfig, **_section_values(view, "tracker"))
 
 
 def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
-    return nominal_cv_model(
-        sigma_w=view.get_float("model.q_sigma", dataset_cfg.sigma_w),
-        dt=dataset_cfg.dt,
-        delta=view.get_float("model.delta", 7.0),
-    )
+    """The nominal model; an unset ``model.delta`` takes nominal_cv_model's default."""
+    settings = {"sigma_w": view.get_float("model.q_sigma", dataset_cfg.sigma_w),
+                "dt": dataset_cfg.dt}
+    if "model.delta" in view.values:
+        settings["delta"] = view.get_float("model.delta")
+    return _checked(nominal_cv_model, **settings)
 
 
 def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainConfig:

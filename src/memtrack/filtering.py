@@ -98,6 +98,14 @@ class TrackerConfig:
     init_dof: float = 10.0      # initial extension dof v0
     min_extent: float = 1.0     # m^2 eigenvalue floor for the initial param
 
+    def __post_init__(self):
+        for name in ("pos_var", "vel_var", "min_extent"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails both tests
+                raise ValueError(f"{name} must be positive and finite")
+        # predict_extension needs lambda = dof - 2d - 2 > 2
+        if not 2 * D + 4 < self.init_dof < np.inf:
+            raise ValueError(f"init_dof must be finite and exceed {2 * D + 4}")
+
 
 @dataclass(frozen=True)
 class InnovationStats:
@@ -263,10 +271,7 @@ def init_track(first: np.ndarray, cfg: TrackerConfig) -> tuple[TrackState, Exten
     fs = frame_stats(first)
     mean = np.array([fs.mean[0], fs.mean[1], 0.0, 0.0])
     cov = np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var])
-    lam0 = cfg.init_dof - 2 * D - 2
-    if lam0 <= 2.0:
-        raise BadDof(f"init_dof must exceed {2 * D + 4}, got {cfg.init_dof}")
-    raw = lam0 * (fs.scatter / (fs.count - 1))
+    raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / (fs.count - 1))
     param = ops.sym_project(raw, cfg.min_extent)
     return TrackState(mean=mean, cov=cov), ExtensionState(dof=cfg.init_dof, param=param)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import LengthMismatch, NonFinite, ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 from .filtering import extension_mean
 from .simulate import Dataset
 from .spdmat import sym_sqrt
@@ -28,7 +28,6 @@ from .spdmat import sym_sqrt
 __all__ = [
     "EllipseEstimate",
     "MetricsReport",
-    "position_rmse",
     "ellipse_polygon",
     "iou_ellipse",
     "gwd",
@@ -61,21 +60,6 @@ class MetricsReport:
     peak_position_error: float
     peak_iou: float
     peak_gwd: float
-
-
-def position_rmse(estimates, truths):
-    """Per-step Euclidean position errors and their quadratic means.
-
-    Returns (per-step errors, mean squared error, rmse).
-    """
-    if len(estimates) != len(truths):
-        raise LengthMismatch(f"{len(estimates)} estimates vs {len(truths)} truths")
-    est = np.asarray(estimates, dtype=np.float64)
-    tru = np.asarray(truths, dtype=np.float64)
-    diff = est[:, :2] - tru[:, :2]
-    sq = np.sum(diff * diff, axis=1)
-    mse = float(np.mean(sq))
-    return np.sqrt(sq), mse, float(np.sqrt(mse))
 
 
 def _unit_polygon(order: int) -> np.ndarray:

@@ -157,8 +157,8 @@ def frame_stats(points: np.ndarray) -> FrameStats:
 def cv_process_noise(sigma_w: float, dt: float) -> np.ndarray:
     """Discretized white-acceleration CV noise, per-axis blocks
     [[dt^4/4, dt^3/2], [dt^3/2, dt^2]] * sigma_w^2."""
-    if sigma_w <= 0:
-        raise ValueError("sigma_w must be positive")
+    if not 0 < sigma_w < np.inf:  # NaN fails both tests
+        raise ValueError(f"sigma_w must be positive and finite, got {sigma_w}")
     s2 = sigma_w * sigma_w
     q = np.zeros((4, 4))
     for pos, vel in ((0, 2), (1, 3)):
@@ -182,7 +182,10 @@ def nominal_cv_model(
     covariance that actually matches the extent convention (eigenvalues =
     squared semi-axes).  With B = I the extent estimate settles 4x low and
     any learned inflation would miscalibrate the innovation covariance.
+    ``sigma_w`` and ``delta`` must be positive and finite (ValueError).
     """
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     return NominalModel(
         F=cv_transition_matrix(dt),
         H=MEASUREMENT_MATRIX,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ChecksumMismatch, VersionMismatch
 from .metrics import MetricsReport
 from .models import ScenarioConfig
-from .network import FEATURE_DIM, NetworkParams, zero_params
+from .network import FEATURE_DIM, NetworkParams, _array_specs, zero_params
 from .simulate import Dataset, GroundTruthSequence, SimCase
 
 __all__ = ["FORMAT_VERSION", "write_dataset", "read_dataset", "write_checkpoint",
@@ -147,15 +147,17 @@ def write_checkpoint(params: NetworkParams, path, train_config_digest: str = "")
 
 def _checkpoint_from(header: dict, a: dict) -> NetworkParams:
     masks = header["masks"]
-    params = zero_params(header["memory_dim"], mask_evolution=masks["jeb"],
-                         mask_update=masks["jub"], mask_memory=masks["mub"])
+    # checked before anything is allocated: the header's memory_dim is untrusted
+    shapes = dict(_array_specs(header["memory_dim"]))
     feats = {"feat_mean": a.pop("feat_mean"), "feat_std": a.pop("feat_std")}
-    if a.keys() != params.arrays.keys() or not _layout_ok(
-            a, {name: ("<f8", arr.shape) for name, arr in params.arrays.items()}):
+    if a.keys() != shapes.keys() or not _layout_ok(
+            a, {name: ("<f8", shape) for name, shape in shapes.items()}):
         raise VersionMismatch("checkpoint shape table does not match this build")
     if not _layout_ok(feats, dict.fromkeys(feats, ("<f8", (FEATURE_DIM,)))):
         raise ChecksumMismatch(f"feature statistics are not of length {FEATURE_DIM}")
-    return replace(params, arrays={name: a[name] for name in params.arrays}, **feats)
+    params = zero_params(header["memory_dim"], mask_evolution=masks["jeb"],
+                         mask_update=masks["jub"], mask_memory=masks["mub"])
+    return replace(params, arrays={name: a[name] for name in shapes}, **feats)
 
 
 def read_checkpoint(path) -> NetworkParams:

@@ -13,7 +13,8 @@ import pytest
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.config import ConfigView
-from memtrack.store import read_checkpoint, read_dataset
+from memtrack.network import zero_params
+from memtrack.store import read_checkpoint, read_dataset, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +308,49 @@ class TestDamagedInputs:
         (tmp_path / "c.mtck").write_bytes(b"MTCK" + struct.pack("<II", 1, 2) + b"{}")
         monkeypatch.chdir(tmp_path)
         assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
+
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--checkpoint", "c.mtck", "--out", "r"],
+        ["track", "--case", "0", "--checkpoint", "c.mtck", "--out", "t.csv"],
+    ])
+    def test_huge_memory_dim_checkpoint_is_data_error(self, small_dataset, tmp_path,
+                                                      monkeypatch, capsys, command):
+        write_checkpoint(zero_params(4), tmp_path / "ok.mtck")
+        members = _archive_members(tmp_path / "ok.mtck")
+        header = json.loads(members["header"].tobytes())
+        header["memory_dim"] = 1_000_000
+        members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        _write_members(tmp_path / "c.mtck", members)
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
+        assert "shape table" in capsys.readouterr().err
+
+
+class TestOutOfRangeConfig:
+    """Tracker priors and nominal-model settings outside their documented
+    ranges exit 2 before anything runs, never 1, 3 or with a silent run."""
+
+    @pytest.mark.parametrize("setting", [
+        "tracker.init_dof=5", "tracker.init_dof=8", "tracker.init_dof=nan",
+        "tracker.vel_var=inf", "tracker.pos_var=nan", "tracker.pos_var=-1", "tracker.pos_var=0",
+        "tracker.min_extent=0", "tracker.min_extent=-1", "model.delta=0", "model.delta=nan",
+        "model.delta=inf", "model.delta=-1", "model.q_sigma=nan", "model.q_sigma=inf",
+        "model.q_sigma=0", "model.q_sigma=-1",
+    ])
+    @pytest.mark.parametrize("command", [
+        ["eval", "--baseline", "--out", "r"],
+        ["track", "--case", "3", "--out", "t.csv"],
+    ], ids=["eval", "track"])
+    def test_config_error(self, small_dataset, tmp_path, monkeypatch, capsys, command,
+                          setting):
+        section, assignment = setting.split(".", 1)
+        (tmp_path / "c.ini").write_text(f"[{section}]\n{assignment}\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], str(small_dataset), *command[1:], "--config", "c.ini"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
 class TestTrack:

@@ -258,6 +258,14 @@ class TestExtensionMean:
 
 
 class TestInitTrack:
+    @pytest.mark.parametrize("settings", [
+        {"pos_var": 0.0}, {"pos_var": np.nan}, {"vel_var": -1.0}, {"vel_var": np.inf},
+        {"min_extent": 0.0}, {"init_dof": 8.0}, {"init_dof": np.nan}, {"init_dof": np.inf},
+    ])
+    def test_config_rejects_out_of_range(self, settings):
+        with pytest.raises(ValueError):
+            TrackerConfig(**settings)
+
     def test_position_from_mean(self):
         state, ext = filtering.init_track(np.array([[4.0, 6.0], [6.0, 4.0]]), TrackerConfig())
         np.testing.assert_allclose(state.mean, [5.0, 5.0, 0.0, 0.0])

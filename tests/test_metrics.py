@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memtrack import metrics
-from memtrack.errors import LengthMismatch, NonFinite, ShapeMismatch
+from memtrack.errors import NonFinite, ShapeMismatch
 from memtrack.filtering import TrackerConfig, run_filter
-from memtrack.metrics import EllipseEstimate, evaluate_run, gwd, iou_ellipse, position_rmse
+from memtrack.metrics import EllipseEstimate, evaluate_run, gwd, iou_ellipse
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.simulate import generate_dataset
 from memtrack.spdmat import sym_sqrt
@@ -134,35 +134,6 @@ def near_identical_pairs(rng, n=100):
             b = EllipseEstimate(a.center, rot(eps) @ a.extent @ rot(eps).T)
         pairs.append((a, b))
     return pairs
-
-
-class TestPositionRmse:
-    def test_identical_is_zero(self):
-        seq = np.arange(8.0).reshape(2, 4)
-        per_step, mse, rmse = position_rmse(seq, seq)
-        assert mse == 0.0 and rmse == 0.0
-        np.testing.assert_array_equal(per_step, [0.0, 0.0])
-
-    def test_constant_offset(self):
-        truth = np.zeros((5, 4))
-        est = truth.copy()
-        est[:, 0] += 3.0
-        est[:, 1] += 4.0
-        per_step, mse, rmse = position_rmse(est, truth)
-        np.testing.assert_allclose(per_step, 5.0)
-        assert abs(mse - 25.0) < 1e-12 and abs(rmse - 5.0) < 1e-12
-
-    def test_mean_square_convention(self):
-        truth = np.zeros((2, 4))
-        est = truth.copy()
-        est[1, 0] = 5.0
-        _, mse, rmse = position_rmse(est, truth)
-        assert abs(mse - 12.5) < 1e-12
-        assert abs(rmse - np.sqrt(12.5)) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            position_rmse(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
 class TestIoU:

@@ -87,6 +87,24 @@ class TestCvProcessNoise:
             models.cv_process_noise(2.0, 1.0), 4.0 * models.cv_process_noise(1.0, 1.0))
 
 
+class TestNominalCvModel:
+    @pytest.mark.parametrize("settings", [
+        {"sigma_w": 0.0}, {"sigma_w": -1.0}, {"sigma_w": np.nan}, {"sigma_w": np.inf},
+        {"sigma_w": 0.4, "delta": 0.0}, {"sigma_w": 0.4, "delta": -1.0},
+        {"sigma_w": 0.4, "delta": np.nan}, {"sigma_w": 0.4, "delta": np.inf},
+    ])
+    def test_rejects_non_positive_or_non_finite(self, settings):
+        with pytest.raises(ValueError):
+            models.nominal_cv_model(**settings)
+
+    def test_b_constants_derived_once(self):
+        b = np.array([[0.6, 0.1], [0.1, 0.4]])
+        model = models.nominal_cv_model(sigma_w=0.4, b=b)
+        assert model.b_inv is model.b_inv
+        np.testing.assert_allclose(model.b_inv @ b, np.eye(2), atol=1e-15)
+        assert model.b_det == pytest.approx(abs(np.linalg.det(b)), rel=1e-15)
+
+
 class TestScenarioConfig:
     def test_defaults(self):
         cfg = models.ScenarioConfig()
