@@ -322,6 +322,12 @@ class TestEvaluateRun:
         assert rep.position_rmse == 0.0
         assert rep.mean_iou > 0.999
         assert rep.mean_gwd < 1e-9
+        # a constant (3, 4) m position offset: every step errs by 5 m
+        shifted = [TrackState(mean=s.mean + np.array([3.0, 4.0, 0.0, 0.0]), cov=s.cov)
+                   for s in states]
+        rep = evaluate_run(ds, [(shifted, exts)], case_indices=[0])
+        assert abs(rep.mean_square_position_error - 25.0) < 1e-9
+        assert abs(rep.position_rmse - 5.0) < 1e-9
 
     def test_deterministic(self):
         ds, runs = self._dataset_and_runs()

@@ -246,20 +246,14 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(params.feat_std, back.feat_std)
 
     def test_shape_table_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        _edit_archive(path, lambda h, a: h.update(memory_dim=8))
-        with pytest.raises(VersionMismatch, match="shape table"):
-            store.read_checkpoint(path)
-
-    def test_huge_memory_dim_is_shape_table_mismatch(self, tmp_path):
-        """The shape table is compared before anything is allocated; zero
-        arrays for memory_dim 1e6 would take about 29 TiB."""
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        _edit_archive(path, lambda h, a: h.update(memory_dim=1_000_000))
-        with pytest.raises(VersionMismatch, match="shape table"):
-            store.read_checkpoint(path)
+        # the table is compared before anything is allocated: zero arrays
+        # for memory_dim 1e6 would take about 29 TiB
+        for memory_dim in (8, 1_000_000):
+            path = tmp_path / "c.mtck"
+            store.write_checkpoint(zero_params(4), path)
+            _edit_archive(path, lambda h, a: h.update(memory_dim=memory_dim))
+            with pytest.raises(VersionMismatch, match="shape table"):
+                store.read_checkpoint(path)
 
     def test_masks_restored(self, tmp_path):
         path = tmp_path / "c.mtck"
