@@ -110,8 +110,7 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class InnovationStats:
     """Predicted frame mean, the frame mean's residual against it, and the
-    covariances driving both updates; every field is computed once per step
-    and read by :func:`update_state` and :func:`update_extension`."""
+    covariances that :func:`update_state` and :func:`update_extension` read."""
 
     z_pred: np.ndarray    # (2,)
     residual: np.ndarray  # (2,) frame mean minus z_pred
