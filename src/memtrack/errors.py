@@ -29,10 +29,6 @@ class TooFewPoints(MemtrackError):
     """Track initialization needs at least two scatterers."""
 
 
-class SingularExtension(MemtrackError):
-    """Extension matrix is not invertible."""
-
-
 class SingularInnovation(MemtrackError):
     """Innovation covariance is not invertible."""
 

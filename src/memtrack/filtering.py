@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import (
-    BadDof,
-    NonFinite,
-    SingularExtension,
-    SingularInnovation,
-    TooFewPoints,
-)
+from .errors import BadDof, NonFinite, SingularInnovation, TooFewPoints
 from .models import (
     D,
     ExtensionState,
@@ -70,8 +64,8 @@ __all__ = [
 # Eigenvalue floor for covariance/extension projections, relative to trace.
 PROJ_EPS_FACTOR = 1e-9
 
-# Absolute floor (m^2) for extension parameter projections; stops a
-# collapsing extent from driving the solves singular.
+# Absolute floor (m^2) for extension parameter projections; keeps a
+# collapsing extent positive definite for the network's log-Cholesky encoding.
 EXT_ABS_FLOOR = 1e-6
 
 # Predicted dofs are snapped to this dyadic grid (2^-34, ~6e-11 absolute)
@@ -110,13 +104,12 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class InnovationStats:
     """Predicted frame mean, the frame mean's residual against it, and the
-    covariances that :func:`update_state` and :func:`update_extension` read."""
+    covariances that :func:`update_state` reads."""
 
     z_pred: np.ndarray    # (2,)
     residual: np.ndarray  # (2,) frame mean minus z_pred
     pxz: np.ndarray       # (4, 2)
     pzz: np.ndarray       # (2, 2) residual covariance
-    s_inv: np.ndarray     # (2, 2) extension innovation scale
 
 
 @dataclass(frozen=True)
@@ -192,11 +185,10 @@ def innovation(
     fs: FrameStats,
 ) -> InnovationStats:
     """Predicted frame mean H x + dh, its residual against the frame mean,
-    cross/innovation covariances and the extension innovation scale.
+    and the cross/innovation covariances.
 
     Pzz uses the lambda-scaled extent point estimate (not the raw parameter
-    matrix, whose scale grows with dof).  The scalar |B|^(d/2)/n term of the
-    extension scale enters as a multiple of the identity.
+    matrix, whose scale grows with dof).
     """
     if fs.count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
@@ -212,13 +204,7 @@ def innovation(
     # does trigger, the clamp blocks the gradient along the offending
     # direction, which keeps training out of the sign-flip regime.
     pzz = ops.spectrum_floor(physical + ph, physical, 0.05)
-    try:
-        x_inv_hph = ops.solve(ext_pred.param, ops.transpose(hph))
-    except np.linalg.LinAlgError as exc:
-        raise SingularExtension(f"predicted extension is singular: {exc}") from exc
-    s_inv = ops.transpose(x_inv_hph) + (model.b_det ** (D / 2.0) / float(fs.count)) * np.eye(2) + ph
-    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz,
-                           s_inv=s_inv)
+    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz)
 
 
 def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
@@ -237,23 +223,15 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     return TrackState(mean=mean, cov=cov)
 
 
-def update_extension(
-    pred: ExtensionState,
-    stats: InnovationStats,
-    fs: FrameStats,
-    model: NominalModel,
-) -> ExtensionState:
+def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) -> ExtensionState:
     """Extension update: dof grows by the measurement count, and the
-    parameter matrix absorbs the outer product of ``stats.residual`` (scaled
-    by the extension innovation scale) and the whitened frame scatter
-    B^-1 Z B^-T.
+    parameter matrix absorbs the whitened frame scatter B^-1 Z B^-T.
+
+    The SPD prediction plus the PSD whitened scatter is SPD by construction;
+    the projection symmetrizes roundoff and keeps the eigenvalue floor.
     """
-    if fs.count < 1:
-        raise SingularExtension("extension update needs at least one measurement")
     dof = pred.dof + fs.count
-    raw = (pred.param
-           + stats.s_inv @ ops.outer(stats.residual, stats.residual)
-           + model.b_inv @ fs.scatter @ model.b_inv.T)
+    raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=dof, param=param)
 
@@ -307,7 +285,7 @@ def run_filter(
                   else compensator.measure(pred, ext_pred))
         stats = innovation(pred, ext_pred, model, dh, ph, fs)
         state = update_state(pred, stats)
-        ext = update_extension(ext_pred, stats, fs, model)
+        ext = update_extension(ext_pred, fs, model)
         # update_state already rejects a non-finite mean
         if not np.all(np.isfinite(ops.value(ext.param))):
             raise NonFinite(f"non-finite posterior extension at step {k}")

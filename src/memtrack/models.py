@@ -68,8 +68,8 @@ class NominalModel:
 
     The state evolves as F x and the frame mean is predicted as H x.  The
     extension evolves through the Wishart transition W(delta, A X A^T) / delta,
-    whose mean A X A^T carries the expected extent over unchanged.  B^-1 and
-    |det B| are derived once per model, on first use.
+    whose mean A X A^T carries the expected extent over unchanged.  B^-1 is
+    derived once per model, on first use.
     """
 
     F: np.ndarray            # (4, 4) state transition
@@ -82,10 +82,6 @@ class NominalModel:
     @cached_property
     def b_inv(self) -> np.ndarray:
         return inverse_spd(self.b)
-
-    @cached_property
-    def b_det(self) -> float:
-        return abs(float(np.linalg.det(self.b)))
 
 
 @dataclass(frozen=True)

@@ -245,20 +245,6 @@ def transpose(a):
     return t._node(out, [(a.idx, lambda g: np.asarray(g).T)])
 
 
-def outer(a, b):
-    t = _tape(a, b)
-    av, bv = value(a), value(b)
-    out = np.outer(av, bv)
-    if t is None:
-        return out
-    pairs = []
-    if isinstance(a, Var):
-        pairs.append((a.idx, lambda g: g @ bv))
-    if isinstance(b, Var):
-        pairs.append((b.idx, lambda g: np.asarray(g).T @ av))
-    return t._node(out, pairs)
-
-
 def getitem(a, key):
     t = _tape(a)
     out = value(a)[key]

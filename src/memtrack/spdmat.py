@@ -14,7 +14,6 @@ from .errors import BadDof, NonFinite, NotPositiveDefinite
 __all__ = [
     "cholesky",
     "sym_sqrt",
-    "solve_spd",
     "inverse_spd",
     "sample_wishart",
     "sample_inverse_wishart",
@@ -50,17 +49,11 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for SPD a (Cholesky-backed)."""
-    b = np.asarray(b, dtype=np.float64)
-    ell = cholesky(a)
-    y = np.linalg.solve(ell, b)
-    return np.linalg.solve(ell.T, y)
-
-
 def inverse_spd(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    return solve_spd(a, np.eye(a.shape[0]))
+    """Inverse of SPD a by two triangular-factor solves against I."""
+    ell = cholesky(a)
+    y = np.linalg.solve(ell, np.eye(ell.shape[0]))
+    return np.linalg.solve(ell.T, y)
 
 
 def _bartlett(dof: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memtrack import filtering, models, network
+from memtrack import filtering, models, network, ops
 from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
 from memtrack.models import ExtensionState, TrackState
@@ -32,7 +32,7 @@ def manual_step(state, ext, frame, model, evolution=filtering.ZERO_EVOLUTION,
     ext_pred = filtering.predict_extension(ext, model, pphi)
     stats = filtering.innovation(pred, ext_pred, model, dh, ph, fs)
     return (filtering.update_state(pred, stats),
-            filtering.update_extension(ext_pred, stats, fs, model))
+            filtering.update_extension(ext_pred, fs, model))
 
 
 def frame(count, mean=(0.0, 0.0)):
@@ -188,7 +188,7 @@ class TestUpdateState:
         pred = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
         stats = filtering.InnovationStats(
             z_pred=np.zeros(2), residual=np.ones(2), pxz=np.zeros((4, 2)),
-            pzz=np.zeros((2, 2)), s_inv=np.zeros((2, 2)))
+            pzz=np.zeros((2, 2)))
         with pytest.raises(SingularInnovation):
             filtering.update_state(pred, stats)
 
@@ -204,11 +204,8 @@ class TestUpdateExtension:
 
     def test_no_information_keeps_param(self, cv_model):
         pred_ext = ExtensionState(dof=10.0, param=np.diag([3.0, 2.0]))
-        stats = filtering.InnovationStats(
-            z_pred=np.array([1.0, 1.0]), residual=np.zeros(2), pxz=np.zeros((4, 2)),
-            pzz=np.eye(2), s_inv=0.5 * np.eye(2))
         fs = models.FrameStats(mean=np.array([1.0, 1.0]), scatter=np.zeros((2, 2)), count=3)
-        out = filtering.update_extension(pred_ext, stats, fs, cv_model)
+        out = filtering.update_extension(pred_ext, fs, cv_model)
         np.testing.assert_allclose(out.param, pred_ext.param, atol=1e-12)
         assert out.dof == 13.0
 
@@ -216,31 +213,58 @@ class TestUpdateExtension:
         b = np.array([[0.6, 0.1], [0.1, 0.4]])
         model = models.nominal_cv_model(sigma_w=0.4, b=b)
         pred_ext = ExtensionState(dof=12.0, param=np.array([[3.0, 0.4], [0.4, 2.0]]))
-        stats = filtering.InnovationStats(
-            z_pred=np.array([1.0, 1.0]), residual=np.zeros(2), pxz=np.zeros((4, 2)),
-            pzz=np.eye(2), s_inv=0.5 * np.eye(2))
         scatter = np.array([[5.0, 1.5], [1.5, 2.5]])
         fs = models.FrameStats(mean=np.array([1.0, 1.0]), scatter=scatter, count=6)
-        out = filtering.update_extension(pred_ext, stats, fs, model)
+        out = filtering.update_extension(pred_ext, fs, model)
         b_inv = np.linalg.inv(b)
         np.testing.assert_allclose(out.param, pred_ext.param + b_inv @ scatter @ b_inv.T,
                                    rtol=0, atol=1e-12)
         assert out.dof == 18.0
 
-    def test_result_symmetric_psd(self, cv_model):
+    def test_result_symmetric_psd(self):
+        """The update never shrinks the extent, whatever the residual: it
+        reads only the frame scatter and adds its PSD whitening to the
+        parameter matrix, so the smallest eigenvalue cannot fall below the
+        prediction's."""
         rng = np.random.default_rng(11)
         for _ in range(25):
+            model = models.nominal_cv_model(sigma_w=0.4, b=np.diag(rng.uniform(0.2, 1.0, 2)))
             m = rng.standard_normal((2, 2))
-            pred_ext = ExtensionState(dof=rng.uniform(9, 30), param=m @ m.T + np.eye(2))
-            pts = rng.standard_normal((8, 2)) * 2.0
-            fs = models.frame_stats(pts)
-            z_pred = rng.standard_normal(2)
-            stats = filtering.InnovationStats(
-                z_pred=z_pred, residual=fs.mean - z_pred, pxz=np.zeros((4, 2)),
-                pzz=np.eye(2), s_inv=np.abs(rng.standard_normal((2, 2))))
-            out = filtering.update_extension(pred_ext, stats, fs, cv_model)
+            pred_ext = ExtensionState(dof=rng.uniform(9, 30), param=m @ m.T + 0.1 * np.eye(2))
+            pts = rng.standard_normal((int(rng.integers(1, 30)), 2)) * 2.0 + rng.uniform(-50, 50, 2)
+            out = filtering.update_extension(pred_ext, models.frame_stats(pts), model)
             np.testing.assert_allclose(out.param, out.param.T, atol=1e-12)
-            assert np.linalg.eigvalsh(out.param).min() >= -1e-12
+            assert (np.linalg.eigvalsh(out.param).min()
+                    >= np.linalg.eigvalsh(pred_ext.param).min() - 1e-9)
+
+    def test_no_extension_clamp_or_collapse_on_seeded_case(self, cv_model, monkeypatch):
+        """Seed-0 case 17 drove an indefinite extension update: the eigenvalue
+        clamp fired in both extension projections and the collapsed extent
+        let the position error reach 8.4 m."""
+        case = generate_case(models.ScenarioConfig(seed=0), 0, 17)
+        clamps, inside = [], []
+        project = ops._project_value
+
+        def counted(s, eps):
+            out = project(s, eps)
+            if inside and out[3]:
+                clamps.append(inside[-1])
+            return out
+
+        monkeypatch.setattr(ops, "_project_value", counted)
+        for name in ("predict_extension", "update_extension"):
+            def wrapped(*args, _name=name, _real=getattr(filtering, name)):
+                inside.append(_name)
+                try:
+                    return _real(*args)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(filtering, name, wrapped)
+        states, _, _ = filtering.run_filter(case.frames, cv_model, TrackerConfig())
+        errors = [np.linalg.norm(s.mean[:2] - t[:2])
+                  for s, t in zip(states, case.truth.states[1:])]
+        assert clamps == []
+        assert max(errors) < 3.0
 
 
 class TestExtensionMean:
@@ -341,8 +365,8 @@ class TestFilterStep:
         np.testing.assert_array_equal(exts[0].param, manual_ext.param)
 
     def test_linear_algebra_budget(self, cv_model, monkeypatch):
-        """A baseline step makes two solves (extension innovation scale and
-        gain) and no factorization, determinant or inverse: B^-1 and |B| are
+        """A baseline step makes one solve (the gain) and no factorization,
+        determinant or inverse: the extension update reads only B^-1, which is
         derived once per model."""
         case = generate_case(models.ScenarioConfig(steps=30, cases=1, seed=4), 4, 0)
         tcfg = TrackerConfig()
@@ -355,7 +379,7 @@ class TestFilterStep:
             monkeypatch.setattr(np.linalg, name, counted)
         filtering.run_filter(case.frames, cv_model, tcfg)
         steps = len(case.frames) - 1
-        assert calls == {"solve": 2 * steps, "cholesky": 0, "det": 0, "inv": 0}
+        assert calls == {"solve": steps, "cholesky": 0, "det": 0, "inv": 0}
 
     def test_single_point_frame_increments_dof_by_one(self, cv_model):
         frames = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])]

@@ -102,7 +102,6 @@ class TestNominalCvModel:
         model = models.nominal_cv_model(sigma_w=0.4, b=b)
         assert model.b_inv is model.b_inv
         np.testing.assert_allclose(model.b_inv @ b, np.eye(2), atol=1e-15)
-        assert model.b_det == pytest.approx(abs(np.linalg.det(b)), rel=1e-15)
 
 
 class TestScenarioConfig:

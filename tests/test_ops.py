@@ -74,11 +74,6 @@ class TestLinearAlgebra:
         x = np.array([0.3, 0.7])
         check(lambda v: ops.sumsq(a @ v), lambda v: float(np.sum((a @ v) ** 2)), x)
 
-    def test_outer(self):
-        u = np.array([1.0, -0.5])
-        check(lambda v: ops.sumsq(ops.outer(v, np.array([2.0, 3.0]))),
-              lambda v: float(np.sum(np.outer(v, [2.0, 3.0]) ** 2)), u)
-
     def test_solve_wrt_matrix_and_rhs(self):
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
         b = np.array([1.0, 2.0])

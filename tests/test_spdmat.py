@@ -45,27 +45,22 @@ class TestSymSqrt:
             np.testing.assert_array_less(np.linalg.norm(s @ s - a) / np.linalg.norm(a), 1e-9)
 
 
-class TestSolveSpd:
-    def test_identity_passthrough(self):
-        b = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_allclose(spdmat.solve_spd(np.eye(4), b), b)
+class TestInverseSpd:
+    def test_identity(self):
+        np.testing.assert_array_equal(spdmat.inverse_spd(np.eye(4)), np.eye(4))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(
-            spdmat.solve_spd(np.diag([2.0, 4.0]), np.eye(2)), np.diag([0.5, 0.25]))
+        np.testing.assert_allclose(spdmat.inverse_spd(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
 
-    def test_residual(self):
+    def test_product_is_identity(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rand_spd(4, rng)
-            b = rng.standard_normal((4, 3))
-            x = spdmat.solve_spd(a, b)
-            assert np.linalg.norm(a @ x - b) < 1e-9
+        for dim in (2, 4, 5):
+            a = rand_spd(dim, rng)
+            np.testing.assert_allclose(a @ spdmat.inverse_spd(a), np.eye(dim), atol=1e-9)
 
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(3)
-        a = rand_spd(5, rng)
-        np.testing.assert_allclose(spdmat.solve_spd(a, a), np.eye(5), atol=1e-9)
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite):
+            spdmat.inverse_spd(np.diag([1.0, -1.0]))
 
 
 class TestSymmetrizeProject:
