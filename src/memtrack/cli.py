@@ -304,17 +304,14 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _ellipse_params(extent: np.ndarray):
-    w, u = np.linalg.eigh(extent)
-    major = np.sqrt(max(w[1], 0.0))
-    minor = np.sqrt(max(w[0], 0.0))
-    vec = u[:, 1]
-    angle = float(np.arctan2(vec[1], vec[0]))
-    if angle < -np.pi / 2:
-        angle += np.pi
-    elif angle >= np.pi / 2:
-        angle -= np.pi
-    return major, minor, angle
+def _ellipse_params(extents: np.ndarray) -> np.ndarray:
+    """(major, minor, angle) rows for a stack of 2x2 extents."""
+    w, u = np.linalg.eigh(extents)
+    angle = np.arctan2(u[:, 1, 1], u[:, 0, 1])
+    angle = np.where(angle < -np.pi / 2, angle + np.pi,
+                     np.where(angle >= np.pi / 2, angle - np.pi, angle))
+    return np.column_stack([np.sqrt(np.maximum(w[:, 1], 0.0)),
+                            np.sqrt(np.maximum(w[:, 0], 0.0)), angle])
 
 
 def cmd_track(args) -> int:
@@ -337,24 +334,22 @@ def cmd_track(args) -> int:
     header = ("step,truth_px,truth_py,truth_vx,truth_vy,truth_a,truth_b,truth_angle,"
               "est_px,est_py,est_vx,est_vy,est_a,est_b,est_angle,n")
     lines = [header]
-    for i, (st, ex) in enumerate(zip(states, exts)):
-        k = i + 1
-        tstate = case.truth.states[k]
-        ta, tb, tang = _ellipse_params(case.truth.extents[k])
-        mean = ops.value(st.mean)
-        ea, eb, eang = _ellipse_params(np.asarray(ops.value(extension_mean(ex))))
-        n = len(case.frames[k])
-        vals = list(tstate) + [ta, tb, tang] + list(mean) + [ea, eb, eang]
-        lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{n}")
+    rows = slice(1, len(states) + 1)
+    table = np.hstack([
+        case.truth.states[rows], _ellipse_params(case.truth.extents[rows]),
+        np.array([ops.value(st.mean) for st in states]),
+        _ellipse_params(np.array([ops.value(extension_mean(ex)) for ex in exts])),
+    ])
+    for k, vals in enumerate(table.tolist(), start=1):
+        lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{len(case.frames[k])}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
     points_path = args.out + ".points.csv"
     with open(points_path, "w", encoding="utf-8") as fh:
         fh.write("step,x,y\n")
-        for k, frame in enumerate(case.frames):
-            for p in frame:
-                fh.write(f"{k},{p[0]:.17g},{p[1]:.17g}\n")
+        fh.write("".join(f"{k},{x:.17g},{y:.17g}\n"
+                         for k, frame in enumerate(case.frames) for x, y in frame.tolist()))
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
     return EXIT_OK
 

@@ -124,7 +124,9 @@ class FilterDiagnostics:
 
 
 def _proj_eps(raw) -> float:
-    tr = float(np.trace(ops.value(raw)))
+    tr = 0.0
+    for x in ops.value(raw).diagonal().tolist():  # np.trace's order and bits
+        tr += x
     return PROJ_EPS_FACTOR * abs(tr)
 
 
@@ -136,7 +138,7 @@ def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
     mean = model.F @ prior.mean + df
     cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
-    if not np.all(np.isfinite(ops.value(mean))):
+    if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
@@ -218,7 +220,7 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     mean = pred.mean + gain @ stats.residual
     cov_raw = pred.cov - gain @ ops.transpose(stats.pxz)
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
-    if not np.all(np.isfinite(ops.value(mean))):
+    if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("updated state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
@@ -287,7 +289,7 @@ def run_filter(
         state = update_state(pred, stats)
         ext = update_extension(ext_pred, fs, model)
         # update_state already rejects a non-finite mean
-        if not np.all(np.isfinite(ops.value(ext.param))):
+        if not np.isfinite(ops.value(ext.param)).all():
             raise NonFinite(f"non-finite posterior extension at step {k}")
         if trace is not None:
             trace.append(FilterDiagnostics(pred_state=pred, pred_ext=ext_pred, stats=stats,

@@ -144,7 +144,7 @@ def frame_stats(points: np.ndarray) -> FrameStats:
     n = pts.shape[0]
     if n < 1:
         raise EmptyFrame("frame has no points")
-    mean = pts.mean(axis=0)
+    mean = pts.sum(axis=0) / n  # pts.mean(axis=0) bit for bit
     centered = pts - mean
     scatter = centered.T @ centered
     return FrameStats(mean=mean, scatter=0.5 * (scatter + scatter.T), count=n)

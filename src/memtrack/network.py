@@ -51,6 +51,7 @@ PRED_FEATURE_DIM = 12  # prediction-only subset fed to the update heads
 FRAME_COV_EPS = 1e-6   # floor added to the per-frame scatter covariance
 
 _OFF_DIAG_2 = np.array([[0.0, 0.0], [1.0, 0.0]])
+_FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats):
     pieces = list(_pred_feature_pieces(state, ext))
     pos = state.mean[0:2]
     pieces.append(fs.mean - pos)
-    scatter_cov = fs.scatter / max(fs.count - 1, 1) + FRAME_COV_EPS * np.eye(2)
+    scatter_cov = fs.scatter / max(fs.count - 1, 1) + _FRAME_COV_FLOOR
     pieces.append(ops.logchol2x2(scatter_cov))
     pieces.append(np.array([np.log(float(fs.count))]))
     return ops.concat(pieces)
@@ -180,19 +181,12 @@ def _encode_predictions(pred: TrackState, ext_pred: ExtensionState, params: Netw
 
 def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
     """One LSTM memory update; masked mode freezes memory and zeroes pc."""
-    h = params.memory_dim
     if params.mask_memory:
-        return MemoryState(cell=mem.cell, hidden=mem.hidden, pc=np.zeros(h))
+        return MemoryState(cell=mem.cell, hidden=mem.hidden, pc=np.zeros(params.memory_dim))
     weights = params.arrays
-    z = ops.concat([features, mem.hidden])
-    lin = weights["lstm_w"] @ z + weights["lstm_b"]
-    gate_in = ops.sigmoid(lin[0:h])
-    gate_forget = ops.sigmoid(lin[h:2 * h])
-    gate_out = ops.sigmoid(lin[2 * h:3 * h])
-    candidate = ops.tanh(lin[3 * h:4 * h])
-    cell = gate_forget * mem.cell + gate_in * candidate
-    hidden = gate_out * ops.tanh(cell)
-    pc = ops.softplus(weights["memcov_w"] @ hidden + weights["memcov_b"])
+    cell, hidden = ops.lstm_cell(weights["lstm_w"], weights["lstm_b"], features,
+                                 mem.hidden, mem.cell)
+    pc = ops.softplus(ops.affine(weights["memcov_w"], hidden, weights["memcov_b"]))
     return MemoryState(cell=cell, hidden=hidden, pc=pc)
 
 
@@ -202,10 +196,11 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
         return ZERO_EVOLUTION
     weights = params.arrays
     inp = ops.concat([mem.hidden, mem.pc])
-    df = weights["evo_shift_w"] @ inp + weights["evo_shift_b"]
-    pf_diag = ops.softplus(weights["evo_cov_w"] @ inp + weights["evo_cov_b"]) - ops.SOFTPLUS_ZERO
+    df = ops.affine(weights["evo_shift_w"], inp, weights["evo_shift_b"])
+    pf_diag = ops.softplus(ops.affine(weights["evo_cov_w"], inp, weights["evo_cov_b"])) \
+        - ops.SOFTPLUS_ZERO
     pf = ops.diag_embed(pf_diag)
-    ext_vec = weights["evo_ext_w"] @ inp + weights["evo_ext_b"]
+    ext_vec = ops.affine(weights["evo_ext_w"], inp, weights["evo_ext_b"])
     ldiag = ops.softplus(ext_vec[0:2]) - ops.SOFTPLUS_ZERO
     ell = ops.diag_embed(ldiag) + ext_vec[2] * _OFF_DIAG_2
     pphi = ell @ ops.transpose(ell)
@@ -218,8 +213,9 @@ def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState)
         return ZERO_MEASUREMENT
     weights = params.arrays
     inp = _encode_predictions(pred, ext_pred, params)
-    dh = weights["upd_shift_w"] @ inp + weights["upd_shift_b"]
-    ph_diag = ops.softplus(weights["upd_cov_w"] @ inp + weights["upd_cov_b"]) - ops.SOFTPLUS_ZERO
+    dh = ops.affine(weights["upd_shift_w"], inp, weights["upd_shift_b"])
+    ph_diag = ops.softplus(ops.affine(weights["upd_cov_w"], inp, weights["upd_cov_b"])) \
+        - ops.SOFTPLUS_ZERO
     ph = ops.diag_embed(ph_diag)
     return dh, ph
 

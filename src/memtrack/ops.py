@@ -9,9 +9,19 @@ the same values bit for bit.
 The tape is linear: nodes are appended in execution order, so a reversed
 walk visits every node after all of its consumers.  Adjoint accumulation is
 a list indexed by node position; no topological sort is needed.
+
+The one-track hot path is kept cheap in three ways, none of which changes a
+forward value.  :func:`lstm_cell` and :func:`affine` record a whole LSTM step
+and a whole ``w @ x + b`` as one node each, with hand-written adjoints.  The
+eigenvalue clamps of :func:`sym_project` and :func:`spectrum_floor` first try
+to prove, in scalar arithmetic, that nothing clamps (a closed-form 2x2
+minimum eigenvalue, or positive pivots of ``s - eps I``), and call ``eigh``
+only when that proof fails.  :func:`solve` inverts a 2x2 by its adjugate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -129,6 +139,8 @@ def _tape(*xs):
 
 def _unbroadcast(g, shape):
     g = np.asarray(g)
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -302,12 +314,11 @@ def _sym_grad(g):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, each branch
+    evaluated where it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a):
@@ -355,17 +366,110 @@ def sumsq(a):
     return t._node(out, [(a.idx, lambda g: (2.0 * g) * av)])
 
 
+def _once(fn):
+    """``fn`` memoized on the identity of its argument.  The vjps of one
+    fused node share work; backward calls them in turn with one adjoint."""
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, fn(g)
+        return memo[1]
+
+    return get
+
+
+def affine(w, x, b):
+    """``w @ x + b`` for a matrix ``w`` and vectors ``x`` and ``b``, one node."""
+    t = _tape(w, x, b)
+    wv, xv = value(w), value(x)
+    out = wv @ xv + value(b)
+    if t is None:
+        return out
+    pairs = []
+    if isinstance(w, Var):
+        pairs.append((w.idx, lambda g: np.outer(g, xv)))
+    if isinstance(x, Var):
+        pairs.append((x.idx, lambda g: wv.T @ g))
+    if isinstance(b, Var):
+        pairs.append((b.idx, lambda g: g))
+    return t._node(out, pairs)
+
+
+def lstm_cell(w, b, x, hidden, cell):
+    """One LSTM step; returns the new (cell, hidden).
+
+    ``w @ [x; hidden] + b`` stacks the input, forget and output gates and
+    the candidate, in that order.  On a tape the step is one node whose
+    value is ``[cell; hidden]``, read out by two slices.
+    """
+    t = _tape(w, b, x, hidden, cell)
+    wv, hv, cv = value(w), value(hidden), value(cell)
+    n = len(hv)
+    z = np.concatenate([value(x), hv])
+    lin = wv @ z + value(b)
+    gates = _sigmoid(lin[:3 * n])
+    gate_in, gate_forget, gate_out = gates[:n], gates[n:2 * n], gates[2 * n:]
+    candidate = np.tanh(lin[3 * n:])
+    new_cell = gate_forget * cv + gate_in * candidate
+    tanh_cell = np.tanh(new_cell)
+    new_hidden = gate_out * tanh_cell
+    if t is None:
+        return new_cell, new_hidden
+
+    @_once
+    def dlin_of(g):
+        """Adjoints of the pre-activations and of the old cell."""
+        g_cell, g_hidden = g[:n], g[n:]
+        g_cell = g_cell + (g_hidden * gate_out) * (1.0 - tanh_cell * tanh_cell)
+        dlin = np.concatenate([
+            (g_cell * candidate) * gate_in * (1.0 - gate_in),
+            (g_cell * cv) * gate_forget * (1.0 - gate_forget),
+            (g_hidden * tanh_cell) * gate_out * (1.0 - gate_out),
+            (g_cell * gate_in) * (1.0 - candidate * candidate),
+        ])
+        return dlin, g_cell * gate_forget
+
+    dz_of = _once(lambda g: wv.T @ dlin_of(g)[0])
+    nx = len(z) - n
+    pairs = []
+    for var, vjp in ((w, lambda g: np.outer(dlin_of(g)[0], z)),
+                     (b, lambda g: dlin_of(g)[0]),
+                     (x, lambda g: dz_of(g)[:nx]),
+                     (hidden, lambda g: dz_of(g)[nx:]),
+                     (cell, lambda g: dlin_of(g)[1])):
+        if isinstance(var, Var):
+            pairs.append((var.idx, vjp))
+    both = t._node(np.concatenate([new_cell, new_hidden]), pairs)
+    return getitem(both, slice(0, n)), getitem(both, slice(n, 2 * n))
+
+
+def _solve_value(a, b):
+    """np.linalg.solve(a, b), by the adjugate when a is 2x2.
+
+    A 2x2 whose determinant is 0 or not finite goes to LAPACK, which raises
+    LinAlgError on an exactly singular matrix and otherwise behaves as it
+    always did (NaN in, NaN out; no overflow in the determinant).
+    """
+    if a.shape == (2, 2):
+        (a00, a01), (a10, a11) = a.tolist()
+        det = a00 * a11 - a01 * a10
+        if det != 0.0 and math.isfinite(det):
+            return (np.array([[a11, -a01], [-a10, a00]]) @ b) / det
+    return np.linalg.solve(a, b)
+
+
 def solve(a, b):
     """x with a @ x = b; adjoints da = -a^-T g x^T, db = a^-T g."""
     t = _tape(a, b)
     av, bv = value(a), value(b)
-    x = np.linalg.solve(av, bv)
+    x = _solve_value(av, bv)
     if t is None:
         return x
     pairs = []
 
     def gb_of(g):
-        return np.linalg.solve(av.T, g)
+        return _solve_value(av.T, g)
 
     if isinstance(b, Var):
         pairs.append((b.idx, gb_of))
@@ -377,7 +481,58 @@ def solve(a, b):
     return t._node(x, pairs)
 
 
+# Relative slack of the no-clamp test: it covers the test's own roundoff and
+# eigh's (a few ulps of the spectral norm each), so the test passes only
+# where eigh would also find every eigenvalue >= eps.
+_EIG_SLACK = 64.0 * np.finfo(np.float64).eps
+
+
+def _eig2(s):
+    """Closed-form smaller eigenvalue and spectral norm of a symmetric 2x2."""
+    (a, b), (_, d) = s.tolist()
+    m = 0.5 * (a + d)
+    r = math.hypot(0.5 * (a - d), b)
+    return m - r, abs(m) + r
+
+
+def _above(s, eps, slack=0.0) -> bool:
+    """True when every eigenvalue of symmetric ``s`` provably exceeds ``eps``
+    by ``slack``; False means only that eigh has to decide (NaN included).
+
+    A 2x2 uses the closed form.  A 4x4 runs an unrolled LDL^T of
+    ``s - t I`` in scalar arithmetic, whose pivots are all positive exactly
+    when it is positive definite; ``t`` adds slack relative to the trace,
+    which bounds the spectral norm of an SPD ``s``.  Other sizes ask eigh.
+    """
+    if s.shape == (2, 2):
+        lo, norm = _eig2(s)
+        return lo - eps > _EIG_SLACK * norm + slack
+    if s.shape != (4, 4):
+        return False
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = s.tolist()
+    t = eps + slack + 4.0 * _EIG_SLACK * (abs(a00) + abs(a11) + abs(a22) + abs(a33))
+    d0 = a00 - t
+    if not d0 > 0.0:
+        return False
+    l10, l20, l30 = a01 / d0, a02 / d0, a03 / d0
+    d1 = a11 - t - l10 * a01
+    if not d1 > 0.0:
+        return False
+    b12, b13 = a12 - l10 * a02, a13 - l10 * a03
+    l21, l31 = b12 / d1, b13 / d1
+    d2 = a22 - t - l20 * a02 - l21 * b12
+    if not d2 > 0.0:
+        return False
+    b23 = a23 - l20 * a03 - l21 * b13
+    return a33 - t - l30 * a03 - l31 * b13 - b23 * b23 / d2 > 0.0
+
+
 def _project_value(s, eps):
+    """(projection, w, u, clamped); w and u are eigh's, or None when the
+    no-clamp test made eigh unnecessary.  Without a clamp the projection is
+    ``s`` itself."""
+    if _above(s, eps):
+        return s, None, None, False
     w, u = np.linalg.eigh(s)
     if w[0] >= eps:
         return s, w, u, False
@@ -431,10 +586,16 @@ def spectrum_floor(a, ref, frac):
     t = _tape(a, ref)
     av, rv = value(a), value(ref)
     rs = 0.5 * (rv + rv.T)
-    rw, ru = np.linalg.eigh(rs)
-    eps = frac * rw[0]
     s = 0.5 * (av + av.T)
-    out, w, u, clamped = _project_value(s, eps)
+    # The closed-form floor is within slack of eigh's, so the no-clamp test
+    # widens its margin by that much; when it fails, eigh decides as ever.
+    lo_norm = _eig2(rs) if rs.shape == (2, 2) else None
+    if lo_norm is not None and _above(s, frac * lo_norm[0], abs(frac) * _EIG_SLACK * lo_norm[1]):
+        out, clamped = s, False
+    else:
+        rw, ru = np.linalg.eigh(rs)
+        eps = frac * rw[0]
+        out, w, u, clamped = _project_value(s, eps)
     if t is None:
         return out
 

@@ -7,6 +7,8 @@ explicit ``numpy.random.Generator`` so callers own RNG isolation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadDof, NonFinite, NotPositiveDefinite
@@ -18,6 +20,9 @@ __all__ = [
     "sample_wishart",
     "sample_inverse_wishart",
 ]
+
+# Relative roundoff of a 2x2 determinant x z - y^2, in units of |x z| + y^2.
+_DET_SLACK = 4.0 * np.finfo(np.float64).eps
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -36,15 +41,26 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root of the symmetric part of ``a``.
 
-    Small negative eigenvalues from roundoff are clamped to zero before the
-    square root so PSD inputs near the boundary stay valid.
+    Negative eigenvalues are clamped to zero before the square root so PSD
+    inputs near the boundary stay valid.  A 2x2 that is PSD up to roundoff
+    takes the closed form (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), its
+    determinant clamped at 0; anything else, zero included, goes through
+    eigendecomposition.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("sym_sqrt input contains non-finite entries")
-    w, u = np.linalg.eigh(0.5 * (a + a.T))
+    s = 0.5 * (a + a.T)
+    if s.shape == (2, 2):
+        (x, y), (_, z) = s.tolist()
+        det = x * z - y * y
+        # PSD up to the roundoff of the products that form the determinant
+        if x + z > 0.0 and det >= -_DET_SLACK * (abs(x * z) + y * y):
+            root_det = math.sqrt(max(det, 0.0))
+            return (s + root_det * np.eye(2)) / math.sqrt(x + z + 2.0 * root_det)
+    w, u = np.linalg.eigh(s)
     root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
     return 0.5 * (root + root.T)
 

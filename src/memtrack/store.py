@@ -119,7 +119,8 @@ def _dataset_from(header: dict, a: dict) -> Dataset:
     split = np.concatenate([train, test])
     if ((split < 0) | (split >= n)).any():
         raise ChecksumMismatch(f"split index outside 0..{n - 1}")
-    frames = np.split(a["points"], np.cumsum(counts.ravel())[:-1])
+    points, ends = a["points"], np.cumsum(counts.ravel()).tolist()
+    frames = [points[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
     cases = [SimCase(truth=GroundTruthSequence(a["states"][i], a["extents"][i],
                                                a["regimes"][i], a["omegas"][i]),
                      frames=frames[i * k:(i + 1) * k],
@@ -130,7 +131,8 @@ def _dataset_from(header: dict, a: dict) -> Dataset:
 
 
 def read_dataset(path) -> Dataset:
-    """Decode a dataset; each case's arrays and frames are views of the members."""
+    """Decode a dataset; each case's arrays are views of the members, and
+    each frame is a plain slice of the ``points`` member."""
     return _read_archive(path, "dataset", _dataset_from)
 
 

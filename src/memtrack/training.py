@@ -9,6 +9,7 @@ the training split and frozen before the first update.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,8 +150,20 @@ def _sequence_gradients(params, case, model, cfg):
 
     A sequence that turns non-finite under the current parameters is
     skipped (NaN loss, zero gradients) rather than poisoning the batch; the
-    optimizer recovers on the remaining sequences.
+    optimizer recovers on the remaining sequences.  The cyclic garbage
+    collector is paused meanwhile: the tape holds no reference cycles, and
+    its ten thousand nodes would otherwise be rescanned many times over.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _taped_gradients(params, case, model, cfg)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _taped_gradients(params, case, model, cfg):
     zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     tape = ops.Tape()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,10 +265,11 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
         val_cases = [train_cases[i] for i in val_idx]
 
         # Training through a 140-step recursion can blow up if a step lands
-        # in filter-unstable territory; anchor on the initialization loss,
-        # and on a diverged epoch restore the best-known parameters and
+        # in filter-unstable territory; anchor on the initialization loss
+        # (only the loss: no IoU/GWD), and on a diverged epoch restore the best-known parameters and
         # halve the learning rate instead of wandering on.
-        init_val, _, _, _ = _validation_scores(params, val_cases, model, cfg)
+        init_val, _, _, _ = _validation_scores(params, val_cases, model,
+                                               replace(cfg, history_metric_cases=0))
         fold_best, fold_best_epoch = init_val, -1
         fold_best_arrays = {k: v.copy() for k, v in params.arrays.items()}
         lr_eff = cfg.learning_rate

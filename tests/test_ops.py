@@ -247,3 +247,199 @@ class TestDispatch:
         out = ops.sumsq(v + v)
         grads = tape.backward(out)
         np.testing.assert_allclose(tape.grad(grads, v), [24.0])
+
+
+def _eigh_project(s, eps):
+    """The eigh-only projection the no-clamp test must reproduce."""
+    w, u = np.linalg.eigh(s)
+    if w[0] >= eps:
+        return s
+    out = (u * np.maximum(w, eps)) @ u.T
+    return 0.5 * (out + out.T)
+
+
+def _spectrum(dim, rng, low):
+    """Symmetric matrix with smallest eigenvalue ``low``, others in (low, low + 10)."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = np.concatenate([[low], low + rng.uniform(1e-3, 10.0, dim - 1)])
+    s = (q * w) @ q.T
+    return 0.5 * (s + s.T)
+
+
+class TestNoClampTest:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_agrees_with_eigh_at_the_threshold(self, dim):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            s = _spectrum(dim, rng, rng.uniform(0.05, 5.0))
+            low = np.linalg.eigvalsh(s)[0]
+            assert ops._above(s, low * (1.0 - 1e-9))
+            assert not ops._above(s, low * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_projection_bits_match_eigh(self, dim):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            s = _spectrum(dim, rng, rng.uniform(-2.0, 5.0))
+            low = np.linalg.eigvalsh(s)[0]
+            for eps in (low * (1.0 - 1e-9), low * (1.0 + 1e-9), abs(low) + 1e-3, 1e-9):
+                np.testing.assert_array_equal(ops._project_value(s, eps)[0],
+                                              _eigh_project(s, eps))
+
+    def test_never_passes_where_eigh_clamps(self):
+        rng = np.random.default_rng(23)
+        for dim in (2, 4):
+            for _ in range(500):
+                m = rng.standard_normal((dim, dim))
+                s = 0.5 * (m + m.T) + rng.uniform(-1.0, 4.0) * np.eye(dim)
+                eps = rng.uniform(0.0, 1.0)
+                if ops._above(s, eps):
+                    assert np.linalg.eigh(s)[0][0] >= eps
+
+    def test_non_finite_goes_to_eigh(self):
+        for bad in (np.nan, np.inf):
+            assert not ops._above(np.array([[1.0, bad], [bad, 1.0]]), 0.0)
+            assert not ops._above(np.diag([1.0, 1.0, bad, 1.0]), 0.0)
+
+    def test_spectrum_floor_bits_match_eigh(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            ref = _spectrum(2, rng, rng.uniform(0.05, 2.0))
+            frac = rng.uniform(0.01, 1.0)
+            floor = frac * np.linalg.eigh(ref)[0][0]
+            for low in (floor * (1.0 - 1e-9), floor * (1.0 + 1e-9), rng.uniform(-1.0, 2.0)):
+                a = _spectrum(2, rng, low)
+                np.testing.assert_array_equal(ops.spectrum_floor(a, ref, frac),
+                                              _eigh_project(a, floor))
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidBits:
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 800.0, -800.0])
+        np.testing.assert_array_equal(ops._sigmoid(x), _masked_sigmoid(x))
+
+    def test_random_values(self):
+        rng = np.random.default_rng(25)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            x = scale * rng.standard_normal(4096)
+            np.testing.assert_array_equal(ops._sigmoid(x), _masked_sigmoid(x))
+
+
+class TestSolve2x2:
+    def test_matches_lapack(self):
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            a = rng.standard_normal((2, 2)) + rng.uniform(0.0, 3.0) * np.eye(2)
+            for b in (rng.standard_normal(2), rng.standard_normal((2, 4))):
+                want = np.linalg.solve(a, b)
+                np.testing.assert_allclose(ops.solve(a, b), want, rtol=0,
+                                           atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.ones((2, 2)),
+                                   np.array([[4.0, -2.0], [-2.0, 1.0]])])
+    def test_singular_raises(self, a):
+        with pytest.raises(np.linalg.LinAlgError):
+            ops.solve(a, np.ones(2))
+
+    def test_gradient_through_closed_form(self):
+        a = np.array([[2.0, 0.3], [0.4, 1.0]])
+        b = np.array([[1.0, 0.0, 2.0], [2.0, 1.0, -1.0]])
+        check(lambda v: ops.sumsq(ops.solve(v, b)),
+              lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
+
+
+def _composed_lstm(w, b, x, hidden, cell):
+    """The LSTM step written with one tape node per elementary op."""
+    h = len(ops.value(hidden))
+    lin = w @ ops.concat([x, hidden]) + b
+    gate_in = ops.sigmoid(lin[0:h])
+    gate_forget = ops.sigmoid(lin[h:2 * h])
+    gate_out = ops.sigmoid(lin[2 * h:3 * h])
+    candidate = ops.tanh(lin[3 * h:4 * h])
+    new_cell = gate_forget * cell + gate_in * candidate
+    return new_cell, gate_out * ops.tanh(new_cell)
+
+
+class TestFusedOps:
+    H, X = 5, 3
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((4 * self.H, self.X + self.H)), rng.standard_normal(4 * self.H),
+                rng.standard_normal(self.X), rng.standard_normal(self.H),
+                rng.standard_normal(self.H))
+
+    def _two_steps(self, step, inputs, tape=None):
+        """Two chained steps, so gradients reach the old cell and hidden."""
+        if tape is not None:
+            inputs = [tape.leaf(v) for v in inputs]
+        w, b, x, hidden, cell = inputs
+        cell, hidden = step(w, b, x, hidden, cell)
+        cell, hidden = step(w, b, x * 0.5, hidden, cell)
+        return inputs, cell, hidden
+
+    def test_lstm_forward_bits(self):
+        for seed in range(5):
+            inputs = self._inputs(seed)
+            _, c1, h1 = self._two_steps(ops.lstm_cell, inputs)
+            _, c2, h2 = self._two_steps(_composed_lstm, inputs)
+            np.testing.assert_array_equal(c1, c2)
+            np.testing.assert_array_equal(h1, h2)
+            _, c3, h3 = self._two_steps(ops.lstm_cell, inputs, ops.Tape())
+            np.testing.assert_array_equal(c3.value, c1)
+            np.testing.assert_array_equal(h3.value, h1)
+
+    def test_lstm_gradients_match_composed(self):
+        for seed in range(5):
+            grads = []
+            for step in (ops.lstm_cell, _composed_lstm):
+                tape = ops.Tape()
+                leaves, cell, hidden = self._two_steps(step, self._inputs(seed), tape)
+                out = ops.sumsq(hidden) + ops.sumsq(cell * 0.3)
+                adj = tape.backward(out)
+                grads.append([tape.grad(adj, leaf) for leaf in leaves])
+            for fused, composed in zip(*grads):
+                np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+    def test_lstm_gradient_matches_fd(self):
+        w, b, x, hidden, cell = self._inputs(9)
+
+        def loss(v):
+            c, h = ops.lstm_cell(w, b, v[:self.X], v[self.X:self.X + self.H], v[self.X + self.H:])
+            return float(np.sum(h * h) + np.sum(c))
+
+        def build(v):
+            c, h = ops.lstm_cell(w, b, v[0:self.X], v[self.X:self.X + self.H],
+                                 v[self.X + self.H:])
+            return ops.sumsq(h) + c @ np.ones(self.H)
+
+        check(build, loss, np.concatenate([x, hidden, cell]))
+
+    def test_affine_matches_composed(self):
+        rng = np.random.default_rng(27)
+        w, x, b = rng.standard_normal((3, 6)), rng.standard_normal(6), rng.standard_normal(3)
+        np.testing.assert_array_equal(ops.affine(w, x, b), w @ x + b)
+        grads = []
+        for fn in (ops.affine, lambda w, x, b: w @ x + b):
+            tape = ops.Tape()
+            leaves = [tape.leaf(v) for v in (w, x, b)]
+            out = fn(*leaves)
+            np.testing.assert_array_equal(out.value, w @ x + b)
+            adj = tape.backward(ops.sumsq(ops.tanh(out)))
+            grads.append([tape.grad(adj, leaf) for leaf in leaves])
+        for fused, composed in zip(*grads):
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+    def test_plain_inputs_stay_plain(self):
+        w, b, x, hidden, cell = self._inputs(3)
+        assert all(isinstance(v, np.ndarray) for v in ops.lstm_cell(w, b, x, hidden, cell))
+        assert isinstance(ops.affine(w, np.ones(self.X + self.H), b), np.ndarray)

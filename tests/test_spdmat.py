@@ -45,6 +45,39 @@ class TestSymSqrt:
             np.testing.assert_array_less(np.linalg.norm(s @ s - a) / np.linalg.norm(a), 1e-9)
 
 
+def _eigh_sqrt(a):
+    """The eigendecomposition root the 2x2 closed form must agree with."""
+    w, u = np.linalg.eigh(0.5 * (a + a.T))
+    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    return 0.5 * (root + root.T)
+
+
+class TestSymSqrt2x2:
+    @pytest.mark.parametrize("a", [
+        np.zeros((2, 2)), np.diag([3.0, 0.0]), np.ones((2, 2)),
+        np.array([[4.0, 2.0], [2.0, 1.0]]), np.array([[2.0, -2.0], [-2.0, 2.0]]),
+    ], ids=["zero", "axis", "ones", "rank1", "rank1-neg"])
+    def test_singular_psd(self, a):
+        np.testing.assert_allclose(spdmat.sym_sqrt(a), _eigh_sqrt(a), rtol=0, atol=1e-12)
+
+    def test_near_isotropic(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            a = rng.uniform(0.1, 10.0) * np.eye(2) + 1e-9 * rng.standard_normal((2, 2))
+            np.testing.assert_allclose(spdmat.sym_sqrt(a), _eigh_sqrt(a), rtol=0, atol=1e-12)
+
+    def test_random_spd(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            a = rand_spd(2, rng, jitter=rng.uniform(1e-3, 1.0)) * rng.uniform(0.1, 10.0)
+            np.testing.assert_allclose(spdmat.sym_sqrt(a), _eigh_sqrt(a), rtol=0,
+                                       atol=1e-12 * np.linalg.norm(a))
+
+    def test_indefinite_takes_the_eigh_form(self):
+        a = np.array([[1.0, 0.3], [0.3, -2.0]])
+        np.testing.assert_array_equal(spdmat.sym_sqrt(a), _eigh_sqrt(a))
+
+
 class TestInverseSpd:
     def test_identity(self):
         np.testing.assert_array_equal(spdmat.inverse_spd(np.eye(4)), np.eye(4))

@@ -105,6 +105,16 @@ class TestDatasetRoundTrip:
                 assert frame.dtype == np.float64 and frame.ndim == 2 and frame.shape[1] == 2
                 assert frame.flags.c_contiguous and frame.flags.writeable
 
+    def test_frames_are_consecutive_slices_of_points(self, dataset, tmp_path):
+        path = tmp_path / "d.mtds"
+        store.write_dataset(dataset, path)
+        points = _members(path)["points"]
+        frames = [f for case in store.read_dataset(path).cases for f in case.frames]
+        base = frames[0].base  # the decoded points member
+        assert base.size == points.size
+        assert all(f.base is base and np.shares_memory(f, base) for f in frames)
+        np.testing.assert_array_equal(np.concatenate(frames), points)
+
     def test_fewer_cases_in_header_rejected(self, dataset, tmp_path):
         path = tmp_path / "d.mtds"
         store.write_dataset(dataset, path)
