@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigView, load_config
 from .errors import ConfigError, MemtrackError, NonFinite, StoreError
 from .filtering import TrackerConfig, run_filter
-from .metrics import MetricsReport, evaluate_run
+from .metrics import MAX_POLYGON_ORDER, MetricsReport, evaluate_run
 from .models import NominalModel, ScenarioConfig, nominal_cv_model
 from .network import forward_sequence, init_params
 from .simulate import Dataset, generate_case, generate_dataset
@@ -31,7 +31,7 @@ from .store import (
     write_dataset,
     write_report,
 )
-from .training import EpochRecord, TrainConfig, grad_check, train
+from .training import MAX_MEMORY_DIM, EpochRecord, TrainConfig, grad_check, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,8 +271,9 @@ def cmd_eval(args) -> int:
     if args.baseline and args.checkpoint and not args.compare:
         raise ConfigError("--baseline scores no checkpoint; drop --checkpoint, "
                           "or use --compare with --checkpoint for both rows")
-    if args.polygon < 3:
-        raise ConfigError(f"--polygon must be at least 3, got {args.polygon}")
+    if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
+        raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
+                          f"got {args.polygon}")
     if len(dataset.test_idx) == 0:
         raise StoreError("dataset has no test split")
 
@@ -356,8 +357,9 @@ def cmd_track(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _checked(ScenarioConfig, steps=args.steps, cases=1, seed=args.seed)
-    if args.memory_dim <= 0:
-        raise ConfigError(f"--memory-dim must be positive, got {args.memory_dim}")
+    if not 0 < args.memory_dim <= MAX_MEMORY_DIM:
+        raise ConfigError(f"--memory-dim must be between 1 and {MAX_MEMORY_DIM}, "
+                          f"got {args.memory_dim}")
     case = generate_case(cfg, args.seed, 0)
     model = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, 0xC))))

@@ -7,8 +7,6 @@ explicit ``numpy.random.Generator`` so callers own RNG isolation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BadDof, NonFinite, NotPositiveDefinite
@@ -40,29 +38,39 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
+def _eigh_root(s: np.ndarray) -> np.ndarray:
+    """PSD root of a stack of symmetric matrices, eigenvalues clamped at 0."""
+    w, u = np.linalg.eigh(s)
+    root = (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
+
+
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of the symmetric part of ``a``.
 
-    Negative eigenvalues are clamped to zero before the square root so PSD
-    inputs near the boundary stay valid.  A 2x2 that is PSD up to roundoff
-    takes the closed form (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det)), its
-    determinant clamped at 0; anything else, zero included, goes through
-    eigendecomposition.
+    ``a`` is one (d, d) matrix or a stack (..., d, d); the result has its
+    shape.  Negative eigenvalues are clamped to zero before the square root
+    so PSD inputs near the boundary stay valid.  Each 2x2 that is PSD up to
+    roundoff takes the closed form (A + sqrt(det) I) / sqrt(tr + 2 sqrt(det)),
+    its determinant clamped at 0; the other rows, zero included, and every
+    larger matrix go through one stacked eigendecomposition.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("sym_sqrt input contains non-finite entries")
-    s = 0.5 * (a + a.T)
-    if s.shape == (2, 2):
-        (x, y), (_, z) = s.tolist()
-        det = x * z - y * y
-        # PSD up to the roundoff of the products that form the determinant
-        if x + z > 0.0 and det >= -_DET_SLACK * (abs(x * z) + y * y):
-            root_det = math.sqrt(max(det, 0.0))
-            return (s + root_det * np.eye(2)) / math.sqrt(x + z + 2.0 * root_det)
-    w, u = np.linalg.eigh(s)
-    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
-    return 0.5 * (root + root.T)
+    s = 0.5 * (a + np.swapaxes(a, -1, -2))
+    if s.shape[-2:] != (2, 2):
+        return _eigh_root(s)
+    x, y, z = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
+    det = x * z - y * y
+    # PSD up to the roundoff of the products that form the determinant
+    closed = (x + z > 0.0) & (det >= -_DET_SLACK * (np.abs(x * z) + y * y))
+    root_det = np.sqrt(np.maximum(det, 0.0))
+    scale = np.sqrt(np.where(closed, x + z + 2.0 * root_det, 1.0))
+    root = (s + root_det[..., None, None] * np.eye(2)) / scale[..., None, None]
+    if not np.all(closed):
+        root[~closed] = _eigh_root(s[~closed])
+    return root
 
 
 def inverse_spd(a: np.ndarray) -> np.ndarray:

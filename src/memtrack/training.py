@@ -30,6 +30,7 @@ from .network import (
 from .simulate import Dataset, SimCase
 
 __all__ = [
+    "MAX_MEMORY_DIM",
     "TrainConfig",
     "EpochRecord",
     "FoldReport",
@@ -38,6 +39,11 @@ __all__ = [
     "train",
     "grad_check",
 ]
+
+
+# Widest LSTM memory a config accepts: the (4h, 18 + h) gate weights alone
+# take 34 MB at this width, and a width of 10^7 would ask for petabytes.
+MAX_MEMORY_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,14 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "folds", "memory_dim", "clip"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.memory_dim > MAX_MEMORY_DIM:
+            raise ValueError(f"memory_dim must be at most {MAX_MEMORY_DIM}, "
+                             f"got {self.memory_dim}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.history_polygon < 3:
-            raise ValueError("history_polygon must be at least 3")
+        if not 3 <= self.history_polygon <= metrics_mod.MAX_POLYGON_ORDER:
+            raise ValueError(f"history_polygon must be between 3 and "
+                             f"{metrics_mod.MAX_POLYGON_ORDER}, got {self.history_polygon}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ import pytest
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.config import ConfigView
+from memtrack.metrics import MAX_POLYGON_ORDER
 from memtrack.network import zero_params
 from memtrack.store import read_checkpoint, read_dataset, write_checkpoint
+from memtrack.training import MAX_MEMORY_DIM
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,30 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert not ck.exists()
 
+    @pytest.mark.parametrize("width", ["10000000", str(MAX_MEMORY_DIM + 1)])
+    def test_memory_dim_above_the_cap_is_config_error(self, small_dataset, tmp_path, capsys,
+                                                      width):
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--memory-dim", width])
+        assert rc == EXIT_CONFIG
+        assert "memory_dim" in capsys.readouterr().err
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("setting, name", [
+        ("memory_dim = 10000000", "memory_dim"),
+        (f"history_polygon = {MAX_POLYGON_ORDER + 1}", "history_polygon"),
+        ("history_polygon = 100000000000", "history_polygon"),
+    ])
+    def test_config_value_above_the_cap_is_config_error(self, small_dataset, tmp_path, capsys,
+                                                        setting, name):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[train]\n{setting}\n")
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(small_dataset), "--out", str(ck), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not ck.exists()
+
     def test_no_finite_validation_loss_is_numeric_error(self, small_dataset, tmp_path,
                                                         monkeypatch):
         monkeypatch.setattr(training, "_validation_scores",
@@ -216,6 +242,15 @@ class TestEval:
         rc = main(["eval", str(small_dataset), "--baseline", "--out", str(tmp_path / "x"),
                    "--polygon", order])
         assert rc == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("order", [str(MAX_POLYGON_ORDER + 1), "100000000000"])
+    def test_polygon_above_the_cap_is_config_error(self, small_dataset, tmp_path, capsys,
+                                                   order):
+        rc = main(["eval", str(small_dataset), "--baseline", "--out", str(tmp_path / "x"),
+                   "--polygon", order])
+        assert rc == EXIT_CONFIG
+        assert "--polygon" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_mode_is_config_error(self, small_dataset, tmp_path):
@@ -414,6 +449,8 @@ class TestGradcheck:
                      "--corrupt"]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("extra", [["--memory-dim", "-3"], ["--memory-dim", "0"],
+                                       ["--memory-dim", "10000000"],
+                                       ["--memory-dim", str(MAX_MEMORY_DIM + 1)],
                                        ["--steps", "1"], ["--seed", "-1"]])
     def test_bad_value_is_config_error(self, extra):
         assert main(["gradcheck", "--steps", "2", "--memory-dim", "2", *extra]) == EXIT_CONFIG

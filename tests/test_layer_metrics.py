@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import memtrack
 from memtrack import cli
@@ -21,7 +22,11 @@ from bench import layers  # noqa: E402
 from bench.tracer import Tracer, aggregate, package_modules, self_times  # noqa: E402
 
 
-def _traced_commands(tmp_path):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The tracer after one small simulate, train, eval and track, and the
+    four exit codes."""
+    tmp_path = tmp_path_factory.mktemp("traced")
     data = tmp_path / "dataset_sw0.4_sv0.6.mtds"
     ckpt, out = str(tmp_path / "m.mtck"), str(tmp_path / "out")
     commands = [
@@ -43,9 +48,9 @@ def _traced_commands(tmp_path):
     return tracer, codes
 
 
-def test_no_layer_metric_is_null(tmp_path, capsys):
-    tracer, codes = _traced_commands(tmp_path)
-    assert codes == [cli.EXIT_OK] * 4, capsys.readouterr()
+def test_no_layer_metric_is_null(traced):
+    tracer, codes = traced
+    assert codes == [cli.EXIT_OK] * 4
     arr = tracer.arrays()
     own = self_times(arr["parent"], arr["start"], arr["end"])
     table = aggregate(tracer.names, arr["name_id"], arr["start"], arr["end"], own,
@@ -53,3 +58,25 @@ def test_no_layer_metric_is_null(tmp_path, capsys):
     values = layers.layer_metrics({"setup": table}, tracer.counts, tracer.unavailable)
     assert set(values) == {metric for metric, *_ in layers.LAYER_METRICS}
     assert {m: why for m, (value, why) in values.items() if value is None} == {}
+
+
+def test_eval_scores_through_the_hooked_functions(traced):
+    """The eval command reaches IoU, GWD and the matrix root through the
+    functions the benchmark wraps, not around them."""
+    tracer, codes = traced
+    assert codes == [cli.EXIT_OK] * 4
+    arr = tracer.arrays()
+    names = [tracer.names[i] for i in arr["name_id"]]
+    parent = arr["parent"].tolist()
+    eval_call = [sid for sid, name in enumerate(names) if name == "cli.main"][2]
+
+    def in_eval(sid):
+        while sid >= 0:
+            if sid == eval_call:
+                return True
+            sid = parent[sid]
+        return False
+
+    for span in ("metrics.case_series", "metrics.iou_ellipse", "metrics.gwd",
+                 "spdmat.sym_sqrt"):
+        assert any(name == span and in_eval(sid) for sid, name in enumerate(names)), span

@@ -5,9 +5,9 @@ import pytest
 
 from memtrack import metrics
 from memtrack.errors import NonFinite, ShapeMismatch
-from memtrack.filtering import TrackerConfig, run_filter
+from memtrack.filtering import TrackerConfig, extension_mean, run_filter
 from memtrack.metrics import EllipseEstimate, evaluate_run, gwd, iou_ellipse
-from memtrack.models import ScenarioConfig, nominal_cv_model
+from memtrack.models import ExtensionState, ScenarioConfig, nominal_cv_model
 from memtrack.simulate import generate_dataset
 from memtrack.spdmat import sym_sqrt
 
@@ -136,6 +136,12 @@ def near_identical_pairs(rng, n=100):
     return pairs
 
 
+def stacked(pairs):
+    """The pairs as two stacked EllipseEstimates, a's and b's."""
+    return tuple(EllipseEstimate(np.array([e.center for e in side]),
+                                 np.array([e.extent for e in side])) for side in zip(*pairs))
+
+
 class TestIoU:
     def test_identical(self):
         e = EllipseEstimate(np.array([1.0, 2.0]), np.array([[4.0, 1.0], [1.0, 2.0]]))
@@ -163,17 +169,42 @@ class TestIoU:
                                             disjoint_and_tangent_pairs, near_identical_pairs])
     def test_matches_polygon_clip(self, make_pairs):
         pairs = make_pairs(np.random.default_rng(11))
-        for order in (3, 4, 16, 64, 256):
+        for order in (3, 4, 16, 64, 256, 1024):
             for a, b in pairs:
                 assert abs(iou_ellipse(a, b, order) - clip_iou(a, b, order)) <= 1e-8, (order, a, b)
 
     def test_identical_is_one(self):
         rng = np.random.default_rng(12)
-        for order in (3, 4, 16, 64, 256):
+        for order in (3, 4, 16, 64, 256, 1024):
             for _ in range(10):
                 e = ellipse(rng.uniform(-500, 500, 2), rng.uniform(0.05, 10, 2),
                             rng.uniform(0, np.pi))
                 assert abs(iou_ellipse(e, e, order) - 1.0) <= 1e-12
+
+    def test_crossing_search_is_linear_in_the_order(self, monkeypatch):
+        """Near-identical boundaries make nearly every edge a candidate; each
+        candidate edge of a is still tested only against the few edges of b
+        in the sectors it sweeps, not against every candidate edge of b."""
+        order = 1024
+        pairs_per_step, edges_per_step = [], []
+        crossings = metrics._crossings
+
+        def counting(ax, ay, bx, by, step, ea, eb):
+            steps = ax.shape[0]
+            pairs_per_step.extend(np.bincount(step, minlength=steps))
+            edges = np.unique(step * order + ea) // order
+            edges_per_step.extend(np.bincount(edges, minlength=steps))
+            return crossings(ax, ay, bx, by, step, ea, eb)
+
+        monkeypatch.setattr(metrics, "_crossings", counting)
+        pairs = near_identical_pairs(np.random.default_rng(13))
+        a, b = stacked(pairs)
+        iou_ellipse(a, b, order)
+        assert len(pairs_per_step) == len(pairs)
+        # some step has order / 4 candidate edges or more (about order / 2
+        # today), where pairing them with b's would make order**2 / 16 pairs
+        assert max(edges_per_step) >= order // 4
+        assert max(pairs_per_step) <= 4 * order   # about 2 order today
 
     @pytest.mark.parametrize("extent", [
         np.diag([4.0, 0.0]),
@@ -220,6 +251,67 @@ class TestIoU:
             f1 = EllipseEstimate(r @ e1.center + t, r @ e1.extent @ r.T)
             f2 = EllipseEstimate(r @ e2.center + t, r @ e2.extent @ r.T)
             assert abs(iou_ellipse(e1, e2) - iou_ellipse(f1, f2)) < 1e-6
+
+
+class TestStacks:
+    """A stack of K pairs scores each row as that pair alone would."""
+
+    def _case(self):
+        cfg = ScenarioConfig(steps=141, cases=1, seed=29)
+        case = generate_dataset(cfg).cases[0]
+        model = nominal_cv_model(sigma_w=cfg.sigma_w)
+        states, exts, _ = run_filter(case.frames, model, TrackerConfig())
+        return states, exts, case.truth
+
+    def test_case_series_rows_match_single_pairs(self):
+        states, exts, truth = self._case()
+        rows = metrics.case_series(states, exts, truth, polygon_order=256)
+        assert rows.shape == (140, 3)
+        for i, (st, ex) in enumerate(zip(states, exts)):
+            est = EllipseEstimate(st.mean[:2], extension_mean(ex))
+            tru = EllipseEstimate(truth.states[i + 1, :2], truth.extents[i + 1])
+            err = st.mean[:2] - truth.states[i + 1, :2]
+            assert rows[i, 0] == np.sqrt(err @ err)     # bit for bit: rmse cannot move
+            assert abs(rows[i, 1] - iou_ellipse(est, tru, 256)) <= 1e-12
+            assert abs(rows[i, 2] - gwd(est, tru)) <= 1e-12
+            one = [EllipseEstimate(e.center[None], e.extent[None]) for e in (est, tru)]
+            assert iou_ellipse(*one, order=256).shape == (1,)
+            assert abs(rows[i, 1] - iou_ellipse(*one, order=256)[0]) <= 1e-12
+            assert abs(rows[i, 2] - gwd(*one)[0]) <= 1e-12
+
+    def test_one_flat_row_scores_zero_alone(self):
+        rng = np.random.default_rng(31)
+        pairs = random_pairs(rng, n=6)
+        a, b = stacked(pairs)
+        whole = iou_ellipse(a, b)
+        flat = a.extent.copy()
+        flat[2] = np.diag([4.0, 0.0])
+        got = iou_ellipse(EllipseEstimate(a.center, flat), b)
+        assert got[2] == 0.0
+        np.testing.assert_array_equal(np.delete(got, 2), np.delete(whole, 2))
+        assert (np.delete(whole, 2) > 0.0).any()
+
+    def test_non_finite_extent_raises(self):
+        states, exts, truth = self._case()
+        bad = exts[:]
+        bad[7] = ExtensionState(dof=bad[7].dof, param=np.full((2, 2), np.nan))
+        with pytest.raises(NonFinite):
+            metrics.case_series(states, bad, truth)
+        circles = EllipseEstimate(np.zeros((3, 2)), np.stack([np.eye(2)] * 3))
+        broken = EllipseEstimate(np.zeros((3, 2)), circles.extent.copy())
+        broken.extent[1, 0, 0] = np.inf
+        with pytest.raises(NonFinite):
+            gwd(circles, broken)
+        with pytest.raises(NonFinite):
+            iou_ellipse(circles, broken)
+
+    def test_stacks_of_different_lengths_are_rejected(self):
+        three = EllipseEstimate(np.zeros((3, 2)), np.stack([np.eye(2)] * 3))
+        two = EllipseEstimate(np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ShapeMismatch):
+            iou_ellipse(three, two)
+        with pytest.raises(ShapeMismatch):
+            gwd(three, two)
 
 
 class TestGwd:
