@@ -30,11 +30,12 @@ counts = [len(f) for c in ds.cases for f in c.frames]
 print(f"scatterers per frame: mean {np.mean(counts):.1f}, min {min(counts)}")
 
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
+test_cases = [ds.cases[int(idx)] for idx in ds.test_idx]
 runs = []
-for idx in ds.test_idx:
-    st, ex, _ = mt.run_filter(ds.cases[int(idx)].frames, model, mt.TrackerConfig())
+for case in test_cases:
+    st, ex, _ = mt.run_filter(case.frames, model, mt.TrackerConfig())
     runs.append((st, ex))
-rep = mt.evaluate_run(ds, runs, polygon_order=128)
+rep = mt.evaluate_run(test_cases, runs, polygon_order=128)
 print(f"\nbaseline on test split: rmse={rep.position_rmse:.3f} m  "
       f"iou={rep.mean_iou:.3f}  gwd={rep.mean_gwd:.3f}")
 print(f"peaks: err={rep.peak_position_error:.3f} m  iou_min={rep.peak_iou:.3f}  "

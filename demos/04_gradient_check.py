@@ -2,9 +2,10 @@
 
 The whole recursion (matrix solves, SPD projections, the LSTM, the
 compensation heads) is recorded on a reverse-mode tape; this script
-compares every analytic parameter gradient with a fourth-order central
-difference on a short sequence, then shows the harness catching a
-deliberately corrupted adjoint.
+compares every entry of the gradient that training uses with a
+fourth-order central difference on a short sequence, then shows the harness
+catching a deliberately corrupted adjoint: a wrapper around the training
+gradient damages one entry.
 """
 
 import time
@@ -12,6 +13,7 @@ import time
 import numpy as np
 
 import memtrack as mt
+from memtrack import training
 from memtrack.network import init_params
 from memtrack.training import grad_check
 
@@ -31,5 +33,19 @@ print(f"checked {n_params} parameters on a K={cfg.steps} sequence "
       f"in {time.time() - t0:.1f} s")
 print(f"max relative error vs finite differences: {err:.2e}")
 
-err_bad = grad_check(params, case, model, eps=1e-5, corrupt=True)
+sequence_gradients = training._sequence_gradients
+
+
+def corrupted(params, case, model, cfg):
+    loss, grads = sequence_gradients(params, case, model, cfg)
+    first = next(iter(grads))
+    grads[first].flat[0] += 1.0 + max(float(np.max(np.abs(g))) for g in grads.values())
+    return loss, grads
+
+
+training._sequence_gradients = corrupted
+try:
+    err_bad = grad_check(params, case, model, eps=1e-5)
+finally:
+    training._sequence_gradients = sequence_gradients
 print(f"with one corrupted adjoint entry        : {err_bad:.2e}  (harness trips)")

@@ -20,16 +20,18 @@ model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
 tcfg = mt.TrackerConfig()
 
 
+test_cases = [ds.cases[int(idx)] for idx in ds.test_idx]
+
+
 def evaluate(params):
     runs = []
-    for idx in ds.test_idx:
-        frames = ds.cases[int(idx)].frames
+    for case in test_cases:
         if params is None:
-            st, ex, _ = mt.run_filter(frames, model, tcfg)
+            st, ex, _ = mt.run_filter(case.frames, model, tcfg)
         else:
-            st, ex, _ = mt.forward_sequence(params, frames, model, tcfg)
+            st, ex, _ = mt.forward_sequence(params, case.frames, model, tcfg)
         runs.append((st, ex))
-    return mt.evaluate_run(ds, runs, polygon_order=128)
+    return mt.evaluate_run(test_cases, runs, polygon_order=128)
 
 
 base = evaluate(None)
@@ -38,8 +40,7 @@ print(f"baseline: rmse={base.position_rmse:.3f} m  iou={base.mean_iou:.3f}  "
 
 train_cfg = mt.TrainConfig(epochs=10, folds=1, memory_dim=16, seed=1,
                            learning_rate=3e-3, momentum=0.5, clip=2.0,
-                           batch_size=4, history_metric_cases=2,
-                           history_polygon=64)
+                           batch_size=4, history_polygon=64)
 t0 = time.time()
 params, history, folds = mt.train(ds, model, train_cfg)
 print(f"\ntrained {train_cfg.epochs} epochs on {len(ds.train_idx)} sequences "

@@ -71,16 +71,6 @@ class ConfigView:
     def get_float(self, key: str, default: float | None = None) -> float | None:
         return self._convert(key, float, default)
 
-    def get_bool(self, key: str, default: bool | None = None) -> bool | None:
-        def conv(raw: str) -> bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return self._convert(key, conv, default)
-
     def get_float_pairs(self, key: str, default=None):
         """Parse e.g. ``0.4:0.6, 0.6:0.8`` into [(0.4, 0.6), (0.6, 0.8)]."""
         if key not in self.values:

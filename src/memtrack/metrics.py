@@ -30,7 +30,6 @@ import numpy as np
 from . import ops
 from .errors import NonFinite, ShapeMismatch
 from .filtering import extension_mean
-from .simulate import Dataset
 from .spdmat import sym_sqrt
 
 __all__ = [
@@ -371,23 +370,18 @@ def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     return rows
 
 
-def evaluate_run(dataset: Dataset, posteriors, case_indices=None,
-                 polygon_order: int = 256) -> MetricsReport:
-    """Aggregate metrics for filtered posteriors against dataset truth.
+def evaluate_run(cases, posteriors, polygon_order: int = 256) -> MetricsReport:
+    """Aggregate metrics for filtered posteriors against their cases' truth.
 
     ``posteriors`` is a list of (states, extensions) pairs aligned with
-    ``case_indices`` (defaults to the dataset's test split).  Extents are
-    scored via the lambda-scaled extension mean.
+    ``cases`` (anything with a ``.truth``), pooled over every step of every
+    case.  Extents are scored via the lambda-scaled extension mean.
     """
-    if case_indices is None:
-        case_indices = dataset.test_idx
-    if len(posteriors) != len(case_indices):
+    if len(posteriors) != len(cases):
         raise ShapeMismatch(
-            f"{len(posteriors)} posterior runs vs {len(case_indices)} cases")
-    per_case = []
-    for (states, exts), idx in zip(posteriors, case_indices):
-        truth = dataset.cases[int(idx)].truth
-        per_case.append(case_series(states, exts, truth, polygon_order=polygon_order))
+            f"{len(posteriors)} posterior runs vs {len(cases)} cases")
+    per_case = [case_series(states, exts, case.truth, polygon_order=polygon_order)
+                for (states, exts), case in zip(posteriors, cases)]
     stacked = np.concatenate(per_case, axis=0)
     mse = float(np.mean(stacked[:, 0] ** 2))
     return MetricsReport(

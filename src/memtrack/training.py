@@ -5,6 +5,10 @@ projections included), so the loss gradient reaches every head weight; the
 optimizer is momentum SGD with global-norm gradient clipping.  Feature
 standardization statistics are collected from a zero-compensation pass over
 the training split and frozen before the first update.
+
+``_case_loss`` is the one place a case is forwarded and scored by the loss;
+validation pools its metrics through :func:`memtrack.metrics.evaluate_run`,
+and ``grad_check`` checks the gradient that training itself computes.
 """
 
 from __future__ import annotations
@@ -64,8 +68,7 @@ class TrainConfig:
     mask_update: bool = False
     mask_memory: bool = False
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    history_metric_cases: int = 8    # val sequences scored with IoU/GWD per epoch
-    history_polygon: int = 64        # polygon order for those history metrics
+    history_polygon: int = 64        # polygon order of the per-epoch IoU
 
     def __post_init__(self):
         if not 0 <= self.learning_rate < np.inf:  # NaN fails both tests
@@ -78,6 +81,8 @@ class TrainConfig:
                              f"got {self.memory_dim}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0 < self.val_fraction < 1:  # NaN fails both tests
+            raise ValueError(f"val_fraction must be between 0 and 1, got {self.val_fraction}")
         if not 3 <= self.history_polygon <= metrics_mod.MAX_POLYGON_ORDER:
             raise ValueError(f"history_polygon must be between 3 and "
                              f"{metrics_mod.MAX_POLYGON_ORDER}, got {self.history_polygon}")
@@ -173,18 +178,26 @@ def _sequence_gradients(params, case, model, cfg):
             gc.enable()
 
 
+def _case_loss(params, case, model, tracker, l2=0.0, tape=None):
+    """Forward one case through the learned filter and take its joint loss
+    against the case's truth; returns (loss, states, extensions, leaves).
+
+    The L2 term covers the tape leaves when taped, else ``params.arrays``.
+    """
+    states, exts, leaves = forward_sequence(params, case.frames, model, tracker, tape=tape)
+    loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:],
+                         weights=params.arrays if leaves is None else leaves, gamma=l2)
+    return loss, states, exts, leaves
+
+
 def _taped_gradients(params, case, model, cfg):
     zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     tape = ops.Tape()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            states, exts, leaves = forward_sequence(params, case.frames, model,
-                                                    cfg.tracker, tape=tape)
+            loss, _, _, leaves = _case_loss(params, case, model, cfg.tracker, cfg.l2, tape)
         except NonFinite:
             return float("nan"), zeros
-        loss = sequence_loss(
-            states, exts, case.truth.states[1:], case.truth.extents[1:],
-            weights=leaves, gamma=cfg.l2)
         if not isinstance(loss, ops.Var):
             # All learnable paths masked away: nothing to differentiate.
             return float(ops.value(loss)), zeros
@@ -199,31 +212,28 @@ def _taped_gradients(params, case, model, cfg):
     return float(loss.value), out
 
 
-def _validation_scores(params, cases, model, cfg):
-    """Mean joint loss and metric summaries over a validation fold."""
-    losses = []
-    pos_sq = []
-    ious, gwds = [], []
-    for idx, case in enumerate(cases):
+def _validation_loss(params, cases, model, tracker):
+    """Mean joint loss over ``cases`` and their (states, extensions)
+    posteriors, or (inf, None) when a case turns non-finite."""
+    losses, runs = [], []
+    for case in cases:
         try:
-            states, exts, _ = forward_sequence(params, case.frames, model, cfg.tracker)
+            loss, states, exts, _ = _case_loss(params, case, model, tracker)
         except NonFinite:
-            return float("inf"), float("nan"), float("nan"), float("nan")
-        loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:])
+            return float("inf"), None
         losses.append(float(ops.value(loss)))
-        est_pos = np.array([ops.value(s.mean)[:2] for s in states])
-        err = est_pos - case.truth.states[1:, :2]
-        pos_sq.append(np.sum(err * err, axis=1))
-        if idx < cfg.history_metric_cases:
-            series = metrics_mod.case_series(
-                states, exts, case.truth, polygon_order=cfg.history_polygon)
-            ious.append(series[:, 1])
-            gwds.append(series[:, 2])
-    val_loss = float(np.mean(losses))
-    val_rmse = float(np.sqrt(np.mean(np.concatenate(pos_sq))))
-    val_iou = float(np.mean(np.concatenate(ious))) if ious else float("nan")
-    val_gwd = float(np.mean(np.concatenate(gwds))) if gwds else float("nan")
-    return val_loss, val_rmse, val_iou, val_gwd
+        runs.append((states, exts))
+    return float(np.mean(losses)), runs
+
+
+def _validation_scores(params, cases, model, cfg):
+    """(loss, position RMSE, IoU, GWD) over a validation fold, the metrics
+    pooled over every step of every case at ``cfg.history_polygon``."""
+    val_loss, runs = _validation_loss(params, cases, model, cfg.tracker)
+    if runs is None:
+        return val_loss, float("nan"), float("nan"), float("nan")
+    rep = metrics_mod.evaluate_run(cases, runs, polygon_order=cfg.history_polygon)
+    return val_loss, rep.position_rmse, rep.mean_iou, rep.mean_gwd
 
 
 def _fold_partition(n: int, cfg: TrainConfig, rng: np.random.Generator):
@@ -245,8 +255,9 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
     The returned parameters are the checkpoint with the lowest validation
     joint loss across every (fold, epoch); NonFinite is raised when no
     validation loss is finite, ConfigError when there are more folds than
-    training sequences.  History carries one record per
-    (fold, epoch) with train/val loss and validation metric summaries.
+    training sequences or a fold leaves none to train on.  History carries
+    one record per (fold, epoch) with train/val loss and validation metric
+    summaries.
     """
     train_cases = [dataset.cases[i] for i in dataset.train_idx]
     if not train_cases:
@@ -262,6 +273,9 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
     best_params, best_val = None, np.inf
 
     for fold, tr_idx, val_idx in _fold_partition(len(train_cases), cfg, split_rng):
+        if len(tr_idx) == 0:
+            raise ConfigError(f"fold {fold} holds out {len(val_idx)} of {len(train_cases)} "
+                              f"training sequences and leaves none to train on")
         fold_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, fold))))
         params = init_params(
             cfg.memory_dim, fold_rng,
@@ -276,10 +290,10 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
 
         # Training through a 140-step recursion can blow up if a step lands
         # in filter-unstable territory; anchor on the initialization loss
-        # (only the loss: no IoU/GWD), and on a diverged epoch restore the best-known parameters and
-        # halve the learning rate instead of wandering on.
-        init_val, _, _, _ = _validation_scores(params, val_cases, model,
-                                               replace(cfg, history_metric_cases=0))
+        # (only the loss: no IoU/GWD), and on a diverged epoch restore the
+        # best-known parameters and halve the learning rate instead of
+        # wandering on.
+        init_val, _ = _validation_loss(params, val_cases, model, cfg.tracker)
         fold_best, fold_best_epoch = init_val, -1
         fold_best_arrays = {k: v.copy() for k, v in params.arrays.items()}
         lr_eff = cfg.learning_rate
@@ -337,40 +351,33 @@ def grad_check(
     tcfg: TrackerConfig | None = None,
     eps: float = 1e-5,
     gamma: float = 0.0,
-    corrupt: bool = False,
 ) -> float:
-    """Worst mixed relative error of BPTT gradients vs central differences.
+    """Worst mixed relative error of the training gradient vs central differences.
 
-    Every parameter entry is probed with a fourth-order central stencil at
-    step eps (evaluations at +-eps and +-2 eps); the higher-order stencil
-    removes the truncation error that a plain two-point difference shows on
+    The analytic gradient is the one training uses, from
+    :func:`_sequence_gradients` with L2 weight ``gamma``.  Every parameter
+    entry is probed with a fourth-order central stencil at step eps
+    (evaluations at +-eps and +-2 eps); the higher-order stencil removes the
+    truncation error that a plain two-point difference shows on
     high-curvature instances while keeping roundoff negligible.  Errors are
     normalized by max(|analytic|, |fd|, 1e-3 * (1 + max |analytic|)): the
     absolute floor keeps roundoff on near-zero entries from drowning the
-    comparison, while real adjoint bugs still blow past any threshold.
-    ``corrupt`` deliberately damages one gradient entry to prove the
-    harness would catch a broken adjoint.
+    comparison, while real adjoint bugs still blow past any threshold.  A
+    skipped sequence, or a non-finite error on any entry (a non-finite
+    gradient entry or difference makes one), returns inf: NaN never passes.
     """
     tcfg = tcfg or TrackerConfig()
-    tape = ops.Tape()
-    states, exts, leaves = forward_sequence(params, case.frames, model, tcfg, tape=tape)
-    loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:],
-                         weights=leaves, gamma=gamma)
-    grads_all = tape.backward(loss)
-    analytic = {k: tape.grad(grads_all, v) for k, v in leaves.items()}
+    loss, analytic = _sequence_gradients(params, case, model,
+                                         TrainConfig(tracker=tcfg, l2=gamma))
+    if not np.isfinite(loss):
+        return float("inf")
     ginf = max(float(np.max(np.abs(g))) for g in analytic.values())
-    if corrupt:
-        first = next(iter(analytic))
-        analytic[first].flat[0] += 1.0 + ginf
     floor = 1e-3 * (1.0 + ginf)
 
     def loss_at(arrays):
         probe = params.copy()
         probe.arrays = arrays
-        st, ex, _ = forward_sequence(probe, case.frames, model, tcfg)
-        lv = sequence_loss(st, ex, case.truth.states[1:], case.truth.extents[1:],
-                           weights=arrays if gamma else None, gamma=gamma)
-        return float(ops.value(lv))
+        return float(ops.value(_case_loss(probe, case, model, tcfg, gamma)[0]))
 
     worst = 0.0
     for name, base in params.arrays.items():
@@ -384,5 +391,7 @@ def grad_check(
                 / (12.0 * eps)
             a = analytic[name].ravel()[i]
             err = abs(a - fd) / max(abs(a), abs(fd), floor)
+            if not np.isfinite(err):
+                return float("inf")
             worst = max(worst, err)
     return worst

@@ -114,7 +114,8 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert not ck.exists()
 
-    @pytest.mark.parametrize("setting", ["learning_rate = nan", "clip = nan", "clip = inf"])
+    @pytest.mark.parametrize("setting", ["learning_rate = nan", "clip = nan", "clip = inf",
+                                         "val_fraction = nan"])
     def test_non_finite_config_value_is_config_error(self, small_dataset, tmp_path, setting):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(f"[train]\n{setting}\n")
@@ -129,6 +130,18 @@ class TestTrain:
                    "--epochs", "1", "--memory-dim", "4"])
         assert rc == EXIT_CONFIG
         assert "20 folds" in capsys.readouterr().err
+        assert not ck.exists()
+
+    def test_holdout_of_the_only_training_case_is_config_error(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path), "--seed", "2", "--cases", "1",
+                   "--steps", "6", "--levels", "0.4:0.6"])
+        assert rc == EXIT_OK
+        assert len(read_dataset(tmp_path / "dataset_sw0.4_sv0.6.mtds").train_idx) == 1
+        ck = tmp_path / "x.mtck"
+        rc = main(["train", str(tmp_path / "dataset_sw0.4_sv0.6.mtds"), "--out", str(ck),
+                   "--folds", "1", "--epochs", "1", "--memory-dim", "2"])
+        assert rc == EXIT_CONFIG
+        assert "none to train on" in capsys.readouterr().err
         assert not ck.exists()
 
     def test_degenerate_history_polygon_is_config_error(self, small_dataset, tmp_path):
@@ -152,6 +165,7 @@ class TestTrain:
         ("memory_dim = 10000000", "memory_dim"),
         (f"history_polygon = {MAX_POLYGON_ORDER + 1}", "history_polygon"),
         ("history_polygon = 100000000000", "history_polygon"),
+        ("val_fraction = 1.5", "val_fraction"),
     ])
     def test_config_value_above_the_cap_is_config_error(self, small_dataset, tmp_path, capsys,
                                                         setting, name):
@@ -165,8 +179,7 @@ class TestTrain:
 
     def test_no_finite_validation_loss_is_numeric_error(self, small_dataset, tmp_path,
                                                         monkeypatch):
-        monkeypatch.setattr(training, "_validation_scores",
-                            lambda *a: (float("inf"), float("nan"), float("nan"), float("nan")))
+        monkeypatch.setattr(training, "_validation_loss", lambda *a: (float("inf"), None))
         ck = tmp_path / "x.mtck"
         rc = main(["train", str(small_dataset), "--out", str(ck), "--epochs", "1",
                    "--folds", "1", "--memory-dim", "4"])
@@ -444,9 +457,29 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "1", "--steps", "2",
                      "--memory-dim", "4"]) == EXIT_OK
 
-    def test_corrupt_flag_trips(self):
-        assert main(["gradcheck", "--seed", "0", "--steps", "3", "--memory-dim", "4",
-                     "--corrupt"]) == EXIT_NUMERIC
+    def test_wrapped_corrupt_adjoint_exits_numeric(self, monkeypatch, capsys):
+        sequence_gradients = training._sequence_gradients
+
+        def corrupted(params, case, model, cfg):
+            loss, grads = sequence_gradients(params, case, model, cfg)
+            grads[next(iter(grads))].flat[0] += 1.0
+            return loss, grads
+
+        monkeypatch.setattr(training, "_sequence_gradients", corrupted)
+        assert main(["gradcheck", "--seed", "0", "--steps", "3",
+                     "--memory-dim", "4"]) == EXIT_NUMERIC
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_gradient_exits_numeric(self, monkeypatch):
+        sequence_gradients = training._sequence_gradients
+
+        def poisoned(params, case, model, cfg):
+            loss, grads = sequence_gradients(params, case, model, cfg)
+            return loss, {k: np.full_like(g, np.nan) for k, g in grads.items()}
+
+        monkeypatch.setattr(training, "_sequence_gradients", poisoned)
+        assert main(["gradcheck", "--seed", "0", "--steps", "2",
+                     "--memory-dim", "2"]) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("extra", [["--memory-dim", "-3"], ["--memory-dim", "0"],
                                        ["--memory-dim", "10000000"],
@@ -536,12 +569,14 @@ class TestConfigKeys:
 
     def test_every_dataclass_key_reaches_its_field(self):
         other = {"cv_ct": "cv", "direct": "white_accel"}
+        shares = {"val_fraction": 0.5}     # default + 1 would leave (0, 1)
         expected = {}
         for section, (cls, skip) in cli.DATACLASS_SECTIONS.items():
             for f in fields(cls):
                 if f.name not in skip and f.default is not MISSING:
                     d = f.default
-                    expected[(section, f.name)] = other[d] if isinstance(d, str) else d + 1
+                    expected[(section, f.name)] = shares.get(
+                        f.name, other[d] if isinstance(d, str) else d + 1)
         view = ConfigView({f"{s}.{n}": str(v) for (s, n), v in expected.items()})
         train_cfg = cli._train_config(view)
         built = {"scenario": cli._scenario_from(view, argparse.Namespace()),

@@ -37,22 +37,15 @@ epochs = 30
 
 class TestTypedGetters:
     def test_conversions(self):
-        view = ConfigView({"a.i": "3", "a.f": "0.5", "a.b": "true", "a.s": "hello"})
+        view = ConfigView({"a.i": "3", "a.f": "0.5", "a.s": "hello"})
         assert view.get_int("a.i") == 3
         assert view.get_float("a.f") == 0.5
-        assert view.get_bool("a.b") is True
         assert view.get_str("a.s") == "hello"
         assert view.get_int("missing", 7) == 7
 
     def test_bad_int(self):
         with pytest.raises(ConfigError):
             ConfigView({"k": "abc"}).get_int("k")
-
-    def test_bool_variants(self):
-        for raw, expected in [("1", True), ("on", True), ("no", False), ("0", False)]:
-            assert ConfigView({"k": raw}).get_bool("k") is expected
-        with pytest.raises(ConfigError):
-            ConfigView({"k": "maybe"}).get_bool("k")
 
     def test_float_pairs(self):
         view = ConfigView({"levels": "0.4:0.6, 0.8:1"})

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,50 @@ class TestPredictExtension:
             draws.append(sample_wishart(model.delta, x_prev, rng) / model.delta)
         mc = np.mean(draws, axis=0)
         np.testing.assert_allclose(mc, analytic, rtol=0.05)
+
+
+# (filter dof v, transition dof delta) points of the Monte Carlo check
+PREDICTION_GRID = [(12.0, 7.0), (30.0, 7.0), (150.0, 50.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_prediction(v, delta, draws=200_000):
+    """The predicted extension next to draws of the distribution it
+    approximates: X ~ IW(v - 3, V) (textbook dof, mean V / (v - 6), the
+    filter's point estimate) pushed through Y ~ W(delta, X) / delta, with
+    W(delta, X) drawn as L W(delta, I) L^T for X = L L^T."""
+    model = models.nominal_cv_model(sigma_w=0.4, delta=delta)
+    param = (v - 6.0) * np.array([[8.0, 2.0], [2.0, 5.0]])
+    pred = filtering.predict_extension(ExtensionState(dof=v, param=param), model, ZERO_PPHI)
+    rng = np.random.default_rng(2026)
+    x = sample_inverse_wishart(v - 3.0, param, rng, size=draws)
+    chol = np.linalg.cholesky(x)
+    y = chol @ sample_wishart(delta, np.eye(2), rng, size=draws) @ np.swapaxes(chol, -1, -2)
+    return pred, y / delta
+
+
+def inverse_wishart_variance(ext):
+    """Per-entry variance of the filter's IW(dof, param), textbook dof - 3."""
+    n, d, psi = ext.dof - 3.0, 2, ext.param
+    diag = np.diag(psi)
+    return (((n - d + 1) * psi ** 2 + (n - d - 1) * np.outer(diag, diag))
+            / ((n - d) * (n - d - 1) ** 2 * (n - d - 3)))
+
+
+class TestPredictExtensionMonteCarlo:
+    @pytest.mark.parametrize("v, delta", PREDICTION_GRID)
+    def test_mean_matches_sampling(self, v, delta):
+        pred, y = sampled_prediction(v, delta)
+        np.testing.assert_allclose(filtering.extension_mean(pred), y.mean(axis=0), rtol=0.02)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the predicted IW's entry variances are 0.49-0.51 of the sampled ones at "
+        "every grid point (200k draws): the dof formula gives about twice the "
+        "dof that matches the variance"))
+    @pytest.mark.parametrize("v, delta", PREDICTION_GRID)
+    def test_variance_matches_sampling(self, v, delta):
+        pred, y = sampled_prediction(v, delta)
+        np.testing.assert_allclose(inverse_wishart_variance(pred), y.var(axis=0), rtol=0.1)
 
 
 class TestInnovation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memtrack import ops
+from memtrack import ops, training
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.network import forward_sequence, init_params, sequence_loss, zero_params
 from memtrack.simulate import generate_case
@@ -39,10 +39,34 @@ class TestGradCheck:
         params = perturbed_params(4, 7)
         assert grad_check(params, case, model, eps=1e-5, gamma=1e-3) < 1e-4
 
-    def test_corrupted_adjoint_detected(self):
+    def test_corrupted_adjoint_detected(self, monkeypatch):
         case, model = make_case(4, 5)
         params = perturbed_params(4, 5)
-        assert grad_check(params, case, model, eps=1e-5, corrupt=True) > 1e-2
+        sequence_gradients = training._sequence_gradients
+
+        def corrupted(params, case, model, cfg):
+            loss, grads = sequence_gradients(params, case, model, cfg)
+            ginf = max(float(np.max(np.abs(g))) for g in grads.values())
+            grads[next(iter(grads))].flat[0] += 1.0 + ginf
+            return loss, grads
+
+        monkeypatch.setattr(training, "_sequence_gradients", corrupted)
+        assert grad_check(params, case, model, eps=1e-5) > 1e-2
+
+    @pytest.mark.parametrize("poison", ["gradients", "loss"])
+    def test_non_finite_training_gradient_fails(self, monkeypatch, poison):
+        case, model = make_case(3, 5)
+        params = perturbed_params(2, 5)
+        sequence_gradients = training._sequence_gradients
+
+        def poisoned(params, case, model, cfg):
+            loss, grads = sequence_gradients(params, case, model, cfg)
+            if poison == "loss":
+                return float("nan"), grads
+            return loss, {k: np.full_like(g, np.nan) for k, g in grads.items()}
+
+        monkeypatch.setattr(training, "_sequence_gradients", poisoned)
+        assert grad_check(params, case, model, eps=1e-5) == float("inf")
 
     def test_masked_blocks_have_zero_gradients(self):
         case, model = make_case(5, 11)

@@ -382,20 +382,21 @@ class TestGwd:
 
 
 class TestEvaluateRun:
-    def _dataset_and_runs(self):
+    def _cases_and_runs(self):
         cfg = ScenarioConfig(steps=25, cases=3, seed=19)
         ds = generate_dataset(cfg)
         model = nominal_cv_model(sigma_w=cfg.sigma_w)
+        cases = [ds.cases[int(idx)] for idx in ds.test_idx]
         runs = []
-        for idx in ds.test_idx:
-            st, ex, _ = run_filter(ds.cases[int(idx)].frames, model, TrackerConfig())
+        for case in cases:
+            st, ex, _ = run_filter(case.frames, model, TrackerConfig())
             runs.append((st, ex))
-        return ds, runs
+        return cases, runs
 
     def test_report_shapes(self):
-        ds, runs = self._dataset_and_runs()
-        rep = evaluate_run(ds, runs, polygon_order=64)
-        assert len(rep.per_case) == len(ds.test_idx)
+        cases, runs = self._cases_and_runs()
+        rep = evaluate_run(cases, runs, polygon_order=64)
+        assert len(rep.per_case) == len(cases)
         assert all(series.shape == (24, 3) for series in rep.per_case)
         assert 0.0 <= rep.mean_iou <= 1.0
         assert rep.peak_iou <= rep.mean_iou
@@ -410,26 +411,26 @@ class TestEvaluateRun:
                   for k in range(1, 10)]
         exts = [ExtensionState(dof=10.0, param=4.0 * case.truth.extents[k])
                 for k in range(1, 10)]
-        rep = evaluate_run(ds, [(states, exts)], case_indices=[0])
+        rep = evaluate_run([case], [(states, exts)])
         assert rep.position_rmse == 0.0
         assert rep.mean_iou > 0.999
         assert rep.mean_gwd < 1e-9
         # a constant (3, 4) m position offset: every step errs by 5 m
         shifted = [TrackState(mean=s.mean + np.array([3.0, 4.0, 0.0, 0.0]), cov=s.cov)
                    for s in states]
-        rep = evaluate_run(ds, [(shifted, exts)], case_indices=[0])
+        rep = evaluate_run([case], [(shifted, exts)])
         assert abs(rep.mean_square_position_error - 25.0) < 1e-9
         assert abs(rep.position_rmse - 5.0) < 1e-9
 
     def test_deterministic(self):
-        ds, runs = self._dataset_and_runs()
-        a = evaluate_run(ds, runs, polygon_order=64)
-        b = evaluate_run(ds, runs, polygon_order=64)
+        cases, runs = self._cases_and_runs()
+        a = evaluate_run(cases, runs, polygon_order=64)
+        b = evaluate_run(cases, runs, polygon_order=64)
         assert a.position_rmse == b.position_rmse
         assert a.mean_iou == b.mean_iou
         assert a.mean_gwd == b.mean_gwd
 
     def test_shape_mismatch(self):
-        ds, runs = self._dataset_and_runs()
+        cases, runs = self._cases_and_runs()
         with pytest.raises(ShapeMismatch):
-            evaluate_run(ds, runs[:-1])
+            evaluate_run(cases, runs[:-1])

@@ -5,7 +5,8 @@ from memtrack import training
 from memtrack.errors import EmptyDataset, NonFinite
 from memtrack.filtering import TrackerConfig
 from memtrack.models import ScenarioConfig, nominal_cv_model
-from memtrack.network import FEATURE_DIM, init_params
+from memtrack.metrics import evaluate_run
+from memtrack.network import FEATURE_DIM, forward_sequence, init_params
 from memtrack.simulate import Dataset, generate_dataset
 from memtrack.training import TrainConfig, collect_feature_stats, sgd_step, train
 
@@ -20,7 +21,7 @@ def tiny():
 
 def make_cfg(**kw):
     base = dict(epochs=1, folds=1, memory_dim=4, seed=0, batch_size=2,
-                history_metric_cases=1, history_polygon=32)
+                history_polygon=32)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -108,10 +109,20 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             train(empty, model, make_cfg())
 
+    def test_validation_scores_pool_every_case(self):
+        cfg = ScenarioConfig(steps=6, cases=10, seed=52)
+        cases = generate_dataset(cfg).cases
+        model = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
+        params = init_params(4, np.random.default_rng(0))
+        tcfg = make_cfg()
+        runs = [forward_sequence(params, c.frames, model, tcfg.tracker)[:2] for c in cases]
+        rep = evaluate_run(cases, runs, polygon_order=tcfg.history_polygon)
+        _, rmse, iou, gwd = training._validation_scores(params, cases, model, tcfg)
+        assert (rmse, iou, gwd) == (rep.position_rmse, rep.mean_iou, rep.mean_gwd)
+
     def test_no_finite_validation_loss_raises(self, tiny, monkeypatch):
         ds, model = tiny
-        monkeypatch.setattr(training, "_validation_scores",
-                            lambda *a: (float("inf"), float("nan"), float("nan"), float("nan")))
+        monkeypatch.setattr(training, "_validation_loss", lambda *a: (float("inf"), None))
         with pytest.raises(NonFinite):
             train(ds, model, make_cfg(learning_rate=0.0))
 
