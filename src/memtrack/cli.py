@@ -31,7 +31,7 @@ from .store import (
     write_dataset,
     write_report,
 )
-from .training import MAX_MEMORY_DIM, EpochRecord, TrainConfig, grad_check, train
+from .training import MAX_MEMORY_DIM, EpochRecord, TrainConfig, check_folds, grad_check, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -388,6 +388,8 @@ def cmd_datascale(args) -> int:
     epochs = args.epochs if args.epochs is not None else view.get_int("datascale.epochs", 10)
     seed = args.seed if args.seed is not None else base.seed
     train_cfg = _train_config(view, epochs=epochs, folds=1, seed=seed)
+    for size in sizes:  # before any rung trains
+        check_folds(size, train_cfg)
 
     rows = []
     largest = max(sizes)

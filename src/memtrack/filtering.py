@@ -2,13 +2,13 @@
 
 The recursion takes five compensation moments as plain arguments: the
 evolution moments ``(df, pf, pphi)`` shift the predicted state mean and
-inflate the predicted state covariance and extension, the measurement
-moments ``(dh, ph)`` shift the predicted frame mean and inflate the
-innovation.  The same code therefore runs as the classic baseline (with
-:data:`ZERO_EVOLUTION` and :data:`ZERO_MEASUREMENT`) and as the filtering
-backbone of the learned tracker.  With zero compensation the state branch
-is algebraically a Kalman filter whose measurement covariance is
-B Xhat B^T / n.
+inflate the predicted state covariance and extension; the measurement
+moments ``(dh, eh)`` shift the predicted frame mean and scale the
+innovation's scatter noise per axis by ``1 + eh``.  The same code therefore
+runs as the classic baseline (with :data:`ZERO_EVOLUTION` and
+:data:`ZERO_MEASUREMENT`) and as the filtering backbone of the learned
+tracker.  With zero compensation the state branch is algebraically a Kalman
+filter whose measurement covariance is B Xhat B^T / n.
 
 :func:`run_filter` is the only place the per-step recursion is written.  It
 takes an optional compensator, an object with two methods that it calls
@@ -18,7 +18,7 @@ once per step, in this order:
   frame's statistics and returns the evolution moments ``(df, pf, pphi)``
   used by both predictions;
 - ``measure(pred, ext_pred)`` gets those predictions and returns the
-  measurement moments ``(dh, ph)`` used by the innovation.
+  measurement moments ``(dh, eh)`` used by the innovation.
 
 A compensator may keep state between the two calls and across steps (the
 learned tracker keeps its LSTM memory there).  ``None`` runs the
@@ -75,10 +75,10 @@ _DOF_GRID = 2.0 ** 34
 
 
 # Zero compensation: the evolution moments (df, pf, pphi) and the
-# measurement moments (dh, ph) that reduce the filter to the baseline.
+# measurement moments (dh, eh) that reduce the filter to the baseline.
 # Every zero-compensation caller shares these arrays, so they are read-only.
 ZERO_EVOLUTION = (np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2)))
-ZERO_MEASUREMENT = (np.zeros(2), np.zeros((2, 2)))
+ZERO_MEASUREMENT = (np.zeros(2), np.zeros(2))
 for _zero in ZERO_EVOLUTION + ZERO_MEASUREMENT:
     _zero.setflags(write=False)
 
@@ -183,14 +183,17 @@ def innovation(
     ext_pred: ExtensionState,
     model: NominalModel,
     dh,
-    ph,
+    eh,
     fs: FrameStats,
 ) -> InnovationStats:
     """Predicted frame mean H x + dh, its residual against the frame mean,
     and the cross/innovation covariances.
 
-    Pzz uses the lambda-scaled extent point estimate (not the raw parameter
-    matrix, whose scale grows with dof).
+    Pzz = H P H^T + D (B Xhat B^T / n) D with D = diag(1 + eh), eh >= -1, is
+    SPD by construction for an SPD prediction P.  Xhat is the lambda-scaled
+    extent point estimate (not the raw parameter matrix, whose scale grows
+    with dof).  D's product is taken entrywise as d_i d_j, so it keeps a
+    symmetric scatter term symmetric bit for bit.
     """
     if fs.count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
@@ -198,14 +201,8 @@ def innovation(
     pxz = pred.cov @ model.H.T
     hph = model.H @ pxz
     xhat = extension_mean(ext_pred)
-    scatter_noise = (model.b @ xhat @ model.b.T) / float(fs.count)
-    physical = hph + scatter_noise
-    # The learned ph may be slightly negative; keep Pzz safely positive
-    # definite by flooring its spectrum at a fraction of the
-    # compensation-free part.  PSD ph never triggers the clamp, and when it
-    # does trigger, the clamp blocks the gradient along the offending
-    # direction, which keeps training out of the sign-flip regime.
-    pzz = ops.spectrum_floor(physical + ph, physical, 0.05)
+    scale = 1.0 + eh
+    pzz = hph + (model.b @ xhat @ model.b.T) / float(fs.count) * (scale[:, None] * scale)
     return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz)
 
 
@@ -283,9 +280,9 @@ def run_filter(
                         else compensator.evolve(state, ext, fs))
         pred = predict_state(state, model, df, pf)
         ext_pred = predict_extension(ext, model, pphi)
-        dh, ph = (ZERO_MEASUREMENT if compensator is None
+        dh, eh = (ZERO_MEASUREMENT if compensator is None
                   else compensator.measure(pred, ext_pred))
-        stats = innovation(pred, ext_pred, model, dh, ph, fs)
+        stats = innovation(pred, ext_pred, model, dh, eh, fs)
         state = update_state(pred, stats)
         ext = update_extension(ext_pred, fs, model)
         # update_state already rejects a non-finite mean

@@ -7,9 +7,11 @@ calibrated-zero convention: softplus outputs are shifted by softplus(0) so
 that all-zero weights produce exactly zero compensation, making the
 untrained network bit-identical to the baseline filter.
 
-The covariance-head shift means the diagonal entries of pf/ph can dip
-slightly negative (>= -log 2); downstream sums are SPD-projected, and the
-extension inflation pphi is a true Cholesky square so it stays PSD.
+The shift means the diagonal of pf can dip slightly negative (>= -log 2),
+and the predicted state covariance is SPD-projected.  The measurement scale
+excess eh = softplus(u) / softplus(0) - 1 is >= -1, so the innovation's
+scale 1 + eh is nonnegative and Pzz needs no projection; the extension
+inflation pphi is a true Cholesky square so it stays PSD.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def _array_specs(memory_dim: int) -> list[tuple[str, tuple[int, ...]]]:
         ("evo_ext_b", (3,)),
         ("upd_shift_w", (2, PRED_FEATURE_DIM)),
         ("upd_shift_b", (2,)),
-        ("upd_cov_w", (2, PRED_FEATURE_DIM)),
-        ("upd_cov_b", (2,)),
+        ("upd_scale_w", (2, PRED_FEATURE_DIM)),
+        ("upd_scale_b", (2,)),
     ]
 
 
@@ -128,11 +130,11 @@ def zero_params(memory_dim: int, **masks) -> NetworkParams:
 def init_params(memory_dim: int, rng: np.random.Generator, **masks) -> NetworkParams:
     """Small random LSTM weights (forget-gate bias +1), near-zero heads.
 
-    Shift/covariance heads start at exactly zero so early training matches
-    the baseline filter.  The extension-inflation head gets a tiny random
-    kick: its Cholesky-square output has zero gradient at exactly zero
-    weights (d(L L^T)/dL vanishes at L = 0), so a pinpoint zero start would
-    never learn.
+    Shift, covariance and scale heads start at exactly zero so early
+    training matches the baseline filter.  The extension-inflation head gets
+    a tiny random kick: its Cholesky-square output has zero gradient at
+    exactly zero weights (d(L L^T)/dL vanishes at L = 0), so a pinpoint zero
+    start would never learn.
     """
     params = zero_params(memory_dim, **masks)
     h = memory_dim
@@ -208,16 +210,15 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
 
 
 def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState):
-    """Measurement compensation (dh, ph) from the current predictions."""
+    """Measurement compensation (dh, eh) from the current predictions."""
     if params.mask_update:
         return ZERO_MEASUREMENT
     weights = params.arrays
     inp = _encode_predictions(pred, ext_pred, params)
     dh = ops.affine(weights["upd_shift_w"], inp, weights["upd_shift_b"])
-    ph_diag = ops.softplus(ops.affine(weights["upd_cov_w"], inp, weights["upd_cov_b"])) \
-        - ops.SOFTPLUS_ZERO
-    ph = ops.diag_embed(ph_diag)
-    return dh, ph
+    eh = ops.softplus(ops.affine(weights["upd_scale_w"], inp, weights["upd_scale_b"])) \
+        / ops.SOFTPLUS_ZERO - 1.0
+    return dh, eh
 
 
 class _Compensator:

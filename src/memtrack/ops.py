@@ -13,10 +13,10 @@ a list indexed by node position; no topological sort is needed.
 The one-track hot path is kept cheap in three ways, none of which changes a
 forward value.  :func:`lstm_cell` and :func:`affine` record a whole LSTM step
 and a whole ``w @ x + b`` as one node each, with hand-written adjoints.  The
-eigenvalue clamps of :func:`sym_project` and :func:`spectrum_floor` first try
-to prove, in scalar arithmetic, that nothing clamps (a closed-form 2x2
-minimum eigenvalue, or positive pivots of ``s - eps I``), and call ``eigh``
-only when that proof fails.  :func:`solve` inverts a 2x2 by its adjugate.
+eigenvalue clamp of :func:`sym_project` first tries to prove, in scalar
+arithmetic, that nothing clamps (a closed-form 2x2 minimum eigenvalue, or
+positive pivots of ``s - eps I``), and calls ``eigh`` only when that proof
+fails.  :func:`solve` inverts a 2x2 by its adjugate.
 """
 
 from __future__ import annotations
@@ -487,30 +487,24 @@ def solve(a, b):
 _EIG_SLACK = 64.0 * np.finfo(np.float64).eps
 
 
-def _eig2(s):
-    """Closed-form smaller eigenvalue and spectral norm of a symmetric 2x2."""
-    (a, b), (_, d) = s.tolist()
-    m = 0.5 * (a + d)
-    r = math.hypot(0.5 * (a - d), b)
-    return m - r, abs(m) + r
+def _above(s, eps) -> bool:
+    """True when every eigenvalue of symmetric ``s`` provably exceeds ``eps``;
+    False means only that eigh has to decide (NaN included).
 
-
-def _above(s, eps, slack=0.0) -> bool:
-    """True when every eigenvalue of symmetric ``s`` provably exceeds ``eps``
-    by ``slack``; False means only that eigh has to decide (NaN included).
-
-    A 2x2 uses the closed form.  A 4x4 runs an unrolled LDL^T of
+    A 2x2 uses the closed-form smaller eigenvalue ``m - r`` and spectral
+    norm ``|m| + r``.  A 4x4 runs an unrolled LDL^T of
     ``s - t I`` in scalar arithmetic, whose pivots are all positive exactly
     when it is positive definite; ``t`` adds slack relative to the trace,
     which bounds the spectral norm of an SPD ``s``.  Other sizes ask eigh.
     """
     if s.shape == (2, 2):
-        lo, norm = _eig2(s)
-        return lo - eps > _EIG_SLACK * norm + slack
+        (a, b), (_, d) = s.tolist()
+        m, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+        return m - r - eps > _EIG_SLACK * (abs(m) + r)
     if s.shape != (4, 4):
         return False
     (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = s.tolist()
-    t = eps + slack + 4.0 * _EIG_SLACK * (abs(a00) + abs(a11) + abs(a22) + abs(a33))
+    t = eps + 4.0 * _EIG_SLACK * (abs(a00) + abs(a11) + abs(a22) + abs(a33))
     d0 = a00 - t
     if not d0 > 0.0:
         return False
@@ -572,50 +566,6 @@ def sym_project(a, eps):
     if t is None:
         return out
     return t._node(out, [(a.idx, _clamp_vjp(w, u, eps) if clamped else _sym_grad)])
-
-
-def spectrum_floor(a, ref, frac):
-    """Symmetrize ``a`` and clamp its eigenvalues to >= frac * min-eig(ref).
-
-    Unlike :func:`sym_project` with a fixed eps, the floor here moves with
-    ``ref`` (an SPD matrix that may itself carry gradients), so the adjoint
-    propagates into both arguments: clamped directions of ``a`` stop their
-    own gradient but forward the floor's sensitivity onto ``ref``'s minimal
-    eigendirection.
-    """
-    t = _tape(a, ref)
-    av, rv = value(a), value(ref)
-    rs = 0.5 * (rv + rv.T)
-    s = 0.5 * (av + av.T)
-    # The closed-form floor is within slack of eigh's, so the no-clamp test
-    # widens its margin by that much; when it fails, eigh decides as ever.
-    lo_norm = _eig2(rs) if rs.shape == (2, 2) else None
-    if lo_norm is not None and _above(s, frac * lo_norm[0], abs(frac) * _EIG_SLACK * lo_norm[1]):
-        out, clamped = s, False
-    else:
-        rw, ru = np.linalg.eigh(rs)
-        eps = frac * rw[0]
-        out, w, u, clamped = _project_value(s, eps)
-    if t is None:
-        return out
-
-    pairs = []
-    if isinstance(a, Var):
-        pairs.append((a.idx, _clamp_vjp(w, u, eps) if clamped else _sym_grad))
-    if clamped and isinstance(ref, Var):
-        umin = ru[:, 0]
-        dref_dir = 0.5 * frac * (np.outer(umin, umin) + np.outer(umin, umin).T)
-
-        def vjp_ref(g):
-            gs = _sym_grad(g)
-            sens = 0.0
-            for i in range(len(w)):
-                if w[i] < eps:
-                    sens += float(u[:, i] @ gs @ u[:, i])
-            return sens * dref_dir
-
-        pairs.append((ref.idx, vjp_ref))
-    return t._node(out, pairs)
 
 
 def logchol2x2(a):

@@ -40,6 +40,7 @@ __all__ = [
     "FoldReport",
     "sgd_step",
     "collect_feature_stats",
+    "check_folds",
     "train",
     "grad_check",
 ]
@@ -249,22 +250,31 @@ def _fold_partition(n: int, cfg: TrainConfig, rng: np.random.Generator):
         yield 0, order[n_val:], order[:n_val]
 
 
+def check_folds(n: int, cfg: TrainConfig) -> None:
+    """Raise ConfigError unless every fold of ``n`` training sequences keeps
+    at least one to train on; the folds' sizes do not depend on the order."""
+    if cfg.folds > n:
+        raise ConfigError(f"{cfg.folds} folds need at least {cfg.folds} training "
+                          f"sequences, the dataset has {n}")
+    for fold, tr_idx, val_idx in _fold_partition(n, cfg, np.random.default_rng(0)):
+        if len(tr_idx) == 0:
+            raise ConfigError(f"fold {fold} holds out {len(val_idx)} of {n} training "
+                              f"sequences and leaves none to train on")
+
+
 def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
     """Cross-validated training; returns (best params, history, fold reports).
 
     The returned parameters are the checkpoint with the lowest validation
     joint loss across every (fold, epoch); NonFinite is raised when no
-    validation loss is finite, ConfigError when there are more folds than
-    training sequences or a fold leaves none to train on.  History carries
-    one record per (fold, epoch) with train/val loss and validation metric
-    summaries.
+    validation loss is finite, ConfigError when :func:`check_folds` finds a
+    fold with none to train on.  History carries one record per (fold,
+    epoch) with train/val loss and validation metric summaries.
     """
     train_cases = [dataset.cases[i] for i in dataset.train_idx]
     if not train_cases:
         raise EmptyDataset("dataset has no training sequences")
-    if cfg.folds > len(train_cases):
-        raise ConfigError(f"{cfg.folds} folds need at least {cfg.folds} training "
-                          f"sequences, the dataset has {len(train_cases)}")
+    check_folds(len(train_cases), cfg)
     feat_mean, feat_std = collect_feature_stats(train_cases, model, cfg.tracker)
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 0xF01D))))
@@ -273,9 +283,6 @@ def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
     best_params, best_val = None, np.inf
 
     for fold, tr_idx, val_idx in _fold_partition(len(train_cases), cfg, split_rng):
-        if len(tr_idx) == 0:
-            raise ConfigError(f"fold {fold} holds out {len(val_idx)} of {len(train_cases)} "
-                              f"training sequences and leaves none to train on")
         fold_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, fold))))
         params = init_params(
             cfg.memory_dim, fold_rng,

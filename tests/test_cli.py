@@ -86,7 +86,7 @@ class TestTrain:
         params = read_checkpoint(ck)
         # heads stay at their calibrated-zero setting when nothing moves
         assert np.all(params.arrays["evo_shift_w"] == 0.0)
-        assert np.all(params.arrays["upd_cov_b"] == 0.0)
+        assert np.all(params.arrays["upd_scale_b"] == 0.0)
         history = (tmp_path / "a.mtck.history.csv").read_text().strip().splitlines()
         assert history[0].startswith("fold,epoch,")
         assert len(history) == 2  # one (fold, epoch) row
@@ -365,6 +365,21 @@ class TestDamagedInputs:
         _write_members(tmp_path / "c.mtck", members)
         assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
 
+    def test_additive_measurement_head_checkpoint_is_data_error(self, small_dataset,
+                                                                tmp_path, capsys):
+        """A checkpoint from before the measurement head became a scale holds
+        ``upd_cov_*`` arrays; it is refused, not read with a new meaning."""
+        ck = tmp_path / "old.mtck"
+        write_checkpoint(zero_params(4), ck)
+        members = _archive_members(ck)
+        for part in ("w", "b"):
+            members[f"upd_cov_{part}"] = members.pop(f"upd_scale_{part}")
+        _write_members(ck, members)
+        rc = main(["eval", str(small_dataset), "--checkpoint", str(ck),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_DATA
+        assert "shape table" in capsys.readouterr().err
+
 
 class TestOutOfRangeConfig:
     """Tracker priors and nominal-model settings outside their documented
@@ -529,6 +544,17 @@ class TestDatascale:
                    "--config", str(_tiny_cfg(tmp_path))])
         assert rc == EXIT_CONFIG
         assert not out.exists()
+
+    def test_rung_with_none_to_train_on_fails_before_any_training(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        out = tmp_path / "scale.csv"
+        rc = main(["datascale", "--out", str(out), "--sizes", "3,1", "--epochs", "1",
+                   "--config", str(_tiny_cfg(tmp_path))])
+        assert rc == EXIT_CONFIG
+        assert "none to train on" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_zero_test_cases_is_config_error(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
 from memtrack.models import ExtensionState, TrackState
 from memtrack.simulate import generate_case
-from memtrack.spdmat import sample_wishart, sample_inverse_wishart
+from memtrack.spdmat import cholesky, sample_inverse_wishart, sample_wishart
+from memtrack.training import collect_feature_stats
 
 ZERO_DF, ZERO_PF, ZERO_PPHI = filtering.ZERO_EVOLUTION
-ZERO_DH, ZERO_PH = filtering.ZERO_MEASUREMENT
+ZERO_DH, ZERO_EH = filtering.ZERO_MEASUREMENT
 
 
 def textbook_kalman_step(mean, cov, z, fmat, q, hmat, r):
@@ -29,10 +31,10 @@ def manual_step(state, ext, frame, model, evolution=filtering.ZERO_EVOLUTION,
                 measurement=filtering.ZERO_MEASUREMENT):
     """One recursion step composed by hand from the public pieces."""
     fs = models.frame_stats(frame)
-    (df, pf, pphi), (dh, ph) = evolution, measurement
+    (df, pf, pphi), (dh, eh) = evolution, measurement
     pred = filtering.predict_state(state, model, df, pf)
     ext_pred = filtering.predict_extension(ext, model, pphi)
-    stats = filtering.innovation(pred, ext_pred, model, dh, ph, fs)
+    stats = filtering.innovation(pred, ext_pred, model, dh, eh, fs)
     return (filtering.update_state(pred, stats),
             filtering.update_extension(ext_pred, fs, model))
 
@@ -50,7 +52,7 @@ def cv_model():
 
 def test_zero_moments_are_frozen_zeros():
     shapes = [m.shape for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT]
-    assert shapes == [(4,), (4, 4), (2, 2), (2,), (2, 2)]
+    assert shapes == [(4,), (4, 4), (2, 2), (2,), (2,)]
     for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT:
         assert not m.any() and not m.flags.writeable
 
@@ -186,14 +188,14 @@ class TestInnovation:
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))  # extent mean = I
-        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, frame(1))
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_EH, frame(1))
         np.testing.assert_allclose(stats.pzz, 2.0 * np.eye(2), atol=1e-12)
 
     def test_scatter_term_vanishes_large_n(self):
         model = models.nominal_cv_model(sigma_w=0.4, b=np.eye(2))
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_PH, frame(10 ** 9))
+        stats = filtering.innovation(pred, ext, model, ZERO_DH, ZERO_EH, frame(10 ** 9))
         np.testing.assert_allclose(stats.pzz, model.H @ pred.cov @ model.H.T, atol=1e-6)
 
     def test_pxz_selects_columns(self, cv_model):
@@ -202,8 +204,29 @@ class TestInnovation:
         cov = m @ m.T + np.eye(4)
         pred = TrackState(mean=np.zeros(4), cov=cov)
         ext = ExtensionState(dof=10.0, param=np.eye(2))
-        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, frame(5))
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_EH, frame(5))
         np.testing.assert_allclose(stats.pxz, cov[:, :2], atol=1e-12)
+
+    def test_pzz_spd_for_any_scale_excess(self, cv_model):
+        """Pzz is symmetric and SPD for eh = -1 (an underflowed softplus:
+        H P H^T alone), 0 and 1e3; eh = 0 gives the unscaled, symmetrized
+        H P H^T + B Xhat B^T / n bit for bit."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m, n = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+            cov, param = m @ m.T + 1e-6 * np.eye(4), n @ n.T + 1e-6 * np.eye(2)
+            pred = TrackState(mean=rng.standard_normal(4), cov=0.5 * (cov + cov.T))
+            ext = ExtensionState(dof=rng.uniform(7.0, 300.0), param=0.5 * (param + param.T))
+            fs = frame(int(rng.integers(1, 50)))
+            for eh in itertools.product([-1.0, 0.0, 1e3], repeat=2):
+                pzz = filtering.innovation(pred, ext, cv_model, ZERO_DH, np.array(eh), fs).pzz
+                np.testing.assert_array_equal(pzz, pzz.T)
+                cholesky(pzz)
+            xhat = filtering.extension_mean(ext)
+            unscaled = (cv_model.H @ (pred.cov @ cv_model.H.T)
+                        + (cv_model.b @ xhat @ cv_model.b.T) / float(fs.count))
+            pzz = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_EH, fs).pzz
+            np.testing.assert_array_equal(pzz, 0.5 * (unscaled + unscaled.T))
 
 
 class TestUpdateState:
@@ -211,7 +234,7 @@ class TestUpdateState:
         pred = TrackState(mean=np.array([1.0, 2.0, 3.0, 4.0]), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=np.eye(2))
         fs = frame(4, mean=cv_model.H @ pred.mean)
-        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, fs)
+        stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_EH, fs)
         np.testing.assert_array_equal(stats.residual, np.zeros(2))
         out = filtering.update_state(pred, stats)
         np.testing.assert_allclose(out.mean, pred.mean, atol=1e-12)
@@ -224,7 +247,7 @@ class TestUpdateState:
             ext = ExtensionState(dof=9.0 + rng.uniform(0, 5), param=np.eye(2) * rng.uniform(1, 5))
             count = int(rng.integers(2, 30))
             fs = frame(count, mean=rng.standard_normal(2))
-            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, fs)
+            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_EH, fs)
             out = filtering.update_state(pred, stats)
             diff_eigs = np.linalg.eigvalsh(pred.cov - out.cov)
             assert diff_eigs.min() > -1e-9
@@ -253,7 +276,7 @@ class TestUpdateState:
             pred = TrackState(mean=rng.standard_normal(4), cov=m @ m.T + 0.1 * np.eye(4))
             ext = ExtensionState(dof=9.0 + rng.uniform(0, 5), param=np.eye(2) * rng.uniform(1, 5))
             fs = frame(int(rng.integers(2, 30)), mean=rng.standard_normal(2))
-            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_PH, fs)
+            stats = filtering.innovation(pred, ext, cv_model, ZERO_DH, ZERO_EH, fs)
             gain = np.linalg.solve(stats.pzz, stats.pxz.T).T
             out = filtering.update_state(pred, stats)
             np.testing.assert_allclose(out.mean, pred.mean + gain @ stats.residual,
@@ -307,19 +330,21 @@ class TestUpdateExtension:
     def test_no_extension_clamp_or_collapse_on_seeded_case(self, cv_model, monkeypatch):
         """Seed-0 case 17 drove an indefinite extension update: the eigenvalue
         clamp fired in both extension projections and the collapsed extent
-        let the position error reach 8.4 m."""
+        let the position error reach 8.4 m.  A learned forward with perturbed
+        heads clamps there neither, and its innovation, SPD by construction,
+        runs no projection at all."""
         case = generate_case(models.ScenarioConfig(seed=0), 0, 17)
-        clamps, inside = [], []
+        calls, inside = [], []
         project = ops._project_value
 
         def counted(s, eps):
             out = project(s, eps)
-            if inside and out[3]:
-                clamps.append(inside[-1])
+            if inside:
+                calls.append((inside[-1], out[3]))
             return out
 
         monkeypatch.setattr(ops, "_project_value", counted)
-        for name in ("predict_extension", "update_extension"):
+        for name in ("predict_extension", "innovation", "update_extension"):
             def wrapped(*args, _name=name, _real=getattr(filtering, name)):
                 inside.append(_name)
                 try:
@@ -330,8 +355,19 @@ class TestUpdateExtension:
         states, _, _ = filtering.run_filter(case.frames, cv_model, TrackerConfig())
         errors = [np.linalg.norm(s.mean[:2] - t[:2])
                   for s, t in zip(states, case.truth.states[1:])]
-        assert clamps == []
+        assert [site for site, clamped in calls if clamped] == []
         assert max(errors) < 3.0
+
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, 0xAB))))
+        params = network.init_params(8, rng)
+        for name, arr in params.arrays.items():
+            params.arrays[name] = arr + 0.05 * rng.standard_normal(arr.shape)
+        params.feat_mean, params.feat_std = collect_feature_stats([case], cv_model,
+                                                                  TrackerConfig())
+        calls.clear()
+        network.forward_sequence(params, case.frames, cv_model)
+        assert calls and [site for site, clamped in calls if clamped] == []
+        assert "innovation" not in {site for site, _ in calls}
 
 
 class TestExtensionMean:
@@ -472,10 +508,10 @@ class StubCompensator:
 class TestCompensator:
     @pytest.fixture()
     def comp(self):
-        """(evolution, measurement) moments: (df, pf, pphi), (dh, ph)."""
+        """(evolution, measurement) moments: (df, pf, pphi), (dh, eh)."""
         return ((np.array([0.1, -0.2, 0.05, 0.0]), np.diag([0.3, 0.2, 0.1, 0.1]),
                  np.array([[0.5, 0.1], [0.1, 0.3]])),
-                (np.array([0.05, -0.1]), np.diag([0.2, 0.1])))
+                (np.array([0.05, -0.1]), np.array([0.2, -0.1])))
 
     @pytest.fixture()
     def case(self):

@@ -93,5 +93,5 @@ class TestGradCheck:
         by_name = {k: tape.grad(grads, v) for k, v in leaves.items()}
         assert all(np.all(np.isfinite(g)) for g in by_name.values())
         head_norm = sum(float(np.abs(by_name[k]).max())
-                        for k in ("evo_shift_w", "upd_shift_w", "evo_cov_w", "upd_cov_w"))
+                        for k in ("evo_shift_w", "upd_shift_w", "evo_cov_w", "upd_scale_w"))
         assert head_norm > 0.0

@@ -105,9 +105,9 @@ class TestHeads:
         np.testing.assert_array_equal(ops.value(pphi), np.zeros((2, 2)))
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        dh, ph = jub_heads(params, state, ext)
+        dh, eh = jub_heads(params, state, ext)
         np.testing.assert_array_equal(ops.value(dh), np.zeros(2))
-        np.testing.assert_array_equal(ops.value(ph), np.zeros((2, 2)))
+        np.testing.assert_array_equal(ops.value(eh), np.zeros(2))
 
     def test_masked_heads_zero_with_random_params(self):
         rng = np.random.default_rng(1)
@@ -120,8 +120,8 @@ class TestHeads:
         assert np.all(df == 0) and np.all(pf == 0) and np.all(pphi == 0)
         state = TrackState(mean=rng.standard_normal(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
-        dh, ph = jub_heads(params, state, ext)
-        assert np.all(dh == 0) and np.all(ph == 0)
+        dh, eh = jub_heads(params, state, ext)
+        assert np.all(dh == 0) and np.all(eh == 0)
 
     def test_pphi_psd_and_cov_heads_bounded_below(self):
         rng = np.random.default_rng(2)
@@ -134,8 +134,15 @@ class TestHeads:
         pphi = ops.value(pphi)
         np.testing.assert_allclose(pphi, pphi.T, atol=1e-12)
         assert np.linalg.eigvalsh(pphi).min() >= -1e-12
-        # diagonal covariance heads are softplus - log(2) >= -log(2)
+        # the diagonal covariance head is softplus - log(2) >= -log(2)
         assert np.diag(ops.value(pf)).min() >= -np.log(2.0) - 1e-12
+        # the scale excess is softplus / log(2) - 1 >= -1, and -1 where
+        # softplus underflows
+        state = TrackState(mean=np.zeros(4), cov=np.eye(4))
+        ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
+        assert ops.value(jub_heads(params, state, ext)[1]).min() >= -1.0
+        params.arrays["upd_scale_b"][:] = -800.0
+        np.testing.assert_array_equal(ops.value(jub_heads(params, state, ext)[1]), [-1, -1])
 
 
 class TestForwardSequence:

@@ -143,47 +143,6 @@ class TestSymProject:
                 ops.sym_project(leaf, 1e-6).value, ops.sym_project(a, 1e-6))
 
 
-class TestSpectrumFloor:
-    def _ref(self):
-        return np.array([[0.6, 0.1], [0.1, 0.4]])
-
-    def test_inactive_when_above_floor(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.8]])
-        out = ops.spectrum_floor(a, self._ref(), 0.05)
-        np.testing.assert_array_equal(out, a)
-
-    def test_clamps_to_reference_fraction(self):
-        a = np.diag([1.0, -0.5])
-        ref = self._ref()
-        out = ops.spectrum_floor(a, ref, 0.5)
-        floor = 0.5 * np.linalg.eigvalsh(ref)[0]
-        np.testing.assert_allclose(np.linalg.eigvalsh(out), [floor, 1.0], atol=1e-12)
-
-    def test_gradient_through_both_arguments(self):
-        # a sits below the floor so the clamp is active; the floor moves
-        # with ref, and both sensitivities must match finite differences
-        a0 = np.array([[0.3, 0.05], [0.02, -0.2]])
-        r0 = np.array([[0.9, 0.2], [0.2, 0.5]])
-        frac = 0.8
-
-        def ref_fn(av, rv):
-            rs = 0.5 * (rv + rv.T)
-            eps = frac * np.linalg.eigvalsh(rs)[0]
-            s = 0.5 * (av + av.T)
-            w, u = np.linalg.eigh(s)
-            w = np.maximum(w, eps)
-            o = (u * w) @ u.T
-            return float(np.sum((0.5 * (o + o.T)) ** 2))
-
-        tape = ops.Tape()
-        va, vr = tape.leaf(a0), tape.leaf(r0)
-        out = ops.sumsq(ops.spectrum_floor(va, vr, frac))
-        grads = tape.backward(out)
-        ga, gr = tape.grad(grads, va), tape.grad(grads, vr)
-        np.testing.assert_allclose(ga, fd_grad(lambda v: ref_fn(v, r0), a0), atol=1e-6)
-        np.testing.assert_allclose(gr, fd_grad(lambda v: ref_fn(a0, v), r0), atol=1e-6)
-
-
 class TestLogChol:
     def test_identity_encodes_to_zero(self):
         np.testing.assert_array_equal(ops.logchol2x2(np.eye(2)), np.zeros(3))
@@ -300,17 +259,6 @@ class TestNoClampTest:
         for bad in (np.nan, np.inf):
             assert not ops._above(np.array([[1.0, bad], [bad, 1.0]]), 0.0)
             assert not ops._above(np.diag([1.0, 1.0, bad, 1.0]), 0.0)
-
-    def test_spectrum_floor_bits_match_eigh(self):
-        rng = np.random.default_rng(24)
-        for _ in range(300):
-            ref = _spectrum(2, rng, rng.uniform(0.05, 2.0))
-            frac = rng.uniform(0.01, 1.0)
-            floor = frac * np.linalg.eigh(ref)[0][0]
-            for low in (floor * (1.0 - 1e-9), floor * (1.0 + 1e-9), rng.uniform(-1.0, 2.0)):
-                a = _spectrum(2, rng, low)
-                np.testing.assert_array_equal(ops.spectrum_floor(a, ref, frac),
-                                              _eigh_project(a, floor))
 
 
 def _masked_sigmoid(x):

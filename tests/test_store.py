@@ -285,6 +285,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(VersionMismatch, match="shape table"):
             store.read_checkpoint(path)
 
+    def test_additive_measurement_head_is_shape_table_mismatch(self, tmp_path):
+        path = tmp_path / "c.mtck"
+        store.write_checkpoint(zero_params(4), path)
+
+        def old_head(header, arrays):
+            for part in ("w", "b"):
+                arrays[f"upd_cov_{part}"] = arrays.pop(f"upd_scale_{part}")
+
+        _edit_archive(path, old_head)
+        with pytest.raises(VersionMismatch, match="shape table"):
+            store.read_checkpoint(path)
+
     def test_missing_feature_statistics_rejected(self, tmp_path):
         path = tmp_path / "c.mtck"
         store.write_checkpoint(zero_params(4), path)
