@@ -25,12 +25,12 @@ cfg = mt.ScenarioConfig(steps=60, cases=12, sigma_w=0.4, sigma_v=0.6, seed=3,
                         turn_rate_min=5.0, turn_rate_max=15.0,
                         segment_min=8, segment_max=25)
 ds = mt.generate_dataset(cfg)
-print(f"cases: {len(ds.cases)}  train/test: {len(ds.train_idx)}/{len(ds.test_idx)}")
+print(f"cases: {len(ds.cases)}  train/test: {len(ds.train_cases)}/{len(ds.test_cases)}")
 counts = [len(f) for c in ds.cases for f in c.frames]
 print(f"scatterers per frame: mean {np.mean(counts):.1f}, min {min(counts)}")
 
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
-test_cases = [ds.cases[int(idx)] for idx in ds.test_idx]
+test_cases = ds.test_cases
 runs = []
 for case in test_cases:
     st, ex, _ = mt.run_filter(case.frames, model, mt.TrackerConfig())

@@ -1,9 +1,9 @@
 """Training the memory network through the filter, end to end.
 
 Desk-scale version of the benchmark experiment: a maneuvering dataset
-whose turns a constant-velocity model cannot follow, a short training run,
-and a baseline-vs-learned comparison on held-out sequences.  Expect a few
-minutes of CPU time.
+whose turns a constant-velocity model cannot follow, a short training run
+on its training split, and a baseline-vs-learned comparison on its test
+split.  Expect a few minutes of CPU time.
 """
 
 import time
@@ -20,7 +20,7 @@ model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
 tcfg = mt.TrackerConfig()
 
 
-test_cases = [ds.cases[int(idx)] for idx in ds.test_idx]
+test_cases = ds.test_cases
 
 
 def evaluate(params):
@@ -42,8 +42,8 @@ train_cfg = mt.TrainConfig(epochs=10, folds=1, memory_dim=16, seed=1,
                            learning_rate=3e-3, momentum=0.5, clip=2.0,
                            batch_size=4, history_polygon=64)
 t0 = time.time()
-params, history, folds = mt.train(ds, model, train_cfg)
-print(f"\ntrained {train_cfg.epochs} epochs on {len(ds.train_idx)} sequences "
+params, history, folds = mt.train(ds.train_cases, model, train_cfg)
+print(f"\ntrained {train_cfg.epochs} epochs on {len(ds.train_cases)} sequences "
       f"in {time.time() - t0:.0f} s")
 for rec in history[:: max(1, len(history) // 5)]:
     print(f"  epoch {rec.epoch:2d}: val loss {rec.val_loss:8.3f}  "

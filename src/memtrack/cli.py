@@ -23,7 +23,7 @@ from .filtering import TrackerConfig, run_filter
 from .metrics import MAX_POLYGON_ORDER, MetricsReport, evaluate_run
 from .models import NominalModel, ScenarioConfig, nominal_cv_model
 from .network import forward_sequence, init_params
-from .simulate import Dataset, generate_case, generate_dataset
+from .simulate import generate_case, generate_dataset
 from .store import (
     read_checkpoint,
     read_dataset,
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
         write_dataset(dataset, path)
         mean_n = float(np.mean([len(f) for c in dataset.cases for f in c.frames]))
         print(f"{name}: cases={cfg.cases} steps={cfg.steps} "
-              f"train/test={len(dataset.train_idx)}/{len(dataset.test_idx)} "
+              f"train/test={len(dataset.train_cases)}/{len(dataset.test_cases)} "
               f"mean scatterers={mean_n:.2f}")
     return EXIT_OK
 
@@ -228,7 +228,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(view, args.mask, epochs=args.epochs, learning_rate=args.lr,
                         folds=args.folds, batch_size=args.batch,
                         memory_dim=args.memory_dim, seed=args.seed)
-    params, history, folds = train(dataset, model, cfg)
+    params, history, folds = train(dataset.train_cases, model, cfg)
     digest = hashlib.sha256(
         json.dumps({k: str(v) for k, v in vars(cfg).items()}, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -280,10 +280,10 @@ def cmd_eval(args) -> int:
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
-    if len(dataset.test_idx) == 0:
+    cases = dataset.test_cases
+    if not cases:
         raise StoreError("dataset has no test split")
 
-    modes = []
     if args.compare:
         if not args.checkpoint:
             raise ConfigError("--compare needs --checkpoint for the learned row")
@@ -294,7 +294,6 @@ def cmd_eval(args) -> int:
         modes = [("learned", read_checkpoint(args.checkpoint))]
 
     rows = []
-    cases = [dataset.cases[int(i)] for i in dataset.test_idx]
     for tag, params in modes:
         runs = _posteriors_for(cases, model, tracker, params)
         report = evaluate_run(cases, runs, polygon_order=args.polygon)
@@ -399,7 +398,7 @@ def cmd_datascale(args) -> int:
     model = _model_from(view, cfg_all)
     tracker = _tracker_from(view)
 
-    held_out = [dataset_all.cases[int(i)] for i in dataset_all.test_idx]
+    held_out = dataset_all.test_cases
     baseline_runs = _posteriors_for(held_out, model, tracker, None)
     baseline_rep = evaluate_run(held_out, baseline_runs,
                                 polygon_order=train_cfg.history_polygon)
@@ -407,14 +406,7 @@ def cmd_datascale(args) -> int:
     print(_report_line("baseline", baseline_rep))
 
     for size in sizes:
-        subset = Dataset(
-            cases=dataset_all.cases,
-            train_idx=dataset_all.train_idx[:size],
-            test_idx=dataset_all.test_idx,
-            config=cfg_all,
-            master_seed=seed,
-        )
-        params, _, _ = train(subset, model, train_cfg)
+        params, _, _ = train(dataset_all.train_cases[:size], model, train_cfg)
         runs = _posteriors_for(held_out, model, tracker, params)
         rep = evaluate_run(held_out, runs, polygon_order=train_cfg.history_polygon)
         rows.append((str(size), rep))

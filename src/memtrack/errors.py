@@ -46,7 +46,7 @@ class TapeEmpty(MemtrackError):
 
 
 class EmptyDataset(MemtrackError):
-    """Training requested on a dataset with no sequences."""
+    """Training requested on no sequences."""
 
 
 class ConfigError(MemtrackError):

@@ -113,6 +113,8 @@ class ScenarioConfig:
             raise ValueError("cases must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0 <= self.train_fraction <= 1:  # NaN fails both tests
+            raise ValueError(f"train_fraction must be between 0 and 1, got {self.train_fraction}")
         for name in ("dt", "sigma_w", "sigma_v", "axis_major", "axis_minor",
                      "speed", "scatter_rate"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails both tests

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, TapeEmpty
+from .errors import NonFinite, NotPositiveDefinite, TapeEmpty
 
 # softplus(0); subtracting this constant (rather than a literal log 2) makes
 # the calibrated-zero head outputs exactly 0.0 for zero weights.
@@ -524,9 +524,11 @@ def _above(s, eps) -> bool:
 def _project_value(s, eps):
     """(projection, w, u, clamped); w and u are eigh's, or None when the
     no-clamp test made eigh unnecessary.  Without a clamp the projection is
-    ``s`` itself."""
+    ``s`` itself.  A non-finite ``s`` raises NonFinite."""
     if _above(s, eps):
         return s, None, None, False
+    if not np.isfinite(s).all():  # eigh would raise LinAlgError
+        raise NonFinite("non-finite matrix in the eigenvalue clamp")
     w, u = np.linalg.eigh(s)
     if w[0] >= eps:
         return s, w, u, False

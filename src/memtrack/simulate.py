@@ -7,7 +7,8 @@ are Poisson-sized (n, 2) arrays of points drawn uniformly over the solid
 ellipse plus isotropic sensor noise.
 
 Every case owns an RNG stream derived from (master seed, case index), so a
-dataset is reproducible regardless of generation order.
+dataset is reproducible regardless of generation order: case i of a dataset
+is ``generate_case(config, config.seed, i)``.
 """
 
 from __future__ import annotations
@@ -49,16 +50,23 @@ class GroundTruthSequence:
 class SimCase:
     truth: GroundTruthSequence
     frames: list[np.ndarray]          # per step, (n, 2) points
-    seed_entropy: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Dataset:
+    """The cases of one scenario config and its train/test split: the
+    leading ``round(train_fraction * len(cases))`` cases train, the rest test."""
+
     cases: list[SimCase]
-    train_idx: np.ndarray
-    test_idx: np.ndarray
     config: ScenarioConfig
-    master_seed: int
+
+    @property
+    def train_cases(self) -> list[SimCase]:
+        return self.cases[:round(self.config.train_fraction * len(self.cases))]
+
+    @property
+    def test_cases(self) -> list[SimCase]:
+        return self.cases[len(self.train_cases):]
 
 
 def ct_transition(x, omega: float, dt: float):
@@ -174,18 +182,9 @@ def generate_case(cfg: ScenarioConfig, master_seed: int, case_idx: int) -> SimCa
         generate_frame(truth.states[k], truth.extents[k], cfg, rng)
         for k in range(cfg.steps)
     ]
-    return SimCase(truth=truth, frames=frames, seed_entropy=(master_seed, case_idx))
+    return SimCase(truth=truth, frames=frames)
 
 
 def generate_dataset(cfg: ScenarioConfig) -> Dataset:
-    """All cases for one noise level, with a deterministic train/test split."""
-    cases = [generate_case(cfg, cfg.seed, i) for i in range(cfg.cases)]
-    n_train = int(round(cfg.train_fraction * cfg.cases))
-    idx = np.arange(cfg.cases)
-    return Dataset(
-        cases=cases,
-        train_idx=idx[:n_train],
-        test_idx=idx[n_train:],
-        config=cfg,
-        master_seed=cfg.seed,
-    )
+    """All cases for one noise level."""
+    return Dataset(cases=[generate_case(cfg, cfg.seed, i) for i in range(cfg.cases)], config=cfg)

@@ -2,18 +2,21 @@
 
 A dataset (``.mtds``) or checkpoint (``.mtck``) is a zip of ``.npy`` members
 in NumPy's ``.npz`` layout (``np.load(path, allow_pickle=False)`` opens it).
-Member ``header`` is JSON as uint8: ``kind``, ``format_version``, then
-``config`` and ``master_seed``, or ``memory_dim``, ``masks`` and
-``train_config_digest``.  A dataset of N cases, K steps and P points stores
-``states`` (N, K, 4), ``extents`` (N, K, 2, 2), ``regimes`` (N, K) int8,
-``omegas`` and ``frame_counts`` (N, K), ``points`` (P, 2), ``case_seeds``
-(N, 2), ``train_idx`` and ``test_idx``; a checkpoint, its network arrays,
+Member ``header`` is JSON as uint8: ``kind``, ``format_version`` (3 for a
+dataset, 2 for a checkpoint), then ``config``, or ``memory_dim``, ``masks``
+and ``train_config_digest``.  A dataset of N cases, K steps and P points
+stores ``states`` (N, K, 4), ``extents`` (N, K, 2, 2), ``regimes`` (N, K)
+int8, ``omegas`` and ``frame_counts`` (N, K) and ``points`` (P, 2); its split
+and its cases' seeds follow from the config (see
+:class:`memtrack.simulate.Dataset`).  A checkpoint stores its network arrays,
 ``feat_mean`` and ``feat_std``.  Zip's per-member CRC32 covers the header and
 every array; members carry a fixed 1980 timestamp, so writes are reproducible.
-Reads are bit-exact.  Not a zip (version 1, say), the wrong kind or version,
-or a checkpoint shape table unlike this build's raise VersionMismatch; a bad
-CRC, truncation, a missing member, an unparsable header or config, or arrays
-whose shapes, frame counts or split indices disagree raise ChecksumMismatch.
+Reads are bit-exact.  Not a zip (version 1, say), the wrong kind or version
+(regenerate older datasets with ``memtrack simulate``), or a checkpoint shape
+table unlike this build's raise VersionMismatch; a bad CRC, truncation, a
+missing member, an unparsable header or config, or arrays whose shapes or
+frame counts disagree with each other or with the config's cases and steps
+raise ChecksumMismatch.
 Reports go to CSV/JSON at 17 significant digits and reparse identically.
 """
 
@@ -34,12 +37,14 @@ from .simulate import Dataset, GroundTruthSequence, SimCase
 __all__ = ["FORMAT_VERSION", "write_dataset", "read_dataset", "write_checkpoint",
            "read_checkpoint", "write_report"]
 
-FORMAT_VERSION = 2
+# The dataset format; checkpoints keep format 2, whose members have not changed.
+FORMAT_VERSION = 3
+_VERSIONS = {"dataset": FORMAT_VERSION, "checkpoint": 2}
 
 
 def _write_archive(path, header: dict, arrays) -> None:
     """Write the header and the (name, array) pairs as ``.npy`` members."""
-    text = json.dumps({**header, "format_version": FORMAT_VERSION}, sort_keys=True)
+    text = json.dumps({**header, "format_version": _VERSIONS[header["kind"]]}, sort_keys=True)
     members = [("header", np.frombuffer(text.encode("utf-8"), dtype=np.uint8)), *arrays]
     with zipfile.ZipFile(path, "w") as zf:
         for name, arr in members:
@@ -62,17 +67,18 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
 def _read_archive(path, kind: str, build):
     """Pass the header and members of a ``kind`` archive to ``build``; every
     decoding or validation failure on the way becomes ChecksumMismatch."""
+    version = _VERSIONS[kind]
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":  # every zip starts with a local file header
-            raise VersionMismatch(f"{path}: not a format {FORMAT_VERSION} archive")
+            raise VersionMismatch(f"{path}: not a format {version} archive")
     try:
         with zipfile.ZipFile(path) as zf:
             arrays = {name.removesuffix(".npy"): _read_member(zf, name)
                       for name in zf.namelist()}
         header = json.loads(arrays.pop("header").tobytes())
-        if (header["kind"], header["format_version"]) != (kind, FORMAT_VERSION):
+        if (header["kind"], header["format_version"]) != (kind, version):
             raise VersionMismatch(f"{path}: {header['kind']} format {header['format_version']}"
-                                  f", expected {kind} format {FORMAT_VERSION}")
+                                  f", expected {kind} format {version}")
         return build(header, arrays)
     except (zipfile.BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError,
             ValueError) as exc:
@@ -89,45 +95,34 @@ def _layout_ok(arrays: dict, layout: dict) -> bool:
 
 def write_dataset(dataset: Dataset, path) -> None:
     cases = dataset.cases
-    header = {"kind": "dataset", "config": asdict(dataset.config),
-              "master_seed": int(dataset.master_seed)}
-    _write_archive(path, header, [
+    _write_archive(path, {"kind": "dataset", "config": asdict(dataset.config)}, [
         ("states", np.asarray([c.truth.states for c in cases], "<f8")),
         ("extents", np.asarray([c.truth.extents for c in cases], "<f8")),
         ("regimes", np.asarray([c.truth.regimes for c in cases], "<i1")),
         ("omegas", np.asarray([c.truth.omegas for c in cases], "<f8")),
         ("frame_counts", np.asarray([[len(f) for f in c.frames] for c in cases], "<i8")),
         ("points", np.concatenate([f for c in cases for f in c.frames], dtype="<f8")),
-        ("case_seeds", np.asarray([c.seed_entropy for c in cases], "<i8")),
-        ("train_idx", np.asarray(dataset.train_idx, "<i8")),
-        ("test_idx", np.asarray(dataset.test_idx, "<i8")),
     ])
 
 
 def _dataset_from(header: dict, a: dict) -> Dataset:
     cfg = ScenarioConfig(**header["config"])
     counts = a["frame_counts"]
-    n, k = counts.shape
-    train, test = a["train_idx"], a["test_idx"]
+    n, k = cfg.cases, cfg.steps
     if not _layout_ok(a, {
             "states": ("<f8", (n, k, 4)), "extents": ("<f8", (n, k, 2, 2)),
             "regimes": ("|i1", (n, k)), "omegas": ("<f8", (n, k)),
-            "frame_counts": ("<i8", (n, k)), "points": ("<f8", (int(counts.sum()), 2)),
-            "case_seeds": ("<i8", (n, 2)), "train_idx": ("<i8", (len(train),)),
-            "test_idx": ("<i8", (len(test),))}) or (counts < 0).any():
-        raise ChecksumMismatch("dataset arrays disagree in shape or frame counts")
-    split = np.concatenate([train, test])
-    if ((split < 0) | (split >= n)).any():
-        raise ChecksumMismatch(f"split index outside 0..{n - 1}")
+            "frame_counts": ("<i8", (n, k)),
+            "points": ("<f8", (int(counts.sum()), 2))}) or (counts < 0).any():
+        raise ChecksumMismatch("dataset arrays disagree with the config's cases and steps, "
+                               "in shape or in frame counts")
     points, ends = a["points"], np.cumsum(counts.ravel()).tolist()
     frames = [points[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
     cases = [SimCase(truth=GroundTruthSequence(a["states"][i], a["extents"][i],
                                                a["regimes"][i], a["omegas"][i]),
-                     frames=frames[i * k:(i + 1) * k],
-                     seed_entropy=tuple(a["case_seeds"][i].tolist()))
+                     frames=frames[i * k:(i + 1) * k])
              for i in range(n)]
-    return Dataset(cases=cases, train_idx=train, test_idx=test, config=cfg,
-                   master_seed=header["master_seed"])
+    return Dataset(cases=cases, config=cfg)
 
 
 def read_dataset(path) -> Dataset:

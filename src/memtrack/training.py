@@ -31,7 +31,7 @@ from .network import (
     raw_features,
     sequence_loss,
 )
-from .simulate import Dataset, SimCase
+from .simulate import SimCase
 
 __all__ = [
     "MAX_MEMORY_DIM",
@@ -72,8 +72,11 @@ class TrainConfig:
     history_polygon: int = 64        # polygon order of the per-epoch IoU
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < np.inf:  # NaN fails both tests
-            raise ValueError("learning_rate must be nonnegative and finite")
+        for name in ("learning_rate", "l2"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails both tests
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be at least 0 and below 1, got {self.momentum}")
         for name in ("epochs", "batch_size", "folds", "memory_dim", "clip"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -262,18 +265,19 @@ def check_folds(n: int, cfg: TrainConfig) -> None:
                               f"sequences and leaves none to train on")
 
 
-def train(dataset: Dataset, model: NominalModel, cfg: TrainConfig):
-    """Cross-validated training; returns (best params, history, fold reports).
+def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
+    """Cross-validated training on ``train_cases`` (a dataset's
+    ``train_cases``, say); returns (best params, history, fold reports).
 
     The returned parameters are the checkpoint with the lowest validation
     joint loss across every (fold, epoch); NonFinite is raised when no
     validation loss is finite, ConfigError when :func:`check_folds` finds a
-    fold with none to train on.  History carries one record per (fold,
-    epoch) with train/val loss and validation metric summaries.
+    fold with none to train on, EmptyDataset when there are no cases.
+    History carries one record per (fold, epoch) with train/val loss and
+    validation metric summaries.
     """
-    train_cases = [dataset.cases[i] for i in dataset.train_idx]
     if not train_cases:
-        raise EmptyDataset("dataset has no training sequences")
+        raise EmptyDataset("no training sequences")
     check_folds(len(train_cases), cfg)
     feat_mean, feat_std = collect_feature_stats(train_cases, model, cfg.tracker)
 

@@ -66,6 +66,16 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "1.8"])
+    def test_train_fraction_outside_0_1_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[scenario]\ntrain_fraction = {value}\n")
+        rc = main(["simulate", "--out", str(tmp_path / "out"), "--cases", "10",
+                   "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert "train_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_white_accel_noise(self, tmp_path):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("[scenario]\nprocess_noise = white_accel\nregimes = cv\n")
@@ -115,7 +125,9 @@ class TestTrain:
         assert not ck.exists()
 
     @pytest.mark.parametrize("setting", ["learning_rate = nan", "clip = nan", "clip = inf",
-                                         "val_fraction = nan"])
+                                         "val_fraction = nan", "momentum = nan", "momentum = inf",
+                                         "momentum = 1", "momentum = -0.1", "l2 = nan",
+                                         "l2 = inf", "l2 = -5"])
     def test_non_finite_config_value_is_config_error(self, small_dataset, tmp_path, setting):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(f"[train]\n{setting}\n")
@@ -136,7 +148,7 @@ class TestTrain:
         rc = main(["simulate", "--out", str(tmp_path), "--seed", "2", "--cases", "1",
                    "--steps", "6", "--levels", "0.4:0.6"])
         assert rc == EXIT_OK
-        assert len(read_dataset(tmp_path / "dataset_sw0.4_sv0.6.mtds").train_idx) == 1
+        assert len(read_dataset(tmp_path / "dataset_sw0.4_sv0.6.mtds").train_cases) == 1
         ck = tmp_path / "x.mtck"
         rc = main(["train", str(tmp_path / "dataset_sw0.4_sv0.6.mtds"), "--out", str(ck),
                    "--folds", "1", "--epochs", "1", "--memory-dim", "2"])
@@ -225,7 +237,7 @@ class TestEval:
         assert payload["position_rmse"] > 0
         csv_lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
         ds = read_dataset(small_dataset)
-        assert len(csv_lines) == 1 + len(ds.test_idx) * (ds.config.steps - 1)
+        assert len(csv_lines) == 1 + len(ds.test_cases) * (ds.config.steps - 1)
 
     def test_eval_reproducible_bytes(self, small_dataset, tmp_path):
         outs = []
@@ -304,12 +316,21 @@ def _garbled_header(src, dst):
     _write_members(dst, members)
 
 
-def _unknown_config_key(src, dst):
+def _with_header(src, dst, edit):
+    """Copy archive ``src`` to ``dst`` with ``edit(header)`` applied; the CRCs hold."""
     members = _archive_members(src)
     header = json.loads(members["header"].tobytes())
-    header["config"]["colour"] = "red"
+    edit(header)
     members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     _write_members(dst, members)
+
+
+def _unknown_config_key(src, dst):
+    _with_header(src, dst, lambda h: h["config"].update(colour="red"))
+
+
+def _format_2(src, dst):
+    _with_header(src, dst, lambda h: h.update(format_version=2))
 
 
 def _missing_member(src, dst):
@@ -330,8 +351,9 @@ class TestDamagedInputs:
     """Every command that reads a damaged or version-1 file exits 3, never
     with a traceback."""
 
-    @pytest.mark.parametrize("damage", [_version_1, _garbled_header, _unknown_config_key,
-                                        _missing_member, _point_moved_between_frames])
+    @pytest.mark.parametrize("damage", [_version_1, _format_2, _garbled_header,
+                                        _unknown_config_key, _missing_member,
+                                        _point_moved_between_frames])
     @pytest.mark.parametrize("command", [
         ["train", "--out", "x.mtck", "--epochs", "1", "--folds", "1", "--memory-dim", "4"],
         ["eval", "--baseline", "--out", "r"],
@@ -358,11 +380,8 @@ class TestDamagedInputs:
         assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
         # a valid archive whose header claims a network too large to allocate
         write_checkpoint(zero_params(4), tmp_path / "c.mtck")
-        members = _archive_members(tmp_path / "c.mtck")
-        header = json.loads(members["header"].tobytes())
-        header["memory_dim"] = 1_000_000
-        members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        _write_members(tmp_path / "c.mtck", members)
+        _with_header(tmp_path / "c.mtck", tmp_path / "c.mtck",
+                     lambda h: h.update(memory_dim=1_000_000))
         assert main([command[0], str(small_dataset), *command[1:]]) == EXIT_DATA
 
     def test_additive_measurement_head_checkpoint_is_data_error(self, small_dataset,
@@ -434,6 +453,20 @@ class TestTrack:
             expect = np.arctan2(u[1, 1], u[0, 1])
             diff = (ang - expect + np.pi / 2) % np.pi - np.pi / 2
             assert abs(diff) < 1e-9
+
+    @pytest.mark.parametrize("command", [["track", "--case", "0", "--out", "t.csv"],
+                                         ["eval", "--out", "r"]], ids=["track", "eval"])
+    def test_nan_checkpoint_is_numeric_error(self, small_dataset, tmp_path, monkeypatch,
+                                             capsys, command):
+        params = zero_params(4)
+        params.arrays["memcov_b"] = np.full(4, np.nan)
+        write_checkpoint(params, tmp_path / "c.mtck")
+        monkeypatch.chdir(tmp_path)
+        with np.errstate(invalid="ignore"):
+            rc = main([command[0], str(small_dataset), *command[1:], "--checkpoint", "c.mtck"])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mtck"]
 
     def test_out_of_range_case(self, small_dataset, tmp_path):
         rc = main(["track", str(small_dataset), "--case", "99",
@@ -595,7 +628,8 @@ class TestConfigKeys:
 
     def test_every_dataclass_key_reaches_its_field(self):
         other = {"cv_ct": "cv", "direct": "white_accel"}
-        shares = {"val_fraction": 0.5}     # default + 1 would leave (0, 1)
+        # default + 1 would leave these fields' ranges
+        shares = {"val_fraction": 0.5, "train_fraction": 0.5, "momentum": 0.5}
         expected = {}
         for section, (cls, skip) in cli.DATACLASS_SECTIONS.items():
             for f in fields(cls):

@@ -386,7 +386,7 @@ class TestEvaluateRun:
         cfg = ScenarioConfig(steps=25, cases=3, seed=19)
         ds = generate_dataset(cfg)
         model = nominal_cv_model(sigma_w=cfg.sigma_w)
-        cases = [ds.cases[int(idx)] for idx in ds.test_idx]
+        cases = ds.test_cases
         runs = []
         for case in cases:
             st, ex, _ = run_filter(case.frames, model, TrackerConfig())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memtrack import ops
-from memtrack.errors import NotPositiveDefinite, TapeEmpty
+from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -259,6 +259,12 @@ class TestNoClampTest:
         for bad in (np.nan, np.inf):
             assert not ops._above(np.array([[1.0, bad], [bad, 1.0]]), 0.0)
             assert not ops._above(np.diag([1.0, 1.0, bad, 1.0]), 0.0)
+
+    def test_non_finite_raises_non_finite(self):
+        for bad in (np.nan, np.inf):
+            for a in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([1.0, 1.0, bad, 1.0])):
+                with pytest.raises(NonFinite):
+                    ops.sym_project(a, 1e-9)
 
 
 def _masked_sigmoid(x):

@@ -144,16 +144,14 @@ class TestGenerateDataset:
         cfg = ScenarioConfig(steps=30, cases=10, seed=3)
         ds = generate_dataset(cfg)
         assert len(ds.cases) == 10
-        assert len(ds.train_idx) == 8 and len(ds.test_idx) == 2
-        assert set(ds.train_idx) | set(ds.test_idx) == set(range(10))
-        assert not (set(ds.train_idx) & set(ds.test_idx))
+        assert len(ds.train_cases) == 8
+        assert [id(c) for c in ds.train_cases + ds.test_cases] == [id(c) for c in ds.cases]
         assert all(len(c.frames) == 30 for c in ds.cases)
 
     def test_default_benchmark_sizes(self):
-        cfg = ScenarioConfig()
-        assert cfg.cases == 600 and cfg.steps == 140
-        n_train = int(round(cfg.train_fraction * cfg.cases))
-        assert n_train == 480 and cfg.cases - n_train == 120
+        ds = simulate.Dataset(cases=list(range(600)), config=ScenarioConfig())  # stand-in cases
+        assert ds.config.cases == 600 and ds.config.steps == 140
+        assert (len(ds.train_cases), len(ds.test_cases)) == (480, 120)
 
     def test_deterministic_given_seed(self):
         cfg = ScenarioConfig(steps=12, cases=3, seed=5)
@@ -164,9 +162,8 @@ class TestGenerateDataset:
             for fa, fb in zip(ca.frames, cb.frames):
                 np.testing.assert_array_equal(fa, fb)
 
-    def test_case_seeds_recorded(self):
+    def test_case_regenerates_from_the_config_seed(self):
         cfg = ScenarioConfig(steps=5, cases=4, seed=77)
         ds = generate_dataset(cfg)
-        assert [c.seed_entropy for c in ds.cases] == [(77, i) for i in range(4)]
         regen = generate_case(cfg, 77, 2)
         np.testing.assert_array_equal(regen.truth.states, ds.cases[2].truth.states)

@@ -18,6 +18,22 @@ def dataset():
     return generate_dataset(ScenarioConfig(steps=12, cases=4, seed=3))
 
 
+@pytest.fixture()
+def path(dataset, tmp_path):
+    """The dataset, written to ``d.mtds``."""
+    out = tmp_path / "d.mtds"
+    store.write_dataset(dataset, out)
+    return out
+
+
+@pytest.fixture()
+def checkpoint(tmp_path):
+    """``zero_params(4)``, written to ``c.mtck``."""
+    out = tmp_path / "c.mtck"
+    store.write_checkpoint(zero_params(4), out)
+    return out
+
+
 def _members(path) -> dict:
     with np.load(path, allow_pickle=False) as archive:
         return {name: archive[name] for name in archive.files}
@@ -47,20 +63,14 @@ def _flip_stored_bytes(path, old: bytes, new: bytes) -> None:
 
 
 class TestDatasetRoundTrip:
-    def test_exact_round_trip(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_exact_round_trip(self, dataset, path):
         back = store.read_dataset(path)
-        assert back.master_seed == dataset.master_seed
-        assert back.config == dataset.config
-        np.testing.assert_array_equal(back.train_idx, dataset.train_idx)
-        np.testing.assert_array_equal(back.test_idx, dataset.test_idx)
+        assert back.config == dataset.config and len(back.cases) == len(dataset.cases)
         for a, b in zip(dataset.cases, back.cases):
             np.testing.assert_array_equal(a.truth.states, b.truth.states)
             np.testing.assert_array_equal(a.truth.extents, b.truth.extents)
             np.testing.assert_array_equal(a.truth.regimes, b.truth.regimes)
             np.testing.assert_array_equal(a.truth.omegas, b.truth.omegas)
-            assert a.seed_entropy == b.seed_entropy
             for fa, fb in zip(a.frames, b.frames):
                 np.testing.assert_array_equal(fa, fb)
 
@@ -70,44 +80,34 @@ class TestDatasetRoundTrip:
         store.write_dataset(dataset, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_truncation_detected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_truncation_detected(self, path):
         blob = path.read_bytes()
         path.write_bytes(blob[:-20])
         with pytest.raises(ChecksumMismatch):
             store.read_dataset(path)
 
-    def test_corruption_detected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_corruption_detected(self, path):
         blob = bytearray(path.read_bytes())
         blob[-8] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ChecksumMismatch):
             store.read_dataset(path)
 
-    def test_bad_magic_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_bad_magic_rejected(self, path):
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch):
             store.read_dataset(path)
 
-    def test_frames_are_point_arrays(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_frames_are_point_arrays(self, path):
         for case in store.read_dataset(path).cases:
             assert len(case.frames) == 12
             for frame in case.frames:
                 assert frame.dtype == np.float64 and frame.ndim == 2 and frame.shape[1] == 2
                 assert frame.flags.c_contiguous and frame.flags.writeable
 
-    def test_frames_are_consecutive_slices_of_points(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_frames_are_consecutive_slices_of_points(self, path):
         points = _members(path)["points"]
         frames = [f for case in store.read_dataset(path).cases for f in case.frames]
         base = frames[0].base  # the decoded points member
@@ -115,16 +115,12 @@ class TestDatasetRoundTrip:
         assert all(f.base is base and np.shares_memory(f, base) for f in frames)
         np.testing.assert_array_equal(np.concatenate(frames), points)
 
-    def test_fewer_cases_in_header_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_fewer_cases_in_header_rejected(self, path):
         _edit_archive(path, lambda h, a: a.update(omegas=a["omegas"][:3]))
         with pytest.raises(ChecksumMismatch, match="disagree"):
             store.read_dataset(path)
 
-    def test_frame_count_beyond_body_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_frame_count_beyond_body_rejected(self, path):
 
         def grow(header, arrays):
             arrays["frame_counts"][1, 5] += 1
@@ -132,42 +128,26 @@ class TestDatasetRoundTrip:
         with pytest.raises(ChecksumMismatch, match="frame counts"):
             store.read_dataset(path)
 
-    def test_test_index_past_cases_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
-        _edit_archive(path, lambda h, a: a.update(test_idx=np.array([9])))
-        with pytest.raises(ChecksumMismatch, match="split index"):
+    def test_case_count_unlike_config_rejected(self, path):
+        _edit_archive(path, lambda h, a: h["config"].update(cases=3))
+        with pytest.raises(ChecksumMismatch, match="config's cases"):
             store.read_dataset(path)
 
-    def test_negative_train_index_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
-
-        def negate_last(header, arrays):
-            arrays["train_idx"][-1] = -1
-        _edit_archive(path, negate_last)
-        with pytest.raises(ChecksumMismatch, match="split index"):
-            store.read_dataset(path)
-
-    def test_opens_as_npz(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_opens_as_npz(self, path):
         members = _members(path)
         header = json.loads(members["header"].tobytes())
-        assert (header["kind"], header["format_version"]) == ("dataset", 2)
+        assert (header["kind"], header["format_version"]) == ("dataset", 3)
+        assert sorted(members) == ["extents", "frame_counts", "header", "omegas", "points",
+                                   "regimes", "states"]
         assert members["states"].shape == (4, 12, 4)
         assert members["points"].shape == (members["frame_counts"].sum(), 2)
 
-    def test_header_byte_edit_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
-        _flip_stored_bytes(path, b'"master_seed": 3', b'"master_seed": 4')
+    def test_header_byte_edit_rejected(self, path):
+        _flip_stored_bytes(path, b'"seed": 3', b'"seed": 4')
         with pytest.raises(ChecksumMismatch):
             store.read_dataset(path)
 
-    def test_point_moved_between_frames_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_point_moved_between_frames_rejected(self, path):
         counts = _members(path)["frame_counts"]
         moved = counts.copy()
         moved[1, 5] += 1
@@ -184,45 +164,35 @@ class TestDatasetRoundTrip:
         with pytest.raises(VersionMismatch):
             read(path)
 
-    def test_wrong_kind_or_version_rejected(self, dataset, tmp_path):
-        ds, ck = tmp_path / "d.mtds", tmp_path / "c.mtck"
-        store.write_dataset(dataset, ds)
-        store.write_checkpoint(zero_params(4), ck)
+    def test_wrong_kind_or_version_rejected(self, path, checkpoint):
         with pytest.raises(VersionMismatch, match="expected checkpoint"):
-            store.read_checkpoint(ds)
+            store.read_checkpoint(path)
         with pytest.raises(VersionMismatch, match="expected dataset"):
-            store.read_dataset(ck)
-        _edit_archive(ds, lambda h, a: h.update(format_version=1))
-        with pytest.raises(VersionMismatch, match="format 1"):
-            store.read_dataset(ds)
+            store.read_dataset(checkpoint)
+        for old in (1, 2):
+            _edit_archive(path, lambda h, a: h.update(format_version=old))
+            with pytest.raises(VersionMismatch, match=f"format {old}"):
+                store.read_dataset(path)
 
-    def test_unparsable_header_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_unparsable_header_rejected(self, path):
         members = _members(path)
         members["header"] = members["header"][:-1]
         _rewrite(path, members)
         with pytest.raises(ChecksumMismatch, match="JSONDecodeError"):
             store.read_dataset(path)
 
-    def test_unknown_config_key_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_unknown_config_key_rejected(self, path):
         _edit_archive(path, lambda h, a: h["config"].update(colour="red"))
         with pytest.raises(ChecksumMismatch, match="colour"):
             store.read_dataset(path)
 
-    def test_rejected_config_value_rejected(self, dataset, tmp_path):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    def test_rejected_config_value_rejected(self, path):
         _edit_archive(path, lambda h, a: h["config"].update(steps=1))
         with pytest.raises(ChecksumMismatch, match="steps"):
             store.read_dataset(path)
 
-    @pytest.mark.parametrize("member", ["header", "points", "test_idx"])
-    def test_missing_member_rejected(self, dataset, tmp_path, member):
-        path = tmp_path / "d.mtds"
-        store.write_dataset(dataset, path)
+    @pytest.mark.parametrize("member", ["header", "points", "frame_counts"])
+    def test_missing_member_rejected(self, path, member):
         members = _members(path)
         del members[member]
         _rewrite(path, members)
@@ -255,15 +225,13 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(params.feat_mean, back.feat_mean)
         np.testing.assert_array_equal(params.feat_std, back.feat_std)
 
-    def test_shape_table_mismatch_rejected(self, tmp_path):
+    def test_shape_table_mismatch_rejected(self, checkpoint):
         # the table is compared before anything is allocated: zero arrays
         # for memory_dim 1e6 would take about 29 TiB
         for memory_dim in (8, 1_000_000):
-            path = tmp_path / "c.mtck"
-            store.write_checkpoint(zero_params(4), path)
-            _edit_archive(path, lambda h, a: h.update(memory_dim=memory_dim))
+            _edit_archive(checkpoint, lambda h, a: h.update(memory_dim=memory_dim))
             with pytest.raises(VersionMismatch, match="shape table"):
-                store.read_checkpoint(path)
+                store.read_checkpoint(checkpoint)
 
     def test_masks_restored(self, tmp_path):
         path = tmp_path / "c.mtck"
@@ -271,38 +239,29 @@ class TestCheckpointRoundTrip:
         back = store.read_checkpoint(path)
         assert back.mask_evolution and not back.mask_update
 
-    def test_feature_dim_beyond_body_rejected(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        _edit_archive(path, lambda h, a: a.update(feat_mean=np.zeros(19)))
+    def test_feature_dim_beyond_body_rejected(self, checkpoint):
+        _edit_archive(checkpoint, lambda h, a: a.update(feat_mean=np.zeros(19)))
         with pytest.raises(ChecksumMismatch, match="feature statistics"):
-            store.read_checkpoint(path)
+            store.read_checkpoint(checkpoint)
 
-    def test_renamed_array_is_shape_table_mismatch(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        _edit_archive(path, lambda h, a: a.update(lstm_v=a.pop("lstm_w")))
+    def test_renamed_array_is_shape_table_mismatch(self, checkpoint):
+        _edit_archive(checkpoint, lambda h, a: a.update(lstm_v=a.pop("lstm_w")))
         with pytest.raises(VersionMismatch, match="shape table"):
-            store.read_checkpoint(path)
+            store.read_checkpoint(checkpoint)
 
-    def test_additive_measurement_head_is_shape_table_mismatch(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-
+    def test_additive_measurement_head_is_shape_table_mismatch(self, checkpoint):
         def old_head(header, arrays):
             for part in ("w", "b"):
                 arrays[f"upd_cov_{part}"] = arrays.pop(f"upd_scale_{part}")
 
-        _edit_archive(path, old_head)
+        _edit_archive(checkpoint, old_head)
         with pytest.raises(VersionMismatch, match="shape table"):
-            store.read_checkpoint(path)
+            store.read_checkpoint(checkpoint)
 
-    def test_missing_feature_statistics_rejected(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        _edit_archive(path, lambda h, a: a.pop("feat_std"))
+    def test_missing_feature_statistics_rejected(self, checkpoint):
+        _edit_archive(checkpoint, lambda h, a: a.pop("feat_std"))
         with pytest.raises(ChecksumMismatch, match="feat_std"):
-            store.read_checkpoint(path)
+            store.read_checkpoint(checkpoint)
 
     def test_rewrite_ignores_the_clock(self, tmp_path, monkeypatch):
         params = init_params(4, np.random.default_rng(1))
@@ -314,14 +273,12 @@ class TestCheckpointRoundTrip:
         store.write_checkpoint(params, p2, train_config_digest="d")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_corruption_detected(self, tmp_path):
-        path = tmp_path / "c.mtck"
-        store.write_checkpoint(zero_params(4), path)
-        blob = bytearray(path.read_bytes())
+    def test_corruption_detected(self, checkpoint):
+        blob = bytearray(checkpoint.read_bytes())
         blob[blob.rfind(np.ones(18).tobytes()) + 8 * 18 - 1] ^= 0x01  # last feat_std byte
-        path.write_bytes(bytes(blob))
+        checkpoint.write_bytes(bytes(blob))
         with pytest.raises(ChecksumMismatch):
-            store.read_checkpoint(path)
+            store.read_checkpoint(checkpoint)
 
 
 class TestReports:
@@ -359,7 +316,6 @@ class TestReports:
         assert path.read_text().strip() == "case,step,position_error,iou,gwd"
 
     def test_json_round_trip_exact(self, tmp_path):
-        import json
         rep = self._report()
         path = tmp_path / "r.json"
         store.write_report(rep, path, "json")

@@ -7,7 +7,7 @@ from memtrack.filtering import TrackerConfig
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.metrics import evaluate_run
 from memtrack.network import FEATURE_DIM, forward_sequence, init_params
-from memtrack.simulate import Dataset, generate_dataset
+from memtrack.simulate import generate_dataset
 from memtrack.training import TrainConfig, collect_feature_stats, sgd_step, train
 
 
@@ -85,7 +85,7 @@ class TestTrain:
     def test_zero_lr_preserves_init(self, tiny):
         ds, model = tiny
         cfg = make_cfg(learning_rate=0.0, seed=9)
-        params, history, folds = train(ds, model, cfg)
+        params, history, folds = train(ds.train_cases, model, cfg)
         assert len(history) == 1 and len(folds) == 1
         # reproduce the fold-0 initialization: same seed stream, stats frozen
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, 0))))
@@ -96,18 +96,28 @@ class TestTrain:
     def test_history_one_row_per_fold_epoch(self, tiny):
         ds, model = tiny
         cfg = make_cfg(epochs=2, folds=2, learning_rate=0.0)
-        _, history, folds = train(ds, model, cfg)
+        _, history, folds = train(ds.train_cases, model, cfg)
         assert len(history) == 4
         assert [(r.fold, r.epoch) for r in history] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert len(folds) == 2
 
     def test_empty_dataset_rejected(self, tiny):
-        ds, model = tiny
-        empty = Dataset(cases=ds.cases, train_idx=np.array([], dtype=int),
-                        test_idx=ds.test_idx, config=ds.config,
-                        master_seed=ds.master_seed)
+        _, model = tiny
         with pytest.raises(EmptyDataset):
-            train(empty, model, make_cfg())
+            train([], model, make_cfg())
+
+    @pytest.mark.parametrize("name", ["evo_shift_b", "evo_cov_b", "evo_ext_b", "upd_shift_b",
+                                      "upd_scale_b", "lstm_b", "memcov_b"])
+    def test_poisoned_bias_is_skipped(self, tiny, name):
+        """A NaN in any head or memory bias skips the sequence (NaN loss, zero
+        gradients) and makes the plain forward raise NonFinite."""
+        ds, model = tiny
+        params = init_params(4, np.random.default_rng(0))
+        params.arrays[name] = np.full_like(params.arrays[name], np.nan)
+        loss, grads = training._sequence_gradients(params, ds.cases[0], model, make_cfg())
+        assert np.isnan(loss) and all(not g.any() for g in grads.values())
+        with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
+            forward_sequence(params, ds.cases[0].frames, model, TrackerConfig())
 
     def test_validation_scores_pool_every_case(self):
         cfg = ScenarioConfig(steps=6, cases=10, seed=52)
@@ -124,20 +134,20 @@ class TestTrain:
         ds, model = tiny
         monkeypatch.setattr(training, "_validation_loss", lambda *a: (float("inf"), None))
         with pytest.raises(NonFinite):
-            train(ds, model, make_cfg(learning_rate=0.0))
+            train(ds.train_cases, model, make_cfg(learning_rate=0.0))
 
     def test_masked_variants_run(self, tiny):
         ds, model = tiny
         for mask in ("mask_evolution", "mask_update", "mask_memory"):
             cfg = make_cfg(**{mask: True})
-            params, history, _ = train(ds, model, cfg)
+            params, history, _ = train(ds.train_cases, model, cfg)
             assert getattr(params, mask)
             assert np.isfinite(history[-1].val_loss)
 
     def test_deterministic_trajectory(self, tiny):
         ds, model = tiny
         cfg = make_cfg(epochs=2, learning_rate=1e-3)
-        a, _, _ = train(ds, model, cfg)
-        b, _, _ = train(ds, model, cfg)
+        a, _, _ = train(ds.train_cases, model, cfg)
+        b, _, _ = train(ds.train_cases, model, cfg)
         for name in a.arrays:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
