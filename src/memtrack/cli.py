@@ -242,13 +242,18 @@ def cmd_train(args) -> int:
 
 
 def _posteriors_for(cases, model, tracker, params=None):
+    """(states, extensions) of each case, from the baseline or the learned
+    filter.  A non-finite value raises NonFinite from the filter's own
+    checks, so numpy's overflow and invalid-value warnings are silenced, as
+    in training."""
     runs = []
-    for case in cases:
-        if params is None:
-            states, exts, _ = run_filter(case.frames, model, tracker)
-        else:
-            states, exts, _ = forward_sequence(params, case.frames, model, tracker)
-        runs.append((states, exts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for case in cases:
+            if params is None:
+                states, exts, _ = run_filter(case.frames, model, tracker)
+            else:
+                states, exts, _ = forward_sequence(params, case.frames, model, tracker)
+            runs.append((states, exts))
     return runs
 
 

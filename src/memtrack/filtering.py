@@ -24,13 +24,22 @@ A compensator may keep state between the two calls and across steps (the
 learned tracker keeps its LSTM memory there).  ``None`` runs the
 zero-compensation baseline.
 
-All arithmetic goes through :mod:`memtrack.ops`, so beliefs may carry tape
-variables; gradients then flow through every update into upstream inputs.
+Beliefs and compensation moments may carry tape variables
+(:mod:`memtrack.ops`); gradients then flow through every update into
+upstream inputs.  Each stage computes its values in plain numpy, by the
+same expressions with or without a tape, and records them as one tape node
+with a hand-written adjoint: :func:`predict_state`'s mean and raw
+covariance, :func:`predict_extension`'s scaled bracket, the innovation and
+the state update together (:func:`innovation` computes the statistics and
+:func:`update_state` records the node, from the prediction and the
+measurement moments), and :func:`update_extension`'s sum.  Each eigenvalue
+clamp (:func:`memtrack.ops.sym_project`) is a node of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +65,7 @@ __all__ = [
     "innovation",
     "update_state",
     "update_extension",
+    "extension_lambda",
     "extension_mean",
     "init_track",
     "run_filter",
@@ -104,12 +114,20 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class InnovationStats:
     """Predicted frame mean, the frame mean's residual against it, and the
-    covariances that :func:`update_state` reads."""
+    covariances that :func:`update_state` reads, all plain arrays.
+
+    ``sources`` are the prediction and measurement moments they came from,
+    ``(x, P, X, dh, eh)``, and ``back`` maps adjoints of (residual, pxz,
+    pzz) to adjoints of the sources; :func:`update_state` records its tape
+    node from them, so that the innovation and the update are one node.
+    """
 
     z_pred: np.ndarray    # (2,)
     residual: np.ndarray  # (2,) frame mean minus z_pred
     pxz: np.ndarray       # (4, 2)
     pzz: np.ndarray       # (2, 2) residual covariance
+    sources: tuple = ()
+    back: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -135,8 +153,11 @@ def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
 
     mean = F x + df;  cov = F P F^T + Q + pf, symmetrized.
     """
-    mean = model.F @ prior.mean + df
-    cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
+    f = model.F
+    mean = f @ ops.value(prior.mean) + ops.value(df)
+    cov_raw = f @ ops.value(prior.cov) @ f.T + model.q + ops.value(pf)
+    mean, cov_raw = ops.node((mean, cov_raw), (prior.mean, prior.cov, df, pf),
+                             lambda g: (f.T @ g[0], f.T @ g[1] @ f, g[0], g[1]))
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
     if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("predicted state mean is not finite")
@@ -164,18 +185,26 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     # The bracket is (delta A X A^T + pphi) / delta.  Dividing by delta keeps
     # the expected extent; the undivided bracket multiplies it by about delta
     # per step, which compounds geometrically.
-    bracket = model.a @ prior.param @ model.a.T + pphi / delta
-    raw = ((v_pred - 2 * D - 2) / lam) * bracket
+    a = model.a
+    bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
+    scale = (v_pred - 2 * D - 2) / lam
+    raw = ops.node(scale * bracket, (prior.param, pphi),
+                   lambda g: (a.T @ (scale * g) @ a, (scale * g) / delta))
     param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
     return ExtensionState(dof=v_pred, param=param)
 
 
+def extension_lambda(dof: float) -> float:
+    """lambda = dof - 2d - 2, the divisor of the point-estimate extent."""
+    lam = dof - 2 * D - 2
+    if lam <= 0.0:
+        raise BadDof(f"extension mean needs dof > {2 * D + 2}, got {dof}")
+    return lam
+
+
 def extension_mean(ext: ExtensionState):
     """Point-estimate extent: param / (dof - 2d - 2)."""
-    lam = ext.dof - 2 * D - 2
-    if lam <= 0.0:
-        raise BadDof(f"extension mean needs dof > {2 * D + 2}, got {ext.dof}")
-    return ext.param / lam
+    return ext.param / extension_lambda(ext.dof)
 
 
 def innovation(
@@ -189,33 +218,66 @@ def innovation(
     """Predicted frame mean H x + dh, its residual against the frame mean,
     and the cross/innovation covariances.
 
-    Pzz = H P H^T + D (B Xhat B^T / n) D with D = diag(1 + eh), eh >= -1, is
-    SPD by construction for an SPD prediction P.  Xhat is the lambda-scaled
-    extent point estimate (not the raw parameter matrix, whose scale grows
-    with dof).  D's product is taken entrywise as d_i d_j, so it keeps a
-    symmetric scatter term symmetric bit for bit.
+    Pzz = H P H^T + D W D with W = B Xhat B^T / n and D = diag(1 + eh),
+    eh >= -1, is SPD by construction for an SPD prediction P.  Xhat is the
+    lambda-scaled extent point estimate (not the raw parameter matrix, whose
+    scale grows with dof).  W is taken as its symmetric part, and D's
+    product entrywise as d_i d_j, so Pzz is symmetric bit for bit for any B.
+
+    The statistics are plain arrays; under a tape, :func:`update_state`
+    records them and the update as one node (see :class:`InnovationStats`).
     """
     if fs.count < 1:
         raise SingularInnovation("innovation needs at least one measurement")
-    z_pred = model.H @ pred.mean + dh
-    pxz = pred.cov @ model.H.T
-    hph = model.H @ pxz
-    xhat = extension_mean(ext_pred)
-    scale = 1.0 + eh
-    pzz = hph + (model.b @ xhat @ model.b.T) / float(fs.count) * (scale[:, None] * scale)
-    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz)
+    h, b, n = model.H, model.b, float(fs.count)
+    lam = extension_lambda(ext_pred.dof)
+    z_pred = h @ ops.value(pred.mean) + ops.value(dh)
+    pxz = ops.value(pred.cov) @ h.T
+    hph = h @ pxz
+    xhat = ops.value(ext_pred.param) / lam
+    scatter = (b @ xhat @ b.T) / n
+    scatter = 0.5 * (scatter + scatter.T)
+    scale = 1.0 + ops.value(eh)
+    outer_scale = scale[:, None] * scale
+    pzz = hph + scatter * outer_scale
+
+    def back(g_residual, g_pxz, g_pzz):
+        """Adjoints of (x, P, X, dh, eh) from those of (residual, pxz, pzz)."""
+        g_pxz = g_pxz + h.T @ g_pzz
+        g_scatter = g_pzz * outer_scale
+        g_outer = g_pzz * scatter
+        g_scatter = 0.5 * (g_scatter + g_scatter.T)
+        g_xhat = b.T @ g_scatter @ b / n
+        return (-(h.T @ g_residual), g_pxz @ h, g_xhat / lam, -g_residual,
+                g_outer @ scale + g_outer.T @ scale)
+
+    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz,
+                           sources=(pred.mean, pred.cov, ext_pred.param, dh, eh), back=back)
 
 
 def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     """Kalman-form state update of the mean by the gain Pxz Pzz^-1 times
-    ``stats.residual``."""
+    ``stats.residual``; one tape node with the innovation that made
+    ``stats``."""
+    pxz, pzz, residual, back = stats.pxz, stats.pzz, stats.residual, stats.back
     try:
-        gain_t = ops.solve(stats.pzz, ops.transpose(stats.pxz))
+        gain_t = ops.solve(pzz, pxz.T)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
-    gain = ops.transpose(gain_t)
-    mean = pred.mean + gain @ stats.residual
-    cov_raw = pred.cov - gain @ ops.transpose(stats.pxz)
+    gain = gain_t.T
+    mean = ops.value(pred.mean) + gain @ residual
+    cov_raw = ops.value(pred.cov) - gain @ pxz.T
+
+    def vjp(g):
+        g_mean, g_cov = g
+        # gain^T = Pzz^-1 Pxz^T: its adjoint flows to Pzz and Pxz as a solve's
+        g_gain_t = (np.outer(g_mean, residual) - g_cov @ pxz).T
+        g_rhs = ops.solve(pzz.T, g_gain_t)
+        sources = () if back is None else back(
+            gain_t @ g_mean, g_rhs.T - g_cov.T @ gain, -g_rhs @ gain)
+        return (g_mean, g_cov) + sources
+
+    mean, cov_raw = ops.node((mean, cov_raw), (pred.mean, pred.cov) + stats.sources, vjp)
     cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
     if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("updated state mean is not finite")

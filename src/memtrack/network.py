@@ -12,6 +12,14 @@ and the predicted state covariance is SPD-projected.  The measurement scale
 excess eh = softplus(u) / softplus(0) - 1 is >= -1, so the innovation's
 scale 1 + eh is nonnegative and Pzz needs no projection; the extension
 inflation pphi is a true Cholesky square so it stays PSD.
+
+Each block computes its values in plain numpy, by the same expressions with
+or without a tape, and records them as one tape node with a hand-written
+adjoint (:func:`memtrack.ops.node`): the feature encoding, the LSTM step,
+the memory-covariance head of :func:`mub_step`, :func:`jeb_heads`,
+:func:`jub_heads` with its prediction features, and each step's loss term.
+Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
+sums over time in one matrix product per weight.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .filtering import (
     ZERO_EVOLUTION,
     ZERO_MEASUREMENT,
     TrackerConfig,
-    extension_mean,
+    extension_lambda,
     run_filter,
 )
 from .models import ExtensionState, FrameStats, NominalModel, TrackState
@@ -151,34 +159,47 @@ def initial_memory(memory_dim: int) -> MemoryState:
     return MemoryState(cell=z, hidden=z.copy(), pc=z.copy())
 
 
+def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = None):
+    """The raw encoding of a belief, and of the current frame when ``fs`` is
+    given, as a plain vector; and the map from its adjoint to the adjoints
+    of (state mean, state covariance, extension parameter).
+
+    Without a frame these are the PRED_FEATURE_DIM prediction features:
+    the mean, the log variances, the log-Cholesky extent and the log dof.
+    """
+    mean, cov = ops.value(state.mean), ops.value(state.cov)
+    lam = extension_lambda(ext.dof)
+    xhat = ops.value(ext.param) / lam
+    variances = np.diagonal(cov)
+    pieces = [mean, np.log(variances), ops.logchol2x2(xhat), np.array([np.log(float(ext.dof))])]
+    if fs is not None:
+        scatter_cov = fs.scatter / max(fs.count - 1, 1) + _FRAME_COV_FLOOR
+        pieces += [fs.mean - mean[0:2], ops.logchol2x2(scatter_cov),
+                   np.array([np.log(float(fs.count))])]
+
+    def back(g):
+        g_mean = g[0:4].copy()
+        if fs is not None:
+            g_mean[0:2] -= g[12:14]
+        return (g_mean, np.diag(g[4:8] / variances),
+                ops.logchol2x2_adjoint(xhat, g[8:11]) / lam)
+
+    return np.concatenate(pieces), back
+
+
 def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats):
     """Unstandardized 18-feature encoding of (posterior, current frame)."""
-    pieces = list(_pred_feature_pieces(state, ext))
-    pos = state.mean[0:2]
-    pieces.append(fs.mean - pos)
-    scatter_cov = fs.scatter / max(fs.count - 1, 1) + _FRAME_COV_FLOOR
-    pieces.append(ops.logchol2x2(scatter_cov))
-    pieces.append(np.array([np.log(float(fs.count))]))
-    return ops.concat(pieces)
-
-
-def _pred_feature_pieces(state: TrackState, ext: ExtensionState):
-    yield state.mean
-    yield ops.log(ops.take_diag(state.cov))
-    yield ops.logchol2x2(extension_mean(ext))
-    yield np.array([np.log(float(ext.dof))])
+    raw, back = _features(state, ext, fs)
+    return ops.node(raw, (state.mean, state.cov, ext.param), back)
 
 
 def encode_inputs(state: TrackState, ext: ExtensionState, fs: FrameStats,
                   params: NetworkParams):
     """Standardized memory-update features (frozen per-feature statistics)."""
-    raw = raw_features(state, ext, fs)
-    return (raw - params.feat_mean) / params.feat_std
-
-
-def _encode_predictions(pred: TrackState, ext_pred: ExtensionState, params: NetworkParams):
-    raw = ops.concat(list(_pred_feature_pieces(pred, ext_pred)))
-    return (raw - params.feat_mean[:PRED_FEATURE_DIM]) / params.feat_std[:PRED_FEATURE_DIM]
+    raw, back = _features(state, ext, fs)
+    std = params.feat_std
+    return ops.node((raw - params.feat_mean) / std, (state.mean, state.cov, ext.param),
+                    lambda g: back(g / std))
 
 
 def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
@@ -188,7 +209,15 @@ def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
     weights = params.arrays
     cell, hidden = ops.lstm_cell(weights["lstm_w"], weights["lstm_b"], features,
                                  mem.hidden, mem.cell)
-    pc = ops.softplus(ops.affine(weights["memcov_w"], hidden, weights["memcov_b"]))
+    w, h = ops.value(weights["memcov_w"]), ops.value(hidden)
+    lin = w @ h + ops.value(weights["memcov_b"])
+
+    def vjp(g):
+        g_lin = g * ops.sigmoid(lin)
+        return ops.Outer(g_lin, h), w.T @ g_lin, g_lin
+
+    pc = ops.node(np.logaddexp(0.0, lin), (weights["memcov_w"], hidden, weights["memcov_b"]),
+                  vjp)
     return MemoryState(cell=cell, hidden=hidden, pc=pc)
 
 
@@ -196,29 +225,53 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
     """Evolution compensation (df, pf, pphi) from the memory state."""
     if params.mask_evolution:
         return ZERO_EVOLUTION
-    weights = params.arrays
-    inp = ops.concat([mem.hidden, mem.pc])
-    df = ops.affine(weights["evo_shift_w"], inp, weights["evo_shift_b"])
-    pf_diag = ops.softplus(ops.affine(weights["evo_cov_w"], inp, weights["evo_cov_b"])) \
-        - ops.SOFTPLUS_ZERO
-    pf = ops.diag_embed(pf_diag)
-    ext_vec = ops.affine(weights["evo_ext_w"], inp, weights["evo_ext_b"])
-    ldiag = ops.softplus(ext_vec[0:2]) - ops.SOFTPLUS_ZERO
-    ell = ops.diag_embed(ldiag) + ext_vec[2] * _OFF_DIAG_2
-    pphi = ell @ ops.transpose(ell)
-    return df, pf, pphi
+    names = ("evo_shift_w", "evo_shift_b", "evo_cov_w", "evo_cov_b", "evo_ext_w", "evo_ext_b")
+    weights = [params.arrays[name] for name in names]
+    shift_w, shift_b, cov_w, cov_b, ext_w, ext_b = map(ops.value, weights)
+    hidden = ops.value(mem.hidden)
+    inp = np.concatenate([hidden, ops.value(mem.pc)])
+    df = shift_w @ inp + shift_b
+    cov_lin = cov_w @ inp + cov_b
+    pf = np.diag(np.logaddexp(0.0, cov_lin) - ops.SOFTPLUS_ZERO)
+    ext_vec = ext_w @ inp + ext_b
+    ell = np.diag(np.logaddexp(0.0, ext_vec[0:2]) - ops.SOFTPLUS_ZERO) \
+        + ext_vec[2] * _OFF_DIAG_2
+    pphi = ell @ ell.T
+
+    def vjp(g):
+        g_df, g_pf, g_pphi = g
+        g_cov = np.diagonal(g_pf) * ops.sigmoid(cov_lin)
+        g_ell = (g_pphi + g_pphi.T) @ ell
+        g_ext = np.array([g_ell[0, 0], g_ell[1, 1], g_ell[1, 0]])
+        g_ext[0:2] *= ops.sigmoid(ext_vec[0:2])
+        g_inp = shift_w.T @ g_df + cov_w.T @ g_cov + ext_w.T @ g_ext
+        return (g_inp[:len(hidden)], g_inp[len(hidden):], ops.Outer(g_df, inp), g_df,
+                ops.Outer(g_cov, inp), g_cov, ops.Outer(g_ext, inp), g_ext)
+
+    return ops.node((df, pf, pphi), (mem.hidden, mem.pc, *weights), vjp)
 
 
 def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState):
     """Measurement compensation (dh, eh) from the current predictions."""
     if params.mask_update:
         return ZERO_MEASUREMENT
-    weights = params.arrays
-    inp = _encode_predictions(pred, ext_pred, params)
-    dh = ops.affine(weights["upd_shift_w"], inp, weights["upd_shift_b"])
-    eh = ops.softplus(ops.affine(weights["upd_scale_w"], inp, weights["upd_scale_b"])) \
-        / ops.SOFTPLUS_ZERO - 1.0
-    return dh, eh
+    names = ("upd_shift_w", "upd_shift_b", "upd_scale_w", "upd_scale_b")
+    weights = [params.arrays[name] for name in names]
+    shift_w, shift_b, scale_w, scale_b = map(ops.value, weights)
+    raw, back = _features(pred, ext_pred)
+    std = params.feat_std[:PRED_FEATURE_DIM]
+    inp = (raw - params.feat_mean[:PRED_FEATURE_DIM]) / std
+    dh = shift_w @ inp + shift_b
+    scale_lin = scale_w @ inp + scale_b
+    eh = np.logaddexp(0.0, scale_lin) / ops.SOFTPLUS_ZERO - 1.0
+
+    def vjp(g):
+        g_dh, g_eh = g
+        g_scale = g_eh / ops.SOFTPLUS_ZERO * ops.sigmoid(scale_lin)
+        g_inp = shift_w.T @ g_dh + scale_w.T @ g_scale
+        return back(g_inp / std) + (ops.Outer(g_dh, inp), g_dh, ops.Outer(g_scale, inp), g_scale)
+
+    return ops.node((dh, eh), (pred.mean, pred.cov, ext_pred.param, *weights), vjp)
 
 
 class _Compensator:
@@ -281,8 +334,7 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
             f"{len(truth_states)}/{len(truth_extents)} truth entries")
     total = None
     for st, ex, tx, te in zip(states, exts, truth_states, truth_extents):
-        term = ops.sumsq(st.mean - tx) + ops.sumsq(extension_mean(ex) - te)
-        total = term if total is None else total + term
+        total = _add_loss_term(total, st, ex, tx, te)
     total = total / (2.0 * k)
     if weights is not None and gamma != 0.0:
         reg = None
@@ -290,3 +342,14 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
             reg = ops.sumsq(w) if reg is None else reg + ops.sumsq(w)
         total = total + gamma * reg
     return total
+
+
+def _add_loss_term(total, state: TrackState, ext: ExtensionState, truth_state, truth_extent):
+    """``total`` plus one step's squared state and extent errors, one node."""
+    lam = extension_lambda(ext.dof)
+    d_state = ops.value(state.mean) - truth_state
+    d_extent = ops.value(ext.param) / lam - truth_extent
+    term = ops.sumsq(d_state) + ops.sumsq(d_extent)
+    out = term if total is None else ops.value(total) + term
+    return ops.node(out, (total, state.mean, ext.param),
+                    lambda g: (g, (2.0 * g) * d_state, ((2.0 * g) * d_extent) / lam))

@@ -10,13 +10,25 @@ The tape is linear: nodes are appended in execution order, so a reversed
 walk visits every node after all of its consumers.  Adjoint accumulation is
 a list indexed by node position; no topological sort is needed.
 
-The one-track hot path is kept cheap in three ways, none of which changes a
-forward value.  :func:`lstm_cell` and :func:`affine` record a whole LSTM step
-and a whole ``w @ x + b`` as one node each, with hand-written adjoints.  The
-eigenvalue clamp of :func:`sym_project` first tries to prove, in scalar
-arithmetic, that nothing clamps (a closed-form 2x2 minimum eigenvalue, or
-positive pivots of ``s - eps I``), and calls ``eigh`` only when that proof
-fails.  :func:`solve` inverts a 2x2 by its adjugate.
+Every node is recorded by :meth:`Tape.record`, which :func:`node` calls on
+the tape its parents share.  A node may have several outputs; its vjp gets
+one adjoint per output and returns one adjoint per parent.  The filter
+stages and network blocks use :func:`node` to record each stage or block
+as one node with a hand-written adjoint (see :mod:`memtrack.filtering` and
+:mod:`memtrack.network`); :func:`lstm_cell` and the generic ops below,
+which tests and the loss's regularization compose, record the same way.
+
+A weight matrix's adjoint from ``w @ x`` is ``g x^T`` at every step.  A vjp
+returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
+node's outer products with one matrix product, ``G^T X``, when its walk
+reaches that node.
+
+The one-track hot path is kept cheap in two more ways, neither of which
+changes a forward value.  The eigenvalue clamp of :func:`sym_project` first
+tries to prove, in scalar arithmetic, that nothing clamps (a closed-form
+2x2 minimum eigenvalue, or positive pivots of ``s - eps I``), and calls
+``eigh`` only when that proof fails.  :func:`solve` inverts a 2x2 by its
+adjugate.
 """
 
 from __future__ import annotations
@@ -33,15 +45,17 @@ SOFTPLUS_ZERO = float(np.logaddexp(0.0, 0.0))
 
 
 class Var:
-    """A value recorded on a tape."""
+    """A value recorded on a tape: output ``slot`` of node ``idx``, or the
+    only output when ``slot`` is None."""
 
-    __slots__ = ("value", "tape", "idx")
+    __slots__ = ("value", "tape", "idx", "slot")
     __array_ufunc__ = None  # force numpy to defer to our operators
 
-    def __init__(self, value, tape, idx):
+    def __init__(self, value, tape, idx, slot=None):
         self.value = value
         self.tape = tape
         self.idx = idx
+        self.slot = slot
 
     @property
     def shape(self):
@@ -86,8 +100,26 @@ class Var:
         return transpose(self)
 
 
+class Outer:
+    """The adjoint ``g x^T`` of a weight ``w`` in ``w @ x``, kept as its two
+    vectors; :meth:`Tape.backward` sums a weight's outer products over every
+    step in one matrix product."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g, x):
+        self.g = g
+        self.x = x
+
+
 class Tape:
-    """Linear record of ops; ``entries[i]`` lists (parent_idx, vjp) pairs."""
+    """Linear record of ops.
+
+    ``entries[i]`` is ``()`` for a leaf and ``(refs, vjp, outputs)`` for a
+    node: ``refs`` holds ``(idx, slot)`` per parent (None for a parent that
+    is not a Var), and ``outputs`` is the tuple of output values of a node
+    with several outputs, None for a node with one.
+    """
 
     def __init__(self):
         self.entries = []
@@ -96,33 +128,65 @@ class Tape:
         self.entries.append(())
         return Var(np.asarray(value, dtype=np.float64), self, len(self.entries) - 1)
 
-    def _node(self, value, pairs) -> Var:
-        self.entries.append(tuple(pairs))
-        return Var(value, self, len(self.entries) - 1)
+    def record(self, outputs, parents, vjp):
+        """Append one node; see :func:`node`."""
+        refs = [(p.idx, p.slot) if isinstance(p, Var) else None for p in parents]
+        idx = len(self.entries)
+        if isinstance(outputs, tuple):
+            self.entries.append((refs, vjp, outputs))
+            return tuple([Var(v, self, idx, k) for k, v in enumerate(outputs)])
+        self.entries.append((refs, vjp, None))
+        return Var(outputs, self, idx)
 
     def backward(self, out: Var, seed: float = 1.0):
-        """Adjoints of ``out`` w.r.t. every node; indexable by Var.idx."""
+        """Adjoints of ``out`` w.r.t. every node, indexed by Var.idx; a node
+        with several outputs gets a list with one adjoint (or None) per output."""
         if not self.entries:
             raise TapeEmpty("no operations recorded")
         grads = [None] * len(self.entries)
-        grads[out.idx] = np.asarray(seed, dtype=np.float64)
+        outers = {}  # node index -> (g rows, x rows) of its Outer adjoints
+        _accumulate(self.entries, grads, (out.idx, out.slot), np.asarray(seed, dtype=np.float64))
         for i in range(out.idx, -1, -1):
+            if i in outers:
+                gs, xs = outers.pop(i)
+                _accumulate(self.entries, grads, (i, None), np.array(gs).T @ np.array(xs))
             g = grads[i]
-            if g is None:
+            entry = self.entries[i]
+            if g is None or not entry:
                 continue
-            for pidx, vjp in self.entries[i]:
-                contrib = vjp(g)
-                if grads[pidx] is None:
-                    grads[pidx] = contrib
+            refs, vjp, outputs = entry
+            if outputs is not None:
+                g = tuple(np.zeros_like(v) if gk is None else gk for gk, v in zip(g, outputs))
+            for ref, contrib in zip(refs, vjp(g)):
+                if ref is None or contrib is None:
+                    continue
+                if isinstance(contrib, Outer):
+                    gs, xs = outers.setdefault(ref[0], ([], []))
+                    gs.append(contrib.g)
+                    xs.append(contrib.x)
                 else:
-                    grads[pidx] = grads[pidx] + contrib
+                    _accumulate(self.entries, grads, ref, contrib)
         return grads
 
     def grad(self, grads, var: Var) -> np.ndarray:
         g = grads[var.idx]
+        if g is not None and var.slot is not None:
+            g = g[var.slot]
         if g is None:
             return np.zeros_like(var.value)
         return np.broadcast_to(g, np.shape(var.value)).astype(np.float64, copy=True)
+
+
+def _accumulate(entries, grads, ref, contrib):
+    idx, slot = ref
+    if slot is None:
+        prev = grads[idx]
+        grads[idx] = contrib if prev is None else prev + contrib
+        return
+    acc = grads[idx]
+    if acc is None:
+        acc = grads[idx] = [None] * len(entries[idx][2])
+    acc[slot] = contrib if acc[slot] is None else acc[slot] + contrib
 
 
 def value(x):
@@ -135,6 +199,23 @@ def _tape(*xs):
         if isinstance(x, Var):
             return x.tape
     return None
+
+
+def node(outputs, parents, vjp):
+    """Record that ``outputs`` were computed from ``parents`` as one node.
+
+    ``outputs`` is one array, or a tuple of arrays for a node with several
+    outputs.  ``vjp`` maps the node's adjoint (one array, or a tuple with one
+    array per output, zeros for an output nothing used) to a tuple with one
+    adjoint per parent: an array, None, or an :class:`Outer` for a parent
+    with one output.  Adjoints of parents that are not Vars are ignored.
+    The vjp must not hold a Var: the tape would then reference itself.
+
+    Returns ``outputs`` unchanged when no parent is a Var, else the Var, or
+    the tuple of Vars, recorded on the parents' tape.
+    """
+    t = _tape(*parents)
+    return outputs if t is None else t.record(outputs, parents, vjp)
 
 
 def _unbroadcast(g, shape):
@@ -156,14 +237,8 @@ def add(a, b):
     out = value(a) + value(b)
     if t is None:
         return out
-    pairs = []
-    if isinstance(a, Var):
-        sa = np.shape(a.value)
-        pairs.append((a.idx, lambda g: _unbroadcast(g, sa)))
-    if isinstance(b, Var):
-        sb = np.shape(b.value)
-        pairs.append((b.idx, lambda g: _unbroadcast(g, sb)))
-    return t._node(out, pairs)
+    sa, sb = np.shape(value(a)), np.shape(value(b))
+    return t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b):
@@ -171,14 +246,8 @@ def sub(a, b):
     out = value(a) - value(b)
     if t is None:
         return out
-    pairs = []
-    if isinstance(a, Var):
-        sa = np.shape(a.value)
-        pairs.append((a.idx, lambda g: _unbroadcast(g, sa)))
-    if isinstance(b, Var):
-        sb = np.shape(b.value)
-        pairs.append((b.idx, lambda g: _unbroadcast(-g, sb)))
-    return t._node(out, pairs)
+    sa, sb = np.shape(value(a)), np.shape(value(b))
+    return t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def neg(a):
@@ -186,7 +255,7 @@ def neg(a):
     out = -value(a)
     if t is None:
         return out
-    return t._node(out, [(a.idx, lambda g: -g)])
+    return t.record(out, (a,), lambda g: (-g,))
 
 
 def mul(a, b):
@@ -195,14 +264,9 @@ def mul(a, b):
     out = av * bv
     if t is None:
         return out
-    pairs = []
-    if isinstance(a, Var):
-        sa = np.shape(av)
-        pairs.append((a.idx, lambda g: _unbroadcast(g * bv, sa)))
-    if isinstance(b, Var):
-        sb = np.shape(bv)
-        pairs.append((b.idx, lambda g: _unbroadcast(g * av, sb)))
-    return t._node(out, pairs)
+    sa, sb = np.shape(av), np.shape(bv)
+    return t.record(out, (a, b),
+                    lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)))
 
 
 def div(a, b):
@@ -211,14 +275,9 @@ def div(a, b):
     out = av / bv
     if t is None:
         return out
-    pairs = []
-    if isinstance(a, Var):
-        sa = np.shape(av)
-        pairs.append((a.idx, lambda g: _unbroadcast(g / bv, sa)))
-    if isinstance(b, Var):
-        sb = np.shape(bv)
-        pairs.append((b.idx, lambda g: _unbroadcast(-g * av / (bv * bv), sb)))
-    return t._node(out, pairs)
+    sa, sb = np.shape(av), np.shape(bv)
+    return t.record(out, (a, b), lambda g: (_unbroadcast(g / bv, sa),
+                                            _unbroadcast(-g * av / (bv * bv), sb)))
 
 
 def matmul(a, b):
@@ -227,26 +286,15 @@ def matmul(a, b):
     out = av @ bv
     if t is None:
         return out
-    pairs = []
-    if isinstance(a, Var):
-        if av.ndim == 2 and bv.ndim == 2:
-            pairs.append((a.idx, lambda g: g @ bv.T))
-        elif av.ndim == 2 and bv.ndim == 1:
-            pairs.append((a.idx, lambda g: np.outer(g, bv)))
-        elif av.ndim == 1 and bv.ndim == 2:
-            pairs.append((a.idx, lambda g: bv @ g))
-        else:  # vector . vector
-            pairs.append((a.idx, lambda g: g * bv))
-    if isinstance(b, Var):
-        if bv.ndim == 2 and av.ndim == 2:
-            pairs.append((b.idx, lambda g: av.T @ g))
-        elif bv.ndim == 2 and av.ndim == 1:
-            pairs.append((b.idx, lambda g: np.outer(av, g)))
-        elif bv.ndim == 1 and av.ndim == 2:
-            pairs.append((b.idx, lambda g: av.T @ g))
-        else:
-            pairs.append((b.idx, lambda g: g * av))
-    return t._node(out, pairs)
+    if av.ndim == 2 and bv.ndim == 2:
+        vjp = lambda g: (g @ bv.T, av.T @ g)  # noqa: E731
+    elif av.ndim == 2:  # matrix @ vector
+        vjp = lambda g: (np.outer(g, bv), av.T @ g)  # noqa: E731
+    elif bv.ndim == 2:  # vector @ matrix
+        vjp = lambda g: (bv @ g, np.outer(av, g))  # noqa: E731
+    else:  # vector . vector
+        vjp = lambda g: (g * bv, g * av)  # noqa: E731
+    return t.record(out, (a, b), vjp)
 
 
 def transpose(a):
@@ -254,7 +302,7 @@ def transpose(a):
     out = value(a).T
     if t is None:
         return out
-    return t._node(out, [(a.idx, lambda g: np.asarray(g).T)])
+    return t.record(out, (a,), lambda g: (np.asarray(g).T,))
 
 
 def getitem(a, key):
@@ -267,44 +315,9 @@ def getitem(a, key):
     def vjp(g):
         z = np.zeros_like(av)
         z[key] = g
-        return z
+        return (z,)
 
-    return t._node(out, [(a.idx, vjp)])
-
-
-def concat(parts):
-    """Concatenate 1-d pieces (scalars allowed) into one vector."""
-    t = _tape(*parts)
-    vals = [np.atleast_1d(np.asarray(value(p), dtype=np.float64)) for p in parts]
-    out = np.concatenate(vals)
-    if t is None:
-        return out
-    pairs = []
-    off = 0
-    for p, v in zip(parts, vals):
-        size = v.size
-        if isinstance(p, Var):
-            shape = np.shape(p.value)
-            lo, hi = off, off + size
-            pairs.append((p.idx, lambda g, lo=lo, hi=hi, shape=shape: np.reshape(g[lo:hi], shape)))
-        off += size
-    return t._node(out, pairs)
-
-
-def diag_embed(v):
-    t = _tape(v)
-    out = np.diag(value(v))
-    if t is None:
-        return out
-    return t._node(out, [(v.idx, lambda g: np.diagonal(g).copy())])
-
-
-def take_diag(m):
-    t = _tape(m)
-    out = np.diagonal(value(m)).copy()
-    if t is None:
-        return out
-    return t._node(out, [(m.idx, lambda g: np.diag(g))])
+    return t.record(out, (a,), vjp)
 
 
 def _sym_grad(g):
@@ -313,47 +326,12 @@ def _sym_grad(g):
     return 0.5 * (g + g.T)
 
 
-def _sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, each branch
-    evaluated where it cannot overflow."""
+def sigmoid(x):
+    """1 / (1 + e^-x) of a plain array, the derivative of softplus: each
+    branch is evaluated where it cannot overflow (1 / (1 + e^-x) for x >= 0,
+    e^x / (1 + e^x) otherwise)."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a):
-    t = _tape(a)
-    av = np.asarray(value(a), dtype=np.float64)
-    out = _sigmoid(av)
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g * out * (1.0 - out))])
-
-
-def tanh(a):
-    t = _tape(a)
-    out = np.tanh(value(a))
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g * (1.0 - out * out))])
-
-
-def softplus(a):
-    t = _tape(a)
-    av = np.asarray(value(a), dtype=np.float64)
-    out = np.logaddexp(0.0, av)
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g * _sigmoid(av))])
-
-
-def log(a):
-    t = _tape(a)
-    av = value(a)
-    out = np.log(av)
-    if t is None:
-        return out
-    return t._node(out, [(a.idx, lambda g: g / av)])
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sumsq(a):
@@ -363,52 +341,22 @@ def sumsq(a):
     out = np.float64(np.sum(av * av))
     if t is None:
         return out
-    return t._node(out, [(a.idx, lambda g: (2.0 * g) * av)])
-
-
-def _once(fn):
-    """``fn`` memoized on the identity of its argument.  The vjps of one
-    fused node share work; backward calls them in turn with one adjoint."""
-    memo = [None, None]
-
-    def get(g):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, fn(g)
-        return memo[1]
-
-    return get
-
-
-def affine(w, x, b):
-    """``w @ x + b`` for a matrix ``w`` and vectors ``x`` and ``b``, one node."""
-    t = _tape(w, x, b)
-    wv, xv = value(w), value(x)
-    out = wv @ xv + value(b)
-    if t is None:
-        return out
-    pairs = []
-    if isinstance(w, Var):
-        pairs.append((w.idx, lambda g: np.outer(g, xv)))
-    if isinstance(x, Var):
-        pairs.append((x.idx, lambda g: wv.T @ g))
-    if isinstance(b, Var):
-        pairs.append((b.idx, lambda g: g))
-    return t._node(out, pairs)
+    return t.record(out, (a,), lambda g: ((2.0 * g) * av,))
 
 
 def lstm_cell(w, b, x, hidden, cell):
     """One LSTM step; returns the new (cell, hidden).
 
     ``w @ [x; hidden] + b`` stacks the input, forget and output gates and
-    the candidate, in that order.  On a tape the step is one node whose
-    value is ``[cell; hidden]``, read out by two slices.
+    the candidate, in that order.  On a tape the step is one node with two
+    outputs, and ``w``'s adjoint is an :class:`Outer`.
     """
     t = _tape(w, b, x, hidden, cell)
     wv, hv, cv = value(w), value(hidden), value(cell)
     n = len(hv)
     z = np.concatenate([value(x), hv])
     lin = wv @ z + value(b)
-    gates = _sigmoid(lin[:3 * n])
+    gates = sigmoid(lin[:3 * n])
     gate_in, gate_forget, gate_out = gates[:n], gates[n:2 * n], gates[2 * n:]
     candidate = np.tanh(lin[3 * n:])
     new_cell = gate_forget * cv + gate_in * candidate
@@ -416,11 +364,10 @@ def lstm_cell(w, b, x, hidden, cell):
     new_hidden = gate_out * tanh_cell
     if t is None:
         return new_cell, new_hidden
+    nx = len(z) - n
 
-    @_once
-    def dlin_of(g):
-        """Adjoints of the pre-activations and of the old cell."""
-        g_cell, g_hidden = g[:n], g[n:]
+    def vjp(g):
+        g_cell, g_hidden = g
         g_cell = g_cell + (g_hidden * gate_out) * (1.0 - tanh_cell * tanh_cell)
         dlin = np.concatenate([
             (g_cell * candidate) * gate_in * (1.0 - gate_in),
@@ -428,20 +375,10 @@ def lstm_cell(w, b, x, hidden, cell):
             (g_hidden * tanh_cell) * gate_out * (1.0 - gate_out),
             (g_cell * gate_in) * (1.0 - candidate * candidate),
         ])
-        return dlin, g_cell * gate_forget
+        dz = wv.T @ dlin
+        return Outer(dlin, z), dlin, dz[:nx], dz[nx:], g_cell * gate_forget
 
-    dz_of = _once(lambda g: wv.T @ dlin_of(g)[0])
-    nx = len(z) - n
-    pairs = []
-    for var, vjp in ((w, lambda g: np.outer(dlin_of(g)[0], z)),
-                     (b, lambda g: dlin_of(g)[0]),
-                     (x, lambda g: dz_of(g)[:nx]),
-                     (hidden, lambda g: dz_of(g)[nx:]),
-                     (cell, lambda g: dlin_of(g)[1])):
-        if isinstance(var, Var):
-            pairs.append((var.idx, vjp))
-    both = t._node(np.concatenate([new_cell, new_hidden]), pairs)
-    return getitem(both, slice(0, n)), getitem(both, slice(n, 2 * n))
+    return t.record((new_cell, new_hidden), (w, b, x, hidden, cell), vjp)
 
 
 def _solve_value(a, b):
@@ -466,19 +403,12 @@ def solve(a, b):
     x = _solve_value(av, bv)
     if t is None:
         return x
-    pairs = []
 
-    def gb_of(g):
-        return _solve_value(av.T, g)
+    def vjp(g):
+        gb = _solve_value(av.T, g)
+        return -(np.outer(gb, x) if x.ndim == 1 else gb @ x.T), gb
 
-    if isinstance(b, Var):
-        pairs.append((b.idx, gb_of))
-    if isinstance(a, Var):
-        if x.ndim == 1:
-            pairs.append((a.idx, lambda g: -np.outer(gb_of(g), x)))
-        else:
-            pairs.append((a.idx, lambda g: -gb_of(g) @ x.T))
-    return t._node(x, pairs)
+    return t.record(x, (a, b), vjp)
 
 
 # Relative slack of the no-clamp test: it covers the test's own roundoff and
@@ -567,7 +497,8 @@ def sym_project(a, eps):
     out, w, u, clamped = _project_value(s, eps)
     if t is None:
         return out
-    return t._node(out, [(a.idx, _clamp_vjp(w, u, eps) if clamped else _sym_grad)])
+    vjp = _clamp_vjp(w, u, eps) if clamped else _sym_grad
+    return t.record(out, (a,), lambda g: (vjp(g),))
 
 
 def logchol2x2(a):
@@ -585,13 +516,19 @@ def logchol2x2(a):
     out = np.array([0.5 * np.log(x00), 0.5 * np.log(l11sq), l10])
     if t is None:
         return out
+    return t.record(out, (a,), lambda g: (logchol2x2_adjoint(av, g),))
 
-    def vjp(g):
-        g0, g1, g2 = g[0], g[1], g[2]
-        d = np.zeros((2, 2))
-        d[0, 0] = g0 / (2.0 * x00) + g1 * (l10 * l10) / (2.0 * x00 * l11sq) - g2 * l10 / (2.0 * x00)
-        d[0, 1] = -g1 * x01 / (x00 * l11sq) + g2 / l00
-        d[1, 1] = g1 / (2.0 * l11sq)
-        return d
 
-    return t._node(out, [(a.idx, vjp)])
+def logchol2x2_adjoint(a, g):
+    """Adjoint of :func:`logchol2x2` at the plain 2x2 ``a`` for the output
+    adjoint ``g``; it lives on the upper triangle, the entries read."""
+    x00, x01, x11 = a[0, 0], a[0, 1], a[1, 1]
+    l00 = np.sqrt(x00)
+    l10 = x01 / l00
+    l11sq = x11 - l10 * l10
+    g0, g1, g2 = g[0], g[1], g[2]
+    d = np.zeros((2, 2))
+    d[0, 0] = g0 / (2.0 * x00) + g1 * (l10 * l10) / (2.0 * x00 * l11sq) - g2 * l10 / (2.0 * x00)
+    d[0, 1] = -g1 * x01 / (x00 * l11sq) + g2 / l00
+    d[1, 1] = g1 / (2.0 * l11sq)
+    return d

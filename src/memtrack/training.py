@@ -171,7 +171,7 @@ def _sequence_gradients(params, case, model, cfg):
     skipped (NaN loss, zero gradients) rather than poisoning the batch; the
     optimizer recovers on the remaining sequences.  The cyclic garbage
     collector is paused meanwhile: the tape holds no reference cycles, and
-    its ten thousand nodes would otherwise be rescanned many times over.
+    its two thousand nodes would otherwise be rescanned many times over.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -1,0 +1,239 @@
+"""Oracles for the fused tape nodes: the same stages written with one tape
+node per elementary op.
+
+The elementwise and structural ops below are built on ``ops.node``, one
+node each; the stages compose them (and the Var operators) exactly as the
+filter and network compute their values, so a fused stage must match its
+composed twin bit for bit in value and to roundoff in its adjoints.
+"""
+
+import numpy as np
+
+from memtrack import filtering, network, ops
+from memtrack.models import D, ExtensionState, TrackState
+
+
+# -- elementwise and structural ops, one node each ---------------------------
+
+def sigmoid(a):
+    out = ops.sigmoid(np.asarray(ops.value(a), dtype=np.float64))
+    return ops.node(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(a):
+    out = np.tanh(ops.value(a))
+    return ops.node(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def softplus(a):
+    av = np.asarray(ops.value(a), dtype=np.float64)
+    return ops.node(np.logaddexp(0.0, av), (a,), lambda g: (g * ops.sigmoid(av),))
+
+
+def log(a):
+    av = ops.value(a)
+    return ops.node(np.log(av), (a,), lambda g: (g / av,))
+
+
+def take_diag(m):
+    return ops.node(np.diagonal(ops.value(m)).copy(), (m,), lambda g: (np.diag(g),))
+
+
+def diag_embed(v):
+    return ops.node(np.diag(ops.value(v)), (v,), lambda g: (np.diagonal(g).copy(),))
+
+
+def concat(parts):
+    """Concatenate 1-d pieces (scalars allowed) into one vector."""
+    vals = [np.atleast_1d(np.asarray(ops.value(p), dtype=np.float64)) for p in parts]
+    bounds = np.cumsum([0] + [v.size for v in vals])
+    shapes = [np.shape(ops.value(p)) for p in parts]
+
+    def vjp(g):
+        return tuple(np.reshape(g[lo:hi], shape)
+                     for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes))
+
+    return ops.node(np.concatenate(vals), tuple(parts), vjp)
+
+
+def affine(w, x, b):
+    """``w @ x + b`` as one node whose weight adjoint is an ``ops.Outer``."""
+    wv, xv = ops.value(w), ops.value(x)
+    return ops.node(wv @ xv + ops.value(b), (w, x, b),
+                    lambda g: (ops.Outer(g, xv), wv.T @ g, g))
+
+
+def lstm(w, b, x, hidden, cell):
+    """The LSTM step of ``ops.lstm_cell``, one node per elementary op."""
+    h = len(ops.value(hidden))
+    lin = w @ concat([x, hidden]) + b
+    gate_in = sigmoid(lin[0:h])
+    gate_forget = sigmoid(lin[h:2 * h])
+    gate_out = sigmoid(lin[2 * h:3 * h])
+    candidate = tanh(lin[3 * h:4 * h])
+    new_cell = gate_forget * cell + gate_in * candidate
+    return new_cell, gate_out * tanh(new_cell)
+
+
+# -- filter stages -------------------------------------------------------------
+
+def predict_state(prior, model, df, pf):
+    mean = model.F @ prior.mean + df
+    cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
+    return TrackState(mean=mean, cov=ops.sym_project(cov_raw, filtering._proj_eps(cov_raw)))
+
+
+_fused_predict_extension = filtering.predict_extension  # for the predicted dof alone
+
+
+def predict_extension(prior, model, pphi):
+    lam = prior.dof - 2 * D - 2
+    v_pred = _fused_predict_extension(
+        ExtensionState(dof=prior.dof, param=ops.value(prior.param)), model,
+        ops.value(pphi)).dof
+    raw = ((v_pred - 2 * D - 2) / lam) * (model.a @ prior.param @ model.a.T
+                                          + pphi / model.delta)
+    param = ops.sym_project(raw, max(filtering._proj_eps(raw), filtering.EXT_ABS_FLOOR))
+    return ExtensionState(dof=v_pred, param=param)
+
+
+def innovation(pred, ext_pred, model, dh, eh, fs):
+    """The innovation statistics as tape values (no ``sources``)."""
+    z_pred = model.H @ pred.mean + dh
+    pxz = pred.cov @ model.H.T
+    hph = model.H @ pxz
+    scatter = (model.b @ filtering.extension_mean(ext_pred) @ model.b.T) / float(fs.count)
+    scatter = 0.5 * (scatter + scatter.T)
+    scale = 1.0 + eh
+    pzz = hph + scatter * (scale[:, None] * scale)
+    return filtering.InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz,
+                                     pzz=pzz)
+
+
+def update_state(pred, stats):
+    gain = ops.solve(stats.pzz, stats.pxz.T).T
+    mean = pred.mean + gain @ stats.residual
+    cov_raw = pred.cov - gain @ stats.pxz.T
+    return TrackState(mean=mean, cov=ops.sym_project(cov_raw, filtering._proj_eps(cov_raw)))
+
+
+# -- network blocks --------------------------------------------------------------
+
+def _pred_pieces(state, ext):
+    return [state.mean, log(take_diag(state.cov)),
+            ops.logchol2x2(filtering.extension_mean(ext)),
+            np.array([np.log(float(ext.dof))])]
+
+
+def raw_features(state, ext, fs):
+    pieces = _pred_pieces(state, ext)
+    scatter_cov = fs.scatter / max(fs.count - 1, 1) + network._FRAME_COV_FLOOR
+    pieces += [fs.mean - state.mean[0:2], ops.logchol2x2(scatter_cov),
+               np.array([np.log(float(fs.count))])]
+    return concat(pieces)
+
+
+def encode_inputs(state, ext, fs, params):
+    return (raw_features(state, ext, fs) - params.feat_mean) / params.feat_std
+
+
+def mub_step(params, features, mem):
+    if params.mask_memory:
+        return network.MemoryState(cell=mem.cell, hidden=mem.hidden,
+                                   pc=np.zeros(params.memory_dim))
+    w = params.arrays
+    cell, hidden = lstm(w["lstm_w"], w["lstm_b"], features, mem.hidden, mem.cell)
+    pc = softplus(affine(w["memcov_w"], hidden, w["memcov_b"]))
+    return network.MemoryState(cell=cell, hidden=hidden, pc=pc)
+
+
+def jeb_heads(params, mem):
+    if params.mask_evolution:
+        return filtering.ZERO_EVOLUTION
+    w = params.arrays
+    inp = concat([mem.hidden, mem.pc])
+    df = affine(w["evo_shift_w"], inp, w["evo_shift_b"])
+    pf = diag_embed(softplus(affine(w["evo_cov_w"], inp, w["evo_cov_b"])) - ops.SOFTPLUS_ZERO)
+    ext_vec = affine(w["evo_ext_w"], inp, w["evo_ext_b"])
+    ell = (diag_embed(softplus(ext_vec[0:2]) - ops.SOFTPLUS_ZERO)
+           + ext_vec[2] * network._OFF_DIAG_2)
+    return df, pf, ell @ ell.T
+
+
+def jub_heads(params, pred, ext_pred):
+    if params.mask_update:
+        return filtering.ZERO_MEASUREMENT
+    w = params.arrays
+    n = network.PRED_FEATURE_DIM
+    inp = (concat(_pred_pieces(pred, ext_pred)) - params.feat_mean[:n]) / params.feat_std[:n]
+    dh = affine(w["upd_shift_w"], inp, w["upd_shift_b"])
+    eh = softplus(affine(w["upd_scale_w"], inp, w["upd_scale_b"])) / ops.SOFTPLUS_ZERO - 1.0
+    return dh, eh
+
+
+def add_loss_term(total, state, ext, truth_state, truth_extent):
+    term = (ops.sumsq(state.mean - truth_state)
+            + ops.sumsq(filtering.extension_mean(ext) - truth_extent))
+    return term if total is None else total + term
+
+
+# (module, name, composed twin) of every fused stage
+STAGES = [
+    ("filtering", "predict_state", predict_state),
+    ("filtering", "predict_extension", predict_extension),
+    ("filtering", "innovation", innovation),
+    ("filtering", "update_state", update_state),
+    ("network", "encode_inputs", encode_inputs),
+    ("network", "mub_step", mub_step),
+    ("network", "jeb_heads", jeb_heads),
+    ("network", "jub_heads", jub_heads),
+    ("network", "_add_loss_term", add_loss_term),
+]
+
+
+def compose_everything(monkeypatch):
+    """Replace every fused stage by its composed twin for this test."""
+    modules = {"filtering": filtering, "network": network}
+    for module, name, twin in STAGES:
+        monkeypatch.setattr(modules[module], name, twin)
+
+
+def _outputs(result):
+    """The tape values a stage returns, flattened."""
+    if isinstance(result, TrackState):
+        return [result.mean, result.cov]
+    if isinstance(result, ExtensionState):
+        return [result.param]
+    if isinstance(result, network.MemoryState):
+        return [result.cell, result.hidden, result.pc]
+    if isinstance(result, tuple):
+        return [v for part in result for v in _outputs(part)]
+    return [result]
+
+
+def _run(stage, make_args):
+    """Values of a stage's outputs and adjoints of its leaves for a random
+    linear-quadratic functional of every output."""
+    tape = ops.Tape()
+    args, leaves = make_args(tape)
+    outs = _outputs(stage(*args))
+    rng = np.random.default_rng(0)
+    loss = None
+    for out in outs:
+        term = ops.sumsq(out * rng.standard_normal(np.shape(ops.value(out))))
+        loss = term if loss is None else loss + term
+    adjoints = tape.backward(loss)
+    return [ops.value(out) for out in outs], [tape.grad(adjoints, leaf) for leaf in leaves]
+
+
+def assert_twins(fused, composed, make_args):
+    """``fused`` matches ``composed`` bit for bit in value and at 1e-12 in
+    every leaf's adjoint; ``make_args(tape)`` returns (args, leaves)."""
+    values, adjoints = _run(fused, make_args)
+    want_values, want_adjoints = _run(composed, make_args)
+    assert len(values) == len(want_values)
+    for got, want in zip(values, want_values):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(adjoints, want_adjoints):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)

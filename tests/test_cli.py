@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import struct
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -467,6 +468,24 @@ class TestTrack:
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric failure: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mtck"]
+
+    @pytest.mark.parametrize("command", [["track", "--case", "0", "--out", "t.csv"],
+                                         ["eval", "--out", "r"]], ids=["track", "eval"])
+    def test_nan_checkpoint_prints_one_line(self, small_dataset, tmp_path, monkeypatch,
+                                            capsys, command):
+        """The numeric failure is the only thing on stderr: numpy's warnings
+        about the NaN on its way there stay silent."""
+        params = zero_params(4)
+        params.arrays["memcov_b"] = np.full(4, np.nan)
+        write_checkpoint(params, tmp_path / "c.mtck")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command[0], str(small_dataset), *command[1:], "--checkpoint", "c.mtck"])
+        assert rc == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
     def test_out_of_range_case(self, small_dataset, tmp_path):
         rc = main(["track", str(small_dataset), "--case", "99",

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import composed_ops as composed
 from memtrack import filtering, models, network, ops
 from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
@@ -569,3 +570,153 @@ class TestCompensator:
         assert out is None
         network.forward_sequence(network.zero_params(4), case.frames, cv_model, tcfg)
         assert built == []
+
+
+def _prior(tape, seed, tiny_extent=False):
+    """A random (TrackState, ExtensionState) of tape leaves, and the leaves."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+    param = 1e-9 * np.eye(2) if tiny_extent else n @ n.T + np.eye(2)
+    leaves = [tape.leaf(v) for v in (rng.standard_normal(4), m @ m.T + 0.5 * np.eye(4), param)]
+    return (TrackState(mean=leaves[0], cov=leaves[1]),
+            ExtensionState(dof=rng.uniform(10.0, 40.0), param=leaves[2]), leaves)
+
+
+def _evolution(tape, seed, kind):
+    """(df, pf, pphi) and their leaves: zero (plain), random, or a pf that
+    makes the predicted covariance indefinite, so its projection clamps."""
+    if kind == "zero":
+        return filtering.ZERO_EVOLUTION, []
+    rng = np.random.default_rng(seed)
+    pf = np.diag(rng.uniform(0.0, 0.5, 4)) if kind == "random" else -50.0 * np.eye(4)
+    ell = np.tril(rng.standard_normal((2, 2)))
+    leaves = [tape.leaf(v) for v in (rng.standard_normal(4), pf, ell @ ell.T)]
+    return tuple(leaves), leaves
+
+
+def _measurement(tape, seed, kind):
+    if kind == "zero":
+        return filtering.ZERO_MEASUREMENT, []
+    rng = np.random.default_rng(seed)
+    leaves = [tape.leaf(rng.standard_normal(2)), tape.leaf(rng.uniform(-0.9, 2.0, 2))]
+    return tuple(leaves), leaves
+
+
+def _clamped(monkeypatch, stage, make_args) -> bool:
+    """Whether an eigenvalue projection clamps in ``stage`` on its arguments."""
+    flags, project = [], ops._project_value
+
+    def recording(s, eps):
+        out = project(s, eps)
+        flags.append(out[3])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "_project_value", recording)
+        stage(*make_args(ops.Tape())[0])
+    return any(flags)
+
+
+def _innovate_and_update(pred, ext_pred, model, dh, eh, fs, innovation, update_state):
+    return update_state(pred, innovation(pred, ext_pred, model, dh, eh, fs))
+
+
+SKEW_B = models.nominal_cv_model(sigma_w=0.4, b=np.array([[0.5, 0.1], [0.05, 0.4]]))
+
+
+class TestFusedStages:
+    """Each fused filter stage against the same stage composed of generic
+    ops: values bit for bit, every input's adjoint at 1e-12."""
+
+    @pytest.mark.parametrize("kind", ["zero", "random", "clamp"])
+    def test_predict_state(self, cv_model, kind, monkeypatch):
+        def make_args(tape):
+            prior, _, leaves = _prior(tape, 50)
+            (df, pf, _), comp_leaves = _evolution(tape, 51, kind)
+            return (prior, cv_model, df, pf), leaves[:2] + comp_leaves[:2]
+
+        composed.assert_twins(filtering.predict_state, composed.predict_state, make_args)
+        assert _clamped(monkeypatch, filtering.predict_state, make_args) == (kind == "clamp")
+
+    @pytest.mark.parametrize("kind", ["zero", "random", "clamp"])
+    def test_predict_extension(self, cv_model, kind, monkeypatch):
+        def make_args(tape):
+            _, prior, leaves = _prior(tape, 52, tiny_extent=kind == "clamp")
+            (_, _, pphi), comp_leaves = _evolution(tape, 53, "zero" if kind == "clamp" else kind)
+            return (prior, cv_model, pphi), leaves[2:] + comp_leaves[2:]
+
+        composed.assert_twins(filtering.predict_extension, composed.predict_extension,
+                              make_args)
+        assert (_clamped(monkeypatch, filtering.predict_extension, make_args)
+                == (kind == "clamp"))
+
+    @pytest.mark.parametrize("kind", ["zero", "random"])
+    @pytest.mark.parametrize("model", ["cv", "skew_b"])
+    def test_innovation_and_update(self, cv_model, kind, model):
+        model = cv_model if model == "cv" else SKEW_B
+
+        def make_args(tape):
+            pred, ext_pred, leaves = _prior(tape, 54)
+            (dh, eh), comp_leaves = _measurement(tape, 55, kind)
+            fs = models.frame_stats(np.random.default_rng(56).standard_normal((6, 2)))
+            return (pred, ext_pred, model, dh, eh, fs), leaves + comp_leaves
+
+        fused = functools.partial(_innovate_and_update, innovation=filtering.innovation,
+                                  update_state=filtering.update_state)
+        unfused = functools.partial(_innovate_and_update, innovation=composed.innovation,
+                                    update_state=composed.update_state)
+        composed.assert_twins(fused, unfused, make_args)
+
+    def test_update_with_separate_prediction(self, cv_model):
+        """update_state's node adds the innovation's adjoints to its own
+        sources, also when the update gets a prediction of its own."""
+        def make_args(tape):
+            pred, ext_pred, leaves = _prior(tape, 57)
+            other, _, other_leaves = _prior(tape, 58)
+            fs = models.frame_stats(np.random.default_rng(59).standard_normal((6, 2)))
+            return (pred, ext_pred, other, fs), leaves + other_leaves[:2]
+
+        def stage(pred, ext_pred, other, fs, innovation, update_state):
+            stats = innovation(pred, ext_pred, cv_model, ZERO_DH, ZERO_EH, fs)
+            return update_state(other, stats)
+
+        composed.assert_twins(
+            functools.partial(stage, innovation=filtering.innovation,
+                              update_state=filtering.update_state),
+            functools.partial(stage, innovation=composed.innovation,
+                              update_state=composed.update_state), make_args)
+
+    def test_stages_record_one_node_each(self, cv_model):
+        """A stage is one node, plus one per eigenvalue projection."""
+        tape = ops.Tape()
+        prior, ext, _ = _prior(tape, 60)
+        (df, pf, pphi), _ = _evolution(tape, 61, "random")
+        (dh, eh), _ = _measurement(tape, 62, "random")
+        fs = models.frame_stats(np.random.default_rng(63).standard_normal((6, 2)))
+        counts = []
+        for stage in (lambda: filtering.predict_state(prior, cv_model, df, pf),
+                      lambda: filtering.predict_extension(ext, cv_model, pphi),
+                      lambda: filtering.innovation(prior, ext, cv_model, dh, eh, fs),
+                      lambda: filtering.update_state(
+                          prior, filtering.innovation(prior, ext, cv_model, dh, eh, fs)),
+                      lambda: filtering.update_extension(ext, fs, cv_model)):
+            before = len(tape.entries)
+            stage()
+            counts.append(len(tape.entries) - before)
+        assert counts == [2, 2, 0, 2, 2]
+
+
+class TestInnovationSymmetry:
+    def test_pzz_symmetric_for_non_diagonal_b(self):
+        """With a non-diagonal B the scatter term B Xhat B^T / n is not
+        symmetric in the last ulp; Pzz is, bit for bit, for every draw."""
+        rng = np.random.default_rng(64)
+        for _ in range(1000):
+            m, n = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+            cov, param = m @ m.T + 0.1 * np.eye(4), n @ n.T + 0.1 * np.eye(2)
+            pred = TrackState(mean=rng.standard_normal(4), cov=0.5 * (cov + cov.T))
+            ext = ExtensionState(dof=rng.uniform(7.0, 300.0), param=0.5 * (param + param.T))
+            eh = rng.uniform(-0.5, 1.0, 2)
+            pzz = filtering.innovation(pred, ext, SKEW_B, ZERO_DH, eh,
+                                       frame(int(rng.integers(1, 50)))).pzz
+            assert pzz[0, 1] == pzz[1, 0]

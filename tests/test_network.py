@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import composed_ops as composed
 from memtrack import network, ops
 from memtrack.errors import LengthMismatch
 from memtrack.filtering import TrackerConfig, run_filter
@@ -18,6 +19,7 @@ from memtrack.network import (
     zero_params,
 )
 from memtrack.simulate import generate_case
+from memtrack.training import TrainConfig, _sequence_gradients, collect_feature_stats
 
 
 @pytest.fixture()
@@ -227,3 +229,50 @@ class TestSequenceLoss:
         states = [TrackState(mean=np.zeros(4), cov=np.eye(4))]
         with pytest.raises(LengthMismatch):
             sequence_loss(states, [], np.zeros((1, 4)), np.zeros((1, 2, 2)))
+
+
+# Tape nodes one taped step records: the feature encoding, the LSTM step, the
+# memory-covariance head, each head block, one node per filter stage and one
+# per eigenvalue projection (13), and the step's loss term.
+NODES_PER_STEP = 14
+
+
+def _perturbed(mask, memory_dim=6, seed=11):
+    rng = np.random.default_rng(seed)
+    params = init_params(memory_dim, rng, **({mask: True} if mask else {}))
+    for name, arr in params.arrays.items():
+        params.arrays[name] = arr + 0.1 * rng.standard_normal(arr.shape)
+    return params
+
+
+class TestFusedPipeline:
+    """The whole taped sequence with every fused stage against the same
+    sequence with every stage composed of generic ops."""
+
+    @pytest.mark.parametrize("mask", [None, "mask_evolution", "mask_update", "mask_memory"])
+    def test_loss_and_gradients_match_composed(self, case, model, mask, monkeypatch):
+        params = _perturbed(mask)
+        params.feat_mean, params.feat_std = collect_feature_stats([case], model, TrackerConfig())
+        cfg = TrainConfig(l2=1e-3)
+        fused = _sequence_gradients(params, case, model, cfg)
+        plain = forward_sequence(params, case.frames, model)
+        composed.compose_everything(monkeypatch)
+        unfused = _sequence_gradients(params, case, model, cfg)
+        assert fused[0] == unfused[0] and np.isfinite(fused[0])
+        for name, want in unfused[1].items():
+            scale = max(1e-300, float(np.max(np.abs(want))))
+            np.testing.assert_allclose(fused[1][name], want, rtol=0, atol=1e-12 * scale)
+        for a, b in zip(plain[0], forward_sequence(params, case.frames, model)[0]):
+            np.testing.assert_array_equal(ops.value(a.mean), ops.value(b.mean))
+            np.testing.assert_array_equal(ops.value(a.cov), ops.value(b.cov))
+
+    def test_node_count_per_step(self, model):
+        """A seeded 20-step taped sequence and its loss record at most
+        NODES_PER_STEP nodes a step, besides the leaves and the final mean."""
+        case = generate_case(ScenarioConfig(steps=21, cases=1, seed=32), 32, 0)
+        tape = ops.Tape()
+        states, exts, leaves = forward_sequence(_perturbed(None), case.frames, model, tape=tape)
+        loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:])
+        assert len(states) == 20
+        assert len(tape.entries) == loss.idx + 1
+        assert len(tape.entries) - len(leaves) <= NODES_PER_STEP * 20 + 1

@@ -2,11 +2,15 @@
 central finite differences, plus dispatch semantics (plain arrays in, plain
 arrays out)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from memtrack import ops
+import composed_ops as composed
+from memtrack import network, ops
 from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
+from memtrack.models import ExtensionState, TrackState, frame_stats
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -48,21 +52,21 @@ class TestElementwise:
     def test_nonlinearities(self):
         x = np.array([-2.0, 0.0, 0.5, 3.0])
         for op, ref in [
-            (ops.sigmoid, lambda v: 1 / (1 + np.exp(-v))),
-            (ops.tanh, np.tanh),
-            (ops.softplus, lambda v: np.logaddexp(0, v)),
+            (composed.sigmoid, lambda v: 1 / (1 + np.exp(-v))),
+            (composed.tanh, np.tanh),
+            (composed.softplus, lambda v: np.logaddexp(0, v)),
         ]:
             check(lambda v, op=op: ops.sumsq(op(v)),
                   lambda v, ref=ref: float(np.sum(ref(v) ** 2)), x)
 
     def test_log(self):
         x = np.array([0.5, 1.7, 3.0])
-        check(lambda v: ops.sumsq(ops.log(v)), lambda v: float(np.sum(np.log(v) ** 2)), x)
+        check(lambda v: ops.sumsq(composed.log(v)), lambda v: float(np.sum(np.log(v) ** 2)), x)
 
     def test_softplus_zero_constant_cancels_exactly(self):
         tape = ops.Tape()
         leaf = tape.leaf(np.zeros(3))
-        out = ops.softplus(leaf) - ops.SOFTPLUS_ZERO
+        out = composed.softplus(leaf) - ops.SOFTPLUS_ZERO
         assert np.all(out.value == 0.0)
 
 
@@ -92,10 +96,10 @@ class TestLinearAlgebra:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         check(lambda v: ops.sumsq(ops.transpose(v) @ np.array([1.0, 1.0])),
               lambda v: float(np.sum((v.T @ np.array([1.0, 1.0])) ** 2)), a)
-        check(lambda v: ops.sumsq(ops.take_diag(v)),
+        check(lambda v: ops.sumsq(composed.take_diag(v)),
               lambda v: float(np.sum(np.diag(v) ** 2)), a)
         d = np.array([1.0, -2.0])
-        check(lambda v: ops.sumsq(ops.diag_embed(v) @ np.array([1.0, 3.0])),
+        check(lambda v: ops.sumsq(composed.diag_embed(v) @ np.array([1.0, 3.0])),
               lambda v: float(np.sum((np.diag(v) @ np.array([1.0, 3.0])) ** 2)), d)
 
 
@@ -103,7 +107,7 @@ class TestStructural:
     def test_concat_getitem(self):
         x = np.array([1.0, 2.0, 3.0])
         def build(v):
-            joined = ops.concat([v[0:2], np.array([5.0]), v[2] * np.ones(1)])
+            joined = composed.concat([v[0:2], np.array([5.0]), v[2] * np.ones(1)])
             return ops.sumsq(joined)
         def ref(v):
             joined = np.concatenate([v[0:2], [5.0], [v[2]]])
@@ -177,7 +181,7 @@ class TestDispatch:
         a = np.eye(2)
         assert isinstance(ops.solve(a, a), np.ndarray)
         assert isinstance(ops.sym_project(a, 0.0), np.ndarray)
-        assert isinstance(ops.softplus(np.zeros(2)), np.ndarray)
+        assert isinstance(ops.logchol2x2(np.eye(2)), np.ndarray)
 
     def test_mixed_constant_and_var(self):
         tape = ops.Tape()
@@ -279,13 +283,13 @@ def _masked_sigmoid(x):
 class TestSigmoidBits:
     def test_special_values(self):
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 800.0, -800.0])
-        np.testing.assert_array_equal(ops._sigmoid(x), _masked_sigmoid(x))
+        np.testing.assert_array_equal(ops.sigmoid(x), _masked_sigmoid(x))
 
     def test_random_values(self):
         rng = np.random.default_rng(25)
         for scale in (1e-3, 1.0, 30.0, 1e3):
             x = scale * rng.standard_normal(4096)
-            np.testing.assert_array_equal(ops._sigmoid(x), _masked_sigmoid(x))
+            np.testing.assert_array_equal(ops.sigmoid(x), _masked_sigmoid(x))
 
 
 class TestSolve2x2:
@@ -311,16 +315,16 @@ class TestSolve2x2:
               lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
 
 
-def _composed_lstm(w, b, x, hidden, cell):
-    """The LSTM step written with one tape node per elementary op."""
-    h = len(ops.value(hidden))
-    lin = w @ ops.concat([x, hidden]) + b
-    gate_in = ops.sigmoid(lin[0:h])
-    gate_forget = ops.sigmoid(lin[h:2 * h])
-    gate_out = ops.sigmoid(lin[2 * h:3 * h])
-    candidate = ops.tanh(lin[3 * h:4 * h])
-    new_cell = gate_forget * cell + gate_in * candidate
-    return new_cell, gate_out * ops.tanh(new_cell)
+def _tanh_layer(w, x, b, outer):
+    """tanh(w @ x + b) as one node; ``outer`` makes the weight's adjoint."""
+    wv, xv = ops.value(w), ops.value(x)
+    out = np.tanh(wv @ xv + ops.value(b))
+
+    def vjp(g):
+        g_lin = g * (1.0 - out * out)
+        return outer(g_lin, xv), wv.T @ g_lin, g_lin
+
+    return ops.node(out, (w, x, b), vjp)
 
 
 class TestFusedOps:
@@ -345,7 +349,7 @@ class TestFusedOps:
         for seed in range(5):
             inputs = self._inputs(seed)
             _, c1, h1 = self._two_steps(ops.lstm_cell, inputs)
-            _, c2, h2 = self._two_steps(_composed_lstm, inputs)
+            _, c2, h2 = self._two_steps(composed.lstm, inputs)
             np.testing.assert_array_equal(c1, c2)
             np.testing.assert_array_equal(h1, h2)
             _, c3, h3 = self._two_steps(ops.lstm_cell, inputs, ops.Tape())
@@ -355,14 +359,14 @@ class TestFusedOps:
     def test_lstm_gradients_match_composed(self):
         for seed in range(5):
             grads = []
-            for step in (ops.lstm_cell, _composed_lstm):
+            for step in (ops.lstm_cell, composed.lstm):
                 tape = ops.Tape()
                 leaves, cell, hidden = self._two_steps(step, self._inputs(seed), tape)
                 out = ops.sumsq(hidden) + ops.sumsq(cell * 0.3)
                 adj = tape.backward(out)
                 grads.append([tape.grad(adj, leaf) for leaf in leaves])
-            for fused, composed in zip(*grads):
-                np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+            for fused, unfused in zip(*grads):
+                np.testing.assert_allclose(fused, unfused, rtol=1e-12, atol=1e-12)
 
     def test_lstm_gradient_matches_fd(self):
         w, b, x, hidden, cell = self._inputs(9)
@@ -379,21 +383,160 @@ class TestFusedOps:
         check(build, loss, np.concatenate([x, hidden, cell]))
 
     def test_affine_matches_composed(self):
+        """A node whose weight adjoint is an Outer gives the gradient of
+        ``w @ x + b`` composed of generic ops."""
         rng = np.random.default_rng(27)
         w, x, b = rng.standard_normal((3, 6)), rng.standard_normal(6), rng.standard_normal(3)
-        np.testing.assert_array_equal(ops.affine(w, x, b), w @ x + b)
+        np.testing.assert_array_equal(composed.affine(w, x, b), w @ x + b)
         grads = []
-        for fn in (ops.affine, lambda w, x, b: w @ x + b):
+        for fn in (composed.affine, lambda w, x, b: w @ x + b):
             tape = ops.Tape()
             leaves = [tape.leaf(v) for v in (w, x, b)]
             out = fn(*leaves)
             np.testing.assert_array_equal(out.value, w @ x + b)
-            adj = tape.backward(ops.sumsq(ops.tanh(out)))
+            adj = tape.backward(ops.sumsq(composed.tanh(out)))
             grads.append([tape.grad(adj, leaf) for leaf in leaves])
-        for fused, composed in zip(*grads):
-            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+        for fused, unfused in zip(*grads):
+            np.testing.assert_allclose(fused, unfused, rtol=1e-12, atol=1e-12)
+
+    def test_weight_gradient_summed_over_time(self):
+        """One weight shared by 40 steps: the tape's one matrix product over
+        the steps' Outer adjoints equals the sum of per-step np.outer."""
+        rng = np.random.default_rng(28)
+        w0, b0 = rng.standard_normal((5, 5)), rng.standard_normal(5)
+        grads = []
+        for outer in (ops.Outer, np.outer):
+            tape = ops.Tape()
+            w, b = tape.leaf(w0), tape.leaf(b0)
+            state = np.ones(5)
+            for _ in range(40):
+                state = _tanh_layer(w, state, b, outer)
+            adj = tape.backward(ops.sumsq(state))
+            grads.append([tape.grad(adj, leaf) for leaf in (w, b)])
+        for summed, stepwise in zip(*grads):
+            np.testing.assert_allclose(summed, stepwise, rtol=1e-12, atol=1e-12)
+
+    def test_node_with_several_outputs(self):
+        """Each output of a node is its own Var, and an output nothing uses
+        gets a zero adjoint."""
+        tape = ops.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        xv = x.value
+        a, b, c = ops.node((2.0 * xv, xv * xv, xv.sum()), (x,),
+                           lambda g: (2.0 * g[0] + 2.0 * xv * g[1] + g[2],))
+        assert (a.idx, a.slot, c.slot) == (b.idx, 0, 2)
+        adj = tape.backward(ops.sumsq(b))
+        np.testing.assert_allclose(tape.grad(adj, x), 4.0 * xv ** 3)
+        np.testing.assert_array_equal(tape.grad(adj, a), np.zeros(2))
+
+    def test_plain_node_records_nothing(self):
+        out = (np.ones(2), np.zeros(3))
+        assert ops.node(out, (np.ones(2), 1.0), lambda g: (g, g)) is out
 
     def test_plain_inputs_stay_plain(self):
         w, b, x, hidden, cell = self._inputs(3)
         assert all(isinstance(v, np.ndarray) for v in ops.lstm_cell(w, b, x, hidden, cell))
-        assert isinstance(ops.affine(w, np.ones(self.X + self.H), b), np.ndarray)
+        assert isinstance(composed.affine(w, np.ones(self.X + self.H), b), np.ndarray)
+
+
+def _belief(rng, tape):
+    """A random (TrackState, ExtensionState) of tape leaves, and the leaves."""
+    m, n = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+    leaves = [tape.leaf(v) for v in (rng.standard_normal(4), m @ m.T + 0.5 * np.eye(4),
+                                     n @ n.T + np.eye(2))]
+    return (TrackState(mean=leaves[0], cov=leaves[1]),
+            ExtensionState(dof=12.5, param=leaves[2]), leaves)
+
+
+def _params(rng, tape, **masks):
+    """Perturbed width-5 network parameters whose arrays are tape leaves."""
+    params = network.init_params(5, rng, **masks)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+    params.feat_mean = rng.standard_normal(network.FEATURE_DIM)
+    params.feat_std = rng.uniform(0.5, 2.0, network.FEATURE_DIM)
+    leaves = params.leaves(tape)
+    return replace(params, arrays=leaves), list(leaves.values())
+
+
+def _memory(rng, tape):
+    leaves = [tape.leaf(v) for v in (rng.standard_normal(5), rng.standard_normal(5),
+                                     rng.uniform(0.0, 2.0, 5))]
+    return network.MemoryState(*leaves), leaves
+
+
+def _frame(rng):
+    return frame_stats(rng.standard_normal((7, 2)) * [3.0, 1.0] + [1.0, -2.0])
+
+
+def _features_args(tape):
+    rng = np.random.default_rng(40)
+    state, ext, leaves = _belief(rng, tape)
+    params, _ = _params(rng, tape)
+    return (state, ext, _frame(rng), params), leaves
+
+
+def _raw_features_args(tape):
+    args, leaves = _features_args(tape)
+    return args[:3], leaves
+
+
+def _mub_args(tape):
+    rng = np.random.default_rng(41)
+    params, leaves = _params(rng, tape)
+    features = tape.leaf(rng.standard_normal(network.FEATURE_DIM))
+    mem, mem_leaves = _memory(rng, tape)
+    return (params, features, mem), leaves + [features] + mem_leaves
+
+
+def _jeb_args(tape):
+    rng = np.random.default_rng(42)
+    params, leaves = _params(rng, tape)
+    mem, mem_leaves = _memory(rng, tape)
+    return (params, mem), leaves + mem_leaves
+
+
+def _jub_args(tape):
+    rng = np.random.default_rng(43)
+    params, leaves = _params(rng, tape)
+    state, ext, belief_leaves = _belief(rng, tape)
+    return (params, state, ext), leaves + belief_leaves
+
+
+def _loss_args(tape, first=False):
+    rng = np.random.default_rng(44)
+    state, ext, leaves = _belief(rng, tape)
+    total = None if first else tape.leaf(np.float64(3.5))
+    args = (total, state, ext, rng.standard_normal(4), np.diag(rng.uniform(1.0, 4.0, 2)))
+    return args, leaves + ([] if first else [total])
+
+
+NETWORK_BLOCKS = {
+    "raw_features": (network.raw_features, composed.raw_features, _raw_features_args),
+    "encode_inputs": (network.encode_inputs, composed.encode_inputs, _features_args),
+    "mub_step": (network.mub_step, composed.mub_step, _mub_args),
+    "jeb_heads": (network.jeb_heads, composed.jeb_heads, _jeb_args),
+    "jub_heads": (network.jub_heads, composed.jub_heads, _jub_args),
+    "loss_term": (network._add_loss_term, composed.add_loss_term, _loss_args),
+    "first_loss_term": (network._add_loss_term, composed.add_loss_term,
+                        lambda tape: _loss_args(tape, first=True)),
+}
+
+
+class TestFusedNetworkBlocks:
+    """Each fused network block against the same block composed of generic
+    ops: values bit for bit, every input's adjoint at 1e-12."""
+
+    @pytest.mark.parametrize("block", NETWORK_BLOCKS)
+    def test_matches_composed(self, block):
+        composed.assert_twins(*NETWORK_BLOCKS[block])
+
+    @pytest.mark.parametrize("block", NETWORK_BLOCKS)
+    def test_one_node(self, block):
+        fused, _, make_args = NETWORK_BLOCKS[block]
+        tape = ops.Tape()
+        args, _ = make_args(tape)
+        before = len(tape.entries)
+        fused(*args)
+        lstm = block == "mub_step"  # the LSTM step is a node of its own
+        assert len(tape.entries) - before == 1 + lstm
