@@ -31,11 +31,10 @@ print(f"scatterers per frame: mean {np.mean(counts):.1f}, min {min(counts)}")
 
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
 test_cases = ds.test_cases
-runs = []
-for case in test_cases:
-    st, ex, _ = mt.run_filter(case.frames, model, mt.TrackerConfig())
-    runs.append((st, ex))
-rep = mt.evaluate_run(test_cases, runs, polygon_order=128)
+# all test cases as one batch: beliefs carry a leading case axis
+frames = mt.stack_frames([case.frames for case in test_cases])
+st, ex, _ = mt.run_filter(frames, model, mt.TrackerConfig())
+rep = mt.evaluate_run(test_cases, (st, ex), polygon_order=128)
 print(f"\nbaseline on test split: rmse={rep.position_rmse:.3f} m  "
       f"iou={rep.mean_iou:.3f}  gwd={rep.mean_gwd:.3f}")
 print(f"peaks: err={rep.peak_position_error:.3f} m  iou_min={rep.peak_iou:.3f}  "

@@ -24,14 +24,12 @@ test_cases = ds.test_cases
 
 
 def evaluate(params):
-    runs = []
-    for case in test_cases:
-        if params is None:
-            st, ex, _ = mt.run_filter(case.frames, model, tcfg)
-        else:
-            st, ex, _ = mt.forward_sequence(params, case.frames, model, tcfg)
-        runs.append((st, ex))
-    return mt.evaluate_run(test_cases, runs, polygon_order=128)
+    frames = mt.stack_frames([case.frames for case in test_cases])
+    if params is None:
+        st, ex, _ = mt.run_filter(frames, model, tcfg)
+    else:
+        st, ex, _ = mt.forward_sequence(params, frames, model, tcfg)
+    return mt.evaluate_run(test_cases, (st, ex), polygon_order=128)
 
 
 base = evaluate(None)

@@ -30,6 +30,8 @@ from .models import (
     cv_process_noise,
     frame_stats,
     nominal_cv_model,
+    reduce_frames,
+    stack_frames,
 )
 from .network import (
     MemoryState,

@@ -21,7 +21,7 @@ from .config import ConfigView, load_config
 from .errors import ConfigError, MemtrackError, NonFinite, StoreError
 from .filtering import TrackerConfig, run_filter
 from .metrics import MAX_POLYGON_ORDER, MetricsReport, evaluate_run
-from .models import NominalModel, ScenarioConfig, nominal_cv_model
+from .models import NominalModel, ScenarioConfig, nominal_cv_model, stack_frames
 from .network import forward_sequence, init_params
 from .simulate import generate_case, generate_dataset
 from .store import (
@@ -242,19 +242,18 @@ def cmd_train(args) -> int:
 
 
 def _posteriors_for(cases, model, tracker, params=None):
-    """(states, extensions) of each case, from the baseline or the learned
-    filter.  A non-finite value raises NonFinite from the filter's own
-    checks, so numpy's overflow and invalid-value warnings are silenced, as
-    in training."""
-    runs = []
+    """(states, extensions) of one baseline or learned filter run over all
+    ``cases``: a batch with a leading case axis, or the only case's.  A
+    non-finite value raises NonFinite from the filter's own checks, so
+    numpy's overflow and invalid-value warnings are silenced, as in
+    training."""
+    frames = stack_frames([case.frames for case in cases])
     with np.errstate(over="ignore", invalid="ignore"):
-        for case in cases:
-            if params is None:
-                states, exts, _ = run_filter(case.frames, model, tracker)
-            else:
-                states, exts, _ = forward_sequence(params, case.frames, model, tracker)
-            runs.append((states, exts))
-    return runs
+        if params is None:
+            states, exts, _ = run_filter(frames, model, tracker)
+        else:
+            states, exts, _ = forward_sequence(params, frames, model, tracker)
+    return states, exts
 
 
 def _pooled_csv(path, first_column: str, rows) -> None:
@@ -300,8 +299,8 @@ def cmd_eval(args) -> int:
 
     rows = []
     for tag, params in modes:
-        runs = _posteriors_for(cases, model, tracker, params)
-        report = evaluate_run(cases, runs, polygon_order=args.polygon)
+        run = _posteriors_for(cases, model, tracker, params)
+        report = evaluate_run(cases, run, polygon_order=args.polygon)
         suffix = f".{tag}" if len(modes) > 1 else ""
         write_report(report, f"{args.out}{suffix}.csv", "csv")
         write_report(report, f"{args.out}{suffix}.json", "json")
@@ -334,7 +333,7 @@ def cmd_track(args) -> int:
     tracker = _tracker_from(view)
     case = dataset.cases[args.case]
     params = read_checkpoint(args.checkpoint) if args.checkpoint else None
-    [(states, exts)] = _posteriors_for([case], model, tracker, params)
+    states, exts = _posteriors_for([case], model, tracker, params)
 
     header = ("step,truth_px,truth_py,truth_vx,truth_vy,truth_a,truth_b,truth_angle,"
               "est_px,est_py,est_vx,est_vy,est_a,est_b,est_angle,n")
@@ -404,16 +403,16 @@ def cmd_datascale(args) -> int:
     tracker = _tracker_from(view)
 
     held_out = dataset_all.test_cases
-    baseline_runs = _posteriors_for(held_out, model, tracker, None)
-    baseline_rep = evaluate_run(held_out, baseline_runs,
+    baseline_run = _posteriors_for(held_out, model, tracker, None)
+    baseline_rep = evaluate_run(held_out, baseline_run,
                                 polygon_order=train_cfg.history_polygon)
     rows.append(("baseline", baseline_rep))
     print(_report_line("baseline", baseline_rep))
 
     for size in sizes:
         params, _, _ = train(dataset_all.train_cases[:size], model, train_cfg)
-        runs = _posteriors_for(held_out, model, tracker, params)
-        rep = evaluate_run(held_out, runs, polygon_order=train_cfg.history_polygon)
+        run = _posteriors_for(held_out, model, tracker, params)
+        rep = evaluate_run(held_out, run, polygon_order=train_cfg.history_polygon)
         rows.append((str(size), rep))
         print(_report_line(str(size), rep))
 

@@ -24,7 +24,13 @@ A compensator may keep state between the two calls and across steps (the
 learned tracker keeps its LSTM memory there).  ``None`` runs the
 zero-compensation baseline.
 
-Beliefs and compensation moments may carry tape variables
+Every stage takes one case's beliefs or a batch's, whose arrays carry a
+leading case axis (see :mod:`memtrack.models`), and computes each row of a
+batch bit for bit as it would compute that case alone; :func:`run_filter`
+runs a batch when its frames are a time-major batch.  Zero compensation
+broadcasts over a batch.
+
+Beliefs and compensation moments of one case may carry tape variables
 (:mod:`memtrack.ops`); gradients then flow through every update into
 upstream inputs.  Each stage computes its values in plain numpy, by the
 same expressions with or without a tape, and records them as one tape node
@@ -52,6 +58,7 @@ from .models import (
     NominalModel,
     TrackState,
     frame_stats,
+    reduce_frames,
 )
 
 __all__ = [
@@ -141,11 +148,22 @@ class FilterDiagnostics:
     frame: FrameStats
 
 
-def _proj_eps(raw) -> float:
-    tr = 0.0
-    for x in ops.value(raw).diagonal().tolist():  # np.trace's order and bits
-        tr += x
-    return PROJ_EPS_FACTOR * abs(tr)
+def _proj_eps(raw):
+    """The clamp floor of a matrix (a float), or of each of a stack ((N,))."""
+    raw = ops.value(raw)
+    if raw.ndim == 2:
+        tr = 0.0
+        for x in raw.diagonal().tolist():  # np.trace's order and bits
+            tr += x
+        return PROJ_EPS_FACTOR * abs(tr)
+    # a sum over a few entries adds them in order, as the loop above does
+    return np.abs(raw.diagonal(0, 1, 2).sum(axis=1)) * PROJ_EPS_FACTOR
+
+
+def _ext_eps(raw):
+    """The clamp floor of an extension parameter: never below EXT_ABS_FLOOR."""
+    eps = _proj_eps(raw)
+    return max(eps, EXT_ABS_FLOOR) if isinstance(eps, float) else np.maximum(eps, EXT_ABS_FLOOR)
 
 
 def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
@@ -154,7 +172,7 @@ def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
     mean = F x + df;  cov = F P F^T + Q + pf, symmetrized.
     """
     f = model.F
-    mean = f @ ops.value(prior.mean) + ops.value(df)
+    mean = ops._matvec(f, ops.value(prior.mean)) + ops.value(df)
     cov_raw = f @ ops.value(prior.cov) @ f.T + model.q + ops.value(pf)
     mean, cov_raw = ops.node((mean, cov_raw), (prior.mean, prior.cov, df, pf),
                              lambda g: (f.T @ g[0], f.T @ g[1] @ f, g[0], g[1]))
@@ -176,35 +194,38 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     transition bracket A X A^T + pphi / delta.
     """
     lam = prior.dof - 2 * D - 2
-    if lam <= 2.0:
+    if ops._any(lam <= 2.0):
         raise BadDof(f"extension prediction needs lambda > 2, got {lam}")
     delta = model.delta
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
-    v_pred = float(np.round(v_pred * _DOF_GRID) / _DOF_GRID)
+    v_pred = np.round(v_pred * _DOF_GRID) / _DOF_GRID
+    if not isinstance(lam, np.ndarray):
+        v_pred = float(v_pred)
     # The bracket is (delta A X A^T + pphi) / delta.  Dividing by delta keeps
     # the expected extent; the undivided bracket multiplies it by about delta
     # per step, which compounds geometrically.
     a = model.a
     bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
-    scale = (v_pred - 2 * D - 2) / lam
+    scale = ops._rows((v_pred - 2 * D - 2) / lam)
     raw = ops.node(scale * bracket, (prior.param, pphi),
                    lambda g: (a.T @ (scale * g) @ a, (scale * g) / delta))
-    param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
+    param = ops.sym_project(raw, _ext_eps(raw))
     return ExtensionState(dof=v_pred, param=param)
 
 
-def extension_lambda(dof: float) -> float:
-    """lambda = dof - 2d - 2, the divisor of the point-estimate extent."""
+def extension_lambda(dof):
+    """lambda = dof - 2d - 2, the divisor of the point-estimate extent (per
+    case for a batch's (N,) dofs)."""
     lam = dof - 2 * D - 2
-    if lam <= 0.0:
+    if ops._any(lam <= 0.0):
         raise BadDof(f"extension mean needs dof > {2 * D + 2}, got {dof}")
     return lam
 
 
 def extension_mean(ext: ExtensionState):
     """Point-estimate extent: param / (dof - 2d - 2)."""
-    return ext.param / extension_lambda(ext.dof)
+    return ext.param / ops._rows(extension_lambda(ext.dof))
 
 
 def innovation(
@@ -227,18 +248,18 @@ def innovation(
     The statistics are plain arrays; under a tape, :func:`update_state`
     records them and the update as one node (see :class:`InnovationStats`).
     """
-    if fs.count < 1:
+    if ops._any(fs.count < 1):
         raise SingularInnovation("innovation needs at least one measurement")
-    h, b, n = model.H, model.b, float(fs.count)
+    h, b, n = model.H, model.b, ops._rows(fs.count)
     lam = extension_lambda(ext_pred.dof)
-    z_pred = h @ ops.value(pred.mean) + ops.value(dh)
+    z_pred = ops._matvec(h, ops.value(pred.mean)) + ops.value(dh)
     pxz = ops.value(pred.cov) @ h.T
     hph = h @ pxz
-    xhat = ops.value(ext_pred.param) / lam
+    xhat = ops.value(ext_pred.param) / ops._rows(lam)
     scatter = (b @ xhat @ b.T) / n
-    scatter = 0.5 * (scatter + scatter.T)
+    scatter = 0.5 * (scatter + ops._mT(scatter))
     scale = 1.0 + ops.value(eh)
-    outer_scale = scale[:, None] * scale
+    outer_scale = scale[..., :, None] * scale[..., None, :]
     pzz = hph + scatter * outer_scale
 
     def back(g_residual, g_pxz, g_pzz):
@@ -260,13 +281,14 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     ``stats.residual``; one tape node with the innovation that made
     ``stats``."""
     pxz, pzz, residual, back = stats.pxz, stats.pzz, stats.residual, stats.back
+    pxz_t = ops._mT(pxz)
     try:
-        gain_t = ops.solve(pzz, pxz.T)
+        gain_t = ops.solve(pzz, pxz_t)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
-    gain = gain_t.T
-    mean = ops.value(pred.mean) + gain @ residual
-    cov_raw = ops.value(pred.cov) - gain @ pxz.T
+    gain = ops._mT(gain_t)
+    mean = ops.value(pred.mean) + ops._matvec(gain, residual)
+    cov_raw = ops.value(pred.cov) - gain @ pxz_t
 
     def vjp(g):
         g_mean, g_cov = g
@@ -293,29 +315,34 @@ def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) 
     """
     dof = pred.dof + fs.count
     raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
-    param = ops.sym_project(raw, max(_proj_eps(raw), EXT_ABS_FLOOR))
+    param = ops.sym_project(raw, _ext_eps(raw))
     return ExtensionState(dof=dof, param=param)
 
 
-def init_track(first: np.ndarray, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
-    """Initialize beliefs from the first frame's (n, 2) points.
+def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
+    """Initialize beliefs from the first frame's (n, 2) points, or from a
+    batch's first frame (a tuple of N such arrays).
 
     Position at the frame mean, zero velocity, diagonal covariance priors;
     the extension parameter matrix is the lambda-scaled sample covariance,
     floored at ``min_extent`` per eigenvalue.
     """
-    if len(first) < 2:
-        raise TooFewPoints(f"track initialization needs >= 2 points, got {len(first)}")
+    fewest = min(map(len, first)) if isinstance(first, tuple) else len(first)
+    if fewest < 2:
+        raise TooFewPoints(f"track initialization needs >= 2 points, got {fewest}")
     fs = frame_stats(first)
-    mean = np.array([fs.mean[0], fs.mean[1], 0.0, 0.0])
-    cov = np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var])
-    raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / (fs.count - 1))
+    lead = fs.mean.shape[:-1]
+    mean = np.concatenate([fs.mean, np.zeros(lead + (2,))], axis=-1)
+    cov = np.broadcast_to(np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var]),
+                          lead + (4, 4)).copy()
+    raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / ops._rows(fs.count - 1))
     param = ops.sym_project(raw, cfg.min_extent)
-    return TrackState(mean=mean, cov=cov), ExtensionState(dof=cfg.init_dof, param=param)
+    dof = np.full(lead, cfg.init_dof) if lead else cfg.init_dof
+    return TrackState(mean=mean, cov=cov), ExtensionState(dof=dof, param=param)
 
 
 def run_filter(
-    frames: list[np.ndarray],
+    frames: list,
     model: NominalModel,
     cfg: TrackerConfig,
     compensator=None,
@@ -323,21 +350,24 @@ def run_filter(
 ):
     """Filter a sequence of (n, 2) point frames; the first only initializes.
 
-    Every later frame runs frame statistics -> ``compensator.evolve`` ->
-    prediction -> ``compensator.measure`` -> innovation -> update (see the
-    module docstring); ``compensator=None`` is the zero-compensation
-    baseline.  ``trace``, if given, receives one :class:`FilterDiagnostics`
-    per step.
+    ``frames`` is one case's frames, or a time-major batch of N cases (see
+    :func:`memtrack.models.stack_frames`), filtered together with a leading
+    case axis on every belief.  Frame statistics come from one reduction
+    over every frame (:func:`memtrack.models.reduce_frames`).  Every later
+    frame runs ``compensator.evolve`` -> prediction ->
+    ``compensator.measure`` -> innovation -> update (see the module
+    docstring); ``compensator=None`` is the zero-compensation baseline.
+    ``trace``, if given, receives one :class:`FilterDiagnostics` per step.
 
     Returns (posterior states, posterior extensions, trace), the first two
-    of length len(frames) - 1.
+    of length len(frames) - 1.  A step that turns non-finite in any case of
+    a batch raises, as that case alone would.
     """
     if len(frames) < 2:
         raise TooFewPoints("a sequence needs at least two frames")
     state, ext = init_track(frames[0], cfg)
     states, exts = [], []
-    for k, frame in enumerate(frames[1:], start=2):
-        fs = frame_stats(frame)
+    for k, fs in enumerate(reduce_frames(frames[1:]), start=2):
         df, pf, pphi = (ZERO_EVOLUTION if compensator is None
                         else compensator.evolve(state, ext, fs))
         pred = predict_state(state, model, df, pf)

@@ -5,7 +5,7 @@ Ellipse membership uses the inverse-extent quadratic form
 (p - c)^T E^-1 (p - c) <= 1, so extent eigenvalues are squared semi-axes.
 IoU and GWD take one pair of ellipses or a stack of K pairs (one per step)
 and score every step of a stack in one vectorized pass; ``case_series``
-scores a whole case that way.
+scores a whole case that way, or every case of a batched filter run.
 
 IoU approximates each ellipse with an inscribed polygon and intersects the
 two convex polygons exactly; at order 256 the area error is below 1e-3 for
@@ -30,6 +30,7 @@ import numpy as np
 from . import ops
 from .errors import NonFinite, ShapeMismatch
 from .filtering import extension_mean
+from .models import TrackState
 from .spdmat import sym_sqrt
 
 __all__ = [
@@ -350,38 +351,54 @@ def gwd(a: EllipseEstimate, b: EllipseEstimate):
 
 def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     """(K-1, 3) per-step [position error, IoU, GWD] for one filtered case,
-    all steps scored in one stacked pass.
+    or (N, K-1, 3) for a batched run of N cases, whose ``truth`` is the list
+    of their truths; all steps of all cases are scored in one stacked pass.
 
     Posteriors correspond to truth steps 2..K (the first frame only
     initializes the track).
     """
     k = len(states)
-    if k != len(truth.states) - 1:
+    truths = truth if isinstance(truth, list) else [truth]
+    if any(k != len(t.states) - 1 for t in truths):
         raise ShapeMismatch(
-            f"{k} posteriors do not match {len(truth.states)} truth steps")
-    centers = np.array([ops.value(st.mean)[:2] for st in states], dtype=np.float64)
+            f"{k} posteriors do not match {[len(t.states) for t in truths]} truth steps")
+    centers = np.array([ops.value(st.mean)[..., :2] for st in states], dtype=np.float64)
     extents = np.array([ops.value(extension_mean(ex)) for ex in exts], dtype=np.float64)
-    est = EllipseEstimate(center=centers.reshape(k, 2), extent=extents.reshape(k, 2, 2))
-    tru = EllipseEstimate(center=truth.states[1:, :2], extent=truth.extents[1:])
-    rows = np.empty((k, 3))
+    n = len(truths)
+    if centers.shape != ((k, n, 2) if isinstance(truth, list) else (k, 2)):
+        raise ShapeMismatch(f"posterior centers {centers.shape} do not match {n} truths")
+    # case-major rows: every step of the first case, then of the next
+    est = EllipseEstimate(center=np.moveaxis(centers.reshape(k, n, 2), 0, 1).reshape(-1, 2),
+                          extent=np.moveaxis(extents.reshape(k, n, 2, 2), 0, 1).reshape(-1, 2, 2))
+    tru = EllipseEstimate(center=np.concatenate([t.states[1:, :2] for t in truths]),
+                          extent=np.concatenate([t.extents[1:] for t in truths]))
+    rows = np.empty((n * k, 3))
     rows[:, 0] = np.sqrt(_dot_rows(est.center - tru.center))
     rows[:, 1] = iou_ellipse(est, tru, order=polygon_order)
     rows[:, 2] = gwd(est, tru)
-    return rows
+    return rows.reshape(n, k, 3) if isinstance(truth, list) else rows
 
 
 def evaluate_run(cases, posteriors, polygon_order: int = 256) -> MetricsReport:
     """Aggregate metrics for filtered posteriors against their cases' truth.
 
     ``posteriors`` is a list of (states, extensions) pairs aligned with
-    ``cases`` (anything with a ``.truth``), pooled over every step of every
-    case.  Extents are scored via the lambda-scaled extension mean.
+    ``cases`` (anything with a ``.truth``), or the (states, extensions) of
+    one run over all of them: a batch's, with a leading case axis (see
+    :func:`memtrack.filtering.run_filter`), or the only case's.  They are
+    pooled over every step of every case.  Extents are scored via the
+    lambda-scaled extension mean.
     """
-    if len(posteriors) != len(cases):
-        raise ShapeMismatch(
-            f"{len(posteriors)} posterior runs vs {len(cases)} cases")
-    per_case = [case_series(states, exts, case.truth, polygon_order=polygon_order)
-                for (states, exts), case in zip(posteriors, cases)]
+    one_run = posteriors and isinstance(posteriors[0][0], TrackState)
+    if one_run and np.ndim(ops.value(posteriors[0][0].mean)) == 2:  # a batch
+        states, exts = posteriors
+        per_case = list(case_series(states, exts, [c.truth for c in cases], polygon_order))
+    else:
+        runs = [posteriors] if one_run else posteriors
+        if len(runs) != len(cases):
+            raise ShapeMismatch(f"{len(runs)} posterior runs vs {len(cases)} cases")
+        per_case = [case_series(states, exts, case.truth, polygon_order=polygon_order)
+                    for (states, exts), case in zip(runs, cases)]
     stacked = np.concatenate(per_case, axis=0)
     mse = float(np.mean(stacked[:, 0] ** 2))
     return MetricsReport(

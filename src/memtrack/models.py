@@ -4,6 +4,11 @@ Planar tracking throughout: extension dimension d = 2, kinematic state
 [px, py, vx, vy]; a measurement frame is an (n, 2) float64 array of points
 (m).  All types are immutable values; belief fields may hold either plain
 float64 arrays or tape ``Var`` objects (the filter is written once over both).
+
+Beliefs and frame statistics describe one case, or a batch of N cases with
+a leading case axis: means (N, 4), covariances (N, 4, 4), extension dofs
+(N,) and parameters (N, 2, 2).  A batch's frames are time-major: frame k of
+a batch is the tuple of every case's k-th (n, 2) frame (:func:`stack_frames`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyFrame
+from .errors import EmptyFrame, LengthMismatch
 from .spdmat import inverse_spd
 
 D = 2  # planar extension dimension; state dimension is 2 * D
@@ -28,6 +33,8 @@ __all__ = [
     "cv_transition_matrix",
     "MEASUREMENT_MATRIX",
     "frame_stats",
+    "reduce_frames",
+    "stack_frames",
     "cv_process_noise",
     "nominal_cv_model",
 ]
@@ -45,21 +52,23 @@ class TrackState:
 class ExtensionState:
     """Inverse-Wishart extension belief.
 
-    ``dof`` is the scalar degrees of freedom v; ``param`` the 2x2 SPD
-    parameter matrix.  The point-estimate extent is param / (v - 2d - 2).
+    ``dof`` is the degrees of freedom v, a float for one case and an (N,)
+    array for a batch; ``param`` the 2x2 SPD parameter matrix.  The
+    point-estimate extent is param / (v - 2d - 2).
     """
 
-    dof: float
+    dof: float | np.ndarray
     param: np.ndarray
 
 
 @dataclass(frozen=True)
 class FrameStats:
-    """Sufficient statistics of a frame: mean, unnormalized scatter, count."""
+    """Sufficient statistics of a frame: mean, unnormalized scatter, count
+    (an int for one case, an (N,) int array for a batch)."""
 
-    mean: np.ndarray     # (2,)
-    scatter: np.ndarray  # (2, 2), sum of outer products around the mean
-    count: int
+    mean: np.ndarray     # (2,) or (N, 2)
+    scatter: np.ndarray  # (2, 2) or (N, 2, 2), sum of outer products around the mean
+    count: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,16 +149,51 @@ MEASUREMENT_MATRIX = np.array([
 ])
 
 
-def frame_stats(points: np.ndarray) -> FrameStats:
-    """Mean and unnormalized scatter of a frame's (n, 2) points."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if n < 1:
+def frame_stats(points) -> FrameStats:
+    """Mean and unnormalized scatter of a frame's (n, 2) points, or of a
+    batch's frame (a tuple of N such arrays): the one-frame case of
+    :func:`reduce_frames`, bit for bit."""
+    if not isinstance(points, tuple):
+        points = np.asarray(points, dtype=np.float64)
+    return reduce_frames([points])[0]
+
+
+def reduce_frames(frames) -> list[FrameStats]:
+    """The statistics of every frame, from one ``np.add.reduceat`` over all
+    their points.
+
+    ``frames`` holds one case's (n, 2) frames, or a batch's frames, each a
+    tuple of N per-case frames (see :func:`stack_frames`), whose statistics
+    then carry a leading case axis.  A frame without points raises
+    EmptyFrame (``reduceat`` would read a neighbouring point for it).
+    """
+    batched = isinstance(frames[0], tuple)
+    flat = [f for frame in frames for f in frame] if batched else frames
+    counts = np.array([len(f) for f in flat])
+    if not counts.all():
         raise EmptyFrame("frame has no points")
-    mean = pts.sum(axis=0) / n  # pts.mean(axis=0) bit for bit
-    centered = pts - mean
-    scatter = centered.T @ centered
-    return FrameStats(mean=mean, scatter=0.5 * (scatter + scatter.T), count=n)
+    points = np.concatenate(flat, axis=0, dtype=np.float64)
+    starts = np.cumsum(counts) - counts
+    mean = np.add.reduceat(points, starts, axis=0) / counts[:, None]
+    centered = points - np.repeat(mean, counts, axis=0)
+    # the outer products are symmetric entry for entry, and so are their sums
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    if batched:
+        lead = (len(frames), len(frames[0]))
+        return [FrameStats(mean=m, scatter=s, count=c) for m, s, c in zip(
+            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))]
+    return [FrameStats(mean=m, scatter=s, count=c)
+            for m, s, c in zip(mean, scatter, counts.tolist())]
+
+
+def stack_frames(runs: list) -> list:
+    """The ``frames`` of one filter run over several cases' frame lists:
+    the only case's own frames, or the time-major batch whose frame k is
+    the tuple of every case's k-th frame.  The cases must have one length."""
+    if len({len(frames) for frames in runs}) != 1:
+        raise LengthMismatch(f"a batch needs cases of one length, got "
+                             f"{sorted({len(frames) for frames in runs})} frames")
+    return runs[0] if len(runs) == 1 else list(zip(*runs))
 
 
 def cv_process_noise(sigma_w: float, dt: float) -> np.ndarray:

@@ -20,6 +20,11 @@ the memory-covariance head of :func:`mub_step`, :func:`jeb_heads`,
 :func:`jub_heads` with its prediction features, and each step's loss term.
 Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
 sums over time in one matrix product per weight.
+
+A plain forward also runs a batch of N cases (time-major frames, see
+:func:`memtrack.models.stack_frames`): features, memory, head outputs and
+loss terms then carry a leading case axis, and each row is computed bit for
+bit as that case alone.  A taped forward records one case.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .errors import LengthMismatch
+from .errors import LengthMismatch, ShapeMismatch
 from .filtering import (
     ZERO_EVOLUTION,
     ZERO_MEASUREMENT,
@@ -154,28 +159,33 @@ def init_params(memory_dim: int, rng: np.random.Generator, **masks) -> NetworkPa
     return params
 
 
-def initial_memory(memory_dim: int) -> MemoryState:
-    z = np.zeros(memory_dim)
+def initial_memory(memory_dim: int, lead: tuple = ()) -> MemoryState:
+    """Zero memory for one case, or (N, memory_dim) for ``lead`` = (N,)."""
+    z = np.zeros(lead + (memory_dim,))
     return MemoryState(cell=z, hidden=z.copy(), pc=z.copy())
 
 
 def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = None):
     """The raw encoding of a belief, and of the current frame when ``fs`` is
-    given, as a plain vector; and the map from its adjoint to the adjoints
-    of (state mean, state covariance, extension parameter).
+    given, as a plain vector (one row per case of a batch); and the map
+    from one case's adjoint to the adjoints of (state mean, state
+    covariance, extension parameter).
 
     Without a frame these are the PRED_FEATURE_DIM prediction features:
     the mean, the log variances, the log-Cholesky extent and the log dof.
     """
     mean, cov = ops.value(state.mean), ops.value(state.cov)
     lam = extension_lambda(ext.dof)
-    xhat = ops.value(ext.param) / lam
-    variances = np.diagonal(cov)
-    pieces = [mean, np.log(variances), ops.logchol2x2(xhat), np.array([np.log(float(ext.dof))])]
+    xhat = ops.value(ext.param) / ops._rows(lam)
+    variances = cov.diagonal(0, -2, -1)
+    pieces = [mean, np.log(variances), ops.logchol2x2(xhat), _log_column(ext.dof)]
     if fs is not None:
-        scatter_cov = fs.scatter / max(fs.count - 1, 1) + _FRAME_COV_FLOOR
-        pieces += [fs.mean - mean[0:2], ops.logchol2x2(scatter_cov),
-                   np.array([np.log(float(fs.count))])]
+        count = fs.count
+        denominator = (np.maximum(count - 1, 1)[:, None, None] if isinstance(count, np.ndarray)
+                       else max(count - 1, 1))
+        pieces += [fs.mean - mean[..., 0:2],
+                   ops.logchol2x2(fs.scatter / denominator + _FRAME_COV_FLOOR),
+                   _log_column(count)]
 
     def back(g):
         g_mean = g[0:4].copy()
@@ -184,7 +194,15 @@ def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = No
         return (g_mean, np.diag(g[4:8] / variances),
                 ops.logchol2x2_adjoint(xhat, g[8:11]) / lam)
 
-    return np.concatenate(pieces), back
+    return np.concatenate(pieces, axis=-1), back
+
+
+def _log_column(x):
+    """The log of a case's dof or count as a feature column: (1,), or (N, 1)
+    for a batch's (N,) values."""
+    if isinstance(x, np.ndarray):
+        return np.log(x.astype(np.float64))[:, None]
+    return np.array([np.log(float(x))])
 
 
 def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats):
@@ -205,12 +223,13 @@ def encode_inputs(state: TrackState, ext: ExtensionState, fs: FrameStats,
 def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
     """One LSTM memory update; masked mode freezes memory and zeroes pc."""
     if params.mask_memory:
-        return MemoryState(cell=mem.cell, hidden=mem.hidden, pc=np.zeros(params.memory_dim))
+        return MemoryState(cell=mem.cell, hidden=mem.hidden,
+                           pc=np.zeros(np.shape(ops.value(mem.hidden))))
     weights = params.arrays
     cell, hidden = ops.lstm_cell(weights["lstm_w"], weights["lstm_b"], features,
                                  mem.hidden, mem.cell)
     w, h = ops.value(weights["memcov_w"]), ops.value(hidden)
-    lin = w @ h + ops.value(weights["memcov_b"])
+    lin = ops._matvec(w, h) + ops.value(weights["memcov_b"])
 
     def vjp(g):
         g_lin = g * ops.sigmoid(lin)
@@ -229,14 +248,14 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
     weights = [params.arrays[name] for name in names]
     shift_w, shift_b, cov_w, cov_b, ext_w, ext_b = map(ops.value, weights)
     hidden = ops.value(mem.hidden)
-    inp = np.concatenate([hidden, ops.value(mem.pc)])
-    df = shift_w @ inp + shift_b
-    cov_lin = cov_w @ inp + cov_b
-    pf = np.diag(np.logaddexp(0.0, cov_lin) - ops.SOFTPLUS_ZERO)
-    ext_vec = ext_w @ inp + ext_b
-    ell = np.diag(np.logaddexp(0.0, ext_vec[0:2]) - ops.SOFTPLUS_ZERO) \
-        + ext_vec[2] * _OFF_DIAG_2
-    pphi = ell @ ell.T
+    inp = np.concatenate([hidden, ops.value(mem.pc)], axis=-1)
+    df = ops._matvec(shift_w, inp) + shift_b
+    cov_lin = ops._matvec(cov_w, inp) + cov_b
+    pf = _diag(np.logaddexp(0.0, cov_lin) - ops.SOFTPLUS_ZERO)
+    ext_vec = ops._matvec(ext_w, inp) + ext_b
+    ell = _diag(np.logaddexp(0.0, ext_vec[..., 0:2]) - ops.SOFTPLUS_ZERO) \
+        + ext_vec[..., 2, None, None] * _OFF_DIAG_2
+    pphi = ell @ ops._mT(ell)
 
     def vjp(g):
         g_df, g_pf, g_pphi = g
@@ -261,8 +280,8 @@ def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState)
     raw, back = _features(pred, ext_pred)
     std = params.feat_std[:PRED_FEATURE_DIM]
     inp = (raw - params.feat_mean[:PRED_FEATURE_DIM]) / std
-    dh = shift_w @ inp + shift_b
-    scale_lin = scale_w @ inp + scale_b
+    dh = ops._matvec(shift_w, inp) + shift_b
+    scale_lin = ops._matvec(scale_w, inp) + scale_b
     eh = np.logaddexp(0.0, scale_lin) / ops.SOFTPLUS_ZERO - 1.0
 
     def vjp(g):
@@ -284,9 +303,11 @@ class _Compensator:
 
     def __init__(self, params: NetworkParams):
         self.params = params
-        self.mem = initial_memory(params.memory_dim)
+        self.mem = None
 
     def evolve(self, state: TrackState, ext: ExtensionState, fs: FrameStats):
+        if self.mem is None:  # one memory per case of the first posteriors
+            self.mem = initial_memory(self.params.memory_dim, fs.mean.shape[:-1])
         features = encode_inputs(state, ext, fs, self.params)
         self.mem = mub_step(self.params, features, self.mem)
         return jeb_heads(self.params, self.mem)
@@ -309,11 +330,15 @@ def forward_sequence(
     -> filter update, through :func:`~memtrack.filtering.run_filter`.  With
     a tape, the network runs on a copy of ``params`` whose arrays are tape
     leaves, and those leaves are returned for gradient extraction; without
-    one this is the plain-inference path (identical arithmetic).
+    one this is the plain-inference path (identical arithmetic).  ``frames``
+    may be a time-major batch (see :func:`memtrack.models.stack_frames`)
+    for a plain forward; a tape records one case.
 
     Returns (posterior states, posterior extensions, leaves-or-None).
     """
     if tape is not None:
+        if isinstance(frames[0], tuple):
+            raise ShapeMismatch("a tape records one case, not a batch")
         params = replace(params, arrays=params.leaves(tape))
     states, exts, _ = run_filter(frames, model, tcfg or TrackerConfig(),
                                  _Compensator(params))
@@ -325,7 +350,9 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
 
     (1/2K) * sum_k (||x_k - truth||^2 + ||extent_k - truth||_F^2) plus
     gamma * ||theta||^2 over the supplied weights.  The extent compared is
-    the lambda-scaled posterior mean, not the raw parameter matrix.
+    the lambda-scaled posterior mean, not the raw parameter matrix.  For a
+    batch's posteriors, with time-major truth (K, N, ...), it is one loss
+    per case, (N,).
     """
     k = len(states)
     if not (len(exts) == len(truth_states) == len(truth_extents) == k):
@@ -348,8 +375,25 @@ def _add_loss_term(total, state: TrackState, ext: ExtensionState, truth_state, t
     """``total`` plus one step's squared state and extent errors, one node."""
     lam = extension_lambda(ext.dof)
     d_state = ops.value(state.mean) - truth_state
-    d_extent = ops.value(ext.param) / lam - truth_extent
-    term = ops.sumsq(d_state) + ops.sumsq(d_extent)
+    d_extent = ops.value(ext.param) / ops._rows(lam) - truth_extent
+    lead = d_state.shape[:-1]
+    term = _sumsq_rows(d_state, lead) + _sumsq_rows(d_extent, lead)
     out = term if total is None else ops.value(total) + term
     return ops.node(out, (total, state.mean, ext.param),
                     lambda g: (g, (2.0 * g) * d_state, ((2.0 * g) * d_extent) / lam))
+
+
+def _sumsq_rows(d, lead: tuple):
+    """Sum of the squared entries of a case's ``d``, or of each case's for a
+    batch (``lead`` = (N,)): ``ops.sumsq``'s order and bits, per row."""
+    return np.sum((d * d).reshape(lead + (-1,)), axis=-1)
+
+
+def _diag(v):
+    """The diagonal matrix of a vector, or of each row of a stack (N, n)."""
+    if v.ndim == 1:
+        return np.diag(v)
+    out = np.zeros(v.shape + v.shape[-1:])
+    idx = np.arange(v.shape[-1])
+    out[..., idx, idx] = v
+    return out

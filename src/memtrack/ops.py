@@ -29,6 +29,16 @@ tries to prove, in scalar arithmetic, that nothing clamps (a closed-form
 2x2 minimum eigenvalue, or positive pivots of ``s - eps I``), and calls
 ``eigh`` only when that proof fails.  :func:`solve` inverts a 2x2 by its
 adjugate.
+
+A plain (untaped) batch of N cases stacks its matrices on a leading case
+axis, and :func:`sym_project`, :func:`solve` and :func:`logchol2x2` work
+row by row on such stacks, each row bit for bit as it would alone: the
+2x2 clamp proof runs per row and the 4x4 one as one Cholesky factorization
+of the whole stack, with ``eigh`` only on rows the proof leaves open, and
+each 2x2 solve takes its adjugate unless its determinant is 0 or not
+finite.  ``_matvec`` and ``_mT`` are the matrix-vector product and the
+transpose of one case or of each row of a stack, and ``_rows`` shapes a
+batch's per-case scalars to scale its matrices.  A tape records one case.
 """
 
 from __future__ import annotations
@@ -353,12 +363,12 @@ def lstm_cell(w, b, x, hidden, cell):
     """
     t = _tape(w, b, x, hidden, cell)
     wv, hv, cv = value(w), value(hidden), value(cell)
-    n = len(hv)
-    z = np.concatenate([value(x), hv])
-    lin = wv @ z + value(b)
-    gates = sigmoid(lin[:3 * n])
-    gate_in, gate_forget, gate_out = gates[:n], gates[n:2 * n], gates[2 * n:]
-    candidate = np.tanh(lin[3 * n:])
+    n = hv.shape[-1]
+    z = np.concatenate([value(x), hv], axis=-1)
+    lin = _matvec(wv, z) + value(b)
+    gates = sigmoid(lin[..., :3 * n])
+    gate_in, gate_forget, gate_out = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
+    candidate = np.tanh(lin[..., 3 * n:])
     new_cell = gate_forget * cv + gate_in * candidate
     tanh_cell = np.tanh(new_cell)
     new_hidden = gate_out * tanh_cell
@@ -381,18 +391,56 @@ def lstm_cell(w, b, x, hidden, cell):
     return t.record((new_cell, new_hidden), (w, b, x, hidden, cell), vjp)
 
 
+def _mT(a):
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
+
+
+def _any(flags) -> bool:
+    """Whether a condition holds for one case (a bool), or for any row of a
+    batch (an array of bools)."""
+    return np.count_nonzero(flags) > 0 if isinstance(flags, np.ndarray) else flags
+
+
+def _rows(x):
+    """A per-case scalar as a factor of each case's matrices: a scalar as
+    it is, a batch's (N,) values as (N, 1, 1)."""
+    return x[:, None, None] if isinstance(x, np.ndarray) else x
+
+
+def _matvec(a, x):
+    """``a @ x`` for a vector ``x``, or for each row of a stack (N, n) of
+    vectors, ``a`` one matrix or a stack: each row is one matrix-vector
+    product, bit for bit as ``a @ x`` on that row alone."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
 def _solve_value(a, b):
     """np.linalg.solve(a, b), by the adjugate when a is 2x2.
 
     A 2x2 whose determinant is 0 or not finite goes to LAPACK, which raises
     LinAlgError on an exactly singular matrix and otherwise behaves as it
-    always did (NaN in, NaN out; no overflow in the determinant).
+    always did (NaN in, NaN out; no overflow in the determinant).  A stack
+    of 2x2s (N, 2, 2), with right-hand sides (N, 2, k), is solved row by
+    row the same way.
     """
     if a.shape == (2, 2):
         (a00, a01), (a10, a11) = a.tolist()
         det = a00 * a11 - a01 * a10
         if det != 0.0 and math.isfinite(det):
             return (np.array([[a11, -a01], [-a10, a00]]) @ b) / det
+    elif a.ndim == 3 and a.shape[1:] == (2, 2):
+        a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+        adjugate = np.empty_like(a)
+        adjugate[:, 0, 0], adjugate[:, 0, 1] = a11, -a01
+        adjugate[:, 1, 0], adjugate[:, 1, 1] = -a10, a00
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            det = a00 * a11 - a01 * a10
+            x = (adjugate @ b) / det[:, None, None]
+        lapack = ~((det != 0.0) & np.isfinite(det))
+        if lapack.any():
+            x[lapack] = np.linalg.solve(a[lapack], b[lapack])
+        return x
     return np.linalg.solve(a, b)
 
 
@@ -451,6 +499,51 @@ def _above(s, eps) -> bool:
     return a33 - t - l30 * a03 - l31 * b13 - b23 * b23 / d2 > 0.0
 
 
+def _above_rows(s, eps) -> np.ndarray:
+    """Which matrices of a symmetric stack ``s`` (N, d, d) provably have
+    every eigenvalue above their ``eps`` (a float or (N,)); False leaves a
+    row to eigh.
+
+    Each 2x2 gets the scalar test's closed form.  A stack of larger
+    matrices passes or fails as a whole: it passes when LAPACK factors
+    every ``s - t I`` (its Cholesky factor then is finite), ``t`` as in
+    :func:`_above`.
+    """
+    if s.shape[1:] == (2, 2):
+        a, b, d = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+        m, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+        return m - r - eps > _EIG_SLACK * (np.abs(m) + r)
+    dim = s.shape[-1]
+    t = eps + np.abs(s.diagonal(0, 1, 2)).sum(axis=1) * (dim * _EIG_SLACK)
+    try:
+        factor = np.linalg.cholesky(s - t[:, None, None] * np.eye(dim))
+    except np.linalg.LinAlgError:
+        return np.zeros(len(s), dtype=bool)
+    # a NaN or infinity anywhere in the factor reaches its last pivot
+    return np.full(len(s), np.isfinite(factor[:, -1, -1]).all())
+
+
+def _project_rows(s, eps):
+    """The projection of each matrix of a symmetric stack ``s`` at its
+    ``eps``, each row as :func:`_project_value` projects it alone."""
+    open_rows = ~_above_rows(s, eps)
+    if not np.count_nonzero(open_rows):
+        return s
+    sub = s[open_rows]
+    if not np.isfinite(sub).all():
+        raise NonFinite("non-finite matrix in the eigenvalue clamp")
+    w, u = np.linalg.eigh(sub)
+    floor = np.broadcast_to(eps, open_rows.shape)[open_rows][:, None]
+    low = w[:, 0] < floor[:, 0]
+    if not low.any():
+        return s
+    u = u[low]
+    out = (u * np.maximum(w[low], floor[low])[:, None, :]) @ np.swapaxes(u, -1, -2)
+    s = s.copy()
+    s[np.flatnonzero(open_rows)[low]] = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return s
+
+
 def _project_value(s, eps):
     """(projection, w, u, clamped); w and u are eigh's, or None when the
     no-clamp test made eigh unnecessary.  Without a clamp the projection is
@@ -493,7 +586,9 @@ def sym_project(a, eps):
     """
     t = _tape(a)
     av = value(a)
-    s = 0.5 * (av + av.T)
+    s = 0.5 * (av + _mT(av))
+    if s.ndim == 3:  # a plain batch
+        return _project_rows(s, eps)
     out, w, u, clamped = _project_value(s, eps)
     if t is None:
         return out
@@ -502,9 +597,12 @@ def sym_project(a, eps):
 
 
 def logchol2x2(a):
-    """Log-Cholesky features (log L00, log L11, L10) of a 2x2 SPD matrix."""
+    """Log-Cholesky features (log L00, log L11, L10) of a 2x2 SPD matrix,
+    or (N, 3) of a plain stack (N, 2, 2)."""
     t = _tape(a)
     av = value(a)
+    if av.ndim == 3:  # a plain batch
+        return _logchol2x2_rows(av)
     x00, x01, x11 = av[0, 0], av[0, 1], av[1, 1]
     if x00 <= 0.0:
         raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
@@ -517,6 +615,20 @@ def logchol2x2(a):
     if t is None:
         return out
     return t.record(out, (a,), lambda g: (logchol2x2_adjoint(av, g),))
+
+
+def _logchol2x2_rows(a):
+    """:func:`logchol2x2` of each matrix of a stack (N, 2, 2), as (N, 3)."""
+    x00, x01, x11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    if _any(x00 <= 0.0):
+        raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
+    l10 = x01 / np.sqrt(x00)
+    l11sq = x11 - l10 * l10
+    if _any(l11sq <= 0.0):
+        raise NotPositiveDefinite("2x2 matrix has non-positive Schur complement")
+    out = np.empty((len(a), 3))
+    out[:, 0], out[:, 1], out[:, 2] = 0.5 * np.log(x00), 0.5 * np.log(l11sq), l10
+    return out
 
 
 def logchol2x2_adjoint(a, g):

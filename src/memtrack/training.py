@@ -6,9 +6,12 @@ optimizer is momentum SGD with global-norm gradient clipping.  Feature
 standardization statistics are collected from a zero-compensation pass over
 the training split and frozen before the first update.
 
-``_case_loss`` is the one place a case is forwarded and scored by the loss;
-validation pools its metrics through :func:`memtrack.metrics.evaluate_run`,
-and ``grad_check`` checks the gradient that training itself computes.
+``_run_loss`` is the one place cases are forwarded and scored by the loss.
+Gradients are taped one sequence at a time; the plain passes run all their
+cases as one batch (see :func:`memtrack.filtering.run_filter`): the feature
+statistics pass over the training cases, and each validation pass, whose
+metrics pool through :func:`memtrack.metrics.evaluate_run`.  ``grad_check``
+checks the gradient that training itself computes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import metrics as metrics_mod
 from . import ops
 from .errors import ConfigError, EmptyDataset, NonFinite
 from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
-from .models import NominalModel
+from .models import NominalModel, stack_frames
 from .network import (
     FEATURE_DIM,
     NetworkParams,
@@ -132,18 +135,15 @@ def sgd_step(
     return new_arrays, new_velocity
 
 
-class _FeatureSums:
-    """A zero-compensation :func:`run_filter` compensator that sums the raw
-    features the network would see at every step, and their squares."""
+class _FeatureRecorder:
+    """A zero-compensation :func:`run_filter` compensator that keeps the raw
+    features the network would see at every step."""
 
     def __init__(self):
-        self.count, self.acc, self.acc2 = 0, np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM)
+        self.steps = []
 
     def evolve(self, state, ext, fs):
-        feats = raw_features(state, ext, fs)
-        self.acc += feats
-        self.acc2 += feats * feats
-        self.count += 1
+        self.steps.append(raw_features(state, ext, fs))
         return ZERO_EVOLUTION
 
     def measure(self, pred, ext_pred):
@@ -155,12 +155,14 @@ def collect_feature_stats(
     model: NominalModel,
     tcfg: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean/std of the raw encoding over a baseline filter pass."""
-    sums = _FeatureSums()
-    for case in cases:
-        run_filter(case.frames, model, tcfg, sums)
-    mean = sums.acc / sums.count
-    var = np.maximum(sums.acc2 / sums.count - mean * mean, 1e-12)
+    """Per-feature mean/std of the raw encoding over one baseline filter
+    pass of all ``cases``, which share their length."""
+    recorder = _FeatureRecorder()
+    run_filter(stack_frames([case.frames for case in cases]), model, tcfg, recorder)
+    # case by case, step by step: axis-0 sums add the rows in this order
+    feats = np.moveaxis(np.array(recorder.steps), 0, -2).reshape(-1, FEATURE_DIM)
+    mean = feats.sum(axis=0) / len(feats)
+    var = np.maximum((feats * feats).sum(axis=0) / len(feats) - mean * mean, 1e-12)
     return mean, np.sqrt(var)
 
 
@@ -182,14 +184,22 @@ def _sequence_gradients(params, case, model, cfg):
             gc.enable()
 
 
-def _case_loss(params, case, model, tracker, l2=0.0, tape=None):
-    """Forward one case through the learned filter and take its joint loss
-    against the case's truth; returns (loss, states, extensions, leaves).
+def _time_major(arrays):
+    """One case's (K, ...) array as it is, or several cases' stacked (K, N, ...)."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=1)
+
+
+def _run_loss(params, cases, model, tracker, l2=0.0, tape=None):
+    """Forward ``cases`` through the learned filter as one run (a batch for
+    several cases) and take each one's joint loss against its truth; returns
+    (loss, states, extensions, leaves), the loss (N,) for a batch.
 
     The L2 term covers the tape leaves when taped, else ``params.arrays``.
     """
-    states, exts, leaves = forward_sequence(params, case.frames, model, tracker, tape=tape)
-    loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:],
+    frames = stack_frames([case.frames for case in cases])
+    states, exts, leaves = forward_sequence(params, frames, model, tracker, tape=tape)
+    loss = sequence_loss(states, exts, _time_major([c.truth.states[1:] for c in cases]),
+                         _time_major([c.truth.extents[1:] for c in cases]),
                          weights=params.arrays if leaves is None else leaves, gamma=l2)
     return loss, states, exts, leaves
 
@@ -199,7 +209,7 @@ def _taped_gradients(params, case, model, cfg):
     tape = ops.Tape()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            loss, _, _, leaves = _case_loss(params, case, model, cfg.tracker, cfg.l2, tape)
+            loss, _, _, leaves = _run_loss(params, [case], model, cfg.tracker, cfg.l2, tape)
         except NonFinite:
             return float("nan"), zeros
         if not isinstance(loss, ops.Var):
@@ -217,26 +227,22 @@ def _taped_gradients(params, case, model, cfg):
 
 
 def _validation_loss(params, cases, model, tracker):
-    """Mean joint loss over ``cases`` and their (states, extensions)
-    posteriors, or (inf, None) when a case turns non-finite."""
-    losses, runs = [], []
-    for case in cases:
-        try:
-            loss, states, exts, _ = _case_loss(params, case, model, tracker)
-        except NonFinite:
-            return float("inf"), None
-        losses.append(float(ops.value(loss)))
-        runs.append((states, exts))
-    return float(np.mean(losses)), runs
+    """Mean joint loss over ``cases``, forwarded as one batch, and their
+    run's (states, extensions); (inf, None) when a case turns non-finite."""
+    try:
+        loss, states, exts, _ = _run_loss(params, cases, model, tracker)
+    except NonFinite:
+        return float("inf"), None
+    return float(np.mean(loss)), (states, exts)
 
 
 def _validation_scores(params, cases, model, cfg):
     """(loss, position RMSE, IoU, GWD) over a validation fold, the metrics
     pooled over every step of every case at ``cfg.history_polygon``."""
-    val_loss, runs = _validation_loss(params, cases, model, cfg.tracker)
-    if runs is None:
+    val_loss, run = _validation_loss(params, cases, model, cfg.tracker)
+    if run is None:
         return val_loss, float("nan"), float("nan"), float("nan")
-    rep = metrics_mod.evaluate_run(cases, runs, polygon_order=cfg.history_polygon)
+    rep = metrics_mod.evaluate_run(cases, run, polygon_order=cfg.history_polygon)
     return val_loss, rep.position_rmse, rep.mean_iou, rep.mean_gwd
 
 
@@ -333,8 +339,12 @@ def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
                     grad_sum[k] /= contributed
                 params.arrays, velocity = sgd_step(params.arrays, grad_sum, velocity, eff_cfg)
             val_loss, val_rmse, val_iou, val_gwd = _validation_scores(params, val_cases, model, cfg)
+            # an epoch whose every sequence was skipped has no mean: NaN, without
+            # the warning np.nanmean gives for an all-NaN slice
+            losses = np.array(epoch_losses)
+            train_loss = float(np.nanmean(losses)) if not np.isnan(losses).all() else float("nan")
             history.append(EpochRecord(
-                fold=fold, epoch=epoch, train_loss=float(np.nanmean(epoch_losses)),
+                fold=fold, epoch=epoch, train_loss=train_loss,
                 val_loss=val_loss, val_rmse=val_rmse, val_iou=val_iou, val_gwd=val_gwd))
             if not np.isfinite(val_loss) or val_loss > 10.0 * max(fold_best, 1.0):
                 params.arrays = {k: v.copy() for k, v in fold_best_arrays.items()}
@@ -388,7 +398,7 @@ def grad_check(
     def loss_at(arrays):
         probe = params.copy()
         probe.arrays = arrays
-        return float(ops.value(_case_loss(probe, case, model, tcfg, gamma)[0]))
+        return float(ops.value(_run_loss(probe, [case], model, tcfg, gamma)[0]))
 
     worst = 0.0
     for name, base in params.arrays.items():

@@ -5,7 +5,7 @@ import json
 import re
 import struct
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.config import ConfigView
 from memtrack.metrics import MAX_POLYGON_ORDER
 from memtrack.network import zero_params
-from memtrack.store import read_checkpoint, read_dataset, write_checkpoint
+from memtrack.store import read_checkpoint, read_dataset, write_checkpoint, write_dataset
 from memtrack.training import MAX_MEMORY_DIM
 
 
@@ -399,6 +399,51 @@ class TestDamagedInputs:
                    "--out", str(tmp_path / "r")])
         assert rc == EXIT_DATA
         assert "shape table" in capsys.readouterr().err
+
+
+def _with_frame(src, dst, step, points):
+    """Copy dataset ``src`` to ``dst`` with frame ``step`` of every case
+    replaced by ``points``."""
+    ds = read_dataset(src)
+    cases = [replace(c, frames=[points if k == step else f for k, f in enumerate(c.frames)])
+             for c in ds.cases]
+    write_dataset(replace(ds, cases=cases), dst)
+
+
+class TestDegenerateFrames:
+    """A dataset with a frame without points, or a first frame with one
+    point, is read, and every command that filters it exits 3 with the
+    filter's own error, never with a traceback or a silent result."""
+
+    COMMANDS = [
+        ["train", "--out", "x.mtck", "--epochs", "1", "--folds", "1", "--memory-dim", "4"],
+        ["eval", "--compare", "--checkpoint", "c.mtck", "--out", "r"],
+        ["track", "--case", "0", "--out", "t.csv"],
+    ]
+
+    @pytest.mark.parametrize("step", [7, -1], ids=["middle", "last"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=["train", "eval", "track"])
+    def test_empty_frame_is_data_error(self, small_dataset, tmp_path, monkeypatch, capsys,
+                                       command, step):
+        steps = read_dataset(small_dataset).config.steps
+        _with_frame(small_dataset, tmp_path / "d.mtds", step % steps, np.empty((0, 2)))
+        write_checkpoint(zero_params(4), tmp_path / "c.mtck")
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], "d.mtds", *command[1:]])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == "error: frame has no points\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mtck", "d.mtds"]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["train", "eval", "track"])
+    def test_one_point_first_frame_is_data_error(self, small_dataset, tmp_path, monkeypatch,
+                                                 capsys, command):
+        _with_frame(small_dataset, tmp_path / "d.mtds", 0, np.array([[1.0, 2.0]]))
+        write_checkpoint(zero_params(4), tmp_path / "c.mtck")
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], "d.mtds", *command[1:]])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: track initialization needs >= 2 points, got 1\n"
 
 
 class TestOutOfRangeConfig:

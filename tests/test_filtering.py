@@ -6,7 +6,14 @@ import pytest
 
 import composed_ops as composed
 from memtrack import filtering, models, network, ops
-from memtrack.errors import BadDof, SingularInnovation, TooFewPoints
+from memtrack.errors import (
+    BadDof,
+    EmptyFrame,
+    LengthMismatch,
+    NonFinite,
+    SingularInnovation,
+    TooFewPoints,
+)
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
 from memtrack.models import ExtensionState, TrackState
 from memtrack.simulate import generate_case
@@ -720,3 +727,105 @@ class TestInnovationSymmetry:
             pzz = filtering.innovation(pred, ext, SKEW_B, ZERO_DH, eh,
                                        frame(int(rng.integers(1, 50)))).pzz
             assert pzz[0, 1] == pzz[1, 0]
+
+
+def _batch_cases(steps=30, count=4, seed=70):
+    """Seeded cases of one length; their frames hold different point counts."""
+    cfg = models.ScenarioConfig(steps=steps, cases=count, seed=seed)
+    return [generate_case(cfg, seed, i) for i in range(count)]
+
+
+def assert_row_matches(batched, single, row):
+    """Row ``row`` of a batched run's (states, extensions) equals a
+    single-case run's, bit for bit."""
+    (b_states, b_exts), (s_states, s_exts) = batched, single
+    assert len(b_states) == len(s_states)
+    for b, s in zip(b_states, s_states):
+        np.testing.assert_array_equal(ops.value(b.mean)[row], s.mean)
+        np.testing.assert_array_equal(ops.value(b.cov)[row], s.cov)
+    for b, s in zip(b_exts, s_exts):
+        assert b.dof[row] == s.dof
+        np.testing.assert_array_equal(ops.value(b.param)[row], s.param)
+
+
+def _evolving(df, pf):
+    """A compensator with fixed shift and covariance inflation, for one
+    case or per row of a batch."""
+    return StubCompensator(((df, pf, np.zeros((2, 2))), filtering.ZERO_MEASUREMENT))
+
+
+class TestBatch:
+    """A batch of cases runs as one pass whose every row equals that case
+    run alone, bit for bit."""
+
+    def test_rows_equal_single_runs(self, cv_model):
+        cases = _batch_cases()
+        assert len({tuple(map(len, c.frames)) for c in cases}) == len(cases)
+        tcfg = TrackerConfig()
+        trace = []
+        batch = filtering.run_filter(models.stack_frames([c.frames for c in cases]),
+                                     cv_model, tcfg, trace=trace)
+        for i, case in enumerate(cases):
+            assert_row_matches(batch[:2], filtering.run_filter(case.frames, cv_model, tcfg)[:2],
+                               i)
+        assert trace[0].frame.count.shape == (len(cases),)
+
+    def test_one_row_clamps(self, cv_model):
+        """Each row's projections clamp, or not, as that case's alone: a
+        coincident first frame clamps one initial extent, and a negative
+        pf one predicted covariance."""
+        frames = [list(c.frames) for c in _batch_cases(steps=12, count=3, seed=71)]
+        frames[1][0] = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
+        pf = np.zeros((3, 4, 4))
+        pf[2] = -50.0 * np.eye(4)
+        tcfg = TrackerConfig()
+        trace = []
+        batch = filtering.run_filter(models.stack_frames(frames), cv_model, tcfg,
+                                     _evolving(np.zeros((3, 4)), pf), trace=trace)
+        for i in range(3):
+            single = filtering.run_filter(frames[i], cv_model, tcfg, _evolving(np.zeros(4), pf[i]))
+            assert_row_matches(batch[:2], single[:2], i)
+        smallest = np.linalg.eigvalsh(trace[0].pred_state.cov).min(axis=1)
+        assert smallest[2] < 1e-6 < 0.1 < smallest[:2].min()
+        init_extents = [filtering.init_track(f[0], tcfg)[1].param for f in frames]
+        clamped = [abs(np.linalg.eigvalsh(e).min() - tcfg.min_extent) < 1e-9
+                   for e in init_extents]
+        assert clamped == [False, True, False]
+
+    @pytest.mark.parametrize("where", ["point", "shift"])
+    def test_non_finite_row_raises_as_alone(self, cv_model, where):
+        """A NaN point in one case's frame, or an infinite shift of one row,
+        raises NonFinite for the batch, as for that case alone."""
+        frames = [list(c.frames) for c in _batch_cases(steps=10, count=3, seed=72)]
+        shift = np.zeros((3, 4))
+        if where == "point":
+            frames[1][5] = np.array([[np.nan, 0.0], [1.0, 1.0]])
+        else:
+            shift[1, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NonFinite):
+                filtering.run_filter(frames[1], cv_model, TrackerConfig(),
+                                     _evolving(shift[1], np.zeros((4, 4))))
+            with pytest.raises(NonFinite):
+                filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig(),
+                                     _evolving(shift, np.zeros((4, 4))))
+
+    def test_first_frame_checks_hold_per_row(self, cv_model):
+        cases = _batch_cases(steps=6, count=3, seed=73)
+        frames = [list(c.frames) for c in cases]
+        frames[2][0] = frames[2][0][:1]
+        with pytest.raises(TooFewPoints):
+            filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig())
+        frames[2][0] = cases[2].frames[0]
+        frames[0][-1] = np.empty((0, 2))
+        with pytest.raises(EmptyFrame):
+            filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig())
+
+    def test_cases_of_different_lengths_are_rejected(self):
+        cases = _batch_cases(steps=6, count=2, seed=74)
+        with pytest.raises(LengthMismatch):
+            models.stack_frames([cases[0].frames, cases[1].frames[:-1]])
+
+    def test_one_case_is_not_a_batch(self):
+        frames = _batch_cases(steps=6, count=1, seed=75)[0].frames
+        assert models.stack_frames([frames]) is frames

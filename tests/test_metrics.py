@@ -7,7 +7,7 @@ from memtrack import metrics
 from memtrack.errors import NonFinite, ShapeMismatch
 from memtrack.filtering import TrackerConfig, extension_mean, run_filter
 from memtrack.metrics import EllipseEstimate, evaluate_run, gwd, iou_ellipse
-from memtrack.models import ExtensionState, ScenarioConfig, nominal_cv_model
+from memtrack.models import ExtensionState, ScenarioConfig, nominal_cv_model, stack_frames
 from memtrack.simulate import generate_dataset
 from memtrack.spdmat import sym_sqrt
 
@@ -434,3 +434,20 @@ class TestEvaluateRun:
         cases, runs = self._cases_and_runs()
         with pytest.raises(ShapeMismatch):
             evaluate_run(cases, runs[:-1])
+
+
+def test_batched_run_scores_as_per_case_runs():
+    cfg = ScenarioConfig(steps=12, cases=3, seed=29)
+    cases = generate_dataset(cfg).cases
+    model = nominal_cv_model(sigma_w=cfg.sigma_w)
+    frames = stack_frames([c.frames for c in cases])
+    states, exts, _ = run_filter(frames, model, TrackerConfig())
+    runs = [run_filter(c.frames, model, TrackerConfig())[:2] for c in cases]
+    batched, single = evaluate_run(cases, (states, exts), 64), evaluate_run(cases, runs, 64)
+    for a, b in zip(batched.per_case, single.per_case):
+        np.testing.assert_array_equal(a, b)
+    assert batched.position_rmse == single.position_rmse
+    assert evaluate_run(cases[:1], runs[0], 64).per_case[0].tolist() == \
+        single.per_case[0].tolist()
+    with pytest.raises(ShapeMismatch):
+        evaluate_run(cases[:2], (states, exts), 64)

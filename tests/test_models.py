@@ -118,3 +118,54 @@ class TestScenarioConfig:
             models.ScenarioConfig(sigma_w=-1.0)
         with pytest.raises(ValueError):
             models.ScenarioConfig(regimes="zigzag")
+
+
+def _textbook_stats(points):
+    """Mean and scatter of one frame by the direct formulas."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    return mean, centered.T @ centered
+
+
+class TestReduceFrames:
+    def _frames(self, seed, count=12):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((int(n), 2)) * [4.0, 1.0] + rng.uniform(-50, 50, 2)
+                for n in rng.integers(1, 30, count)]
+
+    def test_matches_direct_formulas(self):
+        for fs, pts in zip(models.reduce_frames(self._frames(3)), self._frames(3)):
+            mean, scatter = _textbook_stats(pts)
+            assert fs.count == len(pts) and isinstance(fs.count, int)
+            np.testing.assert_allclose(fs.mean, mean, rtol=1e-12, atol=1e-12 * 50)
+            np.testing.assert_allclose(fs.scatter, scatter, rtol=1e-12,
+                                       atol=1e-12 * np.abs(scatter).max())
+            np.testing.assert_array_equal(fs.scatter, fs.scatter.T)
+
+    def test_frame_stats_is_the_one_frame_case(self):
+        frames = self._frames(4)
+        for fs, pts in zip(models.reduce_frames(frames), frames):
+            one = models.frame_stats(pts)
+            np.testing.assert_array_equal(one.mean, fs.mean)
+            np.testing.assert_array_equal(one.scatter, fs.scatter)
+            assert one.count == fs.count
+
+    def test_batch_rows_are_the_cases_frames(self):
+        runs = [self._frames(seed, count=5) for seed in (5, 6, 7)]
+        batch = models.reduce_frames(models.stack_frames(runs))
+        for i, frames in enumerate(runs):
+            for fs, one in zip(batch, models.reduce_frames(frames)):
+                np.testing.assert_array_equal(fs.mean[i], one.mean)
+                np.testing.assert_array_equal(fs.scatter[i], one.scatter)
+                assert fs.count[i] == one.count
+
+    @pytest.mark.parametrize("empty", [0, 5, 11])
+    def test_empty_frame_rejected_anywhere(self, empty):
+        """reduceat reads a neighbouring point for an empty segment, and past
+        the end for an empty last frame: both must raise instead."""
+        frames = self._frames(8)
+        frames[empty] = np.empty((0, 2))
+        with pytest.raises(EmptyFrame):
+            models.reduce_frames(frames)
+        with pytest.raises(EmptyFrame):
+            models.reduce_frames(models.stack_frames([self._frames(9), frames]))

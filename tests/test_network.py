@@ -3,9 +3,16 @@ import pytest
 
 import composed_ops as composed
 from memtrack import network, ops
-from memtrack.errors import LengthMismatch
+from memtrack.errors import LengthMismatch, ShapeMismatch
 from memtrack.filtering import TrackerConfig, run_filter
-from memtrack.models import ExtensionState, FrameStats, ScenarioConfig, TrackState, nominal_cv_model
+from memtrack.models import (
+    ExtensionState,
+    FrameStats,
+    ScenarioConfig,
+    TrackState,
+    nominal_cv_model,
+    stack_frames,
+)
 from memtrack.network import (
     MemoryState,
     encode_inputs,
@@ -276,3 +283,41 @@ class TestFusedPipeline:
         assert len(states) == 20
         assert len(tape.entries) == loss.idx + 1
         assert len(tape.entries) - len(leaves) <= NODES_PER_STEP * 20 + 1
+
+
+class TestBatchForward:
+    """A plain forward of several cases as one batch: each row's posteriors
+    and loss equal that case's own forward, bit for bit."""
+
+    @pytest.fixture()
+    def cases(self):
+        cfg = ScenarioConfig(steps=25, cases=3, seed=33)
+        return [generate_case(cfg, 33, i) for i in range(3)]
+
+    @pytest.mark.parametrize("mask", [None, "mask_evolution", "mask_update", "mask_memory"])
+    def test_rows_equal_single_forwards(self, cases, model, mask):
+        params = _perturbed(mask)
+        params.feat_mean, params.feat_std = collect_feature_stats(cases, model, TrackerConfig())
+        frames = stack_frames([c.frames for c in cases])
+        states, exts, leaves = forward_sequence(params, frames, model)
+        assert leaves is None
+        losses = sequence_loss(states, exts, np.stack([c.truth.states[1:] for c in cases], 1),
+                               np.stack([c.truth.extents[1:] for c in cases], 1),
+                               weights=params.arrays, gamma=1e-3)
+        assert losses.shape == (3,)
+        for i, case in enumerate(cases):
+            s_states, s_exts, _ = forward_sequence(params, case.frames, model)
+            for b, s in zip(states, s_states):
+                np.testing.assert_array_equal(b.mean[i], s.mean)
+                np.testing.assert_array_equal(b.cov[i], s.cov)
+            for b, s in zip(exts, s_exts):
+                assert b.dof[i] == s.dof
+                np.testing.assert_array_equal(b.param[i], s.param)
+            loss = sequence_loss(s_states, s_exts, case.truth.states[1:],
+                                 case.truth.extents[1:], weights=params.arrays, gamma=1e-3)
+            assert losses[i] == loss
+
+    def test_tape_refuses_a_batch(self, cases, model):
+        frames = stack_frames([c.frames for c in cases])
+        with pytest.raises(ShapeMismatch):
+            forward_sequence(_perturbed(None), frames, model, tape=ops.Tape())

@@ -540,3 +540,58 @@ class TestFusedNetworkBlocks:
         fused(*args)
         lstm = block == "mub_step"  # the LSTM step is a node of its own
         assert len(tape.entries) - before == 1 + lstm
+
+
+class TestStacks:
+    """sym_project, solve and logchol2x2 on a plain stack (N, d, d) give each
+    row exactly what the row gives alone."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_sym_project_rows(self, dim):
+        rng = np.random.default_rng(27)
+        stack = np.array([_spectrum(dim, rng, low) for low in (-1.0, 2.0, 1e-12, 3.0, 0.5)])
+        for eps in (1e-9, rng.uniform(0.1, 1.0, len(stack))):
+            got = ops.sym_project(stack, eps)
+            for i, s in enumerate(stack):
+                np.testing.assert_array_equal(got[i], ops.sym_project(s, np.broadcast_to(
+                    eps, len(stack))[i]))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_sym_project_rows_without_a_clamp_are_the_input(self, dim):
+        rng = np.random.default_rng(28)
+        stack = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0, 3.0)])
+        assert ops.sym_project(stack, 1e-9) is not stack
+        np.testing.assert_array_equal(ops.sym_project(stack, 1e-9), stack)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_row_raises_non_finite(self, dim):
+        stack = np.array([np.eye(dim), np.eye(dim)])
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            ops.sym_project(stack, 1e-9)
+
+    def test_solve_rows(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 2, 2)) + 2.0 * np.eye(2)
+        a[3] = [[1e300, 1e300], [1e-300, 1e300]]  # an overflowing determinant: LAPACK
+        b = rng.standard_normal((6, 2, 4))
+        got = ops.solve(a, b)
+        for i in range(6):
+            np.testing.assert_array_equal(got[i], ops.solve(a[i], b[i]))
+
+    def test_singular_row_raises_and_nan_row_stays_nan(self):
+        a = np.array([np.eye(2), np.ones((2, 2))])
+        with pytest.raises(np.linalg.LinAlgError):
+            ops.solve(a, np.ones((2, 2, 3)))
+        a[1] = np.nan
+        assert np.isnan(ops.solve(a, np.ones((2, 2, 3)))[1]).all()
+
+    def test_logchol_rows(self):
+        rng = np.random.default_rng(30)
+        stack = np.array([_spectrum(2, rng, low) for low in (0.1, 1.0, 4.0)])
+        got = ops.logchol2x2(stack)
+        for i, s in enumerate(stack):
+            np.testing.assert_array_equal(got[i], ops.logchol2x2(s))
+        stack[1] = -np.eye(2)
+        with pytest.raises(NotPositiveDefinite):
+            ops.logchol2x2(stack)

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from memtrack import training
+from memtrack import cli, filtering, network, ops, training
 from memtrack.errors import EmptyDataset, NonFinite
-from memtrack.filtering import TrackerConfig
+from memtrack.filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.metrics import evaluate_run
-from memtrack.network import FEATURE_DIM, forward_sequence, init_params
-from memtrack.simulate import generate_dataset
+from memtrack.network import FEATURE_DIM, forward_sequence, init_params, raw_features
+from memtrack.simulate import SimCase, generate_case, generate_dataset
 from memtrack.training import TrainConfig, collect_feature_stats, sgd_step, train
 
 
@@ -151,3 +153,130 @@ class TestTrain:
         b, _, _ = train(ds.train_cases, model, cfg)
         for name in a.arrays:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+
+
+def _feature_sums_reference(cases, model, tcfg):
+    """The feature statistics by one single-case pass per case, summing each
+    step's features in order, as collect_feature_stats did case by case."""
+    acc, acc2, count = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM), 0
+
+    class Sums:
+        def evolve(self, state, ext, fs):
+            nonlocal acc, acc2, count
+            feats = raw_features(state, ext, fs)
+            acc, acc2, count = acc + feats, acc2 + feats * feats, count + 1
+            return ZERO_EVOLUTION
+
+        def measure(self, pred, ext_pred):
+            return ZERO_MEASUREMENT
+
+    for case in cases:
+        run_filter(case.frames, model, tcfg, Sums())
+    mean = acc / count
+    return mean, np.sqrt(np.maximum(acc2 / count - mean * mean, 1e-12))
+
+
+class TestBatchedPasses:
+    """Feature statistics, validation and evaluation run every case in one
+    batched filter pass, each case's numbers equal to its own run."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return generate_dataset(ScenarioConfig(steps=15, cases=5, seed=53)).cases
+
+    @pytest.fixture(scope="class")
+    def params(self, cases, tiny):
+        _, model = tiny
+        params = init_params(4, np.random.default_rng(1))
+        for name, arr in params.arrays.items():
+            params.arrays[name] = arr + 0.05 * np.random.default_rng(2).standard_normal(arr.shape)
+        params.feat_mean, params.feat_std = collect_feature_stats(cases, model, TrackerConfig())
+        return params
+
+    def test_feature_stats_equal_a_per_case_pass(self, cases, tiny):
+        _, model = tiny
+        got = collect_feature_stats(cases, model, TrackerConfig())
+        want = _feature_sums_reference(cases, model, TrackerConfig())
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_validation_loss_is_the_mean_of_single_case_losses(self, cases, params, tiny):
+        _, model = tiny
+        loss, run = training._validation_loss(params, cases, model, TrackerConfig())
+        singles = [training._validation_loss(params, [c], model, TrackerConfig())[0]
+                   for c in cases]
+        assert loss == np.mean(singles)
+        per_case = [forward_sequence(params, c.frames, model)[:2] for c in cases]
+        batched, single = evaluate_run(cases, run, 32), evaluate_run(cases, per_case, 32)
+        for a, b in zip(batched.per_case, single.per_case):
+            np.testing.assert_array_equal(a, b)
+        for name in ("position_rmse", "mean_iou", "mean_gwd", "peak_position_error",
+                     "peak_iou", "peak_gwd"):
+            assert getattr(batched, name) == getattr(single, name)
+
+    def test_one_non_finite_case_makes_the_batch_infinite(self, cases, params, tiny):
+        _, model = tiny
+        broken = SimCase(truth=cases[2].truth,
+                         frames=[*cases[2].frames[:4], np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                                 *cases[2].frames[5:]])
+        batch = [cases[0], broken, cases[1]]
+        with np.errstate(invalid="ignore"):
+            assert training._validation_loss(params, [broken], model, TrackerConfig()) \
+                == (float("inf"), None)
+            assert training._validation_loss(params, batch, model, TrackerConfig()) \
+                == (float("inf"), None)
+
+    def test_each_plain_pass_calls_the_filter_once(self, cases, params, tiny, monkeypatch):
+        """Feature statistics, validation and the CLI's posteriors run all
+        their cases as one run_filter call."""
+        _, model = tiny
+        calls = []
+
+        def counted(frames, *args, **kwargs):
+            calls.append(len(frames[0]) if isinstance(frames[0], tuple) else 1)
+            return filtering.run_filter(frames, *args, **kwargs)
+
+        for module in (training, network, cli):
+            monkeypatch.setattr(module, "run_filter", counted)
+        tcfg = TrackerConfig()
+        collect_feature_stats(cases, model, tcfg)
+        training._validation_loss(params, cases, model, tcfg)
+        cli._posteriors_for(cases, model, tcfg)
+        cli._posteriors_for(cases, model, tcfg, params)
+        assert calls == [len(cases)] * 4
+
+    def test_a_taped_sequence_keeps_its_node_count(self, monkeypatch):
+        """One 140-step taped sequence records 1 989 tape nodes."""
+        case = generate_case(ScenarioConfig(steps=140, cases=1, seed=7), 7, 0)
+        model = nominal_cv_model(sigma_w=0.4)
+        params = init_params(64, np.random.default_rng(0))
+        params.feat_mean, params.feat_std = collect_feature_stats([case], model,
+                                                                  TrackerConfig())
+        nodes, backward = [], ops.Tape.backward
+        monkeypatch.setattr(ops.Tape, "backward",
+                            lambda tape, out, seed=1.0: nodes.append(len(tape.entries))
+                            or backward(tape, out, seed))
+        loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
+        assert np.isfinite(loss) and nodes == [1989]
+
+
+def test_all_skipped_epoch_records_nan_without_a_warning(tiny, monkeypatch):
+    """An epoch whose every sequence is skipped has train_loss NaN; numpy's
+    mean-of-empty-slice warning stays silent."""
+    ds, model = tiny
+    history = []
+    real_init, real_record = training.init_params, training.EpochRecord
+
+    def poisoned(*args, **kwargs):
+        params = real_init(*args, **kwargs)
+        params.arrays["evo_shift_b"] = np.full(4, np.nan)
+        return params
+
+    monkeypatch.setattr(training, "init_params", poisoned)
+    monkeypatch.setattr(training, "EpochRecord",
+                        lambda **kw: history.append(kw) or real_record(**kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            train(ds.train_cases, model, make_cfg(epochs=2))
+    assert len(history) == 2 and all(np.isnan(h["train_loss"]) for h in history)
