@@ -128,6 +128,15 @@ class ScenarioConfig:
                      "speed", "scatter_rate"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails both tests
                 raise ValueError(f"{name} must be positive and finite")
+        if self.segment_min < 1:
+            raise ValueError(f"segment_min must be >= 1, got {self.segment_min}")
+        if self.segment_max < self.segment_min:
+            raise ValueError(f"segment_max must be >= segment_min, got "
+                             f"{self.segment_max} < {self.segment_min}")
+        # NaN fails every comparison
+        if not 0 <= self.turn_rate_min <= self.turn_rate_max < np.inf:
+            raise ValueError(f"turn rates must satisfy 0 <= turn_rate_min <= turn_rate_max "
+                             f"< inf, got {self.turn_rate_min} and {self.turn_rate_max}")
         if self.regimes not in ("cv_ct", "cv"):
             raise ValueError(f"unknown regimes mode {self.regimes!r}")
         if self.process_noise not in ("direct", "white_accel"):
@@ -175,9 +184,14 @@ def reduce_frames(frames) -> list[FrameStats]:
     points = np.concatenate(flat, axis=0, dtype=np.float64)
     starts = np.cumsum(counts) - counts
     mean = np.add.reduceat(points, starts, axis=0) / counts[:, None]
-    centered = points - np.repeat(mean, counts, axis=0)
-    # the outer products are symmetric entry for entry, and so are their sums
-    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    points -= np.repeat(mean, counts, axis=0)  # centred in place: concatenate copied
+    x, y = points.T
+    # the three distinct entries of the outer products, summed one at a time;
+    # reduceat adds each entry's column in the same order in any layout
+    scatter = np.empty((len(counts), 2, 2))
+    scatter[:, 0, 0] = np.add.reduceat(x * x, starts)
+    scatter[:, 0, 1] = scatter[:, 1, 0] = np.add.reduceat(x * y, starts)
+    scatter[:, 1, 1] = np.add.reduceat(y * y, starts)
     if batched:
         lead = (len(frames), len(frames[0]))
         return [FrameStats(mean=m, scatter=s, count=c) for m, s, c in zip(

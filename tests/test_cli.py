@@ -77,6 +77,22 @@ class TestSimulate:
         assert "train_fraction" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting, name", [
+        ("segment_min = 0", "segment_min"),
+        ("segment_max = 5", "segment_max"),
+        ("turn_rate_min = -1", "turn_rate"),
+        ("turn_rate_max = nan", "turn_rate"),
+    ])
+    def test_segment_or_turn_rate_out_of_range_is_config_error(self, tmp_path, capsys,
+                                                                 setting, name):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[scenario]\n{setting}\n")
+        rc = main(["simulate", "--out", str(tmp_path / "out"), "--cases", "2",
+                   "--steps", "6", "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_white_accel_noise(self, tmp_path):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("[scenario]\nprocess_noise = white_accel\nregimes = cv\n")

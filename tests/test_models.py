@@ -119,6 +119,29 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             models.ScenarioConfig(regimes="zigzag")
 
+    @pytest.mark.parametrize("segment_min", [0, -3])
+    def test_segment_min_below_one_rejected(self, segment_min):
+        # a zero-length segment would drive the countdown negative and the
+        # regime would never switch again
+        with pytest.raises(ValueError, match="segment_min"):
+            models.ScenarioConfig(segment_min=segment_min, segment_max=1)
+
+    def test_segment_max_below_segment_min_rejected(self):
+        with pytest.raises(ValueError, match="segment_max"):
+            models.ScenarioConfig(segment_min=10, segment_max=9)
+        assert models.ScenarioConfig(segment_min=3, segment_max=3).segment_max == 3
+
+    @pytest.mark.parametrize("low, high", [
+        (-1.0, 5.0), (6.0, 5.0), (1.0, np.inf), (np.nan, 5.0), (1.0, np.nan),
+    ])
+    def test_turn_rates_outside_their_range_rejected(self, low, high):
+        with pytest.raises(ValueError, match="turn_rate"):
+            models.ScenarioConfig(turn_rate_min=low, turn_rate_max=high)
+
+    def test_turn_rate_bounds_may_be_zero_and_equal(self):
+        cfg = models.ScenarioConfig(turn_rate_min=0.0, turn_rate_max=0.0)
+        assert cfg.turn_rate_max == 0.0
+
 
 def _textbook_stats(points):
     """Mean and scatter of one frame by the direct formulas."""
@@ -158,6 +181,27 @@ class TestReduceFrames:
                 np.testing.assert_array_equal(fs.mean[i], one.mean)
                 np.testing.assert_array_equal(fs.scatter[i], one.scatter)
                 assert fs.count[i] == one.count
+
+    def test_scatter_is_the_outer_product_sum_bit_for_bit(self):
+        """The three per-entry sums equal the reduceat of the (P, 2, 2) outer
+        products, on a ragged batch; the frames are left as they were."""
+        runs = [self._frames(seed, count=9) for seed in (10, 11, 12)]
+        runs[1][4] = runs[1][4][:1]
+        kept = [[f.copy() for f in frames] for frames in runs]
+        batch = models.reduce_frames(models.stack_frames(runs))
+        flat = [f for step in models.stack_frames(runs) for f in step]
+        counts = np.array([len(f) for f in flat])
+        points = np.concatenate(flat)
+        starts = np.cumsum(counts) - counts
+        mean = np.add.reduceat(points, starts, axis=0) / counts[:, None]
+        centered = points - np.repeat(mean, counts, axis=0)
+        outer = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+        np.testing.assert_array_equal(np.stack([fs.scatter for fs in batch]),
+                                      outer.reshape(9, 3, 2, 2))
+        np.testing.assert_array_equal(np.stack([fs.mean for fs in batch]), mean.reshape(9, 3, 2))
+        for frames, copies in zip(runs, kept):
+            for f, c in zip(frames, copies):
+                np.testing.assert_array_equal(f, c)
 
     @pytest.mark.parametrize("empty", [0, 5, 11])
     def test_empty_frame_rejected_anywhere(self, empty):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import stepwise_simulate as stepwise
 
 from memtrack import simulate
 from memtrack.models import ScenarioConfig, cv_process_noise, cv_transition_matrix
@@ -167,3 +168,95 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg)
         regen = generate_case(cfg, 77, 2)
         np.testing.assert_array_equal(regen.truth.states, ds.cases[2].truth.states)
+
+
+# (name, scenario) pairs the batched generator must reproduce step by step
+REFERENCE_SCENARIOS = [
+    ("cv_ct-direct", dict(steps=140, cases=3)),
+    ("cv-white_accel", dict(steps=60, cases=2, regimes="cv", process_noise="white_accel",
+                            dt=0.5)),
+    ("cv_ct-white_accel", dict(steps=50, cases=2, process_noise="white_accel", dt=0.7)),
+    ("two-steps", dict(steps=2, cases=4)),
+    ("zero-extent", dict(steps=20, cases=2, axis_major=1e-200, axis_minor=1e-200)),
+    ("sparse-frames", dict(steps=40, cases=2, scatter_rate=1.0)),
+    ("one-step-segments", dict(steps=30, cases=2, segment_min=1, segment_max=1, dt=1.3)),
+    ("near-zero-turns", dict(steps=30, cases=2, turn_rate_min=0.0, turn_rate_max=1e-5)),
+    ("segments-past-the-end", dict(steps=25, cases=2, segment_min=30, segment_max=90)),
+]
+
+
+class TestStepwiseReference:
+    """generate_case and generate_dataset consume every case's stream as the
+    step-by-step generator in ``stepwise_simulate`` does, and give its
+    trajectories and frames.
+
+    Frame counts, states, extents, regimes, omegas and the points' first
+    coordinate agree bit for bit.  The second coordinate sums two products
+    of the extent's factor, which a BLAS 2x2 product may fuse: it may differ
+    by a few ulp of the coordinate.  The bound, 1e-12 m, is about four ulp
+    of a float64 below 2 km, which no path here leaves.
+    """
+
+    @pytest.mark.parametrize("name, settings", REFERENCE_SCENARIOS,
+                             ids=[n for n, _ in REFERENCE_SCENARIOS])
+    def test_dataset_reproduces_the_stepwise_generator(self, name, settings):
+        cfg = ScenarioConfig(seed=4, **settings)
+        ds = generate_dataset(cfg)
+        for i, case in enumerate(ds.cases):
+            states, extents, regimes, omegas, frames = stepwise.case(cfg, cfg.seed, i)
+            truth = case.truth
+            np.testing.assert_array_equal(truth.states, states)
+            np.testing.assert_array_equal(truth.extents, extents)
+            np.testing.assert_array_equal(truth.regimes, regimes)
+            np.testing.assert_array_equal(truth.omegas, omegas)
+            assert truth.regimes.dtype == regimes.dtype
+            assert [len(f) for f in case.frames] == [len(f) for f in frames]
+            for got, want in zip(case.frames, frames):
+                np.testing.assert_array_equal(got[:, 0], want[:, 0])
+                np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0, atol=1e-12)
+
+    def test_sparse_frames_redraw_small_counts(self):
+        # the sparse-frames reference covers the n < 2 redraws only if the
+        # stepwise generator makes some
+        class CountingPoisson:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def poisson(self, lam):
+                self.calls += 1
+                return self.rng.poisson(lam)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        cfg = ScenarioConfig(seed=4, **dict(REFERENCE_SCENARIOS)["sparse-frames"])
+        rng = CountingPoisson(np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, 0)))))
+        states, extents, *_ = stepwise.trajectory(cfg, rng)
+        for k in range(cfg.steps):
+            stepwise.frame(states[k], extents[k], cfg, rng)
+        assert rng.calls > cfg.steps + 10
+
+    def test_trajectory_leaves_the_stream_where_the_stepwise_one_does(self):
+        for settings in ({}, dict(regimes="cv", process_noise="white_accel")):
+            cfg = ScenarioConfig(steps=77, cases=1, **settings)
+            a, b = np.random.default_rng(8), np.random.default_rng(8)
+            truth = generate_trajectory(cfg, a)
+            states, *_ = stepwise.trajectory(cfg, b)
+            np.testing.assert_array_equal(truth.states, states)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_frame_is_the_one_frame_case(self):
+        cfg = ScenarioConfig(steps=2, cases=1, scatter_rate=3.0)
+        state, extent = np.array([5.0, -7.0, 1.0, 1.0]), np.array([[9.0, 2.0], [2.0, 4.0]])
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(30):
+            got, want = generate_frame(state, extent, cfg, a), stepwise.frame(state, extent, cfg, b)
+            np.testing.assert_array_equal(got[:, 0], want[:, 0])
+            np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0, atol=1e-12)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_frames_are_consecutive_slices_of_one_array(self):
+        case = generate_case(ScenarioConfig(steps=10, cases=1), 0, 0)
+        base = case.frames[0].base
+        assert base is not None and all(f.base is base for f in case.frames)
+        assert sum(len(f) for f in case.frames) == len(base)

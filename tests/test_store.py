@@ -191,6 +191,12 @@ class TestDatasetRoundTrip:
         with pytest.raises(ChecksumMismatch, match="steps"):
             store.read_dataset(path)
 
+    def test_config_with_segment_bounds_the_generator_cannot_honour_rejected(self, path):
+        # a file written before ScenarioConfig checked its segment bounds
+        _edit_archive(path, lambda h, a: h["config"].update(segment_min=0))
+        with pytest.raises(ChecksumMismatch, match="segment_min"):
+            store.read_dataset(path)
+
     @pytest.mark.parametrize("member", ["header", "points", "frame_counts"])
     def test_missing_member_rejected(self, path, member):
         members = _members(path)
