@@ -1,8 +1,7 @@
-"""SPD matrix utilities and sampling oracles.
+"""SPD matrix utilities.
 
 Walks through the small-matrix toolbox the filter is built on: Cholesky
-factorization, symmetric square roots, SPD projection, and the Wishart /
-inverse-Wishart samplers whose moments anchor the extension model.
+factorization, symmetric square roots and the SPD projection.
 """
 
 import numpy as np
@@ -27,18 +26,3 @@ wobbly = np.array([[1.0, 2.0], [0.0, -0.3]])
 fixed = ops.sym_project(wobbly, eps=1e-6)
 print("input eigenvalues :", np.linalg.eigvalsh(0.5 * (wobbly + wobbly.T)))
 print("output eigenvalues:", np.linalg.eigvalsh(fixed))
-
-print("\n== Wishart sampler moment check ==")
-dof, scale = 5.0, np.diag([2.0, 1.0])
-mean = np.mean([spdmat.sample_wishart(dof, scale, rng) for _ in range(30000)], axis=0)
-print("sample mean:\n", mean)
-print("analytic dof * scale:\n", dof * scale)
-
-print("\n== Inverse Wishart sampler moment check ==")
-dof, param = 10.0, 4.0 * np.eye(2)
-mean = np.mean([spdmat.sample_inverse_wishart(dof, param, rng) for _ in range(30000)], axis=0)
-print("sample mean:\n", mean)
-print("analytic param / (dof - d - 1):\n", param / (dof - 2 - 1))
-print("\nNote: the filter's point-extension estimate uses the heavier")
-print("lambda = dof - 2d - 2 normalization instead; both conventions are")
-print("deliberate and tested separately.")

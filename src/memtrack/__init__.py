@@ -48,10 +48,8 @@ from .simulate import (
     Dataset,
     GroundTruthSequence,
     SimCase,
-    ct_transition,
     generate_case,
     generate_dataset,
-    generate_frame,
     generate_trajectory,
 )
 from .store import (

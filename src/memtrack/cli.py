@@ -208,6 +208,7 @@ def cmd_simulate(args) -> int:
         print(f"{name}: cases={cfg.cases} steps={cfg.steps} "
               f"train/test={len(dataset.train_cases)}/{len(dataset.test_cases)} "
               f"mean scatterers={mean_n:.2f}")
+        del dataset  # the next level is generated without this one alive
     return EXIT_OK
 
 

@@ -38,8 +38,9 @@ with a hand-written adjoint: :func:`predict_state`'s mean and raw
 covariance, :func:`predict_extension`'s scaled bracket, the innovation and
 the state update together (:func:`innovation` computes the statistics and
 :func:`update_state` records the node, from the prediction and the
-measurement moments), and :func:`update_extension`'s sum.  Each eigenvalue
-clamp (:func:`memtrack.ops.sym_project`) is a node of its own.
+measurement moments), and :func:`update_extension`'s sum, whose one parent
+is the predicted parameter matrix (the frame scatter is data).  Each
+eigenvalue clamp (:func:`memtrack.ops.sym_project`) is a node of its own.
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) 
     the projection symmetrizes roundoff and keeps the eigenvalue floor.
     """
     dof = pred.dof + fs.count
-    raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
+    raw = ops.node(ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T,
+                   (pred.param,), lambda g: (g,))
     param = ops.sym_project(raw, _ext_eps(raw))
     return ExtensionState(dof=dof, param=param)
 

@@ -37,7 +37,6 @@ __all__ = [
     "EllipseEstimate",
     "MetricsReport",
     "MAX_POLYGON_ORDER",
-    "ellipse_polygon",
     "iou_ellipse",
     "gwd",
     "case_series",
@@ -120,14 +119,6 @@ def _pairs(a: EllipseEstimate, b: EllipseEstimate):
 def _shaped(values: np.ndarray, lead: tuple):
     """A float for one pair, else the (K,) values."""
     return float(values[0]) if lead == () else values
-
-
-def ellipse_polygon(e: EllipseEstimate, order: int = 256) -> np.ndarray:
-    """Inscribed polygon of the solid ellipse, counterclockwise: (order, 2),
-    or (K, order, 2) for a stack."""
-    ring, _ = _unit_polygon(order)
-    center = np.asarray(e.center, dtype=np.float64)
-    return center[..., None, :] + ring[:2, :-1].T @ np.swapaxes(sym_sqrt(e.extent), -1, -2)
 
 
 # Slack, in the other ellipse's unit frame, for a point on a polygon
@@ -295,11 +286,11 @@ def iou_ellipse(a: EllipseEstimate, b: EllipseEstimate, order: int = 256):
 
     ``a`` and ``b`` are single ellipses (a float is returned) or stacks of K
     (centers (K, 2), extents (K, 2, 2); an array (K,) is returned, row i
-    scoring a[i] against b[i]).  Each ellipse is its inscribed ``order``-gon
-    (``ellipse_polygon``), whose area is det R (n/2) sin(2 pi/n) for the
-    root R of the extent.  The polygons' intersection has as vertices the
-    vertices of each that lie inside the other and the crossings of their
-    edges.  A flat ellipse scores 0.
+    scoring a[i] against b[i]).  Each ellipse is its inscribed ``order``-gon,
+    the regular ``order``-gon mapped by the root R of the extent, so its
+    area is det R (n/2) sin(2 pi/n).  The polygons' intersection has as
+    vertices the vertices of each that lie inside the other and the
+    crossings of their edges.  A flat ellipse scores 0.
     """
     _unit_polygon(order)    # rejects a degenerate order even when no row needs it
     ca, cb, ea, eb, lead = _pairs(a, b)

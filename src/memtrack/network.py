@@ -17,7 +17,8 @@ Each block computes its values in plain numpy, by the same expressions with
 or without a tape, and records them as one tape node with a hand-written
 adjoint (:func:`memtrack.ops.node`): the feature encoding, the LSTM step,
 the memory-covariance head of :func:`mub_step`, :func:`jeb_heads`,
-:func:`jub_heads` with its prediction features, and each step's loss term.
+:func:`jub_heads` with its prediction features, each step's loss term, and
+the loss's ``1 / 2K`` scaling together with its L2 term.
 Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
 sums over time in one matrix product per weight.
 
@@ -362,13 +363,8 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
     total = None
     for st, ex, tx, te in zip(states, exts, truth_states, truth_extents):
         total = _add_loss_term(total, st, ex, tx, te)
-    total = total / (2.0 * k)
-    if weights is not None and gamma != 0.0:
-        reg = None
-        for w in weights.values():
-            reg = ops.sumsq(w) if reg is None else reg + ops.sumsq(w)
-        total = total + gamma * reg
-    return total
+    regularized = () if weights is None or gamma == 0.0 else tuple(weights.values())
+    return _scale_and_regularize(total, k, regularized, gamma)
 
 
 def _add_loss_term(total, state: TrackState, ext: ExtensionState, truth_state, truth_extent):
@@ -377,15 +373,30 @@ def _add_loss_term(total, state: TrackState, ext: ExtensionState, truth_state, t
     d_state = ops.value(state.mean) - truth_state
     d_extent = ops.value(ext.param) / ops._rows(lam) - truth_extent
     lead = d_state.shape[:-1]
-    term = _sumsq_rows(d_state, lead) + _sumsq_rows(d_extent, lead)
+    term = _square_sums(d_state, lead) + _square_sums(d_extent, lead)
     out = term if total is None else ops.value(total) + term
     return ops.node(out, (total, state.mean, ext.param),
                     lambda g: (g, (2.0 * g) * d_state, ((2.0 * g) * d_extent) / lam))
 
 
-def _sumsq_rows(d, lead: tuple):
+def _scale_and_regularize(total, k: int, weights: tuple, gamma: float):
+    """``total / 2k`` plus ``gamma`` times the weights' summed squares, one
+    node; the squares are summed weight by weight, in the order given."""
+    scale = 2.0 * k
+    values = [ops.value(w) for w in weights]
+    out = ops.value(total) / scale
+    if values:
+        reg = np.sum(values[0] * values[0])
+        for w in values[1:]:
+            reg = reg + np.sum(w * w)
+        out = out + gamma * reg
+    return ops.node(out, (total, *weights),
+                    lambda g: (g / scale, *[(2.0 * (g * gamma)) * w for w in values]))
+
+
+def _square_sums(d, lead: tuple):
     """Sum of the squared entries of a case's ``d``, or of each case's for a
-    batch (``lead`` = (N,)): ``ops.sumsq``'s order and bits, per row."""
+    batch (``lead`` = (N,))."""
     return np.sum((d * d).reshape(lead + (-1,)), axis=-1)
 
 

@@ -1,22 +1,21 @@
 """Reverse-mode differentiation tape over small numpy arrays.
 
-Every op here dispatches on its inputs: plain ndarrays (or python floats)
-flow straight through numpy, while ``Var`` operands get the identical numpy
-arithmetic recorded on their tape.  Writing the filter and network once over
-these ops guarantees that training-time forwards and plain inference produce
-the same values bit for bit.
+Every value on a tape comes from a node with a hand-written adjoint.  A
+stage computes its outputs in plain numpy, by the same expressions with or
+without a tape, and hands them to :func:`node` with its parents and its
+vjp; :func:`node` records them on the tape the parents share, or returns
+them unchanged when no parent is a :class:`Var`.  Training-time forwards
+and plain inference therefore produce the same values bit for bit.  The
+filter stages, the network blocks and the loss record themselves this way
+(see :mod:`memtrack.filtering` and :mod:`memtrack.network`), as do
+:func:`lstm_cell` and the eigenvalue clamp :func:`sym_project`.  A Var has
+no arithmetic operators, so nothing else can record on a tape.
 
 The tape is linear: nodes are appended in execution order, so a reversed
 walk visits every node after all of its consumers.  Adjoint accumulation is
-a list indexed by node position; no topological sort is needed.
-
-Every node is recorded by :meth:`Tape.record`, which :func:`node` calls on
-the tape its parents share.  A node may have several outputs; its vjp gets
-one adjoint per output and returns one adjoint per parent.  The filter
-stages and network blocks use :func:`node` to record each stage or block
-as one node with a hand-written adjoint (see :mod:`memtrack.filtering` and
-:mod:`memtrack.network`); :func:`lstm_cell` and the generic ops below,
-which tests and the loss's regularization compose, record the same way.
+a list indexed by node position; no topological sort is needed.  A node
+may have several outputs; its vjp gets one adjoint per output and returns
+one adjoint per parent.
 
 A weight matrix's adjoint from ``w @ x`` is ``g x^T`` at every step.  A vjp
 returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
@@ -49,6 +48,21 @@ import numpy as np
 
 from .errors import NonFinite, NotPositiveDefinite, TapeEmpty
 
+__all__ = [
+    "SOFTPLUS_ZERO",
+    "Var",
+    "Outer",
+    "Tape",
+    "value",
+    "node",
+    "sigmoid",
+    "lstm_cell",
+    "solve",
+    "sym_project",
+    "logchol2x2",
+    "logchol2x2_adjoint",
+]
+
 # softplus(0); subtracting this constant (rather than a literal log 2) makes
 # the calibrated-zero head outputs exactly 0.0 for zero weights.
 SOFTPLUS_ZERO = float(np.logaddexp(0.0, 0.0))
@@ -56,10 +70,16 @@ SOFTPLUS_ZERO = float(np.logaddexp(0.0, 0.0))
 
 class Var:
     """A value recorded on a tape: output ``slot`` of node ``idx``, or the
-    only output when ``slot`` is None."""
+    only output when ``slot`` is None.
+
+    A Var has no arithmetic: every value on a tape comes from a node with a
+    hand-written adjoint (:func:`node`, :func:`lstm_cell`,
+    :func:`sym_project`).  Numpy does not unwrap it either, so a plain
+    operator applied to a Var raises TypeError instead of recording nothing.
+    """
 
     __slots__ = ("value", "tape", "idx", "slot")
-    __array_ufunc__ = None  # force numpy to defer to our operators
+    __array_ufunc__ = None  # numpy defers to Var, which defines no operators
 
     def __init__(self, value, tape, idx, slot=None):
         self.value = value
@@ -67,47 +87,8 @@ class Var:
         self.idx = idx
         self.slot = slot
 
-    @property
-    def shape(self):
-        return np.shape(self.value)
-
     def __repr__(self):
         return f"Var(idx={self.idx}, value={self.value!r})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 class Outer:
@@ -228,108 +209,6 @@ def node(outputs, parents, vjp):
     return outputs if t is None else t.record(outputs, parents, vjp)
 
 
-def _unbroadcast(g, shape):
-    g = np.asarray(g)
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    if g.shape != tuple(shape):
-        g = np.reshape(g, shape)
-    return g
-
-
-def add(a, b):
-    t = _tape(a, b)
-    out = value(a) + value(b)
-    if t is None:
-        return out
-    sa, sb = np.shape(value(a)), np.shape(value(b))
-    return t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
-
-def sub(a, b):
-    t = _tape(a, b)
-    out = value(a) - value(b)
-    if t is None:
-        return out
-    sa, sb = np.shape(value(a)), np.shape(value(b))
-    return t.record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-
-
-def neg(a):
-    t = _tape(a)
-    out = -value(a)
-    if t is None:
-        return out
-    return t.record(out, (a,), lambda g: (-g,))
-
-
-def mul(a, b):
-    t = _tape(a, b)
-    av, bv = value(a), value(b)
-    out = av * bv
-    if t is None:
-        return out
-    sa, sb = np.shape(av), np.shape(bv)
-    return t.record(out, (a, b),
-                    lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)))
-
-
-def div(a, b):
-    t = _tape(a, b)
-    av, bv = value(a), value(b)
-    out = av / bv
-    if t is None:
-        return out
-    sa, sb = np.shape(av), np.shape(bv)
-    return t.record(out, (a, b), lambda g: (_unbroadcast(g / bv, sa),
-                                            _unbroadcast(-g * av / (bv * bv), sb)))
-
-
-def matmul(a, b):
-    t = _tape(a, b)
-    av, bv = value(a), value(b)
-    out = av @ bv
-    if t is None:
-        return out
-    if av.ndim == 2 and bv.ndim == 2:
-        vjp = lambda g: (g @ bv.T, av.T @ g)  # noqa: E731
-    elif av.ndim == 2:  # matrix @ vector
-        vjp = lambda g: (np.outer(g, bv), av.T @ g)  # noqa: E731
-    elif bv.ndim == 2:  # vector @ matrix
-        vjp = lambda g: (bv @ g, np.outer(av, g))  # noqa: E731
-    else:  # vector . vector
-        vjp = lambda g: (g * bv, g * av)  # noqa: E731
-    return t.record(out, (a, b), vjp)
-
-
-def transpose(a):
-    t = _tape(a)
-    out = value(a).T
-    if t is None:
-        return out
-    return t.record(out, (a,), lambda g: (np.asarray(g).T,))
-
-
-def getitem(a, key):
-    t = _tape(a)
-    out = value(a)[key]
-    if t is None:
-        return out
-    av = a.value
-
-    def vjp(g):
-        z = np.zeros_like(av)
-        z[key] = g
-        return (z,)
-
-    return t.record(out, (a,), vjp)
-
-
 def _sym_grad(g):
     """Adjoint of symmetrization: the symmetric part of the gradient."""
     g = np.asarray(g)
@@ -342,16 +221,6 @@ def sigmoid(x):
     e^x / (1 + e^x) otherwise)."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sumsq(a):
-    """Sum of squared entries (squared Frobenius / Euclidean norm)."""
-    t = _tape(a)
-    av = np.asarray(value(a), dtype=np.float64)
-    out = np.float64(np.sum(av * av))
-    if t is None:
-        return out
-    return t.record(out, (a,), lambda g: ((2.0 * g) * av,))
 
 
 def lstm_cell(w, b, x, hidden, cell):
@@ -415,8 +284,8 @@ def _matvec(a, x):
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 
-def _solve_value(a, b):
-    """np.linalg.solve(a, b), by the adjugate when a is 2x2.
+def solve(a, b):
+    """np.linalg.solve(a, b) of plain arrays, by the adjugate when a is 2x2.
 
     A 2x2 whose determinant is 0 or not finite goes to LAPACK, which raises
     LinAlgError on an exactly singular matrix and otherwise behaves as it
@@ -442,21 +311,6 @@ def _solve_value(a, b):
             x[lapack] = np.linalg.solve(a[lapack], b[lapack])
         return x
     return np.linalg.solve(a, b)
-
-
-def solve(a, b):
-    """x with a @ x = b; adjoints da = -a^-T g x^T, db = a^-T g."""
-    t = _tape(a, b)
-    av, bv = value(a), value(b)
-    x = _solve_value(av, bv)
-    if t is None:
-        return x
-
-    def vjp(g):
-        gb = _solve_value(av.T, g)
-        return -(np.outer(gb, x) if x.ndim == 1 else gb @ x.T), gb
-
-    return t.record(x, (a, b), vjp)
 
 
 # Relative slack of the no-clamp test: it covers the test's own roundoff and
@@ -597,13 +451,12 @@ def sym_project(a, eps):
 
 
 def logchol2x2(a):
-    """Log-Cholesky features (log L00, log L11, L10) of a 2x2 SPD matrix,
-    or (N, 3) of a plain stack (N, 2, 2)."""
-    t = _tape(a)
-    av = value(a)
-    if av.ndim == 3:  # a plain batch
-        return _logchol2x2_rows(av)
-    x00, x01, x11 = av[0, 0], av[0, 1], av[1, 1]
+    """Log-Cholesky features (log L00, log L11, L10) of a plain 2x2 SPD
+    matrix, or (N, 3) of a stack (N, 2, 2); its adjoint is
+    :func:`logchol2x2_adjoint`."""
+    if a.ndim == 3:
+        return _logchol2x2_rows(a)
+    x00, x01, x11 = a[0, 0], a[0, 1], a[1, 1]
     if x00 <= 0.0:
         raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
     l00 = np.sqrt(x00)
@@ -611,10 +464,7 @@ def logchol2x2(a):
     l11sq = x11 - l10 * l10
     if l11sq <= 0.0:
         raise NotPositiveDefinite("2x2 matrix has non-positive Schur complement")
-    out = np.array([0.5 * np.log(x00), 0.5 * np.log(l11sq), l10])
-    if t is None:
-        return out
-    return t.record(out, (a,), lambda g: (logchol2x2_adjoint(av, g),))
+    return np.array([0.5 * np.log(x00), 0.5 * np.log(l11sq), l10])
 
 
 def _logchol2x2_rows(a):

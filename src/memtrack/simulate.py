@@ -29,9 +29,7 @@ __all__ = [
     "GroundTruthSequence",
     "SimCase",
     "Dataset",
-    "ct_transition",
     "generate_trajectory",
-    "generate_frame",
     "generate_case",
     "generate_dataset",
 ]
@@ -98,15 +96,6 @@ def _advance(x, omega: float, dt: float, noise) -> list[tuple[float, float, floa
                           cw * vx - sw * vy + n2, sw * vx + cw * vy + n3)
         states.append((px, py, vx, vy))
     return states
-
-
-def ct_transition(x, omega: float, dt: float):
-    """Coordinated-turn step at turn rate omega (rad/s).
-
-    Exactly reduces to the CV transition at omega == 0 and switches to a
-    series expansion below |omega * dt| = 1e-6 to stay smooth through zero.
-    """
-    return np.array(_advance(x, omega, dt, [(0.0, 0.0, 0.0, 0.0)])[0])
 
 
 def _extents_from_headings(headings: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -211,24 +200,6 @@ def _scatter(centres, extents, counts, uniforms, normals, sigma_v: float) -> np.
         dx * np.repeat(ell[:, 1, 0], counts) + dy * np.repeat(ell[:, 1, 1], counts))
     points += sigma_v * normals
     return points
-
-
-def generate_frame(
-    state: np.ndarray,
-    extent: np.ndarray,
-    cfg: ScenarioConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Poisson-sized (n, 2) scatterer frame, resampled until n >= 2: the
-    one-frame case of :func:`generate_case`'s frames.
-
-    Points are uniform over the solid ellipse (unit-disk samples mapped by a
-    Cholesky factor of the extent) plus N(0, sigma_v^2 I) noise.
-    """
-    counts, uniforms, normals = _draw_frames(cfg, rng, 1)
-    return _scatter(np.asarray(state, dtype=np.float64)[None],
-                    np.asarray(extent, dtype=np.float64)[None],
-                    counts, uniforms, normals, cfg.sigma_v)
 
 
 def generate_case(cfg: ScenarioConfig, master_seed: int, case_idx: int) -> SimCase:

@@ -1,22 +1,19 @@
 """Dense small-matrix utilities for symmetric positive (semi)definite matrices.
 
 Everything here operates on plain float64 numpy arrays at desk scale
-(dims <= 8); there are no sparse or blocked paths.  The samplers take an
-explicit ``numpy.random.Generator`` so callers own RNG isolation.
+(dims <= 8); there are no sparse or blocked paths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDof, NonFinite, NotPositiveDefinite
+from .errors import NonFinite, NotPositiveDefinite
 
 __all__ = [
     "cholesky",
     "sym_sqrt",
     "inverse_spd",
-    "sample_wishart",
-    "sample_inverse_wishart",
 ]
 
 # Relative roundoff of a 2x2 determinant x z - y^2, in units of |x z| + y^2.
@@ -78,50 +75,3 @@ def inverse_spd(a: np.ndarray) -> np.ndarray:
     ell = cholesky(a)
     y = np.linalg.solve(ell, np.eye(ell.shape[0]))
     return np.linalg.solve(ell.T, y)
-
-
-def _bartlett(dof: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, d, d) lower-triangular Bartlett factors."""
-    bart = np.zeros((size, d, d))
-    for i in range(d):
-        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
-        for j in range(i):
-            bart[:, i, j] = rng.standard_normal(size=size)
-    return bart
-
-
-def sample_wishart(dof: float, scale: np.ndarray, rng: np.random.Generator,
-                   size: int | None = None) -> np.ndarray:
-    """Draw from the Wishart distribution via the Bartlett decomposition.
-
-    The sample mean over many draws converges to dof * scale.  ``size``
-    requests a batch of shape (size, d, d).
-    """
-    scale = np.asarray(scale, dtype=np.float64)
-    d = scale.shape[0]
-    if dof <= d - 1:
-        raise BadDof(f"Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
-    ell = cholesky(scale)
-    bart = _bartlett(dof, d, rng, 1 if size is None else size)
-    f = ell @ bart
-    draws = f @ np.swapaxes(f, -1, -2)
-    return draws[0] if size is None else draws
-
-
-def sample_inverse_wishart(dof: float, param: np.ndarray, rng: np.random.Generator,
-                           size: int | None = None) -> np.ndarray:
-    """Draw from the inverse Wishart IW(dof, param).
-
-    Uses the duality X ~ IW(v, P)  <=>  X^-1 ~ W(v, P^-1).  Under the
-    textbook convention adopted here the mean is param / (dof - dim - 1)
-    for dof > dim + 1.  Note the filter's point-extension extraction uses
-    the lambda = dof - 2*dim - 2 scaling instead; the two conventions are
-    deliberately distinct and tested separately.
-    """
-    param = np.asarray(param, dtype=np.float64)
-    d = param.shape[0]
-    if dof <= d - 1:
-        raise BadDof(f"inverse Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
-    w = sample_wishart(dof, inverse_spd(param), rng, size=1 if size is None else size)
-    draws = np.linalg.inv(0.5 * (w + np.swapaxes(w, -1, -2)))
-    return draws[0] if size is None else draws

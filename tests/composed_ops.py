@@ -1,16 +1,143 @@
 """Oracles for the fused tape nodes: the same stages written with one tape
 node per elementary op.
 
-The elementwise and structural ops below are built on ``ops.node``, one
-node each; the stages compose them (and the Var operators) exactly as the
-filter and network compute their values, so a fused stage must match its
-composed twin bit for bit in value and to roundoff in its adjoints.
+The ops below are built on ``ops.node``, one node each: a generic algebra
+(arithmetic with numpy broadcasting, matrix products, transposes and
+indexing) and the elementwise and structural ops the stages need.  The
+stages compose them exactly as the filter and network compute their
+values, so a fused stage must match its composed twin bit for bit in value
+and to roundoff in its adjoints.
+
+``memtrack`` itself gives a Var no operators.  :func:`install` puts the
+algebra's operators on ``ops.Var`` for one test (the ``algebra`` fixture
+of ``conftest.py``), so every other test runs the package as it ships.
 """
 
 import numpy as np
 
 from memtrack import filtering, network, ops
 from memtrack.models import D, ExtensionState, TrackState
+
+# -- the generic algebra, one node per op ------------------------------------
+
+
+def _unbroadcast(g, shape):
+    """Sum an adjoint over the axes numpy broadcast to reach ``shape``."""
+    g = np.asarray(g)
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
+    if g.shape != tuple(shape):
+        g = np.reshape(g, shape)
+    return g
+
+
+def add(a, b):
+    av, bv = ops.value(a), ops.value(b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return ops.node(av + bv, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def sub(a, b):
+    av, bv = ops.value(a), ops.value(b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return ops.node(av - bv, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+
+
+def neg(a):
+    return ops.node(-ops.value(a), (a,), lambda g: (-g,))
+
+
+def mul(a, b):
+    av, bv = ops.value(a), ops.value(b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return ops.node(av * bv, (a, b),
+                    lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)))
+
+
+def div(a, b):
+    av, bv = ops.value(a), ops.value(b)
+    sa, sb = np.shape(av), np.shape(bv)
+    return ops.node(av / bv, (a, b), lambda g: (_unbroadcast(g / bv, sa),
+                                                _unbroadcast(-g * av / (bv * bv), sb)))
+
+
+def matmul(a, b):
+    av, bv = ops.value(a), ops.value(b)
+    if av.ndim == 2 and bv.ndim == 2:
+        vjp = lambda g: (g @ bv.T, av.T @ g)  # noqa: E731
+    elif av.ndim == 2:  # matrix @ vector
+        vjp = lambda g: (np.outer(g, bv), av.T @ g)  # noqa: E731
+    elif bv.ndim == 2:  # vector @ matrix
+        vjp = lambda g: (bv @ g, np.outer(av, g))  # noqa: E731
+    else:  # vector . vector
+        vjp = lambda g: (g * bv, g * av)  # noqa: E731
+    return ops.node(av @ bv, (a, b), vjp)
+
+
+def transpose(a):
+    return ops.node(ops.value(a).T, (a,), lambda g: (np.asarray(g).T,))
+
+
+def getitem(a, key):
+    av = ops.value(a)
+
+    def vjp(g):
+        z = np.zeros_like(av)
+        z[key] = g
+        return (z,)
+
+    return ops.node(av[key], (a,), vjp)
+
+
+def sumsq(a):
+    """Sum of squared entries (squared Frobenius / Euclidean norm)."""
+    av = np.asarray(ops.value(a), dtype=np.float64)
+    return ops.node(np.float64(np.sum(av * av)), (a,), lambda g: ((2.0 * g) * av,))
+
+
+def solve(a, b):
+    """x with a @ x = b; adjoints da = -a^-T g x^T, db = a^-T g."""
+    av, bv = ops.value(a), ops.value(b)
+    x = ops.solve(av, bv)
+
+    def vjp(g):
+        gb = ops.solve(av.T, g)
+        return -(np.outer(gb, x) if x.ndim == 1 else gb @ x.T), gb
+
+    return ops.node(x, (a, b), vjp)
+
+
+def logchol2x2(a):
+    av = ops.value(a)
+    return ops.node(ops.logchol2x2(av), (a,), lambda g: (ops.logchol2x2_adjoint(av, g),))
+
+
+# The algebra as Var operators; ``__rmul__`` and ``__radd__`` commute.
+OPERATORS = {
+    "__add__": add,
+    "__radd__": add,
+    "__sub__": sub,
+    "__rsub__": lambda self, other: sub(other, self),
+    "__mul__": mul,
+    "__rmul__": mul,
+    "__truediv__": div,
+    "__matmul__": matmul,
+    "__rmatmul__": lambda self, other: matmul(other, self),
+    "__neg__": neg,
+    "__getitem__": getitem,
+    "T": property(transpose),
+}
+
+
+def install(monkeypatch):
+    """Give ``ops.Var`` the algebra's operators until the test ends."""
+    for name, op in OPERATORS.items():
+        monkeypatch.setattr(ops.Var, name, op, raising=False)
 
 
 # -- elementwise and structural ops, one node each ---------------------------
@@ -111,17 +238,23 @@ def innovation(pred, ext_pred, model, dh, eh, fs):
 
 
 def update_state(pred, stats):
-    gain = ops.solve(stats.pzz, stats.pxz.T).T
+    gain = solve(stats.pzz, stats.pxz.T).T
     mean = pred.mean + gain @ stats.residual
     cov_raw = pred.cov - gain @ stats.pxz.T
     return TrackState(mean=mean, cov=ops.sym_project(cov_raw, filtering._proj_eps(cov_raw)))
+
+
+def update_extension(pred, fs, model):
+    raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
+    return ExtensionState(dof=pred.dof + fs.count,
+                          param=ops.sym_project(raw, filtering._ext_eps(raw)))
 
 
 # -- network blocks --------------------------------------------------------------
 
 def _pred_pieces(state, ext):
     return [state.mean, log(take_diag(state.cov)),
-            ops.logchol2x2(filtering.extension_mean(ext)),
+            logchol2x2(filtering.extension_mean(ext)),
             np.array([np.log(float(ext.dof))])]
 
 
@@ -172,9 +305,19 @@ def jub_heads(params, pred, ext_pred):
 
 
 def add_loss_term(total, state, ext, truth_state, truth_extent):
-    term = (ops.sumsq(state.mean - truth_state)
-            + ops.sumsq(filtering.extension_mean(ext) - truth_extent))
+    term = (sumsq(state.mean - truth_state)
+            + sumsq(filtering.extension_mean(ext) - truth_extent))
     return term if total is None else total + term
+
+
+def scale_and_regularize(total, k, weights, gamma):
+    total = total / (2.0 * k)
+    if weights:
+        reg = None
+        for w in weights:
+            reg = sumsq(w) if reg is None else reg + sumsq(w)
+        total = total + gamma * reg
+    return total
 
 
 # (module, name, composed twin) of every fused stage
@@ -183,16 +326,19 @@ STAGES = [
     ("filtering", "predict_extension", predict_extension),
     ("filtering", "innovation", innovation),
     ("filtering", "update_state", update_state),
+    ("filtering", "update_extension", update_extension),
     ("network", "encode_inputs", encode_inputs),
     ("network", "mub_step", mub_step),
     ("network", "jeb_heads", jeb_heads),
     ("network", "jub_heads", jub_heads),
     ("network", "_add_loss_term", add_loss_term),
+    ("network", "_scale_and_regularize", scale_and_regularize),
 ]
 
 
 def compose_everything(monkeypatch):
     """Replace every fused stage by its composed twin for this test."""
+    install(monkeypatch)
     modules = {"filtering": filtering, "network": network}
     for module, name, twin in STAGES:
         monkeypatch.setattr(modules[module], name, twin)
@@ -220,7 +366,7 @@ def _run(stage, make_args):
     rng = np.random.default_rng(0)
     loss = None
     for out in outs:
-        term = ops.sumsq(out * rng.standard_normal(np.shape(ops.value(out))))
+        term = sumsq(out * rng.standard_normal(np.shape(ops.value(out))))
         loss = term if loss is None else loss + term
     adjoints = tape.backward(loss)
     return [ops.value(out) for out in outs], [tape.grad(adjoints, leaf) for leaf in leaves]

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import warnings
+import weakref
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -48,6 +49,23 @@ class TestSimulate:
         fa = (a / "dataset_sw0.4_sv0.6.mtds").read_bytes()
         fb = (b / "dataset_sw0.4_sv0.6.mtds").read_bytes()
         assert fa == fb
+
+    def test_each_level_is_generated_after_the_previous_dataset_is_freed(self, tmp_path,
+                                                                           monkeypatch):
+        refs, alive = [], []
+        real = cli.generate_dataset
+
+        def tracked(cfg):
+            alive.append([ref() is not None for ref in refs])
+            dataset = real(cfg)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(cli, "generate_dataset", tracked)
+        rc = main(["simulate", "--out", str(tmp_path), "--cases", "2", "--steps", "4",
+                   "--levels", "0.4:0.6,1:1.2,2:2.4"])
+        assert rc == EXIT_OK
+        assert alive == [[], [False], [False, False]]
 
     def test_bad_levels_is_config_error(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--levels", "nonsense"])

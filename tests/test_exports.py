@@ -26,7 +26,8 @@ def _defined_public(module):
 
 def test_layer_modules_declare_all():
     names = {m.__name__.rsplit(".", 1)[-1] for m in WITH_ALL}
-    assert {"filtering", "models", "network", "simulate", "store", "training"} <= names
+    assert {"filtering", "models", "network", "ops", "simulate", "spdmat", "store",
+            "training"} <= names
 
 
 @pytest.mark.parametrize("module", WITH_ALL, ids=lambda m: m.__name__)

@@ -17,8 +17,9 @@ from memtrack.errors import (
 from memtrack.filtering import FilterDiagnostics, TrackerConfig
 from memtrack.models import ExtensionState, TrackState
 from memtrack.simulate import generate_case
-from memtrack.spdmat import cholesky, sample_inverse_wishart, sample_wishart
+from memtrack.spdmat import cholesky
 from memtrack.training import collect_feature_stats
+from wishart import sample_inverse_wishart, sample_wishart
 
 ZERO_DF, ZERO_PF, ZERO_PPHI = filtering.ZERO_EVOLUTION
 ZERO_DH, ZERO_EH = filtering.ZERO_MEASUREMENT
@@ -631,6 +632,7 @@ def _innovate_and_update(pred, ext_pred, model, dh, eh, fs, innovation, update_s
 SKEW_B = models.nominal_cv_model(sigma_w=0.4, b=np.array([[0.5, 0.1], [0.05, 0.4]]))
 
 
+@pytest.mark.usefixtures("algebra")
 class TestFusedStages:
     """Each fused filter stage against the same stage composed of generic
     ops: values bit for bit, every input's adjoint at 1e-12."""
@@ -673,6 +675,17 @@ class TestFusedStages:
         unfused = functools.partial(_innovate_and_update, innovation=composed.innovation,
                                     update_state=composed.update_state)
         composed.assert_twins(fused, unfused, make_args)
+
+    @pytest.mark.parametrize("model", ["cv", "skew_b"])
+    def test_update_extension(self, cv_model, model):
+        model = cv_model if model == "cv" else SKEW_B
+
+        def make_args(tape):
+            _, pred, leaves = _prior(tape, 64)
+            fs = models.frame_stats(np.random.default_rng(65).standard_normal((6, 2)))
+            return (pred, fs, model), leaves[2:]
+
+        composed.assert_twins(filtering.update_extension, composed.update_extension, make_args)
 
     def test_update_with_separate_prediction(self, cv_model):
         """update_state's node adds the innovation's adjoints to its own

@@ -60,6 +60,13 @@ def _shoelace(poly):
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
+def ellipse_polygon(e: EllipseEstimate, order: int = 256) -> np.ndarray:
+    """Inscribed polygon of the solid ellipse, counterclockwise: the
+    ``order``-gon that ``iou_ellipse`` intersects, as (order, 2)."""
+    ring, _ = metrics._unit_polygon(order)
+    return np.asarray(e.center, dtype=np.float64) + ring[:2, :-1].T @ sym_sqrt(e.extent).T
+
+
 def clip_iou(a, b, order):
     """IoU of the two inscribed polygons by clipping one with the other.
 
@@ -67,8 +74,8 @@ def clip_iou(a, b, order):
     does; in absolute coordinates 500 m from the origin the clip's own
     roundoff reaches 1e-8.
     """
-    pa = metrics.ellipse_polygon(a, order) - b.center
-    pb = metrics.ellipse_polygon(b, order) - b.center
+    pa = ellipse_polygon(a, order) - b.center
+    pb = ellipse_polygon(b, order) - b.center
     area_a, area_b = _shoelace(pa), _shoelace(pb)
     inter = _shoelace(_clip_convex(pa, pb))
     return min(max(inter / (area_a + area_b - inter), 0.0), 1.0)
@@ -156,7 +163,7 @@ class TestIoU:
     def test_degenerate_polygon_order_rejected(self, order):
         e = EllipseEstimate(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="at least 3"):
-            metrics.ellipse_polygon(e, order)
+            ellipse_polygon(e, order)
         with pytest.raises(ValueError, match="at least 3"):
             iou_ellipse(e, e, order=order)
 

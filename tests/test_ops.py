@@ -1,6 +1,10 @@
 """Unit checks of the differentiation tape: each op's adjoint against
 central finite differences, plus dispatch semantics (plain arrays in, plain
-arrays out)."""
+arrays out).
+
+The generic ops checked here are the composed twins' algebra
+(``tests/composed_ops.py``), which the ``algebra`` fixture installs on
+``ops.Var``; ``TestNoAlgebra`` checks that the package records without it."""
 
 from dataclasses import replace
 
@@ -8,9 +12,16 @@ import numpy as np
 import pytest
 
 import composed_ops as composed
-from memtrack import network, ops
+from memtrack import network, ops, training
 from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
-from memtrack.models import ExtensionState, TrackState, frame_stats
+from memtrack.models import (
+    ExtensionState,
+    ScenarioConfig,
+    TrackState,
+    frame_stats,
+    nominal_cv_model,
+)
+from memtrack.simulate import generate_case
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -39,15 +50,43 @@ def check(build, fn, x, tol=1e-6):
     np.testing.assert_allclose(tape_grad(build, x), fd_grad(fn, x), atol=tol, rtol=1e-4)
 
 
+class TestNoAlgebra:
+    """Without the ``algebra`` fixture a Var has no operators: a plain
+    expression on a tape value raises instead of silently dropping out of
+    the tape, and training records every node through ``ops.node``,
+    ``lstm_cell`` or ``sym_project``."""
+
+    @pytest.mark.parametrize("expr", [
+        lambda v: v + 1.0, lambda v: 1.0 + v, lambda v: np.ones(2) + v, lambda v: v * v,
+        lambda v: np.eye(2) @ v, lambda v: v @ np.eye(2), lambda v: -v, lambda v: v[0],
+    ], ids=["var+float", "float+var", "array+var", "var*var", "matrix@var", "var@matrix",
+            "-var", "var[0]"])
+    def test_operators_raise(self, expr):
+        assert not any(hasattr(ops.Var, name) for name in composed.OPERATORS)
+        with pytest.raises(TypeError):
+            expr(ops.Tape().leaf(np.ones(2)))
+
+    def test_training_gradients_and_gradcheck_run(self):
+        assert not any(hasattr(ops.Var, name) for name in composed.OPERATORS)
+        cfg = ScenarioConfig(steps=4, cases=1, seed=46)
+        case, model = generate_case(cfg, cfg.seed, 0), nominal_cv_model(sigma_w=0.4)
+        params = network.init_params(2, np.random.default_rng(46))
+        loss, grads = training._sequence_gradients(params, case, model,
+                                                   training.TrainConfig(l2=0.37))
+        assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+        assert training.grad_check(params, case, model, eps=1e-5, gamma=0.37) < 1e-4
+
+
+@pytest.mark.usefixtures("algebra")
 class TestElementwise:
     def test_add_mul_chain(self):
         x = np.array([0.3, -1.2, 2.0])
-        check(lambda v: ops.sumsq(v * v + 2.0 * v),
+        check(lambda v: composed.sumsq(v * v + 2.0 * v),
               lambda v: float(np.sum((v * v + 2.0 * v) ** 2)), x)
 
     def test_div(self):
         x = np.array([1.5, -0.7])
-        check(lambda v: ops.sumsq(v / 4.0), lambda v: float(np.sum((v / 4.0) ** 2)), x)
+        check(lambda v: composed.sumsq(v / 4.0), lambda v: float(np.sum((v / 4.0) ** 2)), x)
 
     def test_nonlinearities(self):
         x = np.array([-2.0, 0.0, 0.5, 3.0])
@@ -56,12 +95,12 @@ class TestElementwise:
             (composed.tanh, np.tanh),
             (composed.softplus, lambda v: np.logaddexp(0, v)),
         ]:
-            check(lambda v, op=op: ops.sumsq(op(v)),
+            check(lambda v, op=op: composed.sumsq(op(v)),
                   lambda v, ref=ref: float(np.sum(ref(v) ** 2)), x)
 
     def test_log(self):
         x = np.array([0.5, 1.7, 3.0])
-        check(lambda v: ops.sumsq(composed.log(v)), lambda v: float(np.sum(np.log(v) ** 2)), x)
+        check(lambda v: composed.sumsq(composed.log(v)), lambda v: float(np.sum(np.log(v) ** 2)), x)
 
     def test_softplus_zero_constant_cancels_exactly(self):
         tape = ops.Tape()
@@ -70,45 +109,47 @@ class TestElementwise:
         assert np.all(out.value == 0.0)
 
 
+@pytest.mark.usefixtures("algebra")
 class TestLinearAlgebra:
     def test_matmul_both_sides(self):
         a = np.array([[1.0, 2.0], [0.5, -1.0]])
-        check(lambda v: ops.sumsq(v @ np.array([1.0, -2.0])),
+        check(lambda v: composed.sumsq(v @ np.array([1.0, -2.0])),
               lambda v: float(np.sum((v @ np.array([1.0, -2.0])) ** 2)), a)
         x = np.array([0.3, 0.7])
-        check(lambda v: ops.sumsq(a @ v), lambda v: float(np.sum((a @ v) ** 2)), x)
+        check(lambda v: composed.sumsq(a @ v), lambda v: float(np.sum((a @ v) ** 2)), x)
 
     def test_solve_wrt_matrix_and_rhs(self):
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
         b = np.array([1.0, 2.0])
-        check(lambda v: ops.sumsq(ops.solve(v, b)),
+        check(lambda v: composed.sumsq(composed.solve(v, b)),
               lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
-        check(lambda v: ops.sumsq(ops.solve(a, v)),
+        check(lambda v: composed.sumsq(composed.solve(a, v)),
               lambda v: float(np.sum(np.linalg.solve(a, v) ** 2)), b)
 
     def test_solve_matrix_rhs(self):
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
         b = np.array([[1.0, 0.0], [2.0, 1.0]])
-        check(lambda v: ops.sumsq(ops.solve(a, v)),
+        check(lambda v: composed.sumsq(composed.solve(a, v)),
               lambda v: float(np.sum(np.linalg.solve(a, v) ** 2)), b)
 
     def test_transpose_diag(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        check(lambda v: ops.sumsq(ops.transpose(v) @ np.array([1.0, 1.0])),
+        check(lambda v: composed.sumsq(composed.transpose(v) @ np.array([1.0, 1.0])),
               lambda v: float(np.sum((v.T @ np.array([1.0, 1.0])) ** 2)), a)
-        check(lambda v: ops.sumsq(composed.take_diag(v)),
+        check(lambda v: composed.sumsq(composed.take_diag(v)),
               lambda v: float(np.sum(np.diag(v) ** 2)), a)
         d = np.array([1.0, -2.0])
-        check(lambda v: ops.sumsq(composed.diag_embed(v) @ np.array([1.0, 3.0])),
+        check(lambda v: composed.sumsq(composed.diag_embed(v) @ np.array([1.0, 3.0])),
               lambda v: float(np.sum((np.diag(v) @ np.array([1.0, 3.0])) ** 2)), d)
 
 
+@pytest.mark.usefixtures("algebra")
 class TestStructural:
     def test_concat_getitem(self):
         x = np.array([1.0, 2.0, 3.0])
         def build(v):
             joined = composed.concat([v[0:2], np.array([5.0]), v[2] * np.ones(1)])
-            return ops.sumsq(joined)
+            return composed.sumsq(joined)
         def ref(v):
             joined = np.concatenate([v[0:2], [5.0], [v[2]]])
             return float(np.sum(joined ** 2))
@@ -124,7 +165,7 @@ class TestSymProject:
             w = np.maximum(w, 1e-12)
             o = (u * w) @ u.T
             return float(np.sum((0.5 * (o + o.T)) ** 2))
-        check(lambda v: ops.sumsq(ops.sym_project(v, 1e-12)), ref, a)
+        check(lambda v: composed.sumsq(ops.sym_project(v, 1e-12)), ref, a)
 
     def test_clamped_matches_fd(self):
         a = np.array([[1.0, 0.3], [0.1, -0.5]])
@@ -135,7 +176,7 @@ class TestSymProject:
             w = np.maximum(w, eps)
             o = (u * w) @ u.T
             return float(np.sum((0.5 * (o + o.T)) ** 2))
-        check(lambda v: ops.sumsq(ops.sym_project(v, eps)), ref, a, tol=1e-5)
+        check(lambda v: composed.sumsq(ops.sym_project(v, eps)), ref, a, tol=1e-5)
 
     def test_value_matches_plain_helper(self):
         rng = np.random.default_rng(3)
@@ -161,7 +202,7 @@ class TestLogChol:
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         tape = ops.Tape()
         leaf = tape.leaf(a)
-        out = ops.sumsq(ops.logchol2x2(ops.sym_project(leaf, 0.0)))
+        out = composed.sumsq(composed.logchol2x2(ops.sym_project(leaf, 0.0)))
         grads = tape.backward(out)
         g = tape.grad(grads, leaf)
         def ref(v):
@@ -176,6 +217,7 @@ class TestLogChol:
             ops.logchol2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.usefixtures("algebra")
 class TestDispatch:
     def test_plain_arrays_stay_plain(self):
         a = np.eye(2)
@@ -199,7 +241,7 @@ class TestDispatch:
         tape = ops.Tape()
         used = tape.leaf(np.array([1.0]))
         unused = tape.leaf(np.array([5.0]))
-        out = ops.sumsq(used * 2.0)
+        out = composed.sumsq(used * 2.0)
         grads = tape.backward(out)
         np.testing.assert_array_equal(tape.grad(grads, unused), np.zeros(1))
         np.testing.assert_array_equal(tape.grad(grads, used), np.array([8.0]))
@@ -207,7 +249,7 @@ class TestDispatch:
     def test_gradient_accumulates_over_reuse(self):
         tape = ops.Tape()
         v = tape.leaf(np.array([3.0]))
-        out = ops.sumsq(v + v)
+        out = composed.sumsq(v + v)
         grads = tape.backward(out)
         np.testing.assert_allclose(tape.grad(grads, v), [24.0])
 
@@ -311,7 +353,7 @@ class TestSolve2x2:
     def test_gradient_through_closed_form(self):
         a = np.array([[2.0, 0.3], [0.4, 1.0]])
         b = np.array([[1.0, 0.0, 2.0], [2.0, 1.0, -1.0]])
-        check(lambda v: ops.sumsq(ops.solve(v, b)),
+        check(lambda v: composed.sumsq(composed.solve(v, b)),
               lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
 
 
@@ -327,6 +369,7 @@ def _tanh_layer(w, x, b, outer):
     return ops.node(out, (w, x, b), vjp)
 
 
+@pytest.mark.usefixtures("algebra")
 class TestFusedOps:
     H, X = 5, 3
 
@@ -362,7 +405,7 @@ class TestFusedOps:
             for step in (ops.lstm_cell, composed.lstm):
                 tape = ops.Tape()
                 leaves, cell, hidden = self._two_steps(step, self._inputs(seed), tape)
-                out = ops.sumsq(hidden) + ops.sumsq(cell * 0.3)
+                out = composed.sumsq(hidden) + composed.sumsq(cell * 0.3)
                 adj = tape.backward(out)
                 grads.append([tape.grad(adj, leaf) for leaf in leaves])
             for fused, unfused in zip(*grads):
@@ -378,7 +421,7 @@ class TestFusedOps:
         def build(v):
             c, h = ops.lstm_cell(w, b, v[0:self.X], v[self.X:self.X + self.H],
                                  v[self.X + self.H:])
-            return ops.sumsq(h) + c @ np.ones(self.H)
+            return composed.sumsq(h) + c @ np.ones(self.H)
 
         check(build, loss, np.concatenate([x, hidden, cell]))
 
@@ -394,7 +437,7 @@ class TestFusedOps:
             leaves = [tape.leaf(v) for v in (w, x, b)]
             out = fn(*leaves)
             np.testing.assert_array_equal(out.value, w @ x + b)
-            adj = tape.backward(ops.sumsq(composed.tanh(out)))
+            adj = tape.backward(composed.sumsq(composed.tanh(out)))
             grads.append([tape.grad(adj, leaf) for leaf in leaves])
         for fused, unfused in zip(*grads):
             np.testing.assert_allclose(fused, unfused, rtol=1e-12, atol=1e-12)
@@ -411,7 +454,7 @@ class TestFusedOps:
             state = np.ones(5)
             for _ in range(40):
                 state = _tanh_layer(w, state, b, outer)
-            adj = tape.backward(ops.sumsq(state))
+            adj = tape.backward(composed.sumsq(state))
             grads.append([tape.grad(adj, leaf) for leaf in (w, b)])
         for summed, stepwise in zip(*grads):
             np.testing.assert_allclose(summed, stepwise, rtol=1e-12, atol=1e-12)
@@ -425,7 +468,7 @@ class TestFusedOps:
         a, b, c = ops.node((2.0 * xv, xv * xv, xv.sum()), (x,),
                            lambda g: (2.0 * g[0] + 2.0 * xv * g[1] + g[2],))
         assert (a.idx, a.slot, c.slot) == (b.idx, 0, 2)
-        adj = tape.backward(ops.sumsq(b))
+        adj = tape.backward(composed.sumsq(b))
         np.testing.assert_allclose(tape.grad(adj, x), 4.0 * xv ** 3)
         np.testing.assert_array_equal(tape.grad(adj, a), np.zeros(2))
 
@@ -511,6 +554,16 @@ def _loss_args(tape, first=False):
     return args, leaves + ([] if first else [total])
 
 
+def _loss_tail_args(tape, gamma):
+    """A taped loss sum, and for gamma != 0 the network's weights as leaves."""
+    rng = np.random.default_rng(45)
+    params, leaves = _params(rng, tape)
+    total = tape.leaf(np.float64(rng.uniform(1.0, 9.0)))
+    if gamma == 0.0:
+        return (total, 17, (), gamma), [total]
+    return (total, 17, tuple(params.arrays.values()), gamma), [total] + leaves
+
+
 NETWORK_BLOCKS = {
     "raw_features": (network.raw_features, composed.raw_features, _raw_features_args),
     "encode_inputs": (network.encode_inputs, composed.encode_inputs, _features_args),
@@ -520,12 +573,18 @@ NETWORK_BLOCKS = {
     "loss_term": (network._add_loss_term, composed.add_loss_term, _loss_args),
     "first_loss_term": (network._add_loss_term, composed.add_loss_term,
                         lambda tape: _loss_args(tape, first=True)),
+    "loss_tail": (network._scale_and_regularize, composed.scale_and_regularize,
+                  lambda tape: _loss_tail_args(tape, 0.0)),
+    "regularized_loss_tail": (network._scale_and_regularize, composed.scale_and_regularize,
+                              lambda tape: _loss_tail_args(tape, 0.37)),
 }
 
 
+@pytest.mark.usefixtures("algebra")
 class TestFusedNetworkBlocks:
-    """Each fused network block against the same block composed of generic
-    ops: values bit for bit, every input's adjoint at 1e-12."""
+    """Each fused network block, and the loss's tail, against the same block
+    composed of generic ops: values bit for bit, every input's adjoint at
+    1e-12."""
 
     @pytest.mark.parametrize("block", NETWORK_BLOCKS)
     def test_matches_composed(self, block):

@@ -4,16 +4,16 @@ import stepwise_simulate as stepwise
 
 from memtrack import simulate
 from memtrack.models import ScenarioConfig, cv_process_noise, cv_transition_matrix
-from memtrack.simulate import (
-    ct_transition,
-    generate_case,
-    generate_dataset,
-    generate_frame,
-    generate_trajectory,
-)
+from memtrack.simulate import generate_case, generate_dataset, generate_trajectory
+from memtrack.spdmat import cholesky
+
+ct_transition = stepwise.ct_transition
 
 
 class TestCtTransition:
+    """The coordinated turn of the stepwise oracle, which the simulator's
+    trajectories reproduce bit for bit (``TestStepwiseReference``)."""
+
     def test_zero_rate_equals_cv_exactly(self):
         x = np.array([1.0, -2.0, 3.0, 4.0])
         np.testing.assert_array_equal(ct_transition(x, 0.0, 0.7), cv_transition_matrix(0.7) @ x)
@@ -114,30 +114,31 @@ class TestGenerateTrajectory:
 
 
 class TestGenerateFrame:
+    """The frames of generated cases."""
+
     def test_uniform_ellipse_second_moment(self):
-        cfg = ScenarioConfig(steps=2, cases=1, sigma_v=1e-12, scatter_rate=20.0, seed=0)
-        extent = np.diag([25.0, 1.0])
-        state = np.zeros(4)
-        rng = np.random.default_rng(12)
-        pts = np.concatenate([
-            generate_frame(state, extent, cfg, rng) for _ in range(5000)
+        # whitened by its extent's factor, a frame is uniform over the unit
+        # disk, whose covariance is I / 4
+        cfg = ScenarioConfig(steps=5000, cases=1, sigma_v=1e-12, scatter_rate=20.0, seed=12)
+        case = generate_case(cfg, cfg.seed, 0)
+        disk = np.concatenate([
+            np.linalg.solve(cholesky(extent), (frame - state[:2]).T).T
+            for state, extent, frame in zip(case.truth.states, case.truth.extents, case.frames)
         ])
-        cov = np.cov(pts.T)
-        np.testing.assert_allclose(np.diag(cov), [25.0 / 4.0, 1.0 / 4.0], rtol=0.03)
+        np.testing.assert_allclose(np.cov(disk.T), np.eye(2) / 4.0, rtol=0, atol=0.0075)
 
     def test_poisson_rate(self):
-        cfg = ScenarioConfig(steps=2, cases=1, scatter_rate=20.0, seed=0)
-        rng = np.random.default_rng(13)
-        counts = [len(generate_frame(np.zeros(4), np.diag([25.0, 1.0]), cfg, rng))
-                  for _ in range(10000)]
+        cfg = ScenarioConfig(steps=10000, cases=1, scatter_rate=20.0, seed=13)
+        counts = [len(f) for f in generate_case(cfg, cfg.seed, 0).frames]
         assert abs(np.mean(counts) - 20.0) / 20.0 < 0.02
         assert min(counts) >= 2
 
     def test_degenerate_extent_guarded(self):
-        cfg = ScenarioConfig(steps=2, cases=1, seed=0)
-        rng = np.random.default_rng(14)
-        frame = generate_frame(np.zeros(4), np.zeros((2, 2)), cfg, rng)
-        assert np.all(np.isfinite(frame))
+        # the extents underflow to zero; the factor's clamp keeps points finite
+        cfg = ScenarioConfig(steps=20, cases=1, axis_major=1e-200, axis_minor=1e-200, seed=14)
+        case = generate_case(cfg, cfg.seed, 0)
+        assert not case.truth.extents.any()
+        assert all(np.isfinite(frame).all() for frame in case.frames)
 
 
 class TestGenerateDataset:
@@ -244,16 +245,6 @@ class TestStepwiseReference:
             states, *_ = stepwise.trajectory(cfg, b)
             np.testing.assert_array_equal(truth.states, states)
             assert a.bit_generator.state == b.bit_generator.state
-
-    def test_frame_is_the_one_frame_case(self):
-        cfg = ScenarioConfig(steps=2, cases=1, scatter_rate=3.0)
-        state, extent = np.array([5.0, -7.0, 1.0, 1.0]), np.array([[9.0, 2.0], [2.0, 4.0]])
-        a, b = np.random.default_rng(21), np.random.default_rng(21)
-        for _ in range(30):
-            got, want = generate_frame(state, extent, cfg, a), stepwise.frame(state, extent, cfg, b)
-            np.testing.assert_array_equal(got[:, 0], want[:, 0])
-            np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0, atol=1e-12)
-        assert a.bit_generator.state == b.bit_generator.state
 
     def test_frames_are_consecutive_slices_of_one_array(self):
         case = generate_case(ScenarioConfig(steps=10, cases=1), 0, 0)

