@@ -1,9 +1,11 @@
 """Command-line surface: simulate | train | eval | track | gradcheck | datascale.
 
 All commands are deterministic under a fixed --seed; every result is a file
-(CSV/JSON/.npz archive) so plotting stays external.  Exit codes: 0 on
-success, 2 for configuration problems, 3 for data/file problems, 4 for
-numeric failures.
+(CSV/JSON/.npz archive) so plotting stays external.  A flag that mirrors a
+config key has the key as its ``dest`` and is read as that key's file value.
+``eval``/``track`` score ``--checkpoint``, or the baseline without one.  Exit
+codes: 0 on success, 2 for configuration problems, 3 for data/file problems,
+4 for numeric failures.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate benchmark datasets")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--levels", default=None,
+    p.add_argument("--seed", dest="scenario.seed")
+    p.add_argument("--cases", dest="scenario.cases")
+    p.add_argument("--steps", dest="scenario.steps")
+    p.add_argument("--levels", dest="simulate.levels",
                    help="noise levels as sw:sv pairs, e.g. 0.4:0.6,0.6:0.8")
 
     p = sub.add_parser("train", help="train the compensation network")
@@ -89,21 +91,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None, help="history CSV (default: <out>.history.csv)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--memory-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epochs", dest="train.epochs")
+    p.add_argument("--lr", dest="train.learning_rate")
+    p.add_argument("--folds", dest="train.folds")
+    p.add_argument("--batch", dest="train.batch_size")
+    p.add_argument("--memory-dim", dest="train.memory_dim")
+    p.add_argument("--seed", dest="train.seed")
     p.add_argument("--mask", default="", help="comma list from {jeb, jub, mub}")
 
     p = sub.add_parser("eval", help="evaluate on the test split")
     p.add_argument("dataset")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--baseline", action="store_true",
-                   help="zero-compensation filter instead of a checkpoint")
+    p.add_argument("--checkpoint", help="score the learned tracker, not the baseline")
     p.add_argument("--compare", action="store_true",
-                   help="run both baseline and checkpoint, emit a side-by-side table")
+                   help="score the baseline and --checkpoint, emit a side-by-side table")
     p.add_argument("--out", required=True, help="report path prefix")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--polygon", type=int, default=256)
@@ -125,19 +125,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("datascale", help="test RMSE at a ladder of training-set sizes")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="CSV output")
-    p.add_argument("--sizes", default=None, help="comma list, default 100,200,1000")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--sizes", dest="datascale.sizes", help="comma list, default 100,200,1000")
+    p.add_argument("--seed", dest="scenario.seed")
+    p.add_argument("--epochs", dest="datascale.epochs")
     return parser
 
 
-def _load_view(path) -> ConfigView:
-    if path is None:
-        return ConfigView()
-    view = load_config(path)
+def _load_view(args) -> ConfigView:
+    """The ``--config`` file's keys, each overridden by the flag whose dest it is."""
+    view = ConfigView() if args.config is None else load_config(args.config)
     unknown = sorted(set(view.values) - CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {', '.join(unknown)}")
+        raise ConfigError(f"{args.config}: unknown config keys {', '.join(unknown)}")
+    view.values.update((key, value) for key, value in vars(args).items()
+                       if key in CONFIG_KEYS and value is not None)
     return view
 
 
@@ -155,12 +156,8 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _scenario_from(view: ConfigView, args) -> ScenarioConfig:
-    values = _section_values(view, "scenario")
-    for name in ("cases", "steps", "seed"):
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    return _checked(ScenarioConfig, **values)
+def _scenario_from(view: ConfigView) -> ScenarioConfig:
+    return _checked(ScenarioConfig, **_section_values(view, "scenario"))
 
 
 def _tracker_from(view: ConfigView) -> TrackerConfig:
@@ -177,7 +174,7 @@ def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
 
 
 def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainConfig:
-    """Train settings from the config file; non-None ``overrides`` win."""
+    """Train settings from the config view; ``overrides`` win."""
     tokens = [t.strip() for t in mask_spec.split(",") if t.strip()]
     unknown = [t for t in tokens if t not in MASK_TOKENS]
     if unknown:
@@ -185,17 +182,14 @@ def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainCo
     values = _section_values(view, "train")
     values["tracker"] = _tracker_from(view)
     values.update({MASK_TOKENS[t]: True for t in tokens})
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update(overrides)
     return _checked(TrainConfig, **values)
 
 
 def cmd_simulate(args) -> int:
-    view = _load_view(args.config)
-    base = _scenario_from(view, args)
-    if args.levels is not None:
-        levels = ConfigView({"--levels": args.levels}).get_float_pairs("--levels")
-    else:
-        levels = view.get_float_pairs("simulate.levels", DEFAULT_NOISE_LEVELS)
+    view = _load_view(args)
+    base = _scenario_from(view)
+    levels = view.get_float_pairs("simulate.levels", DEFAULT_NOISE_LEVELS)
     configs = [_checked(replace, base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
                for li, (sw, sv) in enumerate(levels)]
     os.makedirs(args.out, exist_ok=True)
@@ -223,12 +217,10 @@ def _history_csv(history, path) -> None:
 
 
 def cmd_train(args) -> int:
-    view = _load_view(args.config)
+    view = _load_view(args)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
-    cfg = _train_config(view, args.mask, epochs=args.epochs, learning_rate=args.lr,
-                        folds=args.folds, batch_size=args.batch,
-                        memory_dim=args.memory_dim, seed=args.seed)
+    cfg = _train_config(view, args.mask)
     params, history, folds = train(dataset.train_cases, model, cfg)
     digest = hashlib.sha256(
         json.dumps({k: str(v) for k, v in vars(cfg).items()}, sort_keys=True).encode()
@@ -273,15 +265,12 @@ def _report_line(tag: str, rep: MetricsReport) -> str:
 
 
 def cmd_eval(args) -> int:
-    view = _load_view(args.config)
+    view = _load_view(args)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     tracker = _tracker_from(view)
-    if not args.baseline and not args.checkpoint and not args.compare:
-        raise ConfigError("eval needs --checkpoint, --baseline, or --compare")
-    if args.baseline and args.checkpoint and not args.compare:
-        raise ConfigError("--baseline scores no checkpoint; drop --checkpoint, "
-                          "or use --compare with --checkpoint for both rows")
+    if args.compare and not args.checkpoint:
+        raise ConfigError("--compare needs --checkpoint for the learned row")
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
@@ -289,14 +278,9 @@ def cmd_eval(args) -> int:
     if not cases:
         raise StoreError("dataset has no test split")
 
-    if args.compare:
-        if not args.checkpoint:
-            raise ConfigError("--compare needs --checkpoint for the learned row")
-        modes = [("baseline", None), ("learned", read_checkpoint(args.checkpoint))]
-    elif args.baseline:
-        modes = [("baseline", None)]
-    else:
-        modes = [("learned", read_checkpoint(args.checkpoint))]
+    modes = [("baseline", None)] if args.compare or not args.checkpoint else []
+    if args.checkpoint:
+        modes.append(("learned", read_checkpoint(args.checkpoint)))
 
     rows = []
     for tag, params in modes:
@@ -326,7 +310,7 @@ def cmd_track(args) -> int:
     from .filtering import extension_mean
     from . import ops
 
-    view = _load_view(args.config)
+    view = _load_view(args)
     dataset = read_dataset(args.dataset)
     if not (0 <= args.case < len(dataset.cases)):
         raise StoreError(f"case index {args.case} out of range 0..{len(dataset.cases) - 1}")
@@ -378,27 +362,23 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_datascale(args) -> int:
-    view = _load_view(args.config)
-    base = _scenario_from(view, args)
-    if args.sizes is not None:
-        sizes = ConfigView({"--sizes": args.sizes}).get_int_list("--sizes")
-    else:
-        sizes = view.get_int_list("datascale.sizes", [100, 200, 1000])
+    view = _load_view(args)
+    base = _scenario_from(view)
+    sizes = view.get_int_list("datascale.sizes", [100, 200, 1000])
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"datascale sizes must be positive integers, got {sizes}")
     test_cases = view.get_int("datascale.test_cases", 25)
     if test_cases < 1:
         raise ConfigError(f"datascale.test_cases must be positive, got {test_cases}")
-    epochs = args.epochs if args.epochs is not None else view.get_int("datascale.epochs", 10)
-    seed = args.seed if args.seed is not None else base.seed
-    train_cfg = _train_config(view, epochs=epochs, folds=1, seed=seed)
+    epochs = view.get_int("datascale.epochs", 10)
+    train_cfg = _train_config(view, epochs=epochs, folds=1, seed=base.seed)
     for size in sizes:  # before any rung trains
         check_folds(size, train_cfg)
 
     rows = []
     largest = max(sizes)
     cfg_all = _checked(replace, base, cases=largest + test_cases,
-                       train_fraction=largest / (largest + test_cases), seed=seed)
+                       train_fraction=largest / (largest + test_cases))
     dataset_all = generate_dataset(cfg_all)
     model = _model_from(view, cfg_all)
     tracker = _tracker_from(view)

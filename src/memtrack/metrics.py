@@ -30,7 +30,6 @@ import numpy as np
 from . import ops
 from .errors import NonFinite, ShapeMismatch
 from .filtering import extension_mean
-from .models import TrackState
 from .spdmat import sym_sqrt
 
 __all__ = [
@@ -342,8 +341,9 @@ def gwd(a: EllipseEstimate, b: EllipseEstimate):
 
 def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     """(K-1, 3) per-step [position error, IoU, GWD] for one filtered case,
-    or (N, K-1, 3) for a batched run of N cases, whose ``truth`` is the list
-    of their truths; all steps of all cases are scored in one stacked pass.
+    or (N, K-1, 3) when ``truth`` is the list of N cases' truths: those of a
+    batched run, or the only one of a single case's run.  All steps of all
+    cases are scored in one stacked pass.
 
     Posteriors correspond to truth steps 2..K (the first frame only
     initializes the track).
@@ -356,7 +356,7 @@ def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     centers = np.array([ops.value(st.mean)[..., :2] for st in states], dtype=np.float64)
     extents = np.array([ops.value(extension_mean(ex)) for ex in exts], dtype=np.float64)
     n = len(truths)
-    if centers.shape != ((k, n, 2) if isinstance(truth, list) else (k, 2)):
+    if centers.size != k * n * 2:  # (k, n, 2), or (k, 2) for a single case
         raise ShapeMismatch(f"posterior centers {centers.shape} do not match {n} truths")
     # case-major rows: every step of the first case, then of the next
     est = EllipseEstimate(center=np.moveaxis(centers.reshape(k, n, 2), 0, 1).reshape(-1, 2),
@@ -370,26 +370,17 @@ def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     return rows.reshape(n, k, 3) if isinstance(truth, list) else rows
 
 
-def evaluate_run(cases, posteriors, polygon_order: int = 256) -> MetricsReport:
-    """Aggregate metrics for filtered posteriors against their cases' truth.
+def evaluate_run(cases, run, polygon_order: int = 256) -> MetricsReport:
+    """Aggregate metrics for one filter run against its cases' truth.
 
-    ``posteriors`` is a list of (states, extensions) pairs aligned with
-    ``cases`` (anything with a ``.truth``), or the (states, extensions) of
-    one run over all of them: a batch's, with a leading case axis (see
-    :func:`memtrack.filtering.run_filter`), or the only case's.  They are
-    pooled over every step of every case.  Extents are scored via the
-    lambda-scaled extension mean.
+    ``run`` is the (states, extensions) of one filter run over ``cases``
+    (anything with a ``.truth``): a batch's, with a leading case axis (see
+    :func:`memtrack.filtering.run_filter`), or the only case's.  The
+    posteriors are pooled over every step of every case.  Extents are
+    scored via the lambda-scaled extension mean.
     """
-    one_run = posteriors and isinstance(posteriors[0][0], TrackState)
-    if one_run and np.ndim(ops.value(posteriors[0][0].mean)) == 2:  # a batch
-        states, exts = posteriors
-        per_case = list(case_series(states, exts, [c.truth for c in cases], polygon_order))
-    else:
-        runs = [posteriors] if one_run else posteriors
-        if len(runs) != len(cases):
-            raise ShapeMismatch(f"{len(runs)} posterior runs vs {len(cases)} cases")
-        per_case = [case_series(states, exts, case.truth, polygon_order=polygon_order)
-                    for (states, exts), case in zip(runs, cases)]
+    states, exts = run
+    per_case = list(case_series(states, exts, [c.truth for c in cases], polygon_order))
     stacked = np.concatenate(per_case, axis=0)
     mse = float(np.mean(stacked[:, 0] ** 2))
     return MetricsReport(

@@ -1,6 +1,5 @@
 """End-to-end CLI coverage on desk-scale data."""
 
-import argparse
 import json
 import re
 import struct
@@ -12,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cli_flags import key_flags
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.config import ConfigView
@@ -265,7 +265,7 @@ class TestTrain:
 class TestEval:
     def test_baseline_report(self, small_dataset, tmp_path):
         out = tmp_path / "rep"
-        rc = main(["eval", str(small_dataset), "--baseline", "--out", str(out),
+        rc = main(["eval", str(small_dataset), "--out", str(out),
                    "--polygon", "64"])
         assert rc == EXIT_OK
         payload = json.loads((tmp_path / "rep.json").read_text())
@@ -278,7 +278,7 @@ class TestEval:
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            rc = main(["eval", str(small_dataset), "--baseline", "--out", str(out),
+            rc = main(["eval", str(small_dataset), "--out", str(out),
                        "--polygon", "64"])
             assert rc == EXIT_OK
             outs.append((tmp_path / f"{name}.csv").read_bytes())
@@ -299,7 +299,7 @@ class TestEval:
 
     @pytest.mark.parametrize("order", ["0", "2"])
     def test_degenerate_polygon_is_config_error(self, small_dataset, tmp_path, order):
-        rc = main(["eval", str(small_dataset), "--baseline", "--out", str(tmp_path / "x"),
+        rc = main(["eval", str(small_dataset), "--out", str(tmp_path / "x"),
                    "--polygon", order])
         assert rc == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
@@ -307,27 +307,39 @@ class TestEval:
     @pytest.mark.parametrize("order", [str(MAX_POLYGON_ORDER + 1), "100000000000"])
     def test_polygon_above_the_cap_is_config_error(self, small_dataset, tmp_path, capsys,
                                                    order):
-        rc = main(["eval", str(small_dataset), "--baseline", "--out", str(tmp_path / "x"),
+        rc = main(["eval", str(small_dataset), "--out", str(tmp_path / "x"),
                    "--polygon", order])
         assert rc == EXIT_CONFIG
         assert "--polygon" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_missing_mode_is_config_error(self, small_dataset, tmp_path):
-        rc = main(["eval", str(small_dataset), "--out", str(tmp_path / "x")])
-        assert rc == EXIT_CONFIG
-
     def test_missing_dataset_is_data_error(self, tmp_path):
-        rc = main(["eval", str(tmp_path / "nope.mtds"), "--baseline",
-                   "--out", str(tmp_path / "x")])
+        rc = main(["eval", str(tmp_path / "nope.mtds"), "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
 
-    def test_baseline_with_checkpoint_is_config_error(self, small_dataset, tmp_path, capsys):
-        rc = main(["eval", str(small_dataset), "--baseline", "--checkpoint",
-                   str(tmp_path / "nope.mtck"), "--out", str(tmp_path / "r")])
+    def test_rows_follow_the_checkpoint(self, small_dataset, tmp_path):
+        """No checkpoint scores the baseline and a checkpoint the learned
+        tracker, each as the same row of a --compare run."""
+        ck = tmp_path / "c.mtck"
+        assert main(["train", str(small_dataset), "--out", str(ck), "--epochs", "1",
+                     "--folds", "1", "--memory-dim", "4"]) == EXIT_OK
+        runs = {"baseline": [], "learned": ["--checkpoint", str(ck)],
+                "both": ["--checkpoint", str(ck), "--compare"]}
+        for name, args in runs.items():
+            rc = main(["eval", str(small_dataset), *args, "--out", str(tmp_path / name),
+                       "--polygon", "64"])
+            assert rc == EXIT_OK
+        for row in ("baseline", "learned"):
+            for ext in ("csv", "json"):
+                assert (tmp_path / f"{row}.{ext}").read_bytes() == \
+                    (tmp_path / f"both.{row}.{ext}").read_bytes()
+        assert (tmp_path / "baseline.json").read_bytes() != \
+            (tmp_path / "learned.json").read_bytes()
+
+    def test_compare_without_checkpoint_is_config_error(self, small_dataset, tmp_path, capsys):
+        rc = main(["eval", str(small_dataset), "--compare", "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "--baseline" in err and "--checkpoint" in err
+        assert "--checkpoint" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -391,7 +403,7 @@ class TestDamagedInputs:
                                         _point_moved_between_frames])
     @pytest.mark.parametrize("command", [
         ["train", "--out", "x.mtck", "--epochs", "1", "--folds", "1", "--memory-dim", "4"],
-        ["eval", "--baseline", "--out", "r"],
+        ["eval", "--out", "r"],
         ["track", "--case", "0", "--out", "t.csv"],
     ])
     def test_damaged_dataset_is_data_error(self, small_dataset, tmp_path, monkeypatch,
@@ -492,7 +504,7 @@ class TestOutOfRangeConfig:
         "model.q_sigma=0", "model.q_sigma=-1",
     ])
     @pytest.mark.parametrize("command", [
-        ["eval", "--baseline", "--out", "r"],
+        ["eval", "--out", "r"],
         ["track", "--case", "3", "--out", "t.csv"],
     ], ids=["eval", "track"])
     def test_config_error(self, small_dataset, tmp_path, monkeypatch, capsys, command,
@@ -737,7 +749,7 @@ class TestConfigKeys:
                         f.name, other[d] if isinstance(d, str) else d + 1)
         view = ConfigView({f"{s}.{n}": str(v) for (s, n), v in expected.items()})
         train_cfg = cli._train_config(view)
-        built = {"scenario": cli._scenario_from(view, argparse.Namespace()),
+        built = {"scenario": cli._scenario_from(view),
                  "tracker": train_cfg.tracker, "train": train_cfg}
         for (section, name), value in expected.items():
             assert getattr(built[section], name) == value, (section, name)
@@ -752,11 +764,72 @@ class TestConfigKeys:
     def test_unknown_key_is_config_error(self, small_dataset, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        rc = main(["eval", str(small_dataset), "--baseline", "--config", str(cfg),
+        rc = main(["eval", str(small_dataset), "--config", str(cfg),
                    "--out", str(tmp_path / "r")])
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+# A small run of each command that has key flags, as config settings, and a
+# valid value for each flag that differs from them.
+FLAG_RUNS = {
+    "simulate": {"scenario.cases": "2", "scenario.steps": "5", "simulate.levels": "0.4:0.6"},
+    "train": {"train.epochs": "1", "train.folds": "1", "train.memory_dim": "3"},
+    "datascale": {"scenario.steps": "8", "train.memory_dim": "3", "train.batch_size": "2",
+                  "datascale.test_cases": "2", "datascale.sizes": "3", "datascale.epochs": "1"},
+}
+FLAG_VALUES = {
+    "scenario.seed": "3", "scenario.cases": "3", "scenario.steps": "6",
+    "simulate.levels": "0.5:0.7,1:1.2", "train.epochs": "2", "train.learning_rate": "0.01",
+    "train.folds": "2", "train.batch_size": "3", "train.memory_dim": "2", "train.seed": "4",
+    "datascale.sizes": "3,4", "datascale.epochs": "2",
+}
+OUTPUTS = {"simulate": "data", "train": "x.mtck", "datascale": "s.csv"}
+
+
+def _flag_run(directory, dataset, command, settings, flags=()):
+    """Exit code and output bytes of ``command`` with ``settings`` as its
+    --config file and ``flags`` after it."""
+    directory.mkdir()
+    cfg = directory.parent / f"{directory.name}.cfg"
+    cfg.write_text("".join("[{}]\n{} = {}\n".format(*key.split("."), value)
+                           for key, value in settings.items()))
+    positional = [str(dataset)] if command == "train" else []
+    rc = main([command, *positional, "--out", str(directory / OUTPUTS[command]),
+               "--config", str(cfg), *flags])
+    return rc, {p.relative_to(directory).as_posix(): p.read_bytes()
+                for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+class TestFlagOverrides:
+    """A flag whose dest names a config key is that key's file line: the
+    same value gives the same bytes, and the flag wins over the line."""
+
+    def test_every_key_flag_has_a_test_value(self):
+        assert {key for _, _, key in key_flags()} == set(FLAG_VALUES)
+
+    @pytest.mark.parametrize("command, flag, key", key_flags())
+    def test_flag_is_its_keys_file_line(self, small_dataset, tmp_path, command, flag, key):
+        assert key in cli.CONFIG_KEYS
+        base = {k: v for k, v in FLAG_RUNS[command].items() if k != key}
+        value = FLAG_VALUES[key]
+        flagged = _flag_run(tmp_path / "flag", small_dataset, command, base, [flag, value])
+        assert flagged[0] == EXIT_OK and flagged[1]
+        assert _flag_run(tmp_path / "file", small_dataset, command,
+                         {**base, key: value}) == flagged
+        broken = {**base, key: "x"}
+        assert _flag_run(tmp_path / "bad", small_dataset, command, broken) == (EXIT_CONFIG, {})
+        assert _flag_run(tmp_path / "both", small_dataset, command, broken,
+                         [flag, value]) == flagged
+
+    @pytest.mark.parametrize("command, flag, key", key_flags())
+    def test_malformed_flag_value_is_config_error(self, small_dataset, tmp_path, capsys,
+                                                  command, flag, key):
+        rc, written = _flag_run(tmp_path / "run", small_dataset, command, {}, [flag, "abc"])
+        assert (rc, written) == (EXIT_CONFIG, {})
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
 
 def _tiny_cfg(tmp_path):

@@ -389,20 +389,17 @@ class TestGwd:
 
 
 class TestEvaluateRun:
-    def _cases_and_runs(self):
+    def _cases_and_run(self):
         cfg = ScenarioConfig(steps=25, cases=3, seed=19)
-        ds = generate_dataset(cfg)
+        cases = generate_dataset(cfg).cases
         model = nominal_cv_model(sigma_w=cfg.sigma_w)
-        cases = ds.test_cases
-        runs = []
-        for case in cases:
-            st, ex, _ = run_filter(case.frames, model, TrackerConfig())
-            runs.append((st, ex))
-        return cases, runs
+        states, exts, _ = run_filter(stack_frames([c.frames for c in cases]), model,
+                                     TrackerConfig())
+        return cases, (states, exts)
 
     def test_report_shapes(self):
-        cases, runs = self._cases_and_runs()
-        rep = evaluate_run(cases, runs, polygon_order=64)
+        cases, run = self._cases_and_run()
+        rep = evaluate_run(cases, run, polygon_order=64)
         assert len(rep.per_case) == len(cases)
         assert all(series.shape == (24, 3) for series in rep.per_case)
         assert 0.0 <= rep.mean_iou <= 1.0
@@ -418,29 +415,29 @@ class TestEvaluateRun:
                   for k in range(1, 10)]
         exts = [ExtensionState(dof=10.0, param=4.0 * case.truth.extents[k])
                 for k in range(1, 10)]
-        rep = evaluate_run([case], [(states, exts)])
+        rep = evaluate_run([case], (states, exts))
         assert rep.position_rmse == 0.0
         assert rep.mean_iou > 0.999
         assert rep.mean_gwd < 1e-9
         # a constant (3, 4) m position offset: every step errs by 5 m
         shifted = [TrackState(mean=s.mean + np.array([3.0, 4.0, 0.0, 0.0]), cov=s.cov)
                    for s in states]
-        rep = evaluate_run([case], [(shifted, exts)])
+        rep = evaluate_run([case], (shifted, exts))
         assert abs(rep.mean_square_position_error - 25.0) < 1e-9
         assert abs(rep.position_rmse - 5.0) < 1e-9
 
     def test_deterministic(self):
-        cases, runs = self._cases_and_runs()
-        a = evaluate_run(cases, runs, polygon_order=64)
-        b = evaluate_run(cases, runs, polygon_order=64)
+        cases, run = self._cases_and_run()
+        a = evaluate_run(cases, run, polygon_order=64)
+        b = evaluate_run(cases, run, polygon_order=64)
         assert a.position_rmse == b.position_rmse
         assert a.mean_iou == b.mean_iou
         assert a.mean_gwd == b.mean_gwd
 
     def test_shape_mismatch(self):
-        cases, runs = self._cases_and_runs()
+        cases, run = self._cases_and_run()
         with pytest.raises(ShapeMismatch):
-            evaluate_run(cases, runs[:-1])
+            evaluate_run(cases[:-1], run)
 
 
 def test_batched_run_scores_as_per_case_runs():
@@ -450,11 +447,11 @@ def test_batched_run_scores_as_per_case_runs():
     frames = stack_frames([c.frames for c in cases])
     states, exts, _ = run_filter(frames, model, TrackerConfig())
     runs = [run_filter(c.frames, model, TrackerConfig())[:2] for c in cases]
-    batched, single = evaluate_run(cases, (states, exts), 64), evaluate_run(cases, runs, 64)
-    for a, b in zip(batched.per_case, single.per_case):
+    want = [metrics.case_series(st, ex, c.truth, 64) for (st, ex), c in zip(runs, cases)]
+    batched = evaluate_run(cases, (states, exts), 64)
+    for a, b in zip(batched.per_case, want, strict=True):
         np.testing.assert_array_equal(a, b)
-    assert batched.position_rmse == single.position_rmse
-    assert evaluate_run(cases[:1], runs[0], 64).per_case[0].tolist() == \
-        single.per_case[0].tolist()
+    assert batched.position_rmse == np.sqrt(np.mean(np.concatenate(want)[:, 0] ** 2))
+    assert evaluate_run(cases[:1], runs[0], 64).per_case[0].tolist() == want[0].tolist()
     with pytest.raises(ShapeMismatch):
         evaluate_run(cases[:2], (states, exts), 64)

@@ -7,7 +7,7 @@ from memtrack import cli, filtering, network, ops, training
 from memtrack.errors import EmptyDataset, NonFinite
 from memtrack.filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
 from memtrack.models import ScenarioConfig, nominal_cv_model
-from memtrack.metrics import evaluate_run
+from memtrack.metrics import case_series, evaluate_run
 from memtrack.network import FEATURE_DIM, forward_sequence, init_params, raw_features
 from memtrack.simulate import SimCase, generate_case, generate_dataset
 from memtrack.training import TrainConfig, collect_feature_stats, sgd_step, train
@@ -127,10 +127,12 @@ class TestTrain:
         model = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
         params = init_params(4, np.random.default_rng(0))
         tcfg = make_cfg()
-        runs = [forward_sequence(params, c.frames, model, tcfg.tracker)[:2] for c in cases]
-        rep = evaluate_run(cases, runs, polygon_order=tcfg.history_polygon)
+        rows = np.concatenate([
+            case_series(*forward_sequence(params, c.frames, model, tcfg.tracker)[:2], c.truth,
+                        tcfg.history_polygon) for c in cases])
         _, rmse, iou, gwd = training._validation_scores(params, cases, model, tcfg)
-        assert (rmse, iou, gwd) == (rep.position_rmse, rep.mean_iou, rep.mean_gwd)
+        assert (rmse, iou, gwd) == (np.sqrt(np.mean(rows[:, 0] ** 2)), np.mean(rows[:, 1]),
+                                    np.mean(rows[:, 2]))
 
     def test_no_finite_validation_loss_raises(self, tiny, monkeypatch):
         ds, model = tiny
@@ -206,13 +208,10 @@ class TestBatchedPasses:
         singles = [training._validation_loss(params, [c], model, TrackerConfig())[0]
                    for c in cases]
         assert loss == np.mean(singles)
-        per_case = [forward_sequence(params, c.frames, model)[:2] for c in cases]
-        batched, single = evaluate_run(cases, run, 32), evaluate_run(cases, per_case, 32)
-        for a, b in zip(batched.per_case, single.per_case):
+        want = [case_series(*forward_sequence(params, c.frames, model)[:2], c.truth, 32)
+                for c in cases]
+        for a, b in zip(evaluate_run(cases, run, 32).per_case, want, strict=True):
             np.testing.assert_array_equal(a, b)
-        for name in ("position_rmse", "mean_iou", "mean_gwd", "peak_position_error",
-                     "peak_iou", "peak_gwd"):
-            assert getattr(batched, name) == getattr(single, name)
 
     def test_one_non_finite_case_makes_the_batch_infinite(self, cases, params, tiny):
         _, model = tiny
