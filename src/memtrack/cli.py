@@ -1,11 +1,14 @@
 """Command-line surface: simulate | train | eval | track | gradcheck | datascale.
 
-All commands are deterministic under a fixed --seed; every result is a file
-(CSV/JSON/.npz archive) so plotting stays external.  A flag that mirrors a
-config key has the key as its ``dest`` and is read as that key's file value.
-``eval``/``track`` score ``--checkpoint``, or the baseline without one.  Exit
-codes: 0 on success, 2 for configuration problems, 3 for data/file problems,
-4 for numeric failures.
+All commands are deterministic under a fixed --seed, and every result is a
+file, so plotting stays external: :mod:`memtrack.store` writes the datasets,
+checkpoints, JSON reports and every CSV table.  A flag that mirrors a config
+key has the key as its ``dest`` and is read as that key's file value.  Each
+command checks its settings before it reads an input file, except those that
+need the dataset: the ``model.*`` keys (``q_sigma`` defaults to its σ_w) and
+``track --case``.  ``eval``/``track`` score ``--checkpoint``, or the baseline
+without one.  Exit codes: 0 on success, 2 for configuration problems, 3 for
+data/file problems, 4 for numeric failures.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
+from . import ops
 from .config import ConfigView, load_config
 from .errors import ConfigError, MemtrackError, NonFinite, StoreError
-from .filtering import TrackerConfig, run_filter
-from .metrics import MAX_POLYGON_ORDER, MetricsReport, evaluate_run
+from .filtering import TrackerConfig, extension_mean, run_filter
+from .metrics import MAX_POLYGON_ORDER, evaluate_run
 from .models import NominalModel, ScenarioConfig, nominal_cv_model, stack_frames
 from .network import forward_sequence, init_params
 from .simulate import generate_case, generate_dataset
@@ -32,6 +36,7 @@ from .store import (
     write_checkpoint,
     write_dataset,
     write_report,
+    write_table,
 )
 from .training import MAX_MEMORY_DIM, EpochRecord, TrainConfig, check_folds, grad_check, train
 
@@ -206,27 +211,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _history_csv(history, path) -> None:
-    """One column per ``EpochRecord`` field: ints as written, floats at 17 digits."""
-    lines = [",".join(f.name for f in fields(EpochRecord))]
-    for rec in history:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in astuple(rec)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_train(args) -> int:
     view = _load_view(args)
+    cfg = _train_config(view, args.mask)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
-    cfg = _train_config(view, args.mask)
     params, history, folds = train(dataset.train_cases, model, cfg)
     digest = hashlib.sha256(
         json.dumps({k: str(v) for k, v in vars(cfg).items()}, sort_keys=True).encode()
     ).hexdigest()[:16]
     write_checkpoint(params, args.out, train_config_digest=digest)
-    _history_csv(history, args.history or (args.out + ".history.csv"))
+    write_table(args.history or (args.out + ".history.csv"),
+                [f.name for f in fields(EpochRecord)], [astuple(rec) for rec in history])
     for rep in folds:
         print(f"fold {rep.fold}: best epoch {rep.best_epoch} "
               f"val loss {rep.best_val_loss:.6g}")
@@ -249,31 +245,32 @@ def _posteriors_for(cases, model, tracker, params=None):
     return states, exts
 
 
-def _pooled_csv(path, first_column: str, rows) -> None:
-    """One row per (tag, MetricsReport): the pooled RMSE, IoU and GWD at 17 digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{first_column},position_rmse,mean_iou,mean_gwd\n")
-        for tag, rep in rows:
-            fh.write(f"{tag},{rep.position_rmse:.17g},{rep.mean_iou:.17g},"
-                     f"{rep.mean_gwd:.17g}\n")
+def _scored(tag: str, cases, model, tracker, params, polygon_order: int):
+    """Run one mode over ``cases``, score it and print its line: (tag, report)."""
+    rep = evaluate_run(cases, _posteriors_for(cases, model, tracker, params),
+                       polygon_order=polygon_order)
+    print(f"{tag:10s} rmse={rep.position_rmse:.4f} m  iou={rep.mean_iou:.4f}  "
+          f"gwd={rep.mean_gwd:.4f}  peaks: err={rep.peak_position_error:.4f} "
+          f"iou={rep.peak_iou:.4f} gwd={rep.peak_gwd:.4f}")
+    return tag, rep
 
 
-def _report_line(tag: str, rep: MetricsReport) -> str:
-    return (f"{tag:10s} rmse={rep.position_rmse:.4f} m  iou={rep.mean_iou:.4f}  "
-            f"gwd={rep.mean_gwd:.4f}  peaks: err={rep.peak_position_error:.4f} "
-            f"iou={rep.peak_iou:.4f} gwd={rep.peak_gwd:.4f}")
+def _pooled_table(path, first_column: str, rows) -> None:
+    """One row per (tag, MetricsReport): the pooled RMSE, IoU and GWD."""
+    write_table(path, (first_column, "position_rmse", "mean_iou", "mean_gwd"),
+                [(tag, r.position_rmse, r.mean_iou, r.mean_gwd) for tag, r in rows])
 
 
 def cmd_eval(args) -> int:
     view = _load_view(args)
-    dataset = read_dataset(args.dataset)
-    model = _model_from(view, dataset.config)
     tracker = _tracker_from(view)
     if args.compare and not args.checkpoint:
         raise ConfigError("--compare needs --checkpoint for the learned row")
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
+    dataset = read_dataset(args.dataset)
+    model = _model_from(view, dataset.config)
     cases = dataset.test_cases
     if not cases:
         raise StoreError("dataset has no test split")
@@ -282,17 +279,11 @@ def cmd_eval(args) -> int:
     if args.checkpoint:
         modes.append(("learned", read_checkpoint(args.checkpoint)))
 
-    rows = []
-    for tag, params in modes:
-        run = _posteriors_for(cases, model, tracker, params)
-        report = evaluate_run(cases, run, polygon_order=args.polygon)
-        suffix = f".{tag}" if len(modes) > 1 else ""
-        write_report(report, f"{args.out}{suffix}.csv", "csv")
-        write_report(report, f"{args.out}{suffix}.json", "json")
-        rows.append((tag, report))
-        print(_report_line(tag, report))
+    rows = [_scored(tag, cases, model, tracker, params, args.polygon) for tag, params in modes]
+    for tag, report in rows:
+        write_report(report, f"{args.out}.{tag}" if len(rows) > 1 else args.out)
     if len(rows) == 2:
-        _pooled_csv(f"{args.out}.compare.csv", "mode", rows)
+        _pooled_table(f"{args.out}.compare.csv", "mode", rows)
     return EXIT_OK
 
 
@@ -307,38 +298,30 @@ def _ellipse_params(extents: np.ndarray) -> np.ndarray:
 
 
 def cmd_track(args) -> int:
-    from .filtering import extension_mean
-    from . import ops
-
     view = _load_view(args)
+    tracker = _tracker_from(view)
     dataset = read_dataset(args.dataset)
     if not (0 <= args.case < len(dataset.cases)):
         raise StoreError(f"case index {args.case} out of range 0..{len(dataset.cases) - 1}")
     model = _model_from(view, dataset.config)
-    tracker = _tracker_from(view)
     case = dataset.cases[args.case]
     params = read_checkpoint(args.checkpoint) if args.checkpoint else None
     states, exts = _posteriors_for([case], model, tracker, params)
 
-    header = ("step,truth_px,truth_py,truth_vx,truth_vy,truth_a,truth_b,truth_angle,"
-              "est_px,est_py,est_vx,est_vy,est_a,est_b,est_angle,n")
-    lines = [header]
+    header = ("step", "truth_px", "truth_py", "truth_vx", "truth_vy", "truth_a", "truth_b",
+              "truth_angle", "est_px", "est_py", "est_vx", "est_vy", "est_a", "est_b",
+              "est_angle", "n")
     rows = slice(1, len(states) + 1)
     table = np.hstack([
         case.truth.states[rows], _ellipse_params(case.truth.extents[rows]),
         np.array([ops.value(st.mean) for st in states]),
         _ellipse_params(np.array([ops.value(extension_mean(ex)) for ex in exts])),
     ])
-    for k, vals in enumerate(table.tolist(), start=1):
-        lines.append(f"{k}," + ",".join(f"{v:.17g}" for v in vals) + f",{len(case.frames[k])}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    write_table(args.out, header, [(k, *vals, len(case.frames[k]))
+                                   for k, vals in enumerate(table.tolist(), start=1)])
     points_path = args.out + ".points.csv"
-    with open(points_path, "w", encoding="utf-8") as fh:
-        fh.write("step,x,y\n")
-        fh.write("".join(f"{k},{x:.17g},{y:.17g}\n"
-                         for k, frame in enumerate(case.frames) for x, y in frame.tolist()))
+    write_table(points_path, ("step", "x", "y"),
+                [(k, x, y) for k, frame in enumerate(case.frames) for x, y in frame.tolist()])
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
     return EXIT_OK
 
@@ -375,29 +358,19 @@ def cmd_datascale(args) -> int:
     for size in sizes:  # before any rung trains
         check_folds(size, train_cfg)
 
-    rows = []
     largest = max(sizes)
     cfg_all = _checked(replace, base, cases=largest + test_cases,
                        train_fraction=largest / (largest + test_cases))
     dataset_all = generate_dataset(cfg_all)
     model = _model_from(view, cfg_all)
-    tracker = _tracker_from(view)
+    tracker, polygon = train_cfg.tracker, train_cfg.history_polygon
 
     held_out = dataset_all.test_cases
-    baseline_run = _posteriors_for(held_out, model, tracker, None)
-    baseline_rep = evaluate_run(held_out, baseline_run,
-                                polygon_order=train_cfg.history_polygon)
-    rows.append(("baseline", baseline_rep))
-    print(_report_line("baseline", baseline_rep))
-
+    rows = [_scored("baseline", held_out, model, tracker, None, polygon)]
     for size in sizes:
         params, _, _ = train(dataset_all.train_cases[:size], model, train_cfg)
-        run = _posteriors_for(held_out, model, tracker, params)
-        rep = evaluate_run(held_out, run, polygon_order=train_cfg.history_polygon)
-        rows.append((str(size), rep))
-        print(_report_line(str(size), rep))
-
-    _pooled_csv(args.out, "train_cases", rows)
+        rows.append(_scored(str(size), held_out, model, tracker, params, polygon))
+    _pooled_table(args.out, "train_cases", rows)
     return EXIT_OK
 
 

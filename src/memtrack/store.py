@@ -1,4 +1,5 @@
-"""Versioned, checksummed persistence for datasets, checkpoints and reports.
+"""Every file memtrack writes: versioned, checksummed datasets and
+checkpoints, and the result tables and reports.
 
 A dataset (``.mtds``) or checkpoint (``.mtck``) is a zip of ``.npy`` members
 in NumPy's ``.npz`` layout (``np.load(path, allow_pickle=False)`` opens it).
@@ -17,7 +18,11 @@ table unlike this build's raise VersionMismatch; a bad CRC, truncation, a
 missing member, an unparsable header or config, or arrays whose shapes or
 frame counts disagree with each other or with the config's cases and steps
 raise ChecksumMismatch.
-Reports go to CSV/JSON at 17 significant digits and reparse identically.
+
+One rule formats every result table, in :func:`write_table`: a header line,
+then comma-separated rows whose ``str`` columns pass through and whose numbers
+print at ``%.17g``, so ints print as ints and floats reparse bit for bit.
+:func:`write_report` writes a report's per-step table and its JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .network import FEATURE_DIM, NetworkParams, _array_specs, zero_params
 from .simulate import Dataset, GroundTruthSequence, SimCase
 
 __all__ = ["FORMAT_VERSION", "write_dataset", "read_dataset", "write_checkpoint",
-           "read_checkpoint", "write_report"]
+           "read_checkpoint", "write_table", "write_report"]
 
 # The dataset format; checkpoints keep format 2, whose members have not changed.
 FORMAT_VERSION = 3
@@ -164,19 +169,27 @@ def read_checkpoint(path) -> NetworkParams:
 
 # -- reports ----------------------------------------------------------------
 
-def write_report(report: MetricsReport, path, fmt: str) -> None:
-    """CSV: per-step series (case, step, pos error, iou, gwd);
-    JSON: every aggregate and peak, that is each field but ``per_case``."""
-    if fmt == "csv":
-        lines = ["case,step,position_error,iou,gwd"]
-        for ci, series in enumerate(report.per_case):
-            lines += [f"{ci},{si}," + ",".join(f"{v:.17g}" for v in row)
-                      for si, row in enumerate(series)]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        payload = {k: v for k, v in vars(report).items() if k != "per_case"}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def write_table(path, header, rows) -> None:
+    """Write the column names ``header``, then each row of the sequence ``rows``.
+
+    The first row sets every line's template: ``%s`` for a ``str`` column,
+    ``%.17g`` for any other, so ``140`` prints as ``140`` and a float to 17
+    significant digits, which reparse to the same float.
+    """
+    lines = [",".join(header) + "\n"]
+    if rows:
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        lines += [line % tuple(row) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(lines))
+
+
+def write_report(report: MetricsReport, prefix) -> None:
+    """``<prefix>.csv``: the per-step series (case, step, pos error, iou, gwd);
+    ``<prefix>.json``: every aggregate and peak, that is each field but ``per_case``."""
+    write_table(f"{prefix}.csv", ("case", "step", "position_error", "iou", "gwd"),
+                [(ci, si, *vals) for ci, series in enumerate(report.per_case)
+                 for si, vals in enumerate(series.tolist())])
+    payload = {k: v for k, v in vars(report).items() if k != "per_case"}
+    with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

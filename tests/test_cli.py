@@ -1,12 +1,10 @@
 """End-to-end CLI coverage on desk-scale data."""
 
 import json
-import re
 import struct
 import warnings
 import weakref
 from dataclasses import MISSING, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +516,26 @@ class TestOutOfRangeConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+class TestSettingsBeforeData:
+    """Settings that need no dataset are checked before it is read, so a bad
+    one exits 2 even when the dataset is missing."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "x.mtck", "--epochs", "x"],
+        ["train", "--out", "x.mtck", "--mask", "jeb,abc"],
+        ["eval", "--out", "r", "--compare"],
+        ["eval", "--out", "r", "--polygon", "1"],
+        ["track", "--case", "0", "--out", "t.csv", "--config", "c.ini"],
+    ], ids=["train-epochs", "train-mask", "eval-compare", "eval-polygon", "track-tracker"])
+    def test_config_error_before_data_error(self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "c.ini").write_text("[tracker]\npos_var = -1\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main([command[0], "nope.mtds", *command[1:]])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
 class TestTrack:
     def test_row_count_and_truth_columns(self, small_dataset, tmp_path):
         out = tmp_path / "track.csv"
@@ -709,25 +727,7 @@ class TestDatascale:
         assert not out.exists()
 
 
-def _documented_keys() -> set[str]:
-    """``section.key`` for every key row of the tables in docs/config.md."""
-    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
-    keys, section = set(), None
-    for line in doc.read_text(encoding="utf-8").splitlines():
-        header = re.match(r"#+ (?:`\[(\w+)\]`)?", line)
-        if header:
-            section = header.group(1)
-            continue
-        row = re.match(r"\| `(\w+)` \|", line)
-        if row and section:
-            keys.add(f"{section}.{row.group(1)}")
-    return keys
-
-
 class TestConfigKeys:
-    def test_accepted_keys_are_the_documented_keys(self):
-        assert cli.CONFIG_KEYS == _documented_keys()
-
     def test_dataclass_defaults_carry_their_field_types(self):
         # values are converted by the type of the default, so a float field
         # with an int default would reject "0.5"

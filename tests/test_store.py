@@ -306,9 +306,8 @@ class TestReports:
 
     def test_csv_rows(self, tmp_path):
         rep = self._report()
-        path = tmp_path / "r.csv"
-        store.write_report(rep, path, "csv")
-        lines = path.read_text().strip().splitlines()
+        store.write_report(rep, tmp_path / "r")
+        lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0] == "case,step,position_error,iou,gwd"
         assert len(lines) == 1 + 4  # J * (K-1) data rows
         assert lines[1].startswith("0,0,")
@@ -317,20 +316,41 @@ class TestReports:
         rep = MetricsReport(per_case=[], mean_square_position_error=0.0,
                             position_rmse=0.0, mean_iou=0.0, mean_gwd=0.0,
                             peak_position_error=0.0, peak_iou=0.0, peak_gwd=0.0)
-        path = tmp_path / "empty.csv"
-        store.write_report(rep, path, "csv")
-        assert path.read_text().strip() == "case,step,position_error,iou,gwd"
+        store.write_report(rep, tmp_path / "empty")
+        assert (tmp_path / "empty.csv").read_text() == "case,step,position_error,iou,gwd\n"
 
     def test_json_round_trip_exact(self, tmp_path):
         rep = self._report()
-        path = tmp_path / "r.json"
-        store.write_report(rep, path, "json")
-        payload = json.loads(path.read_text())
+        store.write_report(rep, tmp_path / "r")
+        payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["position_rmse"] == rep.position_rmse
         assert payload["mean_square_position_error"] == rep.mean_square_position_error
         assert payload["mean_iou"] == rep.mean_iou
         assert payload["peak_iou"] == rep.peak_iou
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            store.write_report(self._report(), tmp_path / "x.bin", "parquet")
+
+class TestWriteTable:
+    def _lines(self, tmp_path, header, rows):
+        store.write_table(tmp_path / "t.csv", header, rows)
+        return (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
+
+    def test_ints_print_as_ints(self, tmp_path):
+        lines = self._lines(tmp_path, ("a", "b"), [(140, -3), (0, 10**16)])
+        assert lines == ["a,b", "140,-3", "0,10000000000000000"]
+
+    def test_floats_reparse_bit_for_bit(self, tmp_path):
+        values = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  1.7976931348623157e308, 0.1]
+        lines = self._lines(tmp_path, ("x",), [(v,) for v in values])
+        assert lines[1:3] == ["-0", "nan"]
+        back = np.array([float(line) for line in lines[1:]])
+        assert back.tobytes() == np.array(values).tobytes()
+
+    def test_str_label_passes_through(self, tmp_path):
+        lines = self._lines(tmp_path, ("mode", "rmse", "n"),
+                            [("baseline", 0.5, 3), ("100%", 0.25, 4)])
+        assert lines == ["mode,rmse,n", "baseline,0.5,3", "100%,0.25,4"]
+
+    def test_no_rows_is_the_header_line(self, tmp_path):
+        store.write_table(tmp_path / "t.csv", ("step", "x", "y"), [])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "step,x,y\n"
