@@ -4,11 +4,13 @@ All commands are deterministic under a fixed --seed, and every result is a
 file, so plotting stays external: :mod:`memtrack.store` writes the datasets,
 checkpoints, JSON reports and every CSV table.  A flag that mirrors a config
 key has the key as its ``dest`` and is read as that key's file value.  Each
-command checks its settings before it reads an input file, except those that
-need the dataset: the ``model.*`` keys (``q_sigma`` defaults to its σ_w) and
-``track --case``.  ``eval``/``track`` score ``--checkpoint``, or the baseline
-without one.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-data/file problems, 4 for numeric failures.
+command checks its settings, and that the directory of each file it writes
+exists (``simulate`` creates its ``--out``), before it reads an input or
+simulates, except settings that need the dataset: the ``model.*`` keys
+(``q_sigma`` defaults to its σ_w) and ``track --case``.  ``eval``/``track``
+score ``--checkpoint``, or the baseline without one.  Exit codes: 0 on
+success, 2 for configuration problems, 3 for data/file problems, 4 for
+numeric failures.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import ConfigError, MemtrackError, NonFinite, StoreError
 from .filtering import TrackerConfig, extension_mean, run_filter
 from .metrics import MAX_POLYGON_ORDER, evaluate_run
 from .models import NominalModel, ScenarioConfig, nominal_cv_model, stack_frames
-from .network import forward_sequence, init_params
+from .network import MASK_FIELDS, forward_sequence, init_params
 from .simulate import generate_case, generate_dataset
 from .store import (
     read_checkpoint,
@@ -47,15 +49,13 @@ EXIT_NUMERIC = 4
 
 DEFAULT_NOISE_LEVELS = [(0.4, 0.6), (0.6, 0.8), (0.8, 1.0), (1.0, 1.2)]
 
-MASK_TOKENS = {"jeb": "mask_evolution", "jub": "mask_update", "mub": "mask_memory"}
-
 # Sections that mirror a config dataclass: each field with a plain default is
 # the key ``section.<field>``, read with the type of that default, so the
 # dataclass holds the only default.  The train masks are set only by --mask.
 DATACLASS_SECTIONS = {
     "scenario": (ScenarioConfig, ()),
     "tracker": (TrackerConfig, ()),
-    "train": (TrainConfig, tuple(MASK_TOKENS.values())),
+    "train": (TrainConfig, tuple(MASK_FIELDS.values())),
 }
 
 # Keys read by name: the nominal model, the simulate sweep and datascale.
@@ -181,14 +181,22 @@ def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
 def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainConfig:
     """Train settings from the config view; ``overrides`` win."""
     tokens = [t.strip() for t in mask_spec.split(",") if t.strip()]
-    unknown = [t for t in tokens if t not in MASK_TOKENS]
+    unknown = [t for t in tokens if t not in MASK_FIELDS]
     if unknown:
-        raise ConfigError(f"unknown mask tokens {unknown}; valid: jeb, jub, mub")
+        raise ConfigError(f"unknown mask tokens {unknown}; valid: {', '.join(MASK_FIELDS)}")
     values = _section_values(view, "train")
     values["tracker"] = _tracker_from(view)
-    values.update({MASK_TOKENS[t]: True for t in tokens})
+    values.update({MASK_FIELDS[t]: True for t in tokens})
     values.update(overrides)
     return _checked(TrainConfig, **values)
+
+
+def _check_out_dirs(*paths) -> None:
+    """Raise StoreError unless the directory of each output path exists."""
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise StoreError(f"output directory {directory} does not exist")
 
 
 def cmd_simulate(args) -> int:
@@ -214,6 +222,8 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     view = _load_view(args)
     cfg = _train_config(view, args.mask)
+    history_path = args.history or (args.out + ".history.csv")
+    _check_out_dirs(args.out, history_path)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     params, history, folds = train(dataset.train_cases, model, cfg)
@@ -221,8 +231,8 @@ def cmd_train(args) -> int:
         json.dumps({k: str(v) for k, v in vars(cfg).items()}, sort_keys=True).encode()
     ).hexdigest()[:16]
     write_checkpoint(params, args.out, train_config_digest=digest)
-    write_table(args.history or (args.out + ".history.csv"),
-                [f.name for f in fields(EpochRecord)], [astuple(rec) for rec in history])
+    write_table(history_path, [f.name for f in fields(EpochRecord)],
+                [astuple(rec) for rec in history])
     for rep in folds:
         print(f"fold {rep.fold}: best epoch {rep.best_epoch} "
               f"val loss {rep.best_val_loss:.6g}")
@@ -269,6 +279,7 @@ def cmd_eval(args) -> int:
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
+    _check_out_dirs(args.out)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     cases = dataset.test_cases
@@ -300,6 +311,7 @@ def _ellipse_params(extents: np.ndarray) -> np.ndarray:
 def cmd_track(args) -> int:
     view = _load_view(args)
     tracker = _tracker_from(view)
+    _check_out_dirs(args.out)
     dataset = read_dataset(args.dataset)
     if not (0 <= args.case < len(dataset.cases)):
         raise StoreError(f"case index {args.case} out of range 0..{len(dataset.cases) - 1}")
@@ -331,6 +343,8 @@ def cmd_gradcheck(args) -> int:
     if not 0 < args.memory_dim <= MAX_MEMORY_DIM:
         raise ConfigError(f"--memory-dim must be between 1 and {MAX_MEMORY_DIM}, "
                           f"got {args.memory_dim}")
+    if not 0 < args.tolerance < np.inf:  # NaN fails both tests
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     case = generate_case(cfg, args.seed, 0)
     model = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, 0xC))))
@@ -357,6 +371,7 @@ def cmd_datascale(args) -> int:
     train_cfg = _train_config(view, epochs=epochs, folds=1, seed=base.seed)
     for size in sizes:  # before any rung trains
         check_folds(size, train_cfg)
+    _check_out_dirs(args.out)
 
     largest = max(sizes)
     cfg_all = _checked(replace, base, cases=largest + test_cases,

@@ -5,7 +5,7 @@ Ellipse membership uses the inverse-extent quadratic form
 (p - c)^T E^-1 (p - c) <= 1, so extent eigenvalues are squared semi-axes.
 IoU and GWD take one pair of ellipses or a stack of K pairs (one per step)
 and score every step of a stack in one vectorized pass; ``case_series``
-scores a whole case that way, or every case of a batched filter run.
+scores every case of a filter run that way, one case or a batch.
 
 IoU approximates each ellipse with an inscribed polygon and intersects the
 two convex polygons exactly; at order 256 the area error is below 1e-3 for
@@ -339,17 +339,12 @@ def gwd(a: EllipseEstimate, b: EllipseEstimate):
     return _shaped(np.maximum(val, 0.0), lead)
 
 
-def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
-    """(K-1, 3) per-step [position error, IoU, GWD] for one filtered case,
-    or (N, K-1, 3) when ``truth`` is the list of N cases' truths: those of a
-    batched run, or the only one of a single case's run.  All steps of all
-    cases are scored in one stacked pass.
-
-    Posteriors correspond to truth steps 2..K (the first frame only
-    initializes the track).
-    """
+def case_series(states, exts, truths, polygon_order: int = 256) -> np.ndarray:
+    """(N, K-1, 3) per-step [position error, IoU, GWD] of a filter run over
+    the N cases whose ``truths`` are listed (one for a single case's run),
+    scored in one stacked pass.  Posteriors correspond to truth steps 2..K
+    (the first frame only initializes the track)."""
     k = len(states)
-    truths = truth if isinstance(truth, list) else [truth]
     if any(k != len(t.states) - 1 for t in truths):
         raise ShapeMismatch(
             f"{k} posteriors do not match {[len(t.states) for t in truths]} truth steps")
@@ -367,7 +362,7 @@ def case_series(states, exts, truth, polygon_order: int = 256) -> np.ndarray:
     rows[:, 0] = np.sqrt(_dot_rows(est.center - tru.center))
     rows[:, 1] = iou_ellipse(est, tru, order=polygon_order)
     rows[:, 2] = gwd(est, tru)
-    return rows.reshape(n, k, 3) if isinstance(truth, list) else rows
+    return rows.reshape(n, k, 3)
 
 
 def evaluate_run(cases, run, polygon_order: int = 256) -> MetricsReport:

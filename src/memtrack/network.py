@@ -48,6 +48,7 @@ from .models import ExtensionState, FrameStats, NominalModel, TrackState
 __all__ = [
     "FEATURE_DIM",
     "PRED_FEATURE_DIM",
+    "MASK_FIELDS",
     "MemoryState",
     "NetworkParams",
     "zero_params",
@@ -65,6 +66,10 @@ __all__ = [
 FEATURE_DIM = 18       # memory-update input features
 PRED_FEATURE_DIM = 12  # prediction-only subset fed to the update heads
 FRAME_COV_EPS = 1e-6   # floor added to the per-frame scatter covariance
+
+# The ablation mask of each block, by its name in checkpoints and on the
+# command line: the evolution heads, the update heads, the memory update.
+MASK_FIELDS = {"jeb": "mask_evolution", "jub": "mask_update", "mub": "mask_memory"}
 
 _OFF_DIAG_2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 _FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
@@ -122,15 +127,8 @@ class NetworkParams:
     feat_std: np.ndarray = field(default_factory=lambda: np.ones(FEATURE_DIM))
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            memory_dim=self.memory_dim,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            mask_evolution=self.mask_evolution,
-            mask_update=self.mask_update,
-            mask_memory=self.mask_memory,
-            feat_mean=self.feat_mean.copy(),
-            feat_std=self.feat_std.copy(),
-        )
+        return replace(self, arrays={k: v.copy() for k, v in self.arrays.items()},
+                       feat_mean=self.feat_mean.copy(), feat_std=self.feat_std.copy())
 
     def leaves(self, tape: ops.Tape) -> dict[str, ops.Var]:
         return {k: tape.leaf(v) for k, v in self.arrays.items()}

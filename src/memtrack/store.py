@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ChecksumMismatch, VersionMismatch
 from .metrics import MetricsReport
 from .models import ScenarioConfig
-from .network import FEATURE_DIM, NetworkParams, _array_specs, zero_params
+from .network import FEATURE_DIM, MASK_FIELDS, NetworkParams, _array_specs, zero_params
 from .simulate import Dataset, GroundTruthSequence, SimCase
 
 __all__ = ["FORMAT_VERSION", "write_dataset", "read_dataset", "write_checkpoint",
@@ -139,9 +139,8 @@ def read_dataset(path) -> Dataset:
 # -- checkpoints ------------------------------------------------------------
 
 def write_checkpoint(params: NetworkParams, path, train_config_digest: str = "") -> None:
-    masks = {"jeb": params.mask_evolution, "jub": params.mask_update, "mub": params.mask_memory}
     header = {"kind": "checkpoint", "memory_dim": int(params.memory_dim),
-              "masks": {k: bool(v) for k, v in masks.items()},
+              "masks": {k: bool(getattr(params, f)) for k, f in MASK_FIELDS.items()},
               "train_config_digest": train_config_digest}
     arrays = {**params.arrays, "feat_mean": params.feat_mean, "feat_std": params.feat_std}
     _write_archive(path, header, [(name, np.asarray(a, "<f8")) for name, a in arrays.items()])
@@ -157,8 +156,7 @@ def _checkpoint_from(header: dict, a: dict) -> NetworkParams:
         raise VersionMismatch("checkpoint shape table does not match this build")
     if not _layout_ok(feats, dict.fromkeys(feats, ("<f8", (FEATURE_DIM,)))):
         raise ChecksumMismatch(f"feature statistics are not of length {FEATURE_DIM}")
-    params = zero_params(header["memory_dim"], mask_evolution=masks["jeb"],
-                         mask_update=masks["jub"], mask_memory=masks["mub"])
+    params = zero_params(header["memory_dim"], **{f: masks[k] for k, f in MASK_FIELDS.items()})
     return replace(params, arrays={name: a[name] for name in shapes}, **feats)
 
 

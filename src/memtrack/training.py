@@ -11,7 +11,9 @@ Gradients are taped one sequence at a time; the plain passes run all their
 cases as one batch (see :func:`memtrack.filtering.run_filter`): the feature
 statistics pass over the training cases, and each validation pass, whose
 metrics pool through :func:`memtrack.metrics.evaluate_run`.  ``grad_check``
-checks the gradient that training itself computes.
+checks the gradient that training itself computes.  Each fold keeps one
+copy of its best parameters, which a diverged epoch rolls back to; the
+checkpoint is the first (fold, epoch) with the lowest validation loss.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filt
 from .models import NominalModel, stack_frames
 from .network import (
     FEATURE_DIM,
+    MASK_FIELDS,
     NetworkParams,
     forward_sequence,
     init_params,
@@ -275,10 +278,10 @@ def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
     """Cross-validated training on ``train_cases`` (a dataset's
     ``train_cases``, say); returns (best params, history, fold reports).
 
-    The returned parameters are the checkpoint with the lowest validation
-    joint loss across every (fold, epoch); NonFinite is raised when no
-    validation loss is finite, ConfigError when :func:`check_folds` finds a
-    fold with none to train on, EmptyDataset when there are no cases.
+    The returned parameters are the first (fold, epoch) checkpoint with the
+    lowest validation joint loss; NonFinite is raised when no validation
+    loss is finite, ConfigError when :func:`check_folds` finds a fold with
+    none to train on, EmptyDataset when there are no cases.
     History carries one record per (fold, epoch) with train/val loss and
     validation metric summaries.
     """
@@ -294,14 +297,9 @@ def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
 
     for fold, tr_idx, val_idx in _fold_partition(len(train_cases), cfg, split_rng):
         fold_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, fold))))
-        params = init_params(
-            cfg.memory_dim, fold_rng,
-            mask_evolution=cfg.mask_evolution,
-            mask_update=cfg.mask_update,
-            mask_memory=cfg.mask_memory,
-        )
-        params.feat_mean = feat_mean.copy()
-        params.feat_std = feat_std.copy()
+        params = init_params(cfg.memory_dim, fold_rng,
+                             **{f: getattr(cfg, f) for f in MASK_FIELDS.values()})
+        params.feat_mean, params.feat_std = feat_mean, feat_std
         velocity = {k: np.zeros_like(v) for k, v in params.arrays.items()}
         val_cases = [train_cases[i] for i in val_idx]
 
@@ -310,13 +308,9 @@ def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
         # (only the loss: no IoU/GWD), and on a diverged epoch restore the
         # best-known parameters and halve the learning rate instead of
         # wandering on.
-        init_val, _ = _validation_loss(params, val_cases, model, cfg.tracker)
-        fold_best, fold_best_epoch = init_val, -1
-        fold_best_arrays = {k: v.copy() for k, v in params.arrays.items()}
+        fold_best_val, _ = _validation_loss(params, val_cases, model, cfg.tracker)
+        fold_best, fold_best_epoch = params.copy(), -1
         lr_eff = cfg.learning_rate
-        if init_val < best_val:
-            best_val = init_val
-            best_params = params.copy()
 
         for epoch in range(cfg.epochs):
             eff_cfg = replace(cfg, learning_rate=lr_eff)
@@ -346,19 +340,17 @@ def train(train_cases: list[SimCase], model: NominalModel, cfg: TrainConfig):
             history.append(EpochRecord(
                 fold=fold, epoch=epoch, train_loss=train_loss,
                 val_loss=val_loss, val_rmse=val_rmse, val_iou=val_iou, val_gwd=val_gwd))
-            if not np.isfinite(val_loss) or val_loss > 10.0 * max(fold_best, 1.0):
-                params.arrays = {k: v.copy() for k, v in fold_best_arrays.items()}
+            if not np.isfinite(val_loss) or val_loss > 10.0 * max(fold_best_val, 1.0):
+                params = fold_best.copy()
                 velocity = {k: np.zeros_like(v) for k, v in velocity.items()}
                 lr_eff *= 0.5
                 continue
-            if val_loss < fold_best:
-                fold_best, fold_best_epoch = val_loss, epoch
-                fold_best_arrays = {k: v.copy() for k, v in params.arrays.items()}
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best_params = params.copy()
+            if val_loss < fold_best_val:
+                fold_best_val, fold_best, fold_best_epoch = val_loss, params.copy(), epoch
         fold_reports.append(FoldReport(fold=fold, best_epoch=fold_best_epoch,
-                                       best_val_loss=fold_best))
+                                       best_val_loss=fold_best_val))
+        if fold_best_val < best_val:
+            best_val, best_params = fold_best_val, fold_best
 
     if best_params is None:
         raise NonFinite("no (fold, epoch) reached a finite validation loss")
@@ -396,8 +388,7 @@ def grad_check(
     floor = 1e-3 * (1.0 + ginf)
 
     def loss_at(arrays):
-        probe = params.copy()
-        probe.arrays = arrays
+        probe = replace(params, arrays=arrays)
         return float(ops.value(_run_loss(probe, [case], model, tcfg, gamma)[0]))
 
     worst = 0.0

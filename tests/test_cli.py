@@ -536,6 +536,28 @@ class TestSettingsBeforeData:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
+class TestOutputDirectories:
+    """A command whose output directory is missing exits 3 before it reads
+    an input or simulates."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "DATA", "--out", "missing/x.mtck"],
+        ["train", "DATA", "--out", "x.mtck", "--history", "missing/h.csv"],
+        ["eval", "DATA", "--out", "missing/r"],
+        ["track", "DATA", "--case", "0", "--out", "missing/t.csv"],
+        ["datascale", "--out", "missing/ds.csv", "--sizes", "3", "--epochs", "1"],
+    ], ids=["train-out", "train-history", "eval", "track", "datascale"])
+    def test_missing_output_directory_is_data_error(self, small_dataset, tmp_path,
+                                                    monkeypatch, capsys, command):
+        for name in ("train", "generate_dataset", "read_dataset"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
+        monkeypatch.chdir(tmp_path)
+        rc = main([str(small_dataset) if arg == "DATA" else arg for arg in command])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == "data error: output directory missing does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrack:
     def test_row_count_and_truth_columns(self, small_dataset, tmp_path):
         out = tmp_path / "track.csv"
@@ -663,6 +685,15 @@ class TestGradcheck:
                                        ["--steps", "1"], ["--seed", "-1"]])
     def test_bad_value_is_config_error(self, extra):
         assert main(["gradcheck", "--steps", "2", "--memory-dim", "2", *extra]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "0"])
+    def test_tolerance_not_positive_and_finite_is_config_error(self, monkeypatch, capsys,
+                                                               tolerance):
+        monkeypatch.setattr(cli, "generate_case", lambda *args: pytest.fail("case generated"))
+        rc = main(["gradcheck", "--steps", "2", "--memory-dim", "1",
+                   f"--tolerance={tolerance}"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --tolerance")
 
 
 class TestDatascale:

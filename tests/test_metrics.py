@@ -272,7 +272,7 @@ class TestStacks:
 
     def test_case_series_rows_match_single_pairs(self):
         states, exts, truth = self._case()
-        rows = metrics.case_series(states, exts, truth, polygon_order=256)
+        rows = metrics.case_series(states, exts, [truth], polygon_order=256)[0]
         assert rows.shape == (140, 3)
         for i, (st, ex) in enumerate(zip(states, exts)):
             est = EllipseEstimate(st.mean[:2], extension_mean(ex))
@@ -303,7 +303,7 @@ class TestStacks:
         bad = exts[:]
         bad[7] = ExtensionState(dof=bad[7].dof, param=np.full((2, 2), np.nan))
         with pytest.raises(NonFinite):
-            metrics.case_series(states, bad, truth)
+            metrics.case_series(states, bad, [truth])
         circles = EllipseEstimate(np.zeros((3, 2)), np.stack([np.eye(2)] * 3))
         broken = EllipseEstimate(np.zeros((3, 2)), circles.extent.copy())
         broken.extent[1, 0, 0] = np.inf
@@ -447,7 +447,7 @@ def test_batched_run_scores_as_per_case_runs():
     frames = stack_frames([c.frames for c in cases])
     states, exts, _ = run_filter(frames, model, TrackerConfig())
     runs = [run_filter(c.frames, model, TrackerConfig())[:2] for c in cases]
-    want = [metrics.case_series(st, ex, c.truth, 64) for (st, ex), c in zip(runs, cases)]
+    want = [metrics.case_series(st, ex, [c.truth], 64)[0] for (st, ex), c in zip(runs, cases)]
     batched = evaluate_run(cases, (states, exts), 64)
     for a, b in zip(batched.per_case, want, strict=True):
         np.testing.assert_array_equal(a, b)

@@ -623,6 +623,33 @@ class TestStacks:
         np.testing.assert_array_equal(ops.sym_project(stack, 1e-9), stack)
 
     @pytest.mark.parametrize("dim", [2, 4])
+    def test_clamped_open_and_proven_rows_each_project_as_alone(self, dim):
+        """Rows that clamp, rows the stack proof leaves open without a clamp
+        and proven rows, in one stack: each row projects exactly as alone."""
+        rng = np.random.default_rng(31)
+        eps = 0.5
+        at_floor = np.diag(np.arange(dim) + eps)  # smallest eigenvalue exactly eps
+        stack = np.array([_spectrum(dim, rng, -1.0), at_floor, _spectrum(dim, rng, 3.0),
+                          _spectrum(dim, rng, eps - 1e-3), _spectrum(dim, rng, 2.0)])
+        assert [ops._project_value(s, eps)[3] for s in stack] == [True, False, False, True,
+                                                                   False]
+        proven = ops._above_rows(stack, eps)
+        assert proven.tolist() == ([False, False, True, False, True] if dim == 2
+                                   else [False] * 5)  # a 4x4 stack is proven as a whole
+        got = ops._project_rows(stack, eps)
+        for i, s in enumerate(stack):
+            np.testing.assert_array_equal(got[i], ops._project_value(s, eps)[0])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_a_stack_with_nothing_to_clamp_is_returned_itself(self, dim):
+        rng = np.random.default_rng(32)
+        proven = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0)])
+        left_open = np.array([np.diag(np.arange(dim) + 0.5), proven[0]])
+        assert ops._above_rows(proven, 0.5).all() and not ops._above_rows(left_open, 0.5)[0]
+        for stack in (proven, left_open):
+            assert ops._project_rows(stack, 0.5) is stack
+
+    @pytest.mark.parametrize("dim", [2, 4])
     def test_non_finite_row_raises_non_finite(self, dim):
         stack = np.array([np.eye(dim), np.eye(dim)])
         stack[1, 0, 0] = np.nan

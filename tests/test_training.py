@@ -128,8 +128,8 @@ class TestTrain:
         params = init_params(4, np.random.default_rng(0))
         tcfg = make_cfg()
         rows = np.concatenate([
-            case_series(*forward_sequence(params, c.frames, model, tcfg.tracker)[:2], c.truth,
-                        tcfg.history_polygon) for c in cases])
+            case_series(*forward_sequence(params, c.frames, model, tcfg.tracker)[:2], [c.truth],
+                        tcfg.history_polygon)[0] for c in cases])
         _, rmse, iou, gwd = training._validation_scores(params, cases, model, tcfg)
         assert (rmse, iou, gwd) == (np.sqrt(np.mean(rows[:, 0] ** 2)), np.mean(rows[:, 1]),
                                     np.mean(rows[:, 2]))
@@ -208,7 +208,7 @@ class TestBatchedPasses:
         singles = [training._validation_loss(params, [c], model, TrackerConfig())[0]
                    for c in cases]
         assert loss == np.mean(singles)
-        want = [case_series(*forward_sequence(params, c.frames, model)[:2], c.truth, 32)
+        want = [case_series(*forward_sequence(params, c.frames, model)[:2], [c.truth], 32)[0]
                 for c in cases]
         for a, b in zip(evaluate_run(cases, run, 32).per_case, want, strict=True):
             np.testing.assert_array_equal(a, b)
@@ -253,8 +253,8 @@ class TestBatchedPasses:
                                                                   TrackerConfig())
         nodes, backward = [], ops.Tape.backward
         monkeypatch.setattr(ops.Tape, "backward",
-                            lambda tape, out, seed=1.0: nodes.append(len(tape.entries))
-                            or backward(tape, out, seed))
+                            lambda tape, out: nodes.append(len(tape.entries))
+                            or backward(tape, out))
         loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
         assert np.isfinite(loss) and nodes == [1960]
 
@@ -279,3 +279,61 @@ def test_all_skipped_epoch_records_nan_without_a_warning(tiny, monkeypatch):
         with pytest.raises(NonFinite):
             train(ds.train_cases, model, make_cfg(epochs=2))
     assert len(history) == 2 and all(np.isnan(h["train_loss"]) for h in history)
+
+
+class TestSelection:
+    """The checkpoint is the first (fold, epoch) with the lowest validation
+    loss, and a diverged epoch rolls back to its fold's best parameters."""
+
+    def _scripted(self, monkeypatch, schedule):
+        """Replace both validation passes by ``schedule``, one loss per call
+        (each fold's initialization first), and keep the arrays each call saw."""
+        seen, losses = [], iter(schedule)
+
+        def loss(params, *args):
+            seen.append({k: v.copy() for k, v in params.arrays.items()})
+            return next(losses), None
+
+        monkeypatch.setattr(training, "_validation_loss", loss)
+        monkeypatch.setattr(training, "_validation_scores",
+                            lambda *args: (loss(*args)[0], 0.0, 0.0, 0.0))
+        return seen
+
+    def test_first_fold_epoch_minimum_wins(self, tiny, monkeypatch):
+        ds, model = tiny
+        # per fold: the initialization, then epochs 0, 1 and 2
+        seen = self._scripted(monkeypatch, [9.0, 8.0, 6.0, 7.0,
+                                            9.0, 6.0, 5.0, 5.0,
+                                            5.0, 7.0, 5.0, 8.0])
+        params, history, folds = train(ds.train_cases, model,
+                                       make_cfg(folds=3, epochs=3, learning_rate=0.05))
+        assert [(r.best_epoch, r.best_val_loss) for r in folds] == [(1, 6.0), (1, 5.0),
+                                                                     (-1, 5.0)]
+        assert [r.val_loss for r in history] == [8.0, 6.0, 7.0, 6.0, 5.0, 5.0, 7.0, 5.0, 8.0]
+        best = seen[6]  # fold 1, epoch 1
+        assert not np.array_equal(best["lstm_w"], seen[7]["lstm_w"])
+        for name, value in params.arrays.items():
+            np.testing.assert_array_equal(value, best[name])
+
+    def test_rollback_restores_the_fold_best_and_halves_the_rate(self, tiny, monkeypatch):
+        ds, model = tiny
+        seen = self._scripted(monkeypatch, [10.0, 8.0, 1000.0, 9.0])
+        steps, real_step = [], training.sgd_step
+
+        def recorded(arrays, grads, velocity, cfg):
+            steps.append((len(seen), arrays, velocity, cfg.learning_rate))
+            return real_step(arrays, grads, velocity, cfg)
+
+        monkeypatch.setattr(training, "sgd_step", recorded)
+        params, _, folds = train(ds.train_cases, model,
+                                 make_cfg(epochs=3, learning_rate=0.05))
+        assert [(r.best_epoch, r.best_val_loss) for r in folds] == [(0, 8.0)]
+        epoch2 = [s for s in steps if s[0] == 3]  # after the third validation call
+        assert [s[3] for s in steps] == [0.05] * (len(steps) - len(epoch2)) \
+            + [0.025] * len(epoch2)
+        _, arrays, velocity, _ = epoch2[0]
+        for name, value in arrays.items():
+            np.testing.assert_array_equal(value, seen[1][name])  # epoch 0's arrays
+            assert not velocity[name].any()
+        for name, value in params.arrays.items():
+            np.testing.assert_array_equal(value, seen[1][name])
