@@ -4,10 +4,11 @@ All commands are deterministic under a fixed --seed, and every result is a
 file, so plotting stays external: :mod:`memtrack.store` writes the datasets,
 checkpoints, JSON reports and every CSV table.  A flag that mirrors a config
 key has the key as its ``dest`` and is read as that key's file value.  Each
-command checks its settings, and that the directory of each file it writes
-exists (``simulate`` creates its ``--out``), before it reads an input or
-simulates, except settings that need the dataset: the ``model.*`` keys
-(``q_sigma`` defaults to its σ_w) and ``track --case``.  ``eval``/``track``
+command checks its settings and its output paths (each directory exists, no
+file is an existing directory, no two name one file; ``simulate`` creates
+its ``--out``) before it reads an input or simulates, except settings that
+need the dataset: the ``model.*`` keys (``q_sigma`` defaults to its σ_w)
+and ``track --case``.  ``eval``/``track``
 score ``--checkpoint``, or the baseline without one.  Exit codes: 0 on
 success, 2 for configuration problems, 3 for data/file problems, 4 for
 numeric failures.
@@ -24,8 +25,7 @@ from dataclasses import MISSING, astuple, fields, replace
 
 import numpy as np
 
-from . import ops
-from .config import ConfigView, load_config
+from . import config, ops
 from .errors import ConfigError, MemtrackError, NonFinite, StoreError
 from .filtering import TrackerConfig, extension_mean, run_filter
 from .metrics import MAX_POLYGON_ORDER, evaluate_run
@@ -61,8 +61,6 @@ DATACLASS_SECTIONS = {
 # Keys read by name: the nominal model, the simulate sweep and datascale.
 NAMED_KEYS = ("model.q_sigma", "model.delta", "simulate.levels",
               "datascale.sizes", "datascale.test_cases", "datascale.epochs")
-
-_GETTERS = {int: ConfigView.get_int, float: ConfigView.get_float, str: ConfigView.get_str}
 
 
 def _section_fields(section: str):
@@ -136,21 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_view(args) -> ConfigView:
+def _load_view(args) -> dict[str, str]:
     """The ``--config`` file's keys, each overridden by the flag whose dest it is."""
-    view = ConfigView() if args.config is None else load_config(args.config)
-    unknown = sorted(set(view.values) - CONFIG_KEYS)
+    view = {} if args.config is None else config.load_config(args.config)
+    unknown = sorted(set(view) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys {', '.join(unknown)}")
-    view.values.update((key, value) for key, value in vars(args).items()
-                       if key in CONFIG_KEYS and value is not None)
+    view.update((key, value) for key, value in vars(args).items()
+                if key in CONFIG_KEYS and value is not None)
     return view
-
-
-def _section_values(view: ConfigView, section: str) -> dict:
-    """The fields of a dataclass section that the config file sets."""
-    return {f.name: _GETTERS[type(f.default)](view, f"{section}.{f.name}")
-            for f in _section_fields(section) if f"{section}.{f.name}" in view.values}
 
 
 def _checked(build, *args, **kwargs):
@@ -161,56 +153,63 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _scenario_from(view: ConfigView) -> ScenarioConfig:
-    return _checked(ScenarioConfig, **_section_values(view, "scenario"))
+def _section(view: dict, section: str, **values):
+    """A dataclass section built from the keys ``view`` sets, each parsed
+    with the type of its field's default; ``values`` win."""
+    cls, _ = DATACLASS_SECTIONS[section]
+    parsed = {f.name: config.get(view, f"{section}.{f.name}", type(f.default))
+              for f in _section_fields(section) if f"{section}.{f.name}" in view}
+    return _checked(cls, **{**parsed, **values})
 
 
-def _tracker_from(view: ConfigView) -> TrackerConfig:
-    return _checked(TrackerConfig, **_section_values(view, "tracker"))
-
-
-def _model_from(view: ConfigView, dataset_cfg: ScenarioConfig) -> NominalModel:
+def _model_from(view: dict, dataset_cfg: ScenarioConfig) -> NominalModel:
     """The nominal model; an unset ``model.delta`` takes nominal_cv_model's default."""
-    settings = {"sigma_w": view.get_float("model.q_sigma", dataset_cfg.sigma_w),
+    settings = {"sigma_w": config.get(view, "model.q_sigma", float, dataset_cfg.sigma_w),
                 "dt": dataset_cfg.dt}
-    if "model.delta" in view.values:
-        settings["delta"] = view.get_float("model.delta")
+    if "model.delta" in view:
+        settings["delta"] = config.get(view, "model.delta", float)
     return _checked(nominal_cv_model, **settings)
 
 
-def _train_config(view: ConfigView, mask_spec: str = "", **overrides) -> TrainConfig:
+def _train_config(view: dict, mask_spec: str = "", **overrides) -> TrainConfig:
     """Train settings from the config view; ``overrides`` win."""
     tokens = [t.strip() for t in mask_spec.split(",") if t.strip()]
     unknown = [t for t in tokens if t not in MASK_FIELDS]
     if unknown:
         raise ConfigError(f"unknown mask tokens {unknown}; valid: {', '.join(MASK_FIELDS)}")
-    values = _section_values(view, "train")
-    values["tracker"] = _tracker_from(view)
-    values.update({MASK_FIELDS[t]: True for t in tokens})
-    values.update(overrides)
-    return _checked(TrainConfig, **values)
+    return _section(view, "train", tracker=_section(view, "tracker"),
+                    **{MASK_FIELDS[t]: True for t in tokens}, **overrides)
 
 
-def _check_out_dirs(*paths) -> None:
-    """Raise StoreError unless the directory of each output path exists."""
+def _check_out_dirs(*paths, prefix: bool = False) -> None:
+    """Raise StoreError unless the directory of each output path exists, no
+    path is an existing directory (a ``prefix`` that file names extend may
+    be) and no two paths name one file."""
     for path in paths:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise StoreError(f"output directory {directory} does not exist")
+        if not prefix and os.path.isdir(path):
+            raise StoreError(f"output path {path} is a directory")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise StoreError(f"output paths {' and '.join(paths)} name one file")
 
 
 def cmd_simulate(args) -> int:
     view = _load_view(args)
-    base = _scenario_from(view)
-    levels = view.get_float_pairs("simulate.levels", DEFAULT_NOISE_LEVELS)
-    configs = [_checked(replace, base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
-               for li, (sw, sv) in enumerate(levels)]
-    os.makedirs(args.out, exist_ok=True)
-    for cfg in configs:
-        dataset = generate_dataset(cfg)
+    base = _section(view, "scenario")
+    levels = config.get_float_pairs(view, "simulate.levels", DEFAULT_NOISE_LEVELS)
+    configs = {}  # file name -> its level's scenario
+    for li, (sw, sv) in enumerate(levels):
+        cfg = _checked(replace, base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
         name = f"dataset_sw{cfg.sigma_w:g}_sv{cfg.sigma_v:g}.mtds"
-        path = os.path.join(args.out, name)
-        write_dataset(dataset, path)
+        if name in configs:
+            raise ConfigError(f"two noise levels would write {os.path.join(args.out, name)}")
+        configs[name] = cfg
+    os.makedirs(args.out, exist_ok=True)
+    for name, cfg in configs.items():
+        dataset = generate_dataset(cfg)
+        write_dataset(dataset, os.path.join(args.out, name))
         mean_n = float(np.mean([len(f) for c in dataset.cases for f in c.frames]))
         print(f"{name}: cases={cfg.cases} steps={cfg.steps} "
               f"train/test={len(dataset.train_cases)}/{len(dataset.test_cases)} "
@@ -273,13 +272,13 @@ def _pooled_table(path, first_column: str, rows) -> None:
 
 def cmd_eval(args) -> int:
     view = _load_view(args)
-    tracker = _tracker_from(view)
+    tracker = _section(view, "tracker")
     if args.compare and not args.checkpoint:
         raise ConfigError("--compare needs --checkpoint for the learned row")
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, prefix=True)
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     cases = dataset.test_cases
@@ -310,8 +309,9 @@ def _ellipse_params(extents: np.ndarray) -> np.ndarray:
 
 def cmd_track(args) -> int:
     view = _load_view(args)
-    tracker = _tracker_from(view)
-    _check_out_dirs(args.out)
+    tracker = _section(view, "tracker")
+    points_path = args.out + ".points.csv"
+    _check_out_dirs(args.out, points_path)
     dataset = read_dataset(args.dataset)
     if not (0 <= args.case < len(dataset.cases)):
         raise StoreError(f"case index {args.case} out of range 0..{len(dataset.cases) - 1}")
@@ -331,7 +331,6 @@ def cmd_track(args) -> int:
     ])
     write_table(args.out, header, [(k, *vals, len(case.frames[k]))
                                    for k, vals in enumerate(table.tolist(), start=1)])
-    points_path = args.out + ".points.csv"
     write_table(points_path, ("step", "x", "y"),
                 [(k, x, y) for k, frame in enumerate(case.frames) for x, y in frame.tolist()])
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
@@ -360,14 +359,14 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_datascale(args) -> int:
     view = _load_view(args)
-    base = _scenario_from(view)
-    sizes = view.get_int_list("datascale.sizes", [100, 200, 1000])
+    base = _section(view, "scenario")
+    sizes = config.get_int_list(view, "datascale.sizes", [100, 200, 1000])
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"datascale sizes must be positive integers, got {sizes}")
-    test_cases = view.get_int("datascale.test_cases", 25)
+    test_cases = config.get(view, "datascale.test_cases", int, 25)
     if test_cases < 1:
         raise ConfigError(f"datascale.test_cases must be positive, got {test_cases}")
-    epochs = view.get_int("datascale.epochs", 10)
+    epochs = config.get(view, "datascale.epochs", int, 10)
     train_cfg = _train_config(view, epochs=epochs, folds=1, seed=base.seed)
     for size in sizes:  # before any rung trains
         check_folds(size, train_cfg)

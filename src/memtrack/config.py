@@ -2,15 +2,18 @@
 
 Grammar (documented in docs/config.md): blank lines and #-comments are
 ignored; a section header is ``[name]``; every other line is ``key = value``.
-Keys are reported as ``section.key``; values stay strings until a typed
-getter converts them.  Parse failures carry the 1-based line number.
+Keys are reported as ``section.key``.  A config is the ``dict[str, str]``
+it parses to; :func:`get`, :func:`get_float_pairs` and :func:`get_int_list`
+convert one key's value, reporting a value they cannot parse as a
+ConfigError that names the key.  Parse failures carry the 1-based line
+number.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError
 
-__all__ = ["parse_config", "load_config", "ConfigView"]
+__all__ = ["parse_config", "load_config", "get", "get_float_pairs", "get_int_list"]
 
 
 def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
@@ -38,63 +41,51 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
-def load_config(path) -> "ConfigView":
+def load_config(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return ConfigView(parse_config(text, source=str(path)))
+    return parse_config(text, source=str(path))
 
 
-class ConfigView:
-    """Typed access over parsed key/value pairs."""
+def get(values: dict[str, str], key: str, conv=str, default=None):
+    """``conv`` of ``key``'s value, or ``default`` when the key is unset."""
+    if key not in values:
+        return default
+    raw = values[key]
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"option {key!r}: cannot parse {raw!r}") from exc
 
-    def __init__(self, values: dict[str, str] | None = None):
-        self.values = dict(values or {})
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def _convert(self, key: str, conv, default):
-        if key not in self.values:
-            return default
-        raw = self.values[key]
+def get_float_pairs(values: dict[str, str], key: str, default=None):
+    """Parse e.g. ``0.4:0.6, 0.6:0.8`` into [(0.4, 0.6), (0.6, 0.8)]."""
+    if key not in values:
+        return default
+    pairs = []
+    for chunk in values[key].split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(":")
+        if len(parts) != 2:
+            raise ConfigError(f"option {key!r}: expected a:b pairs, got {chunk!r}")
         try:
-            return conv(raw)
+            pairs.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ConfigError(f"option {key!r}: cannot parse {raw!r}") from exc
+            raise ConfigError(f"option {key!r}: cannot parse {chunk!r}") from exc
+    if not pairs:
+        raise ConfigError(f"option {key!r}: no pairs given")
+    return pairs
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return self._convert(key, int, default)
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return self._convert(key, float, default)
-
-    def get_float_pairs(self, key: str, default=None):
-        """Parse e.g. ``0.4:0.6, 0.6:0.8`` into [(0.4, 0.6), (0.6, 0.8)]."""
-        if key not in self.values:
-            return default
-        pairs = []
-        for chunk in self.values[key].split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"option {key!r}: expected a:b pairs, got {chunk!r}")
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ConfigError(f"option {key!r}: cannot parse {chunk!r}") from exc
-        if not pairs:
-            raise ConfigError(f"option {key!r}: no pairs given")
-        return pairs
-
-    def get_int_list(self, key: str, default=None):
-        if key not in self.values:
-            return default
-        try:
-            return [int(x) for x in self.values[key].split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"option {key!r}: expected integers") from exc
+def get_int_list(values: dict[str, str], key: str, default=None):
+    if key not in values:
+        return default
+    try:
+        return [int(x) for x in values[key].split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"option {key!r}: expected integers") from exc

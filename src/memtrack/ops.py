@@ -5,9 +5,9 @@ stage computes its outputs in plain numpy, by the same expressions with or
 without a tape, and hands them to :func:`node` with its parents and its
 vjp; :func:`node` records them on the tape the parents share, or returns
 them unchanged when no parent is a :class:`Var`.  Training-time forwards
-and plain inference therefore produce the same values bit for bit.  The
-filter stages, the network blocks and the loss record themselves this way
-(see :mod:`memtrack.filtering` and :mod:`memtrack.network`), as do
+and plain inference therefore produce the same values bit for bit.  Every
+node comes from :func:`node`: the filter stages, the network blocks and
+the loss (see :mod:`memtrack.filtering` and :mod:`memtrack.network`),
 :func:`lstm_cell` and the eigenvalue clamp :func:`sym_project`.  A Var has
 no arithmetic operators, so nothing else can record on a tape.
 
@@ -75,9 +75,9 @@ class Var:
     only output when ``slot`` is None.
 
     A Var has no arithmetic: every value on a tape comes from a node with a
-    hand-written adjoint (:func:`node`, :func:`lstm_cell`,
-    :func:`sym_project`).  Numpy does not unwrap it either, so a plain
-    operator applied to a Var raises TypeError instead of recording nothing.
+    hand-written adjoint, recorded by :func:`node`.  Numpy does not unwrap
+    it either, so a plain operator applied to a Var raises TypeError
+    instead of recording nothing.
     """
 
     __slots__ = ("value", "tape", "idx", "slot")
@@ -187,13 +187,6 @@ def value(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _tape(*xs):
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    return None
-
-
 def node(outputs, parents, vjp):
     """Record that ``outputs`` were computed from ``parents`` as one node.
 
@@ -207,8 +200,10 @@ def node(outputs, parents, vjp):
     Returns ``outputs`` unchanged when no parent is a Var, else the Var, or
     the tuple of Vars, recorded on the parents' tape.
     """
-    t = _tape(*parents)
-    return outputs if t is None else t.record(outputs, parents, vjp)
+    for p in parents:
+        if isinstance(p, Var):
+            return p.tape.record(outputs, parents, vjp)
+    return outputs
 
 
 def _sym_grad(g):
@@ -232,7 +227,6 @@ def lstm_cell(w, b, x, hidden, cell):
     the candidate, in that order.  On a tape the step is one node with two
     outputs, and ``w``'s adjoint is an :class:`Outer`.
     """
-    t = _tape(w, b, x, hidden, cell)
     wv, hv, cv = value(w), value(hidden), value(cell)
     n = hv.shape[-1]
     z = np.concatenate([value(x), hv], axis=-1)
@@ -243,9 +237,6 @@ def lstm_cell(w, b, x, hidden, cell):
     new_cell = gate_forget * cv + gate_in * candidate
     tanh_cell = np.tanh(new_cell)
     new_hidden = gate_out * tanh_cell
-    if t is None:
-        return new_cell, new_hidden
-    nx = len(z) - n
 
     def vjp(g):
         g_cell, g_hidden = g
@@ -257,9 +248,9 @@ def lstm_cell(w, b, x, hidden, cell):
             (g_cell * gate_in) * (1.0 - candidate * candidate),
         ])
         dz = wv.T @ dlin
-        return Outer(dlin, z), dlin, dz[:nx], dz[nx:], g_cell * gate_forget
+        return Outer(dlin, z), dlin, dz[:-n], dz[-n:], g_cell * gate_forget
 
-    return t.record((new_cell, new_hidden), (w, b, x, hidden, cell), vjp)
+    return node((new_cell, new_hidden), (w, b, x, hidden, cell), vjp)
 
 
 def _mT(a):
@@ -408,21 +399,18 @@ def _project_value(s, eps):
     return 0.5 * (out + out.T), w, u, True
 
 
-def _clamp_vjp(w, u, eps):
-    """Exact adjoint of symmetrize-then-clamp at eigenpairs (w, u) of the
-    symmetrized input: blocks the gradient along clamped eigendirections."""
+def _clamp_adjoint(g, w, u, eps):
+    """Exact adjoint of symmetrize-then-clamp for the output adjoint ``g``,
+    at eigenpairs (w, u) of the symmetrized input: blocks the gradient
+    along clamped eigendirections."""
     wc = np.maximum(w, eps)
     gprime = (w > eps).astype(np.float64)
     dw = w[:, None] - w[None, :]
     dn = wc[:, None] - wc[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(dw != 0.0, dn / dw, 0.5 * (gprime[:, None] + gprime[None, :]))
-
-    def vjp(g):
-        tmat = u.T @ _sym_grad(g) @ u
-        return _sym_grad(u @ (m * tmat) @ u.T)
-
-    return vjp
+    tmat = u.T @ _sym_grad(g) @ u
+    return _sym_grad(u @ (m * tmat) @ u.T)
 
 
 def sym_project(a, eps):
@@ -432,16 +420,13 @@ def sym_project(a, eps):
     plain symmetrization of the incoming gradient when nothing was clamped,
     and blocks the gradient along clamped eigendirections otherwise.
     """
-    t = _tape(a)
     av = value(a)
     s = 0.5 * (av + _mT(av))
     if s.ndim == 3:  # a plain batch
         return _project_rows(s, eps)
     out, w, u, clamped = _project_value(s, eps)
-    if t is None:
-        return out
-    vjp = _clamp_vjp(w, u, eps) if clamped else _sym_grad
-    return t.record(out, (a,), lambda g: (vjp(g),))
+    return node(out, (a,), lambda g: (_clamp_adjoint(g, w, u, eps) if clamped
+                                      else _sym_grad(g),))
 
 
 def logchol2x2(a):

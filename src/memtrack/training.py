@@ -180,7 +180,7 @@ def _sequence_gradients(params, case, model, cfg):
     """
     enabled = gc.isenabled()
     gc.disable()
-    try:
+    try:  # the tape dies with _taped_gradients' frame, before gc is re-enabled
         return _taped_gradients(params, case, model, cfg)
     finally:
         if enabled:

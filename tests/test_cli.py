@@ -12,7 +12,6 @@ import pytest
 from cli_flags import key_flags
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from memtrack.config import ConfigView
 from memtrack.metrics import MAX_POLYGON_ORDER
 from memtrack.network import zero_params
 from memtrack.store import read_checkpoint, read_dataset, write_checkpoint, write_dataset
@@ -68,6 +67,17 @@ class TestSimulate:
     def test_bad_levels_is_config_error(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--levels", "nonsense"])
         assert rc == EXIT_CONFIG
+
+    def test_levels_that_share_a_file_name_are_config_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.setattr(cli, "generate_dataset", lambda *args: pytest.fail("generated"))
+        out = tmp_path / "d"
+        rc = main(["simulate", "--out", str(out), "--cases", "3", "--steps", "5",
+                   "--levels", "0.4:0.6,0.40:0.60"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: two noise levels would write {out / 'dataset_sw0.4_sv0.6.mtds'}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
         ["--levels", "a:b"],
@@ -557,6 +567,37 @@ class TestOutputDirectories:
         assert capsys.readouterr().err == "data error: output directory missing does not exist\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["train", "DATA", "--out", "adir"],
+        ["train", "DATA", "--out", "x.mtck", "--history", "adir"],
+        ["track", "DATA", "--case", "0", "--out", "adir"],
+        ["datascale", "--out", "adir", "--sizes", "3", "--epochs", "1"],
+    ], ids=["train-out", "train-history", "track", "datascale"])
+    def test_output_path_that_is_a_directory_is_data_error(self, small_dataset, tmp_path,
+                                                           monkeypatch, capsys, command):
+        for name in ("train", "generate_dataset", "read_dataset"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        rc = main([str(small_dataset) if arg == "DATA" else arg for arg in command])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == "data error: output path adir is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    @pytest.mark.parametrize("history", ["same.mtck", "./same.mtck", "sub/../same.mtck"])
+    def test_history_at_the_checkpoint_path_is_data_error(self, small_dataset, tmp_path,
+                                                          monkeypatch, capsys, history):
+        for name in ("train", "read_dataset"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = main(["train", str(small_dataset), "--out", "same.mtck", "--history", history])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: output paths same.mtck and {history} name one file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
 
 class TestTrack:
     def test_row_count_and_truth_columns(self, small_dataset, tmp_path):
@@ -778,9 +819,9 @@ class TestConfigKeys:
                     d = f.default
                     expected[(section, f.name)] = shares.get(
                         f.name, other[d] if isinstance(d, str) else d + 1)
-        view = ConfigView({f"{s}.{n}": str(v) for (s, n), v in expected.items()})
+        view = {f"{s}.{n}": str(v) for (s, n), v in expected.items()}
         train_cfg = cli._train_config(view)
-        built = {"scenario": cli._scenario_from(view),
+        built = {"scenario": cli._section(view, "scenario"),
                  "tracker": train_cfg.tracker, "train": train_cfg}
         for (section, name), value in expected.items():
             assert getattr(built[section], name) == value, (section, name)

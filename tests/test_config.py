@@ -1,6 +1,6 @@
 import pytest
 
-from memtrack.config import ConfigView, parse_config
+from memtrack.config import get, get_float_pairs, get_int_list, parse_config
 from memtrack.errors import ConfigError
 
 
@@ -37,21 +37,22 @@ epochs = 30
 
 class TestTypedGetters:
     def test_conversions(self):
-        view = ConfigView({"a.i": "3", "a.f": "0.5", "a.s": "hello"})
-        assert view.get_int("a.i") == 3
-        assert view.get_float("a.f") == 0.5
-        assert view.get_str("a.s") == "hello"
-        assert view.get_int("missing", 7) == 7
+        values = {"a.i": "3", "a.f": "0.5", "a.s": "hello"}
+        assert get(values, "a.i", int) == 3
+        assert get(values, "a.f", float) == 0.5
+        assert get(values, "a.s") == "hello"
+        assert get(values, "missing", int, 7) == 7
+        assert get(values, "missing") is None
 
     def test_bad_int(self):
-        with pytest.raises(ConfigError):
-            ConfigView({"k": "abc"}).get_int("k")
+        with pytest.raises(ConfigError, match="option 'k': cannot parse 'abc'"):
+            get({"k": "abc"}, "k", int)
 
     def test_float_pairs(self):
-        view = ConfigView({"levels": "0.4:0.6, 0.8:1"})
-        assert view.get_float_pairs("levels") == [(0.4, 0.6), (0.8, 1.0)]
+        values = {"levels": "0.4:0.6, 0.8:1"}
+        assert get_float_pairs(values, "levels") == [(0.4, 0.6), (0.8, 1.0)]
         with pytest.raises(ConfigError):
-            ConfigView({"levels": "0.4"}).get_float_pairs("levels")
+            get_float_pairs({"levels": "0.4"}, "levels")
 
     def test_int_list(self):
-        assert ConfigView({"sizes": "100, 200,1000"}).get_int_list("sizes") == [100, 200, 1000]
+        assert get_int_list({"sizes": "100, 200,1000"}, "sizes") == [100, 200, 1000]

@@ -6,6 +6,7 @@ The generic ops checked here are the composed twins' algebra
 (``tests/composed_ops.py``), which the ``algebra`` fixture installs on
 ``ops.Var``; ``TestNoAlgebra`` checks that the package records without it."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -53,8 +54,7 @@ def check(build, fn, x, tol=1e-6):
 class TestNoAlgebra:
     """Without the ``algebra`` fixture a Var has no operators: a plain
     expression on a tape value raises instead of silently dropping out of
-    the tape, and training records every node through ``ops.node``,
-    ``lstm_cell`` or ``sym_project``."""
+    the tape, and training records every node through ``ops.node``."""
 
     @pytest.mark.parametrize("expr", [
         lambda v: v + 1.0, lambda v: 1.0 + v, lambda v: np.ones(2) + v, lambda v: v * v,
@@ -75,6 +75,28 @@ class TestNoAlgebra:
                                                    training.TrainConfig(l2=0.37))
         assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
         assert training.grad_check(params, case, model, eps=1e-5, gamma=0.37) < 1e-4
+
+    def test_every_node_is_recorded_by_node(self, monkeypatch):
+        callers, record = [], ops.Tape.record
+
+        def traced(tape, *args):
+            callers.append(sys._getframe(1).f_code)
+            return record(tape, *args)
+
+        monkeypatch.setattr(ops.Tape, "record", traced)
+        tape = ops.Tape()
+        rng = np.random.default_rng(3)
+        leaves = [tape.leaf(rng.standard_normal(shape))
+                  for shape in ((8, 4), (8,), (2,), (2,), (2,))]
+        cell, hidden = ops.lstm_cell(*leaves)
+        for a in (np.diag([2.0, 3.0]), np.diag([2.0, -1.0])):  # nothing clamps, one clamps
+            ops.sym_project(tape.leaf(a), 0.5)
+        cfg = ScenarioConfig(steps=4, cases=1, seed=46)
+        training._sequence_gradients(network.init_params(2, np.random.default_rng(46)),
+                                     generate_case(cfg, cfg.seed, 0),
+                                     nominal_cv_model(sigma_w=0.4), training.TrainConfig())
+        assert isinstance(cell, ops.Var) and isinstance(hidden, ops.Var) and len(callers) > 3
+        assert set(callers) == {ops.node.__code__}
 
 
 @pytest.mark.usefixtures("algebra")

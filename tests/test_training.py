@@ -1,4 +1,6 @@
+import gc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +259,73 @@ class TestBatchedPasses:
                             or backward(tape, out))
         loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
         assert np.isfinite(loss) and nodes == [1960]
+
+
+class TestCollectorPause:
+    """``_sequence_gradients`` pauses the cyclic garbage collector for one
+    taped sequence, and the tape is freed before the collector resumes."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tiny):
+        ds, model = tiny
+        params = init_params(4, np.random.default_rng(0))
+        params.feat_mean, params.feat_std = collect_feature_stats(ds.cases, model,
+                                                                  TrackerConfig())
+        return ds.cases[0], model, params
+
+    @staticmethod
+    def _set_gc(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("kind", ["finite", "non-finite", "all-masked"])
+    def test_collector_state_is_restored(self, setup, enabled, kind):
+        case, model, params = setup
+        cfg = make_cfg()
+        if kind == "non-finite":
+            case = SimCase(truth=case.truth,
+                           frames=[*case.frames[:4], np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                                   *case.frames[5:]])
+            with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
+                training._run_loss(params, [case], model, cfg.tracker, cfg.l2, ops.Tape())
+        elif kind == "all-masked":
+            cfg = make_cfg(l2=0.0)
+            params = replace(params, **{field: True for field in network.MASK_FIELDS.values()})
+        was = gc.isenabled()
+        self._set_gc(enabled)
+        try:
+            loss, grads = training._sequence_gradients(params, case, model, cfg)
+            assert gc.isenabled() == enabled
+        finally:
+            self._set_gc(was)
+        assert np.isnan(loss) == (kind == "non-finite")
+        assert any(g.any() for g in grads.values()) == (kind == "finite")
+
+    def test_taped_sequences_leave_the_collector_idle(self):
+        """Ten 140-step taped sequences run at most two collections; a tape
+        still alive when the collector resumes triggers about one each."""
+        case = generate_case(ScenarioConfig(steps=140, cases=1, seed=7), 7, 0)
+        model = nominal_cv_model(sigma_w=0.4)
+        params = init_params(64, np.random.default_rng(0))
+        params.feat_mean, params.feat_std = collect_feature_stats([case], model,
+                                                                  TrackerConfig())
+        starts = []
+
+        def counted(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(counted)
+        try:
+            for _ in range(10):
+                training._sequence_gradients(params, case, model, TrainConfig())
+        finally:
+            gc.callbacks.remove(counted)
+            self._set_gc(was)
+        assert len(starts) <= 2, starts
 
 
 def test_all_skipped_epoch_records_nan_without_a_warning(tiny, monkeypatch):
