@@ -181,15 +181,14 @@ def _train_config(view: dict, mask_spec: str = "", **overrides) -> TrainConfig:
                     **{MASK_FIELDS[t]: True for t in tokens}, **overrides)
 
 
-def _check_out_dirs(*paths, prefix: bool = False) -> None:
+def _check_out_dirs(*paths) -> None:
     """Raise StoreError unless the directory of each output path exists, no
-    path is an existing directory (a ``prefix`` that file names extend may
-    be) and no two paths name one file."""
+    path is an existing directory and no two paths name one file."""
     for path in paths:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise StoreError(f"output directory {directory} does not exist")
-        if not prefix and os.path.isdir(path):
+        if os.path.isdir(path):
             raise StoreError(f"output path {path} is a directory")
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise StoreError(f"output paths {' and '.join(paths)} name one file")
@@ -278,22 +277,27 @@ def cmd_eval(args) -> int:
     if not 3 <= args.polygon <= MAX_POLYGON_ORDER:
         raise ConfigError(f"--polygon must be between 3 and {MAX_POLYGON_ORDER}, "
                           f"got {args.polygon}")
-    _check_out_dirs(args.out, prefix=True)
+    # mode -> its report's path prefix; --compare also writes the pooled table
+    if args.compare:
+        prefixes = {tag: f"{args.out}.{tag}" for tag in ("baseline", "learned")}
+    else:
+        prefixes = {"learned" if args.checkpoint else "baseline": args.out}
+    compare_path = f"{args.out}.compare.csv"
+    _check_out_dirs(*(prefix + ext for prefix in prefixes.values() for ext in (".csv", ".json")),
+                    *([compare_path] if args.compare else []))
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     cases = dataset.test_cases
     if not cases:
         raise StoreError("dataset has no test split")
 
-    modes = [("baseline", None)] if args.compare or not args.checkpoint else []
-    if args.checkpoint:
-        modes.append(("learned", read_checkpoint(args.checkpoint)))
-
-    rows = [_scored(tag, cases, model, tracker, params, args.polygon) for tag, params in modes]
+    learned = read_checkpoint(args.checkpoint) if args.checkpoint else None
+    rows = [_scored(tag, cases, model, tracker, learned if tag == "learned" else None,
+                    args.polygon) for tag in prefixes]
     for tag, report in rows:
-        write_report(report, f"{args.out}.{tag}" if len(rows) > 1 else args.out)
-    if len(rows) == 2:
-        _pooled_table(f"{args.out}.compare.csv", "mode", rows)
+        write_report(report, prefixes[tag])
+    if args.compare:
+        _pooled_table(compare_path, "mode", rows)
     return EXIT_OK
 
 
@@ -323,16 +327,19 @@ def cmd_track(args) -> int:
     header = ("step", "truth_px", "truth_py", "truth_vx", "truth_vy", "truth_a", "truth_b",
               "truth_angle", "est_px", "est_py", "est_vx", "est_vy", "est_a", "est_b",
               "est_angle", "n")
+    # each table is one float array: its step and count columns print as ints at %.17g
+    counts = np.array([len(frame) for frame in case.frames])
+    steps = np.arange(len(counts))
     rows = slice(1, len(states) + 1)
-    table = np.hstack([
-        case.truth.states[rows], _ellipse_params(case.truth.extents[rows]),
+    table = np.column_stack([
+        steps[rows], case.truth.states[rows], _ellipse_params(case.truth.extents[rows]),
         np.array([ops.value(st.mean) for st in states]),
         _ellipse_params(np.array([ops.value(extension_mean(ex)) for ex in exts])),
+        counts[rows],
     ])
-    write_table(args.out, header, [(k, *vals, len(case.frames[k]))
-                                   for k, vals in enumerate(table.tolist(), start=1)])
+    write_table(args.out, header, table.tolist())
     write_table(points_path, ("step", "x", "y"),
-                [(k, x, y) for k, frame in enumerate(case.frames) for x, y in frame.tolist()])
+                np.column_stack([np.repeat(steps, counts), np.concatenate(case.frames)]).tolist())
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
     return EXIT_OK
 

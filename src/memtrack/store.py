@@ -12,12 +12,14 @@ and its cases' seeds follow from the config (see
 :class:`memtrack.simulate.Dataset`).  A checkpoint stores its network arrays,
 ``feat_mean`` and ``feat_std``.  Zip's per-member CRC32 covers the header and
 every array; members carry a fixed 1980 timestamp, so writes are reproducible.
-Reads are bit-exact.  Not a zip (version 1, say), the wrong kind or version
-(regenerate older datasets with ``memtrack simulate``), or a checkpoint shape
-table unlike this build's raise VersionMismatch; a bad CRC, truncation, a
-missing member, an unparsable header or config, or arrays whose shapes or
-frame counts disagree with each other or with the config's cases and steps
-raise ChecksumMismatch.
+Reads are bit-exact.  A read takes in every member in full, so zip checks
+each CRC, and validates every case before it returns; only the slicing of a
+case's frames from ``points`` waits until that case is first used.  Not a zip
+(version 1, say), the wrong kind or version (regenerate older datasets with
+``memtrack simulate``), or a checkpoint shape table unlike this build's raise
+VersionMismatch; a bad CRC, truncation, a missing member, an unparsable header
+or config, or arrays whose shapes or frame counts disagree with each other or
+with the config's cases and steps raise ChecksumMismatch.
 
 One rule formats every result table, in :func:`write_table`: a header line,
 then comma-separated rows whose ``str`` columns pass through and whose numbers
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import json
 import zipfile
+from collections.abc import Sequence
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -121,18 +125,45 @@ def _dataset_from(header: dict, a: dict) -> Dataset:
             "points": ("<f8", (int(counts.sum()), 2))}) or (counts < 0).any():
         raise ChecksumMismatch("dataset arrays disagree with the config's cases and steps, "
                                "in shape or in frame counts")
-    points, ends = a["points"], np.cumsum(counts.ravel()).tolist()
-    frames = [points[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+    points, bounds = a["points"], np.concatenate([[0], np.cumsum(counts.ravel())])
     cases = [SimCase(truth=GroundTruthSequence(a["states"][i], a["extents"][i],
                                                a["regimes"][i], a["omegas"][i]),
-                     frames=frames[i * k:(i + 1) * k])
+                     frames=_Frames(points, bounds[i * k:(i + 1) * k + 1]))
              for i in range(n)]
     return Dataset(cases=cases, config=cfg)
 
 
+class _Frames(Sequence):
+    """One case's frames, read as a list: the slices of ``points`` between
+    consecutive ``bounds``, cut when the case is first used."""
+
+    __slots__ = ("_points", "_bounds", "_cut")
+
+    def __init__(self, points: np.ndarray, bounds: np.ndarray):
+        self._points, self._bounds, self._cut = points, bounds, None
+
+    def _frames(self) -> list[np.ndarray]:
+        if self._cut is None:
+            bounds = self._bounds.tolist()
+            self._cut = [self._points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return self._cut
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, index):
+        return self._frames()[index]
+
+    def __iter__(self):
+        return iter(self._frames())
+
+
 def read_dataset(path) -> Dataset:
     """Decode a dataset; each case's arrays are views of the members, and
-    each frame is a plain slice of the ``points`` member."""
+    each frame is a plain slice of the ``points`` member, cut when its case
+    is first used.  Every member is read in full, so its CRC is checked,
+    and every case's shapes and frame counts are validated before this
+    returns."""
     return _read_archive(path, "dataset", _dataset_from)
 
 
@@ -171,15 +202,19 @@ def write_table(path, header, rows) -> None:
     """Write the column names ``header``, then each row of the sequence ``rows``.
 
     The first row sets every line's template: ``%s`` for a ``str`` column,
-    ``%.17g`` for any other, so ``140`` prints as ``140`` and a float to 17
-    significant digits, which reparse to the same float.
+    ``%.17g`` for any other, so ``140`` and ``140.0`` print as ``140`` and a
+    float to 17 significant digits, which reparse to the same float.  A row
+    of another length than the first raises TypeError.
     """
-    lines = [",".join(header) + "\n"]
+    text = ",".join(header) + "\n"
     if rows:
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise TypeError(f"every row of a table must have the first row's {width} values")
         line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-        lines += [line % tuple(row) for row in rows]
+        text += (line * len(rows)) % tuple(chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(text)
 
 
 def write_report(report: MetricsReport, prefix) -> None:

@@ -13,7 +13,9 @@ from cli_flags import key_flags
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.metrics import MAX_POLYGON_ORDER
-from memtrack.network import zero_params
+from memtrack.models import ScenarioConfig
+from memtrack.network import init_params, zero_params
+from memtrack.simulate import generate_dataset
 from memtrack.store import read_checkpoint, read_dataset, write_checkpoint, write_dataset
 from memtrack.training import MAX_MEMORY_DIM
 
@@ -567,23 +569,30 @@ class TestOutputDirectories:
         assert capsys.readouterr().err == "data error: output directory missing does not exist\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [
-        ["train", "DATA", "--out", "adir"],
-        ["train", "DATA", "--out", "x.mtck", "--history", "adir"],
-        ["track", "DATA", "--case", "0", "--out", "adir"],
-        ["datascale", "--out", "adir", "--sizes", "3", "--epochs", "1"],
-    ], ids=["train-out", "train-history", "track", "datascale"])
+    @pytest.mark.parametrize("command, directory", [
+        (["train", "DATA", "--out", "adir"], "adir"),
+        (["train", "DATA", "--out", "x.mtck", "--history", "adir"], "adir"),
+        (["track", "DATA", "--case", "0", "--out", "adir"], "adir"),
+        (["datascale", "--out", "adir", "--sizes", "3", "--epochs", "1"], "adir"),
+        (["eval", "DATA", "--out", "r"], "r.json"),
+        (["eval", "DATA", "--checkpoint", "c.mtck", "--compare", "--out", "r"],
+         "r.learned.json"),
+        (["eval", "DATA", "--checkpoint", "c.mtck", "--compare", "--out", "r"],
+         "r.compare.csv"),
+    ], ids=["train-out", "train-history", "track", "datascale", "eval-report",
+            "eval-compare-report", "eval-compare-table"])
     def test_output_path_that_is_a_directory_is_data_error(self, small_dataset, tmp_path,
-                                                           monkeypatch, capsys, command):
-        for name in ("train", "generate_dataset", "read_dataset"):
+                                                           monkeypatch, capsys, command,
+                                                           directory):
+        for name in ("train", "generate_dataset", "read_dataset", "read_checkpoint"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "adir").mkdir()
+        (tmp_path / directory).mkdir()
         rc = main([str(small_dataset) if arg == "DATA" else arg for arg in command])
         assert rc == EXIT_DATA
-        assert capsys.readouterr().err == "data error: output path adir is a directory\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
-        assert list((tmp_path / "adir").iterdir()) == []
+        assert capsys.readouterr().err == f"data error: output path {directory} is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+        assert list((tmp_path / directory).iterdir()) == []
 
     @pytest.mark.parametrize("history", ["same.mtck", "./same.mtck", "sub/../same.mtck"])
     def test_history_at_the_checkpoint_path_is_data_error(self, small_dataset, tmp_path,
@@ -612,6 +621,9 @@ class TestTrack:
         truth = ds.cases[0].truth.states[1]
         for col, val in zip(["truth_px", "truth_py", "truth_vx", "truth_vy"], truth):
             assert float(row1[header.index(col)]) == val
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            (str(k), str(len(ds.cases[0].frames[k]))) for k in range(1, ds.config.steps)]
 
     def test_angle_matches_principal_eigenvector(self, small_dataset, tmp_path):
         out = tmp_path / "track.csv"
@@ -667,10 +679,10 @@ class TestTrack:
     def test_points_companion_file(self, small_dataset, tmp_path):
         out = tmp_path / "t.csv"
         main(["track", str(small_dataset), "--case", "0", "--out", str(out)])
-        pts = (tmp_path / "t.csv.points.csv").read_text().strip().splitlines()
-        ds = read_dataset(small_dataset)
-        total = sum(len(f) for f in ds.cases[0].frames)
-        assert len(pts) == 1 + total
+        pts = (tmp_path / "t.csv.points.csv").read_text().splitlines()
+        frames = read_dataset(small_dataset).cases[0].frames
+        assert pts == ["step,x,y"] + ["%d,%.17g,%.17g" % (k, x, y)
+                                      for k, frame in enumerate(frames) for x, y in frame]
 
     def test_track_reproducible_bytes(self, small_dataset, tmp_path):
         ck = tmp_path / "c.mtck"
@@ -684,6 +696,22 @@ class TestTrack:
                            *mode])
                 assert rc == EXIT_OK
                 outs.append((out.read_bytes(), (tmp_path / f"{name}.csv.points.csv").read_bytes()))
+            assert outs[0] == outs[1]
+
+    def test_track_depends_only_on_its_case(self, tmp_path):
+        """Case i of a dataset is ``generate_case(config, seed, i)``, so a
+        3-case and a 12-case dataset of one seed track case 1 alike."""
+        write_checkpoint(init_params(4, np.random.default_rng(0)), tmp_path / "c.mtck")
+        for mode in ([], ["--checkpoint", str(tmp_path / "c.mtck")]):
+            outs = []
+            for cases in (3, 12):
+                data, out = tmp_path / f"d{cases}.mtds", tmp_path / f"t{cases}.csv"
+                write_dataset(generate_dataset(ScenarioConfig(steps=20, cases=cases, seed=9)),
+                              data)
+                rc = main(["track", str(data), "--case", "1", "--out", str(out), *mode])
+                assert rc == EXIT_OK
+                points = tmp_path / f"t{cases}.csv.points.csv"
+                outs.append((out.read_bytes(), points.read_bytes()))
             assert outs[0] == outs[1]
 
 

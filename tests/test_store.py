@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memtrack import store
+from memtrack.cli import EXIT_DATA, main
 from memtrack.errors import ChecksumMismatch, VersionMismatch
 from memtrack.metrics import MetricsReport
 from memtrack.models import ScenarioConfig
@@ -155,6 +156,18 @@ class TestDatasetRoundTrip:
         _flip_stored_bytes(path, counts.tobytes(), moved.tobytes())
         with pytest.raises(ChecksumMismatch):
             store.read_dataset(path)
+
+    def test_point_of_the_last_case_edited_rejected(self, path, tmp_path, monkeypatch):
+        """Frames are cut when their case is first used, but every member is
+        still read in full: a point edited in the last case fails the read,
+        and a track of case 0 exits 3 without writing."""
+        last = _members(path)["points"][-1]
+        _flip_stored_bytes(path, last.tobytes(), (last + 1.0).tobytes())
+        with pytest.raises(ChecksumMismatch):
+            store.read_dataset(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["track", str(path), "--case", "0", "--out", "t.csv"]) == EXIT_DATA
+        assert [p.name for p in tmp_path.iterdir()] == ["d.mtds"]
 
     @pytest.mark.parametrize("magic", [b"MTDS", b"MTCK"])
     def test_version_1_file_rejected(self, tmp_path, magic):
@@ -354,3 +367,25 @@ class TestWriteTable:
     def test_no_rows_is_the_header_line(self, tmp_path):
         store.write_table(tmp_path / "t.csv", ("step", "x", "y"), [])
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "step,x,y\n"
+
+    def test_mixed_table_bytes(self, tmp_path):
+        rows = [("a", 3, 0.1, 2.0), ("b", -7, -0.0, 140.0), ("c", 0, 1e-300, -1.0),
+                ("d", 10**16, 1 / 3, 0.0), ("e%", 1, float("inf"), 3.0)]
+        store.write_table(tmp_path / "t.csv", ("mode", "n", "x", "k"), rows)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"mode,n,x,k\n"
+            b"a,3,0.10000000000000001,2\n"
+            b"b,-7,-0,140\n"
+            b"c,0,1e-300,-1\n"
+            b"d,10000000000000000,0.33333333333333331,0\n"
+            b"e%,1,inf,3\n")
+
+    @pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, 2.0), (3, 4.0, 5.0)],
+                                      [(1, 2.0), (3,), (4, 5.0, 6.0)]],
+                             ids=["short", "long", "short-then-long"])
+    def test_row_of_another_length_raises(self, tmp_path, rows):
+        """A short row followed by a long one holds as many values as the
+        rows' template does, and must not shift columns silently."""
+        with pytest.raises(TypeError):
+            store.write_table(tmp_path / "t.csv", ("a", "b"), rows)
+        assert not (tmp_path / "t.csv").exists()
