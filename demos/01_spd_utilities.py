@@ -23,6 +23,6 @@ print("||S S - A|| / ||A|| =", np.linalg.norm(s @ s - a) / np.linalg.norm(a))
 
 print("\n== SPD projection ==")
 wobbly = np.array([[1.0, 2.0], [0.0, -0.3]])
-fixed = ops.sym_project(wobbly, eps=1e-6)
+fixed, _ = ops.sym_project(wobbly, eps=1e-6)
 print("input eigenvalues :", np.linalg.eigvalsh(0.5 * (wobbly + wobbly.T)))
 print("output eigenvalues:", np.linalg.eigvalsh(fixed))

@@ -34,19 +34,21 @@ Beliefs and compensation moments of one case may carry tape variables
 (:mod:`memtrack.ops`); gradients then flow through every update into
 upstream inputs.  Each stage computes its values in plain numpy, by the
 same expressions with or without a tape, and records them as one tape node
-with a hand-written adjoint: :func:`predict_state`'s mean and raw
-covariance, :func:`predict_extension`'s scaled bracket, the innovation and
-the state update together (:func:`innovation` computes the statistics and
+with a hand-written adjoint: :func:`predict_state`'s mean and covariance,
+:func:`predict_extension`'s parameter matrix, the innovation and the state
+update together (:func:`innovation` computes the statistics and
 :func:`update_state` records the node, from the prediction and the
-measurement moments), and :func:`update_extension`'s sum, whose one parent
-is the predicted parameter matrix (the frame scatter is data).  Each
-eigenvalue clamp (:func:`memtrack.ops.sym_project`) is a node of its own.
+measurement moments), and :func:`update_extension`'s parameter matrix,
+whose one parent is the predicted one (the frame scatter is data).  Each
+stage's eigenvalue clamp (:func:`memtrack.ops.sym_project`) is part of its
+node: the clamp returns its adjoint, and the stage's vjp applies it first.
+A taped step therefore records four filter nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,8 +121,7 @@ class TrackerConfig:
             raise ValueError(f"init_dof must be finite and exceed {2 * D + 4}")
 
 
-@dataclass(frozen=True)
-class InnovationStats:
+class InnovationStats(NamedTuple):
     """Predicted frame mean, the frame mean's residual against it, and the
     covariances that :func:`update_state` reads, all plain arrays.
 
@@ -175,9 +176,13 @@ def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
     f = model.F
     mean = ops._matvec(f, ops.value(prior.mean)) + ops.value(df)
     cov_raw = f @ ops.value(prior.cov) @ f.T + model.q + ops.value(pf)
-    mean, cov_raw = ops.node((mean, cov_raw), (prior.mean, prior.cov, df, pf),
-                             lambda g: (f.T @ g[0], f.T @ g[1] @ f, g[0], g[1]))
-    cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
+    cov, clamp_adjoint = ops.sym_project(cov_raw, _proj_eps(cov_raw))
+
+    def vjp(g):
+        g_mean, g_raw = g[0], clamp_adjoint(g[1])
+        return f.T @ g_mean, f.T @ g_raw @ f, g_mean, g_raw
+
+    mean, cov = ops.node((mean, cov), (prior.mean, prior.cov, df, pf), vjp)
     if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
@@ -209,9 +214,14 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     a = model.a
     bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
     scale = ops._rows((v_pred - 2 * D - 2) / lam)
-    raw = ops.node(scale * bracket, (prior.param, pphi),
-                   lambda g: (a.T @ (scale * g) @ a, (scale * g) / delta))
-    param = ops.sym_project(raw, _ext_eps(raw))
+    raw = scale * bracket
+    param, clamp_adjoint = ops.sym_project(raw, _ext_eps(raw))
+
+    def vjp(g):
+        g_raw = scale * clamp_adjoint(g)
+        return a.T @ g_raw @ a, g_raw / delta
+
+    param = ops.node(param, (prior.param, pphi), vjp)
     return ExtensionState(dof=v_pred, param=param)
 
 
@@ -280,28 +290,28 @@ def innovation(
 def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     """Kalman-form state update of the mean by the gain Pxz Pzz^-1 times
     ``stats.residual``; one tape node with the innovation that made
-    ``stats``."""
+    ``stats``, whose adjoint solves with the gain's 2x2 adjugate and
+    determinant again."""
     pxz, pzz, residual, back = stats.pxz, stats.pzz, stats.residual, stats.back
     pxz_t = ops._mT(pxz)
     try:
-        gain_t = ops.solve(pzz, pxz_t)
+        gain_t, solve_adjoint = ops.solve(pzz, pxz_t)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
     gain = ops._mT(gain_t)
     mean = ops.value(pred.mean) + ops._matvec(gain, residual)
     cov_raw = ops.value(pred.cov) - gain @ pxz_t
+    cov, clamp_adjoint = ops.sym_project(cov_raw, _proj_eps(cov_raw))
 
     def vjp(g):
-        g_mean, g_cov = g
+        g_mean, g_cov = g[0], clamp_adjoint(g[1])
         # gain^T = Pzz^-1 Pxz^T: its adjoint flows to Pzz and Pxz as a solve's
-        g_gain_t = (np.outer(g_mean, residual) - g_cov @ pxz).T
-        g_rhs = ops.solve(pzz.T, g_gain_t)
+        g_pzz, g_rhs = solve_adjoint((np.outer(g_mean, residual) - g_cov @ pxz).T)
         sources = () if back is None else back(
-            gain_t @ g_mean, g_rhs.T - g_cov.T @ gain, -g_rhs @ gain)
+            gain_t @ g_mean, g_rhs.T - g_cov.T @ gain, g_pzz)
         return (g_mean, g_cov) + sources
 
-    mean, cov_raw = ops.node((mean, cov_raw), (pred.mean, pred.cov) + stats.sources, vjp)
-    cov = ops.sym_project(cov_raw, _proj_eps(cov_raw))
+    mean, cov = ops.node((mean, cov), (pred.mean, pred.cov) + stats.sources, vjp)
     if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("updated state mean is not finite")
     return TrackState(mean=mean, cov=cov)
@@ -315,9 +325,9 @@ def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) 
     the projection symmetrizes roundoff and keeps the eigenvalue floor.
     """
     dof = pred.dof + fs.count
-    raw = ops.node(ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T,
-                   (pred.param,), lambda g: (g,))
-    param = ops.sym_project(raw, _ext_eps(raw))
+    raw = ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T
+    param, clamp_adjoint = ops.sym_project(raw, _ext_eps(raw))
+    param = ops.node(param, (pred.param,), lambda g: (clamp_adjoint(g),))
     return ExtensionState(dof=dof, param=param)
 
 
@@ -338,7 +348,7 @@ def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
     cov = np.broadcast_to(np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var]),
                           lead + (4, 4)).copy()
     raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / ops._rows(fs.count - 1))
-    param = ops.sym_project(raw, cfg.min_extent)
+    param, _ = ops.sym_project(raw, cfg.min_extent)
     dof = np.full(lead, cfg.init_dof) if lead else cfg.init_dof
     return TrackState(mean=mean, cov=cov), ExtensionState(dof=dof, param=param)
 

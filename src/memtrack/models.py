@@ -2,8 +2,10 @@
 
 Planar tracking throughout: extension dimension d = 2, kinematic state
 [px, py, vx, vy]; a measurement frame is an (n, 2) float64 array of points
-(m).  All types are immutable values; belief fields may hold either plain
-float64 arrays or tape ``Var`` objects (the filter is written once over both).
+(m).  All types are immutable values.  Beliefs and frame statistics are
+named tuples, the cheapest immutable record to build (each filter step
+builds several); belief fields may hold either plain float64 arrays or tape
+``Var`` objects (the filter is written once over both).
 
 Beliefs and frame statistics describe one case, or a batch of N cases with
 a leading case axis: means (N, 4), covariances (N, 4, 4), extension dofs
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,16 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrackState:
+class TrackState(NamedTuple):
     """Kinematic belief: mean [px, py, vx, vy] (m, m/s) and 4x4 SPD cov."""
 
     mean: np.ndarray
     cov: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExtensionState:
+class ExtensionState(NamedTuple):
     """Inverse-Wishart extension belief.
 
     ``dof`` is the degrees of freedom v, a float for one case and an (N,)
@@ -61,8 +62,7 @@ class ExtensionState:
     param: np.ndarray
 
 
-@dataclass(frozen=True)
-class FrameStats:
+class FrameStats(NamedTuple):
     """Sufficient statistics of a frame: mean, unnormalized scatter, count
     (an int for one case, an (N,) int array for a batch)."""
 

@@ -15,10 +15,12 @@ inflation pphi is a true Cholesky square so it stays PSD.
 
 Each block computes its values in plain numpy, by the same expressions with
 or without a tape, and records them as one tape node with a hand-written
-adjoint (:func:`memtrack.ops.node`): the feature encoding, the LSTM step,
-the memory-covariance head of :func:`mub_step`, :func:`jeb_heads`,
-:func:`jub_heads` with its prediction features, each step's loss term, and
-the loss's ``1 / 2K`` scaling together with its L2 term.
+adjoint (:func:`memtrack.ops.node`): the feature encoding,
+:func:`mub_step`'s LSTM step together with its memory-covariance head
+(:func:`memtrack.ops.lstm_cell` returns its adjoint, which the node's vjp
+calls), :func:`jeb_heads` and :func:`jub_heads` with its prediction
+features, four nodes a step; and :func:`sequence_loss`, every step's term
+with the ``1 / 2K`` scaling and the L2 term, one node for the sequence.
 Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
 sums over time in one matrix product per weight.
 
@@ -31,6 +33,7 @@ bit as that case alone.  A taped forward records one case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +78,7 @@ _OFF_DIAG_2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 _FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
 
 
-@dataclass(frozen=True)
-class MemoryState:
+class MemoryState(NamedTuple):
     """LSTM cell/hidden vectors plus the diagonal memory uncertainty.
 
     The hidden vector doubles as the memory mean; ``pc`` is its learned
@@ -220,23 +222,25 @@ def encode_inputs(state: TrackState, ext: ExtensionState, fs: FrameStats,
 
 
 def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
-    """One LSTM memory update; masked mode freezes memory and zeroes pc."""
+    """One LSTM memory update and its memory covariance, one tape node;
+    masked mode freezes memory and zeroes pc."""
     if params.mask_memory:
         return MemoryState(cell=mem.cell, hidden=mem.hidden,
                            pc=np.zeros(np.shape(ops.value(mem.hidden))))
-    weights = params.arrays
-    cell, hidden = ops.lstm_cell(weights["lstm_w"], weights["lstm_b"], features,
-                                 mem.hidden, mem.cell)
-    w, h = ops.value(weights["memcov_w"]), ops.value(hidden)
-    lin = ops._matvec(w, h) + ops.value(weights["memcov_b"])
+    weights = [params.arrays[name] for name in ("lstm_w", "lstm_b", "memcov_w", "memcov_b")]
+    lstm_w, lstm_b, w, b = map(ops.value, weights)
+    cell, hidden, lstm_adjoint = ops.lstm_cell(lstm_w, lstm_b, ops.value(features),
+                                               ops.value(mem.hidden), ops.value(mem.cell))
+    lin = ops._matvec(w, hidden) + b
 
     def vjp(g):
-        g_lin = g * ops.sigmoid(lin)
-        return ops.Outer(g_lin, h), w.T @ g_lin, g_lin
+        g_cell, g_hidden, g_pc = g
+        g_lin = g_pc * ops.sigmoid(lin)
+        return lstm_adjoint(g_cell, g_hidden + w.T @ g_lin) + (ops.Outer(g_lin, hidden), g_lin)
 
-    pc = ops.node(np.logaddexp(0.0, lin), (weights["memcov_w"], hidden, weights["memcov_b"]),
-                  vjp)
-    return MemoryState(cell=cell, hidden=hidden, pc=pc)
+    return MemoryState(*ops.node((cell, hidden, np.logaddexp(0.0, lin)),
+                                 (weights[0], weights[1], features, mem.hidden, mem.cell,
+                                  weights[2], weights[3]), vjp))
 
 
 def jeb_heads(params: NetworkParams, mem: MemoryState):
@@ -258,10 +262,11 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
 
     def vjp(g):
         g_df, g_pf, g_pphi = g
-        g_cov = np.diagonal(g_pf) * ops.sigmoid(cov_lin)
+        slopes = ops.sigmoid(np.concatenate([cov_lin, ext_vec[0:2]]))  # softplus'
+        g_cov = np.diagonal(g_pf) * slopes[:4]
         g_ell = (g_pphi + g_pphi.T) @ ell
         g_ext = np.array([g_ell[0, 0], g_ell[1, 1], g_ell[1, 0]])
-        g_ext[0:2] *= ops.sigmoid(ext_vec[0:2])
+        g_ext[0:2] *= slopes[4:]
         g_inp = shift_w.T @ g_df + cov_w.T @ g_cov + ext_w.T @ g_ext
         return (g_inp[:len(hidden)], g_inp[len(hidden):], ops.Outer(g_df, inp), g_df,
                 ops.Outer(g_cov, inp), g_cov, ops.Outer(g_ext, inp), g_ext)
@@ -351,45 +356,45 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
     gamma * ||theta||^2 over the supplied weights.  The extent compared is
     the lambda-scaled posterior mean, not the raw parameter matrix.  For a
     batch's posteriors, with time-major truth (K, N, ...), it is one loss
-    per case, (N,).
+    per case, (N,).  On a tape the whole loss is one node: the K terms are
+    summed in step order, then scaled, and the weights' squares are summed
+    weight by weight, in the order given.  Zero steps, or lengths that
+    differ, raise LengthMismatch.
     """
     k = len(states)
-    if not (len(exts) == len(truth_states) == len(truth_extents) == k):
+    if k == 0 or not (len(exts) == len(truth_states) == len(truth_extents) == k):
         raise LengthMismatch(
             f"got {k} states, {len(exts)} extensions, "
-            f"{len(truth_states)}/{len(truth_extents)} truth entries")
-    total = None
-    for st, ex, tx, te in zip(states, exts, truth_states, truth_extents):
-        total = _add_loss_term(total, st, ex, tx, te)
+            f"{len(truth_states)}/{len(truth_extents)} truth entries; a loss needs at least one")
+    total, parents, residuals = None, [], []
+    for state, ext, truth_state, truth_extent in zip(states, exts, truth_states, truth_extents):
+        lam = extension_lambda(ext.dof)
+        d_state = ops.value(state.mean) - truth_state
+        d_extent = ops.value(ext.param) / ops._rows(lam) - truth_extent
+        lead = d_state.shape[:-1]
+        term = _square_sums(d_state, lead) + _square_sums(d_extent, lead)
+        total = term if total is None else total + term
+        parents += (state.mean, ext.param)
+        residuals.append((d_state, d_extent, lam))
     regularized = () if weights is None or gamma == 0.0 else tuple(weights.values())
-    return _scale_and_regularize(total, k, regularized, gamma)
-
-
-def _add_loss_term(total, state: TrackState, ext: ExtensionState, truth_state, truth_extent):
-    """``total`` plus one step's squared state and extent errors, one node."""
-    lam = extension_lambda(ext.dof)
-    d_state = ops.value(state.mean) - truth_state
-    d_extent = ops.value(ext.param) / ops._rows(lam) - truth_extent
-    lead = d_state.shape[:-1]
-    term = _square_sums(d_state, lead) + _square_sums(d_extent, lead)
-    out = term if total is None else ops.value(total) + term
-    return ops.node(out, (total, state.mean, ext.param),
-                    lambda g: (g, (2.0 * g) * d_state, ((2.0 * g) * d_extent) / lam))
-
-
-def _scale_and_regularize(total, k: int, weights: tuple, gamma: float):
-    """``total / 2k`` plus ``gamma`` times the weights' summed squares, one
-    node; the squares are summed weight by weight, in the order given."""
+    values = [ops.value(w) for w in regularized]
     scale = 2.0 * k
-    values = [ops.value(w) for w in weights]
-    out = ops.value(total) / scale
+    out = total / scale
     if values:
         reg = np.sum(values[0] * values[0])
         for w in values[1:]:
             reg = reg + np.sum(w * w)
         out = out + gamma * reg
-    return ops.node(out, (total, *weights),
-                    lambda g: (g / scale, *[(2.0 * (g * gamma)) * w for w in values]))
+
+    def vjp(g):
+        g_term = 2.0 * (g / scale)
+        adjoints = []
+        for d_state, d_extent, lam in residuals:
+            adjoints += (g_term * d_state, (g_term * d_extent) / lam)
+        g_reg = 2.0 * (g * gamma)
+        return adjoints + [g_reg * w for w in values]
+
+    return ops.node(out, (*parents, *regularized), vjp)
 
 
 def _square_sums(d, lead: tuple):

@@ -6,16 +6,20 @@ without a tape, and hands them to :func:`node` with its parents and its
 vjp; :func:`node` records them on the tape the parents share, or returns
 them unchanged when no parent is a :class:`Var`.  Training-time forwards
 and plain inference therefore produce the same values bit for bit.  Every
-node comes from :func:`node`: the filter stages, the network blocks and
-the loss (see :mod:`memtrack.filtering` and :mod:`memtrack.network`),
-:func:`lstm_cell` and the eigenvalue clamp :func:`sym_project`.  A Var has
-no arithmetic operators, so nothing else can record on a tape.
+node comes from :func:`node`, called by the filter stages, the network
+blocks and the loss (see :mod:`memtrack.filtering` and
+:mod:`memtrack.network`): one node per stage or block per step, and one
+for the loss.  The primitives a stage builds on, :func:`lstm_cell`, the
+eigenvalue clamp :func:`sym_project` and :func:`solve`, take plain arrays,
+record nothing, and return their value with its adjoint, which the stage
+calls inside its own vjp.  A Var has no arithmetic operators, so nothing
+else can record on a tape.
 
 The tape is linear: nodes are appended in execution order, so a reversed
 walk visits every node after all of its consumers.  Adjoint accumulation is
 a list indexed by node position; no topological sort is needed.  A node
-may have several outputs; its vjp gets one adjoint per output and returns
-one adjoint per parent.
+may have several outputs; its vjp gets one adjoint per output (zeros only
+for an output nothing used) and returns one adjoint per parent.
 
 A weight matrix's adjoint from ``w @ x`` is ``g x^T`` at every step.  A vjp
 returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
@@ -134,31 +138,47 @@ class Tape:
     def backward(self, out: Var):
         """Adjoints of ``out`` w.r.t. every node, indexed by Var.idx; a node
         with several outputs gets a list with one adjoint (or None) per output."""
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise TapeEmpty("no operations recorded")
-        grads = [None] * len(self.entries)
+        grads = [None] * len(entries)
         outers = {}  # node index -> (g rows, x rows) of its Outer adjoints
-        _accumulate(self.entries, grads, (out.idx, out.slot), np.asarray(1.0))
+        if out.slot is None:
+            grads[out.idx] = np.asarray(1.0)
+        else:
+            grads[out.idx] = [None] * len(entries[out.idx][2])
+            grads[out.idx][out.slot] = np.asarray(1.0)
         for i in range(out.idx, -1, -1):
-            if i in outers:
+            if i in outers:  # only a leaf or a one-output node takes an Outer
                 gs, xs = outers.pop(i)
-                _accumulate(self.entries, grads, (i, None), np.array(gs).T @ np.array(xs))
+                summed = np.array(gs).T @ np.array(xs)
+                grads[i] = summed if grads[i] is None else grads[i] + summed
             g = grads[i]
-            entry = self.entries[i]
+            entry = entries[i]
             if g is None or not entry:
                 continue
             refs, vjp, outputs = entry
             if outputs is not None:
-                g = tuple(np.zeros_like(v) if gk is None else gk for gk, v in zip(g, outputs))
+                for k, gk in enumerate(g):
+                    if gk is None:
+                        g[k] = np.zeros_like(outputs[k])
             for ref, contrib in zip(refs, vjp(g)):
                 if ref is None or contrib is None:
                     continue
-                if isinstance(contrib, Outer):
-                    gs, xs = outers.setdefault(ref[0], ([], []))
+                j, slot = ref
+                if contrib.__class__ is Outer:
+                    gs, xs = outers.setdefault(j, ([], []))
                     gs.append(contrib.g)
                     xs.append(contrib.x)
+                elif slot is None:
+                    prev = grads[j]
+                    grads[j] = contrib if prev is None else prev + contrib
                 else:
-                    _accumulate(self.entries, grads, ref, contrib)
+                    acc = grads[j]
+                    if acc is None:
+                        acc = grads[j] = [None] * len(entries[j][2])
+                    prev = acc[slot]
+                    acc[slot] = contrib if prev is None else prev + contrib
         return grads
 
     def grad(self, grads, var: Var) -> np.ndarray:
@@ -170,18 +190,6 @@ class Tape:
         return np.broadcast_to(g, np.shape(var.value)).astype(np.float64, copy=True)
 
 
-def _accumulate(entries, grads, ref, contrib):
-    idx, slot = ref
-    if slot is None:
-        prev = grads[idx]
-        grads[idx] = contrib if prev is None else prev + contrib
-        return
-    acc = grads[idx]
-    if acc is None:
-        acc = grads[idx] = [None] * len(entries[idx][2])
-    acc[slot] = contrib if acc[slot] is None else acc[slot] + contrib
-
-
 def value(x):
     """Underlying ndarray / float of a Var or passthrough."""
     return x.value if isinstance(x, Var) else x
@@ -191,10 +199,10 @@ def node(outputs, parents, vjp):
     """Record that ``outputs`` were computed from ``parents`` as one node.
 
     ``outputs`` is one array, or a tuple of arrays for a node with several
-    outputs.  ``vjp`` maps the node's adjoint (one array, or a tuple with one
-    array per output, zeros for an output nothing used) to a tuple with one
-    adjoint per parent: an array, None, or an :class:`Outer` for a parent
-    with one output.  Adjoints of parents that are not Vars are ignored.
+    outputs.  ``vjp`` maps the node's adjoint (one array, or a list with one
+    array per output, zeros for an output nothing used) to a sequence with
+    one adjoint per parent: an array, None, or an :class:`Outer` for a
+    parent with one output.  Adjoints of parents that are not Vars are ignored.
     The vjp must not hold a Var: the tape would then reference itself.
 
     Returns ``outputs`` unchanged when no parent is a Var, else the Var, or
@@ -221,36 +229,37 @@ def sigmoid(x):
 
 
 def lstm_cell(w, b, x, hidden, cell):
-    """One LSTM step; returns the new (cell, hidden).
+    """One LSTM step of plain arrays; returns the new cell and hidden and
+    their adjoint.
 
     ``w @ [x; hidden] + b`` stacks the input, forget and output gates and
-    the candidate, in that order.  On a tape the step is one node with two
-    outputs, and ``w``'s adjoint is an :class:`Outer`.
+    the candidate, in that order.  The adjoint maps the adjoints of one
+    case's new (cell, hidden) to those of (w, b, x, hidden, cell), ``w``'s
+    as an :class:`Outer`; a caller records it inside its own node (see
+    :func:`memtrack.network.mub_step`).
     """
-    wv, hv, cv = value(w), value(hidden), value(cell)
-    n = hv.shape[-1]
-    z = np.concatenate([value(x), hv], axis=-1)
-    lin = _matvec(wv, z) + value(b)
+    n = hidden.shape[-1]
+    z = np.concatenate([x, hidden], axis=-1)
+    lin = _matvec(w, z) + b
     gates = sigmoid(lin[..., :3 * n])
     gate_in, gate_forget, gate_out = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
     candidate = np.tanh(lin[..., 3 * n:])
-    new_cell = gate_forget * cv + gate_in * candidate
+    new_cell = gate_forget * cell + gate_in * candidate
     tanh_cell = np.tanh(new_cell)
     new_hidden = gate_out * tanh_cell
 
-    def vjp(g):
-        g_cell, g_hidden = g
+    def adjoint(g_cell, g_hidden):
         g_cell = g_cell + (g_hidden * gate_out) * (1.0 - tanh_cell * tanh_cell)
-        dlin = np.concatenate([
-            (g_cell * candidate) * gate_in * (1.0 - gate_in),
-            (g_cell * cv) * gate_forget * (1.0 - gate_forget),
-            (g_hidden * tanh_cell) * gate_out * (1.0 - gate_out),
-            (g_cell * gate_in) * (1.0 - candidate * candidate),
-        ])
-        dz = wv.T @ dlin
+        # the three gates' slopes in one pass: (adjoint * gate) * (1 - gate)
+        dlin = np.concatenate([g_cell * candidate, g_cell * cell, g_hidden * tanh_cell,
+                               g_cell * gate_in])
+        dlin[:3 * n] *= gates
+        dlin[:3 * n] *= 1.0 - gates
+        dlin[3 * n:] *= 1.0 - candidate * candidate
+        dz = w.T @ dlin
         return Outer(dlin, z), dlin, dz[:-n], dz[-n:], g_cell * gate_forget
 
-    return node((new_cell, new_hidden), (w, b, x, hidden, cell), vjp)
+    return new_cell, new_hidden, adjoint
 
 
 def _mT(a):
@@ -278,19 +287,25 @@ def _matvec(a, x):
 
 
 def solve(a, b):
-    """np.linalg.solve(a, b) of plain arrays, by the adjugate when a is 2x2.
+    """np.linalg.solve(a, b) of plain arrays, by the adjugate when a is 2x2;
+    returns the solution x and its adjoint.
 
-    A 2x2 whose determinant is 0 or not finite goes to LAPACK, which raises
-    LinAlgError on an exactly singular matrix and otherwise behaves as it
-    always did (NaN in, NaN out; no overflow in the determinant).  A stack
-    of 2x2s (N, 2, 2), with right-hand sides (N, 2, k), is solved row by
-    row the same way.
+    The adjoint maps x's adjoint g to those of (a, b), ``(-y x^T, y)`` with
+    ``a^T y = g``, solved with the same 2x2 adjugate and determinant (the
+    transpose's are their transpose and themselves).  A 2x2 whose
+    determinant is 0 or not finite goes to LAPACK, which raises LinAlgError
+    on an exactly singular matrix and otherwise behaves as it always did
+    (NaN in, NaN out; no overflow in the determinant).  A stack of 2x2s
+    (N, 2, 2), with right-hand sides (N, 2, k), is solved row by row the
+    same way, and its adjoint is None: a tape records one case.
     """
     if a.shape == (2, 2):
         (a00, a01), (a10, a11) = a.tolist()
         det = a00 * a11 - a01 * a10
         if det != 0.0 and math.isfinite(det):
-            return (np.array([[a11, -a01], [-a10, a00]]) @ b) / det
+            adjugate = np.array([[a11, -a01], [-a10, a00]])
+            x = (adjugate @ b) / det
+            return x, lambda g: _solve_adjoint(x, (adjugate.T @ g) / det)
     elif a.ndim == 3 and a.shape[1:] == (2, 2):
         a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
         adjugate = np.empty_like(a)
@@ -302,8 +317,15 @@ def solve(a, b):
         lapack = ~((det != 0.0) & np.isfinite(det))
         if lapack.any():
             x[lapack] = np.linalg.solve(a[lapack], b[lapack])
-        return x
-    return np.linalg.solve(a, b)
+        return x, None
+    x = np.linalg.solve(a, b)
+    return x, lambda g: _solve_adjoint(x, np.linalg.solve(a.T, g))
+
+
+def _solve_adjoint(x, y):
+    """The adjoints ``(-y x^T, y)`` of (a, b) in ``a x = b``, given the
+    solution ``y`` of ``a^T y = g``."""
+    return -y @ _mT(x) if x.ndim == 2 else -np.outer(y, x), y
 
 
 # Relative slack of the no-clamp test: it covers the test's own roundoff and
@@ -414,19 +436,21 @@ def _clamp_adjoint(g, w, u, eps):
 
 
 def sym_project(a, eps):
-    """Symmetrize then clamp eigenvalues to >= eps.
+    """Symmetrize a plain array, then clamp its eigenvalues to >= eps;
+    returns the projection and its adjoint.
 
-    Backward is the exact adjoint of the eigenvalue clamp: it reduces to
-    plain symmetrization of the incoming gradient when nothing was clamped,
-    and blocks the gradient along clamped eigendirections otherwise.
+    The adjoint is the exact adjoint of the clamp: plain symmetrization of
+    the output adjoint when nothing was clamped, and blocking the gradient
+    along clamped eigendirections otherwise.  A caller records it inside
+    its own node (see :mod:`memtrack.filtering`).  A plain batch's stack
+    (N, d, d) is projected row by row, and its adjoint is None: a tape
+    records one case.
     """
-    av = value(a)
-    s = 0.5 * (av + _mT(av))
+    s = 0.5 * (a + _mT(a))
     if s.ndim == 3:  # a plain batch
-        return _project_rows(s, eps)
+        return _project_rows(s, eps), None
     out, w, u, clamped = _project_value(s, eps)
-    return node(out, (a,), lambda g: (_clamp_adjoint(g, w, u, eps) if clamped
-                                      else _sym_grad(g),))
+    return out, ((lambda g: _clamp_adjoint(g, w, u, eps)) if clamped else _sym_grad)
 
 
 def logchol2x2(a):

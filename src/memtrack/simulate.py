@@ -188,7 +188,7 @@ def _scatter(centres, extents, counts, uniforms, normals, sigma_v: float) -> np.
     """The (P, 2) points of frames with the given counts: uniform over each
     frame's solid ellipse (unit-disk samples mapped by a Cholesky factor of
     its extent) around its centre, plus sigma_v times the normals."""
-    ell = cholesky(sym_project(extents, 1e-9))
+    ell = cholesky(sym_project(extents, 1e-9)[0])
     radius = np.sqrt(uniforms[0])
     angle = 2.0 * np.pi * uniforms[1]
     dx = radius * np.cos(angle)

@@ -7,10 +7,13 @@ standardization statistics are collected from a zero-compensation pass over
 the training split and frozen before the first update.
 
 ``_run_loss`` is the one place cases are forwarded and scored by the loss.
-Gradients are taped one sequence at a time; the plain passes run all their
-cases as one batch (see :func:`memtrack.filtering.run_filter`): the feature
-statistics pass over the training cases, and each validation pass, whose
-metrics pool through :func:`memtrack.metrics.evaluate_run`.  ``grad_check``
+Gradients are taped one sequence at a time, on a tape of eight nodes a
+step (one per filter stage and network block) and one for the loss; a
+sequence skipped for its loss never runs the backward pass.  The plain
+passes run all their cases as one batch (see
+:func:`memtrack.filtering.run_filter`): the feature statistics pass over
+the training cases, and each validation pass, whose metrics pool through
+:func:`memtrack.metrics.evaluate_run`.  ``grad_check``
 checks the gradient that training itself computes.  Each fold keeps one
 copy of its best parameters, which a diverged epoch rolls back to; the
 checkpoint is the first (fold, epoch) with the lowest validation loss.
@@ -172,11 +175,14 @@ def collect_feature_stats(
 def _sequence_gradients(params, case, model, cfg):
     """Forward + BPTT for one sequence; returns (loss value, grads dict).
 
-    A sequence that turns non-finite under the current parameters is
-    skipped (NaN loss, zero gradients) rather than poisoning the batch; the
-    optimizer recovers on the remaining sequences.  The cyclic garbage
-    collector is paused meanwhile: the tape holds no reference cycles, and
-    its two thousand nodes would otherwise be rescanned many times over.
+    A sequence that turns non-finite under the current parameters, or
+    whose loss is not finite or exceeds 1e9, is skipped (NaN loss, zero
+    gradients) rather than poisoning the batch; the optimizer recovers on
+    the remaining sequences.  A loss that decides the skip does so before
+    the backward pass.  The cyclic garbage collector is paused meanwhile:
+    the tape holds no reference cycles, and its entries (8 nodes a step,
+    about 1 100 for a 140-step sequence) would otherwise be rescanned many
+    times over.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -208,25 +214,31 @@ def _run_loss(params, cases, model, tracker, l2=0.0, tape=None):
 
 
 def _taped_gradients(params, case, model, cfg):
-    zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     tape = ops.Tape()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             loss, _, _, leaves = _run_loss(params, [case], model, cfg.tracker, cfg.l2, tape)
         except NonFinite:
-            return float("nan"), zeros
+            return float("nan"), _zero_grads(params)
+        loss_value = float(ops.value(loss))
         if not isinstance(loss, ops.Var):
             # All learnable paths masked away: nothing to differentiate.
-            return float(ops.value(loss)), zeros
+            return loss_value, _zero_grads(params)
+        # A non-finite or absurd loss means the filter blew up on this
+        # sequence; its gradient direction is garbage, so it is skipped
+        # before the backward pass.
+        if not loss_value <= 1e9:
+            return float("nan"), _zero_grads(params)
         grads = tape.backward(loss)
         out = {k: tape.grad(grads, v) for k, v in leaves.items()}
     if any(not np.all(np.isfinite(g)) for g in out.values()):
-        return float("nan"), zeros
-    # A finite but absurd loss means the filter blew up on this sequence;
-    # its gradient direction is garbage, so treat it like a NaN skip.
-    if float(loss.value) > 1e9:
-        return float("nan"), zeros
-    return float(loss.value), out
+        return float("nan"), _zero_grads(params)
+    return loss_value, out
+
+
+def _zero_grads(params):
+    """The gradients of a skipped or fully masked sequence."""
+    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
 
 
 def _validation_loss(params, cases, model, tracker):

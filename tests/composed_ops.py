@@ -6,7 +6,9 @@ The ops below are built on ``ops.node``, one node each: a generic algebra
 indexing) and the elementwise and structural ops the stages need.  The
 stages compose them exactly as the filter and network compute their
 values, so a fused stage must match its composed twin bit for bit in value
-and to roundoff in its adjoints.
+and to roundoff in its adjoints.  A twin composes what its fused stage
+takes inside its one node: the eigenvalue clamp (:func:`project`, one node
+of its own), the LSTM step of ``mub_step`` and every term of the loss.
 
 ``memtrack`` itself gives a Var no operators.  :func:`install` puts the
 algebra's operators on ``ops.Var`` for one test (the ``algebra`` fixture
@@ -15,7 +17,7 @@ of ``conftest.py``), so every other test runs the package as it ships.
 
 import numpy as np
 
-from memtrack import filtering, network, ops
+from memtrack import filtering, network, ops, training
 from memtrack.models import D, ExtensionState, TrackState
 
 # -- the generic algebra, one node per op ------------------------------------
@@ -103,10 +105,10 @@ def sumsq(a):
 def solve(a, b):
     """x with a @ x = b; adjoints da = -a^-T g x^T, db = a^-T g."""
     av, bv = ops.value(a), ops.value(b)
-    x = ops.solve(av, bv)
+    x, _ = ops.solve(av, bv)
 
     def vjp(g):
-        gb = ops.solve(av.T, g)
+        gb, _ = ops.solve(av.T, g)
         return -(np.outer(gb, x) if x.ndim == 1 else gb @ x.T), gb
 
     return ops.node(x, (a, b), vjp)
@@ -115,6 +117,12 @@ def solve(a, b):
 def logchol2x2(a):
     av = ops.value(a)
     return ops.node(ops.logchol2x2(av), (a,), lambda g: (ops.logchol2x2_adjoint(av, g),))
+
+
+def project(a, eps):
+    """The eigenvalue clamp ``ops.sym_project`` as a node of its own."""
+    out, adjoint = ops.sym_project(ops.value(a), eps)
+    return ops.node(out, (a,), lambda g: (adjoint(g),))
 
 
 # The algebra as Var operators; ``__rmul__`` and ``__radd__`` commute.
@@ -207,7 +215,7 @@ def lstm(w, b, x, hidden, cell):
 def predict_state(prior, model, df, pf):
     mean = model.F @ prior.mean + df
     cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
-    return TrackState(mean=mean, cov=ops.sym_project(cov_raw, filtering._proj_eps(cov_raw)))
+    return TrackState(mean=mean, cov=project(cov_raw, filtering._proj_eps(cov_raw)))
 
 
 _fused_predict_extension = filtering.predict_extension  # for the predicted dof alone
@@ -220,7 +228,7 @@ def predict_extension(prior, model, pphi):
         ops.value(pphi)).dof
     raw = ((v_pred - 2 * D - 2) / lam) * (model.a @ prior.param @ model.a.T
                                           + pphi / model.delta)
-    param = ops.sym_project(raw, max(filtering._proj_eps(raw), filtering.EXT_ABS_FLOOR))
+    param = project(raw, max(filtering._proj_eps(raw), filtering.EXT_ABS_FLOOR))
     return ExtensionState(dof=v_pred, param=param)
 
 
@@ -241,13 +249,13 @@ def update_state(pred, stats):
     gain = solve(stats.pzz, stats.pxz.T).T
     mean = pred.mean + gain @ stats.residual
     cov_raw = pred.cov - gain @ stats.pxz.T
-    return TrackState(mean=mean, cov=ops.sym_project(cov_raw, filtering._proj_eps(cov_raw)))
+    return TrackState(mean=mean, cov=project(cov_raw, filtering._proj_eps(cov_raw)))
 
 
 def update_extension(pred, fs, model):
     raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
     return ExtensionState(dof=pred.dof + fs.count,
-                          param=ops.sym_project(raw, filtering._ext_eps(raw)))
+                          param=project(raw, filtering._ext_eps(raw)))
 
 
 # -- network blocks --------------------------------------------------------------
@@ -304,17 +312,16 @@ def jub_heads(params, pred, ext_pred):
     return dh, eh
 
 
-def add_loss_term(total, state, ext, truth_state, truth_extent):
-    term = (sumsq(state.mean - truth_state)
-            + sumsq(filtering.extension_mean(ext) - truth_extent))
-    return term if total is None else total + term
-
-
-def scale_and_regularize(total, k, weights, gamma):
-    total = total / (2.0 * k)
-    if weights:
+def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma=0.0):
+    total = None
+    for state, ext, truth_state, truth_extent in zip(states, exts, truth_states, truth_extents):
+        term = (sumsq(state.mean - truth_state)
+                + sumsq(filtering.extension_mean(ext) - truth_extent))
+        total = term if total is None else total + term
+    total = total / (2.0 * len(states))
+    if weights is not None and gamma != 0.0:
         reg = None
-        for w in weights:
+        for w in weights.values():
             reg = sumsq(w) if reg is None else reg + sumsq(w)
         total = total + gamma * reg
     return total
@@ -331,15 +338,15 @@ STAGES = [
     ("network", "mub_step", mub_step),
     ("network", "jeb_heads", jeb_heads),
     ("network", "jub_heads", jub_heads),
-    ("network", "_add_loss_term", add_loss_term),
-    ("network", "_scale_and_regularize", scale_and_regularize),
+    ("network", "sequence_loss", sequence_loss),
+    ("training", "sequence_loss", sequence_loss),  # imported there by name
 ]
 
 
 def compose_everything(monkeypatch):
     """Replace every fused stage by its composed twin for this test."""
     install(monkeypatch)
-    modules = {"filtering": filtering, "network": network}
+    modules = {"filtering": filtering, "network": network, "training": training}
     for module, name, twin in STAGES:
         monkeypatch.setattr(modules[module], name, twin)
 

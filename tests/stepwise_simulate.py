@@ -98,7 +98,7 @@ def frame(state, extent, cfg: ScenarioConfig, rng):
         n = int(rng.poisson(cfg.scatter_rate))
         if n >= 2:
             break
-    ell = cholesky(sym_project(extent, 1e-9))
+    ell = cholesky(sym_project(extent, 1e-9)[0])
     radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
     disk = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)

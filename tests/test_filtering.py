@@ -707,7 +707,7 @@ class TestFusedStages:
                               update_state=composed.update_state), make_args)
 
     def test_stages_record_one_node_each(self, cv_model):
-        """A stage is one node, plus one per eigenvalue projection."""
+        """A stage is one node, its eigenvalue projection included."""
         tape = ops.Tape()
         prior, ext, _ = _prior(tape, 60)
         (df, pf, pphi), _ = _evolution(tape, 61, "random")
@@ -723,7 +723,7 @@ class TestFusedStages:
             before = len(tape.entries)
             stage()
             counts.append(len(tape.entries) - before)
-        assert counts == [2, 2, 0, 2, 2]
+        assert counts == [1, 1, 0, 1, 1]
 
 
 class TestInnovationSymmetry:

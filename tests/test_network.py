@@ -237,11 +237,16 @@ class TestSequenceLoss:
         with pytest.raises(LengthMismatch):
             sequence_loss(states, [], np.zeros((1, 4)), np.zeros((1, 2, 2)))
 
+    def test_zero_steps_is_a_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            sequence_loss([], [], np.zeros((0, 4)), np.zeros((0, 2, 2)))
 
-# Tape nodes one taped step records: the feature encoding, the LSTM step, the
-# memory-covariance head, each head block, one node per filter stage and one
-# per eigenvalue projection (13), and the step's loss term.
-NODES_PER_STEP = 14
+
+# Tape nodes one taped step records: the feature encoding, the memory update
+# (the LSTM step with the memory-covariance head), each head block and each
+# filter stage with its eigenvalue projection.  The loss is one more node for
+# the whole sequence.
+NODES_PER_STEP = 8
 
 
 def _perturbed(mask, memory_dim=6, seed=11):

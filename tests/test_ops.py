@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import composed_ops as composed
-from memtrack import network, ops, training
+from memtrack import filtering, network, ops, training
 from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
 from memtrack.models import (
     ExtensionState,
@@ -77,26 +77,32 @@ class TestNoAlgebra:
         assert training.grad_check(params, case, model, eps=1e-5, gamma=0.37) < 1e-4
 
     def test_every_node_is_recorded_by_node(self, monkeypatch):
-        callers, record = [], ops.Tape.record
+        """Only ``ops.node`` records, and a taped sequence calls it from its
+        filter stages, network blocks and loss alone: the LSTM step and the
+        eigenvalue clamp record nothing of their own."""
+        recorders, stages, record, node = [], [], ops.Tape.record, ops.node
 
-        def traced(tape, *args):
-            callers.append(sys._getframe(1).f_code)
+        def traced_record(tape, *args):
+            recorders.append(sys._getframe(1).f_code)
             return record(tape, *args)
 
-        monkeypatch.setattr(ops.Tape, "record", traced)
-        tape = ops.Tape()
-        rng = np.random.default_rng(3)
-        leaves = [tape.leaf(rng.standard_normal(shape))
-                  for shape in ((8, 4), (8,), (2,), (2,), (2,))]
-        cell, hidden = ops.lstm_cell(*leaves)
-        for a in (np.diag([2.0, 3.0]), np.diag([2.0, -1.0])):  # nothing clamps, one clamps
-            ops.sym_project(tape.leaf(a), 0.5)
+        def traced_node(*args):
+            stages.append(sys._getframe(1).f_code)
+            return node(*args)
+
+        monkeypatch.setattr(ops.Tape, "record", traced_record)
+        monkeypatch.setattr(ops, "node", traced_node)
         cfg = ScenarioConfig(steps=4, cases=1, seed=46)
-        training._sequence_gradients(network.init_params(2, np.random.default_rng(46)),
-                                     generate_case(cfg, cfg.seed, 0),
-                                     nominal_cv_model(sigma_w=0.4), training.TrainConfig())
-        assert isinstance(cell, ops.Var) and isinstance(hidden, ops.Var) and len(callers) > 3
-        assert set(callers) == {ops.node.__code__}
+        loss, _ = training._sequence_gradients(network.init_params(2, np.random.default_rng(46)),
+                                               generate_case(cfg, cfg.seed, 0),
+                                               nominal_cv_model(sigma_w=0.4),
+                                               training.TrainConfig(l2=0.37))
+        assert np.isfinite(loss) and len(recorders) > 3
+        assert set(recorders) == {node.__code__}
+        assert set(stages) == {fn.__code__ for fn in (
+            filtering.predict_state, filtering.predict_extension, filtering.update_state,
+            filtering.update_extension, network.encode_inputs, network.mub_step,
+            network.jeb_heads, network.jub_heads, network.sequence_loss)}
 
 
 @pytest.mark.usefixtures("algebra")
@@ -178,7 +184,16 @@ class TestStructural:
         check(build, ref, x)
 
 
+def _clamp_gradient(a, eps):
+    """The gradient of the projection's summed squares, by its adjoint."""
+    out, adjoint = ops.sym_project(a, eps)
+    return adjoint(2.0 * out)
+
+
 class TestSymProject:
+    """The adjoint that ``ops.sym_project`` returns, against central
+    differences of the projection."""
+
     def test_healthy_matches_fd(self):
         a = np.array([[3.0, 0.2], [0.4, 2.0]])
         def ref(v):
@@ -187,7 +202,8 @@ class TestSymProject:
             w = np.maximum(w, 1e-12)
             o = (u * w) @ u.T
             return float(np.sum((0.5 * (o + o.T)) ** 2))
-        check(lambda v: composed.sumsq(ops.sym_project(v, 1e-12)), ref, a)
+        np.testing.assert_allclose(_clamp_gradient(a, 1e-12), fd_grad(ref, a),
+                                   atol=1e-6, rtol=1e-4)
 
     def test_clamped_matches_fd(self):
         a = np.array([[1.0, 0.3], [0.1, -0.5]])
@@ -198,16 +214,17 @@ class TestSymProject:
             w = np.maximum(w, eps)
             o = (u * w) @ u.T
             return float(np.sum((0.5 * (o + o.T)) ** 2))
-        check(lambda v: composed.sumsq(ops.sym_project(v, eps)), ref, a, tol=1e-5)
+        assert ops._project_value(0.5 * (a + a.T), eps)[3]  # the clamp engages
+        np.testing.assert_allclose(_clamp_gradient(a, eps), fd_grad(ref, a),
+                                   atol=1e-5, rtol=1e-4)
 
     def test_value_matches_plain_helper(self):
+        """A size without a no-clamp proof projects exactly as eigh does."""
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = rng.standard_normal((3, 3))
-            tape = ops.Tape()
-            leaf = tape.leaf(a)
-            np.testing.assert_array_equal(
-                ops.sym_project(leaf, 1e-6).value, ops.sym_project(a, 1e-6))
+            np.testing.assert_array_equal(ops.sym_project(a, 1e-6)[0],
+                                          _eigh_project(0.5 * (a + a.T), 1e-6))
 
 
 class TestLogChol:
@@ -224,7 +241,7 @@ class TestLogChol:
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         tape = ops.Tape()
         leaf = tape.leaf(a)
-        out = composed.sumsq(composed.logchol2x2(ops.sym_project(leaf, 0.0)))
+        out = composed.sumsq(composed.logchol2x2(composed.project(leaf, 0.0)))
         grads = tape.backward(out)
         g = tape.grad(grads, leaf)
         def ref(v):
@@ -243,8 +260,8 @@ class TestLogChol:
 class TestDispatch:
     def test_plain_arrays_stay_plain(self):
         a = np.eye(2)
-        assert isinstance(ops.solve(a, a), np.ndarray)
-        assert isinstance(ops.sym_project(a, 0.0), np.ndarray)
+        assert isinstance(ops.solve(a, a)[0], np.ndarray)
+        assert isinstance(ops.sym_project(a, 0.0)[0], np.ndarray)
         assert isinstance(ops.logchol2x2(np.eye(2)), np.ndarray)
 
     def test_mixed_constant_and_var(self):
@@ -363,7 +380,7 @@ class TestSolve2x2:
             a = rng.standard_normal((2, 2)) + rng.uniform(0.0, 3.0) * np.eye(2)
             for b in (rng.standard_normal(2), rng.standard_normal((2, 4))):
                 want = np.linalg.solve(a, b)
-                np.testing.assert_allclose(ops.solve(a, b), want, rtol=0,
+                np.testing.assert_allclose(ops.solve(a, b)[0], want, rtol=0,
                                            atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
     @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.ones((2, 2)),
@@ -378,6 +395,28 @@ class TestSolve2x2:
         check(lambda v: composed.sumsq(composed.solve(v, b)),
               lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
 
+    @pytest.mark.parametrize("dim, k", [(2, 3), (2, None), (3, 2), (3, None)],
+                             ids=["2x2", "2x2-vector", "lapack", "lapack-vector"])
+    def test_adjoint_matches_fd(self, dim, k):
+        """The adjoint ``solve`` returns, for the matrix and the right-hand
+        side: the summed squares of x against central differences."""
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim)
+        b = rng.standard_normal(dim if k is None else (dim, k))
+        x, adjoint = ops.solve(a, b)
+        g_a, g_b = adjoint(2.0 * x)
+        loss = lambda a, b: float(np.sum(np.linalg.solve(a, b) ** 2))  # noqa: E731
+        np.testing.assert_allclose(g_a, fd_grad(lambda v: loss(v, b), a), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(g_b, fd_grad(lambda v: loss(a, v), b), rtol=1e-5, atol=1e-7)
+
+    def test_adjoint_reuses_the_adjugate_bit_for_bit(self):
+        """The 2x2 adjoint's solve with the transpose equals a fresh solve."""
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            a, g = rng.standard_normal((2, 2)), rng.standard_normal((2, 4))
+            _, adjoint = ops.solve(a, rng.standard_normal((2, 4)))
+            np.testing.assert_array_equal(adjoint(g)[1], ops.solve(a.T, g)[0])
+
 
 def _tanh_layer(w, x, b, outer):
     """tanh(w @ x + b) as one node; ``outer`` makes the weight's adjoint."""
@@ -389,6 +428,13 @@ def _tanh_layer(w, x, b, outer):
         return outer(g_lin, xv), wv.T @ g_lin, g_lin
 
     return ops.node(out, (w, x, b), vjp)
+
+
+def _lstm_node(w, b, x, hidden, cell):
+    """``ops.lstm_cell`` recorded with its adjoint as one node, as
+    ``network.mub_step`` records it with the memory-covariance head."""
+    new_cell, new_hidden, adjoint = ops.lstm_cell(*map(ops.value, (w, b, x, hidden, cell)))
+    return ops.node((new_cell, new_hidden), (w, b, x, hidden, cell), lambda g: adjoint(*g))
 
 
 @pytest.mark.usefixtures("algebra")
@@ -413,18 +459,18 @@ class TestFusedOps:
     def test_lstm_forward_bits(self):
         for seed in range(5):
             inputs = self._inputs(seed)
-            _, c1, h1 = self._two_steps(ops.lstm_cell, inputs)
+            _, c1, h1 = self._two_steps(_lstm_node, inputs)
             _, c2, h2 = self._two_steps(composed.lstm, inputs)
             np.testing.assert_array_equal(c1, c2)
             np.testing.assert_array_equal(h1, h2)
-            _, c3, h3 = self._two_steps(ops.lstm_cell, inputs, ops.Tape())
+            _, c3, h3 = self._two_steps(_lstm_node, inputs, ops.Tape())
             np.testing.assert_array_equal(c3.value, c1)
             np.testing.assert_array_equal(h3.value, h1)
 
     def test_lstm_gradients_match_composed(self):
         for seed in range(5):
             grads = []
-            for step in (ops.lstm_cell, composed.lstm):
+            for step in (_lstm_node, composed.lstm):
                 tape = ops.Tape()
                 leaves, cell, hidden = self._two_steps(step, self._inputs(seed), tape)
                 out = composed.sumsq(hidden) + composed.sumsq(cell * 0.3)
@@ -437,12 +483,12 @@ class TestFusedOps:
         w, b, x, hidden, cell = self._inputs(9)
 
         def loss(v):
-            c, h = ops.lstm_cell(w, b, v[:self.X], v[self.X:self.X + self.H], v[self.X + self.H:])
+            c, h, _ = ops.lstm_cell(w, b, v[:self.X], v[self.X:self.X + self.H],
+                                    v[self.X + self.H:])
             return float(np.sum(h * h) + np.sum(c))
 
         def build(v):
-            c, h = ops.lstm_cell(w, b, v[0:self.X], v[self.X:self.X + self.H],
-                                 v[self.X + self.H:])
+            c, h = _lstm_node(w, b, v[0:self.X], v[self.X:self.X + self.H], v[self.X + self.H:])
             return composed.sumsq(h) + c @ np.ones(self.H)
 
         check(build, loss, np.concatenate([x, hidden, cell]))
@@ -500,7 +546,8 @@ class TestFusedOps:
 
     def test_plain_inputs_stay_plain(self):
         w, b, x, hidden, cell = self._inputs(3)
-        assert all(isinstance(v, np.ndarray) for v in ops.lstm_cell(w, b, x, hidden, cell))
+        *values, adjoint = ops.lstm_cell(w, b, x, hidden, cell)
+        assert all(isinstance(v, np.ndarray) for v in values) and callable(adjoint)
         assert isinstance(composed.affine(w, np.ones(self.X + self.H), b), np.ndarray)
 
 
@@ -568,45 +615,46 @@ def _jub_args(tape):
     return (params, state, ext), leaves + belief_leaves
 
 
-def _loss_args(tape, first=False):
-    rng = np.random.default_rng(44)
-    state, ext, leaves = _belief(rng, tape)
-    total = None if first else tape.leaf(np.float64(3.5))
-    args = (total, state, ext, rng.standard_normal(4), np.diag(rng.uniform(1.0, 4.0, 2)))
-    return args, leaves + ([] if first else [total])
+def _loss_args(tape, steps, gamma=0.0):
+    """``steps`` random beliefs of tape leaves, their truth, and the
+    network's weights as leaves, regularized for gamma != 0."""
+    rng = np.random.default_rng(44 + steps)
+    states, exts, leaves = [], [], []
+    for _ in range(steps):
+        state, ext, belief_leaves = _belief(rng, tape)
+        states.append(state)
+        exts.append(ext)
+        leaves += belief_leaves
+    params, weights = _params(rng, tape)
+    truth_extents = np.array([np.diag(rng.uniform(1.0, 4.0, 2)) for _ in range(steps)])
+    args = (states, exts, rng.standard_normal((steps, 4)), truth_extents, params.arrays, gamma)
+    return args, leaves + weights
 
 
-def _loss_tail_args(tape, gamma):
-    """A taped loss sum, and for gamma != 0 the network's weights as leaves."""
-    rng = np.random.default_rng(45)
-    params, leaves = _params(rng, tape)
-    total = tape.leaf(np.float64(rng.uniform(1.0, 9.0)))
-    if gamma == 0.0:
-        return (total, 17, (), gamma), [total]
-    return (total, 17, tuple(params.arrays.values()), gamma), [total] + leaves
-
-
+# sequence_loss is one node: over one step and over three steps' terms, and
+# over seventeen, with the 1/2K scale, without and with the L2 term.
 NETWORK_BLOCKS = {
     "raw_features": (network.raw_features, composed.raw_features, _raw_features_args),
     "encode_inputs": (network.encode_inputs, composed.encode_inputs, _features_args),
     "mub_step": (network.mub_step, composed.mub_step, _mub_args),
     "jeb_heads": (network.jeb_heads, composed.jeb_heads, _jeb_args),
     "jub_heads": (network.jub_heads, composed.jub_heads, _jub_args),
-    "loss_term": (network._add_loss_term, composed.add_loss_term, _loss_args),
-    "first_loss_term": (network._add_loss_term, composed.add_loss_term,
-                        lambda tape: _loss_args(tape, first=True)),
-    "loss_tail": (network._scale_and_regularize, composed.scale_and_regularize,
-                  lambda tape: _loss_tail_args(tape, 0.0)),
-    "regularized_loss_tail": (network._scale_and_regularize, composed.scale_and_regularize,
-                              lambda tape: _loss_tail_args(tape, 0.37)),
+    "loss_term": (network.sequence_loss, composed.sequence_loss,
+                  lambda tape: _loss_args(tape, 3)),
+    "first_loss_term": (network.sequence_loss, composed.sequence_loss,
+                        lambda tape: _loss_args(tape, 1)),
+    "loss_tail": (network.sequence_loss, composed.sequence_loss,
+                  lambda tape: _loss_args(tape, 17)),
+    "regularized_loss_tail": (network.sequence_loss, composed.sequence_loss,
+                              lambda tape: _loss_args(tape, 17, 0.37)),
 }
 
 
 @pytest.mark.usefixtures("algebra")
 class TestFusedNetworkBlocks:
-    """Each fused network block, and the loss's tail, against the same block
-    composed of generic ops: values bit for bit, every input's adjoint at
-    1e-12."""
+    """Each fused network block, the LSTM step of ``mub_step`` and the whole
+    loss included, against the same block composed of generic ops: values
+    bit for bit, every input's adjoint at 1e-12."""
 
     @pytest.mark.parametrize("block", NETWORK_BLOCKS)
     def test_matches_composed(self, block):
@@ -619,8 +667,7 @@ class TestFusedNetworkBlocks:
         args, _ = make_args(tape)
         before = len(tape.entries)
         fused(*args)
-        lstm = block == "mub_step"  # the LSTM step is a node of its own
-        assert len(tape.entries) - before == 1 + lstm
+        assert len(tape.entries) - before == 1
 
 
 class TestStacks:
@@ -632,17 +679,18 @@ class TestStacks:
         rng = np.random.default_rng(27)
         stack = np.array([_spectrum(dim, rng, low) for low in (-1.0, 2.0, 1e-12, 3.0, 0.5)])
         for eps in (1e-9, rng.uniform(0.1, 1.0, len(stack))):
-            got = ops.sym_project(stack, eps)
+            got, adjoint = ops.sym_project(stack, eps)
+            assert adjoint is None  # a tape records one case
             for i, s in enumerate(stack):
                 np.testing.assert_array_equal(got[i], ops.sym_project(s, np.broadcast_to(
-                    eps, len(stack))[i]))
+                    eps, len(stack))[i])[0])
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_sym_project_rows_without_a_clamp_are_the_input(self, dim):
         rng = np.random.default_rng(28)
         stack = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0, 3.0)])
-        assert ops.sym_project(stack, 1e-9) is not stack
-        np.testing.assert_array_equal(ops.sym_project(stack, 1e-9), stack)
+        assert ops.sym_project(stack, 1e-9)[0] is not stack
+        np.testing.assert_array_equal(ops.sym_project(stack, 1e-9)[0], stack)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_clamped_open_and_proven_rows_each_project_as_alone(self, dim):
@@ -683,16 +731,17 @@ class TestStacks:
         a = rng.standard_normal((6, 2, 2)) + 2.0 * np.eye(2)
         a[3] = [[1e300, 1e300], [1e-300, 1e300]]  # an overflowing determinant: LAPACK
         b = rng.standard_normal((6, 2, 4))
-        got = ops.solve(a, b)
+        got, adjoint = ops.solve(a, b)
+        assert adjoint is None  # a tape records one case
         for i in range(6):
-            np.testing.assert_array_equal(got[i], ops.solve(a[i], b[i]))
+            np.testing.assert_array_equal(got[i], ops.solve(a[i], b[i])[0])
 
     def test_singular_row_raises_and_nan_row_stays_nan(self):
         a = np.array([np.eye(2), np.ones((2, 2))])
         with pytest.raises(np.linalg.LinAlgError):
             ops.solve(a, np.ones((2, 2, 3)))
         a[1] = np.nan
-        assert np.isnan(ops.solve(a, np.ones((2, 2, 3)))[1]).all()
+        assert np.isnan(ops.solve(a, np.ones((2, 2, 3)))[0][1]).all()
 
     def test_logchol_rows(self):
         rng = np.random.default_rng(30)

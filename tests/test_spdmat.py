@@ -98,20 +98,21 @@ class TestInverseSpd:
 
 
 class TestSymmetrizeProject:
-    """The one symmetrize-and-clamp projection, ``ops.sym_project``, on plain arrays."""
+    """The one symmetrize-and-clamp projection, ``ops.sym_project``, on plain
+    arrays; its first return value is the projection."""
 
     def test_spd_unchanged(self):
         rng = np.random.default_rng(4)
         a = rand_spd(3, rng)
-        np.testing.assert_array_equal(ops.sym_project(a, 1e-9), 0.5 * (a + a.T))
+        np.testing.assert_array_equal(ops.sym_project(a, 1e-9)[0], 0.5 * (a + a.T))
 
     def test_asymmetric_hand_case(self):
-        out = ops.sym_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
+        out, _ = ops.sym_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
         np.testing.assert_allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
     def test_clamp(self):
-        out = ops.sym_project(np.diag([1.0, -0.5]), 1e-6)
+        out, _ = ops.sym_project(np.diag([1.0, -0.5]), 1e-6)
         np.testing.assert_allclose(out, np.diag([1.0, 1e-6]), atol=1e-15)
 
     def test_idempotent(self):
@@ -119,11 +120,11 @@ class TestSymmetrizeProject:
         # first pass clamped (re-decomposition can land an ulp under eps)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4))
-        once = ops.sym_project(a, 1e-6)
-        twice = ops.sym_project(once, 1e-6)
+        once, _ = ops.sym_project(a, 1e-6)
+        twice, _ = ops.sym_project(once, 1e-6)
         np.testing.assert_allclose(once, twice, atol=1e-14)
-        clear = ops.sym_project(once + 1e-3 * np.eye(4), 1e-6)
-        np.testing.assert_array_equal(clear, ops.sym_project(clear, 1e-6))
+        clear, _ = ops.sym_project(once + 1e-3 * np.eye(4), 1e-6)
+        np.testing.assert_array_equal(clear, ops.sym_project(clear, 1e-6)[0])
 
 
 class TestWishartSampler:

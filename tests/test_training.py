@@ -123,6 +123,25 @@ class TestTrain:
         with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
             forward_sequence(params, ds.cases[0].frames, model, TrackerConfig())
 
+    def test_absurd_loss_is_skipped_before_the_backward_pass(self, tiny, monkeypatch):
+        """A finite loss above 1e9 skips the sequence (NaN loss, zero
+        gradients) without running the backward pass."""
+        ds, model = tiny
+        params = init_params(4, np.random.default_rng(0))
+        loss_of, backward_calls = training.sequence_loss, []
+
+        def absurd(*args, **kwargs):
+            loss = loss_of(*args, **kwargs)
+            return ops.node(ops.value(loss) + 2e9, (loss,), lambda g: (g,))
+
+        monkeypatch.setattr(training, "sequence_loss", absurd)
+        monkeypatch.setattr(ops.Tape, "backward", lambda tape, out: backward_calls.append(out))
+        loss, grads = training._sequence_gradients(params, ds.cases[0], model, make_cfg())
+        assert np.isnan(loss) and backward_calls == []
+        assert list(grads) == list(params.arrays)
+        for name, g in grads.items():
+            assert g.shape == params.arrays[name].shape and not g.any()
+
     def test_validation_scores_pool_every_case(self):
         cfg = ScenarioConfig(steps=6, cases=10, seed=52)
         cases = generate_dataset(cfg).cases
@@ -247,7 +266,10 @@ class TestBatchedPasses:
         assert calls == [len(cases)] * 4
 
     def test_a_taped_sequence_keeps_its_node_count(self, monkeypatch):
-        """One 140-step taped sequence records 1 960 tape nodes."""
+        """One 140-step taped sequence (139 filter steps) records 1 126 tape
+        entries: 14 leaves, 7 nodes for the first step (its features come
+        from the untaped initial beliefs), 8 for each later step and one for
+        the loss."""
         case = generate_case(ScenarioConfig(steps=140, cases=1, seed=7), 7, 0)
         model = nominal_cv_model(sigma_w=0.4)
         params = init_params(64, np.random.default_rng(0))
@@ -258,7 +280,7 @@ class TestBatchedPasses:
                             lambda tape, out: nodes.append(len(tape.entries))
                             or backward(tape, out))
         loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
-        assert np.isfinite(loss) and nodes == [1960]
+        assert np.isfinite(loss) and nodes == [14 + 7 + 8 * 138 + 1] == [1126]
 
 
 class TestCollectorPause:
