@@ -1,12 +1,13 @@
 """SPD matrix utilities.
 
 Walks through the small-matrix toolbox the filter is built on: Cholesky
-factorization, symmetric square roots and the SPD projection.
+factorization, symmetric square roots and the eigenvalue floor that a
+rank-deficient first frame needs.
 """
 
 import numpy as np
 
-from memtrack import ops, spdmat
+from memtrack import spdmat
 
 rng = np.random.default_rng(7)
 
@@ -21,8 +22,8 @@ print("\n== Symmetric square root ==")
 s = spdmat.sym_sqrt(a)
 print("||S S - A|| / ||A|| =", np.linalg.norm(s @ s - a) / np.linalg.norm(a))
 
-print("\n== SPD projection ==")
+print("\n== Eigenvalue floor ==")
 wobbly = np.array([[1.0, 2.0], [0.0, -0.3]])
-fixed, _ = ops.sym_project(wobbly, eps=1e-6)
+fixed = spdmat.eigen_floor(wobbly, 1e-6)
 print("input eigenvalues :", np.linalg.eigvalsh(0.5 * (wobbly + wobbly.T)))
 print("output eigenvalues:", np.linalg.eigvalsh(fixed))

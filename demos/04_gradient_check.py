@@ -1,6 +1,6 @@
 """Backpropagation through the filter, verified against finite differences.
 
-The whole recursion (matrix solves, SPD projections, the LSTM, the
+The whole recursion (matrix solves, Joseph-form updates, the LSTM, the
 compensation heads) is recorded on a reverse-mode tape; this script
 compares every entry of the gradient that training uses with a
 fourth-order central difference on a short sequence, then shows the harness

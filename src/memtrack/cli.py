@@ -32,6 +32,7 @@ from .metrics import MAX_POLYGON_ORDER, evaluate_run
 from .models import NominalModel, ScenarioConfig, nominal_cv_model, stack_frames
 from .network import MASK_FIELDS, forward_sequence, init_params
 from .simulate import generate_case, generate_dataset
+from .spdmat import ellipse_axes
 from .store import (
     read_checkpoint,
     read_dataset,
@@ -242,10 +243,10 @@ def _posteriors_for(cases, model, tracker, params=None):
     """(states, extensions) of one baseline or learned filter run over all
     ``cases``: a batch with a leading case axis, or the only case's.  A
     non-finite value raises NonFinite from the filter's own checks, so
-    numpy's overflow and invalid-value warnings are silenced, as in
-    training."""
+    numpy's overflow, invalid-value and divide-by-zero warnings are
+    silenced, as in training."""
     frames = stack_frames([case.frames for case in cases])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if params is None:
             states, exts, _ = run_filter(frames, model, tracker)
         else:
@@ -301,16 +302,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _ellipse_params(extents: np.ndarray) -> np.ndarray:
-    """(major, minor, angle) rows for a stack of 2x2 extents."""
-    w, u = np.linalg.eigh(extents)
-    angle = np.arctan2(u[:, 1, 1], u[:, 0, 1])
-    angle = np.where(angle < -np.pi / 2, angle + np.pi,
-                     np.where(angle >= np.pi / 2, angle - np.pi, angle))
-    return np.column_stack([np.sqrt(np.maximum(w[:, 1], 0.0)),
-                            np.sqrt(np.maximum(w[:, 0], 0.0)), angle])
-
-
 def cmd_track(args) -> int:
     view = _load_view(args)
     tracker = _section(view, "tracker")
@@ -332,9 +323,9 @@ def cmd_track(args) -> int:
     steps = np.arange(len(counts))
     rows = slice(1, len(states) + 1)
     table = np.column_stack([
-        steps[rows], case.truth.states[rows], _ellipse_params(case.truth.extents[rows]),
+        steps[rows], case.truth.states[rows], ellipse_axes(case.truth.extents[rows]),
         np.array([ops.value(st.mean) for st in states]),
-        _ellipse_params(np.array([ops.value(extension_mean(ex)) for ex in exts])),
+        ellipse_axes(np.array([ops.value(extension_mean(ex)) for ex in exts])),
         counts[rows],
     ])
     write_table(args.out, header, table.tolist())

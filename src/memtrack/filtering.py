@@ -1,13 +1,13 @@
 """Closed-form joint state/extension recursion.
 
 The recursion takes five compensation moments as plain arguments: the
-evolution moments ``(df, pf, pphi)`` shift the predicted state mean and
-inflate the predicted state covariance and extension; the measurement
-moments ``(dh, eh)`` shift the predicted frame mean and scale the
-innovation's scatter noise per axis by ``1 + eh``.  The same code therefore
-runs as the classic baseline (with :data:`ZERO_EVOLUTION` and
-:data:`ZERO_MEASUREMENT`) and as the filtering backbone of the learned
-tracker.  With zero compensation the state branch is algebraically a Kalman
+evolution moments ``(df, ef, pphi)`` shift the predicted state mean, scale
+the predicted state covariance per axis by ``1 + ef`` on both sides, and
+inflate the predicted extension; the measurement moments ``(dh, eh)``
+shift the predicted frame mean and scale the innovation's scatter noise per
+axis by ``1 + eh``.  The same code therefore runs as the classic baseline
+(with :data:`ZERO_EVOLUTION` and :data:`ZERO_MEASUREMENT`) and as the
+filtering backbone of the learned tracker.  With zero compensation the state branch is algebraically a Kalman
 filter whose measurement covariance is B Xhat B^T / n.
 
 :func:`run_filter` is the only place the per-step recursion is written.  It
@@ -15,7 +15,7 @@ takes an optional compensator, an object with two methods that it calls
 once per step, in this order:
 
 - ``evolve(state, ext, fs)`` gets the previous posteriors and the current
-  frame's statistics and returns the evolution moments ``(df, pf, pphi)``
+  frame's statistics and returns the evolution moments ``(df, ef, pphi)``
   used by both predictions;
 - ``measure(pred, ext_pred)`` gets those predictions and returns the
   measurement moments ``(dh, eh)`` used by the innovation.
@@ -39,10 +39,11 @@ with a hand-written adjoint: :func:`predict_state`'s mean and covariance,
 update together (:func:`innovation` computes the statistics and
 :func:`update_state` records the node, from the prediction and the
 measurement moments), and :func:`update_extension`'s parameter matrix,
-whose one parent is the predicted one (the frame scatter is data).  Each
-stage's eigenvalue clamp (:func:`memtrack.ops.sym_project`) is part of its
-node: the clamp returns its adjoint, and the stage's vjp applies it first.
-A taped step therefore records four filter nodes.
+whose one parent is the predicted one (the frame scatter is data).  A
+taped step therefore records four filter nodes.
+
+Every belief stays SPD by construction, with no eigenvalue clamp (see
+each stage), and each stage takes its output's symmetric part inline.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import ops
+from . import ops, spdmat
 from .errors import BadDof, NonFinite, SingularInnovation, TooFewPoints
 from .models import (
     D,
@@ -81,23 +82,16 @@ __all__ = [
     "run_filter",
 ]
 
-# Eigenvalue floor for covariance/extension projections, relative to trace.
-PROJ_EPS_FACTOR = 1e-9
-
-# Absolute floor (m^2) for extension parameter projections; keeps a
-# collapsing extent positive definite for the network's log-Cholesky encoding.
-EXT_ABS_FLOOR = 1e-6
-
 # Predicted dofs are snapped to this dyadic grid (2^-34, ~6e-11 absolute)
 # so that the integer update increment v_post = v_pred + n is exact in
 # float arithmetic at every step.
 _DOF_GRID = 2.0 ** 34
 
 
-# Zero compensation: the evolution moments (df, pf, pphi) and the
+# Zero compensation: the evolution moments (df, ef, pphi) and the
 # measurement moments (dh, eh) that reduce the filter to the baseline.
 # Every zero-compensation caller shares these arrays, so they are read-only.
-ZERO_EVOLUTION = (np.zeros(4), np.zeros((4, 4)), np.zeros((2, 2)))
+ZERO_EVOLUTION = (np.zeros(4), np.zeros(4), np.zeros((2, 2)))
 ZERO_MEASUREMENT = (np.zeros(2), np.zeros(2))
 for _zero in ZERO_EVOLUTION + ZERO_MEASUREMENT:
     _zero.setflags(write=False)
@@ -123,18 +117,20 @@ class TrackerConfig:
 
 class InnovationStats(NamedTuple):
     """Predicted frame mean, the frame mean's residual against it, and the
-    covariances that :func:`update_state` reads, all plain arrays.
+    matrices that :func:`update_state` reads, all plain arrays.
 
     ``sources`` are the prediction and measurement moments they came from,
     ``(x, P, X, dh, eh)``, and ``back`` maps adjoints of (residual, pxz,
-    pzz) to adjoints of the sources; :func:`update_state` records its tape
+    pzz, r) to adjoints of the sources; :func:`update_state` records its tape
     node from them, so that the innovation and the update are one node.
     """
 
     z_pred: np.ndarray    # (2,)
     residual: np.ndarray  # (2,) frame mean minus z_pred
     pxz: np.ndarray       # (4, 2)
-    pzz: np.ndarray       # (2, 2) residual covariance
+    pzz: np.ndarray       # (2, 2) residual covariance H P H^T + r
+    r: np.ndarray         # (2, 2) its scatter term D W D
+    h: np.ndarray         # (2, 4) the measurement matrix H
     sources: tuple = ()
     back: Callable | None = None
 
@@ -150,39 +146,40 @@ class FilterDiagnostics:
     frame: FrameStats
 
 
-def _proj_eps(raw):
-    """The clamp floor of a matrix (a float), or of each of a stack ((N,))."""
-    raw = ops.value(raw)
-    if raw.ndim == 2:
-        tr = 0.0
-        for x in raw.diagonal().tolist():  # np.trace's order and bits
-            tr += x
-        return PROJ_EPS_FACTOR * abs(tr)
-    # a sum over a few entries adds them in order, as the loop above does
-    return np.abs(raw.diagonal(0, 1, 2).sum(axis=1)) * PROJ_EPS_FACTOR
+def _scaled(m, excess):
+    """``S m S`` for ``S = diag(1 + excess)``, entrywise as ``m_ij s_i s_j``
+    (symmetric bit for bit; a zero excess multiplies by exactly 1.0), and
+    the map from its adjoint to those of (m, excess)."""
+    scale = 1.0 + excess
+    outer_scale = scale[..., :, None] * scale[..., None, :]
+
+    def adjoint(g):
+        g_outer = g * m
+        return g * outer_scale, g_outer @ scale + g_outer.T @ scale
+
+    return m * outer_scale, adjoint
 
 
-def _ext_eps(raw):
-    """The clamp floor of an extension parameter: never below EXT_ABS_FLOOR."""
-    eps = _proj_eps(raw)
-    return max(eps, EXT_ABS_FLOOR) if isinstance(eps, float) else np.maximum(eps, EXT_ABS_FLOOR)
-
-
-def predict_state(prior: TrackState, model: NominalModel, df, pf) -> TrackState:
+def predict_state(prior: TrackState, model: NominalModel, df, ef) -> TrackState:
     """Evolve the kinematic belief one step.
 
-    mean = F x + df;  cov = F P F^T + Q + pf, symmetrized.
+    mean = F x + df;  cov = S (F P F^T + Q) S with S = diag(1 + ef), the
+    bracket symmetrized.  ``ef >= -1`` keeps S >= 0, so the covariance is a
+    congruence of the SPD bracket: SPD for any ``ef > -1``.
     """
     f = model.F
     mean = ops._matvec(f, ops.value(prior.mean)) + ops.value(df)
-    cov_raw = f @ ops.value(prior.cov) @ f.T + model.q + ops.value(pf)
-    cov, clamp_adjoint = ops.sym_project(cov_raw, _proj_eps(cov_raw))
+    raw = f @ ops.value(prior.cov) @ f.T + model.q
+    bracket = 0.5 * (raw + ops._mT(raw))
+    cov, scaled_adjoint = _scaled(bracket, ops.value(ef))
 
     def vjp(g):
-        g_mean, g_raw = g[0], clamp_adjoint(g[1])
-        return f.T @ g_mean, f.T @ g_raw @ f, g_mean, g_raw
+        g_mean = g[0]
+        g_bracket, g_ef = scaled_adjoint(g[1])
+        g_raw = 0.5 * (g_bracket + g_bracket.T)
+        return f.T @ g_mean, f.T @ g_raw @ f, g_mean, g_ef
 
-    mean, cov = ops.node((mean, cov), (prior.mean, prior.cov, df, pf), vjp)
+    mean, cov = ops.node((mean, cov), (prior.mean, prior.cov, df, ef), vjp)
     if not np.isfinite(ops.value(mean)).all():
         raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
@@ -196,8 +193,9 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
 
         v' = 2 delta (l+1)(l-1)(l-2) / (l^2 (l+delta)) + 2d + 4
 
-    and the parameter matrix is scaled by (v' - 2d - 2)/lambda around the
-    transition bracket A X A^T + pphi / delta.
+    and the parameter matrix is scaled by (v' - 2d - 2)/lambda > 0 around
+    the transition bracket A X A^T + pphi / delta, SPD for an SPD X and a
+    PSD pphi, and symmetrized.
     """
     lam = prior.dof - 2 * D - 2
     if ops._any(lam <= 2.0):
@@ -215,10 +213,10 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
     scale = ops._rows((v_pred - 2 * D - 2) / lam)
     raw = scale * bracket
-    param, clamp_adjoint = ops.sym_project(raw, _ext_eps(raw))
+    param = 0.5 * (raw + ops._mT(raw))
 
     def vjp(g):
-        g_raw = scale * clamp_adjoint(g)
+        g_raw = scale * (0.5 * (g + g.T))
         return a.T @ g_raw @ a, g_raw / delta
 
     param = ops.node(param, (prior.param, pphi), vjp)
@@ -250,10 +248,10 @@ def innovation(
     """Predicted frame mean H x + dh, its residual against the frame mean,
     and the cross/innovation covariances.
 
-    Pzz = H P H^T + D W D with W = B Xhat B^T / n and D = diag(1 + eh),
-    eh >= -1, is SPD by construction for an SPD prediction P.  Xhat is the
-    lambda-scaled extent point estimate (not the raw parameter matrix, whose
-    scale grows with dof).  W is taken as its symmetric part, and D's
+    Pzz = H P H^T + R with the scatter term R = D W D, W = B Xhat B^T / n
+    and D = diag(1 + eh), eh >= -1, is SPD by construction for an SPD
+    prediction P.  Xhat is the lambda-scaled extent point estimate (not the
+    raw parameter matrix, whose scale grows with dof).  W is taken as its symmetric part, and D's
     product entrywise as d_i d_j, so Pzz is symmetric bit for bit for any B.
 
     The statistics are plain arrays; under a tape, :func:`update_state`
@@ -269,47 +267,53 @@ def innovation(
     xhat = ops.value(ext_pred.param) / ops._rows(lam)
     scatter = (b @ xhat @ b.T) / n
     scatter = 0.5 * (scatter + ops._mT(scatter))
-    scale = 1.0 + ops.value(eh)
-    outer_scale = scale[..., :, None] * scale[..., None, :]
-    pzz = hph + scatter * outer_scale
+    r, scaled_adjoint = _scaled(scatter, ops.value(eh))
 
-    def back(g_residual, g_pxz, g_pzz):
-        """Adjoints of (x, P, X, dh, eh) from those of (residual, pxz, pzz)."""
+    def back(g_residual, g_pxz, g_pzz, g_r):
+        """Adjoints of (x, P, X, dh, eh) from those of (residual, pxz, pzz, r)."""
         g_pxz = g_pxz + h.T @ g_pzz
-        g_scatter = g_pzz * outer_scale
-        g_outer = g_pzz * scatter
+        g_scatter, g_eh = scaled_adjoint(g_pzz + g_r)
         g_scatter = 0.5 * (g_scatter + g_scatter.T)
         g_xhat = b.T @ g_scatter @ b / n
-        return (-(h.T @ g_residual), g_pxz @ h, g_xhat / lam, -g_residual,
-                g_outer @ scale + g_outer.T @ scale)
+        return -(h.T @ g_residual), g_pxz @ h, g_xhat / lam, -g_residual, g_eh
 
-    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=pzz,
-                           sources=(pred.mean, pred.cov, ext_pred.param, dh, eh), back=back)
+    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=hph + r,
+                           r=r, h=h, sources=(pred.mean, pred.cov, ext_pred.param, dh, eh),
+                           back=back)
 
 
 def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
-    """Kalman-form state update of the mean by the gain Pxz Pzz^-1 times
-    ``stats.residual``; one tape node with the innovation that made
-    ``stats``, whose adjoint solves with the gain's 2x2 adjugate and
-    determinant again."""
-    pxz, pzz, residual, back = stats.pxz, stats.pzz, stats.residual, stats.back
-    pxz_t = ops._mT(pxz)
+    """Kalman-form state update: the mean moves by the gain K = Pxz Pzz^-1
+    times ``stats.residual``, and the covariance takes the Joseph form
+
+        (I - K H) P (I - K H)^T + K R K^T,
+
+    symmetrized, SPD for an SPD P and R.  One tape node with the innovation
+    that made ``stats``.  The covariance's adjoint in K, 2 G (K R - A P H^T),
+    is zero at the Kalman gain of P (Pzz K^T = H P); it is kept for a P
+    other than the one ``stats`` came from."""
+    r, h, residual, back = stats.r, stats.h, stats.residual, stats.back
     try:
-        gain_t, solve_adjoint = ops.solve(pzz, pxz_t)
+        gain_t, solve_adjoint = ops.solve(stats.pzz, ops._mT(stats.pxz))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
     gain = ops._mT(gain_t)
     mean = ops.value(pred.mean) + ops._matvec(gain, residual)
-    cov_raw = ops.value(pred.cov) - gain @ pxz_t
-    cov, clamp_adjoint = ops.sym_project(cov_raw, _proj_eps(cov_raw))
+    p = ops.value(pred.cov)
+    a = np.eye(h.shape[1]) - gain @ h
+    a_t = ops._mT(a)
+    joseph = a @ p @ a_t + gain @ r @ gain_t
+    cov = 0.5 * (joseph + ops._mT(joseph))
 
     def vjp(g):
-        g_mean, g_cov = g[0], clamp_adjoint(g[1])
+        g_mean, g_cov = g
+        g_cov = 0.5 * (g_cov + g_cov.T)
+        g_gain = np.outer(g_mean, residual) + 2.0 * (g_cov @ (gain @ r - a @ (p @ h.T)))
         # gain^T = Pzz^-1 Pxz^T: its adjoint flows to Pzz and Pxz as a solve's
-        g_pzz, g_rhs = solve_adjoint((np.outer(g_mean, residual) - g_cov @ pxz).T)
-        sources = () if back is None else back(
-            gain_t @ g_mean, g_rhs.T - g_cov.T @ gain, g_pzz)
-        return (g_mean, g_cov) + sources
+        g_pzz, g_rhs = solve_adjoint(g_gain.T)
+        sources = () if back is None else back(gain_t @ g_mean, g_rhs.T, g_pzz,
+                                               gain_t @ g_cov @ gain)
+        return (g_mean, a_t @ g_cov @ a) + sources
 
     mean, cov = ops.node((mean, cov), (pred.mean, pred.cov) + stats.sources, vjp)
     if not np.isfinite(ops.value(mean)).all():
@@ -322,12 +326,11 @@ def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) 
     parameter matrix absorbs the whitened frame scatter B^-1 Z B^-T.
 
     The SPD prediction plus the PSD whitened scatter is SPD by construction;
-    the projection symmetrizes roundoff and keeps the eigenvalue floor.
+    the sum is symmetrized.
     """
     dof = pred.dof + fs.count
     raw = ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T
-    param, clamp_adjoint = ops.sym_project(raw, _ext_eps(raw))
-    param = ops.node(param, (pred.param,), lambda g: (clamp_adjoint(g),))
+    param = ops.node(0.5 * (raw + ops._mT(raw)), (pred.param,), lambda g: (0.5 * (g + g.T),))
     return ExtensionState(dof=dof, param=param)
 
 
@@ -337,7 +340,8 @@ def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
 
     Position at the frame mean, zero velocity, diagonal covariance priors;
     the extension parameter matrix is the lambda-scaled sample covariance,
-    floored at ``min_extent`` per eigenvalue.
+    floored at ``min_extent`` per eigenvalue for a first frame of
+    coincident or collinear points.
     """
     fewest = min(map(len, first)) if isinstance(first, tuple) else len(first)
     if fewest < 2:
@@ -348,7 +352,7 @@ def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
     cov = np.broadcast_to(np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var]),
                           lead + (4, 4)).copy()
     raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / ops._rows(fs.count - 1))
-    param, _ = ops.sym_project(raw, cfg.min_extent)
+    param = spdmat.eigen_floor(raw, cfg.min_extent)
     dof = np.full(lead, cfg.init_dof) if lead else cfg.init_dof
     return TrackState(mean=mean, cov=cov), ExtensionState(dof=dof, param=param)
 
@@ -380,9 +384,9 @@ def run_filter(
     state, ext = init_track(frames[0], cfg)
     states, exts = [], []
     for k, fs in enumerate(reduce_frames(frames[1:]), start=2):
-        df, pf, pphi = (ZERO_EVOLUTION if compensator is None
+        df, ef, pphi = (ZERO_EVOLUTION if compensator is None
                         else compensator.evolve(state, ext, fs))
-        pred = predict_state(state, model, df, pf)
+        pred = predict_state(state, model, df, ef)
         ext_pred = predict_extension(ext, model, pphi)
         dh, eh = (ZERO_MEASUREMENT if compensator is None
                   else compensator.measure(pred, ext_pred))

@@ -7,11 +7,12 @@ calibrated-zero convention: softplus outputs are shifted by softplus(0) so
 that all-zero weights produce exactly zero compensation, making the
 untrained network bit-identical to the baseline filter.
 
-The shift means the diagonal of pf can dip slightly negative (>= -log 2),
-and the predicted state covariance is SPD-projected.  The measurement scale
-excess eh = softplus(u) / softplus(0) - 1 is >= -1, so the innovation's
-scale 1 + eh is nonnegative and Pzz needs no projection; the extension
-inflation pphi is a true Cholesky square so it stays PSD.
+The two scale excesses, ef of the predicted state covariance and eh of the
+innovation's scatter noise, are softplus(u) / softplus(0) - 1 >= -1, so
+their scales 1 + ef and 1 + eh are nonnegative and scale an SPD matrix by a
+congruence; the extension inflation pphi is a true Cholesky square, so it
+stays PSD.  Every belief therefore stays SPD without a projection (see
+:mod:`memtrack.filtering`).
 
 Each block computes its values in plain numpy, by the same expressions with
 or without a tape, and records them as one tape node with a hand-written
@@ -74,7 +75,6 @@ FRAME_COV_EPS = 1e-6   # floor added to the per-frame scatter covariance
 # command line: the evolution heads, the update heads, the memory update.
 MASK_FIELDS = {"jeb": "mask_evolution", "jub": "mask_update", "mub": "mask_memory"}
 
-_OFF_DIAG_2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 _FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
 
 
@@ -244,7 +244,7 @@ def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
 
 
 def jeb_heads(params: NetworkParams, mem: MemoryState):
-    """Evolution compensation (df, pf, pphi) from the memory state."""
+    """Evolution compensation (df, ef, pphi) from the memory state."""
     if params.mask_evolution:
         return ZERO_EVOLUTION
     names = ("evo_shift_w", "evo_shift_b", "evo_cov_w", "evo_cov_b", "evo_ext_w", "evo_ext_b")
@@ -254,16 +254,17 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
     inp = np.concatenate([hidden, ops.value(mem.pc)], axis=-1)
     df = ops._matvec(shift_w, inp) + shift_b
     cov_lin = ops._matvec(cov_w, inp) + cov_b
-    pf = _diag(np.logaddexp(0.0, cov_lin) - ops.SOFTPLUS_ZERO)
+    ef = np.logaddexp(0.0, cov_lin) / ops.SOFTPLUS_ZERO - 1.0
     ext_vec = ops._matvec(ext_w, inp) + ext_b
-    ell = _diag(np.logaddexp(0.0, ext_vec[..., 0:2]) - ops.SOFTPLUS_ZERO) \
-        + ext_vec[..., 2, None, None] * _OFF_DIAG_2
+    diag = np.logaddexp(0.0, ext_vec[..., 0:2]) - ops.SOFTPLUS_ZERO
+    ell = np.zeros(ext_vec.shape[:-1] + (2, 2))
+    ell[..., 0, 0], ell[..., 1, 1], ell[..., 1, 0] = diag[..., 0], diag[..., 1], ext_vec[..., 2]
     pphi = ell @ ops._mT(ell)
 
     def vjp(g):
-        g_df, g_pf, g_pphi = g
+        g_df, g_ef, g_pphi = g
         slopes = ops.sigmoid(np.concatenate([cov_lin, ext_vec[0:2]]))  # softplus'
-        g_cov = np.diagonal(g_pf) * slopes[:4]
+        g_cov = g_ef / ops.SOFTPLUS_ZERO * slopes[:4]
         g_ell = (g_pphi + g_pphi.T) @ ell
         g_ext = np.array([g_ell[0, 0], g_ell[1, 1], g_ell[1, 0]])
         g_ext[0:2] *= slopes[4:]
@@ -271,7 +272,7 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
         return (g_inp[:len(hidden)], g_inp[len(hidden):], ops.Outer(g_df, inp), g_df,
                 ops.Outer(g_cov, inp), g_cov, ops.Outer(g_ext, inp), g_ext)
 
-    return ops.node((df, pf, pphi), (mem.hidden, mem.pc, *weights), vjp)
+    return ops.node((df, ef, pphi), (mem.hidden, mem.pc, *weights), vjp)
 
 
 def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState):
@@ -401,13 +402,3 @@ def _square_sums(d, lead: tuple):
     """Sum of the squared entries of a case's ``d``, or of each case's for a
     batch (``lead`` = (N,))."""
     return np.sum((d * d).reshape(lead + (-1,)), axis=-1)
-
-
-def _diag(v):
-    """The diagonal matrix of a vector, or of each row of a stack (N, n)."""
-    if v.ndim == 1:
-        return np.diag(v)
-    out = np.zeros(v.shape + v.shape[-1:])
-    idx = np.arange(v.shape[-1])
-    out[..., idx, idx] = v
-    return out

@@ -9,11 +9,10 @@ and plain inference therefore produce the same values bit for bit.  Every
 node comes from :func:`node`, called by the filter stages, the network
 blocks and the loss (see :mod:`memtrack.filtering` and
 :mod:`memtrack.network`): one node per stage or block per step, and one
-for the loss.  The primitives a stage builds on, :func:`lstm_cell`, the
-eigenvalue clamp :func:`sym_project` and :func:`solve`, take plain arrays,
-record nothing, and return their value with its adjoint, which the stage
-calls inside its own vjp.  A Var has no arithmetic operators, so nothing
-else can record on a tape.
+for the loss.  The primitives a stage builds on, :func:`lstm_cell` and
+:func:`solve`, take plain arrays, record nothing, and return their value
+with its adjoint, which the stage calls inside its own vjp.  A Var has no
+arithmetic operators, so nothing else can record on a tape.
 
 The tape is linear: nodes are appended in execution order, so a reversed
 walk visits every node after all of its consumers.  Adjoint accumulation is
@@ -26,24 +25,17 @@ returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
 node's outer products with one matrix product, ``G^T X``, when its walk
 reaches that node.
 
-The one-track hot path is kept cheap in two more ways, neither of which
-changes a forward value.  The eigenvalue clamp of :func:`sym_project` first
-tries to prove, in scalar arithmetic, that nothing clamps (a closed-form
-2x2 minimum eigenvalue, or positive pivots of ``s - eps I``), and calls
-``eigh`` only when that proof fails.  :func:`solve` inverts a 2x2 by its
-adjugate.
+The one-track hot path makes no LAPACK call: :func:`solve` inverts a
+2x2 by its adjugate, without changing a forward value.
 
 A plain (untaped) batch of N cases stacks its matrices on a leading case
-axis, and :func:`sym_project`, :func:`solve` and :func:`logchol2x2` work
-row by row on such stacks, each row bit for bit as it would alone.  The
-2x2 clamp proof runs per row, the 4x4 one as one Cholesky factorization of
-the stack, and each row it leaves open goes through the one-matrix clamp.
-These stack forms stay because per-row calls were slower: an 8-case
-feature-statistics pass took 58 ms against 38, a 16-case learned forward
-97 ms against 77.  ``_matvec`` and ``_mT`` are the matrix-vector product
-and the transpose of one case or of each row of a stack, and ``_rows``
-shapes a batch's per-case scalars to scale its matrices.  A tape records
-one case.
+axis, and :func:`solve` and :func:`logchol2x2` work row by row on such
+stacks, each row bit for bit as it would alone.  These stack forms stay
+because per-row calls were slower: an 8-case feature-statistics pass took
+58 ms against 38, a 16-case learned forward 97 ms against 77.  ``_matvec``
+and ``_mT`` are the matrix-vector product and the transpose of one case or
+of each row of a stack, and ``_rows`` shapes a batch's per-case scalars to
+scale its matrices.  A tape records one case.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFinite, NotPositiveDefinite, TapeEmpty
+from .errors import NotPositiveDefinite, TapeEmpty
 
 __all__ = [
     "SOFTPLUS_ZERO",
@@ -64,7 +56,6 @@ __all__ = [
     "sigmoid",
     "lstm_cell",
     "solve",
-    "sym_project",
     "logchol2x2",
     "logchol2x2_adjoint",
 ]
@@ -214,12 +205,6 @@ def node(outputs, parents, vjp):
     return outputs
 
 
-def _sym_grad(g):
-    """Adjoint of symmetrization: the symmetric part of the gradient."""
-    g = np.asarray(g)
-    return 0.5 * (g + g.T)
-
-
 def sigmoid(x):
     """1 / (1 + e^-x) of a plain array, the derivative of softplus: each
     branch is evaluated where it cannot overflow (1 / (1 + e^-x) for x >= 0,
@@ -326,131 +311,6 @@ def _solve_adjoint(x, y):
     """The adjoints ``(-y x^T, y)`` of (a, b) in ``a x = b``, given the
     solution ``y`` of ``a^T y = g``."""
     return -y @ _mT(x) if x.ndim == 2 else -np.outer(y, x), y
-
-
-# Relative slack of the no-clamp test: it covers the test's own roundoff and
-# eigh's (a few ulps of the spectral norm each), so the test passes only
-# where eigh would also find every eigenvalue >= eps.
-_EIG_SLACK = 64.0 * np.finfo(np.float64).eps
-
-
-def _above(s, eps) -> bool:
-    """True when every eigenvalue of symmetric ``s`` provably exceeds ``eps``;
-    False means only that eigh has to decide (NaN included).
-
-    A 2x2 uses the closed-form smaller eigenvalue ``m - r`` and spectral
-    norm ``|m| + r``.  A 4x4 runs an unrolled LDL^T of
-    ``s - t I`` in scalar arithmetic, whose pivots are all positive exactly
-    when it is positive definite; ``t`` adds slack relative to the trace,
-    which bounds the spectral norm of an SPD ``s``.  Other sizes ask eigh.
-    """
-    if s.shape == (2, 2):
-        (a, b), (_, d) = s.tolist()
-        m, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
-        return m - r - eps > _EIG_SLACK * (abs(m) + r)
-    if s.shape != (4, 4):
-        return False
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = s.tolist()
-    t = eps + 4.0 * _EIG_SLACK * (abs(a00) + abs(a11) + abs(a22) + abs(a33))
-    d0 = a00 - t
-    if not d0 > 0.0:
-        return False
-    l10, l20, l30 = a01 / d0, a02 / d0, a03 / d0
-    d1 = a11 - t - l10 * a01
-    if not d1 > 0.0:
-        return False
-    b12, b13 = a12 - l10 * a02, a13 - l10 * a03
-    l21, l31 = b12 / d1, b13 / d1
-    d2 = a22 - t - l20 * a02 - l21 * b12
-    if not d2 > 0.0:
-        return False
-    b23 = a23 - l20 * a03 - l21 * b13
-    return a33 - t - l30 * a03 - l31 * b13 - b23 * b23 / d2 > 0.0
-
-
-def _above_rows(s, eps) -> np.ndarray:
-    """Which matrices of a symmetric stack ``s`` (N, d, d) provably have
-    every eigenvalue above their ``eps`` (a float or (N,)); False leaves a
-    row to the one-matrix clamp, :func:`_project_value`.
-
-    Each 2x2 gets the scalar test's closed form.  A stack of larger
-    matrices passes or fails as a whole: it passes when LAPACK factors
-    every ``s - t I`` (its Cholesky factor then is finite), ``t`` as in
-    :func:`_above`.
-    """
-    if s.shape[1:] == (2, 2):
-        a, b, d = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
-        m, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-        return m - r - eps > _EIG_SLACK * (np.abs(m) + r)
-    dim = s.shape[-1]
-    t = eps + np.abs(s.diagonal(0, 1, 2)).sum(axis=1) * (dim * _EIG_SLACK)
-    try:
-        factor = np.linalg.cholesky(s - t[:, None, None] * np.eye(dim))
-    except np.linalg.LinAlgError:
-        return np.zeros(len(s), dtype=bool)
-    # a NaN or infinity anywhere in the factor reaches its last pivot
-    return np.full(len(s), np.isfinite(factor[:, -1, -1]).all())
-
-
-def _project_rows(s, eps):
-    """The projection of each matrix of a symmetric stack ``s`` at its
-    ``eps``: each row the proof leaves open goes through
-    :func:`_project_value`; ``s`` itself when no row changes."""
-    out = s
-    for i in (~_above_rows(s, eps)).nonzero()[0].tolist():
-        row, _, _, clamped = _project_value(s[i], eps[i] if isinstance(eps, np.ndarray) else eps)
-        if clamped:
-            out = s.copy() if out is s else out
-            out[i] = row
-    return out
-
-
-def _project_value(s, eps):
-    """(projection, w, u, clamped); w and u are eigh's, or None when the
-    no-clamp test made eigh unnecessary.  Without a clamp the projection is
-    ``s`` itself.  A non-finite ``s`` raises NonFinite."""
-    if _above(s, eps):
-        return s, None, None, False
-    if not np.isfinite(s).all():  # eigh would raise LinAlgError
-        raise NonFinite("non-finite matrix in the eigenvalue clamp")
-    w, u = np.linalg.eigh(s)
-    if w[0] >= eps:
-        return s, w, u, False
-    wc = np.maximum(w, eps)
-    out = (u * wc) @ u.T
-    return 0.5 * (out + out.T), w, u, True
-
-
-def _clamp_adjoint(g, w, u, eps):
-    """Exact adjoint of symmetrize-then-clamp for the output adjoint ``g``,
-    at eigenpairs (w, u) of the symmetrized input: blocks the gradient
-    along clamped eigendirections."""
-    wc = np.maximum(w, eps)
-    gprime = (w > eps).astype(np.float64)
-    dw = w[:, None] - w[None, :]
-    dn = wc[:, None] - wc[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(dw != 0.0, dn / dw, 0.5 * (gprime[:, None] + gprime[None, :]))
-    tmat = u.T @ _sym_grad(g) @ u
-    return _sym_grad(u @ (m * tmat) @ u.T)
-
-
-def sym_project(a, eps):
-    """Symmetrize a plain array, then clamp its eigenvalues to >= eps;
-    returns the projection and its adjoint.
-
-    The adjoint is the exact adjoint of the clamp: plain symmetrization of
-    the output adjoint when nothing was clamped, and blocking the gradient
-    along clamped eigendirections otherwise.  A caller records it inside
-    its own node (see :mod:`memtrack.filtering`).  A plain batch's stack
-    (N, d, d) is projected row by row, and its adjoint is None: a tape
-    records one case.
-    """
-    s = 0.5 * (a + _mT(a))
-    if s.ndim == 3:  # a plain batch
-        return _project_rows(s, eps), None
-    out, w, u, clamped = _project_value(s, eps)
-    return out, ((lambda g: _clamp_adjoint(g, w, u, eps)) if clamped else _sym_grad)
 
 
 def logchol2x2(a):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ScenarioConfig
-from .ops import sym_project
-from .spdmat import cholesky
+from .spdmat import cholesky, eigen_floor
 
 __all__ = [
     "GroundTruthSequence",
@@ -188,7 +187,7 @@ def _scatter(centres, extents, counts, uniforms, normals, sigma_v: float) -> np.
     """The (P, 2) points of frames with the given counts: uniform over each
     frame's solid ellipse (unit-disk samples mapped by a Cholesky factor of
     its extent) around its centre, plus sigma_v times the normals."""
-    ell = cholesky(sym_project(extents, 1e-9)[0])
+    ell = cholesky(eigen_floor(extents, 1e-9))
     radius = np.sqrt(uniforms[0])
     angle = 2.0 * np.pi * uniforms[1]
     dx = radius * np.cos(angle)

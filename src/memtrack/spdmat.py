@@ -1,7 +1,10 @@
 """Dense small-matrix utilities for symmetric positive (semi)definite matrices.
 
 Everything here operates on plain float64 numpy arrays at desk scale
-(dims <= 8); there are no sparse or blocked paths.
+(dims <= 8); there are no sparse or blocked paths.  Nothing here records on
+a tape.  This is the one module that calls ``np.linalg.eigh``: the filter's
+beliefs are SPD by construction (see :mod:`memtrack.filtering`), and only
+data-side floors and ellipse geometry need a spectrum.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from .errors import NonFinite, NotPositiveDefinite
 
 __all__ = [
     "cholesky",
+    "eigen_floor",
     "sym_sqrt",
     "inverse_spd",
+    "ellipse_axes",
 ]
 
 # Relative roundoff of a 2x2 determinant x z - y^2, in units of |x z| + y^2.
@@ -33,6 +38,34 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+
+
+def eigen_floor(a: np.ndarray, floor: float) -> np.ndarray:
+    """The symmetric part of one (d, d) matrix, or of each of a stack
+    (N, d, d), with its eigenvalues raised to at least ``floor``: a row that
+    needs no raising comes back as its symmetric part, bit for bit, and
+    each other row is rebuilt from its eigenvectors, alone.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("eigen_floor input contains non-finite entries")
+    s = 0.5 * (a + np.swapaxes(a, -1, -2))
+    w, u = np.linalg.eigh(s)
+    low = w[..., 0] < floor
+    if not low.any():
+        return s
+    if s.ndim == 2:
+        return _raised(w, u, floor)
+    out = s.copy()
+    for i in np.flatnonzero(low).tolist():
+        out[i] = _raised(w[i], u[i], floor)
+    return out
+
+
+def _raised(w, u, floor):
+    """The symmetric matrix with eigenpairs (max(w, floor), u)."""
+    out = (u * np.maximum(w, floor)) @ u.T
+    return 0.5 * (out + out.T)
 
 
 def _eigh_root(s: np.ndarray) -> np.ndarray:
@@ -75,3 +108,15 @@ def inverse_spd(a: np.ndarray) -> np.ndarray:
     ell = cholesky(a)
     y = np.linalg.solve(ell, np.eye(ell.shape[0]))
     return np.linalg.solve(ell.T, y)
+
+
+def ellipse_axes(extents: np.ndarray) -> np.ndarray:
+    """(major semi-axis, minor semi-axis, angle) rows of a stack (K, 2, 2) of
+    extents: the roots of the eigenvalues (clamped at 0) and the major
+    axis's direction, in [-pi/2, pi/2)."""
+    w, u = np.linalg.eigh(extents)
+    angle = np.arctan2(u[:, 1, 1], u[:, 0, 1])
+    angle = np.where(angle < -np.pi / 2, angle + np.pi,
+                     np.where(angle >= np.pi / 2, angle - np.pi, angle))
+    return np.column_stack([np.sqrt(np.maximum(w[:, 1], 0.0)),
+                            np.sqrt(np.maximum(w[:, 0], 0.0)), angle])

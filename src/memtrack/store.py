@@ -3,9 +3,9 @@ checkpoints, and the result tables and reports.
 
 A dataset (``.mtds``) or checkpoint (``.mtck``) is a zip of ``.npy`` members
 in NumPy's ``.npz`` layout (``np.load(path, allow_pickle=False)`` opens it).
-Member ``header`` is JSON as uint8: ``kind``, ``format_version`` (3 for a
-dataset, 2 for a checkpoint), then ``config``, or ``memory_dim``, ``masks``
-and ``train_config_digest``.  A dataset of N cases, K steps and P points
+Member ``header`` is JSON as uint8: ``kind``, ``format_version`` (3 for
+both), then ``config``, or ``memory_dim``, ``masks`` and
+``train_config_digest``.  A dataset of N cases, K steps and P points
 stores ``states`` (N, K, 4), ``extents`` (N, K, 2, 2), ``regimes`` (N, K)
 int8, ``omegas`` and ``frame_counts`` (N, K) and ``points`` (P, 2); its split
 and its cases' seeds follow from the config (see
@@ -16,10 +16,12 @@ Reads are bit-exact.  A read takes in every member in full, so zip checks
 each CRC, and validates every case before it returns; only the slicing of a
 case's frames from ``points`` waits until that case is first used.  Not a zip
 (version 1, say), the wrong kind or version (regenerate older datasets with
-``memtrack simulate``), or a checkpoint shape table unlike this build's raise
-VersionMismatch; a bad CRC, truncation, a missing member, an unparsable header
-or config, or arrays whose shapes or frame counts disagree with each other or
-with the config's cases and steps raise ChecksumMismatch.
+``memtrack simulate``, and retrain from a format-2 checkpoint, whose
+covariance head meant an additive inflation), or a checkpoint shape table
+unlike this build's raise VersionMismatch; a bad CRC, truncation, a missing
+member, an unparsable header or config, or arrays whose shapes or frame
+counts disagree with each other or with the config's cases and steps raise
+ChecksumMismatch.
 
 One rule formats every result table, in :func:`write_table`: a header line,
 then comma-separated rows whose ``str`` columns pass through and whose numbers
@@ -46,9 +48,10 @@ from .simulate import Dataset, GroundTruthSequence, SimCase
 __all__ = ["FORMAT_VERSION", "write_dataset", "read_dataset", "write_checkpoint",
            "read_checkpoint", "write_table", "write_report"]
 
-# The dataset format; checkpoints keep format 2, whose members have not changed.
+# The dataset format.  Checkpoints are format 3 too: their ``evo_cov_*`` head
+# scales the predicted state covariance, where format 2's added to it.
 FORMAT_VERSION = 3
-_VERSIONS = {"dataset": FORMAT_VERSION, "checkpoint": 2}
+_VERSIONS = {"dataset": FORMAT_VERSION, "checkpoint": 3}
 
 
 def _write_archive(path, header: dict, arrays) -> None:

@@ -1,10 +1,10 @@
 """End-to-end training of the compensation network through the filter.
 
-Backpropagation runs through the full recursion (all matrix solves and SPD
-projections included), so the loss gradient reaches every head weight; the
-optimizer is momentum SGD with global-norm gradient clipping.  Feature
-standardization statistics are collected from a zero-compensation pass over
-the training split and frozen before the first update.
+Backpropagation runs through the full recursion (every matrix solve and
+Joseph-form update included), so the loss gradient reaches every head
+weight; the optimizer is momentum SGD with global-norm gradient clipping.
+Feature standardization statistics are collected from a zero-compensation
+pass over the training split and frozen before the first update.
 
 ``_run_loss`` is the one place cases are forwarded and scored by the loss.
 Gradients are taped one sequence at a time, on a tape of eight nodes a
@@ -28,7 +28,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import ops
-from .errors import ConfigError, EmptyDataset, NonFinite
+from .errors import (ConfigError, EmptyDataset, NonFinite, NotPositiveDefinite,
+                     SingularInnovation)
 from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
 from .models import NominalModel, stack_frames
 from .network import (
@@ -58,6 +59,10 @@ __all__ = [
 # Widest LSTM memory a config accepts: the (4h, 18 + h) gate weights alone
 # take 34 MB at this width, and a width of 10^7 would ask for petabytes.
 MAX_MEMORY_DIM = 1024
+
+# What a forward raises once its beliefs diverge: training skips such a
+# sequence, and a validation pass that meets one scores inf.
+_DIVERGED = (NonFinite, NotPositiveDefinite, SingularInnovation)
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,8 @@ def collect_feature_stats(
 def _sequence_gradients(params, case, model, cfg):
     """Forward + BPTT for one sequence; returns (loss value, grads dict).
 
-    A sequence that turns non-finite under the current parameters, or
-    whose loss is not finite or exceeds 1e9, is skipped (NaN loss, zero
+    A sequence that diverges under the current parameters (see
+    ``_DIVERGED``), or whose loss is not finite or exceeds 1e9, is skipped (NaN loss, zero
     gradients) rather than poisoning the batch; the optimizer recovers on
     the remaining sequences.  A loss that decides the skip does so before
     the backward pass.  The cyclic garbage collector is paused meanwhile:
@@ -215,10 +220,10 @@ def _run_loss(params, cases, model, tracker, l2=0.0, tape=None):
 
 def _taped_gradients(params, case, model, cfg):
     tape = ops.Tape()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             loss, _, _, leaves = _run_loss(params, [case], model, cfg.tracker, cfg.l2, tape)
-        except NonFinite:
+        except _DIVERGED:
             return float("nan"), _zero_grads(params)
         loss_value = float(ops.value(loss))
         if not isinstance(loss, ops.Var):
@@ -243,10 +248,11 @@ def _zero_grads(params):
 
 def _validation_loss(params, cases, model, tracker):
     """Mean joint loss over ``cases``, forwarded as one batch, and their
-    run's (states, extensions); (inf, None) when a case turns non-finite."""
+    run's (states, extensions); (inf, None) when a case diverges."""
     try:
-        loss, states, exts, _ = _run_loss(params, cases, model, tracker)
-    except NonFinite:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, states, exts, _ = _run_loss(params, cases, model, tracker)
+    except _DIVERGED:
         return float("inf"), None
     return float(np.mean(loss)), (states, exts)
 

@@ -7,8 +7,12 @@ indexing) and the elementwise and structural ops the stages need.  The
 stages compose them exactly as the filter and network compute their
 values, so a fused stage must match its composed twin bit for bit in value
 and to roundoff in its adjoints.  A twin composes what its fused stage
-takes inside its one node: the eigenvalue clamp (:func:`project`, one node
-of its own), the LSTM step of ``mub_step`` and every term of the loss.
+takes inside its one node: the symmetric part of a stage's output
+(:func:`symmetrize`, one node of its own), the Joseph-form update, the LSTM
+step of ``mub_step`` and every term of the loss.  The twin differentiates
+the Joseph form through its gain as well, which the fused update holds
+fixed; the two adjoints agree to roundoff because that derivative vanishes
+at the Kalman gain.
 
 ``memtrack`` itself gives a Var no operators.  :func:`install` puts the
 algebra's operators on ``ops.Var`` for one test (the ``algebra`` fixture
@@ -119,10 +123,10 @@ def logchol2x2(a):
     return ops.node(ops.logchol2x2(av), (a,), lambda g: (ops.logchol2x2_adjoint(av, g),))
 
 
-def project(a, eps):
-    """The eigenvalue clamp ``ops.sym_project`` as a node of its own."""
-    out, adjoint = ops.sym_project(ops.value(a), eps)
-    return ops.node(out, (a,), lambda g: (adjoint(g),))
+def symmetrize(a):
+    """The symmetric part ``0.5 (a + a^T)`` as a node of its own."""
+    av = ops.value(a)
+    return ops.node(0.5 * (av + av.T), (a,), lambda g: (0.5 * (g + g.T),))
 
 
 # The algebra as Var operators; ``__rmul__`` and ``__radd__`` commute.
@@ -212,10 +216,16 @@ def lstm(w, b, x, hidden, cell):
 
 # -- filter stages -------------------------------------------------------------
 
-def predict_state(prior, model, df, pf):
+def _scaled(m, excess):
+    """``m`` scaled on both sides by ``diag(1 + excess)``, entrywise."""
+    scale = 1.0 + excess
+    return m * (scale[:, None] * scale)
+
+
+def predict_state(prior, model, df, ef):
     mean = model.F @ prior.mean + df
-    cov_raw = model.F @ prior.cov @ model.F.T + model.q + pf
-    return TrackState(mean=mean, cov=project(cov_raw, filtering._proj_eps(cov_raw)))
+    cov_raw = model.F @ prior.cov @ model.F.T + model.q
+    return TrackState(mean=mean, cov=_scaled(symmetrize(cov_raw), ef))
 
 
 _fused_predict_extension = filtering.predict_extension  # for the predicted dof alone
@@ -228,8 +238,7 @@ def predict_extension(prior, model, pphi):
         ops.value(pphi)).dof
     raw = ((v_pred - 2 * D - 2) / lam) * (model.a @ prior.param @ model.a.T
                                           + pphi / model.delta)
-    param = project(raw, max(filtering._proj_eps(raw), filtering.EXT_ABS_FLOOR))
-    return ExtensionState(dof=v_pred, param=param)
+    return ExtensionState(dof=v_pred, param=symmetrize(raw))
 
 
 def innovation(pred, ext_pred, model, dh, eh, fs):
@@ -239,23 +248,22 @@ def innovation(pred, ext_pred, model, dh, eh, fs):
     hph = model.H @ pxz
     scatter = (model.b @ filtering.extension_mean(ext_pred) @ model.b.T) / float(fs.count)
     scatter = 0.5 * (scatter + scatter.T)
-    scale = 1.0 + eh
-    pzz = hph + scatter * (scale[:, None] * scale)
+    r = _scaled(scatter, eh)
     return filtering.InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz,
-                                     pzz=pzz)
+                                     pzz=hph + r, r=r, h=model.H)
 
 
 def update_state(pred, stats):
     gain = solve(stats.pzz, stats.pxz.T).T
     mean = pred.mean + gain @ stats.residual
-    cov_raw = pred.cov - gain @ stats.pxz.T
-    return TrackState(mean=mean, cov=project(cov_raw, filtering._proj_eps(cov_raw)))
+    a = np.eye(4) - gain @ stats.h
+    joseph = a @ pred.cov @ a.T + gain @ stats.r @ gain.T
+    return TrackState(mean=mean, cov=symmetrize(joseph))
 
 
 def update_extension(pred, fs, model):
     raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
-    return ExtensionState(dof=pred.dof + fs.count,
-                          param=project(raw, filtering._ext_eps(raw)))
+    return ExtensionState(dof=pred.dof + fs.count, param=symmetrize(raw))
 
 
 # -- network blocks --------------------------------------------------------------
@@ -294,11 +302,11 @@ def jeb_heads(params, mem):
     w = params.arrays
     inp = concat([mem.hidden, mem.pc])
     df = affine(w["evo_shift_w"], inp, w["evo_shift_b"])
-    pf = diag_embed(softplus(affine(w["evo_cov_w"], inp, w["evo_cov_b"])) - ops.SOFTPLUS_ZERO)
+    ef = softplus(affine(w["evo_cov_w"], inp, w["evo_cov_b"])) / ops.SOFTPLUS_ZERO - 1.0
     ext_vec = affine(w["evo_ext_w"], inp, w["evo_ext_b"])
     ell = (diag_embed(softplus(ext_vec[0:2]) - ops.SOFTPLUS_ZERO)
-           + ext_vec[2] * network._OFF_DIAG_2)
-    return df, pf, ell @ ell.T
+           + ext_vec[2] * np.array([[0.0, 0.0], [1.0, 0.0]]))
+    return df, ef, ell @ ell.T
 
 
 def jub_heads(params, pred, ext_pred):

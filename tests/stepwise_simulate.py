@@ -12,9 +12,8 @@ second coordinate (see ``tests/test_simulate.py``).
 import numpy as np
 
 from memtrack.models import ScenarioConfig, cv_transition_matrix
-from memtrack.ops import sym_project
 from memtrack.simulate import REGIME_CT, REGIME_CV
-from memtrack.spdmat import cholesky
+from memtrack.spdmat import cholesky, eigen_floor
 
 
 def ct_transition(x, omega, dt):
@@ -98,7 +97,7 @@ def frame(state, extent, cfg: ScenarioConfig, rng):
         n = int(rng.poisson(cfg.scatter_rate))
         if n >= 2:
             break
-    ell = cholesky(sym_project(extent, 1e-9)[0])
+    ell = cholesky(eigen_floor(extent, 1e-9))
     radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
     disk = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)

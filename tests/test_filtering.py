@@ -21,7 +21,7 @@ from memtrack.spdmat import cholesky
 from memtrack.training import collect_feature_stats
 from wishart import sample_inverse_wishart, sample_wishart
 
-ZERO_DF, ZERO_PF, ZERO_PPHI = filtering.ZERO_EVOLUTION
+ZERO_DF, ZERO_EF, ZERO_PPHI = filtering.ZERO_EVOLUTION
 ZERO_DH, ZERO_EH = filtering.ZERO_MEASUREMENT
 
 
@@ -40,8 +40,8 @@ def manual_step(state, ext, frame, model, evolution=filtering.ZERO_EVOLUTION,
                 measurement=filtering.ZERO_MEASUREMENT):
     """One recursion step composed by hand from the public pieces."""
     fs = models.frame_stats(frame)
-    (df, pf, pphi), (dh, eh) = evolution, measurement
-    pred = filtering.predict_state(state, model, df, pf)
+    (df, ef, pphi), (dh, eh) = evolution, measurement
+    pred = filtering.predict_state(state, model, df, ef)
     ext_pred = filtering.predict_extension(ext, model, pphi)
     stats = filtering.innovation(pred, ext_pred, model, dh, eh, fs)
     return (filtering.update_state(pred, stats),
@@ -61,7 +61,7 @@ def cv_model():
 
 def test_zero_moments_are_frozen_zeros():
     shapes = [m.shape for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT]
-    assert shapes == [(4,), (4, 4), (2, 2), (2,), (2,)]
+    assert shapes == [(4,), (4,), (2, 2), (2,), (2,)]
     for m in filtering.ZERO_EVOLUTION + filtering.ZERO_MEASUREMENT:
         assert not m.any() and not m.flags.writeable
 
@@ -69,7 +69,7 @@ def test_zero_moments_are_frozen_zeros():
 class TestPredictState:
     def test_zero_compensation_cv(self, cv_model):
         prior = TrackState(mean=np.array([0.0, 0.0, 10.0, 0.0]), cov=np.eye(4))
-        pred = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_PF)
+        pred = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_EF)
         np.testing.assert_array_equal(pred.mean, [10.0, 0.0, 10.0, 0.0])
         np.testing.assert_allclose(pred.cov, cv_model.F @ prior.cov @ cv_model.F.T + cv_model.q,
                                    atol=1e-12)
@@ -77,15 +77,18 @@ class TestPredictState:
     def test_shift_additive(self, cv_model):
         prior = TrackState(mean=np.array([0.0, 0.0, 10.0, 0.0]), cov=np.eye(4))
         pred = filtering.predict_state(prior, cv_model, np.array([1.0, 0.0, 0.0, 0.0]),
-                                       ZERO_PF)
+                                       ZERO_EF)
         np.testing.assert_array_equal(pred.mean, [11.0, 0.0, 10.0, 0.0])
 
     def test_covariance_inflation(self, cv_model):
+        """The scale excess ef scales the covariance by S = diag(1 + ef) on
+        both sides, entrywise, so the result stays symmetric bit for bit."""
         prior = TrackState(mean=np.zeros(4), cov=np.eye(4))
-        pf = np.diag([1.0, 2.0, 3.0, 4.0])
-        base = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_PF)
-        inflated = filtering.predict_state(prior, cv_model, ZERO_DF, pf)
-        np.testing.assert_allclose(inflated.cov - base.cov, pf, atol=1e-12)
+        ef = np.array([1.0, -0.5, 0.25, 3.0])
+        base = filtering.predict_state(prior, cv_model, ZERO_DF, ZERO_EF)
+        inflated = filtering.predict_state(prior, cv_model, ZERO_DF, ef)
+        np.testing.assert_array_equal(inflated.cov, base.cov * np.outer(1.0 + ef, 1.0 + ef))
+        np.testing.assert_array_equal(inflated.cov, inflated.cov.T)
 
 
 class TestPredictExtension:
@@ -266,15 +269,16 @@ class TestUpdateState:
         pred = TrackState(mean=np.zeros(4), cov=np.zeros((4, 4)))
         stats = filtering.InnovationStats(
             z_pred=np.zeros(2), residual=np.ones(2), pxz=np.zeros((4, 2)),
-            pzz=np.zeros((2, 2)))
+            pzz=np.zeros((2, 2)), r=np.zeros((2, 2)), h=model.H)
         with pytest.raises(SingularInnovation):
             filtering.update_state(pred, stats)
 
     @pytest.mark.parametrize("pzz", [np.ones((2, 2)), np.array([[4.0, -2.0], [-2.0, 1.0]])])
-    def test_rank_one_innovation_rejected(self, pzz):
+    def test_rank_one_innovation_rejected(self, pzz, cv_model):
         pred = TrackState(mean=np.zeros(4), cov=np.eye(4))
         stats = filtering.InnovationStats(
-            z_pred=np.zeros(2), residual=np.ones(2), pxz=np.ones((4, 2)), pzz=pzz)
+            z_pred=np.zeros(2), residual=np.ones(2), pxz=np.ones((4, 2)), pzz=pzz,
+            r=np.zeros((2, 2)), h=cv_model.H)
         with pytest.raises(SingularInnovation):
             filtering.update_state(pred, stats)
 
@@ -336,36 +340,22 @@ class TestUpdateExtension:
             assert (np.linalg.eigvalsh(out.param).min()
                     >= np.linalg.eigvalsh(pred_ext.param).min() - 1e-9)
 
-    def test_no_extension_clamp_or_collapse_on_seeded_case(self, cv_model, monkeypatch):
-        """Seed-0 case 17 drove an indefinite extension update: the eigenvalue
+    def test_no_extension_clamp_or_collapse_on_seeded_case(self, cv_model):
+        """Seed-0 case 17 drove an indefinite extension update: an eigenvalue
         clamp fired in both extension projections and the collapsed extent
-        let the position error reach 8.4 m.  A learned forward with perturbed
-        heads clamps there neither, and its innovation, SPD by construction,
-        runs no projection at all."""
+        let the position error reach 8.4 m.  Without any clamp, every
+        predicted and updated extension of the baseline and of a learned
+        forward with perturbed heads keeps its smallest eigenvalue above
+        1e-6 m^2, the floor that clamp enforced."""
         case = generate_case(models.ScenarioConfig(seed=0), 0, 17)
-        calls, inside = [], []
-        project = ops._project_value
-
-        def counted(s, eps):
-            out = project(s, eps)
-            if inside:
-                calls.append((inside[-1], out[3]))
-            return out
-
-        monkeypatch.setattr(ops, "_project_value", counted)
-        for name in ("predict_extension", "innovation", "update_extension"):
-            def wrapped(*args, _name=name, _real=getattr(filtering, name)):
-                inside.append(_name)
-                try:
-                    return _real(*args)
-                finally:
-                    inside.pop()
-            monkeypatch.setattr(filtering, name, wrapped)
-        states, _, _ = filtering.run_filter(case.frames, cv_model, TrackerConfig())
+        trace = []
+        states, exts, _ = filtering.run_filter(case.frames, cv_model, TrackerConfig(),
+                                               trace=trace)
         errors = [np.linalg.norm(s.mean[:2] - t[:2])
                   for s, t in zip(states, case.truth.states[1:])]
-        assert [site for site, clamped in calls if clamped] == []
         assert max(errors) < 3.0
+        params = [d.pred_ext.param for d in trace] + [e.param for e in exts]
+        assert np.linalg.eigvalsh(np.array(params)).min() > 1e-6
 
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, 0xAB))))
         params = network.init_params(8, rng)
@@ -373,10 +363,8 @@ class TestUpdateExtension:
             params.arrays[name] = arr + 0.05 * rng.standard_normal(arr.shape)
         params.feat_mean, params.feat_std = collect_feature_stats([case], cv_model,
                                                                   TrackerConfig())
-        calls.clear()
-        network.forward_sequence(params, case.frames, cv_model)
-        assert calls and [site for site, clamped in calls if clamped] == []
-        assert "innovation" not in {site for site, _ in calls}
+        _, exts, _ = network.forward_sequence(params, case.frames, cv_model)
+        assert np.linalg.eigvalsh(np.array([e.param for e in exts])).min() > 1e-6
 
 
 class TestExtensionMean:
@@ -477,20 +465,31 @@ class TestFilterStep:
         np.testing.assert_array_equal(exts[0].param, manual_ext.param)
 
     def test_linear_algebra_budget(self, cv_model, monkeypatch):
-        """A clamp-free baseline step makes no LAPACK call at all: the gain's
-        2x2 solve is closed-form, the no-clamp tests replace eigh, and the
-        extension update reads only B^-1, which is derived once per model."""
-        case = generate_case(models.ScenarioConfig(steps=30, cases=1, seed=4), 4, 0)
+        """No step makes a LAPACK call: the gain's 2x2 solve is closed-form,
+        no belief needs an eigenvalue clamp, and the extension update reads
+        only B^-1, which is derived once per model.  A run's one call is
+        ``init_track``'s eigenvalue floor, for one case or a batch, of the
+        baseline or of a learned forward with perturbed heads."""
+        cases = _batch_cases(steps=30, count=8, seed=4)
         tcfg = TrackerConfig()
-        filtering.run_filter(case.frames, cv_model, tcfg)  # derives the model's constants
+        rng = np.random.default_rng(4)
+        params = network.init_params(4, rng)
+        for name, arr in params.arrays.items():
+            params.arrays[name] = arr + 0.05 * rng.standard_normal(arr.shape)
+        params.feat_mean, params.feat_std = collect_feature_stats(cases, cv_model, tcfg)
+        runs = (lambda frames: filtering.run_filter(frames, cv_model, tcfg),
+                lambda frames: network.forward_sequence(params, frames, cv_model, tcfg))
         calls = dict.fromkeys(("solve", "eigh", "cholesky", "det", "inv"), 0)
         for name in calls:
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        filtering.run_filter(case.frames, cv_model, tcfg)
-        assert calls == dict.fromkeys(calls, 0)
+        for frames in (cases[0].frames, models.stack_frames([c.frames for c in cases])):
+            for run in runs:
+                calls.update(dict.fromkeys(calls, 0))
+                run(frames)
+                assert calls == {**dict.fromkeys(calls, 0), "eigh": 1}
 
     def test_single_point_frame_increments_dof_by_one(self, cv_model):
         frames = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])]
@@ -517,8 +516,8 @@ class StubCompensator:
 class TestCompensator:
     @pytest.fixture()
     def comp(self):
-        """(evolution, measurement) moments: (df, pf, pphi), (dh, eh)."""
-        return ((np.array([0.1, -0.2, 0.05, 0.0]), np.diag([0.3, 0.2, 0.1, 0.1]),
+        """(evolution, measurement) moments: (df, ef, pphi), (dh, eh)."""
+        return ((np.array([0.1, -0.2, 0.05, 0.0]), np.array([0.3, 0.2, 0.1, -0.1]),
                  np.array([[0.5, 0.1], [0.1, 0.3]])),
                 (np.array([0.05, -0.1]), np.array([0.2, -0.1])))
 
@@ -554,8 +553,8 @@ class TestCompensator:
             np.testing.assert_array_equal(ext.param, prev_ext.param)
             np.testing.assert_array_equal(fs.mean, models.frame_stats(case.frames[k + 1]).mean)
             assert pred is diags[k].pred_state and ext_pred is diags[k].pred_ext
-            df, pf, pphi = comp[0]
-            expect = filtering.predict_state(prev_state, cv_model, df, pf)
+            df, ef, pphi = comp[0]
+            expect = filtering.predict_state(prev_state, cv_model, df, ef)
             expect_ext = filtering.predict_extension(prev_ext, cv_model, pphi)
             np.testing.assert_array_equal(pred.mean, expect.mean)
             np.testing.assert_array_equal(pred.cov, expect.cov)
@@ -591,14 +590,15 @@ def _prior(tape, seed, tiny_extent=False):
 
 
 def _evolution(tape, seed, kind):
-    """(df, pf, pphi) and their leaves: zero (plain), random, or a pf that
-    makes the predicted covariance indefinite, so its projection clamps."""
+    """(df, ef, pphi) and their leaves: zero (plain), random, or an extreme
+    ef whose scales reach from near 0 to 31."""
     if kind == "zero":
         return filtering.ZERO_EVOLUTION, []
     rng = np.random.default_rng(seed)
-    pf = np.diag(rng.uniform(0.0, 0.5, 4)) if kind == "random" else -50.0 * np.eye(4)
+    ef = rng.uniform(-0.5, 0.5, 4) if kind == "random" else np.array([-1 + 1e-6, -0.99, 5.0,
+                                                                     30.0])
     ell = np.tril(rng.standard_normal((2, 2)))
-    leaves = [tape.leaf(v) for v in (rng.standard_normal(4), pf, ell @ ell.T)]
+    leaves = [tape.leaf(v) for v in (rng.standard_normal(4), ef, ell @ ell.T)]
     return tuple(leaves), leaves
 
 
@@ -608,21 +608,6 @@ def _measurement(tape, seed, kind):
     rng = np.random.default_rng(seed)
     leaves = [tape.leaf(rng.standard_normal(2)), tape.leaf(rng.uniform(-0.9, 2.0, 2))]
     return tuple(leaves), leaves
-
-
-def _clamped(monkeypatch, stage, make_args) -> bool:
-    """Whether an eigenvalue projection clamps in ``stage`` on its arguments."""
-    flags, project = [], ops._project_value
-
-    def recording(s, eps):
-        out = project(s, eps)
-        flags.append(out[3])
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ops, "_project_value", recording)
-        stage(*make_args(ops.Tape())[0])
-    return any(flags)
 
 
 def _innovate_and_update(pred, ext_pred, model, dh, eh, fs, innovation, update_state):
@@ -637,27 +622,27 @@ class TestFusedStages:
     """Each fused filter stage against the same stage composed of generic
     ops: values bit for bit, every input's adjoint at 1e-12."""
 
-    @pytest.mark.parametrize("kind", ["zero", "random", "clamp"])
-    def test_predict_state(self, cv_model, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["zero", "random", "extreme"])
+    def test_predict_state(self, cv_model, kind):
         def make_args(tape):
             prior, _, leaves = _prior(tape, 50)
-            (df, pf, _), comp_leaves = _evolution(tape, 51, kind)
-            return (prior, cv_model, df, pf), leaves[:2] + comp_leaves[:2]
+            (df, ef, _), comp_leaves = _evolution(tape, 51, kind)
+            return (prior, cv_model, df, ef), leaves[:2] + comp_leaves[:2]
 
         composed.assert_twins(filtering.predict_state, composed.predict_state, make_args)
-        assert _clamped(monkeypatch, filtering.predict_state, make_args) == (kind == "clamp")
 
-    @pytest.mark.parametrize("kind", ["zero", "random", "clamp"])
-    def test_predict_extension(self, cv_model, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["zero", "random", "tiny"])
+    def test_predict_extension(self, cv_model, kind):
+        """A tiny prior extent (1e-9 m^2) stays SPD without a floor."""
         def make_args(tape):
-            _, prior, leaves = _prior(tape, 52, tiny_extent=kind == "clamp")
-            (_, _, pphi), comp_leaves = _evolution(tape, 53, "zero" if kind == "clamp" else kind)
+            _, prior, leaves = _prior(tape, 52, tiny_extent=kind == "tiny")
+            (_, _, pphi), comp_leaves = _evolution(tape, 53, "zero" if kind == "tiny" else kind)
             return (prior, cv_model, pphi), leaves[2:] + comp_leaves[2:]
 
         composed.assert_twins(filtering.predict_extension, composed.predict_extension,
                               make_args)
-        assert (_clamped(monkeypatch, filtering.predict_extension, make_args)
-                == (kind == "clamp"))
+        if kind == "tiny":
+            cholesky(filtering.predict_extension(*make_args(ops.Tape())[0]).param.value)
 
     @pytest.mark.parametrize("kind", ["zero", "random"])
     @pytest.mark.parametrize("model", ["cv", "skew_b"])
@@ -707,14 +692,14 @@ class TestFusedStages:
                               update_state=composed.update_state), make_args)
 
     def test_stages_record_one_node_each(self, cv_model):
-        """A stage is one node, its eigenvalue projection included."""
+        """A stage is one node, the symmetric part of its output included."""
         tape = ops.Tape()
         prior, ext, _ = _prior(tape, 60)
-        (df, pf, pphi), _ = _evolution(tape, 61, "random")
+        (df, ef, pphi), _ = _evolution(tape, 61, "random")
         (dh, eh), _ = _measurement(tape, 62, "random")
         fs = models.frame_stats(np.random.default_rng(63).standard_normal((6, 2)))
         counts = []
-        for stage in (lambda: filtering.predict_state(prior, cv_model, df, pf),
+        for stage in (lambda: filtering.predict_state(prior, cv_model, df, ef),
                       lambda: filtering.predict_extension(ext, cv_model, pphi),
                       lambda: filtering.innovation(prior, ext, cv_model, dh, eh, fs),
                       lambda: filtering.update_state(
@@ -724,6 +709,64 @@ class TestFusedStages:
             stage()
             counts.append(len(tape.entries) - before)
         assert counts == [1, 1, 0, 1, 1]
+
+
+def _excess(rng, size):
+    """Scale excesses (ef or eh) from near -1 (scales down to 1e-6) to 30."""
+    near_minus_one = -1.0 + 10.0 ** rng.uniform(-6.0, -1.0, size)
+    return np.where(rng.random(size) < 0.3, near_minus_one, rng.uniform(-0.9, 30.0, size))
+
+
+class TestSpdByConstruction:
+    """Every stage's output Cholesky-factorizes with no projection anywhere:
+    random SPD priors, frames of 1-30 points and scale excesses ef and eh
+    from near -1 to large, for one case at a time and for a batch."""
+
+    @pytest.mark.parametrize("model", ["cv", "skew_b"])
+    def test_every_stage_output_factorizes(self, cv_model, model):
+        model = cv_model if model == "cv" else SKEW_B
+        rng = np.random.default_rng(80)
+        for _ in range(40):
+            n = 6
+            m, x = rng.standard_normal((n, 4, 4)), rng.standard_normal((n, 2, 2))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1))
+            state = TrackState(mean=rng.uniform(-50.0, 50.0, (n, 4)),
+                               cov=scale * (m @ np.swapaxes(m, 1, 2) + 1e-3 * np.eye(4)))
+            ext = ExtensionState(dof=rng.uniform(9.0, 300.0, n),
+                                 param=10.0 ** rng.uniform(-4.0, 2.0, (n, 1, 1))
+                                 * (x @ np.swapaxes(x, 1, 2) + 1e-2 * np.eye(2)))
+            ell = np.tril(rng.standard_normal((n, 2, 2)))
+            evolution = (rng.standard_normal((n, 4)), _excess(rng, (n, 4)),
+                         ell @ np.swapaxes(ell, 1, 2))
+            measurement = (rng.standard_normal((n, 2)), _excess(rng, (n, 2)))
+            frames = tuple(rng.standard_normal((int(rng.integers(1, 31)), 2))
+                           * rng.uniform(0.1, 5.0) + rng.uniform(-50.0, 50.0, 2)
+                           for _ in range(n))
+            batch = self._stages(state, ext, evolution, measurement, models.frame_stats(frames),
+                                 model)
+            for i in range(n):
+                row = lambda v: v[i]  # noqa: E731
+                single = self._stages(
+                    TrackState(mean=state.mean[i], cov=state.cov[i]),
+                    ExtensionState(dof=float(ext.dof[i]), param=ext.param[i]),
+                    tuple(map(row, evolution)), tuple(map(row, measurement)),
+                    models.frame_stats(frames[i]), model)
+                for one, many in zip(single, batch):
+                    cholesky(one)
+                    np.testing.assert_array_equal(one, many[i])
+            for many in batch:
+                cholesky(many)
+
+    @staticmethod
+    def _stages(state, ext, evolution, measurement, fs, model):
+        """Each stage's covariance or parameter output, one step."""
+        (df, ef, pphi), (dh, eh) = evolution, measurement
+        pred = filtering.predict_state(state, model, df, ef)
+        ext_pred = filtering.predict_extension(ext, model, pphi)
+        stats = filtering.innovation(pred, ext_pred, model, dh, eh, fs)
+        post = filtering.update_state(pred, stats)
+        post_ext = filtering.update_extension(ext_pred, fs, model)
+        return pred.cov, ext_pred.param, stats.pzz, post.cov, post_ext.param
 
 
 class TestInnovationSymmetry:
@@ -761,10 +804,10 @@ def assert_row_matches(batched, single, row):
         np.testing.assert_array_equal(ops.value(b.param)[row], s.param)
 
 
-def _evolving(df, pf):
-    """A compensator with fixed shift and covariance inflation, for one
+def _evolving(df, ef):
+    """A compensator with fixed shift and covariance scale excess, for one
     case or per row of a batch."""
-    return StubCompensator(((df, pf, np.zeros((2, 2))), filtering.ZERO_MEASUREMENT))
+    return StubCompensator(((df, ef, np.zeros((2, 2))), filtering.ZERO_MEASUREMENT))
 
 
 class TestBatch:
@@ -784,19 +827,19 @@ class TestBatch:
         assert trace[0].frame.count.shape == (len(cases),)
 
     def test_one_row_clamps(self, cv_model):
-        """Each row's projections clamp, or not, as that case's alone: a
-        coincident first frame clamps one initial extent, and a negative
-        pf one predicted covariance."""
+        """Each row's initial extent floor clamps, or not, as that case's
+        alone: a coincident first frame clamps one initial extent.  A scale
+        excess near -1 shrinks one row's predicted covariance, as alone."""
         frames = [list(c.frames) for c in _batch_cases(steps=12, count=3, seed=71)]
         frames[1][0] = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
-        pf = np.zeros((3, 4, 4))
-        pf[2] = -50.0 * np.eye(4)
+        ef = np.zeros((3, 4))
+        ef[2] = -1.0 + 1e-4
         tcfg = TrackerConfig()
         trace = []
         batch = filtering.run_filter(models.stack_frames(frames), cv_model, tcfg,
-                                     _evolving(np.zeros((3, 4)), pf), trace=trace)
+                                     _evolving(np.zeros((3, 4)), ef), trace=trace)
         for i in range(3):
-            single = filtering.run_filter(frames[i], cv_model, tcfg, _evolving(np.zeros(4), pf[i]))
+            single = filtering.run_filter(frames[i], cv_model, tcfg, _evolving(np.zeros(4), ef[i]))
             assert_row_matches(batch[:2], single[:2], i)
         smallest = np.linalg.eigvalsh(trace[0].pred_state.cov).min(axis=1)
         assert smallest[2] < 1e-6 < 0.1 < smallest[:2].min()
@@ -818,10 +861,10 @@ class TestBatch:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NonFinite):
                 filtering.run_filter(frames[1], cv_model, TrackerConfig(),
-                                     _evolving(shift[1], np.zeros((4, 4))))
+                                     _evolving(shift[1], np.zeros(4)))
             with pytest.raises(NonFinite):
                 filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig(),
-                                     _evolving(shift, np.zeros((4, 4))))
+                                     _evolving(shift, np.zeros(4)))
 
     def test_first_frame_checks_hold_per_row(self, cv_model):
         cases = _batch_cases(steps=6, count=3, seed=73)

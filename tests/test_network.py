@@ -108,9 +108,9 @@ class TestHeads:
     def test_calibrated_zero(self):
         params = zero_params(4)
         mem = MemoryState(cell=np.ones(4), hidden=np.ones(4), pc=np.ones(4))
-        df, pf, pphi = jeb_heads(params, mem)
+        df, ef, pphi = jeb_heads(params, mem)
         np.testing.assert_array_equal(ops.value(df), np.zeros(4))
-        np.testing.assert_array_equal(ops.value(pf), np.zeros((4, 4)))
+        np.testing.assert_array_equal(ops.value(ef), np.zeros(4))
         np.testing.assert_array_equal(ops.value(pphi), np.zeros((2, 2)))
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
@@ -125,8 +125,8 @@ class TestHeads:
             params.arrays[name] = arr + rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(4), hidden=rng.standard_normal(4),
                           pc=np.abs(rng.standard_normal(4)))
-        df, pf, pphi = jeb_heads(params, mem)
-        assert np.all(df == 0) and np.all(pf == 0) and np.all(pphi == 0)
+        df, ef, pphi = jeb_heads(params, mem)
+        assert np.all(df == 0) and np.all(ef == 0) and np.all(pphi == 0)
         state = TrackState(mean=rng.standard_normal(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
         dh, eh = jub_heads(params, state, ext)
@@ -139,14 +139,15 @@ class TestHeads:
             params.arrays[name] = arr + 0.5 * rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(6), hidden=rng.standard_normal(6),
                           pc=np.abs(rng.standard_normal(6)))
-        df, pf, pphi = jeb_heads(params, mem)
+        df, ef, pphi = jeb_heads(params, mem)
         pphi = ops.value(pphi)
         np.testing.assert_allclose(pphi, pphi.T, atol=1e-12)
         assert np.linalg.eigvalsh(pphi).min() >= -1e-12
-        # the diagonal covariance head is softplus - log(2) >= -log(2)
-        assert np.diag(ops.value(pf)).min() >= -np.log(2.0) - 1e-12
-        # the scale excess is softplus / log(2) - 1 >= -1, and -1 where
+        # both scale excesses are softplus / log(2) - 1 >= -1, and -1 where
         # softplus underflows
+        assert ops.value(ef).min() >= -1.0
+        params.arrays["evo_cov_b"][:] = -800.0
+        np.testing.assert_array_equal(ops.value(jeb_heads(params, mem)[1]), [-1, -1, -1, -1])
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
         assert ops.value(jub_heads(params, state, ext)[1]).min() >= -1.0

@@ -14,7 +14,7 @@ import pytest
 
 import composed_ops as composed
 from memtrack import filtering, network, ops, training
-from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
+from memtrack.errors import NotPositiveDefinite, TapeEmpty
 from memtrack.models import (
     ExtensionState,
     ScenarioConfig,
@@ -79,7 +79,7 @@ class TestNoAlgebra:
     def test_every_node_is_recorded_by_node(self, monkeypatch):
         """Only ``ops.node`` records, and a taped sequence calls it from its
         filter stages, network blocks and loss alone: the LSTM step and the
-        eigenvalue clamp record nothing of their own."""
+        2x2 solve record nothing of their own."""
         recorders, stages, record, node = [], [], ops.Tape.record, ops.node
 
         def traced_record(tape, *args):
@@ -184,49 +184,6 @@ class TestStructural:
         check(build, ref, x)
 
 
-def _clamp_gradient(a, eps):
-    """The gradient of the projection's summed squares, by its adjoint."""
-    out, adjoint = ops.sym_project(a, eps)
-    return adjoint(2.0 * out)
-
-
-class TestSymProject:
-    """The adjoint that ``ops.sym_project`` returns, against central
-    differences of the projection."""
-
-    def test_healthy_matches_fd(self):
-        a = np.array([[3.0, 0.2], [0.4, 2.0]])
-        def ref(v):
-            s = 0.5 * (v + v.T)
-            w, u = np.linalg.eigh(s)
-            w = np.maximum(w, 1e-12)
-            o = (u * w) @ u.T
-            return float(np.sum((0.5 * (o + o.T)) ** 2))
-        np.testing.assert_allclose(_clamp_gradient(a, 1e-12), fd_grad(ref, a),
-                                   atol=1e-6, rtol=1e-4)
-
-    def test_clamped_matches_fd(self):
-        a = np.array([[1.0, 0.3], [0.1, -0.5]])
-        eps = 1e-3
-        def ref(v):
-            s = 0.5 * (v + v.T)
-            w, u = np.linalg.eigh(s)
-            w = np.maximum(w, eps)
-            o = (u * w) @ u.T
-            return float(np.sum((0.5 * (o + o.T)) ** 2))
-        assert ops._project_value(0.5 * (a + a.T), eps)[3]  # the clamp engages
-        np.testing.assert_allclose(_clamp_gradient(a, eps), fd_grad(ref, a),
-                                   atol=1e-5, rtol=1e-4)
-
-    def test_value_matches_plain_helper(self):
-        """A size without a no-clamp proof projects exactly as eigh does."""
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3))
-            np.testing.assert_array_equal(ops.sym_project(a, 1e-6)[0],
-                                          _eigh_project(0.5 * (a + a.T), 1e-6))
-
-
 class TestLogChol:
     def test_identity_encodes_to_zero(self):
         np.testing.assert_array_equal(ops.logchol2x2(np.eye(2)), np.zeros(3))
@@ -241,7 +198,7 @@ class TestLogChol:
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         tape = ops.Tape()
         leaf = tape.leaf(a)
-        out = composed.sumsq(composed.logchol2x2(composed.project(leaf, 0.0)))
+        out = composed.sumsq(composed.logchol2x2(composed.symmetrize(leaf)))
         grads = tape.backward(out)
         g = tape.grad(grads, leaf)
         def ref(v):
@@ -261,7 +218,6 @@ class TestDispatch:
     def test_plain_arrays_stay_plain(self):
         a = np.eye(2)
         assert isinstance(ops.solve(a, a)[0], np.ndarray)
-        assert isinstance(ops.sym_project(a, 0.0)[0], np.ndarray)
         assert isinstance(ops.logchol2x2(np.eye(2)), np.ndarray)
 
     def test_mixed_constant_and_var(self):
@@ -293,63 +249,12 @@ class TestDispatch:
         np.testing.assert_allclose(tape.grad(grads, v), [24.0])
 
 
-def _eigh_project(s, eps):
-    """The eigh-only projection the no-clamp test must reproduce."""
-    w, u = np.linalg.eigh(s)
-    if w[0] >= eps:
-        return s
-    out = (u * np.maximum(w, eps)) @ u.T
-    return 0.5 * (out + out.T)
-
-
 def _spectrum(dim, rng, low):
     """Symmetric matrix with smallest eigenvalue ``low``, others in (low, low + 10)."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     w = np.concatenate([[low], low + rng.uniform(1e-3, 10.0, dim - 1)])
     s = (q * w) @ q.T
     return 0.5 * (s + s.T)
-
-
-class TestNoClampTest:
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_agrees_with_eigh_at_the_threshold(self, dim):
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            s = _spectrum(dim, rng, rng.uniform(0.05, 5.0))
-            low = np.linalg.eigvalsh(s)[0]
-            assert ops._above(s, low * (1.0 - 1e-9))
-            assert not ops._above(s, low * (1.0 + 1e-9))
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_projection_bits_match_eigh(self, dim):
-        rng = np.random.default_rng(22)
-        for _ in range(300):
-            s = _spectrum(dim, rng, rng.uniform(-2.0, 5.0))
-            low = np.linalg.eigvalsh(s)[0]
-            for eps in (low * (1.0 - 1e-9), low * (1.0 + 1e-9), abs(low) + 1e-3, 1e-9):
-                np.testing.assert_array_equal(ops._project_value(s, eps)[0],
-                                              _eigh_project(s, eps))
-
-    def test_never_passes_where_eigh_clamps(self):
-        rng = np.random.default_rng(23)
-        for dim in (2, 4):
-            for _ in range(500):
-                m = rng.standard_normal((dim, dim))
-                s = 0.5 * (m + m.T) + rng.uniform(-1.0, 4.0) * np.eye(dim)
-                eps = rng.uniform(0.0, 1.0)
-                if ops._above(s, eps):
-                    assert np.linalg.eigh(s)[0][0] >= eps
-
-    def test_non_finite_goes_to_eigh(self):
-        for bad in (np.nan, np.inf):
-            assert not ops._above(np.array([[1.0, bad], [bad, 1.0]]), 0.0)
-            assert not ops._above(np.diag([1.0, 1.0, bad, 1.0]), 0.0)
-
-    def test_non_finite_raises_non_finite(self):
-        for bad in (np.nan, np.inf):
-            for a in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([1.0, 1.0, bad, 1.0])):
-                with pytest.raises(NonFinite):
-                    ops.sym_project(a, 1e-9)
 
 
 def _masked_sigmoid(x):
@@ -671,60 +576,8 @@ class TestFusedNetworkBlocks:
 
 
 class TestStacks:
-    """sym_project, solve and logchol2x2 on a plain stack (N, d, d) give each
-    row exactly what the row gives alone."""
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_sym_project_rows(self, dim):
-        rng = np.random.default_rng(27)
-        stack = np.array([_spectrum(dim, rng, low) for low in (-1.0, 2.0, 1e-12, 3.0, 0.5)])
-        for eps in (1e-9, rng.uniform(0.1, 1.0, len(stack))):
-            got, adjoint = ops.sym_project(stack, eps)
-            assert adjoint is None  # a tape records one case
-            for i, s in enumerate(stack):
-                np.testing.assert_array_equal(got[i], ops.sym_project(s, np.broadcast_to(
-                    eps, len(stack))[i])[0])
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_sym_project_rows_without_a_clamp_are_the_input(self, dim):
-        rng = np.random.default_rng(28)
-        stack = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0, 3.0)])
-        assert ops.sym_project(stack, 1e-9)[0] is not stack
-        np.testing.assert_array_equal(ops.sym_project(stack, 1e-9)[0], stack)
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_clamped_open_and_proven_rows_each_project_as_alone(self, dim):
-        """Rows that clamp, rows the stack proof leaves open without a clamp
-        and proven rows, in one stack: each row projects exactly as alone."""
-        rng = np.random.default_rng(31)
-        eps = 0.5
-        at_floor = np.diag(np.arange(dim) + eps)  # smallest eigenvalue exactly eps
-        stack = np.array([_spectrum(dim, rng, -1.0), at_floor, _spectrum(dim, rng, 3.0),
-                          _spectrum(dim, rng, eps - 1e-3), _spectrum(dim, rng, 2.0)])
-        assert [ops._project_value(s, eps)[3] for s in stack] == [True, False, False, True,
-                                                                   False]
-        proven = ops._above_rows(stack, eps)
-        assert proven.tolist() == ([False, False, True, False, True] if dim == 2
-                                   else [False] * 5)  # a 4x4 stack is proven as a whole
-        got = ops._project_rows(stack, eps)
-        for i, s in enumerate(stack):
-            np.testing.assert_array_equal(got[i], ops._project_value(s, eps)[0])
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_a_stack_with_nothing_to_clamp_is_returned_itself(self, dim):
-        rng = np.random.default_rng(32)
-        proven = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0)])
-        left_open = np.array([np.diag(np.arange(dim) + 0.5), proven[0]])
-        assert ops._above_rows(proven, 0.5).all() and not ops._above_rows(left_open, 0.5)[0]
-        for stack in (proven, left_open):
-            assert ops._project_rows(stack, 0.5) is stack
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_non_finite_row_raises_non_finite(self, dim):
-        stack = np.array([np.eye(dim), np.eye(dim)])
-        stack[1, 0, 0] = np.nan
-        with pytest.raises(NonFinite):
-            ops.sym_project(stack, 1e-9)
+    """solve and logchol2x2 on a plain stack (N, d, d) give each row exactly
+    what the row gives alone."""
 
     def test_solve_rows(self):
         rng = np.random.default_rng(29)

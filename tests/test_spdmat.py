@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from wishart import sample_inverse_wishart, sample_wishart
 
-from memtrack import ops, spdmat
-from memtrack.errors import BadDof, NotPositiveDefinite
+from memtrack import spdmat
+from memtrack.errors import BadDof, NonFinite, NotPositiveDefinite
 
 
 def rand_spd(dim, rng, jitter=1.0):
@@ -98,21 +98,21 @@ class TestInverseSpd:
 
 
 class TestSymmetrizeProject:
-    """The one symmetrize-and-clamp projection, ``ops.sym_project``, on plain
-    arrays; its first return value is the projection."""
+    """The eigenvalue floor ``spdmat.eigen_floor``: the symmetric part of its
+    input with every eigenvalue raised to at least the floor."""
 
     def test_spd_unchanged(self):
         rng = np.random.default_rng(4)
         a = rand_spd(3, rng)
-        np.testing.assert_array_equal(ops.sym_project(a, 1e-9)[0], 0.5 * (a + a.T))
+        np.testing.assert_array_equal(spdmat.eigen_floor(a, 1e-9), 0.5 * (a + a.T))
 
     def test_asymmetric_hand_case(self):
-        out, _ = ops.sym_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
+        out = spdmat.eigen_floor(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0)
         np.testing.assert_allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
     def test_clamp(self):
-        out, _ = ops.sym_project(np.diag([1.0, -0.5]), 1e-6)
+        out = spdmat.eigen_floor(np.diag([1.0, -0.5]), 1e-6)
         np.testing.assert_allclose(out, np.diag([1.0, 1e-6]), atol=1e-15)
 
     def test_idempotent(self):
@@ -120,11 +120,90 @@ class TestSymmetrizeProject:
         # first pass clamped (re-decomposition can land an ulp under eps)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4))
-        once, _ = ops.sym_project(a, 1e-6)
-        twice, _ = ops.sym_project(once, 1e-6)
+        once = spdmat.eigen_floor(a, 1e-6)
+        twice = spdmat.eigen_floor(once, 1e-6)
         np.testing.assert_allclose(once, twice, atol=1e-14)
-        clear, _ = ops.sym_project(once + 1e-3 * np.eye(4), 1e-6)
-        np.testing.assert_array_equal(clear, ops.sym_project(clear, 1e-6)[0])
+        clear = spdmat.eigen_floor(once + 1e-3 * np.eye(4), 1e-6)
+        np.testing.assert_array_equal(clear, spdmat.eigen_floor(clear, 1e-6))
+
+
+def _eigh_project(s, eps):
+    """The eigh projection the filter's per-step clamp computed (it was
+    checked against this bit for bit): ``s`` itself when its smallest
+    eigenvalue reaches ``eps``, else the clamped rebuild, symmetrized."""
+    w, u = np.linalg.eigh(s)
+    if w[0] >= eps:
+        return s
+    out = (u * np.maximum(w, eps)) @ u.T
+    return 0.5 * (out + out.T)
+
+
+def _spectrum(dim, rng, low):
+    """Symmetric matrix with smallest eigenvalue ``low``, others in (low, low + 10)."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    w = np.concatenate([[low], low + rng.uniform(1e-3, 10.0, dim - 1)])
+    s = (q * w) @ q.T
+    return 0.5 * (s + s.T)
+
+
+class TestEigenFloor:
+    """The floor reproduces the retired clamp bit for bit, matrix by matrix
+    and row by row of a stack, on rows it clamps and rows it leaves."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_the_clamp_bit_for_bit(self, dim):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            s = _spectrum(dim, rng, rng.uniform(-2.0, 5.0))
+            low = np.linalg.eigvalsh(s)[0]
+            for eps in (low * (1.0 - 1e-9), low * (1.0 + 1e-9), abs(low) + 1e-3, 1e-9):
+                np.testing.assert_array_equal(spdmat.eigen_floor(s, eps), _eigh_project(s, eps))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_rows_match_the_clamp_alone(self, dim):
+        rng = np.random.default_rng(31)
+        eps = 0.5
+        at_floor = np.diag(np.arange(dim) + eps)  # smallest eigenvalue exactly eps
+        stack = np.array([_spectrum(dim, rng, -1.0), at_floor, _spectrum(dim, rng, 3.0),
+                          _spectrum(dim, rng, eps - 1e-3), _spectrum(dim, rng, 2.0)])
+        got = spdmat.eigen_floor(stack, eps)
+        assert [not np.array_equal(g, s) for g, s in zip(got, stack)] == [True, False, False,
+                                                                         True, False]
+        for i, s in enumerate(stack):
+            np.testing.assert_array_equal(got[i], _eigh_project(s, eps))
+            np.testing.assert_array_equal(got[i], spdmat.eigen_floor(s, eps))
+
+    def test_any_size_matches_the_clamp(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            a = rng.standard_normal((3, 3))
+            np.testing.assert_array_equal(spdmat.eigen_floor(a, 1e-6),
+                                          _eigh_project(0.5 * (a + a.T), 1e-6))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rows_with_nothing_to_clamp_are_the_symmetric_part(self, dim):
+        rng = np.random.default_rng(28)
+        a = np.array([_spectrum(dim, rng, low) for low in (1.0, 2.0, 3.0)])
+        a[:, 0, 1] += 1e-12  # an asymmetric input comes back as its symmetric part
+        np.testing.assert_array_equal(spdmat.eigen_floor(a, 1e-9),
+                                      0.5 * (a + np.swapaxes(a, -1, -2)))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_raises_non_finite(self, dim):
+        stack = np.array([np.eye(dim), np.eye(dim)])
+        stack[1, 0, 0] = np.nan
+        for a in (stack, stack[1]):
+            with pytest.raises(NonFinite):
+                spdmat.eigen_floor(a, 1e-9)
+
+
+class TestEllipseAxes:
+    def test_axes_and_angle(self):
+        th = 0.3
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        extents = np.array([rot @ np.diag([9.0, 4.0]) @ rot.T, np.diag([1.0, 4.0])])
+        np.testing.assert_allclose(spdmat.ellipse_axes(extents),
+                                   [[3.0, 2.0, th], [2.0, 1.0, -np.pi / 2]], atol=1e-12)
 
 
 class TestWishartSampler:

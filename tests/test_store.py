@@ -186,6 +186,12 @@ class TestDatasetRoundTrip:
             _edit_archive(path, lambda h, a: h.update(format_version=old))
             with pytest.raises(VersionMismatch, match=f"format {old}"):
                 store.read_dataset(path)
+        # a format-2 checkpoint's covariance head added to the prediction;
+        # format 3's scales it, so the old weights would be another model
+        _edit_archive(checkpoint, lambda h, a: h.update(format_version=2))
+        with pytest.raises(VersionMismatch,
+                           match="checkpoint format 2, expected checkpoint format 3"):
+            store.read_checkpoint(checkpoint)
 
     def test_unparsable_header_rejected(self, path):
         members = _members(path)

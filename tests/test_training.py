@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memtrack import cli, filtering, network, ops, training
-from memtrack.errors import EmptyDataset, NonFinite
+from memtrack.errors import EmptyDataset, NonFinite, NotPositiveDefinite, SingularInnovation
 from memtrack.filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.metrics import case_series, evaluate_run
@@ -122,6 +122,37 @@ class TestTrain:
         assert np.isnan(loss) and all(not g.any() for g in grads.values())
         with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
             forward_sequence(params, ds.cases[0].frames, model, TrackerConfig())
+
+    def test_a_collapsed_covariance_is_skipped(self, tiny):
+        """A covariance head driven out of range (its scale excess -1 where
+        softplus underflows) collapses the predicted state covariance to 0.
+        No clamp hides that: the log-variance features turn infinite, numpy
+        warns of nothing, and the sequence is skipped (NaN loss, zero
+        gradients); a validation pass over it scores inf."""
+        ds, model = tiny
+        params = init_params(4, np.random.default_rng(0))
+        params.arrays["evo_cov_b"][:] = -800.0
+        loss, grads = training._sequence_gradients(params, ds.cases[0], model, make_cfg())
+        assert np.isnan(loss) and all(not g.any() for g in grads.values())
+        assert training._validation_loss(params, ds.cases[:2], model, TrackerConfig()) \
+            == (float("inf"), None)
+
+    @pytest.mark.parametrize("error", [NonFinite, NotPositiveDefinite, SingularInnovation])
+    def test_every_divergence_error_is_a_skip(self, tiny, monkeypatch, error):
+        """What a diverged belief raises, a non-finite value, a feature extent
+        that is not positive definite or a singular innovation, skips the
+        sequence and makes a validation pass score inf."""
+        ds, model = tiny
+        params = init_params(4, np.random.default_rng(0))
+
+        def diverged(*args, **kwargs):
+            raise error("diverged")
+
+        monkeypatch.setattr(training, "_run_loss", diverged)
+        loss, grads = training._sequence_gradients(params, ds.cases[0], model, make_cfg())
+        assert np.isnan(loss) and all(not g.any() for g in grads.values())
+        assert training._validation_loss(params, ds.cases[:2], model, TrackerConfig()) \
+            == (float("inf"), None)
 
     def test_absurd_loss_is_skipped_before_the_backward_pass(self, tiny, monkeypatch):
         """A finite loss above 1e9 skips the sequence (NaN loss, zero
