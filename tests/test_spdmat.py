@@ -188,13 +188,18 @@ class TestEigenFloor:
         np.testing.assert_array_equal(spdmat.eigen_floor(a, 1e-9),
                                       0.5 * (a + np.swapaxes(a, -1, -2)))
 
+    def test_non_finite_raises_non_finite(self):
+        for bad in (np.nan, np.inf):
+            for a in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([1.0, 1.0, bad, 1.0])):
+                with pytest.raises(NonFinite):
+                    spdmat.eigen_floor(a, 1e-9)
+
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_non_finite_raises_non_finite(self, dim):
+    def test_non_finite_row_raises_non_finite(self, dim):
         stack = np.array([np.eye(dim), np.eye(dim)])
         stack[1, 0, 0] = np.nan
-        for a in (stack, stack[1]):
-            with pytest.raises(NonFinite):
-                spdmat.eigen_floor(a, 1e-9)
+        with pytest.raises(NonFinite):
+            spdmat.eigen_floor(stack, 1e-9)
 
 
 class TestEllipseAxes:
