@@ -25,14 +25,14 @@ learned tracker keeps its LSTM memory there).  ``None`` runs the
 zero-compensation baseline.
 
 Every stage takes one case's beliefs or a batch's, whose arrays carry a
-leading case axis (see :mod:`memtrack.models`), and computes each row of a
-batch bit for bit as it would compute that case alone; :func:`run_filter`
-runs a batch when its frames are a time-major batch.  Zero compensation
-broadcasts over a batch.
+leading case axis (see :mod:`memtrack.models`), by one set of expressions,
+and computes each row of a batch bit for bit as it would compute that case
+alone; :func:`run_filter` runs a batch when its frames are a time-major
+batch.  Zero compensation broadcasts over a batch.
 
-Beliefs and compensation moments of one case may carry tape variables
-(:mod:`memtrack.ops`); gradients then flow through every update into
-upstream inputs.  Each stage computes its values in plain numpy, by the
+Beliefs and compensation moments, of one case or a batch, may carry tape
+variables (:mod:`memtrack.ops`); gradients then flow through every update
+into upstream inputs.  Each stage computes its values in plain numpy, by the
 same expressions with or without a tape, and records them as one tape node
 with a hand-written adjoint: :func:`predict_state`'s mean and covariance,
 :func:`predict_extension`'s parameter matrix, the innovation and the state
@@ -96,6 +96,8 @@ ZERO_MEASUREMENT = (np.zeros(2), np.zeros(2))
 for _zero in ZERO_EVOLUTION + ZERO_MEASUREMENT:
     _zero.setflags(write=False)
 
+_EYE_STATE = np.eye(2 * D)
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -155,7 +157,7 @@ def _scaled(m, excess):
 
     def adjoint(g):
         g_outer = g * m
-        return g * outer_scale, g_outer @ scale + g_outer.T @ scale
+        return g * outer_scale, np.matvec(g_outer, scale) + np.matvec(g_outer.mT, scale)
 
     return m * outer_scale, adjoint
 
@@ -168,19 +170,19 @@ def predict_state(prior: TrackState, model: NominalModel, df, ef) -> TrackState:
     congruence of the SPD bracket: SPD for any ``ef > -1``.
     """
     f = model.F
-    mean = ops._matvec(f, ops.value(prior.mean)) + ops.value(df)
+    mean = np.matvec(f, ops.value(prior.mean)) + ops.value(df)
     raw = f @ ops.value(prior.cov) @ f.T + model.q
-    bracket = 0.5 * (raw + ops._mT(raw))
+    bracket = 0.5 * (raw + raw.mT)
     cov, scaled_adjoint = _scaled(bracket, ops.value(ef))
 
     def vjp(g):
         g_mean = g[0]
         g_bracket, g_ef = scaled_adjoint(g[1])
-        g_raw = 0.5 * (g_bracket + g_bracket.T)
-        return f.T @ g_mean, f.T @ g_raw @ f, g_mean, g_ef
+        g_raw = 0.5 * (g_bracket + g_bracket.mT)
+        return np.matvec(f.T, g_mean), f.T @ g_raw @ f, g_mean, g_ef
 
     mean, cov = ops.node((mean, cov), (prior.mean, prior.cov, df, ef), vjp)
-    if not np.isfinite(ops.value(mean)).all():
+    if np.count_nonzero(~np.isfinite(ops.value(mean))):
         raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
@@ -198,25 +200,23 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     PSD pphi, and symmetrized.
     """
     lam = prior.dof - 2 * D - 2
-    if ops._any(lam <= 2.0):
+    if np.count_nonzero(lam <= 2.0):
         raise BadDof(f"extension prediction needs lambda > 2, got {lam}")
     delta = model.delta
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
-    v_pred = np.round(v_pred * _DOF_GRID) / _DOF_GRID
-    if not isinstance(lam, np.ndarray):
-        v_pred = float(v_pred)
+    v_pred = np.rint(v_pred * _DOF_GRID) / _DOF_GRID  # np.round's own ufunc, without its wrapper
     # The bracket is (delta A X A^T + pphi) / delta.  Dividing by delta keeps
     # the expected extent; the undivided bracket multiplies it by about delta
     # per step, which compounds geometrically.
     a = model.a
     bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
-    scale = ops._rows((v_pred - 2 * D - 2) / lam)
+    scale = ((v_pred - 2 * D - 2) / lam)[..., None, None]
     raw = scale * bracket
-    param = 0.5 * (raw + ops._mT(raw))
+    param = 0.5 * (raw + raw.mT)
 
     def vjp(g):
-        g_raw = scale * (0.5 * (g + g.T))
+        g_raw = scale * (0.5 * (g + g.mT))
         return a.T @ g_raw @ a, g_raw / delta
 
     param = ops.node(param, (prior.param, pphi), vjp)
@@ -225,16 +225,16 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
 
 def extension_lambda(dof):
     """lambda = dof - 2d - 2, the divisor of the point-estimate extent (per
-    case for a batch's (N,) dofs)."""
-    lam = dof - 2 * D - 2
-    if ops._any(lam <= 0.0):
+    case for a batch's (N,) dofs), as numpy values."""
+    lam = np.float64(dof) - 2 * D - 2  # a numpy scalar for one case, even for a float dof
+    if np.count_nonzero(lam <= 0.0):
         raise BadDof(f"extension mean needs dof > {2 * D + 2}, got {dof}")
     return lam
 
 
 def extension_mean(ext: ExtensionState):
     """Point-estimate extent: param / (dof - 2d - 2)."""
-    return ext.param / ops._rows(extension_lambda(ext.dof))
+    return ext.param / extension_lambda(ext.dof)[..., None, None]
 
 
 def innovation(
@@ -257,25 +257,26 @@ def innovation(
     The statistics are plain arrays; under a tape, :func:`update_state`
     records them and the update as one node (see :class:`InnovationStats`).
     """
-    if ops._any(fs.count < 1):
+    count = np.int64(fs.count)  # a numpy scalar for one case, even for an int count
+    if np.count_nonzero(count < 1):
         raise SingularInnovation("innovation needs at least one measurement")
-    h, b, n = model.H, model.b, ops._rows(fs.count)
-    lam = extension_lambda(ext_pred.dof)
-    z_pred = ops._matvec(h, ops.value(pred.mean)) + ops.value(dh)
+    h, b, n = model.H, model.b, count[..., None, None]
+    lam = extension_lambda(ext_pred.dof)[..., None, None]
+    z_pred = np.matvec(h, ops.value(pred.mean)) + ops.value(dh)
     pxz = ops.value(pred.cov) @ h.T
     hph = h @ pxz
-    xhat = ops.value(ext_pred.param) / ops._rows(lam)
+    xhat = ops.value(ext_pred.param) / lam
     scatter = (b @ xhat @ b.T) / n
-    scatter = 0.5 * (scatter + ops._mT(scatter))
+    scatter = 0.5 * (scatter + scatter.mT)
     r, scaled_adjoint = _scaled(scatter, ops.value(eh))
 
     def back(g_residual, g_pxz, g_pzz, g_r):
         """Adjoints of (x, P, X, dh, eh) from those of (residual, pxz, pzz, r)."""
         g_pxz = g_pxz + h.T @ g_pzz
         g_scatter, g_eh = scaled_adjoint(g_pzz + g_r)
-        g_scatter = 0.5 * (g_scatter + g_scatter.T)
+        g_scatter = 0.5 * (g_scatter + g_scatter.mT)
         g_xhat = b.T @ g_scatter @ b / n
-        return -(h.T @ g_residual), g_pxz @ h, g_xhat / lam, -g_residual, g_eh
+        return -np.matvec(h.T, g_residual), g_pxz @ h, g_xhat / lam, -g_residual, g_eh
 
     return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=hph + r,
                            r=r, h=h, sources=(pred.mean, pred.cov, ext_pred.param, dh, eh),
@@ -294,29 +295,30 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     other than the one ``stats`` came from."""
     r, h, residual, back = stats.r, stats.h, stats.residual, stats.back
     try:
-        gain_t, solve_adjoint = ops.solve(stats.pzz, ops._mT(stats.pxz))
+        gain_t, solve_adjoint = ops.solve(stats.pzz, stats.pxz.mT)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
-    gain = ops._mT(gain_t)
-    mean = ops.value(pred.mean) + ops._matvec(gain, residual)
+    gain = gain_t.mT
+    mean = ops.value(pred.mean) + np.matvec(gain, residual)
     p = ops.value(pred.cov)
-    a = np.eye(h.shape[1]) - gain @ h
-    a_t = ops._mT(a)
+    a = _EYE_STATE - gain @ h
+    a_t = a.mT
     joseph = a @ p @ a_t + gain @ r @ gain_t
-    cov = 0.5 * (joseph + ops._mT(joseph))
+    cov = 0.5 * (joseph + joseph.mT)
 
     def vjp(g):
         g_mean, g_cov = g
-        g_cov = 0.5 * (g_cov + g_cov.T)
-        g_gain = np.outer(g_mean, residual) + 2.0 * (g_cov @ (gain @ r - a @ (p @ h.T)))
+        g_cov = 0.5 * (g_cov + g_cov.mT)
+        g_gain = (g_mean[..., :, None] * residual[..., None, :]
+                  + 2.0 * (g_cov @ (gain @ r - a @ (p @ h.T))))
         # gain^T = Pzz^-1 Pxz^T: its adjoint flows to Pzz and Pxz as a solve's
-        g_pzz, g_rhs = solve_adjoint(g_gain.T)
-        sources = () if back is None else back(gain_t @ g_mean, g_rhs.T, g_pzz,
+        g_pzz, g_rhs = solve_adjoint(g_gain.mT)
+        sources = () if back is None else back(np.matvec(gain_t, g_mean), g_rhs.mT, g_pzz,
                                                gain_t @ g_cov @ gain)
         return (g_mean, a_t @ g_cov @ a) + sources
 
     mean, cov = ops.node((mean, cov), (pred.mean, pred.cov) + stats.sources, vjp)
-    if not np.isfinite(ops.value(mean)).all():
+    if np.count_nonzero(~np.isfinite(ops.value(mean))):
         raise NonFinite("updated state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
@@ -330,7 +332,7 @@ def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) 
     """
     dof = pred.dof + fs.count
     raw = ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T
-    param = ops.node(0.5 * (raw + ops._mT(raw)), (pred.param,), lambda g: (0.5 * (g + g.T),))
+    param = ops.node(0.5 * (raw + raw.mT), (pred.param,), lambda g: (0.5 * (g + g.mT),))
     return ExtensionState(dof=dof, param=param)
 
 
@@ -351,9 +353,9 @@ def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
     mean = np.concatenate([fs.mean, np.zeros(lead + (2,))], axis=-1)
     cov = np.broadcast_to(np.diag([cfg.pos_var, cfg.pos_var, cfg.vel_var, cfg.vel_var]),
                           lead + (4, 4)).copy()
-    raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / ops._rows(fs.count - 1))
+    raw = (cfg.init_dof - 2 * D - 2) * (fs.scatter / (np.int64(fs.count) - 1)[..., None, None])
     param = spdmat.eigen_floor(raw, cfg.min_extent)
-    dof = np.full(lead, cfg.init_dof) if lead else cfg.init_dof
+    dof = np.full(lead, cfg.init_dof)[()]  # a scalar for one case
     return TrackState(mean=mean, cov=cov), ExtensionState(dof=dof, param=param)
 
 
@@ -394,7 +396,7 @@ def run_filter(
         state = update_state(pred, stats)
         ext = update_extension(ext_pred, fs, model)
         # update_state already rejects a non-finite mean
-        if not np.isfinite(ops.value(ext.param)).all():
+        if np.count_nonzero(~np.isfinite(ops.value(ext.param))):
             raise NonFinite(f"non-finite posterior extension at step {k}")
         if trace is not None:
             trace.append(FilterDiagnostics(pred_state=pred, pred_ext=ext_pred, stats=stats,

@@ -7,10 +7,11 @@ named tuples, the cheapest immutable record to build (each filter step
 builds several); belief fields may hold either plain float64 arrays or tape
 ``Var`` objects (the filter is written once over both).
 
-Beliefs and frame statistics describe one case, or a batch of N cases with
-a leading case axis: means (N, 4), covariances (N, 4, 4), extension dofs
-(N,) and parameters (N, 2, 2).  A batch's frames are time-major: frame k of
-a batch is the tuple of every case's k-th (n, 2) frame (:func:`stack_frames`).
+Beliefs and frame statistics describe one case (leading shape ``()``), or
+a batch of N cases with a leading case axis: means (N, 4), covariances
+(N, 4, 4), extension dofs (N,) and parameters (N, 2, 2).  A batch's frames
+are time-major: frame k of a batch is the tuple of every case's k-th (n, 2)
+frame (:func:`stack_frames`).
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyFrame, LengthMismatch
+from .ops import logchol2x2
 from .spdmat import inverse_spd
 
 D = 2  # planar extension dimension; state dimension is 2 * D
+FRAME_COV_EPS = 1e-6   # floor added to a frame's sample covariance in its features
+_FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
 
 __all__ = [
     "D",
+    "FRAME_COV_EPS",
     "TrackState",
     "ExtensionState",
     "FrameStats",
@@ -53,7 +58,7 @@ class TrackState(NamedTuple):
 class ExtensionState(NamedTuple):
     """Inverse-Wishart extension belief.
 
-    ``dof`` is the degrees of freedom v, a float for one case and an (N,)
+    ``dof`` is the degrees of freedom v, a scalar for one case and an (N,)
     array for a batch; ``param`` the 2x2 SPD parameter matrix.  The
     point-estimate extent is param / (v - 2d - 2).
     """
@@ -64,11 +69,15 @@ class ExtensionState(NamedTuple):
 
 class FrameStats(NamedTuple):
     """Sufficient statistics of a frame: mean, unnormalized scatter, count
-    (an int for one case, an (N,) int array for a batch)."""
+    (an int for one case, an (N,) int array for a batch), and the network's
+    frame features: the log-Cholesky features of ``scatter / max(count - 1,
+    1) + FRAME_COV_EPS * I`` and ``log(count)``, which the filter never
+    reads and statistics built by hand may leave None."""
 
     mean: np.ndarray     # (2,) or (N, 2)
     scatter: np.ndarray  # (2, 2) or (N, 2, 2), sum of outer products around the mean
     count: int | np.ndarray
+    features: np.ndarray | None = None  # (4,) or (N, 4)
 
 
 @dataclass(frozen=True)
@@ -192,12 +201,17 @@ def reduce_frames(frames) -> list[FrameStats]:
     scatter[:, 0, 0] = np.add.reduceat(x * x, starts)
     scatter[:, 0, 1] = scatter[:, 1, 0] = np.add.reduceat(x * y, starts)
     scatter[:, 1, 1] = np.add.reduceat(y * y, starts)
+    features = np.empty((len(counts), 4))  # every frame's at once
+    features[:, :3] = logchol2x2(scatter / np.maximum(counts - 1, 1)[:, None, None]
+                                 + _FRAME_COV_FLOOR)
+    features[:, 3] = np.log(counts)
     if batched:
         lead = (len(frames), len(frames[0]))
-        return [FrameStats(mean=m, scatter=s, count=c) for m, s, c in zip(
-            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))]
-    return [FrameStats(mean=m, scatter=s, count=c)
-            for m, s, c in zip(mean, scatter, counts.tolist())]
+        return [FrameStats(mean=m, scatter=s, count=c, features=f) for m, s, c, f in zip(
+            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead),
+            features.reshape(*lead, 4))]
+    return [FrameStats(mean=m, scatter=s, count=c, features=f)
+            for m, s, c, f in zip(mean, scatter, counts.tolist(), features)]
 
 
 def stack_frames(runs: list) -> list:

@@ -25,10 +25,12 @@ with the ``1 / 2K`` scaling and the L2 term, one node for the sequence.
 Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
 sums over time in one matrix product per weight.
 
-A plain forward also runs a batch of N cases (time-major frames, see
-:func:`memtrack.models.stack_frames`): features, memory, head outputs and
-loss terms then carry a leading case axis, and each row is computed bit for
-bit as that case alone.  A taped forward records one case.
+A forward, plain or taped, also runs a batch of N cases (time-major
+frames, see :func:`memtrack.models.stack_frames`): features, memory, head
+outputs and loss terms then carry a leading case axis, and each row is
+computed bit for bit as that case alone.  A taped batch differentiates the
+cases' summed loss.  The frame's own features come with its statistics
+(:class:`memtrack.models.FrameStats`), computed once per sequence.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import LengthMismatch
 from .filtering import (
     ZERO_EVOLUTION,
     ZERO_MEASUREMENT,
@@ -69,13 +71,10 @@ __all__ = [
 
 FEATURE_DIM = 18       # memory-update input features
 PRED_FEATURE_DIM = 12  # prediction-only subset fed to the update heads
-FRAME_COV_EPS = 1e-6   # floor added to the per-frame scatter covariance
 
 # The ablation mask of each block, by its name in checkpoints and on the
 # command line: the evolution heads, the update heads, the memory update.
 MASK_FIELDS = {"jeb": "mask_evolution", "jub": "mask_update", "mub": "mask_memory"}
-
-_FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
 
 
 class MemoryState(NamedTuple):
@@ -169,41 +168,29 @@ def initial_memory(memory_dim: int, lead: tuple = ()) -> MemoryState:
 def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = None):
     """The raw encoding of a belief, and of the current frame when ``fs`` is
     given, as a plain vector (one row per case of a batch); and the map
-    from one case's adjoint to the adjoints of (state mean, state
-    covariance, extension parameter).
+    from its adjoint to the adjoints of (state mean, state covariance,
+    extension parameter), per case.
 
     Without a frame these are the PRED_FEATURE_DIM prediction features:
     the mean, the log variances, the log-Cholesky extent and the log dof.
     """
     mean, cov = ops.value(state.mean), ops.value(state.cov)
-    lam = extension_lambda(ext.dof)
-    xhat = ops.value(ext.param) / ops._rows(lam)
+    lam = extension_lambda(ext.dof)[..., None, None]
+    xhat = ops.value(ext.param) / lam
     variances = cov.diagonal(0, -2, -1)
-    pieces = [mean, np.log(variances), ops.logchol2x2(xhat), _log_column(ext.dof)]
-    if fs is not None:
-        count = fs.count
-        denominator = (np.maximum(count - 1, 1)[:, None, None] if isinstance(count, np.ndarray)
-                       else max(count - 1, 1))
-        pieces += [fs.mean - mean[..., 0:2],
-                   ops.logchol2x2(fs.scatter / denominator + _FRAME_COV_FLOOR),
-                   _log_column(count)]
+    pieces = [mean, np.log(variances), ops.logchol2x2(xhat), np.log(ext.dof)[..., None]]
+    if fs is not None:  # the frame's own features come with its statistics
+        pieces += [fs.mean - mean[..., 0:2], fs.features]
 
     def back(g):
-        g_mean = g[0:4].copy()
+        g_mean = g[..., 0:4].copy()
         if fs is not None:
-            g_mean[0:2] -= g[12:14]
-        return (g_mean, np.diag(g[4:8] / variances),
-                ops.logchol2x2_adjoint(xhat, g[8:11]) / lam)
+            g_mean[..., 0:2] -= g[..., 12:14]
+        g_cov = np.zeros(g.shape[:-1] + (4, 4))
+        g_cov.reshape(g.shape[:-1] + (16,))[..., ::5] = g[..., 4:8] / variances  # diagonal
+        return g_mean, g_cov, ops.logchol2x2_adjoint(xhat, g[..., 8:11]) / lam
 
     return np.concatenate(pieces, axis=-1), back
-
-
-def _log_column(x):
-    """The log of a case's dof or count as a feature column: (1,), or (N, 1)
-    for a batch's (N,) values."""
-    if isinstance(x, np.ndarray):
-        return np.log(x.astype(np.float64))[:, None]
-    return np.array([np.log(float(x))])
 
 
 def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats):
@@ -231,12 +218,13 @@ def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
     lstm_w, lstm_b, w, b = map(ops.value, weights)
     cell, hidden, lstm_adjoint = ops.lstm_cell(lstm_w, lstm_b, ops.value(features),
                                                ops.value(mem.hidden), ops.value(mem.cell))
-    lin = ops._matvec(w, hidden) + b
+    lin = np.matvec(w, hidden) + b
 
     def vjp(g):
         g_cell, g_hidden, g_pc = g
         g_lin = g_pc * ops.sigmoid(lin)
-        return lstm_adjoint(g_cell, g_hidden + w.T @ g_lin) + (ops.Outer(g_lin, hidden), g_lin)
+        return (lstm_adjoint(g_cell, g_hidden + np.matvec(w.mT, g_lin))
+                + (ops.Outer(g_lin, hidden), g_lin))
 
     return MemoryState(*ops.node((cell, hidden, np.logaddexp(0.0, lin)),
                                  (weights[0], weights[1], features, mem.hidden, mem.cell,
@@ -252,24 +240,30 @@ def jeb_heads(params: NetworkParams, mem: MemoryState):
     shift_w, shift_b, cov_w, cov_b, ext_w, ext_b = map(ops.value, weights)
     hidden = ops.value(mem.hidden)
     inp = np.concatenate([hidden, ops.value(mem.pc)], axis=-1)
-    df = ops._matvec(shift_w, inp) + shift_b
-    cov_lin = ops._matvec(cov_w, inp) + cov_b
+    df = np.matvec(shift_w, inp) + shift_b
+    cov_lin = np.matvec(cov_w, inp) + cov_b
     ef = np.logaddexp(0.0, cov_lin) / ops.SOFTPLUS_ZERO - 1.0
-    ext_vec = ops._matvec(ext_w, inp) + ext_b
+    ext_vec = np.matvec(ext_w, inp) + ext_b
     diag = np.logaddexp(0.0, ext_vec[..., 0:2]) - ops.SOFTPLUS_ZERO
     ell = np.zeros(ext_vec.shape[:-1] + (2, 2))
     ell[..., 0, 0], ell[..., 1, 1], ell[..., 1, 0] = diag[..., 0], diag[..., 1], ext_vec[..., 2]
-    pphi = ell @ ops._mT(ell)
+    pphi = ell @ ell.mT
 
     def vjp(g):
         g_df, g_ef, g_pphi = g
-        slopes = ops.sigmoid(np.concatenate([cov_lin, ext_vec[0:2]]))  # softplus'
-        g_cov = g_ef / ops.SOFTPLUS_ZERO * slopes[:4]
-        g_ell = (g_pphi + g_pphi.T) @ ell
-        g_ext = np.array([g_ell[0, 0], g_ell[1, 1], g_ell[1, 0]])
-        g_ext[0:2] *= slopes[4:]
-        g_inp = shift_w.T @ g_df + cov_w.T @ g_cov + ext_w.T @ g_ext
-        return (g_inp[:len(hidden)], g_inp[len(hidden):], ops.Outer(g_df, inp), g_df,
+        slopes = ops.sigmoid(np.concatenate([cov_lin, ext_vec[..., 0:2]], axis=-1))  # softplus'
+        g_cov = g_ef / ops.SOFTPLUS_ZERO * slopes[..., :4]
+        g_ell = (g_pphi + g_pphi.mT) @ ell
+        # filled, not fancy-indexed: a batch's rows must be contiguous, as one
+        # case's are, for np.matvec to sum them in the same order
+        g_ext = np.empty(ext_vec.shape)
+        g_ext[..., 0], g_ext[..., 1] = g_ell[..., 0, 0], g_ell[..., 1, 1]
+        g_ext[..., 2] = g_ell[..., 1, 0]
+        g_ext[..., 0:2] *= slopes[..., 4:]
+        g_inp = (np.matvec(shift_w.T, g_df) + np.matvec(cov_w.T, g_cov)
+                 + np.matvec(ext_w.T, g_ext))
+        n = hidden.shape[-1]
+        return (g_inp[..., :n], g_inp[..., n:], ops.Outer(g_df, inp), g_df,
                 ops.Outer(g_cov, inp), g_cov, ops.Outer(g_ext, inp), g_ext)
 
     return ops.node((df, ef, pphi), (mem.hidden, mem.pc, *weights), vjp)
@@ -285,14 +279,14 @@ def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState)
     raw, back = _features(pred, ext_pred)
     std = params.feat_std[:PRED_FEATURE_DIM]
     inp = (raw - params.feat_mean[:PRED_FEATURE_DIM]) / std
-    dh = ops._matvec(shift_w, inp) + shift_b
-    scale_lin = ops._matvec(scale_w, inp) + scale_b
+    dh = np.matvec(shift_w, inp) + shift_b
+    scale_lin = np.matvec(scale_w, inp) + scale_b
     eh = np.logaddexp(0.0, scale_lin) / ops.SOFTPLUS_ZERO - 1.0
 
     def vjp(g):
         g_dh, g_eh = g
         g_scale = g_eh / ops.SOFTPLUS_ZERO * ops.sigmoid(scale_lin)
-        g_inp = shift_w.T @ g_dh + scale_w.T @ g_scale
+        g_inp = np.matvec(shift_w.T, g_dh) + np.matvec(scale_w.T, g_scale)
         return back(g_inp / std) + (ops.Outer(g_dh, inp), g_dh, ops.Outer(g_scale, inp), g_scale)
 
     return ops.node((dh, eh), (pred.mean, pred.cov, ext_pred.param, *weights), vjp)
@@ -336,14 +330,12 @@ def forward_sequence(
     a tape, the network runs on a copy of ``params`` whose arrays are tape
     leaves, and those leaves are returned for gradient extraction; without
     one this is the plain-inference path (identical arithmetic).  ``frames``
-    may be a time-major batch (see :func:`memtrack.models.stack_frames`)
-    for a plain forward; a tape records one case.
+    may be a time-major batch (see :func:`memtrack.models.stack_frames`),
+    taped or not.
 
     Returns (posterior states, posterior extensions, leaves-or-None).
     """
     if tape is not None:
-        if isinstance(frames[0], tuple):
-            raise ShapeMismatch("a tape records one case, not a batch")
         params = replace(params, arrays=params.leaves(tape))
     states, exts, _ = run_filter(frames, model, tcfg or TrackerConfig(),
                                  _Compensator(params))
@@ -357,7 +349,8 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
     gamma * ||theta||^2 over the supplied weights.  The extent compared is
     the lambda-scaled posterior mean, not the raw parameter matrix.  For a
     batch's posteriors, with time-major truth (K, N, ...), it is one loss
-    per case, (N,).  On a tape the whole loss is one node: the K terms are
+    per case, (N,), each with the L2 term.  On a tape the whole loss is one
+    node, whose adjoint is that of the cases' summed loss: the K terms are
     summed in step order, then scaled, and the weights' squares are summed
     weight by weight, in the order given.  Zero steps, or lengths that
     differ, raise LengthMismatch.
@@ -369,11 +362,10 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
             f"{len(truth_states)}/{len(truth_extents)} truth entries; a loss needs at least one")
     total, parents, residuals = None, [], []
     for state, ext, truth_state, truth_extent in zip(states, exts, truth_states, truth_extents):
-        lam = extension_lambda(ext.dof)
+        lam = extension_lambda(ext.dof)[..., None, None]
         d_state = ops.value(state.mean) - truth_state
-        d_extent = ops.value(ext.param) / ops._rows(lam) - truth_extent
-        lead = d_state.shape[:-1]
-        term = _square_sums(d_state, lead) + _square_sums(d_extent, lead)
+        d_extent = ops.value(ext.param) / lam - truth_extent
+        term = np.add.reduce(d_state * d_state, -1) + np.add.reduce(d_extent * d_extent, (-2, -1))
         total = term if total is None else total + term
         parents += (state.mean, ext.param)
         residuals.append((d_state, d_extent, lam))
@@ -389,16 +381,11 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
 
     def vjp(g):
         g_term = 2.0 * (g / scale)
+        g_state, g_extent = g_term[..., None], g_term[..., None, None]
         adjoints = []
         for d_state, d_extent, lam in residuals:
-            adjoints += (g_term * d_state, (g_term * d_extent) / lam)
-        g_reg = 2.0 * (g * gamma)
+            adjoints += (g_state * d_state, (g_extent * d_extent) / lam)
+        g_reg = 2.0 * (np.sum(g) * gamma)  # every case's loss holds the L2 term
         return adjoints + [g_reg * w for w in values]
 
     return ops.node(out, (*parents, *regularized), vjp)
-
-
-def _square_sums(d, lead: tuple):
-    """Sum of the squared entries of a case's ``d``, or of each case's for a
-    batch (``lead`` = (N,))."""
-    return np.sum((d * d).reshape(lead + (-1,)), axis=-1)

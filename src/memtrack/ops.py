@@ -25,22 +25,17 @@ returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
 node's outer products with one matrix product, ``G^T X``, when its walk
 reaches that node.
 
-The one-track hot path makes no LAPACK call: :func:`solve` inverts a
-2x2 by its adjugate, without changing a forward value.
+The one-track hot path makes no LAPACK call: :func:`solve` inverts a 2x2
+by its adjugate, without changing a forward value.
 
-A plain (untaped) batch of N cases stacks its matrices on a leading case
-axis, and :func:`solve` and :func:`logchol2x2` work row by row on such
-stacks, each row bit for bit as it would alone.  These stack forms stay
-because per-row calls were slower: an 8-case feature-statistics pass took
-58 ms against 38, a 16-case learned forward 97 ms against 77.  ``_matvec``
-and ``_mT`` are the matrix-vector product and the transpose of one case or
-of each row of a stack, and ``_rows`` shapes a batch's per-case scalars to
-scale its matrices.  A tape records one case.
+Every stage, block, primitive and vjp is written once, with ``...``
+indexing, ``.mT`` and ``np.matvec``, for one case (leading shape ``()``) or
+a batch of N (``(N,)``), each row bit for bit as that case alone.  A tape
+records either: a weight's :class:`Outer` rows are summed over steps and
+cases, and other per-case adjoints of a leaf over cases.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -106,15 +101,19 @@ class Tape:
     ``entries[i]`` is ``()`` for a leaf and ``(refs, vjp, outputs)`` for a
     node: ``refs`` holds ``(idx, slot)`` per parent (None for a parent that
     is not a Var), and ``outputs`` is the tuple of output values of a node
-    with several outputs, None for a node with one.
+    with several outputs, None for a node with one.  ``leaf_shapes`` maps
+    leaf indices to their values' shapes.
     """
 
     def __init__(self):
         self.entries = []
+        self.leaf_shapes = {}
 
     def leaf(self, value) -> Var:
+        value = np.asarray(value, dtype=np.float64)
         self.entries.append(())
-        return Var(np.asarray(value, dtype=np.float64), self, len(self.entries) - 1)
+        self.leaf_shapes[len(self.entries) - 1] = value.shape
+        return Var(value, self, len(self.entries) - 1)
 
     def record(self, outputs, parents, vjp):
         """Append one node; see :func:`node`."""
@@ -127,22 +126,25 @@ class Tape:
         return Var(outputs, self, idx)
 
     def backward(self, out: Var):
-        """Adjoints of ``out`` w.r.t. every node, indexed by Var.idx; a node
-        with several outputs gets a list with one adjoint (or None) per output."""
-        entries = self.entries
+        """Adjoints of ``out`` (of the sum of a batch's) w.r.t. every node,
+        indexed by Var.idx; a node with several outputs gets a list with one
+        adjoint (or None) per output.  A leaf's per-case adjoints are summed
+        over the cases as they arrive."""
+        entries, leaf_shapes = self.entries, self.leaf_shapes
         if not entries:
             raise TapeEmpty("no operations recorded")
         grads = [None] * len(entries)
         outers = {}  # node index -> (g rows, x rows) of its Outer adjoints
+        seed = np.ones_like(out.value, dtype=np.float64)
         if out.slot is None:
-            grads[out.idx] = np.asarray(1.0)
+            grads[out.idx] = seed
         else:
             grads[out.idx] = [None] * len(entries[out.idx][2])
-            grads[out.idx][out.slot] = np.asarray(1.0)
+            grads[out.idx][out.slot] = seed
         for i in range(out.idx, -1, -1):
             if i in outers:  # only a leaf or a one-output node takes an Outer
-                gs, xs = outers.pop(i)
-                summed = np.array(gs).T @ np.array(xs)
+                gs, xs = map(np.array, outers.pop(i))  # a batch's: (steps, cases, n)
+                summed = gs.reshape(-1, gs.shape[-1]).T @ xs.reshape(-1, xs.shape[-1])
                 grads[i] = summed if grads[i] is None else grads[i] + summed
             g = grads[i]
             entry = entries[i]
@@ -162,6 +164,9 @@ class Tape:
                     gs.append(contrib.g)
                     xs.append(contrib.x)
                 elif slot is None:
+                    shape = leaf_shapes.get(j)
+                    if shape is not None and contrib.ndim > len(shape):
+                        contrib = contrib.reshape((-1,) + shape).sum(axis=0)
                     prev = grads[j]
                     grads[j] = contrib if prev is None else prev + contrib
                 else:
@@ -218,14 +223,14 @@ def lstm_cell(w, b, x, hidden, cell):
     their adjoint.
 
     ``w @ [x; hidden] + b`` stacks the input, forget and output gates and
-    the candidate, in that order.  The adjoint maps the adjoints of one
-    case's new (cell, hidden) to those of (w, b, x, hidden, cell), ``w``'s
+    the candidate, in that order.  The adjoint maps the adjoints of the new
+    (cell, hidden) to those of (w, b, x, hidden, cell), per case, ``w``'s
     as an :class:`Outer`; a caller records it inside its own node (see
     :func:`memtrack.network.mub_step`).
     """
     n = hidden.shape[-1]
     z = np.concatenate([x, hidden], axis=-1)
-    lin = _matvec(w, z) + b
+    lin = np.matvec(w, z) + b
     gates = sigmoid(lin[..., :3 * n])
     gate_in, gate_forget, gate_out = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
     candidate = np.tanh(lin[..., 3 * n:])
@@ -237,123 +242,100 @@ def lstm_cell(w, b, x, hidden, cell):
         g_cell = g_cell + (g_hidden * gate_out) * (1.0 - tanh_cell * tanh_cell)
         # the three gates' slopes in one pass: (adjoint * gate) * (1 - gate)
         dlin = np.concatenate([g_cell * candidate, g_cell * cell, g_hidden * tanh_cell,
-                               g_cell * gate_in])
-        dlin[:3 * n] *= gates
-        dlin[:3 * n] *= 1.0 - gates
-        dlin[3 * n:] *= 1.0 - candidate * candidate
-        dz = w.T @ dlin
-        return Outer(dlin, z), dlin, dz[:-n], dz[-n:], g_cell * gate_forget
+                               g_cell * gate_in], axis=-1)
+        dlin[..., :3 * n] *= gates
+        dlin[..., :3 * n] *= 1.0 - gates
+        dlin[..., 3 * n:] *= 1.0 - candidate * candidate
+        dz = np.matvec(w.mT, dlin)
+        return Outer(dlin, z), dlin, dz[..., :-n], dz[..., -n:], g_cell * gate_forget
 
     return new_cell, new_hidden, adjoint
 
 
-def _mT(a):
-    """The transpose of a matrix, or of each matrix of a stack."""
-    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
-
-
-def _any(flags) -> bool:
-    """Whether a condition holds for one case (a bool), or for any row of a
-    batch (an array of bools)."""
-    return np.count_nonzero(flags) > 0 if isinstance(flags, np.ndarray) else flags
-
-
-def _rows(x):
-    """A per-case scalar as a factor of each case's matrices: a scalar as
-    it is, a batch's (N,) values as (N, 1, 1)."""
-    return x[:, None, None] if isinstance(x, np.ndarray) else x
-
-
-def _matvec(a, x):
-    """``a @ x`` for a vector ``x``, or for each row of a stack (N, n) of
-    vectors, ``a`` one matrix or a stack: each row is one matrix-vector
-    product, bit for bit as ``a @ x`` on that row alone."""
-    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+# The adjugate of a 2x2 is its entries reversed and transposed, with these signs.
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def solve(a, b):
     """np.linalg.solve(a, b) of plain arrays, by the adjugate when a is 2x2;
     returns the solution x and its adjoint.
 
-    The adjoint maps x's adjoint g to those of (a, b), ``(-y x^T, y)`` with
-    ``a^T y = g``, solved with the same 2x2 adjugate and determinant (the
-    transpose's are their transpose and themselves).  A 2x2 whose
-    determinant is 0 or not finite goes to LAPACK, which raises LinAlgError
-    on an exactly singular matrix and otherwise behaves as it always did
-    (NaN in, NaN out; no overflow in the determinant).  A stack of 2x2s
-    (N, 2, 2), with right-hand sides (N, 2, k), is solved row by row the
-    same way, and its adjoint is None: a tape records one case.
+    ``a`` is one matrix, with ``b`` (d, k) or (d,), or a stack (N, d, d),
+    with ``b`` (N, d, k).  The adjoint maps x's adjoint g to those of (a, b),
+    ``(-y x^T, y)`` with ``a^T y = g``, solved with the same 2x2 adjugate
+    and determinant (the transpose's are their transpose and themselves).
+    A 2x2 whose determinant is 0 or not finite goes to LAPACK, row by row:
+    LAPACK raises LinAlgError on an exactly singular matrix and otherwise
+    behaves as it always did (NaN in, NaN out; no overflow in the
+    determinant).
     """
-    if a.shape == (2, 2):
-        (a00, a01), (a10, a11) = a.tolist()
+    lead = a.shape[:-1]
+    if a.shape[-2:] != (2, 2):
+        x = np.linalg.solve(a, b)
+        return x, lambda g: _solve_adjoint(x, np.linalg.solve(a.mT, g), lead)
+    adjugate = a[..., ::-1, ::-1].mT * _COFACTOR_SIGNS
+    # [()] makes one case's entries scalars, the cheapest to work with
+    a00, a01, a10, a11 = a[..., 0, 0][()], a[..., 0, 1][()], a[..., 1, 0][()], a[..., 1, 1][()]
+    with np.errstate(over="ignore", invalid="ignore"):
         det = a00 * a11 - a01 * a10
-        if det != 0.0 and math.isfinite(det):
-            adjugate = np.array([[a11, -a01], [-a10, a00]])
-            x = (adjugate @ b) / det
-            return x, lambda g: _solve_adjoint(x, (adjugate.T @ g) / det)
-    elif a.ndim == 3 and a.shape[1:] == (2, 2):
-        a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-        adjugate = np.empty_like(a)
-        adjugate[:, 0, 0], adjugate[:, 0, 1] = a11, -a01
-        adjugate[:, 1, 0], adjugate[:, 1, 1] = -a10, a00
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            det = a00 * a11 - a01 * a10
-            x = (adjugate @ b) / det[:, None, None]
-        lapack = ~((det != 0.0) & np.isfinite(det))
-        if lapack.any():
-            x[lapack] = np.linalg.solve(a[lapack], b[lapack])
-        return x, None
-    x = np.linalg.solve(a, b)
-    return x, lambda g: _solve_adjoint(x, np.linalg.solve(a.T, g))
+    lapack = ~((det != 0.0) & (abs(det) < np.inf))  # NaN fails both
+    rows = ()
+    if np.count_nonzero(lapack):
+        rows = [tuple(i) for i in np.argwhere(lapack)]
+        det = np.where(lapack, 1.0, det)[()]  # those rows are solved by LAPACK
+    x = adjugate @ b
+    x_t = x.T  # the case axes, reversed, now trail as det's do: each case's det divides its x
+    x_t /= det.T
+    for i in rows:
+        x[i] = np.linalg.solve(a[i], b[i])
+
+    def adjoint(g):
+        y = adjugate.mT @ g
+        y_t = y.T
+        y_t /= det.T
+        for i in rows:
+            y[i] = np.linalg.solve(a[i].mT, g[i])
+        return _solve_adjoint(x, y, lead)
+
+    return x, adjoint
 
 
-def _solve_adjoint(x, y):
+def _solve_adjoint(x, y, lead):
     """The adjoints ``(-y x^T, y)`` of (a, b) in ``a x = b``, given the
-    solution ``y`` of ``a^T y = g``."""
-    return -y @ _mT(x) if x.ndim == 2 else -np.outer(y, x), y
+    solution ``y`` of ``a^T y = g``; ``lead`` is a's shape without its last
+    axis, so that a vector x is taken as one column."""
+    return -y.reshape(lead + (-1,)) @ x.reshape(lead + (-1,)).mT, y
 
 
 def logchol2x2(a):
     """Log-Cholesky features (log L00, log L11, L10) of a plain 2x2 SPD
-    matrix, or (N, 3) of a stack (N, 2, 2); its adjoint is
+    matrix, (3,), or of each of a stack (N, 2, 2), (N, 3); its adjoint is
     :func:`logchol2x2_adjoint`."""
-    if a.ndim == 3:
-        return _logchol2x2_rows(a)
-    x00, x01, x11 = a[0, 0], a[0, 1], a[1, 1]
-    if x00 <= 0.0:
-        raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
-    l00 = np.sqrt(x00)
-    l10 = x01 / l00
-    l11sq = x11 - l10 * l10
-    if l11sq <= 0.0:
-        raise NotPositiveDefinite("2x2 matrix has non-positive Schur complement")
-    return np.array([0.5 * np.log(x00), 0.5 * np.log(l11sq), l10])
-
-
-def _logchol2x2_rows(a):
-    """:func:`logchol2x2` of each matrix of a stack (N, 2, 2), as (N, 3)."""
-    x00, x01, x11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
-    if _any(x00 <= 0.0):
+    # [()] makes one case's entries scalars, the cheapest to work with
+    x00, x01, x11 = a[..., 0, 0][()], a[..., 0, 1][()], a[..., 1, 1][()]
+    if np.count_nonzero(x00 <= 0.0):
         raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
     l10 = x01 / np.sqrt(x00)
     l11sq = x11 - l10 * l10
-    if _any(l11sq <= 0.0):
+    if np.count_nonzero(l11sq <= 0.0):
         raise NotPositiveDefinite("2x2 matrix has non-positive Schur complement")
-    out = np.empty((len(a), 3))
-    out[:, 0], out[:, 1], out[:, 2] = 0.5 * np.log(x00), 0.5 * np.log(l11sq), l10
+    out = np.empty(a.shape[:-2] + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = 0.5 * np.log(x00), 0.5 * np.log(l11sq), l10
     return out
 
 
 def logchol2x2_adjoint(a, g):
-    """Adjoint of :func:`logchol2x2` at the plain 2x2 ``a`` for the output
-    adjoint ``g``; it lives on the upper triangle, the entries read."""
-    x00, x01, x11 = a[0, 0], a[0, 1], a[1, 1]
+    """Adjoint of :func:`logchol2x2` at the plain 2x2 ``a``, or at each of a
+    stack, for the output adjoint ``g``; it lives on the upper triangle, the
+    entries read."""
+    x00, x01, x11 = a[..., 0, 0][()], a[..., 0, 1][()], a[..., 1, 1][()]
     l00 = np.sqrt(x00)
     l10 = x01 / l00
     l11sq = x11 - l10 * l10
-    g0, g1, g2 = g[0], g[1], g[2]
-    d = np.zeros((2, 2))
-    d[0, 0] = g0 / (2.0 * x00) + g1 * (l10 * l10) / (2.0 * x00 * l11sq) - g2 * l10 / (2.0 * x00)
-    d[0, 1] = -g1 * x01 / (x00 * l11sq) + g2 / l00
-    d[1, 1] = g1 / (2.0 * l11sq)
+    g0, g1, g2 = g[..., 0][()], g[..., 1][()], g[..., 2][()]
+    d = np.zeros(a.shape)
+    d[..., 0, 0] = (g0 / (2.0 * x00) + g1 * (l10 * l10) / (2.0 * x00 * l11sq)
+                    - g2 * l10 / (2.0 * x00))
+    d[..., 0, 1] = -g1 * x01 / (x00 * l11sq) + g2 / l00
+    d[..., 1, 1] = g1 / (2.0 * l11sq)
     return d

@@ -24,6 +24,10 @@ __all__ = [
 # Relative roundoff of a 2x2 determinant x z - y^2, in units of |x z| + y^2.
 _DET_SLACK = 4.0 * np.finfo(np.float64).eps
 
+# Bound on the roundoff of a 2x2's closed-form smallest eigenvalue plus eigh's,
+# a few eps each, in units of |x| + |z| + 2|y| (at least the spectral norm).
+_EIG_MARGIN = 16.0 * np.finfo(np.float64).eps
+
 
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == a.
@@ -45,20 +49,29 @@ def eigen_floor(a: np.ndarray, floor: float) -> np.ndarray:
     (N, d, d), with its eigenvalues raised to at least ``floor``: a row that
     needs no raising comes back as its symmetric part, bit for bit, and
     each other row is rebuilt from its eigenvectors, alone.
+
+    A 2x2 row whose closed-form smallest eigenvalue clears ``floor`` by more
+    than roundoff skips ``eigh``, which only rows near or below the floor,
+    and larger matrices, reach.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise NonFinite("eigen_floor input contains non-finite entries")
     s = 0.5 * (a + np.swapaxes(a, -1, -2))
-    w, u = np.linalg.eigh(s)
-    low = w[..., 0] < floor
-    if not low.any():
+    near = np.ones(s.shape[:-2], bool)  # rows that may have an eigenvalue below the floor
+    if s.shape[-2:] == (2, 2):
+        x, y, z = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow goes to eigh
+            smallest = 0.5 * (x + z) - np.hypot(0.5 * (x - z), y)
+            near = ~(smallest - floor > _EIG_MARGIN * (np.abs(x) + np.abs(z) + 2.0 * np.abs(y)))
+    if not near.any():
         return s
-    if s.ndim == 2:
-        return _raised(w, u, floor)
+    rows = s[near]  # (M, d, d); a single matrix becomes a stack of one
+    w, u = np.linalg.eigh(rows)
+    for i in np.flatnonzero(w[:, 0] < floor).tolist():
+        rows[i] = _raised(w[i], u[i], floor)
     out = s.copy()
-    for i in np.flatnonzero(low).tolist():
-        out[i] = _raised(w[i], u[i], floor)
+    out[near] = rows
     return out
 
 

@@ -22,7 +22,7 @@ of ``conftest.py``), so every other test runs the package as it ships.
 import numpy as np
 
 from memtrack import filtering, network, ops, training
-from memtrack.models import D, ExtensionState, TrackState
+from memtrack.models import FRAME_COV_EPS, D, ExtensionState, TrackState
 
 # -- the generic algebra, one node per op ------------------------------------
 
@@ -276,7 +276,7 @@ def _pred_pieces(state, ext):
 
 def raw_features(state, ext, fs):
     pieces = _pred_pieces(state, ext)
-    scatter_cov = fs.scatter / max(fs.count - 1, 1) + network._FRAME_COV_FLOOR
+    scatter_cov = fs.scatter / max(fs.count - 1, 1) + FRAME_COV_EPS * np.eye(2)
     pieces += [fs.mean - state.mean[0:2], ops.logchol2x2(scatter_cov),
                np.array([np.log(float(fs.count))])]
     return concat(pieces)

@@ -1,9 +1,12 @@
 """Backpropagation-through-the-filter correctness against finite differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from memtrack import ops, training
+from memtrack.filtering import TrackerConfig
 from memtrack.models import ScenarioConfig, nominal_cv_model
 from memtrack.network import forward_sequence, init_params, sequence_loss, zero_params
 from memtrack.simulate import generate_case
@@ -95,3 +98,36 @@ class TestGradCheck:
         head_norm = sum(float(np.abs(by_name[k]).max())
                         for k in ("evo_shift_w", "upd_shift_w", "evo_cov_w", "upd_scale_w"))
         assert head_norm > 0.0
+
+
+class TestBatchedTape:
+    def test_summed_loss_matches_central_differences(self):
+        """A tape over a 2-case batch, against the fourth-order central
+        differences of the cases' summed loss, with grad_check's metric."""
+        model = nominal_cv_model(sigma_w=0.4, dt=1.0)
+        cases = [make_case(5, 20 + i)[0] for i in range(2)]
+        params = perturbed_params(3, 21)
+        tracker = TrackerConfig()
+        tape = ops.Tape()
+        loss, _, _, leaves = training._run_loss(params, cases, model, tracker, 1e-3, tape)
+        grads = tape.backward(loss)
+        analytic = {name: tape.grad(grads, var) for name, var in leaves.items()}
+        floor = 1e-3 * (1.0 + max(float(np.max(np.abs(g))) for g in analytic.values()))
+
+        def summed(arrays):
+            probe = replace(params, arrays=arrays)
+            return float(np.sum(training._run_loss(probe, cases, model, tracker, 1e-3)[0]))
+
+        eps, worst = 1e-5, 0.0
+        for name, base in params.arrays.items():
+            for i in range(base.size):
+                evals = {}
+                for step in (2.0, 1.0, -1.0, -2.0):
+                    probe = {k: (v.copy() if k == name else v) for k, v in params.arrays.items()}
+                    probe[name].ravel()[i] += step * eps
+                    evals[step] = summed(probe)
+                fd = (-evals[2.0] + 8.0 * evals[1.0] - 8.0 * evals[-1.0] + evals[-2.0]) \
+                    / (12.0 * eps)
+                a = analytic[name].ravel()[i]
+                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), floor))
+        assert worst < 1e-4

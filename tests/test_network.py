@@ -3,13 +3,13 @@ import pytest
 
 import composed_ops as composed
 from memtrack import network, ops
-from memtrack.errors import LengthMismatch, ShapeMismatch
+from memtrack.errors import LengthMismatch
 from memtrack.filtering import TrackerConfig, run_filter
 from memtrack.models import (
     ExtensionState,
-    FrameStats,
     ScenarioConfig,
     TrackState,
+    frame_stats,
     nominal_cv_model,
     stack_frames,
 )
@@ -26,7 +26,7 @@ from memtrack.network import (
     zero_params,
 )
 from memtrack.simulate import generate_case
-from memtrack.training import TrainConfig, _sequence_gradients, collect_feature_stats
+from memtrack.training import TrainConfig, _run_loss, _sequence_gradients, collect_feature_stats
 
 
 @pytest.fixture()
@@ -43,7 +43,7 @@ class TestEncoding:
     def test_identity_extent_encodes_zero(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))  # mean = I
-        fs = FrameStats(mean=np.zeros(2), scatter=np.zeros((2, 2)), count=3)
+        fs = frame_stats(np.zeros((3, 2)))
         params = zero_params(4)
         feats = encode_inputs(state, ext, fs, params)
         # log-Cholesky block of the extent occupies features 8..10
@@ -53,14 +53,14 @@ class TestEncoding:
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         lam = 4.0
         ext = ExtensionState(dof=10.0, param=lam * np.diag([np.e ** 2, np.e ** 4]))
-        fs = FrameStats(mean=np.zeros(2), scatter=np.zeros((2, 2)), count=3)
+        fs = frame_stats(np.zeros((3, 2)))
         feats = encode_inputs(state, ext, fs, zero_params(4))
         np.testing.assert_allclose(feats[8:11], [1.0, 2.0, 0.0], atol=1e-12)
 
     def test_single_point_frame_is_finite(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        fs = FrameStats(mean=np.array([1.0, -1.0]), scatter=np.zeros((2, 2)), count=1)
+        fs = frame_stats(np.array([[1.0, -1.0]]))
         feats = encode_inputs(state, ext, fs, zero_params(4))
         assert feats.shape == (network.FEATURE_DIM,)
         assert np.all(np.isfinite(feats))
@@ -68,7 +68,7 @@ class TestEncoding:
     def test_standardization_applied(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        fs = FrameStats(mean=np.zeros(2), scatter=np.zeros((2, 2)), count=3)
+        fs = frame_stats(np.zeros((3, 2)))
         params = zero_params(4)
         raw = encode_inputs(state, ext, fs, params)
         params.feat_mean = np.full(network.FEATURE_DIM, 1.0)
@@ -292,8 +292,9 @@ class TestFusedPipeline:
 
 
 class TestBatchForward:
-    """A plain forward of several cases as one batch: each row's posteriors
-    and loss equal that case's own forward, bit for bit."""
+    """A forward of several cases as one batch: each row's posteriors and
+    loss equal that case's own forward, bit for bit, and a tape over the
+    batch differentiates the cases' summed loss."""
 
     @pytest.fixture()
     def cases(self):
@@ -323,7 +324,68 @@ class TestBatchForward:
                                  case.truth.extents[1:], weights=params.arrays, gamma=1e-3)
             assert losses[i] == loss
 
-    def test_tape_refuses_a_batch(self, cases, model):
-        frames = stack_frames([c.frames for c in cases])
-        with pytest.raises(ShapeMismatch):
-            forward_sequence(_perturbed(None), frames, model, tape=ops.Tape())
+    @pytest.mark.parametrize("mask", [None, "mask_evolution", "mask_update", "mask_memory"])
+    def test_batched_tape_sums_the_cases_gradients(self, cases, model, mask):
+        """One tape over the three cases, differentiated on their summed
+        loss, gives each weight the sum of the cases' own training gradients."""
+        params = _perturbed(mask)
+        params.feat_mean, params.feat_std = collect_feature_stats(cases, model, TrackerConfig())
+        cfg = TrainConfig(l2=1e-3)
+        want = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+        for case in cases:
+            loss, grads = _sequence_gradients(params, case, model, cfg)
+            assert np.isfinite(loss)
+            for name, g in grads.items():
+                want[name] += g
+        tape = ops.Tape()
+        loss, _, _, leaves = _run_loss(params, cases, model, cfg.tracker, cfg.l2, tape)
+        assert ops.value(loss).shape == (3,)
+        grads = tape.backward(loss)
+        for name, var in leaves.items():
+            scale = max(1e-300, float(np.max(np.abs(want[name]))))
+            np.testing.assert_allclose(tape.grad(grads, var), want[name], rtol=0,
+                                       atol=1e-12 * scale)
+
+    def test_each_node_adjoint_row_is_the_cases_own(self, cases, model):
+        """Every node of a batched tape, given batch-shaped adjoints, returns
+        for each case what the same node of that case's own tape returns for
+        that case's rows, bit for bit: per-case adjoints row by row, and each
+        weight's outer-product factors and each bias's adjoint row by row."""
+        params = _perturbed(None)
+        params.feat_mean, params.feat_std = collect_feature_stats(cases, model, TrackerConfig())
+
+        def taped(runs):
+            tape, outputs = ops.Tape(), {}
+            record = tape.record
+
+            def keep(values, parents, vjp):  # remember one-output nodes' values too
+                outputs[len(tape.entries)] = values
+                return record(values, parents, vjp)
+
+            tape.record = keep
+            _run_loss(params, runs, model, TrackerConfig(), 0.0, tape)
+            return tape, outputs
+
+        batch, outputs = taped(cases)
+        singles = [taped([case])[0] for case in cases]
+        assert all(len(t.entries) == len(batch.entries) for t in singles)
+        rng = np.random.default_rng(34)
+        for idx, entry in enumerate(batch.entries):
+            if not entry:
+                continue
+            several = entry[2] is not None
+            values = entry[2] if several else (outputs[idx],)
+            g = [rng.standard_normal(np.shape(v)) for v in values]
+            got = entry[1](g if several else g[0])
+            for i, single in enumerate(singles):
+                rows = [np.array(gk[i]) for gk in g]  # each case's rows, in memory of their own
+                want = single.entries[idx][1](rows if several else rows[0])
+                assert len(got) == len(want)
+                for a, w in zip(got, want):
+                    if w is None:
+                        assert a is None
+                    elif isinstance(w, ops.Outer):
+                        np.testing.assert_array_equal(a.g[i], w.g)
+                        np.testing.assert_array_equal(a.x[i], w.x)
+                    else:
+                        np.testing.assert_array_equal(a[i], w)

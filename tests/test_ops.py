@@ -576,32 +576,75 @@ class TestFusedNetworkBlocks:
 
 
 class TestStacks:
-    """solve and logchol2x2 on a plain stack (N, d, d) give each row exactly
-    what the row gives alone."""
+    """solve, its adjoint, logchol2x2 and logchol2x2_adjoint take one case
+    (leading shape ``()``) or a stack (leading shape ``(1,)`` or ``(N,)``):
+    each row of a stack gives exactly what that row gives alone, and one
+    case gives what the closed form (or LAPACK) gives."""
+
+    LEADS = [(), (1,), (6,)]
+
+    @staticmethod
+    def _rows(lead):
+        return list(np.ndindex(lead)) if lead else [()]
 
     def test_solve_rows(self):
         rng = np.random.default_rng(29)
-        a = rng.standard_normal((6, 2, 2)) + 2.0 * np.eye(2)
-        a[3] = [[1e300, 1e300], [1e-300, 1e300]]  # an overflowing determinant: LAPACK
-        b = rng.standard_normal((6, 2, 4))
-        got, adjoint = ops.solve(a, b)
-        assert adjoint is None  # a tape records one case
-        for i in range(6):
-            np.testing.assert_array_equal(got[i], ops.solve(a[i], b[i])[0])
+        overflow = np.array([[1e300, 1e300], [1e-300, 1e300]])  # its determinant: LAPACK
+        for lead in self.LEADS:
+            for lapack_row in (None, 0):
+                a = rng.standard_normal(lead + (2, 2)) + 2.0 * np.eye(2)
+                b, g = rng.standard_normal(lead + (2, 4)), rng.standard_normal(lead + (2, 4))
+                if lapack_row is not None:
+                    a[(lapack_row,) * len(lead)] = overflow
+                x, adjoint = ops.solve(a, b)
+                g_a, g_b = adjoint(g)
+                assert x.shape == g_b.shape == b.shape and g_a.shape == a.shape
+                for i in self._rows(lead):
+                    want = np.linalg.solve(a[i], b[i])
+                    if lapack_row is not None and i == (lapack_row,) * len(lead):
+                        np.testing.assert_array_equal(x[i], want)
+                        np.testing.assert_array_equal(g_b[i], np.linalg.solve(a[i].T, g[i]))
+                    else:
+                        np.testing.assert_allclose(x[i], want, rtol=1e-12, atol=1e-12)
+                    row_x, row_adjoint = ops.solve(a[i].copy(), b[i].copy())
+                    row_g_a, row_g_b = row_adjoint(g[i].copy())
+                    np.testing.assert_array_equal(x[i], row_x)
+                    np.testing.assert_array_equal(g_a[i], row_g_a)
+                    np.testing.assert_array_equal(g_b[i], row_g_b)
 
     def test_singular_row_raises_and_nan_row_stays_nan(self):
-        a = np.array([np.eye(2), np.ones((2, 2))])
-        with pytest.raises(np.linalg.LinAlgError):
-            ops.solve(a, np.ones((2, 2, 3)))
-        a[1] = np.nan
-        assert np.isnan(ops.solve(a, np.ones((2, 2, 3)))[0][1]).all()
+        for lead in self.LEADS:
+            a = np.broadcast_to(np.eye(2), lead + (2, 2)).copy()
+            last = tuple(n - 1 for n in lead)
+            a[last] = np.ones((2, 2))
+            with pytest.raises(np.linalg.LinAlgError):
+                ops.solve(a, np.ones(lead + (2, 3)))
+            a[last] = np.nan
+            x, adjoint = ops.solve(a, np.ones(lead + (2, 3)))
+            assert np.isnan(x[last]).all()
+            assert np.isnan(adjoint(np.ones(lead + (2, 3)))[1][last]).all()
+            for i in self._rows(lead):
+                if i != last:
+                    np.testing.assert_array_equal(x[i], np.ones((2, 3)))
 
     def test_logchol_rows(self):
         rng = np.random.default_rng(30)
-        stack = np.array([_spectrum(2, rng, low) for low in (0.1, 1.0, 4.0)])
-        got = ops.logchol2x2(stack)
-        for i, s in enumerate(stack):
-            np.testing.assert_array_equal(got[i], ops.logchol2x2(s))
-        stack[1] = -np.eye(2)
-        with pytest.raises(NotPositiveDefinite):
-            ops.logchol2x2(stack)
+        for lead in self.LEADS:
+            size = int(np.prod(lead))
+            stack = np.array([_spectrum(2, rng, low) for low in rng.uniform(0.1, 4.0, size)])
+            stack = stack.reshape(lead + (2, 2))
+            g = rng.standard_normal(lead + (3,))
+            got, adjoint = ops.logchol2x2(stack), ops.logchol2x2_adjoint(stack, g)
+            assert got.shape == lead + (3,) and adjoint.shape == lead + (2, 2)
+            for i in self._rows(lead):
+                ell = np.linalg.cholesky(stack[i])
+                want = [np.log(ell[0, 0]), np.log(ell[1, 1]), ell[1, 0]]
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
+                np.testing.assert_array_equal(got[i], ops.logchol2x2(stack[i].copy()))
+                np.testing.assert_array_equal(
+                    adjoint[i], ops.logchol2x2_adjoint(stack[i].copy(), g[i].copy()))
+            for bad in (-np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])):  # leading entry; Schur
+                broken = stack.copy()
+                broken[tuple(n - 1 for n in lead)] = bad
+                with pytest.raises(NotPositiveDefinite):
+                    ops.logchol2x2(broken)

@@ -202,6 +202,53 @@ class TestEigenFloor:
             spdmat.eigen_floor(stack, 1e-9)
 
 
+def _eigh_only_floor(a, floor):
+    """eigen_floor without its closed-form screen: every row through eigh."""
+    s = 0.5 * (a + np.swapaxes(a, -1, -2))
+    w, u = np.linalg.eigh(s)
+    out = s.copy()
+    for i in np.ndindex(s.shape[:-2]):
+        if w[i][0] < floor:
+            raised = (u[i] * np.maximum(w[i], floor)) @ u[i].T
+            out[i] = 0.5 * (raised + raised.T)
+    return out
+
+
+class TestEigenFloorScreen:
+    """The closed-form 2x2 screen in front of eigh changes no returned bit."""
+
+    def test_matches_eigh_only_on_random_stacks(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-8, 8)
+            stack = scale * np.array([_spectrum(2, rng, low) for low in rng.uniform(-1, 2, 16)])
+            for floor in (1e-9, scale, scale * rng.uniform(0.0, 2.0)):
+                np.testing.assert_array_equal(spdmat.eigen_floor(stack, floor),
+                                              _eigh_only_floor(stack, floor))
+
+    def test_rows_within_an_ulp_of_the_floor(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            s = 10.0 ** rng.uniform(-6, 6) * _spectrum(2, rng, rng.uniform(0.01, 3.0))
+            low = np.linalg.eigvalsh(s)[0]
+            for floor in (low, np.nextafter(low, np.inf), np.nextafter(low, -np.inf)):
+                np.testing.assert_array_equal(spdmat.eigen_floor(s, floor),
+                                              _eigh_only_floor(s, floor))
+                stack = np.array([s, 2.0 * s, s])
+                np.testing.assert_array_equal(spdmat.eigen_floor(stack, floor),
+                                              _eigh_only_floor(stack, floor))
+
+    def test_rows_clear_of_the_floor_skip_eigh(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        stack = np.array([_spectrum(2, rng, low) for low in (0.5, 1.0, 2.0)])
+
+        def refuse(a):
+            raise AssertionError("eigh called on rows clear of the floor")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        np.testing.assert_array_equal(spdmat.eigen_floor(stack, 1e-9), stack)
+
+
 class TestEllipseAxes:
     def test_axes_and_angle(self):
         th = 0.3
