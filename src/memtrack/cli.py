@@ -242,15 +242,12 @@ def cmd_train(args) -> int:
 def _posteriors_for(cases, model, tracker, params=None):
     """(states, extensions) of one baseline or learned filter run over all
     ``cases``: a batch with a leading case axis, or the only case's.  A
-    non-finite value raises NonFinite from the filter's own checks, so
-    numpy's overflow, invalid-value and divide-by-zero warnings are
-    silenced, as in training."""
+    non-finite posterior raises NonFinite from :func:`run_filter`."""
     frames = stack_frames([case.frames for case in cases])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if params is None:
-            states, exts, _ = run_filter(frames, model, tracker)
-        else:
-            states, exts, _ = forward_sequence(params, frames, model, tracker)
+    if params is None:
+        states, exts, _ = run_filter(frames, model, tracker)
+    else:
+        states, exts, _ = forward_sequence(params, frames, model, tracker)
     return states, exts
 
 

@@ -17,10 +17,6 @@ class NonFinite(MemtrackError):
     """NaN or infinity appeared where finite values are required."""
 
 
-class BadDof(MemtrackError):
-    """Degrees of freedom outside the valid range for the operation."""
-
-
 class EmptyFrame(MemtrackError):
     """A measurement frame with no points."""
 

@@ -44,6 +44,13 @@ taped step therefore records four filter nodes.
 
 Every belief stays SPD by construction, with no eigenvalue clamp (see
 each stage), and each stage takes its output's symmetric part inline.
+
+Each invariant is checked once, where it is established, and no stage that
+relies on it checks it again.  ``TrackerConfig`` requires init_dof > 2d + 4,
+the predicted dof formula gives v' >= 2d + 4, and an update adds the frame's
+count, at least 1 (:func:`memtrack.models.reduce_frames` raises EmptyFrame),
+so lambda = v - 2d - 2 is at least 2 after a prediction and 3 after an
+update.  :func:`run_filter` checks each step's posteriors for finiteness.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ops, spdmat
-from .errors import BadDof, NonFinite, SingularInnovation, TooFewPoints
+from .errors import NonFinite, SingularInnovation, TooFewPoints
 from .models import (
     D,
     ExtensionState,
@@ -112,7 +119,7 @@ class TrackerConfig:
         for name in ("pos_var", "vel_var", "min_extent"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails both tests
                 raise ValueError(f"{name} must be positive and finite")
-        # predict_extension needs lambda = dof - 2d - 2 > 2
+        # lambda = dof - 2d - 2 > 2 here keeps every later lambda >= 2 (module docstring)
         if not 2 * D + 4 < self.init_dof < np.inf:
             raise ValueError(f"init_dof must be finite and exceed {2 * D + 4}")
 
@@ -182,16 +189,14 @@ def predict_state(prior: TrackState, model: NominalModel, df, ef) -> TrackState:
         return np.matvec(f.T, g_mean), f.T @ g_raw @ f, g_mean, g_ef
 
     mean, cov = ops.node((mean, cov), (prior.mean, prior.cov, df, ef), vjp)
-    if np.count_nonzero(~np.isfinite(ops.value(mean))):
-        raise NonFinite("predicted state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
 
 def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> ExtensionState:
     """Evolve the extension belief one step.
 
-    lambda = v - 2d - 2 must exceed 2 for the dof moment-matching formula;
-    the predicted dof is
+    lambda = v - 2d - 2 >= 2 (guaranteed: see the module docstring) for the
+    dof moment-matching formula; the predicted dof is
 
         v' = 2 delta (l+1)(l-1)(l-2) / (l^2 (l+delta)) + 2d + 4
 
@@ -200,8 +205,6 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
     PSD pphi, and symmetrized.
     """
     lam = prior.dof - 2 * D - 2
-    if np.count_nonzero(lam <= 2.0):
-        raise BadDof(f"extension prediction needs lambda > 2, got {lam}")
     delta = model.delta
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
@@ -225,11 +228,9 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
 
 def extension_lambda(dof):
     """lambda = dof - 2d - 2, the divisor of the point-estimate extent (per
-    case for a batch's (N,) dofs), as numpy values."""
-    lam = np.float64(dof) - 2 * D - 2  # a numpy scalar for one case, even for a float dof
-    if np.count_nonzero(lam <= 0.0):
-        raise BadDof(f"extension mean needs dof > {2 * D + 2}, got {dof}")
-    return lam
+    case for a batch's (N,) dofs), as numpy values; at least 2 by the
+    module docstring's guarantee."""
+    return np.float64(dof) - 2 * D - 2  # a numpy scalar for one case, even for a float dof
 
 
 def extension_mean(ext: ExtensionState):
@@ -254,13 +255,11 @@ def innovation(
     raw parameter matrix, whose scale grows with dof).  W is taken as its symmetric part, and D's
     product entrywise as d_i d_j, so Pzz is symmetric bit for bit for any B.
 
-    The statistics are plain arrays; under a tape, :func:`update_state`
+    Needs count >= 1 and lambda >= 2, guaranteed (module docstring).  The
+    statistics are plain arrays; under a tape, :func:`update_state`
     records them and the update as one node (see :class:`InnovationStats`).
     """
-    count = np.int64(fs.count)  # a numpy scalar for one case, even for an int count
-    if np.count_nonzero(count < 1):
-        raise SingularInnovation("innovation needs at least one measurement")
-    h, b, n = model.H, model.b, count[..., None, None]
+    h, b, n = model.H, model.b, np.int64(fs.count)[..., None, None]
     lam = extension_lambda(ext_pred.dof)[..., None, None]
     z_pred = np.matvec(h, ops.value(pred.mean)) + ops.value(dh)
     pxz = ops.value(pred.cov) @ h.T
@@ -289,7 +288,9 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
 
         (I - K H) P (I - K H)^T + K R K^T,
 
-    symmetrized, SPD for an SPD P and R.  One tape node with the innovation
+    symmetrized, SPD for an SPD P and R.  A Pzz whose determinant is 0
+    raises SingularInnovation, one whose determinant is not finite
+    NonFinite (:func:`memtrack.ops.solve`).  One tape node with the innovation
     that made ``stats``.  The covariance's adjoint in K, 2 G (K R - A P H^T),
     is zero at the Kalman gain of P (Pzz K^T = H P); it is kept for a P
     other than the one ``stats`` came from."""
@@ -318,8 +319,6 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
         return (g_mean, a_t @ g_cov @ a) + sources
 
     mean, cov = ops.node((mean, cov), (pred.mean, pred.cov) + stats.sources, vjp)
-    if np.count_nonzero(~np.isfinite(ops.value(mean))):
-        raise NonFinite("updated state mean is not finite")
     return TrackState(mean=mean, cov=cov)
 
 
@@ -378,29 +377,32 @@ def run_filter(
     ``trace``, if given, receives one :class:`FilterDiagnostics` per step.
 
     Returns (posterior states, posterior extensions, trace), the first two
-    of length len(frames) - 1.  A step that turns non-finite in any case of
-    a batch raises, as that case alone would.
+    of length len(frames) - 1.  A step whose state mean or extension
+    parameter is not finite in any case raises NonFinite naming the step,
+    the one check of a posterior's health; numpy's overflow, invalid-value
+    and divide-by-zero warnings are silenced, as that exception reports them.
     """
     if len(frames) < 2:
         raise TooFewPoints("a sequence needs at least two frames")
-    state, ext = init_track(frames[0], cfg)
     states, exts = [], []
-    for k, fs in enumerate(reduce_frames(frames[1:]), start=2):
-        df, ef, pphi = (ZERO_EVOLUTION if compensator is None
-                        else compensator.evolve(state, ext, fs))
-        pred = predict_state(state, model, df, ef)
-        ext_pred = predict_extension(ext, model, pphi)
-        dh, eh = (ZERO_MEASUREMENT if compensator is None
-                  else compensator.measure(pred, ext_pred))
-        stats = innovation(pred, ext_pred, model, dh, eh, fs)
-        state = update_state(pred, stats)
-        ext = update_extension(ext_pred, fs, model)
-        # update_state already rejects a non-finite mean
-        if np.count_nonzero(~np.isfinite(ops.value(ext.param))):
-            raise NonFinite(f"non-finite posterior extension at step {k}")
-        if trace is not None:
-            trace.append(FilterDiagnostics(pred_state=pred, pred_ext=ext_pred, stats=stats,
-                                           frame=fs))
-        states.append(state)
-        exts.append(ext)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state, ext = init_track(frames[0], cfg)
+        for k, fs in enumerate(reduce_frames(frames[1:]), start=2):
+            df, ef, pphi = (ZERO_EVOLUTION if compensator is None
+                            else compensator.evolve(state, ext, fs))
+            pred = predict_state(state, model, df, ef)
+            ext_pred = predict_extension(ext, model, pphi)
+            dh, eh = (ZERO_MEASUREMENT if compensator is None
+                      else compensator.measure(pred, ext_pred))
+            stats = innovation(pred, ext_pred, model, dh, eh, fs)
+            state = update_state(pred, stats)
+            ext = update_extension(ext_pred, fs, model)
+            if not (np.isfinite(ops.value(state.mean)).all()
+                    and np.isfinite(ops.value(ext.param)).all()):
+                raise NonFinite(f"non-finite posterior at step {k}")
+            if trace is not None:
+                trace.append(FilterDiagnostics(pred_state=pred, pred_ext=ext_pred,
+                                               stats=stats, frame=fs))
+            states.append(state)
+            exts.append(ext)
     return states, exts, trace

@@ -25,8 +25,9 @@ returns it as an :class:`Outer`, and :meth:`Tape.backward` sums all of a
 node's outer products with one matrix product, ``G^T X``, when its walk
 reaches that node.
 
-The one-track hot path makes no LAPACK call: :func:`solve` inverts a 2x2
-by its adjugate, without changing a forward value.
+No function here makes a LAPACK call: :func:`solve` inverts the gain's
+2x2 by its adjugate, and nothing rescues a determinant that is 0 or not
+finite; it raises instead.
 
 Every stage, block, primitive and vjp is written once, with ``...``
 indexing, ``.mT`` and ``np.matvec``, for one case (leading shape ``()``) or
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, TapeEmpty
+from .errors import NonFinite, NotPositiveDefinite, TapeEmpty
 
 __all__ = [
     "SOFTPLUS_ZERO",
@@ -257,54 +258,39 @@ _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def solve(a, b):
-    """np.linalg.solve(a, b) of plain arrays, by the adjugate when a is 2x2;
-    returns the solution x and its adjoint.
+    """x = a^-1 b for a plain 2x2 ``a``, or a stack of them, by the
+    adjugate; returns the solution x and its adjoint.
 
-    ``a`` is one matrix, with ``b`` (d, k) or (d,), or a stack (N, d, d),
-    with ``b`` (N, d, k).  The adjoint maps x's adjoint g to those of (a, b),
-    ``(-y x^T, y)`` with ``a^T y = g``, solved with the same 2x2 adjugate
-    and determinant (the transpose's are their transpose and themselves).
-    A 2x2 whose determinant is 0 or not finite goes to LAPACK, row by row:
-    LAPACK raises LinAlgError on an exactly singular matrix and otherwise
-    behaves as it always did (NaN in, NaN out; no overflow in the
-    determinant).
+    ``a`` is (..., 2, 2) and ``b`` (..., 2, k), or (2,) for one matrix.  The
+    adjoint maps x's adjoint g to those of (a, b), ``(-y x^T, y)`` with
+    ``a^T y = g``, solved with the same adjugate and determinant (the
+    transpose's are their transpose and themselves).  Needs a nonzero
+    finite determinant, which the gain's Pzz, SPD by construction, has
+    while the beliefs are finite: one of exactly 0 raises LinAlgError, and
+    one that is NaN, infinite or overflows raises NonFinite.
     """
-    lead = a.shape[:-1]
-    if a.shape[-2:] != (2, 2):
-        x = np.linalg.solve(a, b)
-        return x, lambda g: _solve_adjoint(x, np.linalg.solve(a.mT, g), lead)
     adjugate = a[..., ::-1, ::-1].mT * _COFACTOR_SIGNS
     # [()] makes one case's entries scalars, the cheapest to work with
     a00, a01, a10, a11 = a[..., 0, 0][()], a[..., 0, 1][()], a[..., 1, 0][()], a[..., 1, 1][()]
     with np.errstate(over="ignore", invalid="ignore"):
         det = a00 * a11 - a01 * a10
-    lapack = ~((det != 0.0) & (abs(det) < np.inf))  # NaN fails both
-    rows = ()
-    if np.count_nonzero(lapack):
-        rows = [tuple(i) for i in np.argwhere(lapack)]
-        det = np.where(lapack, 1.0, det)[()]  # those rows are solved by LAPACK
+    if np.count_nonzero(~((det != 0.0) & (abs(det) < np.inf))):  # NaN fails both
+        if np.count_nonzero(det == 0.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        raise NonFinite("2x2 solve: determinant is not finite")
     x = adjugate @ b
     x_t = x.T  # the case axes, reversed, now trail as det's do: each case's det divides its x
     x_t /= det.T
-    for i in rows:
-        x[i] = np.linalg.solve(a[i], b[i])
+    lead = a.shape[:-1]
 
     def adjoint(g):
+        """The adjoints ``(-y x^T, y)``; a vector x is taken as one column."""
         y = adjugate.mT @ g
         y_t = y.T
         y_t /= det.T
-        for i in rows:
-            y[i] = np.linalg.solve(a[i].mT, g[i])
-        return _solve_adjoint(x, y, lead)
+        return -y.reshape(lead + (-1,)) @ x.reshape(lead + (-1,)).mT, y
 
     return x, adjoint
-
-
-def _solve_adjoint(x, y, lead):
-    """The adjoints ``(-y x^T, y)`` of (a, b) in ``a x = b``, given the
-    solution ``y`` of ``a^T y = g``; ``lead`` is a's shape without its last
-    axis, so that a vector x is taken as one column."""
-    return -y.reshape(lead + (-1,)) @ x.reshape(lead + (-1,)).mT, y
 
 
 def logchol2x2(a):

@@ -19,9 +19,10 @@ case's frames from ``points`` waits until that case is first used.  Not a zip
 ``memtrack simulate``, and retrain from a format-2 checkpoint, whose
 covariance head meant an additive inflation), or a checkpoint shape table
 unlike this build's raise VersionMismatch; a bad CRC, truncation, a missing
-member, an unparsable header or config, or arrays whose shapes or frame
-counts disagree with each other or with the config's cases and steps raise
-ChecksumMismatch.
+member, an unparsable header or config, a checkpoint header whose
+``memory_dim`` is not a positive int or whose masks are not JSON booleans,
+or arrays whose shapes or frame counts disagree with each other or with the
+config's cases and steps raise ChecksumMismatch.
 
 One rule formats every result table, in :func:`write_table`: a header line,
 then comma-separated rows whose ``str`` columns pass through and whose numbers
@@ -181,16 +182,20 @@ def write_checkpoint(params: NetworkParams, path, train_config_digest: str = "")
 
 
 def _checkpoint_from(header: dict, a: dict) -> NetworkParams:
-    masks = header["masks"]
+    masks, memory_dim = header["masks"], header["memory_dim"]
+    # exact types: a mask "false" is truthy, and True is an int
+    if type(memory_dim) is not int or memory_dim < 1 or any(
+            type(masks[k]) is not bool for k in MASK_FIELDS):
+        raise ChecksumMismatch(f"checkpoint header: memory_dim {memory_dim!r}, masks {masks!r}")
     # checked before anything is allocated: the header's memory_dim is untrusted
-    shapes = dict(_array_specs(header["memory_dim"]))
+    shapes = dict(_array_specs(memory_dim))
     feats = {"feat_mean": a.pop("feat_mean"), "feat_std": a.pop("feat_std")}
     if a.keys() != shapes.keys() or not _layout_ok(
             a, {name: ("<f8", shape) for name, shape in shapes.items()}):
         raise VersionMismatch("checkpoint shape table does not match this build")
     if not _layout_ok(feats, dict.fromkeys(feats, ("<f8", (FEATURE_DIM,)))):
         raise ChecksumMismatch(f"feature statistics are not of length {FEATURE_DIM}")
-    params = zero_params(header["memory_dim"], **{f: masks[k] for k, f in MASK_FIELDS.items()})
+    params = zero_params(memory_dim, **{f: masks[k] for k, f in MASK_FIELDS.items()})
     return replace(params, arrays={name: a[name] for name in shapes}, **feats)
 
 

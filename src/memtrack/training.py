@@ -250,8 +250,7 @@ def _validation_loss(params, cases, model, tracker):
     """Mean joint loss over ``cases``, forwarded as one batch, and their
     run's (states, extensions); (inf, None) when a case diverges."""
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            loss, states, exts, _ = _run_loss(params, cases, model, tracker)
+        loss, states, exts, _ = _run_loss(params, cases, model, tracker)
     except _DIVERGED:
         return float("inf"), None
     return float(np.mean(loss)), (states, exts)

@@ -7,7 +7,6 @@ import pytest
 import composed_ops as composed
 from memtrack import filtering, models, network, ops
 from memtrack.errors import (
-    BadDof,
     EmptyFrame,
     LengthMismatch,
     NonFinite,
@@ -124,11 +123,6 @@ class TestPredictExtension:
         scale = (pred.dof - 6.0) / lam
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(pred.param)),
                                    np.sort(scale * np.array([1.0, 4.0])), rtol=1e-10)
-
-    def test_bad_dof(self, cv_model):
-        with pytest.raises(BadDof):
-            filtering.predict_extension(ExtensionState(dof=8.0, param=np.eye(2)),
-                                        cv_model, ZERO_PPHI)
 
     def test_wishart_transition_mean_consistency(self, cv_model):
         """Monte Carlo oracle for the prediction: draw the prior extent from
@@ -375,10 +369,6 @@ class TestExtensionMean:
         np.testing.assert_allclose(
             filtering.extension_mean(ExtensionState(dof=8.0, param=np.diag([20.0, 2.0]))),
             np.diag([10.0, 1.0]))
-
-    def test_bad_dof(self):
-        with pytest.raises(BadDof):
-            filtering.extension_mean(ExtensionState(dof=6.0, param=np.eye(2)))
 
 
 class TestInitTrack:
@@ -816,6 +806,23 @@ def _evolving(df, ef):
     return StubCompensator(((df, ef, np.zeros((2, 2))), filtering.ZERO_MEASUREMENT))
 
 
+class ShiftAtStep:
+    """Zero compensation, except the evolution shift ``shift`` (one case's,
+    or a batch's rows) at step ``step``; run_filter numbers its first
+    update step 2."""
+
+    def __init__(self, shift, step):
+        self.shift, self.step, self.k = shift, step, 1
+
+    def evolve(self, state, ext, fs):
+        self.k += 1
+        zero = np.zeros_like(self.shift)
+        return (self.shift if self.k == self.step else zero), zero, np.zeros((2, 2))
+
+    def measure(self, pred, ext_pred):
+        return filtering.ZERO_MEASUREMENT
+
+
 class TestBatch:
     """A batch of cases runs as one pass whose every row equals that case
     run alone, bit for bit."""
@@ -854,23 +861,23 @@ class TestBatch:
                    for e in init_extents]
         assert clamped == [False, True, False]
 
-    @pytest.mark.parametrize("where", ["point", "shift"])
+    @pytest.mark.parametrize("where", ["point", "shift", "nan-shift"])
     def test_non_finite_row_raises_as_alone(self, cv_model, where):
-        """A NaN point in one case's frame, or an infinite shift of one row,
-        raises NonFinite for the batch, as for that case alone."""
+        """A NaN point in one case's frame at step 6, or an infinite or NaN
+        shift of one row at step 6 only, raises NonFinite naming step 6 for
+        the batch, as for that case alone.  No ``np.errstate`` here: the
+        filter silences its own warnings, and pytest turns any that leaks
+        into an error."""
         frames = [list(c.frames) for c in _batch_cases(steps=10, count=3, seed=72)]
         shift = np.zeros((3, 4))
         if where == "point":
-            frames[1][5] = np.array([[np.nan, 0.0], [1.0, 1.0]])
+            frames[1][5] = np.array([[np.nan, 0.0], [1.0, 1.0]])  # frame 5 is step 6
         else:
-            shift[1, 0] = np.inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NonFinite):
-                filtering.run_filter(frames[1], cv_model, TrackerConfig(),
-                                     _evolving(shift[1], np.zeros(4)))
-            with pytest.raises(NonFinite):
-                filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig(),
-                                     _evolving(shift, np.zeros(4)))
+            shift[1, 0] = np.inf if where == "shift" else np.nan
+        for run_frames, run_shift in ((frames[1], shift[1]), (models.stack_frames(frames), shift)):
+            with pytest.raises(NonFinite, match="at step 6$"):
+                filtering.run_filter(run_frames, cv_model, TrackerConfig(),
+                                     ShiftAtStep(run_shift, 6))
 
     def test_first_frame_checks_hold_per_row(self, cv_model):
         cases = _batch_cases(steps=6, count=3, seed=73)
@@ -891,3 +898,25 @@ class TestBatch:
     def test_one_case_is_not_a_batch(self):
         frames = _batch_cases(steps=6, count=1, seed=75)[0].frames
         assert models.stack_frames([frames]) is frames
+
+
+class TestDofOwners:
+    """The stages take their dof preconditions from the recursion, not from
+    checks of their own: ``TrackerConfig`` requires init_dof > 2d + 4, the
+    predicted dof formula gives v' >= 2d + 4, and every frame holds a point,
+    so every predicted lambda = v - 2d - 2 is at least 2 and every posterior
+    lambda at least 3, down to one-point frames from the smallest init_dof."""
+
+    @pytest.mark.parametrize("init_dof", [8.0 + 1e-12, 8.5, 10.0, 1e6])
+    def test_lambda_bounds_over_one_point_frames(self, cv_model, init_dof):
+        rng = np.random.default_rng(76)
+        frames = [[rng.standard_normal((3, 2))] + [rng.standard_normal((1, 2)) for _ in range(140)]
+                  for _ in range(3)]
+        tcfg = TrackerConfig(init_dof=init_dof)
+        for run_frames in (frames[0], models.stack_frames(frames)):
+            trace = []
+            _, exts, _ = filtering.run_filter(run_frames, cv_model, tcfg, trace=trace)
+            predicted = np.array([step.pred_ext.dof for step in trace]) - (2 * models.D + 2)
+            posterior = np.array([ext.dof for ext in exts]) - (2 * models.D + 2)
+            assert predicted.shape == posterior.shape == (140,) + np.shape(exts[0].dof)
+            assert predicted.min() >= 2.0 and posterior.min() >= 3.0

@@ -14,7 +14,7 @@ import pytest
 
 import composed_ops as composed
 from memtrack import filtering, network, ops, training
-from memtrack.errors import NotPositiveDefinite, TapeEmpty
+from memtrack.errors import NonFinite, NotPositiveDefinite, TapeEmpty
 from memtrack.models import (
     ExtensionState,
     ScenarioConfig,
@@ -300,14 +300,13 @@ class TestSolve2x2:
         check(lambda v: composed.sumsq(composed.solve(v, b)),
               lambda v: float(np.sum(np.linalg.solve(v, b) ** 2)), a, tol=1e-5)
 
-    @pytest.mark.parametrize("dim, k", [(2, 3), (2, None), (3, 2), (3, None)],
-                             ids=["2x2", "2x2-vector", "lapack", "lapack-vector"])
-    def test_adjoint_matches_fd(self, dim, k):
+    @pytest.mark.parametrize("k", [3, None], ids=["2x2", "2x2-vector"])
+    def test_adjoint_matches_fd(self, k):
         """The adjoint ``solve`` returns, for the matrix and the right-hand
         side: the summed squares of x against central differences."""
         rng = np.random.default_rng(33)
-        a = rng.standard_normal((dim, dim)) + 2.0 * np.eye(dim)
-        b = rng.standard_normal(dim if k is None else (dim, k))
+        a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        b = rng.standard_normal(2 if k is None else (2, k))
         x, adjoint = ops.solve(a, b)
         g_a, g_b = adjoint(2.0 * x)
         loss = lambda a, b: float(np.sum(np.linalg.solve(a, b) ** 2))  # noqa: E731
@@ -579,7 +578,7 @@ class TestStacks:
     """solve, its adjoint, logchol2x2 and logchol2x2_adjoint take one case
     (leading shape ``()``) or a stack (leading shape ``(1,)`` or ``(N,)``):
     each row of a stack gives exactly what that row gives alone, and one
-    case gives what the closed form (or LAPACK) gives."""
+    case gives what the closed form gives."""
 
     LEADS = [(), (1,), (6,)]
 
@@ -589,43 +588,38 @@ class TestStacks:
 
     def test_solve_rows(self):
         rng = np.random.default_rng(29)
-        overflow = np.array([[1e300, 1e300], [1e-300, 1e300]])  # its determinant: LAPACK
         for lead in self.LEADS:
-            for lapack_row in (None, 0):
-                a = rng.standard_normal(lead + (2, 2)) + 2.0 * np.eye(2)
-                b, g = rng.standard_normal(lead + (2, 4)), rng.standard_normal(lead + (2, 4))
-                if lapack_row is not None:
-                    a[(lapack_row,) * len(lead)] = overflow
-                x, adjoint = ops.solve(a, b)
-                g_a, g_b = adjoint(g)
-                assert x.shape == g_b.shape == b.shape and g_a.shape == a.shape
-                for i in self._rows(lead):
-                    want = np.linalg.solve(a[i], b[i])
-                    if lapack_row is not None and i == (lapack_row,) * len(lead):
-                        np.testing.assert_array_equal(x[i], want)
-                        np.testing.assert_array_equal(g_b[i], np.linalg.solve(a[i].T, g[i]))
-                    else:
-                        np.testing.assert_allclose(x[i], want, rtol=1e-12, atol=1e-12)
-                    row_x, row_adjoint = ops.solve(a[i].copy(), b[i].copy())
-                    row_g_a, row_g_b = row_adjoint(g[i].copy())
-                    np.testing.assert_array_equal(x[i], row_x)
-                    np.testing.assert_array_equal(g_a[i], row_g_a)
-                    np.testing.assert_array_equal(g_b[i], row_g_b)
+            a = rng.standard_normal(lead + (2, 2)) + 2.0 * np.eye(2)
+            b, g = rng.standard_normal(lead + (2, 4)), rng.standard_normal(lead + (2, 4))
+            x, adjoint = ops.solve(a, b)
+            g_a, g_b = adjoint(g)
+            assert x.shape == g_b.shape == b.shape and g_a.shape == a.shape
+            for i in self._rows(lead):
+                want = np.linalg.solve(a[i], b[i])
+                np.testing.assert_allclose(x[i], want, rtol=1e-12, atol=1e-12)
+                row_x, row_adjoint = ops.solve(a[i].copy(), b[i].copy())
+                row_g_a, row_g_b = row_adjoint(g[i].copy())
+                np.testing.assert_array_equal(x[i], row_x)
+                np.testing.assert_array_equal(g_a[i], row_g_a)
+                np.testing.assert_array_equal(g_b[i], row_g_b)
 
-    def test_singular_row_raises_and_nan_row_stays_nan(self):
+    @pytest.mark.parametrize("row, error", [
+        (np.ones((2, 2)), np.linalg.LinAlgError),
+        (np.full((2, 2), np.nan), NonFinite),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFinite),
+        (np.array([[1e300, 1e300], [1e-300, 1e300]]), NonFinite),  # det overflows
+    ], ids=["zero", "nan", "inf", "overflow"])
+    def test_degenerate_row_raises(self, row, error):
+        """A determinant of exactly 0 in any row raises LinAlgError, and a
+        NaN, infinite or overflowing one NonFinite, for the forward solve and
+        for the adjoint's solve with the transpose, which shares the
+        determinant; nothing is rescued, and numpy warns of nothing."""
         for lead in self.LEADS:
             a = np.broadcast_to(np.eye(2), lead + (2, 2)).copy()
-            last = tuple(n - 1 for n in lead)
-            a[last] = np.ones((2, 2))
-            with pytest.raises(np.linalg.LinAlgError):
-                ops.solve(a, np.ones(lead + (2, 3)))
-            a[last] = np.nan
-            x, adjoint = ops.solve(a, np.ones(lead + (2, 3)))
-            assert np.isnan(x[last]).all()
-            assert np.isnan(adjoint(np.ones(lead + (2, 3)))[1][last]).all()
-            for i in self._rows(lead):
-                if i != last:
-                    np.testing.assert_array_equal(x[i], np.ones((2, 3)))
+            a[tuple(n - 1 for n in lead)] = row
+            for matrix in (a, a.mT):
+                with pytest.raises(error):
+                    ops.solve(matrix, np.ones(lead + (2, 3)))
 
     def test_logchol_rows(self):
         rng = np.random.default_rng(30)

@@ -264,6 +264,26 @@ class TestCheckpointRoundTrip:
         back = store.read_checkpoint(path)
         assert back.mask_evolution and not back.mask_update
 
+    @pytest.mark.parametrize("edit", [
+        {"masks": {"jeb": "false", "jub": 0, "mub": "no"}},
+        {"masks": {"jeb": True, "jub": False, "mub": None}},
+        {"memory_dim": True}, {"memory_dim": 4.0}, {"memory_dim": "4"}, {"memory_dim": 0},
+        {"memory_dim": -4},
+    ], ids=["mask-strings", "mask-null", "dim-bool", "dim-float", "dim-str", "dim-zero",
+            "dim-negative"])
+    def test_untyped_header_rejected(self, checkpoint, tmp_path, capsys, edit):
+        """A mask that is not a JSON boolean (the string "false" is truthy)
+        or a memory_dim that is not a positive int (True is an int to
+        Python) is a corrupt header: ChecksumMismatch, exit 3."""
+        _edit_archive(checkpoint, lambda h, a: h.update(edit))
+        with pytest.raises(ChecksumMismatch, match="checkpoint header"):
+            store.read_checkpoint(checkpoint)
+        data = tmp_path / "d.mtds"
+        store.write_dataset(generate_dataset(ScenarioConfig(steps=6, cases=2, seed=3)), data)
+        assert main(["track", str(data), "--case", "0", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "t.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_feature_dim_beyond_body_rejected(self, checkpoint):
         _edit_archive(checkpoint, lambda h, a: a.update(feat_mean=np.zeros(19)))
         with pytest.raises(ChecksumMismatch, match="feature statistics"):

@@ -9,7 +9,6 @@ analytic means (``tests/test_spdmat.py``).  Each takes an explicit
 
 import numpy as np
 
-from memtrack.errors import BadDof
 from memtrack.spdmat import cholesky, inverse_spd
 
 
@@ -33,7 +32,7 @@ def sample_wishart(dof: float, scale: np.ndarray, rng: np.random.Generator,
     scale = np.asarray(scale, dtype=np.float64)
     d = scale.shape[0]
     if dof <= d - 1:
-        raise BadDof(f"Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
+        raise ValueError(f"Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
     ell = cholesky(scale)
     bart = _bartlett(dof, d, rng, 1 if size is None else size)
     f = ell @ bart
@@ -54,7 +53,7 @@ def sample_inverse_wishart(dof: float, param: np.ndarray, rng: np.random.Generat
     param = np.asarray(param, dtype=np.float64)
     d = param.shape[0]
     if dof <= d - 1:
-        raise BadDof(f"inverse Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
+        raise ValueError(f"inverse Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
     w = sample_wishart(dof, inverse_spd(param), rng, size=1 if size is None else size)
     draws = np.linalg.inv(0.5 * (w + np.swapaxes(w, -1, -2)))
     return draws[0] if size is None else draws
