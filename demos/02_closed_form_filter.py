@@ -4,12 +4,13 @@ Runs the zero-compensation filter over one maneuvering sequence and prints
 how the kinematic error and the extent estimate evolve.  Also demonstrates
 the Kalman equivalence: with zero compensation and a linear model, the
 state branch is exactly a Kalman filter whose measurement covariance is
-B Xhat B^T / n.
+SCATTER_SCALE * Xhat / n, the scatter covariance of the frame mean.
 """
 
 import numpy as np
 
 import memtrack as mt
+from memtrack.models import SCATTER_SCALE
 
 cfg = mt.ScenarioConfig(steps=60, cases=1, sigma_w=0.4, sigma_v=0.6, seed=11,
                         turn_rate_min=5.0, turn_rate_max=15.0,
@@ -36,7 +37,7 @@ mean, cov = state.mean, state.cov
 fmat, hmat = model.F, model.H
 worst = 0.0
 for k, diag in enumerate(diags):
-    r = model.b @ mt.extension_mean(diag.pred_ext) @ model.b.T / diag.frame.count
+    r = SCATTER_SCALE * mt.extension_mean(diag.pred_ext) / diag.frame.count
     mean_p = fmat @ mean
     cov_p = fmat @ cov @ fmat.T + model.q
     gain = cov_p @ hmat.T @ np.linalg.inv(hmat @ cov_p @ hmat.T + r)

@@ -3,12 +3,10 @@
 Desk-scale version of the benchmark experiment: a maneuvering dataset
 whose turns a constant-velocity model cannot follow, a short training run
 on its training split, and a baseline-vs-learned comparison on its test
-split.  Expect a few minutes of CPU time.
+split.  It runs in about 15 s on one CPU core.
 """
 
 import time
-
-import numpy as np
 
 import memtrack as mt
 

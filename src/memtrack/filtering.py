@@ -7,8 +7,9 @@ inflate the predicted extension; the measurement moments ``(dh, eh)``
 shift the predicted frame mean and scale the innovation's scatter noise per
 axis by ``1 + eh``.  The same code therefore runs as the classic baseline
 (with :data:`ZERO_EVOLUTION` and :data:`ZERO_MEASUREMENT`) and as the
-filtering backbone of the learned tracker.  With zero compensation the state branch is algebraically a Kalman
-filter whose measurement covariance is B Xhat B^T / n.
+filtering backbone of the learned tracker.  With zero compensation the
+state branch is algebraically a Kalman filter whose measurement covariance
+is the frame mean's scatter covariance, SCATTER_SCALE * Xhat / n.
 
 :func:`run_filter` is the only place the per-step recursion is written.  It
 takes an optional compensator, an object with two methods that it calls
@@ -43,7 +44,9 @@ whose one parent is the predicted one (the frame scatter is data).  A
 taped step therefore records four filter nodes.
 
 Every belief stays SPD by construction, with no eigenvalue clamp (see
-each stage), and each stage takes its output's symmetric part inline.
+each stage).  A stage whose products can leave its output asymmetric in the
+last ulp takes the output's symmetric part inline; the scatter terms are
+scalar multiples of symmetric matrices and need none.
 
 Each invariant is checked once, where it is established, and no stage that
 relies on it checks it again.  ``TrackerConfig`` requires init_dof > 2d + 4,
@@ -63,6 +66,7 @@ import numpy as np
 from . import ops, spdmat
 from .errors import NonFinite, SingularInnovation, TooFewPoints
 from .models import (
+    SCATTER_SCALE,
     D,
     ExtensionState,
     FrameStats,
@@ -125,8 +129,8 @@ class TrackerConfig:
 
 
 class InnovationStats(NamedTuple):
-    """Predicted frame mean, the frame mean's residual against it, and the
-    matrices that :func:`update_state` reads, all plain arrays.
+    """The frame mean's residual against its prediction and the matrices
+    that :func:`update_state` reads, all plain arrays.
 
     ``sources`` are the prediction and measurement moments they came from,
     ``(x, P, X, dh, eh)``, and ``back`` maps adjoints of (residual, pxz,
@@ -134,8 +138,7 @@ class InnovationStats(NamedTuple):
     node from them, so that the innovation and the update are one node.
     """
 
-    z_pred: np.ndarray    # (2,)
-    residual: np.ndarray  # (2,) frame mean minus z_pred
+    residual: np.ndarray  # (2,) frame mean minus its prediction H x + dh
     pxz: np.ndarray       # (4, 2)
     pzz: np.ndarray       # (2, 2) residual covariance H P H^T + r
     r: np.ndarray         # (2, 2) its scatter term D W D
@@ -246,39 +249,38 @@ def innovation(
     eh,
     fs: FrameStats,
 ) -> InnovationStats:
-    """Predicted frame mean H x + dh, its residual against the frame mean,
-    and the cross/innovation covariances.
+    """The frame mean's residual against its prediction H x + dh, and the
+    cross/innovation covariances.
 
-    Pzz = H P H^T + R with the scatter term R = D W D, W = B Xhat B^T / n
-    and D = diag(1 + eh), eh >= -1, is SPD by construction for an SPD
-    prediction P.  Xhat is the lambda-scaled extent point estimate (not the
-    raw parameter matrix, whose scale grows with dof).  W is taken as its symmetric part, and D's
-    product entrywise as d_i d_j, so Pzz is symmetric bit for bit for any B.
+    Pzz = H P H^T + R with the scatter term R = D W D, W = SCATTER_SCALE *
+    Xhat / n and D = diag(1 + eh), eh >= -1, is SPD by construction for an
+    SPD prediction P.  Xhat is the lambda-scaled extent point estimate (not
+    the raw parameter matrix, whose scale grows with dof).  W is a scalar
+    multiple of the symmetric Xhat, and D's product is taken entrywise as
+    d_i d_j, so Pzz is symmetric bit for bit.
 
     Needs count >= 1 and lambda >= 2, guaranteed (module docstring).  The
     statistics are plain arrays; under a tape, :func:`update_state`
     records them and the update as one node (see :class:`InnovationStats`).
     """
-    h, b, n = model.H, model.b, np.int64(fs.count)[..., None, None]
+    h, n = model.H, np.int64(fs.count)[..., None, None]
     lam = extension_lambda(ext_pred.dof)[..., None, None]
     z_pred = np.matvec(h, ops.value(pred.mean)) + ops.value(dh)
     pxz = ops.value(pred.cov) @ h.T
     hph = h @ pxz
     xhat = ops.value(ext_pred.param) / lam
-    scatter = (b @ xhat @ b.T) / n
-    scatter = 0.5 * (scatter + scatter.mT)
+    scatter = (SCATTER_SCALE * xhat) / n
     r, scaled_adjoint = _scaled(scatter, ops.value(eh))
 
     def back(g_residual, g_pxz, g_pzz, g_r):
         """Adjoints of (x, P, X, dh, eh) from those of (residual, pxz, pzz, r)."""
         g_pxz = g_pxz + h.T @ g_pzz
         g_scatter, g_eh = scaled_adjoint(g_pzz + g_r)
-        g_scatter = 0.5 * (g_scatter + g_scatter.mT)
-        g_xhat = b.T @ g_scatter @ b / n
+        g_xhat = (SCATTER_SCALE * g_scatter) / n
         return -np.matvec(h.T, g_residual), g_pxz @ h, g_xhat / lam, -g_residual, g_eh
 
-    return InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz, pzz=hph + r,
-                           r=r, h=h, sources=(pred.mean, pred.cov, ext_pred.param, dh, eh),
+    return InnovationStats(residual=fs.mean - z_pred, pxz=pxz, pzz=hph + r, r=r, h=h,
+                           sources=(pred.mean, pred.cov, ext_pred.param, dh, eh),
                            back=back)
 
 
@@ -322,17 +324,17 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     return TrackState(mean=mean, cov=cov)
 
 
-def update_extension(pred: ExtensionState, fs: FrameStats, model: NominalModel) -> ExtensionState:
+def update_extension(pred: ExtensionState, fs: FrameStats) -> ExtensionState:
     """Extension update: dof grows by the measurement count, and the
-    parameter matrix absorbs the whitened frame scatter B^-1 Z B^-T.
+    parameter matrix absorbs the frame scatter Z rescaled to an extent,
+    Z / SCATTER_SCALE.
 
-    The SPD prediction plus the PSD whitened scatter is SPD by construction;
-    the sum is symmetrized.
+    The SPD prediction plus the PSD rescaled scatter is SPD, and symmetric
+    bit for bit, by construction.
     """
     dof = pred.dof + fs.count
-    raw = ops.value(pred.param) + model.b_inv @ fs.scatter @ model.b_inv.T
-    param = ops.node(0.5 * (raw + raw.mT), (pred.param,), lambda g: (0.5 * (g + g.mT),))
-    return ExtensionState(dof=dof, param=param)
+    param = ops.value(pred.param) + fs.scatter / SCATTER_SCALE
+    return ExtensionState(dof=dof, param=ops.node(param, (pred.param,), lambda g: (g,)))
 
 
 def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
@@ -396,7 +398,7 @@ def run_filter(
                       else compensator.measure(pred, ext_pred))
             stats = innovation(pred, ext_pred, model, dh, eh, fs)
             state = update_state(pred, stats)
-            ext = update_extension(ext_pred, fs, model)
+            ext = update_extension(ext_pred, fs)
             if not (np.isfinite(ops.value(state.mean)).all()
                     and np.isfinite(ops.value(ext.param)).all()):
                 raise NonFinite(f"non-finite posterior at step {k}")

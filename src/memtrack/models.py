@@ -17,22 +17,27 @@ frame (:func:`stack_frames`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyFrame, LengthMismatch
 from .ops import logchol2x2
-from .spdmat import inverse_spd
 
 D = 2  # planar extension dimension; state dimension is 2 * D
 FRAME_COV_EPS = 1e-6   # floor added to a frame's sample covariance in its features
 _FRAME_COV_FLOOR = FRAME_COV_EPS * np.eye(2)
+# A frame's scatter covariance is SCATTER_SCALE * X for an extent X: points
+# uniform over a solid ellipse with extent X have second moment X/4 (X's
+# eigenvalues are the squared semi-axes).  Without the 1/4 the extent
+# estimate settles 4x low and any learned inflation would miscalibrate the
+# innovation covariance.
+SCATTER_SCALE = 0.25
 
 __all__ = [
     "D",
     "FRAME_COV_EPS",
+    "SCATTER_SCALE",
     "TrackState",
     "ExtensionState",
     "FrameStats",
@@ -86,20 +91,15 @@ class NominalModel:
 
     The state evolves as F x and the frame mean is predicted as H x.  The
     extension evolves through the Wishart transition W(delta, A X A^T) / delta,
-    whose mean A X A^T carries the expected extent over unchanged.  B^-1 is
-    derived once per model, on first use.
+    whose mean A X A^T carries the expected extent over unchanged.  A frame's
+    scatter covariance is ``SCATTER_SCALE`` times the extent.
     """
 
     F: np.ndarray            # (4, 4) state transition
     H: np.ndarray            # (2, 4) measurement matrix
     q: np.ndarray            # (4, 4) process noise
-    b: np.ndarray            # (2, 2) measurement distortion
     a: np.ndarray            # (2, 2) extension transition
     delta: float             # extension transition dof
-
-    @cached_property
-    def b_inv(self) -> np.ndarray:
-        return inverse_spd(self.b)
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,10 @@ def cv_process_noise(sigma_w: float, dt: float) -> np.ndarray:
     return q
 
 
-def nominal_cv_model(
-    sigma_w: float,
-    dt: float = 1.0,
-    delta: float = 7.0,
-    b: np.ndarray | None = None,
-    a: np.ndarray | None = None,
-) -> NominalModel:
-    """The benchmark nominal model: CV motion, linear position measurement.
-
-    B defaults to I/2: points uniform over a solid ellipse with extent X
-    have second moment X/4, so B X B^T with B = I/2 is the scatter
-    covariance that actually matches the extent convention (eigenvalues =
-    squared semi-axes).  With B = I the extent estimate settles 4x low and
-    any learned inflation would miscalibrate the innovation covariance.
-    ``sigma_w`` and ``delta`` must be positive and finite (ValueError).
+def nominal_cv_model(sigma_w: float, dt: float = 1.0, delta: float = 7.0) -> NominalModel:
+    """The benchmark nominal model: CV motion, linear position measurement,
+    an identity extension transition A.  ``sigma_w`` and ``delta`` must be
+    positive and finite (ValueError).
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -260,8 +249,7 @@ def nominal_cv_model(
         F=cv_transition_matrix(dt),
         H=MEASUREMENT_MATRIX,
         q=cv_process_noise(sigma_w, dt),
-        b=0.5 * np.eye(2) if b is None else np.asarray(b, dtype=np.float64),
-        a=np.eye(2) if a is None else np.asarray(a, dtype=np.float64),
+        a=np.eye(2),
         delta=float(delta),
     )
 

@@ -17,7 +17,6 @@ __all__ = [
     "cholesky",
     "eigen_floor",
     "sym_sqrt",
-    "inverse_spd",
     "ellipse_axes",
 ]
 
@@ -114,13 +113,6 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
     if not np.all(closed):
         root[~closed] = _eigh_root(s[~closed])
     return root
-
-
-def inverse_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of SPD a by two triangular-factor solves against I."""
-    ell = cholesky(a)
-    y = np.linalg.solve(ell, np.eye(ell.shape[0]))
-    return np.linalg.solve(ell.T, y)
 
 
 def ellipse_axes(extents: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ of ``conftest.py``), so every other test runs the package as it ships.
 import numpy as np
 
 from memtrack import filtering, network, ops, training
-from memtrack.models import FRAME_COV_EPS, D, ExtensionState, TrackState
+from memtrack.models import FRAME_COV_EPS, SCATTER_SCALE, D, ExtensionState, TrackState
 
 # -- the generic algebra, one node per op ------------------------------------
 
@@ -243,13 +243,11 @@ def predict_extension(prior, model, pphi):
 
 def innovation(pred, ext_pred, model, dh, eh, fs):
     """The innovation statistics as tape values (no ``sources``)."""
-    z_pred = model.H @ pred.mean + dh
     pxz = pred.cov @ model.H.T
     hph = model.H @ pxz
-    scatter = (model.b @ filtering.extension_mean(ext_pred) @ model.b.T) / float(fs.count)
-    scatter = 0.5 * (scatter + scatter.T)
+    scatter = (SCATTER_SCALE * filtering.extension_mean(ext_pred)) / float(fs.count)
     r = _scaled(scatter, eh)
-    return filtering.InnovationStats(z_pred=z_pred, residual=fs.mean - z_pred, pxz=pxz,
+    return filtering.InnovationStats(residual=fs.mean - (model.H @ pred.mean + dh), pxz=pxz,
                                      pzz=hph + r, r=r, h=model.H)
 
 
@@ -261,9 +259,8 @@ def update_state(pred, stats):
     return TrackState(mean=mean, cov=symmetrize(joseph))
 
 
-def update_extension(pred, fs, model):
-    raw = pred.param + model.b_inv @ fs.scatter @ model.b_inv.T
-    return ExtensionState(dof=pred.dof + fs.count, param=symmetrize(raw))
+def update_extension(pred, fs):
+    return ExtensionState(dof=pred.dof + fs.count, param=pred.param + fs.scatter / SCATTER_SCALE)
 
 
 # -- network blocks --------------------------------------------------------------

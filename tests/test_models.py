@@ -97,12 +97,6 @@ class TestNominalCvModel:
         with pytest.raises(ValueError):
             models.nominal_cv_model(**settings)
 
-    def test_b_constants_derived_once(self):
-        b = np.array([[0.6, 0.1], [0.1, 0.4]])
-        model = models.nominal_cv_model(sigma_w=0.4, b=b)
-        assert model.b_inv is model.b_inv
-        np.testing.assert_allclose(model.b_inv @ b, np.eye(2), atol=1e-15)
-
 
 class TestScenarioConfig:
     def test_defaults(self):

@@ -3,7 +3,12 @@ import pytest
 import stepwise_simulate as stepwise
 
 from memtrack import simulate
-from memtrack.models import ScenarioConfig, cv_process_noise, cv_transition_matrix
+from memtrack.models import (
+    SCATTER_SCALE,
+    ScenarioConfig,
+    cv_process_noise,
+    cv_transition_matrix,
+)
 from memtrack.simulate import generate_case, generate_dataset, generate_trajectory
 from memtrack.spdmat import cholesky
 
@@ -118,14 +123,14 @@ class TestGenerateFrame:
 
     def test_uniform_ellipse_second_moment(self):
         # whitened by its extent's factor, a frame is uniform over the unit
-        # disk, whose covariance is I / 4
+        # disk, whose covariance is I / 4: the filter's SCATTER_SCALE
         cfg = ScenarioConfig(steps=5000, cases=1, sigma_v=1e-12, scatter_rate=20.0, seed=12)
         case = generate_case(cfg, cfg.seed, 0)
         disk = np.concatenate([
             np.linalg.solve(cholesky(extent), (frame - state[:2]).T).T
             for state, extent, frame in zip(case.truth.states, case.truth.extents, case.frames)
         ])
-        np.testing.assert_allclose(np.cov(disk.T), np.eye(2) / 4.0, rtol=0, atol=0.0075)
+        np.testing.assert_allclose(np.cov(disk.T), SCATTER_SCALE * np.eye(2), rtol=0, atol=0.0075)
 
     def test_poisson_rate(self):
         cfg = ScenarioConfig(steps=10000, cases=1, scatter_rate=20.0, seed=13)

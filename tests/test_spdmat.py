@@ -79,24 +79,6 @@ class TestSymSqrt2x2:
         np.testing.assert_array_equal(spdmat.sym_sqrt(a), _eigh_sqrt(a))
 
 
-class TestInverseSpd:
-    def test_identity(self):
-        np.testing.assert_array_equal(spdmat.inverse_spd(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(spdmat.inverse_spd(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_product_is_identity(self):
-        rng = np.random.default_rng(2)
-        for dim in (2, 4, 5):
-            a = rand_spd(dim, rng)
-            np.testing.assert_allclose(a @ spdmat.inverse_spd(a), np.eye(dim), atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            spdmat.inverse_spd(np.diag([1.0, -1.0]))
-
-
 class TestSymmetrizeProject:
     """The eigenvalue floor ``spdmat.eigen_floor``: the symmetric part of its
     input with every eigenvalue raised to at least the floor."""

@@ -9,7 +9,7 @@ analytic means (``tests/test_spdmat.py``).  Each takes an explicit
 
 import numpy as np
 
-from memtrack.spdmat import cholesky, inverse_spd
+from memtrack.spdmat import cholesky
 
 
 def _bartlett(dof: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -54,6 +54,6 @@ def sample_inverse_wishart(dof: float, param: np.ndarray, rng: np.random.Generat
     d = param.shape[0]
     if dof <= d - 1:
         raise ValueError(f"inverse Wishart needs dof > dim - 1, got dof={dof}, dim={d}")
-    w = sample_wishart(dof, inverse_spd(param), rng, size=1 if size is None else size)
+    w = sample_wishart(dof, np.linalg.inv(param), rng, size=1 if size is None else size)
     draws = np.linalg.inv(0.5 * (w + np.swapaxes(w, -1, -2)))
     return draws[0] if size is None else draws
