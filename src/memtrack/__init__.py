@@ -28,6 +28,7 @@ from .models import (
     ScenarioConfig,
     TrackState,
     cv_process_noise,
+    frame_features,
     frame_stats,
     nominal_cv_model,
     reduce_frames,
@@ -36,6 +37,7 @@ from .models import (
 from .network import (
     MemoryState,
     NetworkParams,
+    block_weights,
     forward_sequence,
     init_params,
     jeb_heads,

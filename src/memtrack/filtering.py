@@ -12,8 +12,12 @@ state branch is algebraically a Kalman filter whose measurement covariance
 is the frame mean's scatter covariance, SCATTER_SCALE * Xhat / n.
 
 :func:`run_filter` is the only place the per-step recursion is written.  It
-takes an optional compensator, an object with two methods that it calls
-once per step, in this order:
+takes an optional compensator, an object with three methods:
+
+- ``start(stats)`` gets every step's frame statistics once, before the
+  first step (the learned tracker computes its frame features there);
+
+and, once per step, in this order:
 
 - ``evolve(state, ext, fs)`` gets the previous posteriors and the current
   frame's statistics and returns the evolution moments ``(df, ef, pphi)``
@@ -21,7 +25,7 @@ once per step, in this order:
 - ``measure(pred, ext_pred)`` gets those predictions and returns the
   measurement moments ``(dh, eh)`` used by the innovation.
 
-A compensator may keep state between the two calls and across steps (the
+A compensator may keep state between the calls and across steps (the
 learned tracker keeps its LSTM memory there).  ``None`` runs the
 zero-compensation baseline.
 
@@ -45,8 +49,8 @@ taped step therefore records four filter nodes.
 
 Every belief stays SPD by construction, with no eigenvalue clamp (see
 each stage).  A stage whose products can leave its output asymmetric in the
-last ulp takes the output's symmetric part inline; the scatter terms are
-scalar multiples of symmetric matrices and need none.
+last ulp takes the output's symmetric part inline; the extension stages
+and the scatter terms add and scale symmetric matrices and need none.
 
 Each invariant is checked once, where it is established, and no stage that
 relies on it checks it again.  ``TrackerConfig`` requires init_dof > 2d + 4,
@@ -133,9 +137,10 @@ class InnovationStats(NamedTuple):
     that :func:`update_state` reads, all plain arrays.
 
     ``sources`` are the prediction and measurement moments they came from,
-    ``(x, P, X, dh, eh)``, and ``back`` maps adjoints of (residual, pxz,
-    pzz, r) to adjoints of the sources; :func:`update_state` records its tape
-    node from them, so that the innovation and the update are one node.
+    ``(x, P, X, dh, eh)``, of which :func:`update_state` updates the first
+    two; ``back`` maps adjoints of (residual, pxz, pzz, r) to adjoints of
+    the sources.  :func:`update_state` records its tape node from them, so
+    that the innovation and the update are one node.
     """
 
     residual: np.ndarray  # (2,) frame mean minus its prediction H x + dh
@@ -143,8 +148,8 @@ class InnovationStats(NamedTuple):
     pzz: np.ndarray       # (2, 2) residual covariance H P H^T + r
     r: np.ndarray         # (2, 2) its scatter term D W D
     h: np.ndarray         # (2, 4) the measurement matrix H
-    sources: tuple = ()
-    back: Callable | None = None
+    sources: tuple
+    back: Callable | None
 
 
 @dataclass(frozen=True)
@@ -204,26 +209,24 @@ def predict_extension(prior: ExtensionState, model: NominalModel, pphi) -> Exten
         v' = 2 delta (l+1)(l-1)(l-2) / (l^2 (l+delta)) + 2d + 4
 
     and the parameter matrix is scaled by (v' - 2d - 2)/lambda > 0 around
-    the transition bracket A X A^T + pphi / delta, SPD for an SPD X and a
-    PSD pphi, and symmetrized.
+    the transition bracket X + pphi / delta, SPD for an SPD X and a PSD
+    pphi.  X and pphi = L L^T are symmetric bit for bit, and so is the
+    bracket and its scalar multiple.
     """
     lam = prior.dof - 2 * D - 2
     delta = model.delta
     v_pred = 2.0 * delta * (lam + 1.0) * (lam - 1.0) * (lam - 2.0) / (lam * lam * (lam + delta)) \
         + 2 * D + 4
     v_pred = np.rint(v_pred * _DOF_GRID) / _DOF_GRID  # np.round's own ufunc, without its wrapper
-    # The bracket is (delta A X A^T + pphi) / delta.  Dividing by delta keeps
-    # the expected extent; the undivided bracket multiplies it by about delta
+    # The bracket is (delta X + pphi) / delta.  Dividing by delta keeps the
+    # expected extent; the undivided bracket multiplies it by about delta
     # per step, which compounds geometrically.
-    a = model.a
-    bracket = a @ ops.value(prior.param) @ a.T + ops.value(pphi) / delta
     scale = ((v_pred - 2 * D - 2) / lam)[..., None, None]
-    raw = scale * bracket
-    param = 0.5 * (raw + raw.mT)
+    param = scale * (ops.value(prior.param) + ops.value(pphi) / delta)
 
     def vjp(g):
-        g_raw = scale * (0.5 * (g + g.mT))
-        return a.T @ g_raw @ a, g_raw / delta
+        g_bracket = scale * g
+        return g_bracket, g_bracket / delta
 
     param = ops.node(param, (prior.param, pphi), vjp)
     return ExtensionState(dof=v_pred, param=param)
@@ -284,9 +287,10 @@ def innovation(
                            back=back)
 
 
-def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
-    """Kalman-form state update: the mean moves by the gain K = Pxz Pzz^-1
-    times ``stats.residual``, and the covariance takes the Joseph form
+def update_state(stats: InnovationStats) -> TrackState:
+    """Kalman-form update of the prediction ``stats`` came from: the mean
+    moves by the gain K = Pxz Pzz^-1 times ``stats.residual``, and the
+    covariance takes the Joseph form
 
         (I - K H) P (I - K H)^T + K R K^T,
 
@@ -294,33 +298,30 @@ def update_state(pred: TrackState, stats: InnovationStats) -> TrackState:
     raises SingularInnovation, one whose determinant is not finite
     NonFinite (:func:`memtrack.ops.solve`).  One tape node with the innovation
     that made ``stats``.  The covariance's adjoint in K, 2 G (K R - A P H^T),
-    is zero at the Kalman gain of P (Pzz K^T = H P); it is kept for a P
-    other than the one ``stats`` came from."""
+    is zero at the Kalman gain of P (Pzz K^T = H P), so K's adjoint comes
+    from the mean alone."""
     r, h, residual, back = stats.r, stats.h, stats.residual, stats.back
     try:
         gain_t, solve_adjoint = ops.solve(stats.pzz, stats.pxz.mT)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
     gain = gain_t.mT
-    mean = ops.value(pred.mean) + np.matvec(gain, residual)
-    p = ops.value(pred.cov)
+    mean = ops.value(stats.sources[0]) + np.matvec(gain, residual)
     a = _EYE_STATE - gain @ h
     a_t = a.mT
-    joseph = a @ p @ a_t + gain @ r @ gain_t
+    joseph = a @ ops.value(stats.sources[1]) @ a_t + gain @ r @ gain_t
     cov = 0.5 * (joseph + joseph.mT)
 
     def vjp(g):
         g_mean, g_cov = g
         g_cov = 0.5 * (g_cov + g_cov.mT)
-        g_gain = (g_mean[..., :, None] * residual[..., None, :]
-                  + 2.0 * (g_cov @ (gain @ r - a @ (p @ h.T))))
         # gain^T = Pzz^-1 Pxz^T: its adjoint flows to Pzz and Pxz as a solve's
-        g_pzz, g_rhs = solve_adjoint(g_gain.mT)
-        sources = () if back is None else back(np.matvec(gain_t, g_mean), g_rhs.mT, g_pzz,
-                                               gain_t @ g_cov @ gain)
-        return (g_mean, a_t @ g_cov @ a) + sources
+        g_pzz, g_rhs = solve_adjoint((g_mean[..., :, None] * residual[..., None, :]).mT)
+        g_x, g_p, *g_rest = back(np.matvec(gain_t, g_mean), g_rhs.mT, g_pzz,
+                                 gain_t @ g_cov @ gain)
+        return g_mean + g_x, a_t @ g_cov @ a + g_p, *g_rest
 
-    mean, cov = ops.node((mean, cov), (pred.mean, pred.cov) + stats.sources, vjp)
+    mean, cov = ops.node((mean, cov), stats.sources, vjp)
     return TrackState(mean=mean, cov=cov)
 
 
@@ -372,7 +373,8 @@ def run_filter(
     ``frames`` is one case's frames, or a time-major batch of N cases (see
     :func:`memtrack.models.stack_frames`), filtered together with a leading
     case axis on every belief.  Frame statistics come from one reduction
-    over every frame (:func:`memtrack.models.reduce_frames`).  Every later
+    over every frame (:func:`memtrack.models.reduce_frames`), which a
+    compensator gets first (``compensator.start``).  Every later
     frame runs ``compensator.evolve`` -> prediction ->
     ``compensator.measure`` -> innovation -> update (see the module
     docstring); ``compensator=None`` is the zero-compensation baseline.
@@ -389,7 +391,10 @@ def run_filter(
     states, exts = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state, ext = init_track(frames[0], cfg)
-        for k, fs in enumerate(reduce_frames(frames[1:]), start=2):
+        reduced = reduce_frames(frames[1:])
+        if compensator is not None:
+            compensator.start(reduced)
+        for k, fs in enumerate(reduced, start=2):
             df, ef, pphi = (ZERO_EVOLUTION if compensator is None
                             else compensator.evolve(state, ext, fs))
             pred = predict_state(state, model, df, ef)
@@ -397,7 +402,7 @@ def run_filter(
             dh, eh = (ZERO_MEASUREMENT if compensator is None
                       else compensator.measure(pred, ext_pred))
             stats = innovation(pred, ext_pred, model, dh, eh, fs)
-            state = update_state(pred, stats)
+            state = update_state(stats)
             ext = update_extension(ext_pred, fs)
             if not (np.isfinite(ops.value(state.mean)).all()
                     and np.isfinite(ops.value(ext.param)).all()):

@@ -47,6 +47,7 @@ __all__ = [
     "MEASUREMENT_MATRIX",
     "frame_stats",
     "reduce_frames",
+    "frame_features",
     "stack_frames",
     "cv_process_noise",
     "nominal_cv_model",
@@ -73,16 +74,13 @@ class ExtensionState(NamedTuple):
 
 
 class FrameStats(NamedTuple):
-    """Sufficient statistics of a frame: mean, unnormalized scatter, count
-    (an int for one case, an (N,) int array for a batch), and the network's
-    frame features: the log-Cholesky features of ``scatter / max(count - 1,
-    1) + FRAME_COV_EPS * I`` and ``log(count)``, which the filter never
-    reads and statistics built by hand may leave None."""
+    """Sufficient statistics of a frame: mean, unnormalized scatter and
+    count (an int for one case, an (N,) int array for a batch).  The
+    network's features of a frame come from them (:func:`frame_features`)."""
 
     mean: np.ndarray     # (2,) or (N, 2)
     scatter: np.ndarray  # (2, 2) or (N, 2, 2), sum of outer products around the mean
     count: int | np.ndarray
-    features: np.ndarray | None = None  # (4,) or (N, 4)
 
 
 @dataclass(frozen=True)
@@ -90,15 +88,14 @@ class NominalModel:
     """Linear nominal motion/measurement model.
 
     The state evolves as F x and the frame mean is predicted as H x.  The
-    extension evolves through the Wishart transition W(delta, A X A^T) / delta,
-    whose mean A X A^T carries the expected extent over unchanged.  A frame's
+    extension evolves through the Wishart transition W(delta, X) / delta,
+    whose mean X carries the expected extent over unchanged.  A frame's
     scatter covariance is ``SCATTER_SCALE`` times the extent.
     """
 
     F: np.ndarray            # (4, 4) state transition
     H: np.ndarray            # (2, 4) measurement matrix
     q: np.ndarray            # (4, 4) process noise
-    a: np.ndarray            # (2, 2) extension transition
     delta: float             # extension transition dof
 
 
@@ -201,17 +198,26 @@ def reduce_frames(frames) -> list[FrameStats]:
     scatter[:, 0, 0] = np.add.reduceat(x * x, starts)
     scatter[:, 0, 1] = scatter[:, 1, 0] = np.add.reduceat(x * y, starts)
     scatter[:, 1, 1] = np.add.reduceat(y * y, starts)
-    features = np.empty((len(counts), 4))  # every frame's at once
-    features[:, :3] = logchol2x2(scatter / np.maximum(counts - 1, 1)[:, None, None]
-                                 + _FRAME_COV_FLOOR)
-    features[:, 3] = np.log(counts)
     if batched:
         lead = (len(frames), len(frames[0]))
-        return [FrameStats(mean=m, scatter=s, count=c, features=f) for m, s, c, f in zip(
-            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead),
-            features.reshape(*lead, 4))]
-    return [FrameStats(mean=m, scatter=s, count=c, features=f)
-            for m, s, c, f in zip(mean, scatter, counts.tolist(), features)]
+        return [FrameStats(mean=m, scatter=s, count=c) for m, s, c in zip(
+            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))]
+    return [FrameStats(mean=m, scatter=s, count=c)
+            for m, s, c in zip(mean, scatter, counts.tolist())]
+
+
+def frame_features(stats: list[FrameStats]) -> np.ndarray:
+    """The network's features of every frame in ``stats`` at once, (K, 4),
+    or (K, N, 4) for a batch's: the log-Cholesky features of the frame's
+    covariance ``scatter / max(count - 1, 1) + FRAME_COV_EPS * I`` and
+    ``log(count)``.  The filter never reads them."""
+    scatter = np.array([fs.scatter for fs in stats])
+    counts = np.array([fs.count for fs in stats])
+    features = np.empty(counts.shape + (4,))
+    features[..., :3] = logchol2x2(scatter / np.maximum(counts - 1, 1)[..., None, None]
+                                   + _FRAME_COV_FLOOR)
+    features[..., 3] = np.log(counts)
+    return features
 
 
 def stack_frames(runs: list) -> list:
@@ -239,9 +245,9 @@ def cv_process_noise(sigma_w: float, dt: float) -> np.ndarray:
 
 
 def nominal_cv_model(sigma_w: float, dt: float = 1.0, delta: float = 7.0) -> NominalModel:
-    """The benchmark nominal model: CV motion, linear position measurement,
-    an identity extension transition A.  ``sigma_w`` and ``delta`` must be
-    positive and finite (ValueError).
+    """The benchmark nominal model: CV motion, linear position measurement
+    and the extension transition dof ``delta``.  ``sigma_w`` and ``delta``
+    must be positive and finite (ValueError).
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -249,7 +255,6 @@ def nominal_cv_model(sigma_w: float, dt: float = 1.0, delta: float = 7.0) -> Nom
         F=cv_transition_matrix(dt),
         H=MEASUREMENT_MATRIX,
         q=cv_process_noise(sigma_w, dt),
-        a=np.eye(2),
         delta=float(delta),
     )
 

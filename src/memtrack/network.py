@@ -14,6 +14,13 @@ congruence; the extension inflation pphi is a true Cholesky square, so it
 stays PSD.  Every belief therefore stays SPD without a projection (see
 :mod:`memtrack.filtering`).
 
+A forward reads its weights once (:func:`block_weights`).  Each head
+block's heads are stacked into one weight and one bias, so that a block
+is one matrix-vector product a step, and its backward one transposed
+product and one outer-product factor.  Under a tape each stack is one
+node per sequence, four in all, whose vjp splits the rows back to the
+checkpoint's arrays; a mask leaves its block's weights unread.
+
 Each block computes its values in plain numpy, by the same expressions with
 or without a tape, and records them as one tape node with a hand-written
 adjoint (:func:`memtrack.ops.node`): the feature encoding,
@@ -21,16 +28,19 @@ adjoint (:func:`memtrack.ops.node`): the feature encoding,
 (:func:`memtrack.ops.lstm_cell` returns its adjoint, which the node's vjp
 calls), :func:`jeb_heads` and :func:`jub_heads` with its prediction
 features, four nodes a step; and :func:`sequence_loss`, every step's term
-with the ``1 / 2K`` scaling and the L2 term, one node for the sequence.
-Weight adjoints are :class:`memtrack.ops.Outer` factors, which the tape
-sums over time in one matrix product per weight.
+with the ``1 / 2K`` scaling and the L2 term, formed for all steps at once
+and summed in step order, one node for the sequence.  Weight adjoints are
+:class:`memtrack.ops.Outer` factors, which the tape sums over time in one
+matrix product per weight or stack.
 
 A forward, plain or taped, also runs a batch of N cases (time-major
 frames, see :func:`memtrack.models.stack_frames`): features, memory, head
 outputs and loss terms then carry a leading case axis, and each row is
 computed bit for bit as that case alone.  A taped batch differentiates the
-cases' summed loss.  The frame's own features come with its statistics
-(:class:`memtrack.models.FrameStats`), computed once per sequence.
+cases' summed loss.  The frame's own features
+(:func:`memtrack.models.frame_features`) are computed once per sequence,
+from every frame's statistics, when :func:`memtrack.filtering.run_filter`
+starts the network as its compensator.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .filtering import (
     extension_lambda,
     run_filter,
 )
-from .models import ExtensionState, FrameStats, NominalModel, TrackState
+from .models import ExtensionState, FrameStats, NominalModel, TrackState, frame_features
 
 __all__ = [
     "FEATURE_DIM",
@@ -57,9 +67,12 @@ __all__ = [
     "MASK_FIELDS",
     "MemoryState",
     "NetworkParams",
+    "Weights",
+    "BlockWeights",
     "zero_params",
     "init_params",
     "initial_memory",
+    "block_weights",
     "raw_features",
     "encode_inputs",
     "mub_step",
@@ -165,8 +178,71 @@ def initial_memory(memory_dim: int, lead: tuple = ()) -> MemoryState:
     return MemoryState(cell=z, hidden=z.copy(), pc=z.copy())
 
 
-def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = None):
-    """The raw encoding of a belief, and of the current frame when ``fs`` is
+class Weights(NamedTuple):
+    """One block's weights as a forward reads them: ``taped`` as its tape
+    node lists them (tape variables, or the plain arrays without a tape),
+    ``values`` their plain arrays."""
+
+    taped: tuple
+    values: tuple
+
+
+class BlockWeights(NamedTuple):
+    """What the blocks of one forward read, gathered once per forward by
+    :func:`block_weights`; a masked block's weights are None.
+
+    ``memory`` holds (lstm_w, lstm_b, memcov_w, memcov_b); ``evolution``
+    the evolution heads' rows stacked, (11, 2h) and (11,); ``update`` the
+    update heads' rows stacked, (4, PRED_FEATURE_DIM) and (4,).
+    """
+
+    memory: Weights | None
+    evolution: Weights | None
+    update: Weights | None
+    feat_mean: np.ndarray
+    feat_std: np.ndarray
+
+
+# The checkpoint arrays each stacked head block joins, weights then biases,
+# in row order.
+_EVOLUTION_HEADS = (("evo_shift_w", "evo_cov_w", "evo_ext_w"),
+                    ("evo_shift_b", "evo_cov_b", "evo_ext_b"))
+_UPDATE_HEADS = (("upd_shift_w", "upd_scale_w"), ("upd_shift_b", "upd_scale_b"))
+
+
+def _stack(parts):
+    """The rows of ``parts`` as one array: under a tape one node, whose vjp
+    splits its adjoint's rows back (a bias's may carry a case axis in
+    front); without one a plain concatenation."""
+    values = [ops.value(p) for p in parts]
+    ends = np.cumsum([len(v) for v in values])[:-1]
+    axis = -values[0].ndim
+    return ops.node(np.concatenate(values), parts, lambda g: np.split(g, ends, axis=axis))
+
+
+def block_weights(params: NetworkParams) -> BlockWeights:
+    """Every block's weights, read from ``params.arrays`` (tape leaves or
+    plain arrays) once per forward, the head blocks' stacked."""
+    arrays = params.arrays
+
+    def weights(taped):
+        return Weights(taped, tuple(ops.value(w) for w in taped))
+
+    def stacked(heads):
+        return weights(tuple(_stack([arrays[name] for name in names]) for names in heads))
+
+    return BlockWeights(
+        memory=None if params.mask_memory else weights(tuple(
+            arrays[name] for name in ("lstm_w", "lstm_b", "memcov_w", "memcov_b"))),
+        evolution=None if params.mask_evolution else stacked(_EVOLUTION_HEADS),
+        update=None if params.mask_update else stacked(_UPDATE_HEADS),
+        feat_mean=params.feat_mean, feat_std=params.feat_std)
+
+
+def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = None,
+              frame=None):
+    """The raw encoding of a belief, and of the current frame when ``fs``
+    and its features ``frame`` (:func:`memtrack.models.frame_features`) are
     given, as a plain vector (one row per case of a batch); and the map
     from its adjoint to the adjoints of (state mean, state covariance,
     extension parameter), per case.
@@ -179,8 +255,8 @@ def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = No
     xhat = ops.value(ext.param) / lam
     variances = cov.diagonal(0, -2, -1)
     pieces = [mean, np.log(variances), ops.logchol2x2(xhat), np.log(ext.dof)[..., None]]
-    if fs is not None:  # the frame's own features come with its statistics
-        pieces += [fs.mean - mean[..., 0:2], fs.features]
+    if fs is not None:
+        pieces += [fs.mean - mean[..., 0:2], frame]
 
     def back(g):
         g_mean = g[..., 0:4].copy()
@@ -193,29 +269,29 @@ def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = No
     return np.concatenate(pieces, axis=-1), back
 
 
-def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats):
-    """Unstandardized 18-feature encoding of (posterior, current frame)."""
-    raw, back = _features(state, ext, fs)
+def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats, frame):
+    """Unstandardized 18-feature encoding of (posterior, current frame),
+    ``frame`` the frame's row of :func:`memtrack.models.frame_features`."""
+    raw, back = _features(state, ext, fs, frame)
     return ops.node(raw, (state.mean, state.cov, ext.param), back)
 
 
-def encode_inputs(state: TrackState, ext: ExtensionState, fs: FrameStats,
-                  params: NetworkParams):
+def encode_inputs(state: TrackState, ext: ExtensionState, fs: FrameStats, frame,
+                  weights: BlockWeights):
     """Standardized memory-update features (frozen per-feature statistics)."""
-    raw, back = _features(state, ext, fs)
-    std = params.feat_std
-    return ops.node((raw - params.feat_mean) / std, (state.mean, state.cov, ext.param),
+    raw, back = _features(state, ext, fs, frame)
+    std = weights.feat_std
+    return ops.node((raw - weights.feat_mean) / std, (state.mean, state.cov, ext.param),
                     lambda g: back(g / std))
 
 
-def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
+def mub_step(weights: BlockWeights, features, mem: MemoryState) -> MemoryState:
     """One LSTM memory update and its memory covariance, one tape node;
     masked mode freezes memory and zeroes pc."""
-    if params.mask_memory:
+    if weights.memory is None:
         return MemoryState(cell=mem.cell, hidden=mem.hidden,
                            pc=np.zeros(np.shape(ops.value(mem.hidden))))
-    weights = [params.arrays[name] for name in ("lstm_w", "lstm_b", "memcov_w", "memcov_b")]
-    lstm_w, lstm_b, w, b = map(ops.value, weights)
+    (lstm_w_t, lstm_b_t, w_t, b_t), (lstm_w, lstm_b, w, b) = weights.memory
     cell, hidden, lstm_adjoint = ops.lstm_cell(lstm_w, lstm_b, ops.value(features),
                                                ops.value(mem.hidden), ops.value(mem.cell))
     lin = np.matvec(w, hidden) + b
@@ -227,92 +303,97 @@ def mub_step(params: NetworkParams, features, mem: MemoryState) -> MemoryState:
                 + (ops.Outer(g_lin, hidden), g_lin))
 
     return MemoryState(*ops.node((cell, hidden, np.logaddexp(0.0, lin)),
-                                 (weights[0], weights[1], features, mem.hidden, mem.cell,
-                                  weights[2], weights[3]), vjp))
+                                 (lstm_w_t, lstm_b_t, features, mem.hidden, mem.cell, w_t, b_t),
+                                 vjp))
 
 
-def jeb_heads(params: NetworkParams, mem: MemoryState):
-    """Evolution compensation (df, ef, pphi) from the memory state."""
-    if params.mask_evolution:
+def jeb_heads(weights: BlockWeights, mem: MemoryState):
+    """Evolution compensation (df, ef, pphi) from the memory state: one
+    matvec of the stacked evolution heads, whose rows are the shift (4),
+    the covariance excess (4) and the extension inflation's Cholesky factor
+    (3)."""
+    if weights.evolution is None:
         return ZERO_EVOLUTION
-    names = ("evo_shift_w", "evo_shift_b", "evo_cov_w", "evo_cov_b", "evo_ext_w", "evo_ext_b")
-    weights = [params.arrays[name] for name in names]
-    shift_w, shift_b, cov_w, cov_b, ext_w, ext_b = map(ops.value, weights)
+    (w_t, b_t), (w, b) = weights.evolution
     hidden = ops.value(mem.hidden)
     inp = np.concatenate([hidden, ops.value(mem.pc)], axis=-1)
-    df = np.matvec(shift_w, inp) + shift_b
-    cov_lin = np.matvec(cov_w, inp) + cov_b
-    ef = np.logaddexp(0.0, cov_lin) / ops.SOFTPLUS_ZERO - 1.0
-    ext_vec = np.matvec(ext_w, inp) + ext_b
-    diag = np.logaddexp(0.0, ext_vec[..., 0:2]) - ops.SOFTPLUS_ZERO
-    ell = np.zeros(ext_vec.shape[:-1] + (2, 2))
-    ell[..., 0, 0], ell[..., 1, 1], ell[..., 1, 0] = diag[..., 0], diag[..., 1], ext_vec[..., 2]
+    lin = np.matvec(w, inp) + b
+    df = lin[..., 0:4]
+    ef = np.logaddexp(0.0, lin[..., 4:8]) / ops.SOFTPLUS_ZERO - 1.0
+    diag = np.logaddexp(0.0, lin[..., 8:10]) - ops.SOFTPLUS_ZERO
+    ell = np.zeros(lin.shape[:-1] + (2, 2))
+    ell[..., 0, 0], ell[..., 1, 1], ell[..., 1, 0] = diag[..., 0], diag[..., 1], lin[..., 10]
     pphi = ell @ ell.mT
 
     def vjp(g):
         g_df, g_ef, g_pphi = g
-        slopes = ops.sigmoid(np.concatenate([cov_lin, ext_vec[..., 0:2]], axis=-1))  # softplus'
-        g_cov = g_ef / ops.SOFTPLUS_ZERO * slopes[..., :4]
         g_ell = (g_pphi + g_pphi.mT) @ ell
         # filled, not fancy-indexed: a batch's rows must be contiguous, as one
         # case's are, for np.matvec to sum them in the same order
-        g_ext = np.empty(ext_vec.shape)
-        g_ext[..., 0], g_ext[..., 1] = g_ell[..., 0, 0], g_ell[..., 1, 1]
-        g_ext[..., 2] = g_ell[..., 1, 0]
-        g_ext[..., 0:2] *= slopes[..., 4:]
-        g_inp = (np.matvec(shift_w.T, g_df) + np.matvec(cov_w.T, g_cov)
-                 + np.matvec(ext_w.T, g_ext))
+        g_lin = np.empty(lin.shape)
+        g_lin[..., 0:4] = g_df
+        g_lin[..., 4:8] = g_ef / ops.SOFTPLUS_ZERO
+        g_lin[..., 8], g_lin[..., 9], g_lin[..., 10] = (g_ell[..., 0, 0], g_ell[..., 1, 1],
+                                                        g_ell[..., 1, 0])
+        g_lin[..., 4:10] *= ops.sigmoid(lin[..., 4:10])  # softplus'
+        g_inp = np.matvec(w.mT, g_lin)
         n = hidden.shape[-1]
-        return (g_inp[..., :n], g_inp[..., n:], ops.Outer(g_df, inp), g_df,
-                ops.Outer(g_cov, inp), g_cov, ops.Outer(g_ext, inp), g_ext)
+        return g_inp[..., :n], g_inp[..., n:], ops.Outer(g_lin, inp), g_lin
 
-    return ops.node((df, ef, pphi), (mem.hidden, mem.pc, *weights), vjp)
+    return ops.node((df, ef, pphi), (mem.hidden, mem.pc, w_t, b_t), vjp)
 
 
-def jub_heads(params: NetworkParams, pred: TrackState, ext_pred: ExtensionState):
-    """Measurement compensation (dh, eh) from the current predictions."""
-    if params.mask_update:
+def jub_heads(weights: BlockWeights, pred: TrackState, ext_pred: ExtensionState):
+    """Measurement compensation (dh, eh) from the current predictions: one
+    matvec of the stacked update heads, whose rows are the shift (2) and
+    the scatter-scale excess (2)."""
+    if weights.update is None:
         return ZERO_MEASUREMENT
-    names = ("upd_shift_w", "upd_shift_b", "upd_scale_w", "upd_scale_b")
-    weights = [params.arrays[name] for name in names]
-    shift_w, shift_b, scale_w, scale_b = map(ops.value, weights)
+    (w_t, b_t), (w, b) = weights.update
     raw, back = _features(pred, ext_pred)
-    std = params.feat_std[:PRED_FEATURE_DIM]
-    inp = (raw - params.feat_mean[:PRED_FEATURE_DIM]) / std
-    dh = np.matvec(shift_w, inp) + shift_b
-    scale_lin = np.matvec(scale_w, inp) + scale_b
-    eh = np.logaddexp(0.0, scale_lin) / ops.SOFTPLUS_ZERO - 1.0
+    std = weights.feat_std[:PRED_FEATURE_DIM]
+    inp = (raw - weights.feat_mean[:PRED_FEATURE_DIM]) / std
+    lin = np.matvec(w, inp) + b
+    dh = lin[..., 0:2]
+    eh = np.logaddexp(0.0, lin[..., 2:4]) / ops.SOFTPLUS_ZERO - 1.0
 
     def vjp(g):
         g_dh, g_eh = g
-        g_scale = g_eh / ops.SOFTPLUS_ZERO * ops.sigmoid(scale_lin)
-        g_inp = np.matvec(shift_w.T, g_dh) + np.matvec(scale_w.T, g_scale)
-        return back(g_inp / std) + (ops.Outer(g_dh, inp), g_dh, ops.Outer(g_scale, inp), g_scale)
+        g_lin = np.empty(lin.shape)
+        g_lin[..., 0:2] = g_dh
+        g_lin[..., 2:4] = g_eh / ops.SOFTPLUS_ZERO * ops.sigmoid(lin[..., 2:4])
+        return back(np.matvec(w.mT, g_lin) / std) + (ops.Outer(g_lin, inp), g_lin)
 
-    return ops.node((dh, eh), (pred.mean, pred.cov, ext_pred.param, *weights), vjp)
+    return ops.node((dh, eh), (pred.mean, pred.cov, ext_pred.param, w_t, b_t), vjp)
 
 
 class _Compensator:
     """The network as a :func:`~memtrack.filtering.run_filter` compensator.
 
-    Holds the LSTM memory across steps: ``evolve`` updates it from the
-    previous posteriors and the current frame, then reads the evolution
-    heads; ``measure`` reads the update heads from the predictions.
+    Reads its weights once (:func:`block_weights`), and the frame features
+    of the whole sequence once, at ``start``.  Holds the LSTM memory across
+    steps: ``evolve`` updates it from the previous posteriors and the
+    current frame, then reads the evolution heads; ``measure`` reads the
+    update heads from the predictions.
     """
 
     def __init__(self, params: NetworkParams):
-        self.params = params
-        self.mem = None
+        self.memory_dim = params.memory_dim
+        self.weights = block_weights(params)
+        self.mem = self.frame_rows = None
+
+    def start(self, stats: list[FrameStats]):
+        # one memory per case of the first frame
+        self.mem = initial_memory(self.memory_dim, stats[0].mean.shape[:-1])
+        self.frame_rows = iter(frame_features(stats))
 
     def evolve(self, state: TrackState, ext: ExtensionState, fs: FrameStats):
-        if self.mem is None:  # one memory per case of the first posteriors
-            self.mem = initial_memory(self.params.memory_dim, fs.mean.shape[:-1])
-        features = encode_inputs(state, ext, fs, self.params)
-        self.mem = mub_step(self.params, features, self.mem)
-        return jeb_heads(self.params, self.mem)
+        features = encode_inputs(state, ext, fs, next(self.frame_rows), self.weights)
+        self.mem = mub_step(self.weights, features, self.mem)
+        return jeb_heads(self.weights, self.mem)
 
     def measure(self, pred: TrackState, ext_pred: ExtensionState):
-        return jub_heads(self.params, pred, ext_pred)
+        return jub_heads(self.weights, pred, ext_pred)
 
 
 def forward_sequence(
@@ -360,15 +441,11 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
         raise LengthMismatch(
             f"got {k} states, {len(exts)} extensions, "
             f"{len(truth_states)}/{len(truth_extents)} truth entries; a loss needs at least one")
-    total, parents, residuals = None, [], []
-    for state, ext, truth_state, truth_extent in zip(states, exts, truth_states, truth_extents):
-        lam = extension_lambda(ext.dof)[..., None, None]
-        d_state = ops.value(state.mean) - truth_state
-        d_extent = ops.value(ext.param) / lam - truth_extent
-        term = np.add.reduce(d_state * d_state, -1) + np.add.reduce(d_extent * d_extent, (-2, -1))
-        total = term if total is None else total + term
-        parents += (state.mean, ext.param)
-        residuals.append((d_state, d_extent, lam))
+    lam = extension_lambda(np.array([ext.dof for ext in exts]))[..., None, None]
+    d_state = np.array([ops.value(state.mean) for state in states]) - truth_states
+    d_extent = np.array([ops.value(ext.param) for ext in exts]) / lam - truth_extents
+    terms = np.add.reduce(d_state * d_state, -1) + np.add.reduce(d_extent * d_extent, (-2, -1))
+    total = np.add.accumulate(terms)[-1]  # in step order, one add at a time
     regularized = () if weights is None or gamma == 0.0 else tuple(weights.values())
     values = [ops.value(w) for w in regularized]
     scale = 2.0 * k
@@ -381,11 +458,9 @@ def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma
 
     def vjp(g):
         g_term = 2.0 * (g / scale)
-        g_state, g_extent = g_term[..., None], g_term[..., None, None]
-        adjoints = []
-        for d_state, d_extent, lam in residuals:
-            adjoints += (g_state * d_state, (g_extent * d_extent) / lam)
         g_reg = 2.0 * (np.sum(g) * gamma)  # every case's loss holds the L2 term
-        return adjoints + [g_reg * w for w in values]
+        return [*(g_term[..., None] * d_state), *((g_term[..., None, None] * d_extent) / lam),
+                *(g_reg * w for w in values)]
 
+    parents = [state.mean for state in states] + [ext.param for ext in exts]
     return ops.node(out, (*parents, *regularized), vjp)

@@ -7,9 +7,10 @@ vjp; :func:`node` records them on the tape the parents share, or returns
 them unchanged when no parent is a :class:`Var`.  Training-time forwards
 and plain inference therefore produce the same values bit for bit.  Every
 node comes from :func:`node`, called by the filter stages, the network
-blocks and the loss (see :mod:`memtrack.filtering` and
-:mod:`memtrack.network`): one node per stage or block per step, and one
-for the loss.  The primitives a stage builds on, :func:`lstm_cell` and
+blocks, the network's stacked head weights and the loss (see
+:mod:`memtrack.filtering` and :mod:`memtrack.network`): one node per
+stage or block per step, one per stack per sequence, and one for the
+loss.  The primitives a stage builds on, :func:`lstm_cell` and
 :func:`solve`, take plain arrays, record nothing, and return their value
 with its adjoint, which the stage calls inside its own vjp.  A Var has no
 arithmetic operators, so nothing else can record on a tape.
@@ -299,11 +300,16 @@ def logchol2x2(a):
     :func:`logchol2x2_adjoint`."""
     # [()] makes one case's entries scalars, the cheapest to work with
     x00, x01, x11 = a[..., 0, 0][()], a[..., 0, 1][()], a[..., 1, 1][()]
-    if np.count_nonzero(x00 <= 0.0):
-        raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
-    l10 = x01 / np.sqrt(x00)
+    # Both domain failures are counted once.  A leading entry that is not
+    # positive gets the stand-in root sqrt(|x00| + 1), so nothing before the
+    # count takes a negative root or divides by zero; a NaN row fails
+    # neither test and passes through.
+    nonpositive = x00 <= 0.0
+    l10 = x01 / np.sqrt(abs(x00) + nonpositive)
     l11sq = x11 - l10 * l10
-    if np.count_nonzero(l11sq <= 0.0):
+    if np.count_nonzero(nonpositive | (l11sq <= 0.0)):
+        if np.count_nonzero(nonpositive):
+            raise NotPositiveDefinite("2x2 matrix has non-positive leading entry")
         raise NotPositiveDefinite("2x2 matrix has non-positive Schur complement")
     out = np.empty(a.shape[:-2] + (3,))
     out[..., 0], out[..., 1], out[..., 2] = 0.5 * np.log(x00), 0.5 * np.log(l11sq), l10

@@ -8,7 +8,8 @@ pass over the training split and frozen before the first update.
 
 ``_run_loss`` is the one place cases are forwarded and scored by the loss.
 Gradients are taped one sequence at a time, on a tape of eight nodes a
-step (one per filter stage and network block) and one for the loss; a
+step (one per filter stage and network block), four for the stacked head
+weights and biases, and one for the loss; a
 sequence skipped for its loss never runs the backward pass.  The plain
 passes run all their cases as one batch (see
 :func:`memtrack.filtering.run_filter`): the feature statistics pass over
@@ -31,7 +32,7 @@ from . import ops
 from .errors import (ConfigError, EmptyDataset, NonFinite, NotPositiveDefinite,
                      SingularInnovation)
 from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
-from .models import NominalModel, stack_frames
+from .models import NominalModel, frame_features, stack_frames
 from .network import (
     FEATURE_DIM,
     MASK_FIELDS,
@@ -152,9 +153,13 @@ class _FeatureRecorder:
 
     def __init__(self):
         self.steps = []
+        self.frame_rows = None
+
+    def start(self, stats):
+        self.frame_rows = iter(frame_features(stats))
 
     def evolve(self, state, ext, fs):
-        self.steps.append(raw_features(state, ext, fs))
+        self.steps.append(raw_features(state, ext, fs, next(self.frame_rows)))
         return ZERO_EVOLUTION
 
     def measure(self, pred, ext_pred):
@@ -186,7 +191,7 @@ def _sequence_gradients(params, case, model, cfg):
     the remaining sequences.  A loss that decides the skip does so before
     the backward pass.  The cyclic garbage collector is paused meanwhile:
     the tape holds no reference cycles, and its entries (8 nodes a step,
-    about 1 100 for a 140-step sequence) would otherwise be rescanned many
+    about 1 130 for a 140-step sequence) would otherwise be rescanned many
     times over.
     """
     enabled = gc.isenabled()

@@ -9,10 +9,12 @@ values, so a fused stage must match its composed twin bit for bit in value
 and to roundoff in its adjoints.  A twin composes what its fused stage
 takes inside its one node: the symmetric part of a stage's output
 (:func:`symmetrize`, one node of its own), the Joseph-form update, the LSTM
-step of ``mub_step`` and every term of the loss.  The twin differentiates
-the Joseph form through its gain as well, which the fused update holds
-fixed; the two adjoints agree to roundoff because that derivative vanishes
-at the Kalman gain.
+step of ``mub_step``, each stacked head block's one matrix product and
+every term of the loss.  The twins take the weights a forward reads,
+stacked by ``network.block_weights`` as the fused blocks take them.  The
+twin differentiates the Joseph form through its gain as well, which the
+fused update leaves out; the two adjoints agree to roundoff because that
+derivative vanishes at the Kalman gain.
 
 ``memtrack`` itself gives a Var no operators.  :func:`install` puts the
 algebra's operators on ``ops.Var`` for one test (the ``algebra`` fixture
@@ -236,27 +238,28 @@ def predict_extension(prior, model, pphi):
     v_pred = _fused_predict_extension(
         ExtensionState(dof=prior.dof, param=ops.value(prior.param)), model,
         ops.value(pphi)).dof
-    raw = ((v_pred - 2 * D - 2) / lam) * (model.a @ prior.param @ model.a.T
-                                          + pphi / model.delta)
-    return ExtensionState(dof=v_pred, param=symmetrize(raw))
+    return ExtensionState(dof=v_pred,
+                          param=((v_pred - 2 * D - 2) / lam) * (prior.param + pphi / model.delta))
 
 
 def innovation(pred, ext_pred, model, dh, eh, fs):
-    """The innovation statistics as tape values (no ``sources``)."""
+    """The innovation statistics as tape values; the sources are the
+    prediction alone, and nothing maps adjoints back (``back`` None)."""
     pxz = pred.cov @ model.H.T
     hph = model.H @ pxz
     scatter = (SCATTER_SCALE * filtering.extension_mean(ext_pred)) / float(fs.count)
     r = _scaled(scatter, eh)
     return filtering.InnovationStats(residual=fs.mean - (model.H @ pred.mean + dh), pxz=pxz,
-                                     pzz=hph + r, r=r, h=model.H)
+                                     pzz=hph + r, r=r, h=model.H,
+                                     sources=(pred.mean, pred.cov), back=None)
 
 
-def update_state(pred, stats):
+def update_state(stats):
+    mean, cov = stats.sources[:2]
     gain = solve(stats.pzz, stats.pxz.T).T
-    mean = pred.mean + gain @ stats.residual
     a = np.eye(4) - gain @ stats.h
-    joseph = a @ pred.cov @ a.T + gain @ stats.r @ gain.T
-    return TrackState(mean=mean, cov=symmetrize(joseph))
+    joseph = a @ cov @ a.T + gain @ stats.r @ gain.T
+    return TrackState(mean=mean + gain @ stats.residual, cov=symmetrize(joseph))
 
 
 def update_extension(pred, fs):
@@ -271,53 +274,58 @@ def _pred_pieces(state, ext):
             np.array([np.log(float(ext.dof))])]
 
 
-def raw_features(state, ext, fs):
+def raw_features(state, ext, fs, frame):
+    """The encoding, with the frame's features computed from its scatter
+    and count as ``models.frame_features`` computes them; ``frame``, the
+    fused block's copy of them, must agree."""
     pieces = _pred_pieces(state, ext)
     scatter_cov = fs.scatter / max(fs.count - 1, 1) + FRAME_COV_EPS * np.eye(2)
-    pieces += [fs.mean - state.mean[0:2], ops.logchol2x2(scatter_cov),
-               np.array([np.log(float(fs.count))])]
+    features = np.append(ops.logchol2x2(scatter_cov), np.log(float(fs.count)))
+    np.testing.assert_array_equal(features, frame)
+    pieces += [fs.mean - state.mean[0:2], features]
     return concat(pieces)
 
 
-def encode_inputs(state, ext, fs, params):
-    return (raw_features(state, ext, fs) - params.feat_mean) / params.feat_std
+def encode_inputs(state, ext, fs, frame, weights):
+    return (raw_features(state, ext, fs, frame) - weights.feat_mean) / weights.feat_std
 
 
-def mub_step(params, features, mem):
-    if params.mask_memory:
+def mub_step(weights, features, mem):
+    if weights.memory is None:
         return network.MemoryState(cell=mem.cell, hidden=mem.hidden,
-                                   pc=np.zeros(params.memory_dim))
-    w = params.arrays
-    cell, hidden = lstm(w["lstm_w"], w["lstm_b"], features, mem.hidden, mem.cell)
-    pc = softplus(affine(w["memcov_w"], hidden, w["memcov_b"]))
+                                   pc=np.zeros(np.shape(ops.value(mem.hidden))))
+    lstm_w, lstm_b, memcov_w, memcov_b = weights.memory.taped
+    cell, hidden = lstm(lstm_w, lstm_b, features, mem.hidden, mem.cell)
+    pc = softplus(affine(memcov_w, hidden, memcov_b))
     return network.MemoryState(cell=cell, hidden=hidden, pc=pc)
 
 
-def jeb_heads(params, mem):
-    if params.mask_evolution:
+def jeb_heads(weights, mem):
+    """The stacked evolution heads' rows: shift, covariance excess, the
+    extension inflation's Cholesky factor."""
+    if weights.evolution is None:
         return filtering.ZERO_EVOLUTION
-    w = params.arrays
-    inp = concat([mem.hidden, mem.pc])
-    df = affine(w["evo_shift_w"], inp, w["evo_shift_b"])
-    ef = softplus(affine(w["evo_cov_w"], inp, w["evo_cov_b"])) / ops.SOFTPLUS_ZERO - 1.0
-    ext_vec = affine(w["evo_ext_w"], inp, w["evo_ext_b"])
-    ell = (diag_embed(softplus(ext_vec[0:2]) - ops.SOFTPLUS_ZERO)
-           + ext_vec[2] * np.array([[0.0, 0.0], [1.0, 0.0]]))
-    return df, ef, ell @ ell.T
+    w, b = weights.evolution.taped
+    lin = affine(w, concat([mem.hidden, mem.pc]), b)
+    ef = softplus(lin[4:8]) / ops.SOFTPLUS_ZERO - 1.0
+    ell = (diag_embed(softplus(lin[8:10]) - ops.SOFTPLUS_ZERO)
+           + lin[10] * np.array([[0.0, 0.0], [1.0, 0.0]]))
+    return lin[0:4], ef, ell @ ell.T
 
 
-def jub_heads(params, pred, ext_pred):
-    if params.mask_update:
+def jub_heads(weights, pred, ext_pred):
+    """The stacked update heads' rows: shift, scatter-scale excess."""
+    if weights.update is None:
         return filtering.ZERO_MEASUREMENT
-    w = params.arrays
     n = network.PRED_FEATURE_DIM
-    inp = (concat(_pred_pieces(pred, ext_pred)) - params.feat_mean[:n]) / params.feat_std[:n]
-    dh = affine(w["upd_shift_w"], inp, w["upd_shift_b"])
-    eh = softplus(affine(w["upd_scale_w"], inp, w["upd_scale_b"])) / ops.SOFTPLUS_ZERO - 1.0
-    return dh, eh
+    inp = (concat(_pred_pieces(pred, ext_pred)) - weights.feat_mean[:n]) / weights.feat_std[:n]
+    w, b = weights.update.taped
+    lin = affine(w, inp, b)
+    return lin[0:2], softplus(lin[2:4]) / ops.SOFTPLUS_ZERO - 1.0
 
 
 def sequence_loss(states, exts, truth_states, truth_extents, weights=None, gamma=0.0):
+    """Every step's term in step order, scaled, plus the L2 term; for one case."""
     total = None
     for state, ext, truth_state, truth_extent in zip(states, exts, truth_states, truth_extents):
         term = (sumsq(state.mean - truth_state)

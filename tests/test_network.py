@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from memtrack.models import (
     ExtensionState,
     ScenarioConfig,
     TrackState,
+    frame_features,
     frame_stats,
     nominal_cv_model,
     stack_frames,
 )
 from memtrack.network import (
     MemoryState,
+    block_weights,
     encode_inputs,
     forward_sequence,
     init_params,
@@ -39,13 +43,16 @@ def model():
     return nominal_cv_model(sigma_w=0.4, dt=1.0)
 
 
+def _encode(state, ext, points, params):
+    fs = frame_stats(points)
+    return encode_inputs(state, ext, fs, frame_features([fs])[0], block_weights(params))
+
+
 class TestEncoding:
     def test_identity_extent_encodes_zero(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))  # mean = I
-        fs = frame_stats(np.zeros((3, 2)))
-        params = zero_params(4)
-        feats = encode_inputs(state, ext, fs, params)
+        feats = _encode(state, ext, np.zeros((3, 2)), zero_params(4))
         # log-Cholesky block of the extent occupies features 8..10
         np.testing.assert_allclose(feats[8:11], 0.0, atol=1e-12)
 
@@ -53,27 +60,24 @@ class TestEncoding:
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         lam = 4.0
         ext = ExtensionState(dof=10.0, param=lam * np.diag([np.e ** 2, np.e ** 4]))
-        fs = frame_stats(np.zeros((3, 2)))
-        feats = encode_inputs(state, ext, fs, zero_params(4))
+        feats = _encode(state, ext, np.zeros((3, 2)), zero_params(4))
         np.testing.assert_allclose(feats[8:11], [1.0, 2.0, 0.0], atol=1e-12)
 
     def test_single_point_frame_is_finite(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        fs = frame_stats(np.array([[1.0, -1.0]]))
-        feats = encode_inputs(state, ext, fs, zero_params(4))
+        feats = _encode(state, ext, np.array([[1.0, -1.0]]), zero_params(4))
         assert feats.shape == (network.FEATURE_DIM,)
         assert np.all(np.isfinite(feats))
 
     def test_standardization_applied(self):
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        fs = frame_stats(np.zeros((3, 2)))
         params = zero_params(4)
-        raw = encode_inputs(state, ext, fs, params)
+        raw = _encode(state, ext, np.zeros((3, 2)), params)
         params.feat_mean = np.full(network.FEATURE_DIM, 1.0)
         params.feat_std = np.full(network.FEATURE_DIM, 2.0)
-        scaled = encode_inputs(state, ext, fs, params)
+        scaled = _encode(state, ext, np.zeros((3, 2)), params)
         np.testing.assert_allclose(scaled, (raw - 1.0) / 2.0, atol=1e-12)
 
 
@@ -81,7 +85,7 @@ class TestMubStep:
     def test_zero_params_zero_memory(self):
         params = zero_params(4)
         mem = initial_memory(4)
-        out = mub_step(params, np.ones(network.FEATURE_DIM), mem)
+        out = mub_step(block_weights(params), np.ones(network.FEATURE_DIM), mem)
         np.testing.assert_array_equal(ops.value(out.cell), np.zeros(4))
         np.testing.assert_array_equal(ops.value(out.hidden), np.zeros(4))
 
@@ -89,7 +93,7 @@ class TestMubStep:
         params = zero_params(4)
         c0 = np.array([1.0, -2.0, 0.5, 4.0])
         mem = MemoryState(cell=c0, hidden=np.zeros(4), pc=np.zeros(4))
-        out = mub_step(params, np.zeros(network.FEATURE_DIM), mem)
+        out = mub_step(block_weights(params), np.zeros(network.FEATURE_DIM), mem)
         np.testing.assert_allclose(ops.value(out.cell), 0.5 * c0, atol=1e-12)
         np.testing.assert_allclose(ops.value(out.hidden), 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
@@ -98,7 +102,7 @@ class TestMubStep:
         rng = np.random.default_rng(0)
         mem = MemoryState(cell=rng.standard_normal(4), hidden=rng.standard_normal(4),
                           pc=np.abs(rng.standard_normal(4)))
-        out = mub_step(params, rng.standard_normal(18), mem)
+        out = mub_step(block_weights(params), rng.standard_normal(18), mem)
         np.testing.assert_array_equal(out.cell, mem.cell)
         np.testing.assert_array_equal(out.hidden, mem.hidden)
         np.testing.assert_array_equal(out.pc, np.zeros(4))
@@ -108,13 +112,13 @@ class TestHeads:
     def test_calibrated_zero(self):
         params = zero_params(4)
         mem = MemoryState(cell=np.ones(4), hidden=np.ones(4), pc=np.ones(4))
-        df, ef, pphi = jeb_heads(params, mem)
+        df, ef, pphi = jeb_heads(block_weights(params), mem)
         np.testing.assert_array_equal(ops.value(df), np.zeros(4))
         np.testing.assert_array_equal(ops.value(ef), np.zeros(4))
         np.testing.assert_array_equal(ops.value(pphi), np.zeros((2, 2)))
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=10.0, param=4.0 * np.eye(2))
-        dh, eh = jub_heads(params, state, ext)
+        dh, eh = jub_heads(block_weights(params), state, ext)
         np.testing.assert_array_equal(ops.value(dh), np.zeros(2))
         np.testing.assert_array_equal(ops.value(eh), np.zeros(2))
 
@@ -125,11 +129,11 @@ class TestHeads:
             params.arrays[name] = arr + rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(4), hidden=rng.standard_normal(4),
                           pc=np.abs(rng.standard_normal(4)))
-        df, ef, pphi = jeb_heads(params, mem)
+        df, ef, pphi = jeb_heads(block_weights(params), mem)
         assert np.all(df == 0) and np.all(ef == 0) and np.all(pphi == 0)
         state = TrackState(mean=rng.standard_normal(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
-        dh, eh = jub_heads(params, state, ext)
+        dh, eh = jub_heads(block_weights(params), state, ext)
         assert np.all(dh == 0) and np.all(eh == 0)
 
     def test_pphi_psd_and_cov_heads_bounded_below(self):
@@ -139,7 +143,7 @@ class TestHeads:
             params.arrays[name] = arr + 0.5 * rng.standard_normal(arr.shape)
         mem = MemoryState(cell=rng.standard_normal(6), hidden=rng.standard_normal(6),
                           pc=np.abs(rng.standard_normal(6)))
-        df, ef, pphi = jeb_heads(params, mem)
+        df, ef, pphi = jeb_heads(block_weights(params), mem)
         pphi = ops.value(pphi)
         np.testing.assert_allclose(pphi, pphi.T, atol=1e-12)
         assert np.linalg.eigvalsh(pphi).min() >= -1e-12
@@ -147,12 +151,100 @@ class TestHeads:
         # softplus underflows
         assert ops.value(ef).min() >= -1.0
         params.arrays["evo_cov_b"][:] = -800.0
-        np.testing.assert_array_equal(ops.value(jeb_heads(params, mem)[1]), [-1, -1, -1, -1])
+        ef = jeb_heads(block_weights(params), mem)[1]
+        np.testing.assert_array_equal(ops.value(ef), [-1, -1, -1, -1])
         state = TrackState(mean=np.zeros(4), cov=np.eye(4))
         ext = ExtensionState(dof=11.0, param=5.0 * np.eye(2))
-        assert ops.value(jub_heads(params, state, ext)[1]).min() >= -1.0
+        assert ops.value(jub_heads(block_weights(params), state, ext)[1]).min() >= -1.0
         params.arrays["upd_scale_b"][:] = -800.0
-        np.testing.assert_array_equal(ops.value(jub_heads(params, state, ext)[1]), [-1, -1])
+        eh = jub_heads(block_weights(params), state, ext)[1]
+        np.testing.assert_array_equal(ops.value(eh), [-1, -1])
+
+
+class TestStackedHeads:
+    """Each head block runs its heads as one matvec of the rows
+    ``block_weights`` stacks: under a tape the stacks are nodes whose vjp
+    splits the rows back to the checkpoint's arrays."""
+
+    @staticmethod
+    def _taped_block(block, make_inputs, lead, rng_seed):
+        """Values of a block's outputs and its node's adjoints for
+        ``lead``-shaped inputs, given the same random output adjoints."""
+        params = _perturbed(None, memory_dim=5)
+        params.feat_mean = np.random.default_rng(7).standard_normal(network.FEATURE_DIM)
+        params.feat_std = np.random.default_rng(8).uniform(0.5, 2.0, network.FEATURE_DIM)
+        tape = ops.Tape()
+        weights = block_weights(replace(params, arrays=params.leaves(tape)))
+        outputs = block(weights, *make_inputs(tape, lead))
+        values = [ops.value(v) for v in outputs]
+        g = [np.random.default_rng(rng_seed).standard_normal(v.shape) for v in values]
+        return values, g, tape.entries[-1][1]
+
+    @staticmethod
+    def _memory(tape, lead):
+        rng = np.random.default_rng(9)
+        hidden, pc = rng.standard_normal((6, 5)), rng.uniform(0.0, 2.0, (6, 5))
+        rows = slice(None) if lead else 2
+        return (MemoryState(cell=None, hidden=tape.leaf(hidden[rows]), pc=tape.leaf(pc[rows])),)
+
+    @staticmethod
+    def _predictions(tape, lead):
+        rng = np.random.default_rng(10)
+        m, n = rng.standard_normal((6, 4, 4)), rng.standard_normal((6, 2, 2))
+        mean, cov = rng.standard_normal((6, 4)), m @ m.mT + np.eye(4)
+        param, dof = n @ n.mT + np.eye(2), rng.uniform(9.0, 40.0, 6)
+        rows = slice(None) if lead else 2
+        return (TrackState(mean=tape.leaf(mean[rows]), cov=tape.leaf(cov[rows])),
+                ExtensionState(dof=dof[rows], param=tape.leaf(param[rows])))
+
+    @pytest.mark.parametrize("block", ["jeb", "jub"])
+    def test_batch_rows_equal_each_row_alone(self, block):
+        """A 6-case batch's outputs and adjoints (each weight's outer-product
+        factors, each bias's and input's adjoint) equal case 2's alone, bit
+        for bit."""
+        fn, inputs = ((jeb_heads, self._memory) if block == "jeb"
+                      else (jub_heads, self._predictions))
+        values, g, vjp = self._taped_block(fn, inputs, (6,), 11)
+        one_values, _, one_vjp = self._taped_block(fn, inputs, (), 11)
+        for v, w in zip(values, one_values):
+            np.testing.assert_array_equal(v[2], w)
+        got, want = vjp(g), one_vjp([gk[2].copy() for gk in g])
+        assert len(got) == len(want)
+        for a, w in zip(got, want):
+            if isinstance(w, ops.Outer):
+                np.testing.assert_array_equal(a.g[2], w.g)
+                np.testing.assert_array_equal(a.x[2], w.x)
+            else:
+                np.testing.assert_array_equal(a[2], w)
+
+    def test_stack_splits_its_adjoint_rows(self):
+        """A stack's value is its parts' rows in order, and its adjoint
+        splits back into theirs: a weight's, and a bias's with or without a
+        case axis in front.  Without a tape it is a plain concatenation."""
+        rng = np.random.default_rng(12)
+        for parts, adjoints in (
+                ([rng.standard_normal((n, 5)) for n in (4, 4, 3)], [(11, 5)]),
+                ([rng.standard_normal(n) for n in (4, 4, 3)], [(11,), (3, 11)])):
+            np.testing.assert_array_equal(network._stack(parts), np.concatenate(parts))
+            tape = ops.Tape()
+            stacked = network._stack([tape.leaf(p) for p in parts])
+            np.testing.assert_array_equal(stacked.value, np.concatenate(parts))
+            axis = -parts[0].ndim
+            for shape in adjoints:
+                g = rng.standard_normal(shape)
+                pieces = tape.entries[-1][1](g)
+                assert [p.shape[axis] for p in pieces] == [4, 4, 3]
+                np.testing.assert_array_equal(np.concatenate(pieces, axis=axis), g)
+
+    @pytest.mark.parametrize("mask", ["mask_evolution", "mask_update", "mask_memory"])
+    def test_masked_blocks_stack_nothing(self, mask):
+        tape = ops.Tape()
+        params = _perturbed(mask)
+        weights = block_weights(replace(params, arrays=params.leaves(tape)))
+        field = {"mask_evolution": "evolution", "mask_update": "update",
+                 "mask_memory": "memory"}[mask]
+        assert getattr(weights, field) is None
+        assert len(tape.entries) == len(params.arrays) + (4 if mask == "mask_memory" else 2)
 
 
 class TestForwardSequence:
@@ -245,9 +337,11 @@ class TestSequenceLoss:
 
 # Tape nodes one taped step records: the feature encoding, the memory update
 # (the LSTM step with the memory-covariance head), each head block and each
-# filter stage with its eigenvalue projection.  The loss is one more node for
-# the whole sequence.
+# filter stage.  A sequence records STACK_NODES more before its first step,
+# the stacked weight and bias of each head block, and the loss is one more
+# node for the whole sequence.
 NODES_PER_STEP = 8
+STACK_NODES = 4
 
 
 def _perturbed(mask, memory_dim=6, seed=11):
@@ -281,14 +375,15 @@ class TestFusedPipeline:
 
     def test_node_count_per_step(self, model):
         """A seeded 20-step taped sequence and its loss record at most
-        NODES_PER_STEP nodes a step, besides the leaves and the final mean."""
+        NODES_PER_STEP nodes a step, besides the leaves, the head stacks and
+        the final mean."""
         case = generate_case(ScenarioConfig(steps=21, cases=1, seed=32), 32, 0)
         tape = ops.Tape()
         states, exts, leaves = forward_sequence(_perturbed(None), case.frames, model, tape=tape)
         loss = sequence_loss(states, exts, case.truth.states[1:], case.truth.extents[1:])
         assert len(states) == 20
         assert len(tape.entries) == loss.idx + 1
-        assert len(tape.entries) - len(leaves) <= NODES_PER_STEP * 20 + 1
+        assert len(tape.entries) - len(leaves) <= STACK_NODES + NODES_PER_STEP * 20 + 1
 
 
 class TestBatchForward:
@@ -350,7 +445,9 @@ class TestBatchForward:
         """Every node of a batched tape, given batch-shaped adjoints, returns
         for each case what the same node of that case's own tape returns for
         that case's rows, bit for bit: per-case adjoints row by row, and each
-        weight's outer-product factors and each bias's adjoint row by row."""
+        weight's outer-product factors and each bias's adjoint row by row.
+        The head stacks' values carry no case axis; they are given adjoints
+        with one in front, as a bias stack gets them from a batch."""
         params = _perturbed(None)
         params.feat_mean, params.feat_std = collect_feature_stats(cases, model, TrackerConfig())
 
@@ -358,8 +455,8 @@ class TestBatchForward:
             tape, outputs = ops.Tape(), {}
             record = tape.record
 
-            def keep(values, parents, vjp):  # remember one-output nodes' values too
-                outputs[len(tape.entries)] = values
+            def keep(values, parents, vjp):  # remember every node's values
+                outputs[len(tape.entries)] = values if isinstance(values, tuple) else (values,)
                 return record(values, parents, vjp)
 
             tape.record = keep
@@ -367,17 +464,21 @@ class TestBatchForward:
             return tape, outputs
 
         batch, outputs = taped(cases)
-        singles = [taped([case])[0] for case in cases]
-        assert all(len(t.entries) == len(batch.entries) for t in singles)
+        singles = [taped([case]) for case in cases]
+        assert all(len(t.entries) == len(batch.entries) for t, _ in singles)
         rng = np.random.default_rng(34)
+        stacks = 0
         for idx, entry in enumerate(batch.entries):
             if not entry:
                 continue
             several = entry[2] is not None
-            values = entry[2] if several else (outputs[idx],)
-            g = [rng.standard_normal(np.shape(v)) for v in values]
+            shapes = [np.shape(v) for v in outputs[idx]]
+            if shapes == [np.shape(v) for v in singles[0][1][idx]]:  # a head stack
+                stacks += 1
+                shapes = [(len(cases),) + shape for shape in shapes]
+            g = [rng.standard_normal(shape) for shape in shapes]
             got = entry[1](g if several else g[0])
-            for i, single in enumerate(singles):
+            for i, (single, _) in enumerate(singles):
                 rows = [np.array(gk[i]) for gk in g]  # each case's rows, in memory of their own
                 want = single.entries[idx][1](rows if several else rows[0])
                 assert len(got) == len(want)
@@ -389,3 +490,4 @@ class TestBatchForward:
                         np.testing.assert_array_equal(a.x[i], w.x)
                     else:
                         np.testing.assert_array_equal(a[i], w)
+        assert stacks == STACK_NODES

@@ -19,6 +19,7 @@ from memtrack.models import (
     ExtensionState,
     ScenarioConfig,
     TrackState,
+    frame_features,
     frame_stats,
     nominal_cv_model,
 )
@@ -78,8 +79,8 @@ class TestNoAlgebra:
 
     def test_every_node_is_recorded_by_node(self, monkeypatch):
         """Only ``ops.node`` records, and a taped sequence calls it from its
-        filter stages, network blocks and loss alone: the LSTM step and the
-        2x2 solve record nothing of their own."""
+        filter stages, network blocks, head stacks and loss alone: the LSTM
+        step and the 2x2 solve record nothing of their own."""
         recorders, stages, record, node = [], [], ops.Tape.record, ops.node
 
         def traced_record(tape, *args):
@@ -102,7 +103,7 @@ class TestNoAlgebra:
         assert set(stages) == {fn.__code__ for fn in (
             filtering.predict_state, filtering.predict_extension, filtering.update_state,
             filtering.update_extension, network.encode_inputs, network.mub_step,
-            network.jeb_heads, network.jub_heads, network.sequence_loss)}
+            network.jeb_heads, network.jub_heads, network.sequence_loss, network._stack)}
 
 
 @pytest.mark.usefixtures("algebra")
@@ -482,19 +483,21 @@ def _memory(rng, tape):
 
 
 def _frame(rng):
-    return frame_stats(rng.standard_normal((7, 2)) * [3.0, 1.0] + [1.0, -2.0])
+    """A frame's statistics and its row of the frame features."""
+    fs = frame_stats(rng.standard_normal((7, 2)) * [3.0, 1.0] + [1.0, -2.0])
+    return fs, frame_features([fs])[0]
 
 
 def _features_args(tape):
     rng = np.random.default_rng(40)
     state, ext, leaves = _belief(rng, tape)
     params, _ = _params(rng, tape)
-    return (state, ext, _frame(rng), params), leaves
+    return (state, ext, *_frame(rng), network.block_weights(params)), leaves
 
 
 def _raw_features_args(tape):
     args, leaves = _features_args(tape)
-    return args[:3], leaves
+    return args[:4], leaves
 
 
 def _mub_args(tape):
@@ -502,21 +505,21 @@ def _mub_args(tape):
     params, leaves = _params(rng, tape)
     features = tape.leaf(rng.standard_normal(network.FEATURE_DIM))
     mem, mem_leaves = _memory(rng, tape)
-    return (params, features, mem), leaves + [features] + mem_leaves
+    return (network.block_weights(params), features, mem), leaves + [features] + mem_leaves
 
 
 def _jeb_args(tape):
     rng = np.random.default_rng(42)
     params, leaves = _params(rng, tape)
     mem, mem_leaves = _memory(rng, tape)
-    return (params, mem), leaves + mem_leaves
+    return (network.block_weights(params), mem), leaves + mem_leaves
 
 
 def _jub_args(tape):
     rng = np.random.default_rng(43)
     params, leaves = _params(rng, tape)
     state, ext, belief_leaves = _belief(rng, tape)
-    return (params, state, ext), leaves + belief_leaves
+    return (network.block_weights(params), state, ext), leaves + belief_leaves
 
 
 def _loss_args(tape, steps, gamma=0.0):
@@ -642,3 +645,45 @@ class TestStacks:
                 broken[tuple(n - 1 for n in lead)] = bad
                 with pytest.raises(NotPositiveDefinite):
                     ops.logchol2x2(broken)
+
+    @pytest.mark.parametrize("row, message", [
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), "leading entry"),
+        (np.array([[0.0, 0.0], [0.0, 1.0]]), "leading entry"),
+        (np.array([[-5e-324, 1.0], [1.0, 1.0]]), "leading entry"),
+        (np.array([[-4.0, 3.0], [3.0, -1.0]]), "leading entry"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "Schur complement"),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), "Schur complement"),
+    ], ids=["zero", "zero-diagonal", "negative-subnormal", "negative", "indefinite",
+            "singular"])
+    def test_logchol_domain_row_raises(self, row, message):
+        """A row whose leading entry is not positive raises the
+        leading-entry error, one whose Schur complement is not positive the
+        Schur error, for one case and in any row of a stack, with no numpy
+        warning (pytest makes a RuntimeWarning an error).  A stack with both
+        kinds of row raises the leading-entry error."""
+        for lead in self.LEADS:
+            stack = np.broadcast_to(np.eye(2), lead + (2, 2)).copy()
+            stack[tuple(n - 1 for n in lead)] = row
+            with pytest.raises(NotPositiveDefinite, match=message):
+                ops.logchol2x2(stack)
+        with pytest.raises(NotPositiveDefinite, match=message):
+            ops.logchol2x2(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], row]))
+
+    def test_logchol_nan_row_passes_through(self):
+        """A NaN row gives NaN features and raises nothing: the filter's
+        one finiteness check reports it (``run_filter``'s NonFinite)."""
+        rng = np.random.default_rng(31)
+        for lead in self.LEADS:
+            size = int(np.prod(lead))
+            stack = np.array([_spectrum(2, rng, low) for low in rng.uniform(0.1, 4.0, size)])
+            stack = stack.reshape(lead + (2, 2))
+            want = ops.logchol2x2(stack)
+            last = tuple(n - 1 for n in lead)
+            for nan_entry in ((0, 0), (0, 1), (1, 1)):
+                broken = stack.copy()
+                broken[last + nan_entry] = np.nan
+                got = ops.logchol2x2(broken)
+                assert np.isnan(got[last]).any()
+                rest = np.ones(lead, dtype=bool)
+                rest[last] = False
+                np.testing.assert_array_equal(got[rest], want[rest])

@@ -1,10 +1,12 @@
 """How much a tracker that knew each step's true turn rate would gain.
 
 The oracle below runs the baseline's five stages with a per-step nominal
-model whose transition F and extension transition A are the coordinated
-turn at the simulator's true turn rate: ``truth.omegas[k]`` drives state
-k - 1 to state k.  It is a test-only yardstick for the part of the error
-that the turns cause, which a compensation network can at best remove.
+model whose transition F is the coordinated turn at the simulator's true
+turn rate, and turns the extent with the target: it rotates the prior
+extension parameter by that turn, R X R^T, before each prediction.
+``truth.omegas[k]`` drives state k - 1 to state k.  It is a test-only
+yardstick for the part of the error that the turns cause, which a
+compensation network can at best remove.
 
 Two scenarios are named (README, ``docs/config.md``): the default, and
 *maneuvering*, the default with turn rates of 5-15 deg/s.
@@ -37,8 +39,9 @@ def turn_transition(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_run(case, model, tcfg, dt):
-    """One case filtered with the true turn rate in F and A at every step,
-    by the baseline's stages in ``run_filter``'s order."""
+    """One case filtered with the true turn rate in F and in the rotation A
+    of the prior extent (A X A^T, symmetrized) at every step, by the
+    baseline's stages in ``run_filter``'s order."""
     state, ext = filtering.init_track(case.frames[0], tcfg)
     zero_df, zero_ef, zero_pphi = filtering.ZERO_EVOLUTION
     zero_dh, zero_eh = filtering.ZERO_MEASUREMENT
@@ -46,11 +49,13 @@ def oracle_run(case, model, tcfg, dt):
     frame_stats = models.reduce_frames(case.frames[1:])
     for omega, fs in zip(case.truth.omegas[1:], frame_stats):
         f, a = turn_transition(float(omega), dt)
-        step_model = replace(model, F=f, a=a)
+        step_model = replace(model, F=f)
+        turned = a @ ext.param @ a.T
+        ext = ExtensionState(dof=ext.dof, param=0.5 * (turned + turned.T))
         pred = filtering.predict_state(state, step_model, zero_df, zero_ef)
         ext_pred = filtering.predict_extension(ext, step_model, zero_pphi)
         stats = filtering.innovation(pred, ext_pred, step_model, zero_dh, zero_eh, fs)
-        state = filtering.update_state(pred, stats)
+        state = filtering.update_state(stats)
         ext = filtering.update_extension(ext_pred, fs)
         states.append(state)
         exts.append(ext)

@@ -8,7 +8,7 @@ import pytest
 from memtrack import cli, filtering, network, ops, training
 from memtrack.errors import EmptyDataset, NonFinite, NotPositiveDefinite, SingularInnovation
 from memtrack.filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
-from memtrack.models import ScenarioConfig, nominal_cv_model
+from memtrack.models import ScenarioConfig, frame_features, nominal_cv_model
 from memtrack.metrics import case_series, evaluate_run
 from memtrack.network import FEATURE_DIM, forward_sequence, init_params, raw_features
 from memtrack.simulate import SimCase, generate_case, generate_dataset
@@ -215,9 +215,12 @@ def _feature_sums_reference(cases, model, tcfg):
     acc, acc2, count = np.zeros(FEATURE_DIM), np.zeros(FEATURE_DIM), 0
 
     class Sums:
+        def start(self, stats):
+            self.frames = iter(frame_features(stats))
+
         def evolve(self, state, ext, fs):
             nonlocal acc, acc2, count
-            feats = raw_features(state, ext, fs)
+            feats = raw_features(state, ext, fs, next(self.frames))
             acc, acc2, count = acc + feats, acc2 + feats * feats, count + 1
             return ZERO_EVOLUTION
 
@@ -297,10 +300,11 @@ class TestBatchedPasses:
         assert calls == [len(cases)] * 4
 
     def test_a_taped_sequence_keeps_its_node_count(self, monkeypatch):
-        """One 140-step taped sequence (139 filter steps) records 1 126 tape
-        entries: 14 leaves, 7 nodes for the first step (its features come
-        from the untaped initial beliefs), 8 for each later step and one for
-        the loss."""
+        """One 140-step taped sequence (139 filter steps) records 1 130 tape
+        entries: 14 leaves, 4 head stacks (each head block's weight and
+        bias), 7 nodes for the first step (its features come from the
+        untaped initial beliefs), 8 for each later step and one for the
+        loss."""
         case = generate_case(ScenarioConfig(steps=140, cases=1, seed=7), 7, 0)
         model = nominal_cv_model(sigma_w=0.4)
         params = init_params(64, np.random.default_rng(0))
@@ -311,7 +315,7 @@ class TestBatchedPasses:
                             lambda tape, out: nodes.append(len(tape.entries))
                             or backward(tape, out))
         loss, _ = training._sequence_gradients(params, case, model, TrainConfig())
-        assert np.isfinite(loss) and nodes == [14 + 7 + 8 * 138 + 1] == [1126]
+        assert np.isfinite(loss) and nodes == [14 + 4 + 7 + 8 * 138 + 1] == [1130]
 
 
 class TestCollectorPause:
