@@ -5,7 +5,8 @@ file, so plotting stays external: :mod:`memtrack.store` writes the datasets,
 checkpoints, JSON reports and every CSV table.  A flag that mirrors a config
 key has the key as its ``dest`` and is read as that key's file value.  Each
 command checks its settings and its output paths (each directory exists, no
-file is an existing directory, no two name one file; ``simulate`` creates
+file is an existing directory, no two name one file, none names the
+dataset, ``--checkpoint`` or ``--config`` it reads; ``simulate`` creates
 its ``--out``) before it reads an input or simulates, except settings that
 need the dataset: the ``model.*`` keys (``q_sigma`` defaults to its σ_w)
 and ``track --case``.  ``eval``/``track``
@@ -182,15 +183,19 @@ def _train_config(view: dict, mask_spec: str = "", **overrides) -> TrainConfig:
                     **{MASK_FIELDS[t]: True for t in tokens}, **overrides)
 
 
-def _check_out_dirs(*paths) -> None:
+def _check_out_dirs(*paths, reads=()) -> None:
     """Raise StoreError unless the directory of each output path exists, no
-    path is an existing directory and no two paths name one file."""
+    path is an existing directory, no two paths name one file and none
+    names a file the command reads (``reads``; None for an unset one)."""
+    inputs = {os.path.realpath(path): path for path in reads if path is not None}
     for path in paths:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise StoreError(f"output directory {directory} does not exist")
         if os.path.isdir(path):
             raise StoreError(f"output path {path} is a directory")
+        if os.path.realpath(path) in inputs:
+            raise StoreError(f"output path {path} names the input {inputs[os.path.realpath(path)]}")
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise StoreError(f"output paths {' and '.join(paths)} name one file")
 
@@ -222,7 +227,7 @@ def cmd_train(args) -> int:
     view = _load_view(args)
     cfg = _train_config(view, args.mask)
     history_path = args.history or (args.out + ".history.csv")
-    _check_out_dirs(args.out, history_path)
+    _check_out_dirs(args.out, history_path, reads=(args.dataset, args.config))
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     params, history, folds = train(dataset.train_cases, model, cfg)
@@ -282,7 +287,8 @@ def cmd_eval(args) -> int:
         prefixes = {"learned" if args.checkpoint else "baseline": args.out}
     compare_path = f"{args.out}.compare.csv"
     _check_out_dirs(*(prefix + ext for prefix in prefixes.values() for ext in (".csv", ".json")),
-                    *([compare_path] if args.compare else []))
+                    *([compare_path] if args.compare else []),
+                    reads=(args.dataset, args.checkpoint, args.config))
     dataset = read_dataset(args.dataset)
     model = _model_from(view, dataset.config)
     cases = dataset.test_cases
@@ -303,7 +309,7 @@ def cmd_track(args) -> int:
     view = _load_view(args)
     tracker = _section(view, "tracker")
     points_path = args.out + ".points.csv"
-    _check_out_dirs(args.out, points_path)
+    _check_out_dirs(args.out, points_path, reads=(args.dataset, args.checkpoint, args.config))
     dataset = read_dataset(args.dataset)
     if not (0 <= args.case < len(dataset.cases)):
         raise StoreError(f"case index {args.case} out of range 0..{len(dataset.cases) - 1}")
@@ -365,7 +371,7 @@ def cmd_datascale(args) -> int:
     train_cfg = _train_config(view, epochs=epochs, folds=1, seed=base.seed)
     for size in sizes:  # before any rung trains
         check_folds(size, train_cfg)
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, reads=(args.config,))
 
     largest = max(sizes)
     cfg_all = _checked(replace, base, cases=largest + test_cases,

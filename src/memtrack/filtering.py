@@ -14,14 +14,15 @@ is the frame mean's scatter covariance, SCATTER_SCALE * Xhat / n.
 :func:`run_filter` is the only place the per-step recursion is written.  It
 takes an optional compensator, an object with three methods:
 
-- ``start(stats)`` gets every step's frame statistics once, before the
-  first step (the learned tracker computes its frame features there);
+- ``start(stats)`` gets every step's frame statistics once, stacked in one
+  record (:func:`memtrack.models.reduce_frames`), before the first step
+  (the learned tracker computes its frame features there);
 
 and, once per step, in this order:
 
 - ``evolve(state, ext, fs)`` gets the previous posteriors and the current
-  frame's statistics and returns the evolution moments ``(df, ef, pphi)``
-  used by both predictions;
+  frame's statistics, that step's row of the record, and returns the
+  evolution moments ``(df, ef, pphi)`` used by both predictions;
 - ``measure(pred, ext_pred)`` gets those predictions and returns the
   measurement moments ``(dh, eh)`` used by the innovation.
 
@@ -373,11 +374,11 @@ def run_filter(
     ``frames`` is one case's frames, or a time-major batch of N cases (see
     :func:`memtrack.models.stack_frames`), filtered together with a leading
     case axis on every belief.  Frame statistics come from one reduction
-    over every frame (:func:`memtrack.models.reduce_frames`), which a
-    compensator gets first (``compensator.start``).  Every later
-    frame runs ``compensator.evolve`` -> prediction ->
-    ``compensator.measure`` -> innovation -> update (see the module
-    docstring); ``compensator=None`` is the zero-compensation baseline.
+    over every frame (:func:`memtrack.models.reduce_frames`), whose stacked
+    record a compensator gets first (``compensator.start``).  Every later
+    frame, as its row of the record, runs ``compensator.evolve`` ->
+    prediction -> ``compensator.measure`` -> innovation -> update (see the
+    module docstring); ``compensator=None`` is the zero-compensation baseline.
     ``trace``, if given, receives one :class:`FilterDiagnostics` per step.
 
     Returns (posterior states, posterior extensions, trace), the first two
@@ -394,7 +395,7 @@ def run_filter(
         reduced = reduce_frames(frames[1:])
         if compensator is not None:
             compensator.start(reduced)
-        for k, fs in enumerate(reduced, start=2):
+        for k, fs in enumerate(map(FrameStats, *reduced), start=2):
             df, ef, pphi = (ZERO_EVOLUTION if compensator is None
                             else compensator.evolve(state, ext, fs))
             pred = predict_state(state, model, df, ef)

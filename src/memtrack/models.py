@@ -11,7 +11,8 @@ Beliefs and frame statistics describe one case (leading shape ``()``), or
 a batch of N cases with a leading case axis: means (N, 4), covariances
 (N, 4, 4), extension dofs (N,) and parameters (N, 2, 2).  A batch's frames
 are time-major: frame k of a batch is the tuple of every case's k-th (n, 2)
-frame (:func:`stack_frames`).
+frame (:func:`stack_frames`); a run's frame statistics add a leading step
+axis (:func:`reduce_frames`).
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ class ExtensionState(NamedTuple):
 
 
 class FrameStats(NamedTuple):
-    """Sufficient statistics of a frame: mean, unnormalized scatter and
-    count (an int for one case, an (N,) int array for a batch).  The
-    network's features of a frame come from them (:func:`frame_features`)."""
+    """Mean, unnormalized scatter and int64 count of one frame's row (of a
+    case or a batch) or of a run's stack of rows (a leading step axis, see
+    :func:`reduce_frames`); :func:`frame_features` encodes them."""
 
-    mean: np.ndarray     # (2,) or (N, 2)
-    scatter: np.ndarray  # (2, 2) or (N, 2, 2), sum of outer products around the mean
-    count: int | np.ndarray
+    mean: np.ndarray     # (..., 2)
+    scatter: np.ndarray  # (..., 2, 2), sum of outer products around the mean
+    count: np.int64 | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -166,25 +167,25 @@ MEASUREMENT_MATRIX = np.array([
 
 def frame_stats(points) -> FrameStats:
     """Mean and unnormalized scatter of a frame's (n, 2) points, or of a
-    batch's frame (a tuple of N such arrays): the one-frame case of
+    batch's frame (a tuple of N such arrays): row 0 of the one-frame
     :func:`reduce_frames`, bit for bit."""
     if not isinstance(points, tuple):
         points = np.asarray(points, dtype=np.float64)
-    return reduce_frames([points])[0]
+    return FrameStats(*(field[0] for field in reduce_frames([points])))
 
 
-def reduce_frames(frames) -> list[FrameStats]:
+def reduce_frames(frames) -> FrameStats:
     """The statistics of every frame, from one ``np.add.reduceat`` over all
-    their points.
+    their points, stacked: mean (K, 2), scatter (K, 2, 2) and count (K,).
 
-    ``frames`` holds one case's (n, 2) frames, or a batch's frames, each a
+    ``frames`` holds one case's K (n, 2) frames, or a batch's frames, each a
     tuple of N per-case frames (see :func:`stack_frames`), whose statistics
-    then carry a leading case axis.  A frame without points raises
-    EmptyFrame (``reduceat`` would read a neighbouring point for it).
+    then carry a case axis after the step axis.  A frame without points
+    raises EmptyFrame (``reduceat`` would read a neighbouring point for it).
     """
     batched = isinstance(frames[0], tuple)
     flat = [f for frame in frames for f in frame] if batched else frames
-    counts = np.array([len(f) for f in flat])
+    counts = np.array([len(f) for f in flat], dtype=np.int64)
     if not counts.all():
         raise EmptyFrame("frame has no points")
     points = np.concatenate(flat, axis=0, dtype=np.float64)
@@ -198,25 +199,19 @@ def reduce_frames(frames) -> list[FrameStats]:
     scatter[:, 0, 0] = np.add.reduceat(x * x, starts)
     scatter[:, 0, 1] = scatter[:, 1, 0] = np.add.reduceat(x * y, starts)
     scatter[:, 1, 1] = np.add.reduceat(y * y, starts)
-    if batched:
-        lead = (len(frames), len(frames[0]))
-        return [FrameStats(mean=m, scatter=s, count=c) for m, s, c in zip(
-            mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))]
-    return [FrameStats(mean=m, scatter=s, count=c)
-            for m, s, c in zip(mean, scatter, counts.tolist())]
+    lead = (len(frames), -1) if batched else (-1,)
+    return FrameStats(mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))
 
 
-def frame_features(stats: list[FrameStats]) -> np.ndarray:
-    """The network's features of every frame in ``stats`` at once, (K, 4),
-    or (K, N, 4) for a batch's: the log-Cholesky features of the frame's
+def frame_features(stats: FrameStats) -> np.ndarray:
+    """The network's features of every frame in ``stats`` at once, the
+    count's shape plus (4,): the log-Cholesky features of the frame's
     covariance ``scatter / max(count - 1, 1) + FRAME_COV_EPS * I`` and
     ``log(count)``.  The filter never reads them."""
-    scatter = np.array([fs.scatter for fs in stats])
-    counts = np.array([fs.count for fs in stats])
-    features = np.empty(counts.shape + (4,))
-    features[..., :3] = logchol2x2(scatter / np.maximum(counts - 1, 1)[..., None, None]
+    features = np.empty(stats.count.shape + (4,))
+    features[..., :3] = logchol2x2(stats.scatter / np.maximum(stats.count - 1, 1)[..., None, None]
                                    + _FRAME_COV_FLOOR)
-    features[..., 3] = np.log(counts)
+    features[..., 3] = np.log(stats.count)
     return features
 
 

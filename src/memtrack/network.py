@@ -39,7 +39,7 @@ outputs and loss terms then carry a leading case axis, and each row is
 computed bit for bit as that case alone.  A taped batch differentiates the
 cases' summed loss.  The frame's own features
 (:func:`memtrack.models.frame_features`) are computed once per sequence,
-from every frame's statistics, when :func:`memtrack.filtering.run_filter`
+from the run's stacked statistics, when :func:`memtrack.filtering.run_filter`
 starts the network as its compensator.
 """
 
@@ -271,7 +271,8 @@ def _features(state: TrackState, ext: ExtensionState, fs: FrameStats | None = No
 
 def raw_features(state: TrackState, ext: ExtensionState, fs: FrameStats, frame):
     """Unstandardized 18-feature encoding of (posterior, current frame),
-    ``frame`` the frame's row of :func:`memtrack.models.frame_features`."""
+    ``frame`` the frame's row of :func:`memtrack.models.frame_features`,
+    for any leading shape (a case, a batch, or a run's stacked steps)."""
     raw, back = _features(state, ext, fs, frame)
     return ops.node(raw, (state.mean, state.cov, ext.param), back)
 
@@ -382,9 +383,9 @@ class _Compensator:
         self.weights = block_weights(params)
         self.mem = self.frame_rows = None
 
-    def start(self, stats: list[FrameStats]):
-        # one memory per case of the first frame
-        self.mem = initial_memory(self.memory_dim, stats[0].mean.shape[:-1])
+    def start(self, stats: FrameStats):
+        # one memory per case: the axes between the step axis and the point's
+        self.mem = initial_memory(self.memory_dim, stats.mean.shape[1:-1])
         self.frame_rows = iter(frame_features(stats))
 
     def evolve(self, state: TrackState, ext: ExtensionState, fs: FrameStats):

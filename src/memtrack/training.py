@@ -3,8 +3,9 @@
 Backpropagation runs through the full recursion (every matrix solve and
 Joseph-form update included), so the loss gradient reaches every head
 weight; the optimizer is momentum SGD with global-norm gradient clipping.
-Feature standardization statistics are collected from a zero-compensation
-pass over the training split and frozen before the first update.
+Feature standardization statistics are collected from one zero-compensation
+pass over the training split, whose stacked priors are encoded in one
+vectorized call, and frozen before the first update.
 
 ``_run_loss`` is the one place cases are forwarded and scored by the loss.
 Gradients are taped one sequence at a time, on a tape of eight nodes a
@@ -31,8 +32,9 @@ from . import metrics as metrics_mod
 from . import ops
 from .errors import (ConfigError, EmptyDataset, NonFinite, NotPositiveDefinite,
                      SingularInnovation)
-from .filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
-from .models import NominalModel, frame_features, stack_frames
+from .filtering import TrackerConfig, init_track, run_filter
+from .models import (ExtensionState, NominalModel, TrackState, frame_features, reduce_frames,
+                     stack_frames)
 from .network import (
     FEATURE_DIM,
     MASK_FIELDS,
@@ -147,36 +149,28 @@ def sgd_step(
     return new_arrays, new_velocity
 
 
-class _FeatureRecorder:
-    """A zero-compensation :func:`run_filter` compensator that keeps the raw
-    features the network would see at every step."""
-
-    def __init__(self):
-        self.steps = []
-        self.frame_rows = None
-
-    def start(self, stats):
-        self.frame_rows = iter(frame_features(stats))
-
-    def evolve(self, state, ext, fs):
-        self.steps.append(raw_features(state, ext, fs, next(self.frame_rows)))
-        return ZERO_EVOLUTION
-
-    def measure(self, pred, ext_pred):
-        return ZERO_MEASUREMENT
-
-
 def collect_feature_stats(
     cases: list[SimCase],
     model: NominalModel,
     tcfg: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean/std of the raw encoding over one baseline filter
-    pass of all ``cases``, which share their length."""
-    recorder = _FeatureRecorder()
-    run_filter(stack_frames([case.frames for case in cases]), model, tcfg, recorder)
+    pass of all ``cases``, which share their length.
+
+    Each step's prior (the initial beliefs, then every posterior but the
+    last) and frame, as the network sees them, are encoded by one
+    :func:`raw_features` call on the run's stacks, with no silenced
+    warnings: a finite run (run_filter raises NonFinite otherwise) takes
+    logs of SPD variances and extents, dofs above 2d + 2 and counts >= 1."""
+    frames = stack_frames([case.frames for case in cases])
+    states, exts, _ = run_filter(frames, model, tcfg)
+    state, ext = init_track(frames[0], tcfg)
+    stats = reduce_frames(frames[1:])
+    steps = raw_features(TrackState(*map(np.stack, zip(state, *states[:-1]))),
+                         ExtensionState(*map(np.stack, zip(ext, *exts[:-1]))),
+                         stats, frame_features(stats))
     # case by case, step by step: axis-0 sums add the rows in this order
-    feats = np.moveaxis(np.array(recorder.steps), 0, -2).reshape(-1, FEATURE_DIM)
+    feats = np.moveaxis(steps, 0, -2).reshape(-1, FEATURE_DIM)
     mean = feats.sum(axis=0) / len(feats)
     var = np.maximum((feats * feats).sum(axis=0) / len(feats) - mean * mean, 1e-12)
     return mean, np.sqrt(var)

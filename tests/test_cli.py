@@ -607,6 +607,43 @@ class TestOutputDirectories:
             f"data error: output paths same.mtck and {history} name one file\n")
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
+    @pytest.mark.parametrize("command, output, source", [
+        (["train", "d.mtds", "--out", "d.mtds"], "d.mtds", "d.mtds"),
+        (["train", "d.mtds", "--out", "x.mtck", "--history", "./d.mtds"], "./d.mtds", "d.mtds"),
+        (["train", "d.mtds", "--out", "link.mtds"], "link.mtds", "d.mtds"),
+        (["track", "d.mtds", "--case", "0", "--checkpoint", "c.mtck", "--out", "c.mtck"],
+         "c.mtck", "c.mtck"),
+        (["track", "d.mtds", "--case", "0", "--checkpoint", "t.csv.points.csv", "--out", "t.csv"],
+         "t.csv.points.csv", "t.csv.points.csv"),
+        (["eval", "d.mtds", "--checkpoint", "r.json", "--out", "r"], "r.json", "r.json"),
+        (["eval", "d.mtds", "--checkpoint", "r.learned.csv", "--compare", "--out", "r"],
+         "r.learned.csv", "r.learned.csv"),
+        (["datascale", "--config", "s.cfg", "--out", "s.cfg", "--sizes", "3"], "s.cfg", "s.cfg"),
+    ], ids=["train-out", "train-history", "train-out-symlink", "track-out", "track-points",
+            "eval-report", "eval-compare-report", "datascale-config"])
+    def test_output_that_names_an_input_is_data_error(self, small_dataset, tmp_path,
+                                                      monkeypatch, capsys, command, output,
+                                                      source):
+        """An output path that resolves to the dataset, the checkpoint or the
+        config file the command reads exits 3 before any data is read or
+        anything is written, and the input keeps its bytes."""
+        for name in ("train", "generate_dataset", "read_dataset", "read_checkpoint"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.mtds").write_bytes(small_dataset.read_bytes())
+        (tmp_path / "link.mtds").symlink_to(tmp_path / "d.mtds")
+        checkpoint = next((arg for flag, arg in zip(command, command[1:])
+                           if flag == "--checkpoint"), None)
+        if checkpoint is not None:
+            write_checkpoint(zero_params(4), tmp_path / checkpoint)
+        (tmp_path / "s.cfg").write_text("datascale.epochs = 1\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rc = main(command)
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: output path {output} names the input {source}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestTrack:
     def test_row_count_and_truth_columns(self, small_dataset, tmp_path):

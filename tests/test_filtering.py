@@ -616,6 +616,27 @@ class TestCompensator:
             np.testing.assert_array_equal(pred.cov, expect.cov)
             np.testing.assert_array_equal(ext_pred.param, expect_ext.param)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_start_gets_the_stacked_record(self, cv_model, comp, count):
+        """``start`` gets the run's statistics as one FrameStats of K - 1
+        rows; each step's ``evolve`` and trace frame is its row k, bit for
+        bit."""
+        cases = _batch_cases(steps=12, count=count, seed=21)
+        stub = StubCompensator(comp)
+        _, _, trace = filtering.run_filter(models.stack_frames([c.frames for c in cases]),
+                                           cv_model, TrackerConfig(), stub, trace=[])
+        [stats] = stub.started
+        lead = (11,) if count == 1 else (11, count)
+        assert isinstance(stats, models.FrameStats)
+        assert (stats.mean.shape, stats.scatter.shape, stats.count.shape) == (
+            lead + (2,), lead + (2, 2), lead)
+        assert len(stub.evolved) == len(trace) == 11
+        for k, ((_, _, fs), diag) in enumerate(zip(stub.evolved, trace)):
+            for row in (fs, diag.frame):
+                assert isinstance(row, models.FrameStats)
+                for got, stacked in zip(row, stats):
+                    np.testing.assert_array_equal(got, stacked[k], strict=True)
+
     def test_trace_only_on_request(self, cv_model, case, monkeypatch):
         tcfg = TrackerConfig()
         trace = []

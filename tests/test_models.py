@@ -151,9 +151,12 @@ class TestReduceFrames:
                 for n in rng.integers(1, 30, count)]
 
     def test_matches_direct_formulas(self):
-        for fs, pts in zip(models.reduce_frames(self._frames(3)), self._frames(3)):
+        stats = models.reduce_frames(self._frames(3))
+        assert stats.mean.shape == (12, 2) and stats.scatter.shape == (12, 2, 2)
+        assert stats.count.shape == (12,) and stats.count.dtype == np.int64
+        for fs, pts in zip(map(models.FrameStats, *stats), self._frames(3)):
             mean, scatter = _textbook_stats(pts)
-            assert fs.count == len(pts) and isinstance(fs.count, int)
+            assert fs.count == len(pts) and isinstance(fs.count, np.int64)
             np.testing.assert_allclose(fs.mean, mean, rtol=1e-12, atol=1e-12 * 50)
             np.testing.assert_allclose(fs.scatter, scatter, rtol=1e-12,
                                        atol=1e-12 * np.abs(scatter).max())
@@ -161,20 +164,22 @@ class TestReduceFrames:
 
     def test_frame_stats_is_the_one_frame_case(self):
         frames = self._frames(4)
-        for fs, pts in zip(models.reduce_frames(frames), frames):
+        for fs, pts in zip(map(models.FrameStats, *models.reduce_frames(frames)), frames):
             one = models.frame_stats(pts)
             np.testing.assert_array_equal(one.mean, fs.mean)
             np.testing.assert_array_equal(one.scatter, fs.scatter)
-            assert one.count == fs.count
+            assert one.count == fs.count and isinstance(one.count, np.int64)
 
     def test_batch_rows_are_the_cases_frames(self):
         runs = [self._frames(seed, count=5) for seed in (5, 6, 7)]
         batch = models.reduce_frames(models.stack_frames(runs))
+        assert batch.mean.shape == (5, 3, 2) and batch.scatter.shape == (5, 3, 2, 2)
+        assert batch.count.shape == (5, 3) and batch.count.dtype == np.int64
         for i, frames in enumerate(runs):
-            for fs, one in zip(batch, models.reduce_frames(frames)):
-                np.testing.assert_array_equal(fs.mean[i], one.mean)
-                np.testing.assert_array_equal(fs.scatter[i], one.scatter)
-                assert fs.count[i] == one.count
+            one = models.reduce_frames(frames)
+            np.testing.assert_array_equal(batch.mean[:, i], one.mean)
+            np.testing.assert_array_equal(batch.scatter[:, i], one.scatter)
+            np.testing.assert_array_equal(batch.count[:, i], one.count)
 
     def test_scatter_is_the_outer_product_sum_bit_for_bit(self):
         """The three per-entry sums equal the reduceat of the (P, 2, 2) outer
@@ -190,9 +195,8 @@ class TestReduceFrames:
         mean = np.add.reduceat(points, starts, axis=0) / counts[:, None]
         centered = points - np.repeat(mean, counts, axis=0)
         outer = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
-        np.testing.assert_array_equal(np.stack([fs.scatter for fs in batch]),
-                                      outer.reshape(9, 3, 2, 2))
-        np.testing.assert_array_equal(np.stack([fs.mean for fs in batch]), mean.reshape(9, 3, 2))
+        np.testing.assert_array_equal(batch.scatter, outer.reshape(9, 3, 2, 2))
+        np.testing.assert_array_equal(batch.mean, mean.reshape(9, 3, 2))
         for frames, copies in zip(runs, kept):
             for f, c in zip(frames, copies):
                 np.testing.assert_array_equal(f, c)

@@ -45,7 +45,7 @@ def model():
 
 def _encode(state, ext, points, params):
     fs = frame_stats(points)
-    return encode_inputs(state, ext, fs, frame_features([fs])[0], block_weights(params))
+    return encode_inputs(state, ext, fs, frame_features(fs), block_weights(params))
 
 
 class TestEncoding:

@@ -485,7 +485,7 @@ def _memory(rng, tape):
 def _frame(rng):
     """A frame's statistics and its row of the frame features."""
     fs = frame_stats(rng.standard_normal((7, 2)) * [3.0, 1.0] + [1.0, -2.0])
-    return fs, frame_features([fs])[0]
+    return fs, frame_features(fs)
 
 
 def _features_args(tape):

@@ -46,7 +46,7 @@ def oracle_run(case, model, tcfg, dt):
     zero_df, zero_ef, zero_pphi = filtering.ZERO_EVOLUTION
     zero_dh, zero_eh = filtering.ZERO_MEASUREMENT
     states, exts = [], []
-    frame_stats = models.reduce_frames(case.frames[1:])
+    frame_stats = map(models.FrameStats, *models.reduce_frames(case.frames[1:]))
     for omega, fs in zip(case.truth.omegas[1:], frame_stats):
         f, a = turn_transition(float(omega), dt)
         step_model = replace(model, F=f)

@@ -463,3 +463,96 @@ class TestSelection:
             assert not velocity[name].any()
         for name, value in params.arrays.items():
             np.testing.assert_array_equal(value, seen[1][name])
+
+
+# The learned path at a fixed seed, recorded before the frame statistics
+# became one stacked record: the feature statistics of three seed-41
+# 30-step cases; with a seed-3 init_params(8) perturbed by 0.05 N(0, 1)
+# (seed 4), the loss (L2 1e-3) and last posterior of case 0 alone and of
+# the three as a batch; and a 1-epoch train at learning rate 0.01 on ten
+# seed-53 20-step cases, whose best epoch is its first.
+PINNED_LEARNED = {
+    "feat_mean": [
+        -61.6255813861683, -25.791569175807744, -4.812874487108543, -1.0299245778499675,
+        -1.7042213339696086, -2.946846041507028, -1.4818769342242923, -1.9787119172269274,
+        1.456633621855016, 0.47787548533858265, -1.0600652839316336, 3.593675891994666,
+        -5.180516967253681, -0.8905909533995967, 0.7860214282346444, -0.17215133594411983,
+        -0.6177409799912835, 2.973782713319099],
+    "feat_std": [
+        148.2041915002451, 41.56791206465103, 8.50628617832971, 4.768350147013392,
+        0.493792998030491, 0.9191090405872223, 0.9670759344951744, 1.0921174160210976,
+        0.2128693516771933, 0.2688862511901977, 1.568851427592668, 0.277514317081396,
+        8.706499435255337, 5.184901954493351, 0.2346279687627258, 0.2697968741877927,
+        0.8079878409058199, 0.23492748968040142],
+    "one": {
+        "loss": 11.711617273872708,
+        "mean": [199.4419210153847, -167.14030208465917, 2.7328830689190804,
+                 -8.809336797874623],
+        "param": [[141.14735182372937, -177.40212207054014],
+                  [-177.40212207054014, 703.9251229477193]],
+        "dof": 39.69879905652488,
+    },
+    "batch": {
+        "loss": [11.711617273872708, 15.41413876092942, 11.175130993563386],
+        "mean": [[199.4419210153847, -167.14030208465917, 2.7328830689190804,
+                  -8.809336797874623],
+                 [-313.67770406475273, 69.49089047578441, -9.036840904348171,
+                  12.247737041225026],
+                 [-329.14892312810883, 14.53705729398906, -13.932433385840534,
+                  1.999142553307585]],
+        "param": [[[141.14735182372937, -177.40212207054014],
+                   [-177.40212207054014, 703.9251229477193]],
+                  [[407.60478041807016, -386.4958987534503],
+                   [-386.4958987534503, 532.6337224509219]],
+                  [[926.7335721576331, -100.12539082796854],
+                   [-100.12539082796854, 110.3500586551466]]],
+        "dof": [39.69879905652488, 41.47263937437674, 43.91709749185247],
+    },
+    "best_val_loss": 14.106272583892409,
+    "sums": {
+        "lstm_w": 5.304719914585656, "lstm_b": 3.9999681189208207,
+        "memcov_w": -1.0658553947768779, "memcov_b": 1.8721208698029906e-05,
+        "evo_shift_w": 0.019871880868898267, "evo_shift_b": 0.00816490957717891,
+        "evo_cov_w": 0.01587250606105832, "evo_cov_b": 0.006788778924330214,
+        "evo_ext_w": -0.00960699146359461, "evo_ext_b": 4.148735327009648e-06,
+        "upd_shift_w": -0.02266561485941821, "upd_shift_b": -0.00795090226682369,
+        "upd_scale_w": -0.022299369299443858, "upd_scale_b": -0.0028492276480270255,
+    },
+}
+
+
+def test_learned_is_pinned():
+    """The learned path still gives the recorded numbers, to roundoff (rtol
+    1e-12, atol 1e-12): the feature statistics, one-case and batched
+    forwards with their losses, and a short training run.  A change to the
+    network, its features or training must show here and update them."""
+    def close(got, want, name):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    want = PINNED_LEARNED
+    cfg = ScenarioConfig(steps=30, cases=3, seed=41)
+    cases = [generate_case(cfg, 41, i) for i in range(3)]
+    model, tcfg = nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt), TrackerConfig()
+    feat_mean, feat_std = collect_feature_stats(cases, model, tcfg)
+    close(feat_mean, want["feat_mean"], "feat_mean")
+    close(feat_std, want["feat_std"], "feat_std")
+
+    params = init_params(8, np.random.default_rng(3))
+    noise = np.random.default_rng(4)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = arr + 0.05 * noise.standard_normal(arr.shape)
+    params.feat_mean, params.feat_std = feat_mean, feat_std
+    for run, group in (("one", cases[:1]), ("batch", cases)):
+        loss, states, exts, _ = training._run_loss(params, group, model, tcfg, 1e-3)
+        got = {"loss": loss, "mean": states[-1].mean, "param": exts[-1].param,
+               "dof": exts[-1].dof}
+        for name, value in want[run].items():
+            close(got[name], value, f"{run} {name}")
+
+    ds = generate_dataset(ScenarioConfig(steps=20, cases=10, seed=53))
+    best, _, folds = train(ds.train_cases, model, make_cfg(learning_rate=0.01))
+    assert folds[0].best_epoch == 0
+    close(folds[0].best_val_loss, want["best_val_loss"], "best_val_loss")
+    assert list(best.arrays) == list(want["sums"])
+    for name, value in best.arrays.items():
+        close(value.sum(), want["sums"][name], name)
