@@ -26,8 +26,8 @@ cfg = mt.ScenarioConfig(steps=60, cases=12, sigma_w=0.4, sigma_v=0.6, seed=3,
                         segment_min=8, segment_max=25)
 ds = mt.generate_dataset(cfg)
 print(f"cases: {len(ds.cases)}  train/test: {len(ds.train_cases)}/{len(ds.test_cases)}")
-counts = [len(f) for c in ds.cases for f in c.frames]
-print(f"scatterers per frame: mean {np.mean(counts):.1f}, min {min(counts)}")
+counts = np.array([c.frames.counts for c in ds.cases])  # (cases, steps)
+print(f"scatterers per frame: mean {counts.mean():.1f}, min {counts.min()}")
 
 model = mt.nominal_cv_model(sigma_w=cfg.sigma_w, dt=cfg.dt)
 test_cases = ds.test_cases

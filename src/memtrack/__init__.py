@@ -23,6 +23,7 @@ from .filtering import (
 from .metrics import EllipseEstimate, MetricsReport, evaluate_run, gwd, iou_ellipse
 from .models import (
     ExtensionState,
+    Frames,
     FrameStats,
     NominalModel,
     ScenarioConfig,

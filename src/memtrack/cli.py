@@ -204,19 +204,20 @@ def cmd_simulate(args) -> int:
     view = _load_view(args)
     base = _section(view, "scenario")
     levels = config.get_float_pairs(view, "simulate.levels", DEFAULT_NOISE_LEVELS)
-    configs = {}  # file name -> its level's scenario
+    configs = {}  # output path -> its level's scenario
     for li, (sw, sv) in enumerate(levels):
         cfg = _checked(replace, base, sigma_w=sw, sigma_v=sv, seed=base.seed + li)
-        name = f"dataset_sw{cfg.sigma_w:g}_sv{cfg.sigma_v:g}.mtds"
-        if name in configs:
-            raise ConfigError(f"two noise levels would write {os.path.join(args.out, name)}")
-        configs[name] = cfg
+        path = os.path.join(args.out, f"dataset_sw{cfg.sigma_w:g}_sv{cfg.sigma_v:g}.mtds")
+        if path in configs:
+            raise ConfigError(f"two noise levels would write {path}")
+        configs[path] = cfg
     os.makedirs(args.out, exist_ok=True)
-    for name, cfg in configs.items():
+    _check_out_dirs(*configs, reads=(args.config,))
+    for path, cfg in configs.items():
         dataset = generate_dataset(cfg)
-        write_dataset(dataset, os.path.join(args.out, name))
-        mean_n = float(np.mean([len(f) for c in dataset.cases for f in c.frames]))
-        print(f"{name}: cases={cfg.cases} steps={cfg.steps} "
+        write_dataset(dataset, path)
+        mean_n = float(np.mean([c.frames.counts for c in dataset.cases]))
+        print(f"{os.path.basename(path)}: cases={cfg.cases} steps={cfg.steps} "
               f"train/test={len(dataset.train_cases)}/{len(dataset.test_cases)} "
               f"mean scatterers={mean_n:.2f}")
         del dataset  # the next level is generated without this one alive
@@ -322,7 +323,7 @@ def cmd_track(args) -> int:
               "truth_angle", "est_px", "est_py", "est_vx", "est_vy", "est_a", "est_b",
               "est_angle", "n")
     # each table is one float array: its step and count columns print as ints at %.17g
-    counts = np.array([len(frame) for frame in case.frames])
+    counts = case.frames.counts
     steps = np.arange(len(counts))
     rows = slice(1, len(states) + 1)
     table = np.column_stack([
@@ -333,7 +334,7 @@ def cmd_track(args) -> int:
     ])
     write_table(args.out, header, table.tolist())
     write_table(points_path, ("step", "x", "y"),
-                np.column_stack([np.repeat(steps, counts), np.concatenate(case.frames)]).tolist())
+                np.column_stack([np.repeat(steps, counts), case.frames.points]).tolist())
     print(f"track written to {args.out} ({len(states)} rows); points to {points_path}")
     return EXIT_OK
 

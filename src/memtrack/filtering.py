@@ -74,6 +74,7 @@ from .models import (
     SCATTER_SCALE,
     D,
     ExtensionState,
+    Frames,
     FrameStats,
     NominalModel,
     TrackState,
@@ -363,15 +364,15 @@ def init_track(first, cfg: TrackerConfig) -> tuple[TrackState, ExtensionState]:
 
 
 def run_filter(
-    frames: list,
+    frames: Frames,
     model: NominalModel,
     cfg: TrackerConfig,
     compensator=None,
     trace: list | None = None,
 ):
-    """Filter a sequence of (n, 2) point frames; the first only initializes.
+    """Filter a sequence of point frames; the first only initializes.
 
-    ``frames`` is one case's frames, or a time-major batch of N cases (see
+    ``frames`` is one case's Frames, or a time-major batch of N cases (see
     :func:`memtrack.models.stack_frames`), filtered together with a leading
     case axis on every belief.  Frame statistics come from one reduction
     over every frame (:func:`memtrack.models.reduce_frames`), whose stacked

@@ -2,27 +2,31 @@
 
 Planar tracking throughout: extension dimension d = 2, kinematic state
 [px, py, vx, vy]; a measurement frame is an (n, 2) float64 array of points
-(m).  All types are immutable values.  Beliefs and frame statistics are
-named tuples, the cheapest immutable record to build (each filter step
-builds several); belief fields may hold either plain float64 arrays or tape
-``Var`` objects (the filter is written once over both).
+(m), and a run's frames are one :class:`Frames`, every frame's points back
+to back in one array with the frames' counts.  The other types are
+immutable values.  Beliefs and frame statistics are named tuples, the
+cheapest immutable record to build (each filter step builds several);
+belief fields may hold either plain float64 arrays or tape ``Var`` objects
+(the filter is written once over both).
 
 Beliefs and frame statistics describe one case (leading shape ``()``), or
 a batch of N cases with a leading case axis: means (N, 4), covariances
 (N, 4, 4), extension dofs (N,) and parameters (N, 2, 2).  A batch's frames
-are time-major: frame k of a batch is the tuple of every case's k-th (n, 2)
-frame (:func:`stack_frames`); a run's frame statistics add a leading step
-axis (:func:`reduce_frames`).
+are time-major: its points hold every case's frame k, then every case's
+frame k + 1, and frame k of the batch is the tuple of the cases' k-th
+(n, 2) frames (:func:`stack_frames`); a run's frame statistics add a
+leading step axis (:func:`reduce_frames`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyFrame, LengthMismatch
+from .errors import EmptyFrame, LengthMismatch, ShapeMismatch
 from .ops import logchol2x2
 
 D = 2  # planar extension dimension; state dimension is 2 * D
@@ -42,6 +46,7 @@ __all__ = [
     "TrackState",
     "ExtensionState",
     "FrameStats",
+    "Frames",
     "NominalModel",
     "ScenarioConfig",
     "cv_transition_matrix",
@@ -82,6 +87,48 @@ class FrameStats(NamedTuple):
     mean: np.ndarray     # (..., 2)
     scatter: np.ndarray  # (..., 2, 2), sum of outer products around the mean
     count: np.int64 | np.ndarray
+
+
+class Frames(Sequence):
+    """A run's measurement frames: ``points`` (P, 2) float64, every frame's
+    points back to back, and int64 ``counts``, (K,) for one case's K frames
+    or (K, N) for a time-major batch of N cases (case i's frame k follows
+    case i - 1's frame k; see :func:`stack_frames`).
+
+    A Sequence of the K frames: ``frames[k]`` is frame k's (n, 2) view of
+    ``points``, for a batch the tuple of the N cases' views, and a slice of
+    consecutive frames is a Frames of views.  Nothing copies ``points``: a
+    case's Frames holds its dataset's own array, so no reader writes to it.
+    Points whose count disagrees with ``counts`` raise ShapeMismatch.
+    """
+
+    __slots__ = ("points", "counts")
+
+    def __init__(self, points, counts):
+        points = np.asarray(points, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim not in (1, 2) or points.shape != (counts.sum(), 2):
+            raise ShapeMismatch(f"points of shape {points.shape} do not hold the frames "
+                                f"of counts of shape {counts.shape}, {counts.sum()} points")
+        self.points, self.counts = points, counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a slice of frames takes consecutive frames")
+            lo = self.counts[:start].sum()
+            counts = self.counts[start:stop]
+            return Frames(self.points[lo:lo + counts.sum()], counts)
+        k = range(len(self))[index]  # IndexError past either end
+        lo = self.counts[:k].sum()
+        if self.counts.ndim == 1:
+            return self.points[lo:lo + self.counts[k]]
+        ends = (lo + np.cumsum(self.counts[k])).tolist()
+        return tuple(self.points[a:b] for a, b in zip([lo, *ends[:-1]], ends))
 
 
 @dataclass(frozen=True)
@@ -169,38 +216,37 @@ def frame_stats(points) -> FrameStats:
     """Mean and unnormalized scatter of a frame's (n, 2) points, or of a
     batch's frame (a tuple of N such arrays): row 0 of the one-frame
     :func:`reduce_frames`, bit for bit."""
-    if not isinstance(points, tuple):
-        points = np.asarray(points, dtype=np.float64)
-    return FrameStats(*(field[0] for field in reduce_frames([points])))
+    if isinstance(points, tuple):
+        frames = Frames(np.concatenate(points), [[len(p) for p in points]])
+    else:
+        frames = Frames(points, [len(points)])
+    return FrameStats(*(field[0] for field in reduce_frames(frames)))
 
 
-def reduce_frames(frames) -> FrameStats:
-    """The statistics of every frame, from one ``np.add.reduceat`` over all
-    their points, stacked: mean (K, 2), scatter (K, 2, 2) and count (K,).
+def reduce_frames(frames: Frames) -> FrameStats:
+    """The statistics of every frame, from one ``np.add.reduceat`` over
+    ``frames.points`` by ``frames.counts``, stacked with the counts' shape
+    leading: mean (K, 2), scatter (K, 2, 2) and count (K,) for one case,
+    with a case axis after the step axis for a batch.
 
-    ``frames`` holds one case's K (n, 2) frames, or a batch's frames, each a
-    tuple of N per-case frames (see :func:`stack_frames`), whose statistics
-    then carry a case axis after the step axis.  A frame without points
-    raises EmptyFrame (``reduceat`` would read a neighbouring point for it).
+    The points are centred into a new array, so ``frames`` is left as it
+    was.  A frame without points raises EmptyFrame (``reduceat`` would read
+    a neighbouring point for it).
     """
-    batched = isinstance(frames[0], tuple)
-    flat = [f for frame in frames for f in frame] if batched else frames
-    counts = np.array([len(f) for f in flat], dtype=np.int64)
+    counts = frames.counts.reshape(-1)
     if not counts.all():
         raise EmptyFrame("frame has no points")
-    points = np.concatenate(flat, axis=0, dtype=np.float64)
     starts = np.cumsum(counts) - counts
-    mean = np.add.reduceat(points, starts, axis=0) / counts[:, None]
-    points -= np.repeat(mean, counts, axis=0)  # centred in place: concatenate copied
-    x, y = points.T
+    mean = np.add.reduceat(frames.points, starts, axis=0) / counts[:, None]
+    x, y = (frames.points - np.repeat(mean, counts, axis=0)).T
     # the three distinct entries of the outer products, summed one at a time;
     # reduceat adds each entry's column in the same order in any layout
     scatter = np.empty((len(counts), 2, 2))
     scatter[:, 0, 0] = np.add.reduceat(x * x, starts)
     scatter[:, 0, 1] = scatter[:, 1, 0] = np.add.reduceat(x * y, starts)
     scatter[:, 1, 1] = np.add.reduceat(y * y, starts)
-    lead = (len(frames), -1) if batched else (-1,)
-    return FrameStats(mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), counts.reshape(lead))
+    lead = frames.counts.shape
+    return FrameStats(mean.reshape(*lead, 2), scatter.reshape(*lead, 2, 2), frames.counts)
 
 
 def frame_features(stats: FrameStats) -> np.ndarray:
@@ -215,14 +261,25 @@ def frame_features(stats: FrameStats) -> np.ndarray:
     return features
 
 
-def stack_frames(runs: list) -> list:
-    """The ``frames`` of one filter run over several cases' frame lists:
-    the only case's own frames, or the time-major batch whose frame k is
-    the tuple of every case's k-th frame.  The cases must have one length."""
+def stack_frames(runs: list[Frames]) -> Frames:
+    """The frames of one filter run over several cases' frames: the only
+    case's own Frames, or the time-major batch, counts (K, N), whose frame
+    k is the tuple of every case's k-th frame, in one new points array.
+    The cases must have one length."""
     if len({len(frames) for frames in runs}) != 1:
         raise LengthMismatch(f"a batch needs cases of one length, got "
                              f"{sorted({len(frames) for frames in runs})} frames")
-    return runs[0] if len(runs) == 1 else list(zip(*runs))
+    if len(runs) == 1:
+        return runs[0]
+    counts = np.stack([frames.counts for frames in runs], axis=1)
+    starts = np.cumsum(counts).reshape(counts.shape) - counts  # where each frame starts
+    points = np.empty((counts.sum(), 2))
+    for i, frames in enumerate(runs):
+        # each point moves by its frame's start in the batch less its start in the case
+        c = counts[:, i]
+        shift = np.repeat(starts[:, i] - (np.cumsum(c) - c), c)
+        points[shift + np.arange(len(shift))] = frames.points
+    return Frames(points, counts)
 
 
 def cv_process_noise(sigma_w: float, dt: float) -> np.ndarray:

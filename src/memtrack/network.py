@@ -59,7 +59,8 @@ from .filtering import (
     extension_lambda,
     run_filter,
 )
-from .models import ExtensionState, FrameStats, NominalModel, TrackState, frame_features
+from .models import (ExtensionState, Frames, FrameStats, NominalModel, TrackState,
+                     frame_features)
 
 __all__ = [
     "FEATURE_DIM",
@@ -399,7 +400,7 @@ class _Compensator:
 
 def forward_sequence(
     params: NetworkParams,
-    frames: list[np.ndarray],
+    frames: Frames,
     model: NominalModel,
     tcfg: TrackerConfig | None = None,
     tape: ops.Tape | None = None,

@@ -3,8 +3,9 @@
 Trajectories alternate constant-velocity and coordinated-turn segments of
 random length, so one-step increments are history-dependent; the elliptical
 extent keeps fixed semi-axes and rotates with the velocity heading.  Frames
-are Poisson-sized (n, 2) arrays of points drawn uniformly over the solid
-ellipse plus isotropic sensor noise.
+are Poisson-sized sets of points drawn uniformly over the solid ellipse plus
+isotropic sensor noise; a case's frames are one :class:`memtrack.models.Frames`,
+every frame's points in one array.
 
 Every case owns an RNG stream derived from (master seed, case index), so a
 dataset is reproducible regardless of generation order: case i of a dataset
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScenarioConfig
+from .models import Frames, ScenarioConfig
 from .spdmat import cholesky, eigen_floor
 
 __all__ = [
@@ -50,7 +51,7 @@ class GroundTruthSequence:
 @dataclass(frozen=True)
 class SimCase:
     truth: GroundTruthSequence
-    frames: list[np.ndarray]          # per step, (n, 2) points
+    frames: Frames                    # K frames: (P, 2) points, (K,) counts
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,13 @@ def _scatter(centres, extents, counts, uniforms, normals, sigma_v: float) -> np.
 
 def generate_case(cfg: ScenarioConfig, master_seed: int, case_idx: int) -> SimCase:
     """Case ``case_idx`` of ``master_seed``: its trajectory's draws, then every
-    frame's, from the case's own stream; the frames are consecutive slices
-    of one points array."""
+    frame's, from the case's own stream; the frames are one points array
+    and its counts."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, case_idx))))
     truth = generate_trajectory(cfg, rng)
     counts, uniforms, normals = _draw_frames(cfg, rng, cfg.steps)
     points = _scatter(truth.states, truth.extents, counts, uniforms, normals, cfg.sigma_v)
-    ends = np.cumsum(counts).tolist()
-    return SimCase(truth=truth,
-                   frames=[points[a:b] for a, b in zip([0, *ends[:-1]], ends)])
+    return SimCase(truth=truth, frames=Frames(points, counts))
 
 
 def generate_dataset(cfg: ScenarioConfig) -> Dataset:

@@ -13,8 +13,9 @@ and its cases' seeds follow from the config (see
 ``feat_mean`` and ``feat_std``.  Zip's per-member CRC32 covers the header and
 every array; members carry a fixed 1980 timestamp, so writes are reproducible.
 Reads are bit-exact.  A read takes in every member in full, so zip checks
-each CRC, and validates every case before it returns; only the slicing of a
-case's frames from ``points`` waits until that case is first used.  Not a zip
+each CRC, and validates every case before it returns; a case's frames are
+a :class:`memtrack.models.Frames` of its run of ``points`` and its row of
+``frame_counts``, views of the members.  Not a zip
 (version 1, say), the wrong kind or version (regenerate older datasets with
 ``memtrack simulate``, and retrain from a format-2 checkpoint, whose
 covariance head meant an additive inflation), or a checkpoint shape table
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-from collections.abc import Sequence
 from dataclasses import asdict, replace
 from itertools import chain
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ChecksumMismatch, VersionMismatch
 from .metrics import MetricsReport
-from .models import ScenarioConfig
+from .models import Frames, ScenarioConfig
 from .network import FEATURE_DIM, MASK_FIELDS, NetworkParams, _array_specs, zero_params
 from .simulate import Dataset, GroundTruthSequence, SimCase
 
@@ -113,8 +113,8 @@ def write_dataset(dataset: Dataset, path) -> None:
         ("extents", np.asarray([c.truth.extents for c in cases], "<f8")),
         ("regimes", np.asarray([c.truth.regimes for c in cases], "<i1")),
         ("omegas", np.asarray([c.truth.omegas for c in cases], "<f8")),
-        ("frame_counts", np.asarray([[len(f) for f in c.frames] for c in cases], "<i8")),
-        ("points", np.concatenate([f for c in cases for f in c.frames], dtype="<f8")),
+        ("frame_counts", np.asarray([c.frames.counts for c in cases], "<i8")),
+        ("points", np.concatenate([c.frames.points for c in cases], dtype="<f8")),
     ])
 
 
@@ -129,45 +129,19 @@ def _dataset_from(header: dict, a: dict) -> Dataset:
             "points": ("<f8", (int(counts.sum()), 2))}) or (counts < 0).any():
         raise ChecksumMismatch("dataset arrays disagree with the config's cases and steps, "
                                "in shape or in frame counts")
-    points, bounds = a["points"], np.concatenate([[0], np.cumsum(counts.ravel())])
+    points, bounds = a["points"], [0, *np.cumsum(counts.sum(axis=1)).tolist()]
     cases = [SimCase(truth=GroundTruthSequence(a["states"][i], a["extents"][i],
                                                a["regimes"][i], a["omegas"][i]),
-                     frames=_Frames(points, bounds[i * k:(i + 1) * k + 1]))
+                     frames=Frames(points[bounds[i]:bounds[i + 1]], counts[i]))
              for i in range(n)]
     return Dataset(cases=cases, config=cfg)
 
 
-class _Frames(Sequence):
-    """One case's frames, read as a list: the slices of ``points`` between
-    consecutive ``bounds``, cut when the case is first used."""
-
-    __slots__ = ("_points", "_bounds", "_cut")
-
-    def __init__(self, points: np.ndarray, bounds: np.ndarray):
-        self._points, self._bounds, self._cut = points, bounds, None
-
-    def _frames(self) -> list[np.ndarray]:
-        if self._cut is None:
-            bounds = self._bounds.tolist()
-            self._cut = [self._points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return self._cut
-
-    def __len__(self) -> int:
-        return len(self._bounds) - 1
-
-    def __getitem__(self, index):
-        return self._frames()[index]
-
-    def __iter__(self):
-        return iter(self._frames())
-
-
 def read_dataset(path) -> Dataset:
-    """Decode a dataset; each case's arrays are views of the members, and
-    each frame is a plain slice of the ``points`` member, cut when its case
-    is first used.  Every member is read in full, so its CRC is checked,
-    and every case's shapes and frame counts are validated before this
-    returns."""
+    """Decode a dataset; each case's arrays, its frames' points and counts
+    among them, are views of the members.  Every member is read in full,
+    so its CRC is checked, and every case's shapes and frame counts are
+    validated before this returns."""
     return _read_archive(path, "dataset", _dataset_from)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cli_flags import key_flags
+from list_frames import frames_of
 from memtrack import cli, training
 from memtrack.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from memtrack.metrics import MAX_POLYGON_ORDER
@@ -80,6 +81,21 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"config error: two noise levels would write {out / 'dataset_sw0.4_sv0.6.mtds'}\n")
         assert not out.exists()
+
+    def test_output_that_names_the_config_is_data_error(self, tmp_path, monkeypatch, capsys):
+        """A dataset whose file is the --config exits 3 before anything is
+        generated, naming both paths, and the config keeps its bytes."""
+        monkeypatch.setattr(cli, "generate_dataset", lambda *args: pytest.fail("generated"))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "dataset_sw0.4_sv0.6.mtds"
+        config.write_text("[scenario]\ncases = 2\n")
+        before = config.read_bytes()
+        rc = main(["simulate", "--config", config.name, "--out", ".", "--levels", "0.4:0.6"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: output path ./{config.name} names the input {config.name}\n")
+        assert config.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("extra", [
         ["--levels", "a:b"],
@@ -461,7 +477,8 @@ def _with_frame(src, dst, step, points):
     """Copy dataset ``src`` to ``dst`` with frame ``step`` of every case
     replaced by ``points``."""
     ds = read_dataset(src)
-    cases = [replace(c, frames=[points if k == step else f for k, f in enumerate(c.frames)])
+    cases = [replace(c, frames=frames_of([points if k == step else f
+                                          for k, f in enumerate(c.frames)]))
              for c in ds.cases]
     write_dataset(replace(ds, cases=cases), dst)
 
@@ -865,6 +882,25 @@ class TestDatascale:
 
 
 class TestConfigKeys:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--out", "o"],
+        ["train", "d.mtds", "--out", "x.mtck"],
+        ["eval", "d.mtds", "--out", "r"],
+        ["track", "d.mtds", "--case", "0", "--out", "t.csv"],
+        ["datascale", "--out", "s.csv"],
+    ], ids=lambda command: command[0])
+    def test_config_that_is_not_utf8_is_config_error(self, small_dataset, tmp_path,
+                                                     monkeypatch, capsys, command):
+        """A --config that is not UTF-8 text, a dataset say, exits 2 naming
+        the file, before anything is read or written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.mtds").write_bytes(small_dataset.read_bytes())
+        rc = main([*command, "--config", "c.mtds"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config c.mtds: 'utf-8' codec can't")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.mtds"]
+
     def test_dataclass_defaults_carry_their_field_types(self):
         # values are converted by the type of the default, so a float field
         # with an int default would reject "0.5"

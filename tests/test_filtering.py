@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import composed_ops as composed
+from list_frames import batch_of, frames_of
 from memtrack import filtering, models, network, ops
 from memtrack.errors import (
     EmptyFrame,
@@ -492,7 +493,7 @@ class TestKalmanEquivalence:
         """Near-exact measurements of a fixed target: position error decays."""
         model = models.nominal_cv_model(sigma_w=0.01)
         rng = np.random.default_rng(2)
-        frames = [rng.normal(0.0, 1e-3, size=(20, 2)) for _ in range(40)]
+        frames = frames_of([rng.normal(0.0, 1e-3, size=(20, 2)) for _ in range(40)])
         states, _, _ = filtering.run_filter(frames, model, TrackerConfig(pos_var=25.0))
         errs = [float(np.linalg.norm(s.mean[:2])) for s in states]
         assert errs[-1] < errs[0]
@@ -545,7 +546,7 @@ class TestFilterStep:
             calls.update(dict.fromkeys(calls, 0))
 
     def test_single_point_frame_increments_dof_by_one(self, cv_model):
-        frames = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])]
+        frames = frames_of([np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.5, -0.5]])])
         _, exts, diags = filtering.run_filter(frames, cv_model, TrackerConfig(), trace=[])
         assert exts[0].dof - diags[0].pred_ext.dof == 1
 
@@ -888,10 +889,11 @@ class TestBatch:
         ef[2] = -1.0 + 1e-4
         tcfg = TrackerConfig()
         trace = []
-        batch = filtering.run_filter(models.stack_frames(frames), cv_model, tcfg,
+        batch = filtering.run_filter(batch_of(frames), cv_model, tcfg,
                                      _evolving(np.zeros((3, 4)), ef), trace=trace)
         for i in range(3):
-            single = filtering.run_filter(frames[i], cv_model, tcfg, _evolving(np.zeros(4), ef[i]))
+            single = filtering.run_filter(frames_of(frames[i]), cv_model, tcfg,
+                                          _evolving(np.zeros(4), ef[i]))
             assert_row_matches(batch[:2], single[:2], i)
         smallest = np.linalg.eigvalsh(trace[0].pred_state.cov).min(axis=1)
         assert smallest[2] < 1e-6 < 0.1 < smallest[:2].min()
@@ -913,7 +915,7 @@ class TestBatch:
             frames[1][5] = np.array([[np.nan, 0.0], [1.0, 1.0]])  # frame 5 is step 6
         else:
             shift[1, 0] = np.inf if where == "shift" else np.nan
-        for run_frames, run_shift in ((frames[1], shift[1]), (models.stack_frames(frames), shift)):
+        for run_frames, run_shift in ((frames_of(frames[1]), shift[1]), (batch_of(frames), shift)):
             with pytest.raises(NonFinite, match="at step 6$"):
                 filtering.run_filter(run_frames, cv_model, TrackerConfig(),
                                      ShiftAtStep(run_shift, 6))
@@ -923,11 +925,11 @@ class TestBatch:
         frames = [list(c.frames) for c in cases]
         frames[2][0] = frames[2][0][:1]
         with pytest.raises(TooFewPoints):
-            filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig())
+            filtering.run_filter(batch_of(frames), cv_model, TrackerConfig())
         frames[2][0] = cases[2].frames[0]
         frames[0][-1] = np.empty((0, 2))
         with pytest.raises(EmptyFrame):
-            filtering.run_filter(models.stack_frames(frames), cv_model, TrackerConfig())
+            filtering.run_filter(batch_of(frames), cv_model, TrackerConfig())
 
     def test_cases_of_different_lengths_are_rejected(self):
         cases = _batch_cases(steps=6, count=2, seed=74)
@@ -952,7 +954,7 @@ class TestDofOwners:
         frames = [[rng.standard_normal((3, 2))] + [rng.standard_normal((1, 2)) for _ in range(140)]
                   for _ in range(3)]
         tcfg = TrackerConfig(init_dof=init_dof)
-        for run_frames in (frames[0], models.stack_frames(frames)):
+        for run_frames in (frames_of(frames[0]), batch_of(frames)):
             trace = []
             _, exts, _ = filtering.run_filter(run_frames, cv_model, tcfg, trace=trace)
             predicted = np.array([step.pred_ext.dof for step in trace]) - (2 * models.D + 2)

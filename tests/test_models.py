@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from list_frames import batch_of, frames_of, reduce_frame_list
 from memtrack import models
-from memtrack.errors import EmptyFrame
+from memtrack.errors import EmptyFrame, ShapeMismatch
 
 
 class TestCvTransition:
@@ -151,7 +152,7 @@ class TestReduceFrames:
                 for n in rng.integers(1, 30, count)]
 
     def test_matches_direct_formulas(self):
-        stats = models.reduce_frames(self._frames(3))
+        stats = models.reduce_frames(frames_of(self._frames(3)))
         assert stats.mean.shape == (12, 2) and stats.scatter.shape == (12, 2, 2)
         assert stats.count.shape == (12,) and stats.count.dtype == np.int64
         for fs, pts in zip(map(models.FrameStats, *stats), self._frames(3)):
@@ -164,7 +165,8 @@ class TestReduceFrames:
 
     def test_frame_stats_is_the_one_frame_case(self):
         frames = self._frames(4)
-        for fs, pts in zip(map(models.FrameStats, *models.reduce_frames(frames)), frames):
+        for fs, pts in zip(map(models.FrameStats, *models.reduce_frames(frames_of(frames))),
+                           frames):
             one = models.frame_stats(pts)
             np.testing.assert_array_equal(one.mean, fs.mean)
             np.testing.assert_array_equal(one.scatter, fs.scatter)
@@ -172,11 +174,11 @@ class TestReduceFrames:
 
     def test_batch_rows_are_the_cases_frames(self):
         runs = [self._frames(seed, count=5) for seed in (5, 6, 7)]
-        batch = models.reduce_frames(models.stack_frames(runs))
+        batch = models.reduce_frames(batch_of(runs))
         assert batch.mean.shape == (5, 3, 2) and batch.scatter.shape == (5, 3, 2, 2)
         assert batch.count.shape == (5, 3) and batch.count.dtype == np.int64
         for i, frames in enumerate(runs):
-            one = models.reduce_frames(frames)
+            one = models.reduce_frames(frames_of(frames))
             np.testing.assert_array_equal(batch.mean[:, i], one.mean)
             np.testing.assert_array_equal(batch.scatter[:, i], one.scatter)
             np.testing.assert_array_equal(batch.count[:, i], one.count)
@@ -186,9 +188,10 @@ class TestReduceFrames:
         products, on a ragged batch; the frames are left as they were."""
         runs = [self._frames(seed, count=9) for seed in (10, 11, 12)]
         runs[1][4] = runs[1][4][:1]
-        kept = [[f.copy() for f in frames] for frames in runs]
-        batch = models.reduce_frames(models.stack_frames(runs))
-        flat = [f for step in models.stack_frames(runs) for f in step]
+        frames = batch_of(runs)
+        kept = frames.points.copy()
+        batch = models.reduce_frames(frames)
+        flat = [f for step in zip(*runs) for f in step]
         counts = np.array([len(f) for f in flat])
         points = np.concatenate(flat)
         starts = np.cumsum(counts) - counts
@@ -197,9 +200,7 @@ class TestReduceFrames:
         outer = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
         np.testing.assert_array_equal(batch.scatter, outer.reshape(9, 3, 2, 2))
         np.testing.assert_array_equal(batch.mean, mean.reshape(9, 3, 2))
-        for frames, copies in zip(runs, kept):
-            for f, c in zip(frames, copies):
-                np.testing.assert_array_equal(f, c)
+        np.testing.assert_array_equal(frames.points, kept)
 
     @pytest.mark.parametrize("empty", [0, 5, 11])
     def test_empty_frame_rejected_anywhere(self, empty):
@@ -208,6 +209,84 @@ class TestReduceFrames:
         frames = self._frames(8)
         frames[empty] = np.empty((0, 2))
         with pytest.raises(EmptyFrame):
-            models.reduce_frames(frames)
+            models.reduce_frames(frames_of(frames))
         with pytest.raises(EmptyFrame):
-            models.reduce_frames(models.stack_frames([self._frames(9), frames]))
+            models.reduce_frames(batch_of([self._frames(9), frames]))
+
+    @pytest.mark.parametrize("sizes", [None, (1,) * 7, (2,) * 7, (1, 2, 1, 2, 2, 1, 1)],
+                             ids=["ragged", "one-point", "two-point", "one-and-two-point"])
+    def test_equals_the_list_reduction_bit_for_bit(self, sizes):
+        """One case's and a 3-case batch's statistics are the list-based
+        reduction's, bit for bit, one- and two-point frames included."""
+        rng = np.random.default_rng(13)
+        runs = [self._frames(seed, count=7) if sizes is None else
+                [rng.uniform(-50, 50, (n, 2)) for n in sizes] for seed in (14, 15, 16)]
+        for got, want in ((models.reduce_frames(frames_of(runs[0])), reduce_frame_list(runs[0])),
+                          (models.reduce_frames(batch_of(runs)),
+                           reduce_frame_list(list(zip(*runs))))):
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+    def test_reducing_leaves_the_points_as_they_were(self):
+        """The reduction centres a copy: a case's Frames holds its dataset's
+        own array, so reducing it twice gives one result and no change."""
+        frames = frames_of(self._frames(17))
+        kept = frames.points.copy()
+        first = models.reduce_frames(frames)
+        second = models.reduce_frames(frames)
+        np.testing.assert_array_equal(frames.points, kept)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestFrames:
+    """A Frames reads as the list of frame arrays it replaced."""
+
+    def _runs(self):
+        rng = np.random.default_rng(18)
+        return [[rng.standard_normal((int(n), 2)) for n in rng.integers(1, 9, 6)]
+                for _ in range(3)]
+
+    def test_case_reads_as_its_list(self):
+        arrays = self._runs()[0]
+        frames = frames_of(arrays)
+        assert len(frames) == len(arrays)
+        for k in range(-len(arrays), len(arrays)):
+            np.testing.assert_array_equal(frames[k], arrays[k])
+            assert np.shares_memory(frames[k], frames.points)
+        for got, want in zip(frames, arrays, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for index in (slice(1, None), slice(2, 4), slice(None, -1), slice(4, 2)):
+            part = frames[index]
+            assert isinstance(part, models.Frames) and len(part) == len(arrays[index])
+            assert len(part) == 0 or np.shares_memory(part.points, frames.points)
+            for got, want in zip(part, arrays[index], strict=True):
+                np.testing.assert_array_equal(got, want)
+        for index in (len(arrays), -len(arrays) - 1):
+            with pytest.raises(IndexError):
+                frames[index]
+        with pytest.raises(ValueError):
+            frames[::2]
+
+    def test_batch_reads_as_its_tuples(self):
+        runs = self._runs()
+        frames = batch_of(runs)
+        steps = list(zip(*runs))
+        assert len(frames) == len(steps) and frames.counts.shape == (len(steps), 3)
+        for got, want in zip(frames, steps, strict=True):
+            assert isinstance(got, tuple) and len(got) == 3
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+        assert all(np.shares_memory(f, frames.points) for f in frames[-1])
+        rest = frames[1:]
+        assert rest.counts.shape == (len(steps) - 1, 3)
+        for got, want in zip(rest, steps[1:], strict=True):
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    def test_points_must_match_the_counts(self):
+        with pytest.raises(ShapeMismatch):
+            models.Frames(np.zeros((5, 2)), [2, 2])
+        with pytest.raises(ShapeMismatch):
+            models.Frames(np.zeros(4), [2, 2])

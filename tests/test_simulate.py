@@ -253,6 +253,8 @@ class TestStepwiseReference:
 
     def test_frames_are_consecutive_slices_of_one_array(self):
         case = generate_case(ScenarioConfig(steps=10, cases=1), 0, 0)
-        base = case.frames[0].base
-        assert base is not None and all(f.base is base for f in case.frames)
-        assert sum(len(f) for f in case.frames) == len(base)
+        points = case.frames.points
+        assert points.base is None and all(f.base is points for f in case.frames)
+        assert all(np.shares_memory(f, points) for f in case.frames)
+        assert case.frames.counts.tolist() == [len(f) for f in case.frames]
+        assert sum(len(f) for f in case.frames) == len(points)

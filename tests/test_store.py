@@ -1,6 +1,7 @@
 import json
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,9 @@ class TestDatasetRoundTrip:
         assert base.size == points.size
         assert all(f.base is base and np.shares_memory(f, base) for f in frames)
         np.testing.assert_array_equal(np.concatenate(frames), points)
+        cases = store.read_dataset(path).cases
+        assert all(np.shares_memory(c.frames.points, c.frames[0]) for c in cases)
+        np.testing.assert_array_equal(np.concatenate([c.frames.points for c in cases]), points)
 
     def test_fewer_cases_in_header_rejected(self, path):
         _edit_archive(path, lambda h, a: a.update(omegas=a["omegas"][:3]))
@@ -415,3 +419,52 @@ class TestWriteTable:
         with pytest.raises(TypeError):
             store.write_table(tmp_path / "t.csv", ("a", "b"), rows)
         assert not (tmp_path / "t.csv").exists()
+
+
+def _traced(build):
+    """``build()`` and the bytes of traced allocations it leaves alive."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestDatasetMemory:
+    """A 100-case x 140-step dataset holds little beside its arrays' bytes,
+    generated or read with every case's frames touched: a case's frames are
+    one points array and its counts, not an array object per frame."""
+
+    BOUND = 0.05  # of the arrays' nbytes
+    CONFIG = ScenarioConfig(steps=140, cases=100, seed=5)
+
+    @pytest.fixture(autouse=True)
+    def _warm(self, path):
+        """Generate and read once untraced: what the first use allocates for
+        good (caches, lazy set-up) is not the dataset's."""
+        store.read_dataset(path)
+
+    def test_generated_dataset(self):
+        dataset, held = _traced(lambda: generate_dataset(self.CONFIG))
+        nbytes = sum(a.nbytes for c in dataset.cases
+                     for a in (*vars(c.truth).values(), c.frames.points, c.frames.counts))
+        assert held - nbytes < self.BOUND * nbytes
+
+    def test_read_dataset_with_every_frame_touched(self, tmp_path):
+        path = tmp_path / "large.mtds"
+        store.write_dataset(generate_dataset(self.CONFIG), path)
+        nbytes = sum(a.nbytes for name, a in _members(path).items() if name != "header")
+
+        def read_and_touch():
+            dataset = store.read_dataset(path)
+            for case in dataset.cases:
+                for _ in case.frames:
+                    pass
+            return dataset
+
+        _, held = _traced(read_and_touch)
+        assert held - nbytes < self.BOUND * nbytes

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from list_frames import frames_of
 from memtrack import cli, filtering, network, ops, training
 from memtrack.errors import EmptyDataset, NonFinite, NotPositiveDefinite, SingularInnovation
 from memtrack.filtering import ZERO_EVOLUTION, ZERO_MEASUREMENT, TrackerConfig, run_filter
@@ -271,8 +272,9 @@ class TestBatchedPasses:
     def test_one_non_finite_case_makes_the_batch_infinite(self, cases, params, tiny):
         _, model = tiny
         broken = SimCase(truth=cases[2].truth,
-                         frames=[*cases[2].frames[:4], np.array([[np.nan, 0.0], [1.0, 2.0]]),
-                                 *cases[2].frames[5:]])
+                         frames=frames_of([*cases[2].frames[:4],
+                                           np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                                           *cases[2].frames[5:]]))
         batch = [cases[0], broken, cases[1]]
         with np.errstate(invalid="ignore"):
             assert training._validation_loss(params, [broken], model, TrackerConfig()) \
@@ -341,8 +343,9 @@ class TestCollectorPause:
         cfg = make_cfg()
         if kind == "non-finite":
             case = SimCase(truth=case.truth,
-                           frames=[*case.frames[:4], np.array([[np.nan, 0.0], [1.0, 2.0]]),
-                                   *case.frames[5:]])
+                           frames=frames_of([*case.frames[:4],
+                                             np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                                             *case.frames[5:]]))
             with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
                 training._run_loss(params, [case], model, cfg.tracker, cfg.l2, ops.Tape())
         elif kind == "all-masked":
